@@ -6,10 +6,9 @@ for the primitive-character fourth moment, and checks of the main-term
 asymptotics and supporting lemma-scale bounds.
 """
 
-from .arith import (Factorization, coprime_iter, divisor_count, divisors,
-                    euler_phi, euler_phi_sieve, factorize, mobius,
-                    mobius_sieve, omega, omega_sieve, phi_star, prime_sieve,
-                    two_pow_omega)
+from .arith import (Factorization, divisor_count, divisors, euler_phi,
+                    euler_phi_sieve, factorize, mobius, mobius_sieve, omega,
+                    omega_sieve, phi_star, prime_sieve, two_pow_omega)
 from .chargroup import (CharacterGroup, CharacterLabel, build_group,
                         char_eval, classify, exact_primitive_char_sum,
                         exact_root_of_unity_sum, gauss_sum, primitive_count,
@@ -20,9 +19,8 @@ from .kernel import (KernelAccuracyError, KernelConfig, clear_kernel_cache,
 from .lfunc import (CentralValue, KernelWeights, abc_values, hurwitz_zeta,
                     kernel_weights, l_half_oracle, truncation_bound)
 from .spectra import (CharacterSpectrum, MomentReport, ResidueWeightTable,
-                      all_char_sums, bc_moments, compute_spectrum,
-                      fourth_moment, parity_flat, primitive_flat,
-                      weight_table)
+                      all_char_sums, compute_spectrum, fourth_moment,
+                      parity_flat, primitive_flat, weight_table)
 from .asymptotics import (ErrorSumResult, Lemma3Result, Lemma4Result,
                           Lemma5Result, MainTermBreakdown, error_sum_E,
                           lemma3_count, lemma4_check, lemma5_sums,
@@ -36,7 +34,7 @@ __all__ = [
     "__version__",
     # arith
     "Factorization", "factorize", "mobius", "euler_phi", "omega",
-    "divisor_count", "two_pow_omega", "phi_star", "divisors", "coprime_iter",
+    "divisor_count", "two_pow_omega", "phi_star", "divisors",
     "prime_sieve", "omega_sieve", "mobius_sieve", "euler_phi_sieve",
     # chargroup
     "CharacterGroup", "CharacterLabel", "build_group", "char_eval",
@@ -52,7 +50,7 @@ __all__ = [
     # spectra
     "ResidueWeightTable", "weight_table", "all_char_sums", "parity_flat",
     "primitive_flat", "CharacterSpectrum", "compute_spectrum",
-    "MomentReport", "fourth_moment", "bc_moments",
+    "MomentReport", "fourth_moment",
     # asymptotics
     "theorem_main_term", "m_direct", "m_reparametrized",
     "MainTermBreakdown", "main_term_breakdown", "Lemma3Result",

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 __all__ = [
     "Factorization",
     "factorize",
-    "arith_fn",
     "mobius",
     "euler_phi",
     "omega",
@@ -183,25 +181,6 @@ def two_pow_omega(n: int) -> int:
     return 2 ** omega(n)
 
 
-_ARITH_FNS = {
-    "mobius": mobius,
-    "euler_phi": euler_phi,
-    "omega": omega,
-    "divisor_count": divisor_count,
-    "two_pow_omega": two_pow_omega,
-}
-
-
-def arith_fn(kind: str, n: int) -> int:
-    """Dispatch to one of the standard multiplicative functions by name."""
-    try:
-        fn = _ARITH_FNS[kind]
-    except KeyError:
-        raise ValueError(f"unknown arithmetic function {kind!r}; "
-                         f"choose from {sorted(_ARITH_FNS)}") from None
-    return fn(n)
-
-
 def phi_star(q: int) -> int:
     """Number of primitive Dirichlet characters mod q.
 
@@ -228,13 +207,6 @@ def divisors(n: int) -> list[int]:
             block.extend(d * pk for d in divs)
         divs.extend(block)
     return sorted(divs)
-
-
-def coprime_iter(limit: int, q: int) -> Iterator[int]:
-    """Yield 1 <= n <= limit with gcd(n, q) = 1."""
-    for n in range(1, limit + 1):
-        if math.gcd(n, q) == 1:
-            yield n
 
 
 # ---------------------------------------------------------------------------

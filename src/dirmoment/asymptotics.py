@@ -41,7 +41,8 @@ import numpy as np
 from .arith import euler_phi, factorize, omega, omega_sieve, phi_star, two_pow_omega
 from .chargroup import CharacterGroup, build_group
 from .kernel import KernelConfig
-from .lfunc import KernelWeights, _pairs, kernel_weights
+from .lfunc import (KernelWeights, _char_table, _kahan_pair_sum, _pairs,
+                    kernel_weights)
 from .numerics import EULER_GAMMA, ZETA2, KahanSum
 
 __all__ = [
@@ -341,28 +342,16 @@ def error_sum_E(q: int, cfg: KernelConfig = KernelConfig(), *,
         raise ValueError("error sum needs q >= 3 so log q > 0")
     kw = _resolve_weights(q, cfg, weights)
     G = group if group is not None else build_group(q)
-    from .chargroup import root_of_unity
     pairs, n_b = _pairs(q, kw.m_eff, kw.z_floor)
     head = pairs[:n_b]
-    N = G.exponent
+    kps = (kw.kprod[0].tolist(), kw.kprod[1].tolist())
     acc = KahanSum()
     for chi in G.labels():
         if not chi.primitive:
             continue
-        tab = [0j] * q
-        for u in range(q):
-            num = G.angle_num(chi, u)
-            if num is not None:
-                tab[u] = root_of_unity(num, N)
-        kp = kw.kprod_list(chi.parity)
-        tr = cr = 0.0
-        for m, a in head:
-            z = tab[a % q] * tab[(m // a) % q].conjugate()
-            y = z.real * kp[m] - cr
-            t = tr + y
-            cr = (t - tr) - y
-            tr = t
-        acc.add(tr * tr)
+        tab, tabc = _char_table(G, chi)
+        b_re, _ = _kahan_pair_sum(tab, tabc, head, kps[chi.parity])
+        acc.add(b_re * b_re)
     m_val = m_reparametrized(q, cfg, weights=kw)
     b_sq = acc.value
     return ErrorSumResult(q=q, b_sq_sum=b_sq, m_value=m_val,

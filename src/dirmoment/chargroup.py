@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .arith import Factorization, divisors, euler_phi, factorize, mobius, phi_star
+from .arith import Factorization, divisors, euler_phi, factorize, mobius
 
 __all__ = [
     "CharacterGroup",
@@ -274,12 +274,6 @@ class CharacterGroup:
         for e, ti, d in zip(chi.exponents, t, self.orders):
             num += e * ti * (N // d)
         return num % N
-
-    def angle(self, chi: CharacterLabel, n: int) -> Optional[Fraction]:
-        num = self.angle_num(chi, n)
-        if num is None:
-            return None
-        return Fraction(num, self.exponent)
 
     def _classify(self, exps: tuple[int, ...]) -> tuple[int, int, bool]:
         parity = sum(e * k for e, k in zip(exps, self._parity_key)) % 2
@@ -548,10 +542,3 @@ def primitive_count(G: CharacterGroup) -> int:
     """Number of primitive labels; equals phi_star(q) by construction checks."""
     return sum(1 for chi in G.labels() if chi.primitive)
 
-
-def _selfcheck_phi_star(q: int) -> bool:  # pragma: no cover - debug helper
-    return primitive_count(build_group(q)) == phi_star(q)
-
-
-def all_labels_iter(G: CharacterGroup) -> Iterator[CharacterLabel]:
-    yield from G.labels()

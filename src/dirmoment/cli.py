@@ -8,7 +8,8 @@ Subcommands:
   verify-bounds      measured-bound checks (lemmas, tails), exit 1 on failure
   kernel-table       CSV table of W_0 and W_1 on an x grid
 
-Exit codes: 0 success, 1 a verification check failed, 2 usage error.
+Exit codes: 0 success, 1 a verification check failed, 2 usage error
+(the subcommand's usage and the offending argument go to stderr).
 All floats are rendered with %.17g so byte-identical reruns mean
 bit-identical numbers; timing columns default to 0 and only carry real
 measurements under --timings, keeping default output reproducible.
@@ -18,13 +19,12 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .arith import omega, phi_star, two_pow_omega, euler_phi
+from .arith import euler_phi, omega
 from .chargroup import (build_group, exact_primitive_char_sum, gauss_sum,
                         primitive_sum_lemma1, signed_sum_eq21)
 from .kernel import KernelConfig, w_eval_batch
@@ -95,17 +95,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="kernel accuracy target (default 1e-10)")
     p.add_argument("--x-zero", type=float, default=24.0,
                    help="hard zero cutoff for the kernel argument")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("DIRMOMENT_THREADS", "1")),
-                   help="worker threads for table builds "
-                        "(env DIRMOMENT_THREADS)")
     p.add_argument("--out", help="write output to this file instead of stdout")
 
 
 def _cmd_moment(args: argparse.Namespace) -> int:
     cfg = _kernel_cfg(args)
-    rep = fourth_moment(args.q, cfg, threads=args.threads,
-                        method=args.transform)
+    rep = fourth_moment(args.q, cfg)
     payload: dict = {
         "q": rep.q,
         "phi_star": rep.phi_star,
@@ -133,13 +128,13 @@ def _cmd_moment(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     if args.qmin < 1 or args.qmax < args.qmin:
-        raise SystemExit(2)
+        args.parser.error(f"need 1 <= --qmin <= --qmax, got --qmin "
+                          f"{args.qmin} --qmax {args.qmax}")
     cfg = _kernel_cfg(args)
     lines = [_SCAN_HEADER]
     for q in range(args.qmin, args.qmax + 1):
         kw = kernel_weights(q, cfg)
-        rep = fourth_moment(q, cfg, threads=args.threads,
-                            method=args.transform, weights=kw)
+        rep = fourth_moment(q, cfg, weights=kw)
         e_meas = rep.b_moment - m_reparametrized(q, cfg, weights=kw)
         wall_ms = sum(rep.wall.values()) * 1000.0 if args.timings else 0.0
         lines.append(",".join((
@@ -156,7 +151,8 @@ def _cmd_value(args: argparse.Namespace) -> int:
     cfg = _kernel_cfg(args)
     G = build_group(args.q)
     if not 0 <= args.char < G.group_order:
-        raise SystemExit(2)
+        args.parser.error(f"--char must be in [0, {G.group_order}) for "
+                          f"--q {args.q}, got {args.char}")
     chi = G.label_at(args.char)
     want_oracle = chi.primitive and G.q >= 3 and not args.no_oracle
     cv = abc_values(G, chi, cfg, with_oracle=want_oracle)
@@ -380,8 +376,11 @@ def _cmd_verify_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_kernel_table(args: argparse.Namespace) -> int:
     cfg = _kernel_cfg(args)
-    if args.points < 2 or args.xmin <= 0 or args.xmax <= args.xmin:
-        raise SystemExit(2)
+    if args.points < 2:
+        args.parser.error(f"--points must be >= 2, got {args.points}")
+    if args.xmin <= 0 or args.xmax <= args.xmin:
+        args.parser.error(f"need 0 < --xmin < --xmax, got --xmin "
+                          f"{args.xmin} --xmax {args.xmax}")
     if args.linear:
         xs = np.linspace(args.xmin, args.xmax, args.points)
     else:
@@ -404,10 +403,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moment", help="fourth moment at one modulus")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--transform", choices=("auto", "naive", "fft"),
-                   default="auto")
-    p.add_argument("--json", action="store_true",
-                   help="emit JSON (the default and only format here)")
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock stage times in the report")
     _add_common(p)
@@ -416,12 +411,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="CSV sweep over a modulus range")
     p.add_argument("--qmin", type=int, default=3)
     p.add_argument("--qmax", type=int, default=50)
-    p.add_argument("--transform", choices=("auto", "naive", "fft"),
-                   default="auto")
     p.add_argument("--timings", action="store_true",
                    help="emit real wall_ms (breaks byte reproducibility)")
     _add_common(p)
-    p.set_defaults(func=_cmd_scan)
+    p.set_defaults(func=_cmd_scan, parser=p)
 
     p = sub.add_parser("value", help="central value for one character")
     p.add_argument("--q", type=int, required=True)
@@ -431,7 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-oracle", action="store_true",
                    help="skip the Hurwitz-zeta cross-check")
     _add_common(p)
-    p.set_defaults(func=_cmd_value)
+    p.set_defaults(func=_cmd_value, parser=p)
 
     p = sub.add_parser("verify-identities",
                        help="exact character-sum identities")
@@ -456,7 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--linear", action="store_true",
                    help="linear instead of log spacing")
     _add_common(p)
-    p.set_defaults(func=_cmd_kernel_table)
+    p.set_defaults(func=_cmd_kernel_table, parser=p)
     return ap
 
 

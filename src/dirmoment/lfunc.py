@@ -16,8 +16,8 @@ test is the exact integer predicate a*b * 2^omega(q) <= q.
 
 The double sum is accumulated with compensated (Kahan) summation in a
 fixed order: increasing product ab, ties by increasing a.  That order is
-part of the reproducibility contract; it never changes with threading or
-batching choices elsewhere.
+part of the reproducibility contract; it never changes with batching
+choices elsewhere.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -124,15 +125,6 @@ class KernelWeights:
     w: tuple[np.ndarray, np.ndarray]
     kprod: tuple[np.ndarray, np.ndarray]
 
-    def kprod_list(self, parity: int) -> list[float]:
-        cached = getattr(self, "_kp_lists", None)
-        if cached is None:
-            cached = [None, None]
-            self._kp_lists = cached
-        if cached[parity] is None:
-            cached[parity] = self.kprod[parity].tolist()
-        return cached[parity]
-
 
 def truncation_bound(q: int, cfg: KernelConfig) -> int:
     """Effective upper bound for products ab in the smoothed sums."""
@@ -172,16 +164,11 @@ class CentralValue:
     l_oracle: Optional[complex] = None
 
 
-_PAIR_CACHE: dict[tuple[int, int], tuple[list[tuple[int, int]], int]] = {}
-
-
+@lru_cache(maxsize=8)
 def _pairs(q: int, m_eff: int, z_floor: int) -> tuple[list[tuple[int, int]], int]:
     """Coprime pairs (ab, a) with ab <= m_eff, sorted by (ab, a); returns
-    the list and the count of entries with ab <= z_floor (a prefix)."""
-    key = (q, m_eff)
-    hit = _PAIR_CACHE.get(key)
-    if hit is not None:
-        return hit
+    the list and the count of entries with ab <= z_floor (a prefix).
+    Callers share the cached list and must not mutate it."""
     est = m_eff * (math.log(m_eff) + 1.0)
     if est > _MAX_PAIRS:
         raise ValueError(
@@ -202,10 +189,41 @@ def _pairs(q: int, m_eff: int, z_floor: int) -> tuple[list[tuple[int, int]], int
             lo = mid + 1
         else:
             hi = mid
-    if len(_PAIR_CACHE) > 8:
-        _PAIR_CACHE.clear()
-    _PAIR_CACHE[key] = (pairs, lo)
     return pairs, lo
+
+
+def _char_table(G: CharacterGroup,
+                chi: CharacterLabel) -> tuple[list[complex], list[complex]]:
+    """chi(u) and its conjugate for every residue u mod q, 0 off units."""
+    N = G.exponent
+    tab = [0j] * max(G.q, 1)
+    for u in range(len(tab)):
+        num = G.angle_num(chi, u)
+        if num is not None:
+            tab[u] = root_of_unity(num, N)
+    return tab, [z.conjugate() for z in tab]
+
+
+def _kahan_pair_sum(tab: list[complex], tabc: list[complex],
+                    pairs: list[tuple[int, int]],
+                    kp: list[float]) -> tuple[float, float]:
+    """sum of chi(a) chibar(b) kp[ab] over (ab, a) in list order, with
+    inline Kahan compensation on the real and imaginary parts."""
+    q = len(tab)
+    tr = cr = 0.0
+    ti = ci = 0.0
+    for m, a in pairs:
+        z = tab[a % q] * tabc[(m // a) % q]
+        w = kp[m]
+        y = z.real * w - cr
+        t = tr + y
+        cr = (t - tr) - y
+        tr = t
+        y = z.imag * w - ci
+        t = ti + y
+        ci = (t - ti) - y
+        ti = t
+    return tr, ti
 
 
 def abc_values(G: CharacterGroup, chi: CharacterLabel,
@@ -225,33 +243,10 @@ def abc_values(G: CharacterGroup, chi: CharacterLabel,
     elif weights.q != q or weights.cfg != cfg:
         raise ValueError("weights were built for a different modulus or config")
     pairs, n_b = _pairs(q, weights.m_eff, weights.z_floor)
-    kp = weights.kprod_list(chi.parity)
-    N = G.exponent
-    tab = [0j] * max(q, 1)
-    for u in range(max(q, 1)):
-        num = G.angle_num(chi, u)
-        if num is not None:
-            tab[u] = root_of_unity(num, N)
-    tabc = [z.conjugate() for z in tab]
-
-    sums = []
-    for chunk in (pairs[:n_b], pairs[n_b:]):
-        # inline Kahan on real and imaginary parts, fixed order
-        tr = cr = 0.0
-        ti = ci = 0.0
-        for m, a in chunk:
-            z = tab[a % q] * tabc[(m // a) % q]
-            w = kp[m]
-            y = z.real * w - cr
-            t = tr + y
-            cr = (t - tr) - y
-            tr = t
-            y = z.imag * w - ci
-            t = ti + y
-            ci = (t - ti) - y
-            ti = t
-        sums.append((tr, ti))
-    (b_re, b_im), (c_re, c_im) = sums
+    kp = weights.kprod[chi.parity].tolist()
+    tab, tabc = _char_table(G, chi)
+    b_re, b_im = _kahan_pair_sum(tab, tabc, pairs[:n_b], kp)
+    c_re, c_im = _kahan_pair_sum(tab, tabc, pairs[n_b:], kp)
     oracle = None
     if with_oracle:
         oracle = l_half_oracle(G, chi)

@@ -7,22 +7,21 @@ double sum A(chi) collapses to a single pass over residue classes:
              product range fixed, of W_a(pi a b / q) / sqrt(ab)
     A(chi) = sum_u chi(u) S_a(u)        (a = parity of chi).
 
-The tables S are built once per modulus by a blocked, vectorized pair
+The tables S are built once per modulus by one vectorized pair
 enumeration (bincount over u), then evaluated against every character at
-once by a transform over the CRT exponent grid: a naive O(phi^2) schedule
-that doubles as the oracle, and an FFT over the grid for large moduli.
-Both consume the same kernel values as the naive per-character pipeline,
-so cross-pipeline comparisons isolate the summation reorganization.
+once by an FFT over the CRT exponent grid.  A naive O(phi^2) exact-angle
+transform is kept as the FFT's oracle.  The tables consume the same
+kernel values as the per-character pipeline in lfunc, so cross-pipeline
+comparisons isolate the summation reorganization.
 
-Determinism: pair blocks are fixed-size in enumeration order and merged
-in block order, so results are bit-identical for any thread count.
+Determinism: the build is single-threaded and visits pairs in a fixed
+order (increasing a, then b), so reruns are bit-identical.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -41,13 +40,10 @@ __all__ = [
     "all_char_sums",
     "compute_spectrum",
     "fourth_moment",
-    "bc_moments",
 ]
 
 _FLUSH = 4_000_000        # buffered (u, m) entries per bincount flush
-_BLOCK_PAIRS = 2_000_000  # target enumerated pairs per merge block
 _MAX_TABLE_PAIRS = 3e8    # cost cap on the table build
-_NAIVE_TRANSFORM_MAX_Q = 3000
 
 
 @dataclass(frozen=True)
@@ -61,37 +57,21 @@ class ResidueWeightTable:
     weights: np.ndarray  # length q, indexed by residue u; 0 off units
 
 
-def _block_bounds(m_eff: int) -> list[tuple[int, int]]:
-    """Fixed a-ranges [start, end) with roughly _BLOCK_PAIRS pairs each.
-
-    Depends only on m_eff, never on thread count, so the merge order and
-    the floating-point result are reproducible.
-    """
-    bounds = []
-    a = 1
-    growth = _BLOCK_PAIRS / m_eff
-    while a <= m_eff:
-        # pairs for a-range [a, e) is ~ m_eff * (ln e - ln a)
-        if growth > 50.0:
-            e = m_eff + 1
-        else:
-            e = max(a + 1, int(a * math.exp(growth)) + 1)
-            e = min(e, m_eff + 1)
-        bounds.append((a, e))
-        a = e
-    return bounds
-
-
-def _accumulate_block(G: CharacterGroup, kw: KernelWeights,
-                      segments: tuple[tuple[int, int], ...],
-                      a_range: tuple[int, int],
-                      cop_big: np.ndarray) -> list[np.ndarray]:
-    """Tables for pairs with a in a_range, all segments x both parities.
+def _build_tables(G: CharacterGroup, kw: KernelWeights,
+                  segments: tuple[tuple[int, int], ...]) -> list[np.ndarray]:
+    """Enumerate all coprime pairs once; scatter into every table.
 
     Returns [S_seg0_par0, S_seg0_par1, S_seg1_par0, ...] in fixed order.
     """
     q = G.q
     qq = max(q, 1)
+    m_eff = kw.m_eff
+    est = m_eff * (math.log(m_eff) + 1.0)
+    if est > _MAX_TABLE_PAIRS:
+        raise ValueError(
+            f"table build at q = {q} needs ~{est:.2e} pairs, over the cost cap")
+    cop = G.coprime_mask()[np.arange(m_eff + 1, dtype=np.int64) % qq]
+    cop[0] = False
     inv = G.inverse_table()
     hi_all = max(hi for _, hi in segments)
     out = [np.zeros(qq) for _ in range(2 * len(segments))]
@@ -117,20 +97,18 @@ def _accumulate_block(G: CharacterGroup, kw: KernelWeights,
                 out[2 * si + par] += np.bincount(
                     us, weights=kw.kprod[par][ms], minlength=qq)
 
-    for a in range(*a_range):
-        if not cop_big[a]:
+    for a in range(1, m_eff + 1):
+        if not cop[a]:
             continue
         b_hi = hi_all // a
         if b_hi < 1:
             break
         b = np.arange(1, b_hi + 1, dtype=np.int64)
-        b = b[cop_big[1:b_hi + 1]]
+        b = b[cop[1:b_hi + 1]]
         if b.size == 0:
             continue
-        m = a * b
-        u = (a % qq) * inv[b % qq] % qq
-        buf_u.append(u)
-        buf_m.append(m)
+        buf_u.append((a % qq) * inv[b % qq] % qq)
+        buf_m.append(a * b)
         buffered += b.size
         if buffered >= _FLUSH:
             flush()
@@ -138,47 +116,9 @@ def _accumulate_block(G: CharacterGroup, kw: KernelWeights,
     return out
 
 
-def _build_tables(G: CharacterGroup, kw: KernelWeights,
-                  segments: tuple[tuple[int, int], ...],
-                  threads: int = 1) -> list[np.ndarray]:
-    """Enumerate all coprime pairs once; scatter into every table."""
-    q = G.q
-    m_eff = kw.m_eff
-    est = m_eff * (math.log(m_eff) + 1.0)
-    if est > _MAX_TABLE_PAIRS:
-        raise ValueError(
-            f"table build at q = {q} needs ~{est:.2e} pairs, over the cost cap")
-    cop_small = G.coprime_mask()
-    idx = np.arange(m_eff + 1, dtype=np.int64) % max(q, 1)
-    cop_big = cop_small[idx]
-    cop_big[0] = False
-    blocks = _block_bounds(m_eff)
-    totals = [np.zeros(max(q, 1)) for _ in range(2 * len(segments))]
-    threads = max(1, int(threads))
-    if threads == 1:
-        for rng in blocks:
-            part = _accumulate_block(G, kw, segments, rng, cop_big)
-            for t, p in zip(totals, part):
-                t += p
-    else:
-        # waves of `threads` blocks keep memory bounded; merge stays in
-        # block order regardless of completion order
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for wave_start in range(0, len(blocks), threads):
-                wave = blocks[wave_start:wave_start + threads]
-                futs = [pool.submit(_accumulate_block, G, kw, segments,
-                                    rng, cop_big) for rng in wave]
-                for fut in futs:
-                    part = fut.result()
-                    for t, p in zip(totals, part):
-                        t += p
-    return totals
-
-
 def weight_table(G: CharacterGroup, parity: int, predicate: str,
                  cfg: KernelConfig = KernelConfig(), *,
-                 weights: Optional[KernelWeights] = None,
-                 threads: int = 1) -> ResidueWeightTable:
+                 weights: Optional[KernelWeights] = None) -> ResidueWeightTable:
     """Build S(u) for one parity over the 'B' head, 'C' tail, or 'A' full
     product range."""
     if parity not in (0, 1):
@@ -194,32 +134,30 @@ def weight_table(G: CharacterGroup, parity: int, predicate: str,
     if predicate not in ranges:
         raise ValueError(f"predicate must be one of B, C, A; got {predicate!r}")
     seg = ranges[predicate]
-    tables = _build_tables(G, weights, (seg,), threads=threads)
+    tables = _build_tables(G, weights, (seg,))
     return ResidueWeightTable(q, parity, seg[0], seg[1], tables[parity])
 
 
 def all_char_sums(G: CharacterGroup, table: ResidueWeightTable,
-                  method: str = "auto") -> np.ndarray:
+                  method: str = "fft") -> np.ndarray:
     """sum_u chi(u) S(u) for every character chi mod q at once.
 
     Returns a complex array over the full label grid in lexicographic
     exponent order (G.label_index gives the position of a label).  Values
     are meaningful for characters whose parity matches the table; the
-    transform itself is parity-blind.
+    transform itself is parity-blind.  method="naive" is the O(phi^2)
+    exact-angle oracle for the FFT.
     """
-    q = G.q
     dims = G.dims if G.dims else (1,)
     n = int(np.prod(dims))
     grid = np.zeros(n, dtype=np.float64)
     gi = G.grid_flat_index()
     valid = gi >= 0
     grid[gi[valid]] = table.weights[valid]
-    if method == "auto":
-        method = "naive" if q <= _NAIVE_TRANSFORM_MAX_Q else "fft"
     if method == "fft":
         return np.conj(np.fft.fftn(grid.reshape(dims))).ravel()
     if method != "naive":
-        raise ValueError(f"method must be auto, naive, or fft; got {method!r}")
+        raise ValueError(f"method must be fft or naive; got {method!r}")
     # naive evaluation: chi over the grid is an outer product of 1-D phases,
     # each phase row built from exact angles e * t / d
     out = np.empty(n, dtype=np.complex128)
@@ -259,7 +197,7 @@ class CharacterSpectrum:
 
 
 def compute_spectrum(q: int, cfg: KernelConfig = KernelConfig(), *,
-                     threads: int = 1, method: str = "auto",
+                     method: str = "fft",
                      group: Optional[CharacterGroup] = None,
                      weights: Optional[KernelWeights] = None) -> CharacterSpectrum:
     """Tables + transform for every character mod q."""
@@ -276,7 +214,7 @@ def compute_spectrum(q: int, cfg: KernelConfig = KernelConfig(), *,
 
     t0 = time.perf_counter()
     segments = ((0, kw.z_floor), (kw.z_floor, kw.m_eff))
-    sb0, sb1, sc0, sc1 = _build_tables(G, kw, segments, threads=threads)
+    sb0, sb1, sc0, sc1 = _build_tables(G, kw, segments)
     wall["tables"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -371,13 +309,11 @@ class MomentReport:
 
 
 def fourth_moment(q: int, cfg: KernelConfig = KernelConfig(), *,
-                  threads: int = 1, method: str = "auto",
                   weights: Optional[KernelWeights] = None) -> MomentReport:
     """4 * sum over primitive chi of A(chi)^2, with its B/C decomposition."""
     from .asymptotics import theorem_main_term
 
-    spec = compute_spectrum(q, cfg, threads=threads, method=method,
-                            weights=weights)
+    spec = compute_spectrum(q, cfg, weights=weights)
     t0 = time.perf_counter()
     prim = spec.primitive
     b = spec.b_values
@@ -400,11 +336,3 @@ def fourth_moment(q: int, cfg: KernelConfig = KernelConfig(), *,
         imag_residue=spec.imag_residue, m_eff=spec.m_eff,
         z_floor=spec.z_floor, wall=wall)
 
-
-def bc_moments(q: int, cfg: KernelConfig = KernelConfig(), *,
-               threads: int = 1, method: str = "auto",
-               weights: Optional[KernelWeights] = None) -> tuple[float, float]:
-    """(sum over primitive chi of B^2, sum over all chi of C^2)."""
-    rep = fourth_moment(q, cfg, threads=threads, method=method,
-                        weights=weights)
-    return rep.b_moment, rep.c_moment_all

@@ -218,7 +218,7 @@ def test_criterion_07_theorem_scale():
     details = []
     for q, (lo, hi) in bands.items():
         tq = time.perf_counter()
-        rep = fourth_moment(q, CFG, threads=1)
+        rep = fourth_moment(q, CFG)
         dt = time.perf_counter() - tq
         r = rep.ratio
         ok &= math.isfinite(r) and r > 0 and 0.3 <= r <= 4.0
@@ -248,13 +248,13 @@ def test_criterion_08_gauss_sums():
 def test_criterion_09_scan_determinism(tmp_path):
     t0 = time.perf_counter()
     outs = []
-    for i, threads in enumerate((1, 1, 4, 4)):
+    for i in range(4):
         f = tmp_path / f"scan{i}.csv"
         rc = cli.main(["scan", "--qmin", "3", "--qmax", "50",
-                       "--threads", str(threads), "--out", str(f)])
+                       "--out", str(f)])
         assert rc == 0
         outs.append(f.read_bytes())
     ok = all(o == outs[0] for o in outs[1:])
-    _report(9, "byte-identical scan at 1 and 4 threads, run twice", ok,
+    _report(9, "byte-identical scan over four reruns", ok,
             f"4 runs x {len(outs[0])} bytes", 300.0,
             time.perf_counter() - t0)

@@ -2,10 +2,10 @@ import math
 
 import pytest
 
-from dirmoment.arith import (coprime_iter, divisor_count, divisors,
-                             euler_phi, euler_phi_sieve, factorize, mobius,
-                             mobius_sieve, omega, omega_sieve, phi_star,
-                             prime_sieve, two_pow_omega)
+from dirmoment.arith import (divisor_count, divisors, euler_phi,
+                             euler_phi_sieve, factorize, mobius, mobius_sieve,
+                             omega, omega_sieve, phi_star, prime_sieve,
+                             two_pow_omega)
 
 
 def test_factorize_small():
@@ -96,14 +96,6 @@ def test_divisors_sorted_complete():
         assert ds == sorted(ds)
         assert all(n % d == 0 for d in ds)
         assert len(ds) == divisor_count(n)
-
-
-def test_coprime_iter():
-    assert list(coprime_iter(12, 12)) == [1, 5, 7, 11]
-    assert list(coprime_iter(10, 1)) == list(range(1, 11))
-    for q in (7, 9, 16, 30):
-        assert len(list(coprime_iter(q, q))) == euler_phi(q)
-        assert len(list(coprime_iter(2 * q, q))) == 2 * euler_phi(q)
 
 
 def test_sieves_match_pointwise():

@@ -7,8 +7,10 @@ from dirmoment.arith import euler_phi, omega, two_pow_omega
 from dirmoment.asymptotics import (error_sum_E, lemma3_count, lemma4_check,
                                    lemma5_sums, m_direct, m_reparametrized,
                                    main_term_breakdown, theorem_main_term)
+from dirmoment.chargroup import build_group
 from dirmoment.kernel import KernelConfig
-from dirmoment.lfunc import kernel_weights
+from dirmoment.lfunc import abc_values, kernel_weights
+from dirmoment.numerics import KahanSum
 
 CFG = KernelConfig()
 
@@ -207,6 +209,19 @@ def test_error_sum_small_q():
         assert abs(r.e_measured) < 0.05 * r.envelope
         assert r.e_measured == pytest.approx(r.b_sq_sum - r.m_value,
                                              rel=1e-12, abs=1e-15)
+
+
+def test_error_sum_head_matches_per_character_b():
+    # error_sum_E shares the per-character head sum with abc_values, so
+    # its B^2 total is the same float, bit for bit
+    for q in (5, 12, 45):
+        G = build_group(q)
+        kw = kernel_weights(q, CFG)
+        acc = KahanSum()
+        for chi in G.labels():
+            if chi.primitive:
+                acc.add(abc_values(G, chi, CFG, weights=kw).b_value ** 2)
+        assert error_sum_E(q, CFG, weights=kw, group=G).b_sq_sum == acc.value
 
 
 def test_error_sum_consistent_with_reparametrized():

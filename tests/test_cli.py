@@ -34,7 +34,7 @@ def test_moment_timings_flag(capsys):
 
 def test_moment_without_primitive_characters_warns(capsys):
     # q = 6 has no primitive characters: zero moment, warning, exit 0
-    rc = cli.main(["moment", "--q", "6", "--json"])
+    rc = cli.main(["moment", "--q", "6"])
     captured = capsys.readouterr()
     doc = json.loads(captured.out)
     assert rc == 0
@@ -60,6 +60,7 @@ def test_value_rejects_bad_index(capsys):
     with pytest.raises(SystemExit) as e:
         cli.main(["value", "--q", "5", "--char", "7"])
     assert e.value.code == 2
+    assert "--char" in capsys.readouterr().err
 
 
 def test_usage_error_is_exit_2(capsys):
@@ -69,14 +70,21 @@ def test_usage_error_is_exit_2(capsys):
     with pytest.raises(SystemExit) as e:
         cli.main(["no-such-command"])
     assert e.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as e:
+        cli.main(["scan", "--qmin", "5", "--qmax", "3"])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "--qmin" in err and "--qmax" in err
 
 
 def test_scan_deterministic_across_threads(tmp_path, capsys):
+    # two reruns of the same scan produce byte-identical CSV
     f1 = tmp_path / "a.csv"
     f2 = tmp_path / "b.csv"
     assert cli.main(["scan", "--qmin", "3", "--qmax", "10",
                      "--out", str(f1)]) == 0
-    assert cli.main(["scan", "--qmin", "3", "--qmax", "10", "--threads", "4",
+    assert cli.main(["scan", "--qmin", "3", "--qmax", "10",
                      "--out", str(f2)]) == 0
     b1 = f1.read_bytes()
     assert b1 == f2.read_bytes()

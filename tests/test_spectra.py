@@ -7,7 +7,7 @@ from dirmoment.arith import euler_phi, phi_star
 from dirmoment.chargroup import build_group, classify
 from dirmoment.kernel import KernelConfig
 from dirmoment.lfunc import abc_values, kernel_weights
-from dirmoment.spectra import (all_char_sums, bc_moments, compute_spectrum,
+from dirmoment.spectra import (all_char_sums, compute_spectrum,
                                fourth_moment, parity_flat, primitive_flat,
                                weight_table)
 
@@ -114,11 +114,12 @@ def test_spectrum_a_values_property():
 
 
 def test_thread_determinism_bitwise():
+    # two independent runs of the single-threaded pipeline agree bit for bit
     for q in (7, 45, 105):
-        s1 = compute_spectrum(q, CFG, threads=1)
-        s4 = compute_spectrum(q, CFG, threads=4)
-        assert np.array_equal(s1.b_values, s4.b_values)
-        assert np.array_equal(s1.c_values, s4.c_values)
+        s1 = compute_spectrum(q, CFG)
+        s2 = compute_spectrum(q, CFG)
+        assert np.array_equal(s1.b_values, s2.b_values)
+        assert np.array_equal(s1.c_values, s2.c_values)
 
 
 def test_transform_method_equivalence_in_spectrum():
@@ -127,6 +128,22 @@ def test_transform_method_equivalence_in_spectrum():
         sn = compute_spectrum(q, CFG, method="naive")
         assert np.max(np.abs(sf.b_values - sn.b_values)) < 1e-12
         assert np.max(np.abs(sf.c_values - sn.c_values)) < 1e-12
+
+
+@pytest.mark.parametrize("q", [1009, 2999])
+def test_default_fft_matches_naive_at_mid_q(q):
+    # the default transform is the FFT at every q; check it against the
+    # exact-angle oracle on moduli the naive path used to serve
+    G = build_group(q)
+    kw = kernel_weights(q, CFG)
+    sf = compute_spectrum(q, CFG, weights=kw, group=G)
+    sn = compute_spectrum(q, CFG, method="naive", weights=kw, group=G)
+    assert np.max(np.abs(sf.b_values - sn.b_values)) <= 1e-9
+    assert np.max(np.abs(sf.c_values - sn.c_values)) <= 1e-9
+    mf = 4.0 * float(np.sum(sf.a_values[sf.primitive] ** 2))
+    mn = 4.0 * float(np.sum(sn.a_values[sn.primitive] ** 2))
+    assert abs(mf - mn) <= 1e-12 * abs(mn)
+    assert sf.imag_residue <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +173,6 @@ def test_moment_positive_and_ratio():
         assert rep.main_term > 0
         assert rep.ratio == rep.fourth_moment / rep.main_term
         assert rep.imag_residue < 1e-12
-
-
-def test_bc_moments_wrapper():
-    q = 12
-    rep = fourth_moment(q, CFG)
-    b2, c2 = bc_moments(q, CFG)
-    assert b2 == rep.b_moment
-    assert c2 == rep.c_moment_all
 
 
 def test_weights_mismatch_rejected():
