@@ -9,7 +9,9 @@ Subcommands:
   kernel-table       CSV table of W_0 and W_1 on an x grid
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage error
-(the subcommand's usage and the offending argument go to stderr).
+(the subcommand's usage and the offending argument go to stderr) or a
+rejected input: a ValueError or KernelAccuracyError raised by the
+subcommand becomes "dirmoment: error: <type>: <message>" on stderr.
 All floats are rendered with %.17g so byte-identical reruns mean
 bit-identical numbers; timing columns default to 0 and only carry real
 measurements under --timings, keeping default output reproducible.
@@ -27,7 +29,7 @@ import numpy as np
 from .arith import euler_phi, omega
 from .chargroup import (build_group, exact_primitive_char_sum, gauss_sum,
                         primitive_sum_lemma1, signed_sum_eq21)
-from .kernel import KernelConfig, w_eval_batch
+from .kernel import KernelAccuracyError, KernelConfig, w_eval_batch
 from .lfunc import abc_values, kernel_weights
 from .spectra import fourth_moment
 from .asymptotics import (error_sum_E, lemma3_count, lemma4_check,
@@ -454,9 +456,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Iterable[str]] = None) -> int:
-    args = _build_parser().parse_args(
-        list(argv) if argv is not None else None)
-    return args.func(args)
+    ap = _build_parser()
+    args = ap.parse_args(list(argv) if argv is not None else None)
+    try:
+        return args.func(args)
+    except (ValueError, KernelAccuracyError) as exc:
+        ap.exit(2, f"{ap.prog}: error: {type(exc).__name__}: {exc}\n")
 
 
 if __name__ == "__main__":

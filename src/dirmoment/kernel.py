@@ -7,9 +7,12 @@ evaluated two independent ways:
 
   * w_eval / w_eval_batch: trapezoid quadrature on the vertical line
     Re s = c.  The integrand is analytic in a strip of half-width c around
-    the line, so the trapezoid rule converges geometrically in 1/h; the
-    step is halved until two levels agree.  Conjugate symmetry folds the
-    line onto t >= 0.
+    the line, so the trapezoid rule converges geometrically in 1/h.  The
+    nodes t_k = k h are equally spaced, so the sum is a polynomial in
+    z = x^(-ih) and is evaluated by Horner's rule.  Conjugate symmetry
+    folds the line onto t >= 0.  w_eval halves the step until two levels
+    agree; w_eval_batch evaluates at step h and checks a quantile sample
+    of its arguments against step h/2.
   * w_series: the residue expansion obtained by shifting the line to
     -infinity.  Every pole s = -(1/2 + a + 2k) is double, giving
 
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import loggamma
@@ -49,7 +52,8 @@ __all__ = [
 
 
 class KernelAccuracyError(RuntimeError):
-    """Raised when refinement or series truncation cannot meet eps."""
+    """Raised when refinement, the step check or series truncation cannot
+    meet eps."""
 
 
 @dataclass(frozen=True)
@@ -89,17 +93,15 @@ class KernelConfig:
 
 
 _T_HARD = 400.0  # absolute ceiling on the truncation height
-
-# node-coefficient cache: (a, c, h, T) -> (t nodes, complex coefficients)
-_NODE_CACHE: Dict[Tuple[int, float, float, float], Tuple[np.ndarray, np.ndarray]] = {}
-# scalar value cache: (a, cfg, rounded log x) -> W
-_W_CACHE: Dict[Tuple[int, KernelConfig, float], float] = {}
-_W_CACHE_LIMIT = 200_000
+_STEP_SAMPLES = 16  # arguments per batch re-evaluated at step h/2
+# Points per Horner pass.  Each node step rereads the whole accumulator,
+# so blocks that stay in cache run 3.6x faster at q = 100003 (764k points)
+# and 1.3x at q = 10007 than one pass over all points (2-vCPU VM).
+_HORNER_BLOCK = 32_768
 
 
 def clear_kernel_cache() -> None:
-    _NODE_CACHE.clear()
-    _W_CACHE.clear()
+    _nodes.cache_clear()
 
 
 def _check_parity(a: int) -> int:
@@ -132,15 +134,15 @@ def _auto_T(a: int, c: float, min_log_x: float, eps: float) -> float:
     return _T_HARD
 
 
-def _nodes(a: int, c: float, h: float, T: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes t_k = k h on [0, T] and complex coefficients so that
+@lru_cache(maxsize=64)
+def _nodes(a: int, c: float, h: float, T: float) -> np.ndarray:
+    """Complex coefficients of the quadrature nodes t_k = k h on [0, T],
+    so that
 
         W(x) = x^(-c) * Re( sum_k coef_k * exp(-i t_k ln x) ).
+
+    The cached array is shared and read-only.
     """
-    key = (a, c, h, T)
-    cached = _NODE_CACHE.get(key)
-    if cached is not None:
-        return cached
     beta = 0.5 + a
     n = int(math.floor(T / h)) + 1
     t = np.arange(n, dtype=np.float64) * h
@@ -148,28 +150,33 @@ def _nodes(a: int, c: float, h: float, T: float) -> Tuple[np.ndarray, np.ndarray
     g = np.exp(2.0 * (loggamma((s + beta) / 2) - math.lgamma(beta / 2)))
     coef = (h / (2 * math.pi)) * g / s
     coef[1:] *= 2.0  # conjugate fold: t and -t
-    _NODE_CACHE[key] = (t, coef)
-    return t, coef
+    coef.flags.writeable = False
+    return coef
 
 
 def _quad_batch(a: int, log_x: np.ndarray, c: float, h: float, T: float) -> np.ndarray:
-    """Trapezoid sum at fixed step for a vector of log-arguments."""
-    t, coef = _nodes(a, c, h, T)
+    """Trapezoid sum at fixed step for a vector of log-arguments.
+
+    exp(-i t_k ln x) = z^k with z = exp(-i h ln x), so the node sum is a
+    polynomial in z, evaluated by Horner's rule from the top node down.
+    """
+    coef = _nodes(a, c, h, T)
     out = np.empty(log_x.shape, dtype=np.float64)
-    chunk = max(1, 2_000_000 // max(len(t), 1))
-    for lo in range(0, len(log_x), chunk):
-        lx = log_x[lo:lo + chunk]
-        phase = np.exp(np.outer(lx, -1j * t))
-        out[lo:lo + chunk] = (phase @ coef).real
-    out *= np.exp(-c * log_x)
-    return out
+    for lo in range(0, log_x.size, _HORNER_BLOCK):
+        z = np.exp(-1j * h * log_x[lo:lo + _HORNER_BLOCK])
+        acc = np.full(z.shape, coef[-1])
+        for ck in coef[-2::-1]:
+            acc *= z
+            acc += ck
+        out[lo:lo + _HORNER_BLOCK] = acc.real
+    return out * np.exp(-c * log_x)
 
 
 def w_eval(a: int, x: float, cfg: KernelConfig = KernelConfig()) -> float:
     """W_a(x) by line quadrature, refined until two step levels agree.
 
-    Values are memoized per (a, cfg, log x rounded to 12 places).  Raises
-    KernelAccuracyError when max_refine halvings cannot reach cfg.eps.
+    Raises KernelAccuracyError when max_refine halvings cannot reach
+    cfg.eps.
     """
     a = _check_parity(a)
     if not (isinstance(x, (int, float, np.floating)) and math.isfinite(x)) or x <= 0:
@@ -178,10 +185,6 @@ def w_eval(a: int, x: float, cfg: KernelConfig = KernelConfig()) -> float:
     if x >= cfg.x_zero:
         return 0.0
     lx = math.log(x)
-    key = (a, cfg, round(lx, 12))
-    hit = _W_CACHE.get(key)
-    if hit is not None:
-        return hit
     T = cfg.t_height if cfg.t_height is not None else _auto_T(a, cfg.c, lx, cfg.eps)
     arr = np.array([lx])
     h = cfg.h
@@ -190,9 +193,6 @@ def w_eval(a: int, x: float, cfg: KernelConfig = KernelConfig()) -> float:
         h *= 0.5
         cur = _quad_batch(a, arr, cfg.c, h, T)[0]
         if abs(cur - prev) <= cfg.eps:
-            if len(_W_CACHE) >= _W_CACHE_LIMIT:
-                _W_CACHE.clear()
-            _W_CACHE[key] = cur
             return cur
         prev = cur
     raise KernelAccuracyError(
@@ -202,11 +202,14 @@ def w_eval(a: int, x: float, cfg: KernelConfig = KernelConfig()) -> float:
 
 def w_eval_batch(a: int, xs: np.ndarray,
                  cfg: KernelConfig = KernelConfig()) -> np.ndarray:
-    """Vectorized single-level quadrature at step cfg.h.
+    """Vectorized quadrature at step cfg.h, with a sampled step check.
 
-    The default step sits far inside the geometric-convergence regime
-    (strip half-width c = 1 gives an h-refinement error around 1e-14);
-    agreement with the refined scalar path is part of the test suite.
+    The values are computed at step cfg.h only.  Then _STEP_SAMPLES
+    quantiles of ln x, always including the smallest and largest, are
+    re-evaluated at step cfg.h / 2; a gap above cfg.eps raises
+    KernelAccuracyError.  The default step sits far inside the
+    geometric-convergence regime (strip half-width c = 1 gives a gap
+    around 1e-14).
     """
     a = _check_parity(a)
     xs = np.asarray(xs, dtype=np.float64)
@@ -221,7 +224,17 @@ def w_eval_batch(a: int, xs: np.ndarray,
     lx = np.log(xs[live])
     T = cfg.t_height if cfg.t_height is not None else _auto_T(
         a, cfg.c, float(lx.min()), cfg.eps)
-    out[live] = _quad_batch(a, lx, cfg.c, cfg.h, T)
+    vals = _quad_batch(a, lx, cfg.c, cfg.h, T)
+    out[live] = vals
+    ranks = np.unique(np.linspace(0, lx.size - 1, _STEP_SAMPLES).round()
+                      .astype(np.int64))
+    pick = np.argpartition(lx, ranks)[ranks]
+    half = _quad_batch(a, lx[pick], cfg.c, 0.5 * cfg.h, T)
+    gap = float(np.max(np.abs(half - vals[pick])))
+    if not gap <= cfg.eps:
+        raise KernelAccuracyError(
+            f"kernel W_{a} at step h = {cfg.h} differs from step h/2 by "
+            f"{gap:.3g} > eps = {cfg.eps} (c = {cfg.c}, T = {T})")
     return out
 
 

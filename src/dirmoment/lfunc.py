@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -164,6 +164,29 @@ class CentralValue:
     l_oracle: Optional[complex] = None
 
 
+def _coprime_pair_chunks(q: int,
+                         m: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every pair (a, b) of integers coprime to q with ab <= m, exactly
+    once, as chunks of equal a or equal b (Dirichlet hyperbola split).
+
+    With s = isqrt(m): first a = 1..s with every b <= m // a, then
+    b = 1..s with s < a <= m // b.  That is about 2 sqrt(m) chunks, visited
+    in this fixed order.
+    """
+    n = np.arange(1, m + 1, dtype=np.int64)
+    cop = n[np.gcd(n, q) == 1]  # sorted coprime integers in [1, m]
+    s = math.isqrt(m)
+    small = cop[:np.searchsorted(cop, s, side="right")]
+    ends = np.searchsorted(cop, m // small, side="right")
+    for a, end in zip(small.tolist(), ends.tolist()):
+        b = cop[:end]
+        yield np.full(b.size, a, dtype=np.int64), b
+    for b, end in zip(small.tolist(), ends.tolist()):
+        if end > small.size:
+            a = cop[small.size:end]
+            yield a, np.full(a.size, b, dtype=np.int64)
+
+
 @lru_cache(maxsize=8)
 def _pairs(q: int, m_eff: int, z_floor: int) -> tuple[list[tuple[int, int]], int]:
     """Coprime pairs (ab, a) with ab <= m_eff, sorted by (ab, a); returns
@@ -174,22 +197,12 @@ def _pairs(q: int, m_eff: int, z_floor: int) -> tuple[list[tuple[int, int]], int
         raise ValueError(
             f"naive pair enumeration would need ~{est:.2e} entries; "
             "use the weight-table pipeline at this modulus")
-    pairs: list[tuple[int, int]] = []
-    for a in range(1, m_eff + 1):
-        if math.gcd(a, q) != 1:
-            continue
-        for b in range(1, m_eff // a + 1):
-            if math.gcd(b, q) == 1:
-                pairs.append((a * b, a))
-    pairs.sort()
-    lo, hi = 0, len(pairs)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pairs[mid][0] <= z_floor:
-            lo = mid + 1
-        else:
-            hi = mid
-    return pairs, lo
+    a, b = (np.concatenate(c) for c in zip(*_coprime_pair_chunks(q, m_eff)))
+    ab = a * b
+    order = np.lexsort((a, ab))
+    ab, a = ab[order], a[order]
+    n_b = int(np.searchsorted(ab, z_floor, side="right"))
+    return list(zip(ab.tolist(), a.tolist())), n_b
 
 
 def _char_table(G: CharacterGroup,

@@ -14,8 +14,10 @@ transform is kept as the FFT's oracle.  The tables consume the same
 kernel values as the per-character pipeline in lfunc, so cross-pipeline
 comparisons isolate the summation reorganization.
 
-Determinism: the build is single-threaded and visits pairs in a fixed
-order (increasing a, then b), so reruns are bit-identical.
+Determinism: the build is single-threaded and visits pairs in the fixed
+order of the Dirichlet hyperbola split (lfunc._coprime_pair_chunks): with
+s = isqrt(M), first a = 1..s with every b <= M/a, then b = 1..s with
+s < a <= M/b.  Reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from .arith import phi_star
 from .chargroup import CharacterGroup, build_group
 from .kernel import KernelConfig
-from .lfunc import KernelWeights, kernel_weights
+from .lfunc import KernelWeights, _coprime_pair_chunks, kernel_weights
 
 __all__ = [
     "ResidueWeightTable",
@@ -59,7 +61,8 @@ class ResidueWeightTable:
 
 def _build_tables(G: CharacterGroup, kw: KernelWeights,
                   segments: tuple[tuple[int, int], ...]) -> list[np.ndarray]:
-    """Enumerate all coprime pairs once; scatter into every table.
+    """Enumerate all coprime pairs once, in hyperbola chunks; scatter into
+    every table.
 
     Returns [S_seg0_par0, S_seg0_par1, S_seg1_par0, ...] in fixed order.
     """
@@ -70,8 +73,6 @@ def _build_tables(G: CharacterGroup, kw: KernelWeights,
     if est > _MAX_TABLE_PAIRS:
         raise ValueError(
             f"table build at q = {q} needs ~{est:.2e} pairs, over the cost cap")
-    cop = G.coprime_mask()[np.arange(m_eff + 1, dtype=np.int64) % qq]
-    cop[0] = False
     inv = G.inverse_table()
     hi_all = max(hi for _, hi in segments)
     out = [np.zeros(qq) for _ in range(2 * len(segments))]
@@ -97,16 +98,7 @@ def _build_tables(G: CharacterGroup, kw: KernelWeights,
                 out[2 * si + par] += np.bincount(
                     us, weights=kw.kprod[par][ms], minlength=qq)
 
-    for a in range(1, m_eff + 1):
-        if not cop[a]:
-            continue
-        b_hi = hi_all // a
-        if b_hi < 1:
-            break
-        b = np.arange(1, b_hi + 1, dtype=np.int64)
-        b = b[cop[1:b_hi + 1]]
-        if b.size == 0:
-            continue
+    for a, b in _coprime_pair_chunks(q, hi_all):
         buf_u.append((a % qq) * inv[b % qq] % qq)
         buf_m.append(a * b)
         buffered += b.size

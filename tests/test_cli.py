@@ -76,6 +76,16 @@ def test_usage_error_is_exit_2(capsys):
     assert e.value.code == 2
     err = capsys.readouterr().err
     assert "--qmin" in err and "--qmax" in err
+    # rejected input and a failed kernel step check: message, no traceback
+    for argv in (["moment", "--q", "11", "--kernel-c", "0"],
+                 ["moment", "--q", "20000000"],
+                 ["moment", "--q", "101", "--kernel-h", "2.0"]):
+        with pytest.raises(SystemExit) as e:
+            cli.main(argv)
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dirmoment: error: ")
+    assert "KernelAccuracyError" in err
 
 
 def test_scan_deterministic_across_threads(tmp_path, capsys):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from dirmoment.kernel import (KernelConfig, clear_kernel_cache, w_eval,
-                              w_eval_batch, w_series)
+from dirmoment.kernel import (KernelAccuracyError, KernelConfig,
+                              clear_kernel_cache, w_eval, w_eval_batch,
+                              w_series)
 
 
 def setup_module(module):
@@ -35,11 +36,21 @@ def test_line_independence():
 
 
 def test_batch_matches_scalar():
-    xs = np.geomspace(1e-3, 10.0, 40)
+    # from the smallest table argument at q = 100003 up to the x_zero edge
+    xs = np.geomspace(math.pi / 100003, 23.9, 40)
     for a in (0, 1):
         batch = w_eval_batch(a, xs)
         scal = np.array([w_eval(a, float(x)) for x in xs])
         assert np.max(np.abs(batch - scal)) < 1e-9
+
+
+def test_step_check_rejects_coarse_step():
+    # at h = 2 the trapezoid sum is far from converged; the sampled
+    # comparison against step h/2 must refuse to return the table
+    xs = np.geomspace(1e-3, 10.0, 40)
+    with pytest.raises(KernelAccuracyError):
+        w_eval_batch(0, xs, KernelConfig(h=2.0))
+    w_eval_batch(0, xs, KernelConfig(h=0.1))
 
 
 def test_limits():
@@ -122,7 +133,8 @@ def test_config_validation():
 
 
 def test_cache_keyed_by_config():
-    # same x under different configs must not collide in the value cache
+    # same x under different configs agrees, and clearing the node cache
+    # does not change a value
     x = 0.37
     v1 = w_eval(0, x, KernelConfig(c=0.9))
     v2 = w_eval(0, x, KernelConfig(c=1.1))

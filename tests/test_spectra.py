@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from dirmoment.arith import euler_phi, phi_star
 from dirmoment.chargroup import build_group, classify
 from dirmoment.kernel import KernelConfig
-from dirmoment.lfunc import abc_values, kernel_weights
-from dirmoment.spectra import (all_char_sums, compute_spectrum,
+from dirmoment.lfunc import _coprime_pair_chunks, abc_values, kernel_weights
+from dirmoment.spectra import (_build_tables, all_char_sums, compute_spectrum,
                                fourth_moment, parity_flat, primitive_flat,
                                weight_table)
 
@@ -65,6 +66,33 @@ def test_weight_table_mass_is_coprime_pair_sum():
                     continue
                 direct += kp[a * b] / 1.0
         assert np.sum(ta.weights) == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [1, 2, 12, 45, 97, 1009])
+def test_build_tables_match_brute_force(q):
+    # the hyperbola chunks against a plain gcd double loop scattered with
+    # np.add.at; the second range is a perfect square, where the diagonal
+    # pair a = b = isqrt(m_eff) sits on the split and must count once
+    G = build_group(q)
+    kw = kernel_weights(q, CFG)
+    for m_eff in (kw.m_eff, math.isqrt(kw.m_eff) ** 2):
+        pairs = [(a, b) for a in range(1, m_eff + 1) if math.gcd(a, q) == 1
+                 for b in range(1, m_eff // a + 1) if math.gcd(b, q) == 1]
+        assert (sum(b.size for _, b in _coprime_pair_chunks(q, m_eff))
+                == len(pairs))
+        a, b = np.array(pairs, dtype=np.int64).T
+        m = a * b
+        u = a * np.array([pow(int(x), -1, q) for x in b], dtype=np.int64) % q
+        z = min(kw.z_floor, m_eff)
+        segments = ((0, z), (z, m_eff))
+        got = _build_tables(G, dataclasses.replace(kw, m_eff=m_eff), segments)
+        for si, (lo, hi) in enumerate(segments):
+            sel = (m > lo) & (m <= hi)
+            for par in (0, 1):
+                want = np.zeros(q)
+                np.add.at(want, u[sel], kw.kprod[par][m[sel]])
+                np.testing.assert_allclose(got[2 * si + par], want,
+                                           rtol=1e-13, atol=0)
 
 
 def test_transform_fft_matches_naive():
