@@ -41,8 +41,7 @@ import numpy as np
 from .arith import euler_phi, factorize, omega, omega_sieve, phi_star, two_pow_omega
 from .chargroup import CharacterGroup, build_group
 from .kernel import KernelConfig
-from .lfunc import (KernelWeights, _char_table, _kahan_pair_sum, _pairs,
-                    kernel_weights)
+from .lfunc import KernelWeights, _pair_terms, _pairs, kernel_weights
 from .numerics import EULER_GAMMA, ZETA2, KahanSum
 
 __all__ = [
@@ -343,14 +342,13 @@ def error_sum_E(q: int, cfg: KernelConfig = KernelConfig(), *,
     kw = _resolve_weights(q, cfg, weights)
     G = group if group is not None else build_group(q)
     pairs, n_b = _pairs(q, kw.m_eff, kw.z_floor)
-    head = pairs[:n_b]
-    kps = (kw.kprod[0].tolist(), kw.kprod[1].tolist())
+    head = tuple(col[:n_b] for col in pairs)
     acc = KahanSum()
     for chi in G.labels():
         if not chi.primitive:
             continue
-        tab, tabc = _char_table(G, chi)
-        b_re, _ = _kahan_pair_sum(tab, tabc, head, kps[chi.parity])
+        re, _ = _pair_terms(G.char_values(chi), kw.kprod[chi.parity], head)
+        b_re = math.fsum(re)
         acc.add(b_re * b_re)
     m_val = m_reparametrized(q, cfg, weights=kw)
     b_sq = acc.value

@@ -159,6 +159,7 @@ class CharacterGroup:
         self._coprime_mask: Optional[np.ndarray] = None
         self._inverse_table: Optional[np.ndarray] = None
         self._grid_index: Optional[np.ndarray] = None
+        self._roots: Optional[np.ndarray] = None
 
     # -- residue side ------------------------------------------------------
 
@@ -275,6 +276,35 @@ class CharacterGroup:
             num += e * ti * (N // d)
         return num % N
 
+    def angle_nums(self, chi: CharacterLabel) -> np.ndarray:
+        """angle_num(chi, u) for every residue u = 0..q-1 as an int64
+        array, -1 off units.
+
+        Gathers each component's dlog table at u mod p^e, so no residue
+        by component table is kept.
+        """
+        N = self.exponent
+        u = np.arange(max(self.q, 1), dtype=np.int64)
+        num = np.zeros(u.size, dtype=np.int64)
+        for e, comp in zip(chi.exponents, self.components):
+            if e:
+                num += comp.dlog[u % comp.pe] * (e * (N // comp.order) % N)
+        num %= N
+        num[~self.coprime_mask()] = -1
+        return num
+
+    def char_values(self, chi: CharacterLabel) -> np.ndarray:
+        """char_eval(chi, u) for every residue u = 0..q-1, 0 off units.
+
+        Values come from one table of root_of_unity(k, exponent), so they
+        are bit-identical to char_eval.
+        """
+        if self._roots is None:
+            N = self.exponent
+            self._roots = np.array([root_of_unity(k, N) for k in range(N)])
+        num = self.angle_nums(chi)
+        return np.where(num >= 0, self._roots[num], 0j)
+
     def _classify(self, exps: tuple[int, ...]) -> tuple[int, int, bool]:
         parity = sum(e * k for e, k in zip(exps, self._parity_key)) % 2
         conductor = 1
@@ -308,10 +338,9 @@ class CharacterGroup:
         through modulus f."""
         if self.q % f != 0:
             raise ValueError(f"{f} does not divide the modulus {self.q}")
-        for u in range(1, self.q + 1, f):
-            if math.gcd(u, self.q) == 1 and self.angle_num(chi, u) != 0:
-                return False
-        return True
+        # the units u = 1 (mod f) below q; u = q itself (f = 1) is a unit
+        # only for q = 1, where every character is trivial
+        return not np.any(self.angle_nums(chi)[1::f] > 0)
 
 
 def _odd_conductor(p: int, e: int, order: int, a: int) -> int:
@@ -396,11 +425,12 @@ def gauss_sum(G: CharacterGroup, chi: CharacterLabel) -> complex:
     """tau(chi) = sum over a mod q of chi(a) e(a/q)."""
     q = G.q
     N = G.exponent
+    nums = G.angle_nums(chi).tolist()
     re: list[float] = []
     im: list[float] = []
     for a in range(1, q + 1):
-        num = G.angle_num(chi, a)
-        if num is None:
+        num = nums[a % q]
+        if num < 0:
             continue
         # combine both phases exactly before the single complex exponential
         z = root_of_unity((num * q + (a % q) * N) % (N * q), N * q)

@@ -8,11 +8,12 @@ evaluated two independent ways:
   * w_eval / w_eval_batch: trapezoid quadrature on the vertical line
     Re s = c.  The integrand is analytic in a strip of half-width c around
     the line, so the trapezoid rule converges geometrically in 1/h.  The
-    nodes t_k = k h are equally spaced, so the sum is a polynomial in
-    z = x^(-ih) and is evaluated by Horner's rule.  Conjugate symmetry
-    folds the line onto t >= 0.  w_eval halves the step until two levels
-    agree; w_eval_batch evaluates at step h and checks a quantile sample
-    of its arguments against step h/2.
+    nodes t_k = k h are equally spaced, so for a batch the sum is a
+    polynomial in z = x^(-ih) and is evaluated by Horner's rule; a single
+    point sums its nodes directly.  Conjugate symmetry folds the line onto
+    t >= 0.  w_eval halves the step until two levels agree; w_eval_batch
+    evaluates at step h and checks a quantile sample of its arguments
+    against step h/2.
   * w_series: the residue expansion obtained by shifting the line to
     -infinity.  Every pole s = -(1/2 + a + 2k) is double, giving
 
@@ -172,6 +173,14 @@ def _quad_batch(a: int, log_x: np.ndarray, c: float, h: float, T: float) -> np.n
     return out * np.exp(-c * log_x)
 
 
+def _quad_point(a: int, log_x: float, c: float, h: float, T: float) -> float:
+    """Trapezoid sum at fixed step for one log-argument, node by node."""
+    coef = _nodes(a, c, h, T)
+    t = np.arange(coef.size, dtype=np.float64) * h
+    terms = (coef * np.exp(-1j * t * log_x)).real
+    return float(terms.sum()) * math.exp(-c * log_x)
+
+
 def w_eval(a: int, x: float, cfg: KernelConfig = KernelConfig()) -> float:
     """W_a(x) by line quadrature, refined until two step levels agree.
 
@@ -186,12 +195,11 @@ def w_eval(a: int, x: float, cfg: KernelConfig = KernelConfig()) -> float:
         return 0.0
     lx = math.log(x)
     T = cfg.t_height if cfg.t_height is not None else _auto_T(a, cfg.c, lx, cfg.eps)
-    arr = np.array([lx])
     h = cfg.h
-    prev = _quad_batch(a, arr, cfg.c, h, T)[0]
+    prev = _quad_point(a, lx, cfg.c, h, T)
     for _ in range(cfg.max_refine):
         h *= 0.5
-        cur = _quad_batch(a, arr, cfg.c, h, T)[0]
+        cur = _quad_point(a, lx, cfg.c, h, T)
         if abs(cur - prev) <= cfg.eps:
             return cur
         prev = cur

@@ -14,10 +14,11 @@ which satisfies |L(1/2, chi)|^2 = 2 A(chi) for primitive chi.  A is split
 as B + C at the product threshold Z = q / 2^omega(q); the B/C membership
 test is the exact integer predicate a*b * 2^omega(q) <= q.
 
-The double sum is accumulated with compensated (Kahan) summation in a
-fixed order: increasing product ab, ties by increasing a.  That order is
-part of the reproducibility contract; it never changes with batching
-choices elsewhere.
+The double sum visits the coprime pairs sorted by (ab, a), gathers its
+terms with numpy and adds them with math.fsum: A, B and C are each the
+correctly rounded sum of their terms, so they do not depend on term order
+and reruns are bit-identical.  The oracle fsums chi(a) zeta(1/2, a/q) the
+same way, from one table of Hurwitz values per modulus.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .arith import two_pow_omega
-from .chargroup import CharacterGroup, CharacterLabel, root_of_unity
+from .chargroup import CharacterGroup, CharacterLabel
 from .kernel import KernelConfig, w_eval_batch
 
 __all__ = [
@@ -86,6 +87,15 @@ def hurwitz_zeta(s: float, a: float, *, n_terms: int = 24,
     return direct + math.fsum(corr)
 
 
+@lru_cache(maxsize=8)
+def _hurwitz_half(q: int) -> np.ndarray:
+    """zeta(1/2, a/q) for a = 1..q-1; the cached array is shared and
+    read-only."""
+    hz = np.array([hurwitz_zeta(0.5, a / q) for a in range(1, q)])
+    hz.flags.writeable = False
+    return hz
+
+
 def l_half_oracle(G: CharacterGroup, chi: CharacterLabel) -> complex:
     """L(1/2, chi) for primitive chi mod q >= 3 via Hurwitz zeta values."""
     q = G.q
@@ -93,18 +103,10 @@ def l_half_oracle(G: CharacterGroup, chi: CharacterLabel) -> complex:
         raise ValueError(
             "the Hurwitz-zeta route needs a primitive character of modulus"
             f" >= 3; got q = {q}, primitive = {chi.primitive}")
-    N = G.exponent
-    re: list[float] = []
-    im: list[float] = []
-    for a in range(1, q):
-        num = G.angle_num(chi, a)
-        if num is None:
-            continue
-        z = root_of_unity(num, N)
-        hz = hurwitz_zeta(0.5, a / q)
-        re.append(z.real * hz)
-        im.append(z.imag * hz)
-    return complex(math.fsum(re), math.fsum(im)) / math.sqrt(q)
+    z = G.char_values(chi)[1:]
+    hz = _hurwitz_half(q)
+    return complex(math.fsum((z.real * hz).tolist()),
+                   math.fsum((z.imag * hz).tolist())) / math.sqrt(q)
 
 
 @dataclass
@@ -156,7 +158,7 @@ class CentralValue:
 
     label: CharacterLabel
     q: int
-    a_value: float    # A = B + C
+    a_value: float    # A = B + C, rounded once over all terms
     b_value: float    # head: products ab <= Z
     c_value: float    # tail: Z < ab <= m_eff
     imag_residue: float
@@ -188,10 +190,11 @@ def _coprime_pair_chunks(q: int,
 
 
 @lru_cache(maxsize=8)
-def _pairs(q: int, m_eff: int, z_floor: int) -> tuple[list[tuple[int, int]], int]:
-    """Coprime pairs (ab, a) with ab <= m_eff, sorted by (ab, a); returns
-    the list and the count of entries with ab <= z_floor (a prefix).
-    Callers share the cached list and must not mutate it."""
+def _pairs(q: int, m_eff: int,
+           z_floor: int) -> tuple[tuple[np.ndarray, ...], int]:
+    """Coprime pairs (a, b) with ab <= m_eff as int64 arrays
+    (ab, a mod q, b mod q), sorted by (ab, a), and the count of pairs with
+    ab <= z_floor (a prefix).  The cached arrays are shared and read-only."""
     est = m_eff * (math.log(m_eff) + 1.0)
     if est > _MAX_PAIRS:
         raise ValueError(
@@ -200,55 +203,38 @@ def _pairs(q: int, m_eff: int, z_floor: int) -> tuple[list[tuple[int, int]], int
     a, b = (np.concatenate(c) for c in zip(*_coprime_pair_chunks(q, m_eff)))
     ab = a * b
     order = np.lexsort((a, ab))
-    ab, a = ab[order], a[order]
-    n_b = int(np.searchsorted(ab, z_floor, side="right"))
-    return list(zip(ab.tolist(), a.tolist())), n_b
+    cols = (ab[order], a[order] % q, b[order] % q)
+    for col in cols:
+        col.flags.writeable = False
+    return cols, int(np.searchsorted(cols[0], z_floor, side="right"))
 
 
-def _char_table(G: CharacterGroup,
-                chi: CharacterLabel) -> tuple[list[complex], list[complex]]:
-    """chi(u) and its conjugate for every residue u mod q, 0 off units."""
-    N = G.exponent
-    tab = [0j] * max(G.q, 1)
-    for u in range(len(tab)):
-        num = G.angle_num(chi, u)
-        if num is not None:
-            tab[u] = root_of_unity(num, N)
-    return tab, [z.conjugate() for z in tab]
+def _pair_terms(vals: np.ndarray, kp: np.ndarray,
+                pairs: tuple[np.ndarray, ...]) -> tuple[list[float], list[float]]:
+    """Real and imaginary parts of chi(a) chibar(b) kp[ab] over the pairs,
+    from vals = chi(u) for every residue u.
 
-
-def _kahan_pair_sum(tab: list[complex], tabc: list[complex],
-                    pairs: list[tuple[int, int]],
-                    kp: list[float]) -> tuple[float, float]:
-    """sum of chi(a) chibar(b) kp[ab] over (ab, a) in list order, with
-    inline Kahan compensation on the real and imaginary parts."""
-    q = len(tab)
-    tr = cr = 0.0
-    ti = ci = 0.0
-    for m, a in pairs:
-        z = tab[a % q] * tabc[(m // a) % q]
-        w = kp[m]
-        y = z.real * w - cr
-        t = tr + y
-        cr = (t - tr) - y
-        tr = t
-        y = z.imag * w - ci
-        t = ti + y
-        ci = (t - ti) - y
-        ti = t
-    return tr, ti
+    Real arithmetic, one rounding per operation: each term is the same
+    float wherever the pair sits in the arrays.  Callers add the terms
+    with math.fsum, which is correctly rounded and so independent of
+    their order.
+    """
+    ab, ua, ub = pairs
+    xa, xb, w = vals[ua], vals[ub], kp[ab]
+    re = (xa.real * xb.real + xa.imag * xb.imag) * w
+    im = (xa.imag * xb.real - xa.real * xb.imag) * w
+    return re.tolist(), im.tolist()
 
 
 def abc_values(G: CharacterGroup, chi: CharacterLabel,
                cfg: KernelConfig = KernelConfig(), *,
                weights: Optional[KernelWeights] = None,
                with_oracle: bool = False) -> CentralValue:
-    """A(chi), B(chi), C(chi) by direct compensated summation.
+    """A(chi), B(chi), C(chi) by direct, correctly rounded summation.
 
-    This is the reference pipeline: one character at a time, fixed term
-    order, no residue grouping.  Shares kernel values through `weights`
-    so that comparisons against the table pipeline test only the
-    reorganization of the sum.
+    This is the reference pipeline: one character at a time, no residue
+    grouping.  Shares kernel values through `weights` so that comparisons
+    against the table pipeline test only the reorganization of the sum.
     """
     q = G.q
     if weights is None:
@@ -256,14 +242,11 @@ def abc_values(G: CharacterGroup, chi: CharacterLabel,
     elif weights.q != q or weights.cfg != cfg:
         raise ValueError("weights were built for a different modulus or config")
     pairs, n_b = _pairs(q, weights.m_eff, weights.z_floor)
-    kp = weights.kprod[chi.parity].tolist()
-    tab, tabc = _char_table(G, chi)
-    b_re, b_im = _kahan_pair_sum(tab, tabc, pairs[:n_b], kp)
-    c_re, c_im = _kahan_pair_sum(tab, tabc, pairs[n_b:], kp)
-    oracle = None
-    if with_oracle:
-        oracle = l_half_oracle(G, chi)
+    re, im = _pair_terms(G.char_values(chi), weights.kprod[chi.parity], pairs)
+    oracle = l_half_oracle(G, chi) if with_oracle else None
     return CentralValue(
-        label=chi, q=q, a_value=b_re + c_re, b_value=b_re, c_value=c_re,
-        imag_residue=max(abs(b_im), abs(c_im)), m_eff=weights.m_eff,
+        label=chi, q=q, a_value=math.fsum(re), b_value=math.fsum(re[:n_b]),
+        c_value=math.fsum(re[n_b:]),
+        imag_residue=max(abs(math.fsum(im[:n_b])), abs(math.fsum(im[n_b:]))),
+        m_eff=weights.m_eff,
         l_oracle=oracle)

@@ -96,6 +96,33 @@ def test_criterion_02_oracle_agreement():
             f"{worst:.2e} <= 1e-06", 60.0, time.perf_counter() - t0)
 
 
+def test_criterion_02_oracle_agreement_at_scale():
+    # every primitive character at a prime and a power of two near 500,
+    # against the absolute bound the kernel eps implies: each kernel value
+    # is within eps and A weighs them by 1 / sqrt(ab) over ab <= m, which
+    # adds up to at most 2 sqrt(m) (1 + ln m); doubled for 2A
+    t0 = time.perf_counter()
+    worst_gap = worst = 0.0
+    cases = 0
+    for q in (499, 512):
+        G = build_group(q)
+        kw = kernel_weights(q, CFG)
+        m = 24.0 * q / math.pi
+        tol = 2.0 * CFG.eps * 2.0 * math.sqrt(m) * (1.0 + math.log(m))
+        for chi in G.labels():
+            if not chi.primitive:
+                continue
+            cases += 1
+            cv = abc_values(G, chi, CFG, weights=kw, with_oracle=True)
+            gap = abs(2.0 * cv.a_value - abs(cv.l_oracle) ** 2)
+            worst_gap = max(worst_gap, gap)
+            worst = max(worst, gap / tol)
+    _report(2, "smoothed functional equation vs oracle at q = 499, 512",
+            worst <= 1.0, f"{cases} primitive characters, worst abs gap "
+            f"{worst_gap:.2e} = {worst:.2e} x the kernel-eps bound", 10.0,
+            time.perf_counter() - t0)
+
+
 def test_criterion_03_pipeline_equivalence():
     t0 = time.perf_counter()
     worst_moment = 0.0

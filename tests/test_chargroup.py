@@ -334,3 +334,20 @@ def test_angle_num_defines_character(q):
         assert 0 <= num < N
         want = char_eval(G, chi, u)
         assert abs(root_of_unity(num, N) - want) < 1e-12
+
+
+@pytest.mark.parametrize("q", [1, 2, 4, 8, 16, 24, 45, 97, 384])
+def test_residue_vectors_match_scalar(q):
+    # angle_nums / char_values against angle_num / char_eval, exactly, for
+    # every character and residue; q = 4 has the two4 component, 8, 16,
+    # 24 and 384 the two_sign and two_five pair, 24, 45, 97 and 384 odd ones
+    G = build_group(q)
+    for chi in G.labels():
+        nums = G.angle_nums(chi)
+        vals = G.char_values(chi)
+        assert nums.dtype == np.int64 and nums.shape == (q,)
+        for u in range(q):
+            num = G.angle_num(chi, u)
+            assert nums[u] == (-1 if num is None else num)
+            want = char_eval(G, chi, u)
+            assert vals[u].real == want.real and vals[u].imag == want.imag

@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from dirmoment.chargroup import build_group
+from dirmoment.chargroup import build_group, char_eval
 from dirmoment.kernel import KernelConfig
 from dirmoment.lfunc import (abc_values, hurwitz_zeta, kernel_weights,
                              l_half_oracle, truncation_bound)
@@ -94,6 +94,25 @@ def test_oracle_quadratic_real():
             assert abs(val.imag) < 1e-12
 
 
+def test_oracle_matches_scalar_loop():
+    # one Hurwitz table per modulus and vectorised character values give
+    # the same products as the scalar loop, and fsum does not depend on
+    # their order, so the value is the same float
+    for q in (5, 12, 45, 97):
+        G = build_group(q)
+        for chi in G.labels():
+            if not chi.primitive:
+                continue
+            re, im = [], []
+            for a in range(1, q):
+                z = char_eval(G, chi, a)
+                hz = hurwitz_zeta(0.5, a / q)
+                re.append(z.real * hz)
+                im.append(z.imag * hz)
+            want = complex(math.fsum(re), math.fsum(im)) / math.sqrt(q)
+            assert l_half_oracle(G, chi) == want
+
+
 def test_oracle_requires_primitive():
     G = build_group(9)
     impr = [c for c in G.labels() if not c.primitive][0]
@@ -164,6 +183,32 @@ def test_central_value_matches_oracle():
             rel = abs(lhs - rhs) / abs(lhs)
             worst = max(worst, rel)
     assert worst < 1e-6, worst
+
+
+def test_abc_matches_scalar_loop():
+    # A, B, C against a double loop over coprime (a, b) with scalar
+    # character values; both sides are fsums of the same terms up to the
+    # rounding of each term
+    cfg = KernelConfig()
+    for q in (5, 12, 45):
+        G = build_group(q)
+        kw = kernel_weights(q, cfg)
+        for chi in G.labels():
+            tab = [char_eval(G, chi, u) for u in range(q)]
+            kp = kw.kprod[chi.parity]
+            head, tail = [], []
+            for a in range(1, kw.m_eff + 1):
+                if math.gcd(a, q) != 1:
+                    continue
+                for b in range(1, kw.m_eff // a + 1):
+                    if math.gcd(b, q) == 1:
+                        term = (tab[a % q] * tab[b % q].conjugate()).real
+                        part = head if a * b <= kw.z_floor else tail
+                        part.append(term * kp[a * b])
+            cv = abc_values(G, chi, cfg, weights=kw)
+            assert abs(cv.b_value - math.fsum(head)) <= 1e-14
+            assert abs(cv.c_value - math.fsum(tail)) <= 1e-14
+            assert abs(cv.a_value - math.fsum(head + tail)) <= 1e-14
 
 
 def test_abc_split_is_consistent():
