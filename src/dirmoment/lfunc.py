@@ -31,7 +31,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .arith import two_pow_omega
+from .arith import factorize, two_pow_omega
 from .chargroup import CharacterGroup, CharacterLabel
 from .kernel import KernelConfig, w_eval_batch
 
@@ -166,27 +166,48 @@ class CentralValue:
     l_oracle: Optional[complex] = None
 
 
-def _coprime_pair_chunks(q: int,
-                         m: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _coprime_pair_chunks(q: int, m: int, batch: int = _MAX_PAIRS
+                         ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Every pair (a, b) of integers coprime to q with ab <= m, exactly
-    once, as chunks of equal a or equal b (Dirichlet hyperbola split).
+    once, in the fixed order of the Dirichlet hyperbola split.
 
-    With s = isqrt(m): first a = 1..s with every b <= m // a, then
-    b = 1..s with s < a <= m // b.  That is about 2 sqrt(m) chunks, visited
-    in this fixed order.
+    With s = isqrt(m): first the chunks a = 1..s, each with every
+    b <= m // a in increasing order, then the chunks b = 1..s, each with
+    s < a <= m // b.  That is about 2 sqrt(m) chunks.  They are yielded
+    as int64 arrays (a, b) in batches of whole chunks, each batch closed
+    as soon as it holds at least `batch` pairs; a batch may span both
+    halves.
     """
-    n = np.arange(1, m + 1, dtype=np.int64)
-    cop = n[np.gcd(n, q) == 1]  # sorted coprime integers in [1, m]
+    keep = np.ones(m + 1, dtype=bool)
+    keep[0] = False
+    for p in factorize(q).primes:
+        keep[::p] = False
+    cop = np.flatnonzero(keep)  # sorted coprime integers in [1, m]
     s = math.isqrt(m)
-    small = cop[:np.searchsorted(cop, s, side="right")]
-    ends = np.searchsorted(cop, m // small, side="right")
-    for a, end in zip(small.tolist(), ends.tolist()):
-        b = cop[:end]
-        yield np.full(b.size, a, dtype=np.int64), b
-    for b, end in zip(small.tolist(), ends.tolist()):
-        if end > small.size:
-            a = cop[small.size:end]
-            yield a, np.full(a.size, b, dtype=np.int64)
+    small = cop[:np.searchsorted(cop, s, side="right")].tolist()
+    ends = np.searchsorted(cop, [m // x for x in small], side="right").tolist()
+    # (fixed value, cop slice of the varying coordinate); the a-chunks
+    # are the ones whose slice starts at 0
+    half = len(small)
+    chunks = [(x, 0, end) for x, end in zip(small, ends)]
+    chunks += [(x, half, end) for x, end in zip(small, ends) if end > half]
+    i = 0
+    while i < len(chunks):
+        j, n = i, 0
+        while j < len(chunks) and n < batch:
+            _, lo, hi = chunks[j]
+            n += hi - lo
+            j += 1
+        a = np.empty(n, dtype=np.int64)
+        b = np.empty(n, dtype=np.int64)
+        o = 0
+        for x, lo, hi in chunks[i:j]:
+            fix, var = (a, b) if lo == 0 else (b, a)
+            fix[o:o + hi - lo] = x
+            var[o:o + hi - lo] = cop[lo:hi]
+            o += hi - lo
+        yield a, b
+        i = j
 
 
 @lru_cache(maxsize=8)

@@ -44,7 +44,7 @@ __all__ = [
     "fourth_moment",
 ]
 
-_FLUSH = 4_000_000        # buffered (u, m) entries per bincount flush
+_FLUSH = 4_000_000        # pairs per enumerated batch and bincount
 _MAX_TABLE_PAIRS = 3e8    # cost cap on the table build
 
 
@@ -61,10 +61,12 @@ class ResidueWeightTable:
 
 def _build_tables(G: CharacterGroup, kw: KernelWeights,
                   segments: tuple[tuple[int, int], ...]) -> list[np.ndarray]:
-    """Enumerate all coprime pairs once, in hyperbola chunks; scatter into
-    every table.
+    """Enumerate all coprime pairs once, in batches of hyperbola chunks;
+    scatter every batch into all tables with one bincount per parity.
 
-    Returns [S_seg0_par0, S_seg0_par1, S_seg1_par0, ...] in fixed order.
+    The segments (lo, hi] must be contiguous and increasing; pairs with
+    ab <= the lowest bound are dropped.  Returns
+    [S_seg0_par0, S_seg0_par1, S_seg1_par0, ...] in fixed order.
     """
     q = G.q
     qq = max(q, 1)
@@ -73,39 +75,31 @@ def _build_tables(G: CharacterGroup, kw: KernelWeights,
     if est > _MAX_TABLE_PAIRS:
         raise ValueError(
             f"table build at q = {q} needs ~{est:.2e} pairs, over the cost cap")
-    inv = G.inverse_table()
-    hi_all = max(hi for _, hi in segments)
-    out = [np.zeros(qq) for _ in range(2 * len(segments))]
-    buf_u: list[np.ndarray] = []
-    buf_m: list[np.ndarray] = []
-    buffered = 0
-
-    def flush() -> None:
-        nonlocal buffered
-        if not buf_u:
-            return
-        u = np.concatenate(buf_u)
-        m = np.concatenate(buf_m)
-        buf_u.clear()
-        buf_m.clear()
-        buffered = 0
-        for si, (lo, hi) in enumerate(segments):
-            sel = (m > lo) & (m <= hi)
-            if not sel.any():
-                continue
-            us, ms = u[sel], m[sel]
-            for par in (0, 1):
-                out[2 * si + par] += np.bincount(
-                    us, weights=kw.kprod[par][ms], minlength=qq)
-
-    for a, b in _coprime_pair_chunks(q, hi_all):
-        buf_u.append((a % qq) * inv[b % qq] % qq)
-        buf_m.append(a * b)
-        buffered += b.size
-        if buffered >= _FLUSH:
-            flush()
-    flush()
-    return out
+    if any(prev[1] != cur[0] for prev, cur in zip(segments, segments[1:])):
+        raise ValueError(f"segments must be contiguous, got {segments}")
+    lo_all = segments[0][0]
+    hi_all = segments[-1][1]
+    # residue and inverse residue of every integer a pair coordinate can take
+    res = np.arange(hi_all + 1, dtype=np.int64) % qq
+    inv_res = G.inverse_table()[res]
+    size = len(segments) * qq
+    acc = [np.zeros(size), np.zeros(size)]
+    for a, b in _coprime_pair_chunks(q, hi_all, _FLUSH):
+        m = a * b
+        if lo_all > 0:
+            keep = m > lo_all
+            a, b, m = a[keep], b[keep], m[keep]
+        # (segment, residue) as one index: segment * q + a b^-1 mod q
+        idx = res[a]
+        idx *= inv_res[b]
+        idx %= qq
+        for _, hi in segments[:-1]:
+            np.add(idx, qq, out=idx, where=m > hi)
+        for par in (0, 1):
+            acc[par] += np.bincount(idx, weights=kw.kprod[par][m],
+                                    minlength=size)
+    return [acc[par][si * qq:(si + 1) * qq]
+            for si in range(len(segments)) for par in (0, 1)]
 
 
 def weight_table(G: CharacterGroup, parity: int, predicate: str,

@@ -351,3 +351,13 @@ def test_residue_vectors_match_scalar(q):
             assert nums[u] == (-1 if num is None else num)
             want = char_eval(G, chi, u)
             assert vals[u].real == want.real and vals[u].imag == want.imag
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 8, 12, 16, 24, 45, 97, 384, 1009])
+def test_inverse_table_exact(q):
+    # the array inverse (component exponents negated, read back through
+    # the grid index) against pow(u, -1, q) on units and 0 elsewhere
+    inv = build_group(q).inverse_table()
+    want = [pow(u, -1, q) if math.gcd(u, q) == 1 else 0 for u in range(q)]
+    assert inv.dtype == np.int64
+    assert inv.tolist() == want

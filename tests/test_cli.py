@@ -4,6 +4,7 @@ import math
 import pytest
 
 from dirmoment import cli
+from dirmoment.kernel import KernelConfig
 from dirmoment.numerics import fmt_float
 
 HEADER = "q,phi_star,moment,main_term,ratio,b_moment,c_moment,E_measured,wall_ms"
@@ -182,3 +183,13 @@ def test_float_formatting_roundtrips():
         assert float(fmt_float(v)) == v
     assert fmt_float(float("nan")) == "nan"
     assert fmt_float(float("inf")) == "inf"
+
+
+def test_kernel_defaults_come_from_kernel_config():
+    # the --kernel-* defaults are read from KernelConfig(), so the CLI and
+    # the library cannot drift apart
+    args = cli._build_parser().parse_args(["moment", "--q", "5"])
+    d = KernelConfig()
+    assert (args.kernel_c, args.kernel_h, args.kernel_eps, args.x_zero) == (
+        d.c, d.h, d.eps, d.x_zero)
+    assert cli._kernel_cfg(args) == d

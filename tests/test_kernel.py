@@ -1,11 +1,14 @@
+import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from dirmoment.kernel import (KernelAccuracyError, KernelConfig,
                               clear_kernel_cache, w_eval, w_eval_batch,
                               w_series)
+from dirmoment.lfunc import kernel_weights
 
 
 def setup_module(module):
@@ -51,6 +54,45 @@ def test_step_check_rejects_coarse_step():
     with pytest.raises(KernelAccuracyError):
         w_eval_batch(0, xs, KernelConfig(h=2.0))
     w_eval_batch(0, xs, KernelConfig(h=0.1))
+
+
+def _w_series_mp(a, x, dps=80):
+    # the residue expansion of the module docstring in 80-digit arithmetic
+    with mpmath.workdps(dps):
+        beta = mpmath.mpf(1) / 2 + a
+        g0_sq = mpmath.gamma(beta / 2) ** 2
+        x = mpmath.mpf(x)
+        ln_x = mpmath.log(x)
+        total = mpmath.mpf(1)
+        k = 0
+        while True:
+            sigma = beta + 2 * k
+            term = (4 / (mpmath.factorial(k) ** 2 * g0_sq * sigma) * x ** sigma
+                    * (mpmath.digamma(k + 1) + 1 / sigma - ln_x))
+            total -= term
+            if k > 4 and abs(term) < mpmath.mpf(10) ** (-dps // 2):
+                return float(total)
+            k += 1
+
+
+def test_default_step_matches_residue_series():
+    # the default step against the exact kernel: the worst gap, 2.0e-12,
+    # is rounding amplified by x^(-c) at the smallest table argument
+    xs = np.geomspace(math.pi / 100003, 4.0, 16)
+    for a in (0, 1):
+        got = w_eval_batch(a, xs)
+        want = np.array([_w_series_mp(a, float(x)) for x in xs])
+        assert np.max(np.abs(got - want)) <= 1e-11, a
+
+
+def test_default_step_converged_over_table():
+    # every kernel value at q = 10007, default step against half of it:
+    # measured gap 6.4e-14
+    cfg = KernelConfig()
+    fine = dataclasses.replace(cfg, h=cfg.h / 2)
+    kw, kw_fine = kernel_weights(10007, cfg), kernel_weights(10007, fine)
+    for a in (0, 1):
+        assert np.max(np.abs(kw.w[a] - kw_fine.w[a])) <= 1e-12, a
 
 
 def test_limits():

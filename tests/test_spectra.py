@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dirmoment import spectra
 from dirmoment.arith import euler_phi, phi_star
 from dirmoment.chargroup import build_group, classify
 from dirmoment.kernel import KernelConfig
@@ -68,14 +69,26 @@ def test_weight_table_mass_is_coprime_pair_sum():
         assert np.sum(ta.weights) == pytest.approx(direct, rel=1e-12)
 
 
-@pytest.mark.parametrize("q", [1, 2, 12, 45, 97, 1009])
-def test_build_tables_match_brute_force(q):
+@pytest.mark.parametrize("q, flush", [
+    *(pytest.param(q, None, id=str(q)) for q in (1, 2, 12, 45, 97, 1009)),
+    pytest.param(1009, 5000, id="1009-batched"),
+])
+def test_build_tables_match_brute_force(q, flush, monkeypatch):
     # the hyperbola chunks against a plain gcd double loop scattered with
     # np.add.at; the second range is a perfect square, where the diagonal
-    # pair a = b = isqrt(m_eff) sits on the split and must count once
+    # pair a = b = isqrt(m_eff) sits on the split and must count once.
+    # With a small batch the build sums over several bincounts, and one
+    # batch spans the end of the a-chunks and the start of the b-chunks.
+    if flush is not None:
+        monkeypatch.setattr(spectra, "_FLUSH", flush)
     G = build_group(q)
     kw = kernel_weights(q, CFG)
     for m_eff in (kw.m_eff, math.isqrt(kw.m_eff) ** 2):
+        if flush is not None:
+            s = math.isqrt(m_eff)
+            batches = [a for a, _ in _coprime_pair_chunks(q, m_eff, flush)]
+            assert len(batches) > 2
+            assert any(a[0] <= s < a[-1] for a in batches)
         pairs = [(a, b) for a in range(1, m_eff + 1) if math.gcd(a, q) == 1
                  for b in range(1, m_eff // a + 1) if math.gcd(b, q) == 1]
         assert (sum(b.size for _, b in _coprime_pair_chunks(q, m_eff))
