@@ -20,7 +20,8 @@ from .lfunc import (CentralValue, KernelWeights, abc_values, hurwitz_zeta,
                     kernel_weights, l_half_oracle, truncation_bound)
 from .spectra import (CharacterSpectrum, MomentReport, ResidueWeightTable,
                       all_char_sums, compute_spectrum, fourth_moment,
-                      parity_flat, primitive_flat, weight_table)
+                      group_transform, parity_flat, primitive_flat,
+                      tail_moment_all, weight_table)
 from .asymptotics import (ErrorSumResult, Lemma3Result, Lemma4Result,
                           Lemma5Result, MainTermBreakdown, error_sum_E,
                           lemma3_count, lemma4_check, lemma5_sums,
@@ -48,9 +49,9 @@ __all__ = [
     "hurwitz_zeta", "l_half_oracle", "KernelWeights", "kernel_weights",
     "truncation_bound", "CentralValue", "abc_values",
     # spectra
-    "ResidueWeightTable", "weight_table", "all_char_sums", "parity_flat",
-    "primitive_flat", "CharacterSpectrum", "compute_spectrum",
-    "MomentReport", "fourth_moment",
+    "ResidueWeightTable", "weight_table", "group_transform", "all_char_sums",
+    "parity_flat", "primitive_flat", "CharacterSpectrum", "compute_spectrum",
+    "MomentReport", "fourth_moment", "tail_moment_all",
     # asymptotics
     "theorem_main_term", "m_direct", "m_reparametrized",
     "MainTermBreakdown", "main_term_breakdown", "Lemma3Result",

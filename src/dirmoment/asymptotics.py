@@ -41,7 +41,7 @@ import numpy as np
 from .arith import euler_phi, factorize, omega, omega_sieve, phi_star, two_pow_omega
 from .chargroup import CharacterGroup, build_group
 from .kernel import KernelConfig
-from .lfunc import KernelWeights, _pair_terms, _pairs, kernel_weights
+from .lfunc import KernelWeights, _pair_terms, _pairs, _resolve_weights
 from .numerics import EULER_GAMMA, ZETA2, KahanSum
 
 __all__ = [
@@ -77,19 +77,10 @@ def theorem_main_term(q: int) -> float:
     return phi_star(q) / (2 * math.pi**2) * prod * math.log(q) ** 4
 
 
-def _resolve_weights(q: int, cfg: KernelConfig,
-                     weights: Optional[KernelWeights]) -> KernelWeights:
-    if weights is None:
-        return kernel_weights(q, cfg)
-    if weights.q != q or weights.cfg != cfg:
-        raise ValueError("weights were built for a different modulus or config")
-    return weights
-
-
 def m_direct(q: int, cfg: KernelConfig = KernelConfig(), *,
              weights: Optional[KernelWeights] = None) -> float:
     """Diagonal main term by literal quadruple enumeration over ac = bd."""
-    kw = _resolve_weights(q, cfg, weights)
+    kw = _resolve_weights(q, cfg, weights, head_only=True)
     z = kw.z_floor
     pairs = []
     for a in range(1, z + 1):
@@ -146,7 +137,7 @@ def _repar_parts(q: int, kw: KernelWeights) -> tuple[float, float, int]:
 def m_reparametrized(q: int, cfg: KernelConfig = KernelConfig(), *,
                      weights: Optional[KernelWeights] = None) -> float:
     """Diagonal main term via the a=gr, b=gs, c=hs, d=hr grouping."""
-    kw = _resolve_weights(q, cfg, weights)
+    kw = _resolve_weights(q, cfg, weights, head_only=True)
     head, tail, _ = _repar_parts(q, kw)
     return phi_star(q) / 2.0 * (head + tail)
 
@@ -169,7 +160,7 @@ def main_term_breakdown(q: int, cfg: KernelConfig = KernelConfig(), *,
                         weights: Optional[KernelWeights] = None) -> MainTermBreakdown:
     if q < 3:
         raise ValueError("breakdown needs q >= 3 so log q > 0")
-    kw = _resolve_weights(q, cfg, weights)
+    kw = _resolve_weights(q, cfg, weights, head_only=True)
     head, tail, z0 = _repar_parts(q, kw)
     pref = phi_star(q) / 2.0
     thm = theorem_main_term(q)
@@ -339,7 +330,7 @@ def error_sum_E(q: int, cfg: KernelConfig = KernelConfig(), *,
     """
     if q < 3:
         raise ValueError("error sum needs q >= 3 so log q > 0")
-    kw = _resolve_weights(q, cfg, weights)
+    kw = _resolve_weights(q, cfg, weights, head_only=True)
     G = group if group is not None else build_group(q)
     pairs, n_b = _pairs(q, kw.m_eff, kw.z_floor)
     head = tuple(col[:n_b] for col in pairs)

@@ -98,14 +98,21 @@ def _primitive_root_mod_pe(p: int, e: int) -> int:
     return g
 
 
+def _powers(gen: int, n: int, mod: int) -> np.ndarray:
+    """gen^j mod `mod` for j = 0..n-1 as int64, by doubling: each step
+    multiplies the powers so far by gen^len.  Products stay below
+    mod^2 <= _MAX_Q^2, inside int64."""
+    out = np.ones(1, dtype=np.int64)
+    while out.size < n:
+        out = np.concatenate((out, out * pow(gen, out.size, mod) % mod))
+    return out[:n]
+
+
 def _dlog_table(pe: int, gen: int, order: int) -> np.ndarray:
-    table = np.full(pe, -1, dtype=np.int64)
-    x = 1
-    for j in range(order):
-        table[x] = j
-        x = x * gen % pe
-    if x != 1:
+    if pow(gen, order, pe) != 1:
         raise ArithmeticError(f"generator {gen} mod {pe} has order > {order}")
+    table = np.full(pe, -1, dtype=np.int64)
+    table[_powers(gen, order, pe)] = np.arange(order, dtype=np.int64)
     return table
 
 
@@ -115,13 +122,12 @@ def _dlog_tables_2e(e: int) -> tuple[np.ndarray, np.ndarray]:
     half = 1 << (e - 2)
     sign = np.full(pe, -1, dtype=np.int64)
     five = np.full(pe, -1, dtype=np.int64)
-    x = 1
-    for j in range(half):
-        sign[x] = 0
-        five[x] = j
-        sign[pe - x] = 1
-        five[pe - x] = j
-        x = x * 5 % pe
+    x = _powers(5, half, pe)
+    j = np.arange(half, dtype=np.int64)
+    sign[x] = 0
+    five[x] = j
+    sign[pe - x] = 1
+    five[pe - x] = j
     return sign, five
 
 

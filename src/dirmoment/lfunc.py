@@ -5,14 +5,19 @@ Hurwitz zeta function,
 
     L(1/2, chi) = q^(-1/2) sum_{a=1}^{q} chi(a) zeta(1/2, a/q),
 
-with zeta(s, a) computed by Euler-Maclaurin summation.  The smoothed
-route evaluates the rapidly truncating double sum
+with zeta(s, a) computed by Euler-Maclaurin summation as numpy array
+code: one table of zeta(1/2, u/q) per modulus serves the oracle here and
+the all-character transform in spectra, and the scalar hurwitz_zeta is
+the one-element case of the same code, so both give the same floats.
+The smoothed route evaluates the rapidly truncating double sum
 
     A(chi) = sum_{a,b >= 1} chi(a) chibar(b) / sqrt(ab) * W_a(pi a b / q),
 
-which satisfies |L(1/2, chi)|^2 = 2 A(chi) for primitive chi.  A is split
-as B + C at the product threshold Z = q / 2^omega(q); the B/C membership
-test is the exact integer predicate a*b * 2^omega(q) <= q.
+which satisfies |L(1/2, chi)|^2 = 2 A(chi) for primitive chi mod q >= 3.
+A is split as B + C at the product threshold Z = q / 2^omega(q); the B/C
+membership test is the exact integer predicate a*b * 2^omega(q) <= q.  A
+sum over the head B needs kernel values up to Z only
+(kernel_weights(..., head_only=True)).
 
 The double sum visits the coprime pairs sorted by (ab, a), gathers its
 terms with numpy and adds them with math.fsum: A, B and C are each the
@@ -58,13 +63,52 @@ _B_OVER_FACT = tuple(
 _MAX_PAIRS = 60_000_000  # guard on the naive pair enumeration
 
 
+_HURWITZ_BLOCK = 1 << 15  # arguments per block of the Euler-Maclaurin sum
+
+
+def _hurwitz_em(s: float, a: np.ndarray, n_terms: int,
+                j_terms: int) -> np.ndarray:
+    """zeta(s, a) for every element of a float64 array, by Euler-Maclaurin.
+
+    The sum is taken in blocks of _HURWITZ_BLOCK arguments with
+    elementwise numpy operations only, so each output is the same float
+    whatever the length of the array or the position of its argument.
+    Terms are added from the smallest to the largest: the direct terms
+    (a + k)^-s from k = n_terms - 1 down to 0, the Bernoulli corrections
+    as a polynomial in (a + n_terms)^-2 by Horner's rule.
+    """
+    coef = []
+    poch = s                      # (s)(s+1)...(s+2j-2), one factor so far
+    for j in range(j_terms):
+        coef.append(_B_OVER_FACT[j] * poch)
+        poch *= (s + 2 * j + 1) * (s + 2 * j + 2)
+    out = np.empty(a.shape)
+    for lo in range(0, a.size, _HURWITZ_BLOCK):
+        x = a[lo:lo + _HURWITZ_BLOCK]
+        direct = (x + (n_terms - 1)) ** -s
+        for k in range(n_terms - 2, -1, -1):
+            direct += (x + k) ** -s
+        na = x + n_terms
+        p = na ** -s
+        inv_sq = 1.0 / (na * na)
+        poly = np.zeros(x.shape)
+        for c in reversed(coef):
+            poly *= inv_sq
+            poly += c
+        corr = poly * (p / na) + 0.5 * p + p * na / (s - 1.0)
+        out[lo:lo + _HURWITZ_BLOCK] = direct + corr
+    return out
+
+
 def hurwitz_zeta(s: float, a: float, *, n_terms: int = 24,
                  j_terms: int = 12) -> float:
     """zeta(s, a) = sum_{k>=0} (k + a)^(-s) by Euler-Maclaurin.
 
     Supported region: real 0 < s < 1 (continuation through the shifted
     tail integral) and a > 0.  With the default depths the truncation
-    error is far below double rounding for a >= 1e-3.
+    error is far below double rounding for a >= 1e-3.  This is the
+    one-element case of the array code behind the Hurwitz tables, so
+    both give the same float for the same argument.
     """
     if not (isinstance(s, (int, float)) and 0.0 < s < 1.0):
         raise ValueError(f"s must be a real number in (0, 1), got {s}")
@@ -72,26 +116,18 @@ def hurwitz_zeta(s: float, a: float, *, n_terms: int = 24,
         raise ValueError(f"a must be a positive real, got {a}")
     if j_terms > len(_B_OVER_FACT):
         raise ValueError(f"j_terms capped at {len(_B_OVER_FACT)}")
-    s = float(s)
-    a = float(a)
-    direct = math.fsum((a + k) ** (-s) for k in range(n_terms))
-    na = a + n_terms
-    corr = [na ** (1.0 - s) / (s - 1.0), 0.5 * na ** (-s)]
-    poch = s                      # (s)(s+1)...(s+2j-2), one factor so far
-    napow = na ** (-s - 1.0)      # na^(-s-2j+1) at j = 1
-    inv_na_sq = 1.0 / (na * na)
-    for j in range(j_terms):
-        corr.append(_B_OVER_FACT[j] * poch * napow)
-        poch *= (s + 2 * j + 1) * (s + 2 * j + 2)
-        napow *= inv_na_sq
-    return direct + math.fsum(corr)
+    return float(_hurwitz_em(float(s), np.array([float(a)]), n_terms,
+                             j_terms)[0])
 
 
 @lru_cache(maxsize=8)
 def _hurwitz_half(q: int) -> np.ndarray:
-    """zeta(1/2, a/q) for a = 1..q-1; the cached array is shared and
-    read-only."""
-    hz = np.array([hurwitz_zeta(0.5, a / q) for a in range(1, q)])
+    """zeta(1/2, u/q) for every residue u = 0..q-1, with u = 0 read as
+    u = q (the value zeta(1/2, 1), the one unit residue when q = 1).  The
+    cached array is shared and read-only."""
+    u = np.arange(q, dtype=np.float64)
+    u[0] = q
+    hz = _hurwitz_em(0.5, u / q, 24, 12)
     hz.flags.writeable = False
     return hz
 
@@ -104,7 +140,7 @@ def l_half_oracle(G: CharacterGroup, chi: CharacterLabel) -> complex:
             "the Hurwitz-zeta route needs a primitive character of modulus"
             f" >= 3; got q = {q}, primitive = {chi.primitive}")
     z = G.char_values(chi)[1:]
-    hz = _hurwitz_half(q)
+    hz = _hurwitz_half(q)[1:]
     return complex(math.fsum((z.real * hz).tolist()),
                    math.fsum((z.imag * hz).tolist())) / math.sqrt(q)
 
@@ -135,11 +171,17 @@ def truncation_bound(q: int, cfg: KernelConfig) -> int:
     return max(1, min(int(analytic), int(hard_zero)))
 
 
-def kernel_weights(q: int, cfg: KernelConfig = KernelConfig()) -> KernelWeights:
+def kernel_weights(q: int, cfg: KernelConfig = KernelConfig(), *,
+                   head_only: bool = False) -> KernelWeights:
+    """Kernel values for 1 <= m <= m_eff.  With head_only the table stops
+    at z_floor, where the B head ends, and m_eff is set to z_floor: such a
+    table serves the B tables but no sum over the tail."""
     if q < 1:
         raise ValueError(f"modulus must be positive, got {q}")
-    m_eff = truncation_bound(q, cfg)
     z_floor = q // two_pow_omega(q)
+    m_eff = truncation_bound(q, cfg)
+    if head_only:
+        m_eff = min(m_eff, z_floor)
     m = np.arange(m_eff + 1, dtype=np.float64)
     x = math.pi * m[1:] / q
     w0 = np.zeros(m_eff + 1)
@@ -150,6 +192,22 @@ def kernel_weights(q: int, cfg: KernelConfig = KernelConfig()) -> KernelWeights:
     inv_sqrt[1:] = 1.0 / np.sqrt(m[1:])
     return KernelWeights(q, cfg, z_floor, m_eff,
                          (w0, w1), (w0 * inv_sqrt, w1 * inv_sqrt))
+
+
+def _resolve_weights(q: int, cfg: KernelConfig,
+                     weights: Optional[KernelWeights], *,
+                     head_only: bool = False) -> KernelWeights:
+    """`weights` checked against q and cfg, or a fresh table when None.
+    A sum over the B head accepts a head-only table (head_only=True);
+    every other sum needs the full one."""
+    if weights is None:
+        return kernel_weights(q, cfg, head_only=head_only)
+    if weights.q != q or weights.cfg != cfg:
+        raise ValueError("weights were built for a different modulus or config")
+    if not head_only and weights.m_eff != truncation_bound(q, cfg):
+        raise ValueError("weights stop at the B head; this sum needs the "
+                         "full table")
+    return weights
 
 
 @dataclass(frozen=True)
@@ -258,10 +316,7 @@ def abc_values(G: CharacterGroup, chi: CharacterLabel,
     against the table pipeline test only the reorganization of the sum.
     """
     q = G.q
-    if weights is None:
-        weights = kernel_weights(q, cfg)
-    elif weights.q != q or weights.cfg != cfg:
-        raise ValueError("weights were built for a different modulus or config")
+    weights = _resolve_weights(q, cfg, weights)
     pairs, n_b = _pairs(q, weights.m_eff, weights.z_floor)
     re, im = _pair_terms(G.char_values(chi), weights.kprod[chi.parity], pairs)
     oracle = l_half_oracle(G, chi) if with_oracle else None

@@ -1,4 +1,4 @@
-"""Fourth-moment pipeline: residue-class weight tables + group transform.
+"""Fourth-moment pipeline: residue-class tables + group transform.
 
 Because chi(a) chibar(b) = chi(a b^{-1} mod q) on coprime pairs, the
 double sum A(chi) collapses to a single pass over residue classes:
@@ -9,10 +9,21 @@ double sum A(chi) collapses to a single pass over residue classes:
 
 The tables S are built once per modulus by one vectorized pair
 enumeration (bincount over u), then evaluated against every character at
-once by an FFT over the CRT exponent grid.  A naive O(phi^2) exact-angle
-transform is kept as the FFT's oracle.  The tables consume the same
-kernel values as the per-character pipeline in lfunc, so cross-pipeline
-comparisons isolate the summation reorganization.
+once by an FFT over the CRT exponent grid (group_transform).  A naive
+O(phi^2) exact-angle transform is kept as the FFT's oracle.
+
+fourth_moment takes every central value from the Hurwitz route,
+
+    L(1/2, chi) = q^(-1/2) sum_u chi(u) zeta(1/2, u/q),
+
+one group transform of a length-q table, and uses the tables only for
+the head B (products ab <= Z = q / 2^omega(q)); on primitive chi the
+tail is C = |L|^2 / 2 - B.  compute_spectrum builds both the B and the C
+tables and stays the independent route to every A = B + C; it consumes
+the same kernel values as the per-character pipeline in lfunc, so
+cross-pipeline comparisons isolate the summation reorganization.
+tail_moment_all sums C^2 over every character from the C tables by
+Parseval, with no transform.
 
 Determinism: the build is single-threaded and visits pairs in the fixed
 order of the Dirichlet hyperbola split (lfunc._coprime_pair_chunks): with
@@ -32,16 +43,19 @@ import numpy as np
 from .arith import phi_star
 from .chargroup import CharacterGroup, build_group
 from .kernel import KernelConfig
-from .lfunc import KernelWeights, _coprime_pair_chunks, kernel_weights
+from .lfunc import (KernelWeights, _coprime_pair_chunks, _hurwitz_half,
+                    _resolve_weights, truncation_bound)
 
 __all__ = [
     "ResidueWeightTable",
     "CharacterSpectrum",
     "MomentReport",
     "weight_table",
+    "group_transform",
     "all_char_sums",
     "compute_spectrum",
     "fourth_moment",
+    "tail_moment_all",
 ]
 
 _FLUSH = 4_000_000        # pairs per enumerated batch and bincount
@@ -70,36 +84,37 @@ def _build_tables(G: CharacterGroup, kw: KernelWeights,
     """
     q = G.q
     qq = max(q, 1)
-    m_eff = kw.m_eff
-    est = m_eff * (math.log(m_eff) + 1.0)
-    if est > _MAX_TABLE_PAIRS:
-        raise ValueError(
-            f"table build at q = {q} needs ~{est:.2e} pairs, over the cost cap")
     if any(prev[1] != cur[0] for prev, cur in zip(segments, segments[1:])):
         raise ValueError(f"segments must be contiguous, got {segments}")
     lo_all = segments[0][0]
     hi_all = segments[-1][1]
+    est = hi_all * (math.log(max(hi_all, 1)) + 1.0)
+    if est > _MAX_TABLE_PAIRS:
+        raise ValueError(
+            f"table build at q = {q} needs ~{est:.2e} pairs, over the cost cap")
     # residue and inverse residue of every integer a pair coordinate can take
     res = np.arange(hi_all + 1, dtype=np.int64) % qq
     inv_res = G.inverse_table()[res]
-    size = len(segments) * qq
+    # pairs with ab <= lo_all fill a leading segment that is not returned
+    bounds = [lo for lo, _ in segments[1:]]
+    skip = int(lo_all > 0)
+    if skip:
+        bounds.insert(0, lo_all)
+    size = (len(bounds) + 1) * qq
     acc = [np.zeros(size), np.zeros(size)]
     for a, b in _coprime_pair_chunks(q, hi_all, _FLUSH):
         m = a * b
-        if lo_all > 0:
-            keep = m > lo_all
-            a, b, m = a[keep], b[keep], m[keep]
         # (segment, residue) as one index: segment * q + a b^-1 mod q
         idx = res[a]
         idx *= inv_res[b]
         idx %= qq
-        for _, hi in segments[:-1]:
-            np.add(idx, qq, out=idx, where=m > hi)
+        for lo in bounds:
+            np.add(idx, qq, out=idx, where=m > lo)
         for par in (0, 1):
             acc[par] += np.bincount(idx, weights=kw.kprod[par][m],
                                     minlength=size)
     return [acc[par][si * qq:(si + 1) * qq]
-            for si in range(len(segments)) for par in (0, 1)]
+            for si in range(skip, len(bounds) + 1) for par in (0, 1)]
 
 
 def weight_table(G: CharacterGroup, parity: int, predicate: str,
@@ -110,8 +125,7 @@ def weight_table(G: CharacterGroup, parity: int, predicate: str,
     if parity not in (0, 1):
         raise ValueError(f"parity must be 0 or 1, got {parity}")
     q = G.q
-    if weights is None:
-        weights = kernel_weights(q, cfg)
+    weights = _resolve_weights(q, cfg, weights)
     ranges = {
         "B": (0, weights.z_floor),
         "C": (weights.z_floor, weights.m_eff),
@@ -124,22 +138,21 @@ def weight_table(G: CharacterGroup, parity: int, predicate: str,
     return ResidueWeightTable(q, parity, seg[0], seg[1], tables[parity])
 
 
-def all_char_sums(G: CharacterGroup, table: ResidueWeightTable,
-                  method: str = "fft") -> np.ndarray:
-    """sum_u chi(u) S(u) for every character chi mod q at once.
+def group_transform(G: CharacterGroup, residue_values: np.ndarray,
+                    method: str = "fft") -> np.ndarray:
+    """sum_u chi(u) f(u) for every character chi mod q at once, from the
+    real values f(u) = residue_values[u], u = 0..q-1 (only units count).
 
     Returns a complex array over the full label grid in lexicographic
-    exponent order (G.label_index gives the position of a label).  Values
-    are meaningful for characters whose parity matches the table; the
-    transform itself is parity-blind.  method="naive" is the O(phi^2)
-    exact-angle oracle for the FFT.
+    exponent order (G.label_index gives the position of a label).
+    method="naive" is the O(phi^2) exact-angle oracle for the FFT.
     """
     dims = G.dims if G.dims else (1,)
     n = int(np.prod(dims))
     grid = np.zeros(n, dtype=np.float64)
     gi = G.grid_flat_index()
     valid = gi >= 0
-    grid[gi[valid]] = table.weights[valid]
+    grid[gi[valid]] = residue_values[valid]
     if method == "fft":
         return np.conj(np.fft.fftn(grid.reshape(dims))).ravel()
     if method != "naive":
@@ -160,6 +173,14 @@ def all_char_sums(G: CharacterGroup, table: ResidueWeightTable,
             vec = np.multiply.outer(vec, row)
         out[i] = np.sum(vec.ravel() * grid)
     return out
+
+
+def all_char_sums(G: CharacterGroup, table: ResidueWeightTable,
+                  method: str = "fft") -> np.ndarray:
+    """group_transform of one residue table.  Values are meaningful for
+    characters whose parity matches the table; the transform itself is
+    parity-blind."""
+    return group_transform(G, table.weights, method)
 
 
 @dataclass
@@ -193,9 +214,7 @@ def compute_spectrum(q: int, cfg: KernelConfig = KernelConfig(), *,
     wall["group"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    kw = weights if weights is not None else kernel_weights(q, cfg)
-    if kw.q != q or kw.cfg != cfg:
-        raise ValueError("weights were built for a different modulus or config")
+    kw = _resolve_weights(q, cfg, weights)
     wall["kernel"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -280,45 +299,98 @@ class MomentReport:
 
     q: int
     phi_star: int
-    fourth_moment: float
+    fourth_moment: float   # sum over primitive chi of |L(1/2, chi)|^4
     main_term: float
     ratio: float
     b_moment: float        # sum over primitive chi of B^2
-    c_moment_all: float    # sum over ALL chi of C^2
     c_moment_primitive: float
     cross_term: float      # sum over primitive chi of B*C
-    cross_bound: float     # Cauchy bound sqrt(b_moment * c_moment_all)
-    imag_residue: float
+    imag_residue: float    # max |Im| of the two B transforms
     m_eff: int
     z_floor: int
     wall: dict
 
 
 def fourth_moment(q: int, cfg: KernelConfig = KernelConfig(), *,
+                  group: Optional[CharacterGroup] = None,
                   weights: Optional[KernelWeights] = None) -> MomentReport:
-    """4 * sum over primitive chi of A(chi)^2, with its B/C decomposition."""
+    """sum over primitive chi of |L(1/2, chi)|^4, with its B/C split.
+
+    Every |L|^2 comes from one group transform of the Hurwitz table; B
+    from the head tables, which need kernel values for m <= z_floor only
+    (`weights` may be a full or a head-only table); C = |L|^2 / 2 - B.
+    The one exception is q = 1: its only character is principal, and
+    zeta's pole puts terms into |zeta(1/2)|^2 that the smoothed sum 2A
+    leaves out, so there A = B + C comes from the tables and the moment
+    is 4 A^2 as the per-character pipeline gives it.
+    """
     from .asymptotics import theorem_main_term
 
-    spec = compute_spectrum(q, cfg, weights=weights)
+    wall: dict[str, float] = {}
     t0 = time.perf_counter()
-    prim = spec.primitive
-    b = spec.b_values
-    c = spec.c_values
-    a = b + c
-    moment = 4.0 * float(np.sum(a[prim] ** 2))
-    b_moment = float(np.sum(b[prim] ** 2))
-    c_all = float(np.sum(c ** 2))
-    c_prim = float(np.sum(c[prim] ** 2))
-    cross = float(np.sum(b[prim] * c[prim]))
+    G = group if group is not None else build_group(q)
+    wall["group"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    hz = _hurwitz_half(q)
+    wall["hurwitz"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    kw = _resolve_weights(q, cfg, weights, head_only=True)
+    wall["kernel"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    sb = _build_tables(G, kw, ((0, kw.z_floor),))
+    wall["tables"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    lt = group_transform(G, hz)
+    vb = [all_char_sums(G, ResidueWeightTable(q, p, 0, kw.z_floor, sb[p]))
+          for p in (0, 1)]
+    wall["transform"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    prim = primitive_flat(G)
+    even = parity_flat(G) == 0
+    b = np.where(even, vb[0].real, vb[1].real)
+    b_im = np.where(even, vb[0].imag, vb[1].imag)
+    # A = |L|^2 / 2 on primitive chi, q^-1/2 |sum_u chi(u) zeta(1/2, u/q)|
+    a = (lt.real ** 2 + lt.imag ** 2) / (2.0 * q)
+    if q == 1:
+        a = b + compute_spectrum(1, cfg).c_values
+    a, b = a[prim], b[prim]
+    c = a - b
+    moment = 4.0 * float(np.sum(a ** 2))
+    b_moment = float(np.sum(b ** 2))
     main = theorem_main_term(q)
-    ratio = moment / main if main > 0 else float("nan")
-    wall = dict(spec.wall)
     wall["assemble"] = time.perf_counter() - t0
     return MomentReport(
         q=q, phi_star=phi_star(q), fourth_moment=moment, main_term=main,
-        ratio=ratio, b_moment=b_moment, c_moment_all=c_all,
-        c_moment_primitive=c_prim, cross_term=cross,
-        cross_bound=math.sqrt(max(b_moment * c_all, 0.0)),
-        imag_residue=spec.imag_residue, m_eff=spec.m_eff,
-        z_floor=spec.z_floor, wall=wall)
+        ratio=moment / main if main > 0 else float("nan"),
+        b_moment=b_moment, c_moment_primitive=float(np.sum(c ** 2)),
+        cross_term=float(np.sum(b * c)),
+        imag_residue=float(np.abs(b_im).max(initial=0.0)),
+        m_eff=truncation_bound(q, cfg), z_floor=kw.z_floor, wall=wall)
 
+
+def tail_moment_all(q: int, cfg: KernelConfig = KernelConfig(), *,
+                    group: Optional[CharacterGroup] = None,
+                    weights: Optional[KernelWeights] = None) -> float:
+    """sum over ALL chi mod q of C(chi)^2, from the C tables by Parseval.
+
+    C(chi) = sum_u chi(u) S_C(u) is real (S_C(u) = S_C(u^-1)), and the
+    characters of parity a satisfy sum_chi chi(u) chibar(v) =
+    (phi/2)([u = v] + (-1)^a [u = -v]), so
+
+        sum_{chi of parity a} C(chi)^2
+            = (phi/2) sum_u S_C(u) (S_C(u) + (-1)^a S_C(-u)).
+
+    No transform is needed.  For q <= 2, -u = u: the odd sum vanishes and
+    the even one is phi sum_u S_C(u)^2, over every (even) character.
+    """
+    G = group if group is not None else build_group(q)
+    kw = _resolve_weights(q, cfg, weights)
+    s0, s1 = _build_tables(G, kw, ((kw.z_floor, kw.m_eff),))
+    neg = -np.arange(q) % q
+    return G.group_order / 2.0 * (float(np.sum(s0 * (s0 + s0[neg])))
+                                  + float(np.sum(s1 * (s1 - s1[neg]))))

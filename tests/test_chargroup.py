@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirmoment.arith import divisors, euler_phi, factorize, phi_star
-from dirmoment.chargroup import (build_group, char_eval, classify,
+from dirmoment.chargroup import (_dlog_table, _dlog_tables_2e,
+                                 _primitive_root_mod_pe, build_group,
+                                 char_eval, classify,
                                  exact_primitive_char_sum,
                                  exact_root_of_unity_sum, gauss_sum,
                                  primitive_count, primitive_sum_lemma1,
@@ -50,6 +52,52 @@ def test_dlog_roundtrip():
             assert v not in seen
             seen.add(v)
         assert len(seen) == euler_phi(q)
+
+
+def _dlog_loop(pe, gen, order):
+    # the plain loop over the group order: table[gen^j mod pe] = j
+    table = np.full(pe, -1, dtype=np.int64)
+    x = 1
+    for j in range(order):
+        table[x] = j
+        x = x * gen % pe
+    return table
+
+
+def test_dlog_tables_match_power_loop():
+    # the blocked numpy powers against the loop, for every prime power up
+    # to 2000 and for one prime above 10^6
+    pes = [(p, e) for p in range(2, 2001)
+           if all(p % d for d in range(2, math.isqrt(p) + 1))
+           for e in range(1, 12) if p ** e <= 2000]
+    for p, e in pes + [(1_000_003, 1)]:
+        pe = p ** e
+        if p == 2:
+            if e == 2:
+                assert np.array_equal(_dlog_table(4, 3, 2),
+                                      _dlog_loop(4, 3, 2))
+            elif e >= 3:
+                sign, five = _dlog_tables_2e(e)
+                want_s = np.full(pe, -1, dtype=np.int64)
+                want_f = np.full(pe, -1, dtype=np.int64)
+                x = 1
+                for j in range(pe // 4):
+                    want_s[x], want_f[x] = 0, j
+                    want_s[pe - x], want_f[pe - x] = 1, j
+                    x = x * 5 % pe
+                assert np.array_equal(sign, want_s)
+                assert np.array_equal(five, want_f)
+            continue
+        gen = _primitive_root_mod_pe(p, e)
+        order = pe // p * (p - 1)
+        assert np.array_equal(_dlog_table(pe, gen, order),
+                              _dlog_loop(pe, gen, order)), pe
+
+
+def test_dlog_table_rejects_wrong_order():
+    # 3 generates (Z/7)* with order 6; claiming order 3 must fail
+    with pytest.raises(ArithmeticError):
+        _dlog_table(7, 3, 3)
 
 
 def test_character_is_homomorphism():

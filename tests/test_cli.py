@@ -6,6 +6,7 @@ import pytest
 from dirmoment import cli
 from dirmoment.kernel import KernelConfig
 from dirmoment.numerics import fmt_float
+from dirmoment.spectra import tail_moment_all
 
 HEADER = "q,phi_star,moment,main_term,ratio,b_moment,c_moment,E_measured,wall_ms"
 
@@ -31,6 +32,19 @@ def test_moment_timings_flag(capsys):
     doc = json.loads(out)
     assert rc == 0
     assert set(doc["wall_ms"]) >= {"kernel", "tables", "transform"}
+
+
+def test_moment_timings_name_the_stages(capsys):
+    # --timings names every stage of the Hurwitz route, and nothing else;
+    # the default report carries no timings and no tail-table fields
+    rc, out = run(capsys, "moment", "--q", "7", "--timings")
+    assert rc == 0
+    assert set(json.loads(out)["wall_ms"]) == {
+        "group", "hurwitz", "kernel", "tables", "transform", "assemble"}
+    rc, out = run(capsys, "moment", "--q", "7")
+    doc = json.loads(out)
+    assert "wall_ms" not in doc
+    assert not {"c_moment_all", "cross_bound"} & set(doc)
 
 
 def test_moment_without_primitive_characters_warns(capsys):
@@ -115,6 +129,8 @@ def test_scan_row_values_roundtrip(tmp_path):
     assert float(row[4]) == moment / main
     # E_measured = b_moment - diagonal: finite and small at q = 5
     assert abs(float(row[7])) < 1.0
+    # c_moment sums C^2 over every character mod q
+    assert row[6] == fmt_float(tail_moment_all(5))
 
 
 def test_kernel_table_csv(tmp_path):

@@ -6,8 +6,8 @@ import pytest
 
 from dirmoment.chargroup import build_group, char_eval
 from dirmoment.kernel import KernelConfig
-from dirmoment.lfunc import (abc_values, hurwitz_zeta, kernel_weights,
-                             l_half_oracle, truncation_bound)
+from dirmoment.lfunc import (_hurwitz_half, abc_values, hurwitz_zeta,
+                             kernel_weights, l_half_oracle, truncation_bound)
 
 mp.mp.dps = 30
 
@@ -24,6 +24,30 @@ def test_hurwitz_against_mpmath():
             ref = float(mp.zeta(s, a))
             worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
     assert worst < 1e-12
+
+
+@pytest.mark.parametrize("q", [1, 2, 7, 1009, 10**6])
+def test_hurwitz_table_against_mpmath(q):
+    # the residue table zeta(1/2, u/q), u = 0 read as u = q, at its ends and
+    # a few interior points: u = 1 at q = 10^6 is a = 1e-6, and the one
+    # residue at q = 1 is zeta(1/2, 1)
+    hz = _hurwitz_half(q)
+    assert hz.shape == (q,)
+    us = sorted({u % q for u in (0, 1, 2, q // 3, q // 2, q - 1)})
+    worst = 0.0
+    for u in us:
+        ref = float(mp.zeta(0.5, mp.mpf(u if u else q) / q))
+        worst = max(worst, abs(hz[u] - ref) / max(1.0, abs(ref)))
+    assert worst < 1e-12
+    assert hz[0] == hurwitz_zeta(0.5, 1.0)
+
+
+def test_hurwitz_scalar_is_table_element():
+    # the scalar function is the one-element case of the table code
+    q = 1009
+    hz = _hurwitz_half(q)
+    for u in (1, 2, 17, 500, 1008):
+        assert hurwitz_zeta(0.5, u / q) == hz[u]
 
 
 def test_hurwitz_riemann_special_case():

@@ -8,10 +8,11 @@ from dirmoment import spectra
 from dirmoment.arith import euler_phi, phi_star
 from dirmoment.chargroup import build_group, classify
 from dirmoment.kernel import KernelConfig
-from dirmoment.lfunc import _coprime_pair_chunks, abc_values, kernel_weights
+from dirmoment.lfunc import (_coprime_pair_chunks, _hurwitz_half, abc_values,
+                             kernel_weights)
 from dirmoment.spectra import (_build_tables, all_char_sums, compute_spectrum,
-                               fourth_moment, parity_flat, primitive_flat,
-                               weight_table)
+                               fourth_moment, group_transform, parity_flat,
+                               primitive_flat, tail_moment_all, weight_table)
 
 CFG = KernelConfig()
 
@@ -187,6 +188,33 @@ def test_default_fft_matches_naive_at_mid_q(q):
     assert sf.imag_residue <= 1e-12
 
 
+@pytest.mark.parametrize("q", [1009, 10007, 100003, 15015])
+def test_hurwitz_route_matches_afe_tables(q):
+    # |L(1/2, chi)|^2 from one group transform of the Hurwitz table against
+    # 2A from the B and C tables, on every primitive character, within the
+    # kernel-eps bound of criterion 2 at scale: each kernel value is within
+    # eps and the weights 1 / sqrt(ab), ab <= m, add up to at most
+    # 2 sqrt(m)(1 + ln m); doubled for 2A
+    spec = compute_spectrum(q, CFG)
+    lt = group_transform(spec.group, _hurwitz_half(q))
+    l_sq = (lt.real ** 2 + lt.imag ** 2) / q
+    prim = spec.primitive
+    m = 24.0 * q / math.pi
+    tol = 2.0 * CFG.eps * 2.0 * math.sqrt(m) * (1.0 + math.log(m))
+    gap = float(np.max(np.abs(l_sq[prim] - 2.0 * spec.a_values[prim])))
+    assert gap <= tol, f"worst gap {gap:.2e} = {gap / tol:.2e} of the bound"
+
+
+@pytest.mark.parametrize("q", [*range(1, 121), *range(2990, 3000)])
+def test_tail_moment_all_matches_transform(q):
+    # Parseval over the C tables against the sum of C^2 over every
+    # character from the transform
+    spec = compute_spectrum(q, CFG)
+    want = float(np.sum(spec.c_values ** 2))
+    got = tail_moment_all(q, CFG)
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
 # ---------------------------------------------------------------------------
 # moment report
 
@@ -200,8 +228,9 @@ def test_moment_report_consistency():
     assert rep.phi_star == phi_star(q)
     assert rep.fourth_moment == pytest.approx(
         4.0 * float(np.sum(a[prim] ** 2)), rel=1e-14)
-    assert rep.cross_bound >= abs(rep.cross_term) - 1e-15
-    assert rep.c_moment_all >= rep.c_moment_primitive
+    c_all = tail_moment_all(q, CFG)
+    assert math.sqrt(rep.b_moment * c_all) >= abs(rep.cross_term) - 1e-15
+    assert c_all >= rep.c_moment_primitive
     decomposition = 4.0 * (rep.b_moment + 2.0 * rep.cross_term
                            + rep.c_moment_primitive)
     assert rep.fourth_moment == pytest.approx(decomposition, rel=1e-12)
