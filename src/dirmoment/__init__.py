@@ -18,16 +18,15 @@ from .kernel import (KernelAccuracyError, KernelConfig, clear_kernel_cache,
                      w_eval, w_eval_batch, w_series)
 from .lfunc import (CentralValue, KernelWeights, abc_values, hurwitz_zeta,
                     kernel_weights, l_half_oracle, truncation_bound)
-from .spectra import (CharacterSpectrum, MomentReport, ResidueWeightTable,
-                      all_char_sums, compute_spectrum, fourth_moment,
-                      group_transform, parity_flat, primitive_flat,
-                      tail_moment_all, weight_table)
+from .spectra import (CharacterSpectrum, MomentReport, compute_spectrum,
+                      fourth_moment, group_transform, parity_flat,
+                      primitive_flat, tail_moment_all)
 from .asymptotics import (ErrorSumResult, Lemma3Result, Lemma4Result,
                           Lemma5Result, MainTermBreakdown, error_sum_E,
                           lemma3_count, lemma4_check, lemma5_sums,
                           m_direct, m_reparametrized, main_term_breakdown,
                           theorem_main_term)
-from .numerics import EULER_GAMMA, ZETA2, KahanSum, fmt_float
+from .numerics import EULER_GAMMA, ZETA2, fmt_float
 
 __version__ = "0.1.0"
 
@@ -49,14 +48,13 @@ __all__ = [
     "hurwitz_zeta", "l_half_oracle", "KernelWeights", "kernel_weights",
     "truncation_bound", "CentralValue", "abc_values",
     # spectra
-    "ResidueWeightTable", "weight_table", "group_transform", "all_char_sums",
-    "parity_flat", "primitive_flat", "CharacterSpectrum", "compute_spectrum",
-    "MomentReport", "fourth_moment", "tail_moment_all",
+    "group_transform", "parity_flat", "primitive_flat", "CharacterSpectrum",
+    "compute_spectrum", "MomentReport", "fourth_moment", "tail_moment_all",
     # asymptotics
     "theorem_main_term", "m_direct", "m_reparametrized",
     "MainTermBreakdown", "main_term_breakdown", "Lemma3Result",
     "lemma3_count", "Lemma4Result", "lemma4_check", "Lemma5Result",
     "lemma5_sums", "ErrorSumResult", "error_sum_E",
     # numerics
-    "EULER_GAMMA", "ZETA2", "KahanSum", "fmt_float",
+    "EULER_GAMMA", "ZETA2", "fmt_float",
 ]

@@ -42,7 +42,7 @@ from .arith import euler_phi, factorize, omega, omega_sieve, phi_star, two_pow_o
 from .chargroup import CharacterGroup, build_group
 from .kernel import KernelConfig
 from .lfunc import KernelWeights, _pair_terms, _pairs, _resolve_weights
-from .numerics import EULER_GAMMA, ZETA2, KahanSum
+from .numerics import EULER_GAMMA, ZETA2
 
 __all__ = [
     "theorem_main_term",
@@ -94,7 +94,7 @@ def m_direct(q: int, cfg: KernelConfig = KernelConfig(), *,
             f"direct quadruple enumeration at q = {q} needs "
             f"{len(pairs)**2:.2e} checks; use the reparametrized form")
     w0, w1 = kw.w
-    acc = KahanSum()
+    terms = []
     for a, b in pairs:
         ab = a * b
         wa0 = w0[ab]
@@ -102,9 +102,9 @@ def m_direct(q: int, cfg: KernelConfig = KernelConfig(), *,
         for c, d in pairs:
             if a * c == b * d:
                 cd = c * d
-                acc.add(float(wa0 * w0[cd] + wa1 * w1[cd])
-                        / math.sqrt(a * b * c * d))
-    return phi_star(q) / 2.0 * float(acc.value)
+                terms.append(float(wa0 * w0[cd] + wa1 * w1[cd])
+                             / math.sqrt(a * b * c * d))
+    return phi_star(q) / 2.0 * math.fsum(terms)
 
 
 def _repar_parts(q: int, kw: KernelWeights) -> tuple[float, float, int]:
@@ -115,8 +115,8 @@ def _repar_parts(q: int, kw: KernelWeights) -> tuple[float, float, int]:
     om = omega_sieve(z + 1) if z >= 1 else np.zeros(2, dtype=np.uint8)
     pow18 = 18 ** omega(q)
     z0_floor = q // pow18
-    head = KahanSum()
-    tail = KahanSum()
+    head: list[float] = []
+    tail: list[float] = []
     for n in range(1, z + 1):
         if math.gcd(n, q) != 1:
             continue
@@ -130,8 +130,8 @@ def _repar_parts(q: int, kw: KernelWeights) -> tuple[float, float, int]:
                 s1 += w1[m] / g
             g += 1
         term = (float(2 ** int(om[n])) / n) * (s0 * s0 + s1 * s1)
-        (head if n <= z0_floor else tail).add(float(term))
-    return float(head.value), float(tail.value), z0_floor
+        (head if n <= z0_floor else tail).append(float(term))
+    return math.fsum(head), math.fsum(tail), z0_floor
 
 
 def m_reparametrized(q: int, cfg: KernelConfig = KernelConfig(), *,
@@ -267,14 +267,6 @@ class Lemma5Result:
     ratio2: float         # sum2 / main2
 
 
-def _coprime_mask_chunk(n0: int, n1: int, q: int) -> np.ndarray:
-    n = np.arange(n0, n1, dtype=np.int64)
-    mask = np.ones(n.shape, dtype=bool)
-    for p, _ in factorize(q).factors:
-        mask &= n % p != 0
-    return mask
-
-
 def lemma5_sums(q: int, x: float) -> Lemma5Result:
     """The two 2^omega(n)/n sums with their envelope / main term."""
     if q < 1 or x < math.sqrt(q) or x < 4:
@@ -291,16 +283,16 @@ def lemma5_sums(q: int, x: float) -> Lemma5Result:
         for n0 in range(1, hi + 1, step):
             n1 = min(n0 + step, hi + 1)
             n = np.arange(n0, n1, dtype=np.int64)
-            mask = _coprime_mask_chunk(n0, n1, q)
+            mask = np.ones(n.shape, dtype=bool)
+            for p, _ in factorize(q).factors:
+                mask &= n % p != 0
             vals = two_om[n0:n1] / n
             if weight_log:
                 vals = vals * np.log(x / n) ** 2
             parts.append(float(np.sum(vals[mask])))
         return math.fsum(parts)
 
-    sum1 = masked_sum(min(q, xi), False) if q > 1 else 1.0
-    if q == 1:
-        sum1 = 1.0  # single term n = 1
+    sum1 = masked_sum(min(q, xi), False) if q > 1 else 1.0  # q = 1: n = 1
     sum2 = masked_sum(xi, True)
     prod = 1.0
     for p, _ in factorize(q).factors:
@@ -334,15 +326,14 @@ def error_sum_E(q: int, cfg: KernelConfig = KernelConfig(), *,
     G = group if group is not None else build_group(q)
     pairs, n_b = _pairs(q, kw.m_eff, kw.z_floor)
     head = tuple(col[:n_b] for col in pairs)
-    acc = KahanSum()
+    sq = []
     for chi in G.labels():
         if not chi.primitive:
             continue
         re, _ = _pair_terms(G.char_values(chi), kw.kprod[chi.parity], head)
-        b_re = math.fsum(re)
-        acc.add(b_re * b_re)
+        sq.append(math.fsum(re) ** 2)
     m_val = m_reparametrized(q, cfg, weights=kw)
-    b_sq = acc.value
+    b_sq = math.fsum(sq)
     return ErrorSumResult(q=q, b_sq_sum=b_sq, m_value=m_val,
                           e_measured=b_sq - m_val,
                           envelope=q * math.log(q) ** 3)

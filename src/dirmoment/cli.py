@@ -11,10 +11,14 @@ Subcommands:
   verify-bounds      measured-bound checks (lemmas, tails), exit 1 on failure
   kernel-table       CSV table of W_0 and W_1 on an x grid
 
+The verify commands run the sweeps of dirmoment.checks, the same ones the
+acceptance tests run, and print one line per sweep family.
+
 Exit codes: 0 success, 1 a verification check failed, 2 usage error
-(the subcommand's usage and the offending argument go to stderr) or a
-rejected input: a ValueError or KernelAccuracyError raised by the
-subcommand becomes "dirmoment: error: <type>: <message>" on stderr.
+(the subcommand's usage and the offending argument go to stderr; an
+empty sweep range, any --qmax* below 1, is one) or a rejected input: a
+ValueError or KernelAccuracyError raised by the subcommand becomes
+"dirmoment: error: <type>: <message>" on stderr.
 All floats are rendered with %.17g so byte-identical reruns mean
 bit-identical numbers; timing columns default to 0 and only carry real
 measurements under --timings, keeping default output reproducible.
@@ -30,14 +34,12 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .arith import euler_phi, omega
-from .chargroup import (build_group, exact_primitive_char_sum, gauss_sum,
-                        primitive_sum_lemma1, signed_sum_eq21)
+from . import checks
+from .chargroup import build_group
 from .kernel import KernelAccuracyError, KernelConfig, w_eval_batch
 from .lfunc import abc_values, kernel_weights
 from .spectra import fourth_moment, tail_moment_all
-from .asymptotics import (error_sum_E, lemma3_count, lemma4_check,
-                          lemma5_sums, m_direct, m_reparametrized)
+from .asymptotics import m_reparametrized
 from .numerics import fmt_float
 
 __all__ = ["main"]
@@ -76,20 +78,26 @@ def _json(obj, indent: int = 0) -> str:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _kernel_cfg(args: argparse.Namespace) -> KernelConfig:
     return KernelConfig(c=args.kernel_c, h=args.kernel_h, eps=args.kernel_eps,
                         x_zero=args.x_zero)
+
+
+def positive_int(text: str) -> int:
+    """Top of a sweep range; an empty range is a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -188,199 +196,53 @@ def _cmd_value(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify_identities(args: argparse.Namespace) -> int:
+def _run_sweeps(args: argparse.Namespace, sweeps) -> int:
+    """Run each (line, sweep) in turn and print the line, formatted with
+    the arguments `a`, the SweepResult `r`, its failure count `bad` and
+    whether all checks so far passed `ok`; emit the failures as JSON.
+    Exit code 1 if any check failed."""
+    total = 0
     failures: list[dict] = []
-    checks = 0
-
-    # closed form vs exact enumeration for the primitive character sum
-    for q in range(1, args.qmax_lemma1 + 1):
-        G = build_group(q)
-        for r in range(1, q + 1):
-            if math.gcd(r, q) != 1:
-                continue
-            checks += 1
-            got = exact_primitive_char_sum(G, r)
-            want = primitive_sum_lemma1(q, r)
-            if got != want:
-                failures.append({"check": "primitive_sum", "q": q, "r": r,
-                                 "enumerated": got, "formula": want})
-    print(f"primitive-sum identity: q <= {args.qmax_lemma1}, "
-          f"{checks} cases, {len(failures)} failures")
-
-    # parity-restricted pair sums
-    n0 = len(failures)
-    c0 = checks
-    for q in range(1, args.qmax_pairs + 1):
-        G = build_group(q)
-        cache: dict[tuple[int, int], object] = {}
-        for m in range(1, 2 * q + 1):
-            if math.gcd(m, q) != 1:
-                continue
-            for n in range(1, 2 * q + 1):
-                if math.gcd(n, q) != 1:
-                    continue
-                u = m * pow(n, -1, q) % q if q > 1 else 0
-                for par in (0, 1):
-                    checks += 1
-                    key = (u, par)
-                    if key not in cache:
-                        cache[key] = exact_primitive_char_sum(G, u, parity=par)
-                    got = cache[key]
-                    want = signed_sum_eq21(q, m, n, par)
-                    if got is None or got != want:
-                        failures.append({
-                            "check": "signed_pair_sum", "q": q, "m": m,
-                            "n": n, "parity": par,
-                            "enumerated": None if got is None else int(got),
-                            "formula": float(want)})
-    print(f"parity pair-sum identity: q <= {args.qmax_pairs}, "
-          f"{checks - c0} cases, {len(failures) - n0} failures")
-
-    # Gauss sum modulus for primitive characters
-    n0 = len(failures)
-    c0 = checks
-    for q in range(1, args.qmax_gauss + 1):
-        G = build_group(q)
-        for chi in G.labels():
-            if not chi.primitive:
-                continue
-            checks += 1
-            tau = gauss_sum(G, chi)
-            if abs(abs(tau) - math.sqrt(q)) > 1e-10:
-                failures.append({"check": "gauss_modulus", "q": q,
-                                 "exponents": list(chi.exponents),
-                                 "abs_tau": abs(tau)})
-    print(f"gauss-sum modulus: q <= {args.qmax_gauss}, "
-          f"{checks - c0} cases, {len(failures) - n0} failures")
-
-    # smoothed functional equation against the Hurwitz-zeta oracle
-    n0 = len(failures)
-    c0 = checks
-    cfg = _kernel_cfg(args)
-    for q in (3, 4, 5, 7, 8, 9, 11, 12, 13, 16):
-        G = build_group(q)
-        kw = kernel_weights(q, cfg)
-        for chi in G.labels():
-            if not chi.primitive:
-                continue
-            checks += 1
-            cv = abc_values(G, chi, cfg, weights=kw, with_oracle=True)
-            lhs = abs(cv.l_oracle) ** 2
-            rel = abs(lhs - 2.0 * cv.a_value) / abs(lhs)
-            if rel > 1e-6:
-                failures.append({"check": "oracle_equation", "q": q,
-                                 "exponents": list(chi.exponents),
-                                 "rel": rel})
-    print(f"central-value oracle equation: {checks - c0} characters, "
-          f"{len(failures) - n0} failures")
-
-    # diagonal-sum reorganization equality
-    n0 = len(failures)
-    for q in (5, 7, 8, 9, 12):
-        checks += 1
-        kw = kernel_weights(q, cfg)
-        a = m_direct(q, cfg, weights=kw)
-        b = m_reparametrized(q, cfg, weights=kw)
-        rel = abs(a - b) / max(abs(a), abs(b))
-        if rel > 1e-10:
-            failures.append({"check": "diagonal_equality", "q": q,
-                             "direct": a, "reparametrized": b, "rel": rel})
-    print(f"diagonal reorganization equality: 5 moduli, "
-          f"{len(failures) - n0} failures")
-
-    payload = {"checks": checks, "failures": failures}
-    _emit(_json(payload), args.out)
+    for line, sweep in sweeps:
+        r = sweep()
+        print(line.format(a=args, r=r, bad=len(r.failures),
+                          ok=not (failures or r.failures)))
+        total += r.checks
+        failures += r.failures
+    _emit(_json({"checks": total, "failures": failures}), args.out)
     return 1 if failures else 0
+
+
+def _cmd_verify_identities(args: argparse.Namespace) -> int:
+    cfg = _kernel_cfg(args)
+    cases = "{r.checks} cases, {bad} failures"
+    return _run_sweeps(args, (
+        ("primitive-sum identity: q <= {a.qmax_lemma1}, " + cases,
+         lambda: checks.primitive_sum(args.qmax_lemma1)),
+        ("parity pair-sum identity: q <= {a.qmax_pairs}, " + cases,
+         lambda: checks.pair_sum(args.qmax_pairs)),
+        ("gauss-sum modulus: q <= {a.qmax_gauss}, " + cases,
+         lambda: checks.gauss_modulus(args.qmax_gauss)),
+        ("central-value oracle equation: {r.checks} characters, "
+         "{bad} failures", lambda: checks.oracle_equation(cfg)),
+        ("diagonal reorganization equality: {r.checks} moduli, "
+         "{bad} failures", lambda: checks.diagonal_equality(cfg))))
 
 
 def _cmd_verify_bounds(args: argparse.Namespace) -> int:
     cfg = _kernel_cfg(args)
-    failures: list[dict] = []
-    checks = 0
-    want = set(args.only) if args.only else {"lemma3", "lemma4", "lemma5",
-                                             "error", "tail"}
-
-    if "lemma4" in want:
-        # coprime harmonic sums against the closed form
-        for q in range(1, args.qmax + 1):
-            for x in (1e2, 1e3, 1e4):
-                checks += 1
-                r = lemma4_check(q, x)
-                if r.error > r.envelope:
-                    failures.append({"check": "harmonic_sum", "q": q,
-                                     "x": x, "error": r.error,
-                                     "envelope": r.envelope})
-                if omega(q) >= 1:
-                    checks += 1
-                    cap = 1.2 * (1.0 + math.log(omega(q)))
-                    if r.prime_log_sum > cap:
-                        failures.append({"check": "prime_log_sum", "q": q,
-                                         "value": r.prime_log_sum,
-                                         "cap": cap})
-        print(f"harmonic-sum bound: q <= {args.qmax}, "
-              f"ok so far: {not failures}")
-
-    if "lemma5" in want:
-        # 2^omega sums: regression bands measured at first run
-        bands = {1: (1.70, 1.72), 6: (2.50, 2.52), 30: (2.86, 2.88)}
-        for q, (lo, hi) in bands.items():
-            checks += 1
-            r = lemma5_sums(q, 1e6)
-            if not lo <= r.ratio2 <= hi:
-                failures.append({"check": "two_omega_sum", "q": q,
-                                 "ratio2": r.ratio2, "band": [lo, hi]})
-            checks += 1
-            if r.sum1 > 6.0 * r.sum1_envelope:
-                failures.append({"check": "two_omega_head", "q": q,
-                                 "sum1": r.sum1,
-                                 "envelope": r.sum1_envelope})
-        print("two-omega sums: regression bands checked")
-
-    if "lemma3" in want:
-        # dyadic quadruple counts
-        for k, z1, z2 in ((5, 4, 4), (5, 32, 32), (7, 64, 16),
-                          (11, 128, 128), (97, 2, 2)):
-            checks += 1
-            r = lemma3_count(k, z1, z2)
-            if k > 16 * z1 * z2:
-                if r.count != 0:
-                    failures.append({"check": "quadruple_zero", "k": k,
-                                     "count": r.count})
-            elif r.count > 2.0 * r.envelope:
-                failures.append({"check": "quadruple_count", "k": k,
-                                 "z1": z1, "z2": z2, "count": r.count,
-                                 "envelope": r.envelope})
-        print("quadruple-count boxes: checked")
-
-    if "error" in want:
-        # measured off-diagonal remainder
-        for q in (5, 12, 45, 60):
-            checks += 1
-            r = error_sum_E(q, cfg)
-            if abs(r.e_measured) > 0.05 * r.envelope:
-                failures.append({"check": "error_sum", "q": q,
-                                 "e_measured": r.e_measured,
-                                 "envelope": r.envelope})
-        print("off-diagonal remainder: checked")
-
-    if "tail" in want:
-        # tail second moment against its stated envelope
-        for q in range(3, args.qmax + 1):
-            checks += 1
-            c_all = tail_moment_all(q, cfg)
-            phi = euler_phi(q)
-            env = (q * (phi / q) ** 5
-                   * (max(omega(q), 1) * math.log(q)) ** 2
-                   + q * math.log(q) ** 3)
-            if c_all > env:
-                failures.append({"check": "tail_moment", "q": q,
-                                 "tail_moment_all": c_all,
-                                 "envelope": env})
-        print(f"tail second moment: q <= {args.qmax}, done")
-
-    payload = {"checks": checks, "failures": failures}
-    _emit(_json(payload), args.out)
-    return 1 if failures else 0
+    sweeps = {
+        "lemma4": ("harmonic-sum bound: q <= {a.qmax}, ok so far: {ok}",
+                   lambda: checks.lemma4(args.qmax)),
+        "lemma5": ("two-omega sums: regression bands checked", checks.lemma5),
+        "lemma3": ("quadruple-count boxes: checked", checks.lemma3),
+        "error": ("off-diagonal remainder: checked",
+                  lambda: checks.error_sum(cfg)),
+        "tail": ("tail second moment: q <= {a.qmax}, done",
+                 lambda: checks.tail(args.qmax, cfg)),
+    }
+    want = args.only or sweeps
+    return _run_sweeps(args, [v for k, v in sweeps.items() if k in want])
 
 
 def _cmd_kernel_table(args: argparse.Namespace) -> int:
@@ -437,14 +299,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-identities",
                        help="exact character-sum identities")
-    p.add_argument("--qmax-lemma1", type=int, default=100, dest="qmax_lemma1")
-    p.add_argument("--qmax-pairs", type=int, default=60, dest="qmax_pairs")
-    p.add_argument("--qmax-gauss", type=int, default=100, dest="qmax_gauss")
+    p.add_argument("--qmax-lemma1", type=positive_int, default=100)
+    p.add_argument("--qmax-pairs", type=positive_int, default=60)
+    p.add_argument("--qmax-gauss", type=positive_int, default=100)
     _add_common(p)
     p.set_defaults(func=_cmd_verify_identities)
 
     p = sub.add_parser("verify-bounds", help="measured bound checks")
-    p.add_argument("--qmax", type=int, default=60)
+    p.add_argument("--qmax", type=positive_int, default=60)
     p.add_argument("--only", nargs="+",
                    choices=("lemma3", "lemma4", "lemma5", "error", "tail"),
                    help="restrict to these check families")

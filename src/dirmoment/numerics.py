@@ -1,4 +1,4 @@
-"""Shared numeric plumbing: constants, compensated summation, serialization.
+"""Shared numeric plumbing: constants and float serialization.
 
 The two constants used by closed-form expressions are pinned as 20-digit
 literals so results do not depend on the host libm:
@@ -10,30 +10,10 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["EULER_GAMMA", "ZETA2", "KahanSum", "fmt_float"]
+__all__ = ["EULER_GAMMA", "ZETA2", "fmt_float"]
 
 EULER_GAMMA = 0.57721566490153286061
 ZETA2 = 1.6449340668482264365
-
-
-class KahanSum:
-    """Compensated accumulator; deterministic for a fixed add order."""
-
-    __slots__ = ("total", "comp")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self.comp = 0.0
-
-    def add(self, x: float) -> None:
-        y = x - self.comp
-        t = self.total + y
-        self.comp = (t - self.total) - y
-        self.total = t
-
-    @property
-    def value(self) -> float:
-        return self.total
 
 
 def fmt_float(x: float) -> str:

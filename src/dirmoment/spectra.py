@@ -9,8 +9,9 @@ double sum A(chi) collapses to a single pass over residue classes:
 
 The tables S are built once per modulus by one vectorized pair
 enumeration (bincount over u), then evaluated against every character at
-once by an FFT over the CRT exponent grid (group_transform).  A naive
-O(phi^2) exact-angle transform is kept as the FFT's oracle.
+once by an FFT over the CRT exponent grid (group_transform).  Its
+oracle, _exact_transform, applies one exact-angle DFT matrix per CRT
+axis, with each angle e t / d reduced mod d in integers.
 
 fourth_moment takes every central value from the Hurwitz route,
 
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -47,12 +48,9 @@ from .lfunc import (KernelWeights, _coprime_pair_chunks, _hurwitz_half,
                     _resolve_weights, truncation_bound)
 
 __all__ = [
-    "ResidueWeightTable",
     "CharacterSpectrum",
     "MomentReport",
-    "weight_table",
     "group_transform",
-    "all_char_sums",
     "compute_spectrum",
     "fourth_moment",
     "tail_moment_all",
@@ -60,17 +58,6 @@ __all__ = [
 
 _FLUSH = 4_000_000        # pairs per enumerated batch and bincount
 _MAX_TABLE_PAIRS = 3e8    # cost cap on the table build
-
-
-@dataclass(frozen=True)
-class ResidueWeightTable:
-    """S(u) for one parity and one product range (lo, hi]."""
-
-    q: int
-    parity: int
-    lo: int
-    hi: int
-    weights: np.ndarray  # length q, indexed by residue u; 0 off units
 
 
 def _build_tables(G: CharacterGroup, kw: KernelWeights,
@@ -117,70 +104,39 @@ def _build_tables(G: CharacterGroup, kw: KernelWeights,
             for si in range(skip, len(bounds) + 1) for par in (0, 1)]
 
 
-def weight_table(G: CharacterGroup, parity: int, predicate: str,
-                 cfg: KernelConfig = KernelConfig(), *,
-                 weights: Optional[KernelWeights] = None) -> ResidueWeightTable:
-    """Build S(u) for one parity over the 'B' head, 'C' tail, or 'A' full
-    product range."""
-    if parity not in (0, 1):
-        raise ValueError(f"parity must be 0 or 1, got {parity}")
-    q = G.q
-    weights = _resolve_weights(q, cfg, weights)
-    ranges = {
-        "B": (0, weights.z_floor),
-        "C": (weights.z_floor, weights.m_eff),
-        "A": (0, weights.m_eff),
-    }
-    if predicate not in ranges:
-        raise ValueError(f"predicate must be one of B, C, A; got {predicate!r}")
-    seg = ranges[predicate]
-    tables = _build_tables(G, weights, (seg,))
-    return ResidueWeightTable(q, parity, seg[0], seg[1], tables[parity])
-
-
-def group_transform(G: CharacterGroup, residue_values: np.ndarray,
-                    method: str = "fft") -> np.ndarray:
-    """sum_u chi(u) f(u) for every character chi mod q at once, from the
-    real values f(u) = residue_values[u], u = 0..q-1 (only units count).
-
-    Returns a complex array over the full label grid in lexicographic
-    exponent order (G.label_index gives the position of a label).
-    method="naive" is the O(phi^2) exact-angle oracle for the FFT.
-    """
-    dims = G.dims if G.dims else (1,)
-    n = int(np.prod(dims))
-    grid = np.zeros(n, dtype=np.float64)
+def _grid(G: CharacterGroup, residue_values: np.ndarray) -> np.ndarray:
+    """Real residue values scattered onto the component-exponent grid."""
+    grid = np.zeros(G.dims or (1,), dtype=np.float64)
     gi = G.grid_flat_index()
     valid = gi >= 0
-    grid[gi[valid]] = residue_values[valid]
-    if method == "fft":
-        return np.conj(np.fft.fftn(grid.reshape(dims))).ravel()
-    if method != "naive":
-        raise ValueError(f"method must be fft or naive; got {method!r}")
-    # naive evaluation: chi over the grid is an outer product of 1-D phases,
-    # each phase row built from exact angles e * t / d
-    out = np.empty(n, dtype=np.complex128)
-    for i in range(n):
-        rem = i
-        exps = []
-        for d in reversed(dims):
-            exps.append(rem % d)
-            rem //= d
-        exps.reverse()
-        vec = np.ones(1, dtype=np.complex128)
-        for e, d in zip(exps, dims):
-            row = np.exp((2j * math.pi * e / d) * np.arange(d))
-            vec = np.multiply.outer(vec, row)
-        out[i] = np.sum(vec.ravel() * grid)
-    return out
+    grid.ravel()[gi[valid]] = residue_values[valid]
+    return grid
 
 
-def all_char_sums(G: CharacterGroup, table: ResidueWeightTable,
-                  method: str = "fft") -> np.ndarray:
-    """group_transform of one residue table.  Values are meaningful for
-    characters whose parity matches the table; the transform itself is
-    parity-blind."""
-    return group_transform(G, table.weights, method)
+def group_transform(G: CharacterGroup, residue_values: np.ndarray) -> np.ndarray:
+    """sum_u chi(u) f(u) for every character chi mod q at once, from the
+    real values f(u) = residue_values[u], u = 0..q-1 (only units count),
+    by one FFT over the component-exponent grid.
+
+    Returns a complex array over the full label grid in lexicographic
+    exponent order (G.label_index gives the position of a label).  The
+    transform is parity-blind: a table of one parity gives meaningful
+    values on the characters of that parity.
+    """
+    return np.conj(np.fft.fftn(_grid(G, residue_values))).ravel()
+
+
+def _exact_transform(G: CharacterGroup, residue_values: np.ndarray) -> np.ndarray:
+    """group_transform's oracle: per CRT axis of order d, one DFT matrix
+    roots[(e t) mod d] with roots[k] = e(k / d), so every angle comes from
+    an exactly reduced integer; applied axis by axis with tensordot."""
+    out = _grid(G, residue_values).astype(np.complex128)
+    for axis, d in enumerate(out.shape):
+        k = np.arange(d)
+        roots = np.exp(2j * math.pi * (k / d))
+        out = np.moveaxis(np.tensordot(roots[np.outer(k, k) % d], out,
+                                       axes=(1, axis)), 0, axis)
+    return out.ravel()
 
 
 @dataclass
@@ -196,7 +152,6 @@ class CharacterSpectrum:
     imag_residue: float
     m_eff: int
     z_floor: int
-    wall: dict = field(default_factory=dict)
 
     @property
     def a_values(self) -> np.ndarray:
@@ -204,46 +159,25 @@ class CharacterSpectrum:
 
 
 def compute_spectrum(q: int, cfg: KernelConfig = KernelConfig(), *,
-                     method: str = "fft",
                      group: Optional[CharacterGroup] = None,
                      weights: Optional[KernelWeights] = None) -> CharacterSpectrum:
     """Tables + transform for every character mod q."""
-    wall: dict[str, float] = {}
-    t0 = time.perf_counter()
     G = group if group is not None else build_group(q)
-    wall["group"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
     kw = _resolve_weights(q, cfg, weights)
-    wall["kernel"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
     segments = ((0, kw.z_floor), (kw.z_floor, kw.m_eff))
-    sb0, sb1, sc0, sc1 = _build_tables(G, kw, segments)
-    wall["tables"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    vb = [all_char_sums(G, ResidueWeightTable(q, p, 0, kw.z_floor, s), method)
-          for p, s in ((0, sb0), (1, sb1))]
-    vc = [all_char_sums(G, ResidueWeightTable(q, p, kw.z_floor, kw.m_eff, s), method)
-          for p, s in ((0, sc0), (1, sc1))]
-    wall["transform"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
+    vb0, vb1, vc0, vc1 = (group_transform(G, s)
+                          for s in _build_tables(G, kw, segments))
     par = parity_flat(G)
-    prim = primitive_flat(G)
     even = par == 0
-    b_vals = np.where(even, vb[0].real, vb[1].real)
-    c_vals = np.where(even, vc[0].real, vc[1].real)
-    b_im = np.where(even, vb[0].imag, vb[1].imag)
-    c_im = np.where(even, vc[0].imag, vc[1].imag)
-    imag_residue = float(max(np.abs(b_im).max(initial=0.0),
-                             np.abs(c_im).max(initial=0.0)))
-    wall["classify"] = time.perf_counter() - t0
+    b_im = np.where(even, vb0.imag, vb1.imag)
+    c_im = np.where(even, vc0.imag, vc1.imag)
     return CharacterSpectrum(
-        q=q, group=G, b_values=b_vals, c_values=c_vals, parity=par,
-        primitive=prim, imag_residue=imag_residue, m_eff=kw.m_eff,
-        z_floor=kw.z_floor, wall=wall)
+        q=q, group=G, b_values=np.where(even, vb0.real, vb1.real),
+        c_values=np.where(even, vc0.real, vc1.real), parity=par,
+        primitive=primitive_flat(G),
+        imag_residue=float(max(np.abs(b_im).max(initial=0.0),
+                               np.abs(c_im).max(initial=0.0))),
+        m_eff=kw.m_eff, z_floor=kw.z_floor)
 
 
 def parity_flat(G: CharacterGroup) -> np.ndarray:
@@ -345,8 +279,7 @@ def fourth_moment(q: int, cfg: KernelConfig = KernelConfig(), *,
 
     t0 = time.perf_counter()
     lt = group_transform(G, hz)
-    vb = [all_char_sums(G, ResidueWeightTable(q, p, 0, kw.z_floor, sb[p]))
-          for p in (0, 1)]
+    vb = [group_transform(G, s) for s in sb]
     wall["transform"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -10,7 +10,6 @@ from dirmoment.asymptotics import (error_sum_E, lemma3_count, lemma4_check,
 from dirmoment.chargroup import build_group
 from dirmoment.kernel import KernelConfig
 from dirmoment.lfunc import abc_values, kernel_weights
-from dirmoment.numerics import KahanSum
 
 CFG = KernelConfig()
 
@@ -217,11 +216,9 @@ def test_error_sum_head_matches_per_character_b():
     for q in (5, 12, 45):
         G = build_group(q)
         kw = kernel_weights(q, CFG)
-        acc = KahanSum()
-        for chi in G.labels():
-            if chi.primitive:
-                acc.add(abc_values(G, chi, CFG, weights=kw).b_value ** 2)
-        assert error_sum_E(q, CFG, weights=kw, group=G).b_sq_sum == acc.value
+        b_sq = math.fsum(abc_values(G, chi, CFG, weights=kw).b_value ** 2
+                         for chi in G.labels() if chi.primitive)
+        assert error_sum_E(q, CFG, weights=kw, group=G).b_sq_sum == b_sq
 
 
 def test_error_sum_consistent_with_reparametrized():

@@ -91,6 +91,20 @@ def test_usage_error_is_exit_2(capsys):
     assert e.value.code == 2
     err = capsys.readouterr().err
     assert "--qmin" in err and "--qmax" in err
+    # an empty sweep range is a usage error, not a pass with zero checks
+    for argv, flag in ((["verify-bounds", "--qmax", "0", "--only", "lemma4",
+                         "tail"], "--qmax"),
+                       (["verify-identities", "--qmax-pairs", "-3"],
+                        "--qmax-pairs"),
+                       (["verify-identities", "--qmax-lemma1", "0"],
+                        "--qmax-lemma1"),
+                       (["verify-identities", "--qmax-gauss", "0"],
+                        "--qmax-gauss")):
+        with pytest.raises(SystemExit) as e:
+            cli.main(argv)
+        assert e.value.code == 2
+        cap = capsys.readouterr()
+        assert flag in cap.err and cap.out == ""
     # rejected input and a failed kernel step check: message, no traceback
     for argv in (["moment", "--q", "11", "--kernel-c", "0"],
                  ["moment", "--q", "20000000"],

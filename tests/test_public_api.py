@@ -1,0 +1,26 @@
+import importlib
+
+import pytest
+
+import dirmoment
+
+SUBMODULES = ("arith", "chargroup", "kernel", "lfunc", "spectra",
+              "asymptotics", "checks", "numerics", "cli")
+
+
+@pytest.mark.parametrize("name", ["dirmoment", *SUBMODULES])
+def test_every_exported_name_resolves(name):
+    mod = (dirmoment if name == "dirmoment"
+           else importlib.import_module(f"dirmoment.{name}"))
+    missing = [n for n in mod.__all__ if not hasattr(mod, n)]
+    assert not missing
+    assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def test_removed_names_are_gone():
+    # one transform entry point and one compensated sum (math.fsum)
+    mods = [dirmoment, *(importlib.import_module(f"dirmoment.{m}")
+                         for m in SUBMODULES)]
+    for gone in ("all_char_sums", "weight_table", "ResidueWeightTable",
+                 "KahanSum"):
+        assert not [m.__name__ for m in mods if hasattr(m, gone)], gone

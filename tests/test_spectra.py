@@ -10,9 +10,10 @@ from dirmoment.chargroup import build_group, classify
 from dirmoment.kernel import KernelConfig
 from dirmoment.lfunc import (_coprime_pair_chunks, _hurwitz_half, abc_values,
                              kernel_weights)
-from dirmoment.spectra import (_build_tables, all_char_sums, compute_spectrum,
-                               fourth_moment, group_transform, parity_flat,
-                               primitive_flat, tail_moment_all, weight_table)
+from dirmoment.spectra import (_build_tables, _exact_transform,
+                               compute_spectrum, fourth_moment,
+                               group_transform, parity_flat, primitive_flat,
+                               tail_moment_all)
 
 CFG = KernelConfig()
 
@@ -39,15 +40,15 @@ def test_flat_grids_match_classify(q):
 
 
 def test_weight_table_segments_add_up():
+    # the B and C tables of one build add up to the table over the whole
+    # product range
     G = build_group(15)
     kw = kernel_weights(15, CFG)
-    for parity in (0, 1):
-        tb = weight_table(G, parity, "B", CFG, weights=kw)
-        tc = weight_table(G, parity, "C", CFG, weights=kw)
-        ta = weight_table(G, parity, "A", CFG, weights=kw)
-        assert np.allclose(tb.weights + tc.weights, ta.weights,
-                           rtol=0, atol=1e-12)
-        assert tb.parity == parity
+    z, m = kw.z_floor, kw.m_eff
+    tb0, tb1, tc0, tc1 = _build_tables(G, kw, ((0, z), (z, m)))
+    ta0, ta1 = _build_tables(G, kw, ((0, m),))
+    np.testing.assert_allclose(tb0 + tc0, ta0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(tb1 + tc1, ta1, rtol=0, atol=1e-12)
 
 
 def test_weight_table_mass_is_coprime_pair_sum():
@@ -56,8 +57,8 @@ def test_weight_table_mass_is_coprime_pair_sum():
     q = 12
     G = build_group(q)
     kw = kernel_weights(q, CFG)
+    tables = _build_tables(G, kw, ((0, kw.m_eff),))
     for parity in (0, 1):
-        ta = weight_table(G, parity, "A", CFG, weights=kw)
         direct = 0.0
         kp = kw.kprod[parity]
         for a in range(1, kw.m_eff + 1):
@@ -67,7 +68,7 @@ def test_weight_table_mass_is_coprime_pair_sum():
                 if math.gcd(b, q) != 1:
                     continue
                 direct += kp[a * b] / 1.0
-        assert np.sum(ta.weights) == pytest.approx(direct, rel=1e-12)
+        assert np.sum(tables[parity]) == pytest.approx(direct, rel=1e-12)
 
 
 @pytest.mark.parametrize("q, flush", [
@@ -109,27 +110,40 @@ def test_build_tables_match_brute_force(q, flush, monkeypatch):
                                            rtol=1e-13, atol=0)
 
 
-def test_transform_fft_matches_naive():
-    for q in (5, 8, 15, 16, 105):
-        G = build_group(q)
-        kw = kernel_weights(q, CFG)
-        tb = weight_table(G, 0, "B", CFG, weights=kw)
-        f = all_char_sums(G, tb, "fft")
-        n = all_char_sums(G, tb, "naive")
-        assert np.max(np.abs(f - n)) < 1e-12
+def _tables(q):
+    G = build_group(q)
+    kw = kernel_weights(q, CFG)
+    return G, _build_tables(G, kw, ((0, kw.z_floor), (kw.z_floor, kw.m_eff)))
 
 
 def test_transform_principal_row_is_total_mass():
     # the principal character sums the table with unit coefficients
-    q = 21
-    G = build_group(q)
-    kw = kernel_weights(q, CFG)
-    ta = weight_table(G, 0, "A", CFG, weights=kw)
-    vals = all_char_sums(G, ta, "naive")
+    G, tables = _tables(21)
     i0 = G.label_index(G.principal())
-    assert vals[i0].real == pytest.approx(float(np.sum(ta.weights)),
-                                          rel=1e-12)
-    assert abs(vals[i0].imag) < 1e-12
+    for s in tables:
+        vals = _exact_transform(G, s)
+        assert vals[i0].real == pytest.approx(float(np.sum(s)), rel=1e-12)
+        assert abs(vals[i0].imag) < 1e-12
+
+
+@pytest.mark.parametrize("q", [1009, 2999])
+def test_transform_matches_exact_angle_at_mid_q(q):
+    # the FFT against the exact-angle oracle on all four B/C tables, over
+    # every character of the grid (an oracle that forms the angle e t / d
+    # in floats before reducing it drifts by ~1e-11 at these q), and the
+    # moment and imaginary residue of the spectrum built on the FFT
+    G, tables = _tables(q)
+    exact = []
+    for s in tables:
+        exact.append(_exact_transform(G, s))
+        assert float(np.max(np.abs(group_transform(G, s) - exact[-1]))) <= 1e-12
+    spec = compute_spectrum(q, CFG, group=G)
+    even = spec.parity == 0
+    a = sum(np.where(even, exact[i].real, exact[i + 1].real) for i in (0, 2))
+    mf = 4.0 * float(np.sum(spec.a_values[spec.primitive] ** 2))
+    mn = 4.0 * float(np.sum(a[spec.primitive] ** 2))
+    assert abs(mf - mn) <= 1e-12 * abs(mn)
+    assert spec.imag_residue <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -162,30 +176,6 @@ def test_thread_determinism_bitwise():
         s2 = compute_spectrum(q, CFG)
         assert np.array_equal(s1.b_values, s2.b_values)
         assert np.array_equal(s1.c_values, s2.c_values)
-
-
-def test_transform_method_equivalence_in_spectrum():
-    for q in (8, 15):
-        sf = compute_spectrum(q, CFG, method="fft")
-        sn = compute_spectrum(q, CFG, method="naive")
-        assert np.max(np.abs(sf.b_values - sn.b_values)) < 1e-12
-        assert np.max(np.abs(sf.c_values - sn.c_values)) < 1e-12
-
-
-@pytest.mark.parametrize("q", [1009, 2999])
-def test_default_fft_matches_naive_at_mid_q(q):
-    # the default transform is the FFT at every q; check it against the
-    # exact-angle oracle on moduli the naive path used to serve
-    G = build_group(q)
-    kw = kernel_weights(q, CFG)
-    sf = compute_spectrum(q, CFG, weights=kw, group=G)
-    sn = compute_spectrum(q, CFG, method="naive", weights=kw, group=G)
-    assert np.max(np.abs(sf.b_values - sn.b_values)) <= 1e-9
-    assert np.max(np.abs(sf.c_values - sn.c_values)) <= 1e-9
-    mf = 4.0 * float(np.sum(sf.a_values[sf.primitive] ** 2))
-    mn = 4.0 * float(np.sum(sn.a_values[sn.primitive] ** 2))
-    assert abs(mf - mn) <= 1e-12 * abs(mn)
-    assert sf.imag_residue <= 1e-12
 
 
 @pytest.mark.parametrize("q", [1009, 10007, 100003, 15015])
