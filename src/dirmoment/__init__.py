@@ -10,7 +10,7 @@ from .arith import (Factorization, divisor_count, divisors, euler_phi,
                     euler_phi_sieve, factorize, mobius, mobius_sieve, omega,
                     omega_sieve, phi_star, prime_sieve, two_pow_omega)
 from .chargroup import (CharacterGroup, CharacterLabel, build_group,
-                        char_eval, classify, exact_primitive_char_sum,
+                        char_eval, exact_primitive_char_sum,
                         exact_root_of_unity_sum, gauss_sum, primitive_count,
                         primitive_sum_lemma1, root_of_unity,
                         signed_sum_eq21)
@@ -19,8 +19,7 @@ from .kernel import (KernelAccuracyError, KernelConfig, clear_kernel_cache,
 from .lfunc import (CentralValue, KernelWeights, abc_values, hurwitz_zeta,
                     kernel_weights, l_half_oracle, truncation_bound)
 from .spectra import (CharacterSpectrum, MomentReport, compute_spectrum,
-                      fourth_moment, group_transform, parity_flat,
-                      primitive_flat, tail_moment_all)
+                      fourth_moment, group_transform, tail_moment_all)
 from .asymptotics import (ErrorSumResult, Lemma3Result, Lemma4Result,
                           Lemma5Result, MainTermBreakdown, error_sum_E,
                           lemma3_count, lemma4_check, lemma5_sums,
@@ -38,7 +37,7 @@ __all__ = [
     "prime_sieve", "omega_sieve", "mobius_sieve", "euler_phi_sieve",
     # chargroup
     "CharacterGroup", "CharacterLabel", "build_group", "char_eval",
-    "classify", "root_of_unity", "gauss_sum", "primitive_sum_lemma1",
+    "root_of_unity", "gauss_sum", "primitive_sum_lemma1",
     "signed_sum_eq21", "exact_root_of_unity_sum",
     "exact_primitive_char_sum", "primitive_count",
     # kernel
@@ -48,8 +47,8 @@ __all__ = [
     "hurwitz_zeta", "l_half_oracle", "KernelWeights", "kernel_weights",
     "truncation_bound", "CentralValue", "abc_values",
     # spectra
-    "group_transform", "parity_flat", "primitive_flat", "CharacterSpectrum",
-    "compute_spectrum", "MomentReport", "fourth_moment", "tail_moment_all",
+    "group_transform", "CharacterSpectrum", "compute_spectrum",
+    "MomentReport", "fourth_moment", "tail_moment_all",
     # asymptotics
     "theorem_main_term", "m_direct", "m_reparametrized",
     "MainTermBreakdown", "main_term_breakdown", "Lemma3Result",

@@ -7,6 +7,16 @@ logs are tabulated per component at build time, so a character value is an
 exact exponent of a root of unity: an integer numerator over the group
 exponent.  Floating complex appears only at the numeric boundary.
 
+Classification lives here alone.  Each component of order d carries two
+length-d tables over the exponent t = 0..d-1: the parity bit of chi(-1)
+and the conductor part gcd(o base, p^e) of the order o = d / gcd(d, t)
+(1 when o = 1; base = 4 on the <5> axis, p elsewhere).  A character's
+parity is the sum of its bits mod 2 and its conductor is the lcm of its
+parts (the two 2-adic parts are powers of 2, odd primes multiply); it is
+primitive when the conductor is q.  label() reads the tables per
+character; parity_grid() and conductor_grid() broadcast them over the
+whole label grid, and labels() is built from those grids.
+
 Exactness matters here because the character-sum identities (the primitive
 sum formula and the parity-restricted pair sum) are verified as identities
 in Z, via remainder arithmetic modulo cyclotomic polynomials, not to a
@@ -19,9 +29,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -33,7 +43,6 @@ __all__ = [
     "Component",
     "build_group",
     "char_eval",
-    "classify",
     "gauss_sum",
     "primitive_sum_lemma1",
     "signed_sum_eq21",
@@ -51,16 +60,18 @@ class Component:
 
     kind is 'odd' for odd prime powers, 'two4' for modulus 4, and
     'two_sign' / 'two_five' for the <-1> and <5> factors of 2^e, e >= 3.
+    parity[t] and conductor[t] are the parity bit and the conductor part
+    of a character with exponent t on this factor.
     """
 
     prime: int
     exp: int
     pe: int          # p^exp
     kind: str
-    gen_local: int   # generator as a residue mod pe
-    gen_crt: int     # same generator lifted to a residue mod q
     order: int
-    dlog: np.ndarray  # residue mod pe -> exponent of gen_local, -1 off units
+    dlog: np.ndarray  # residue mod pe -> generator exponent, -1 off units
+    parity: np.ndarray     # int8, length order
+    conductor: np.ndarray  # int32 (parts are <= p^e <= _MAX_Q), length order
 
 
 @dataclass(frozen=True)
@@ -131,16 +142,6 @@ def _dlog_tables_2e(e: int) -> tuple[np.ndarray, np.ndarray]:
     return sign, five
 
 
-def _crt_lift(residue: int, pe: int, q: int) -> int:
-    """The residue mod q that is `residue` mod pe and 1 mod q/pe."""
-    rest = q // pe
-    if rest == 1:
-        return residue % q
-    # x = residue + pe*t with x = 1 mod rest
-    t = (1 - residue) * pow(pe, -1, rest) % rest
-    return (residue + pe * t) % q
-
-
 class CharacterGroup:
     """The group of Dirichlet characters mod q, immutable after build."""
 
@@ -154,18 +155,13 @@ class CharacterGroup:
         self.exponent = math.lcm(*self.orders) if self.orders else 1
         if math.prod(self.orders) != self.group_order:
             raise ArithmeticError("component orders do not multiply to phi(q)")
-        # parity keys: k_i = 1 if chi restricted to component i can be odd
-        neg = (q - 1) % q
-        tneg = self.dlog_vector(neg)
-        assert tneg is not None
-        self._neg_dlog = tneg
-        self._parity_key = tuple(
-            0 if t == 0 else 1 for t in tneg)  # t is 0 or order/2
         self._labels_cache: Optional[list[CharacterLabel]] = None
         self._coprime_mask: Optional[np.ndarray] = None
         self._inverse_table: Optional[np.ndarray] = None
         self._grid_index: Optional[np.ndarray] = None
         self._roots: Optional[np.ndarray] = None
+        self._parity_grid: Optional[np.ndarray] = None
+        self._conductor_grid: Optional[np.ndarray] = None
 
     # -- residue side ------------------------------------------------------
 
@@ -181,10 +177,6 @@ class CharacterGroup:
                 return None
             out.append(t)
         return tuple(out)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.orders
 
     def coprime_mask(self) -> np.ndarray:
         if self._coprime_mask is None:
@@ -208,12 +200,9 @@ class CharacterGroup:
             units = np.flatnonzero(gi >= 0)
             residue = np.empty(self.group_order, dtype=np.int64)
             residue[gi[units]] = units
-            flat = np.zeros(units.size, dtype=np.int64)
-            stride = 1
-            for comp in reversed(self.components):
-                t = comp.dlog[units % comp.pe]
-                flat += (comp.order - t) % comp.order * stride
-                stride *= comp.order
+            flat = np.ravel_multi_index(
+                [(c.order - c.dlog[units % c.pe]) % c.order
+                 for c in self.components], self.orders)
             inv = np.zeros(self.q, dtype=np.int64)
             inv[units] = residue[flat]
             self._inverse_table = inv
@@ -226,17 +215,13 @@ class CharacterGroup:
         onto the grid the group transform runs over.
         """
         if self._grid_index is None:
-            q = self.q
-            if q == 1:
-                self._grid_index = np.zeros(1, dtype=np.int64)
-                return self._grid_index
-            u = np.arange(q, dtype=np.int64)
-            idx = np.zeros(q, dtype=np.int64)
-            stride = 1
-            for comp in reversed(self.components):
-                t = comp.dlog[u % comp.pe]
-                idx += np.where(t >= 0, t, 0) * stride
-                stride *= comp.order
+            # C order one axis at a time, so that only one q-length
+            # exponent array is alive besides the index
+            u = np.arange(self.q, dtype=np.int64)
+            idx = np.zeros(self.q, dtype=np.int64)
+            for c in self.components:
+                idx *= c.order
+                idx += np.maximum(c.dlog[u % c.pe], 0)
             idx[~self.coprime_mask()] = -1
             self._grid_index = idx
         return self._grid_index
@@ -248,8 +233,10 @@ class CharacterGroup:
             raise ValueError(
                 f"expected {len(self.orders)} exponents, got {len(exponents)}")
         exps = tuple(int(e) % d for e, d in zip(exponents, self.orders))
-        parity, conductor, primitive = self._classify(exps)
-        return CharacterLabel(exps, parity, conductor, primitive)
+        parts = list(zip(self.components, exps))
+        parity = sum(int(c.parity[t]) for c, t in parts) % 2
+        conductor = math.lcm(*(int(c.conductor[t]) for c, t in parts))
+        return CharacterLabel(exps, parity, conductor, conductor == self.q)
 
     def principal(self) -> CharacterLabel:
         return self.label((0,) * len(self.orders))
@@ -258,8 +245,11 @@ class CharacterGroup:
         """All phi(q) characters, lexicographic in the exponent grid."""
         if self._labels_cache is None:
             self._labels_cache = [
-                self.label(exps)
-                for exps in product(*(range(d) for d in self.orders))
+                CharacterLabel(exps, par, cond, cond == self.q)
+                for exps, par, cond in zip(
+                    product(*(range(d) for d in self.orders)),
+                    self.parity_grid().tolist(),
+                    self.conductor_grid().tolist())
             ]
         return self._labels_cache
 
@@ -267,17 +257,28 @@ class CharacterGroup:
         if not 0 <= index < self.group_order:
             raise ValueError(
                 f"character index {index} out of range [0, {self.group_order})")
-        exps = []
-        for d in reversed(self.orders):
-            exps.append(index % d)
-            index //= d
-        return self.label(tuple(reversed(exps)))
+        return self.label(np.unravel_index(index, self.orders))
 
     def label_index(self, chi: CharacterLabel) -> int:
-        idx = 0
-        for e, d in zip(chi.exponents, self.orders):
-            idx = idx * d + e
-        return idx
+        return int(np.ravel_multi_index(chi.exponents, self.orders))
+
+    def parity_grid(self) -> np.ndarray:
+        """Parity of every label as int8, flat in label order.  The cached
+        array is shared and read-only."""
+        if self._parity_grid is None:
+            self._parity_grid = _fold_outer(
+                np.bitwise_xor, (c.parity for c in self.components),
+                np.zeros((), dtype=np.int8))
+        return self._parity_grid
+
+    def conductor_grid(self) -> np.ndarray:
+        """Conductor of every label as int32, flat in label order.  The
+        cached array is shared and read-only."""
+        if self._conductor_grid is None:
+            self._conductor_grid = _fold_outer(
+                np.lcm, (c.conductor for c in self.components),
+                np.ones((), dtype=np.int32))
+        return self._conductor_grid
 
     def angle_num(self, chi: CharacterLabel, n: int) -> Optional[int]:
         """Numerator a with chi(n) = e(a / exponent); None off units."""
@@ -319,34 +320,6 @@ class CharacterGroup:
         num = self.angle_nums(chi)
         return np.where(num >= 0, self._roots[num], 0j)
 
-    def _classify(self, exps: tuple[int, ...]) -> tuple[int, int, bool]:
-        parity = sum(e * k for e, k in zip(exps, self._parity_key)) % 2
-        conductor = 1
-        i = 0
-        comps = self.components
-        for p, e in self.fact.factors:
-            if p != 2:
-                comp = comps[i]
-                a = exps[i]
-                i += 1
-                conductor *= _odd_conductor(p, e, comp.order, a)
-            elif e == 1:
-                conductor *= 1  # trivial unit group mod 2, no component
-            elif e == 2:
-                s = exps[i]
-                i += 1
-                conductor *= 4 if s == 1 else 1
-            else:
-                s, a = exps[i], exps[i + 1]
-                i += 2
-                half = 1 << (e - 2)
-                o5 = half // math.gcd(half, a)
-                if o5 > 1:
-                    conductor *= 4 * o5
-                else:
-                    conductor *= 4 if s == 1 else 1
-        return parity, conductor, conductor == self.q
-
     def is_induced_modulus(self, chi: CharacterLabel, f: int) -> bool:
         """True when chi is trivial on units u = 1 (mod f), i.e. chi factors
         through modulus f."""
@@ -357,18 +330,42 @@ class CharacterGroup:
         return not np.any(self.angle_nums(chi)[1::f] > 0)
 
 
-def _odd_conductor(p: int, e: int, order: int, a: int) -> int:
-    """Conductor p-part for a character exponent a on the cyclic component
-    of (Z/p^e)*, p odd."""
-    o = order // math.gcd(order, a)
-    if o == 1:
-        return 1
-    # o = p^v * m with m | p-1; the least j with o | phi(p^j) is v+1
-    v = 0
-    while o % p == 0:
-        o //= p
-        v += 1
-    return p ** (v + 1)
+def _fold_outer(op: np.ufunc, tables: Iterable[np.ndarray],
+                unit: np.ndarray) -> np.ndarray:
+    """op folded over per-axis tables by outer products, flat in label
+    order and read-only; the 0-d unit alone when there are no axes."""
+    grid = reduce(op.outer, tables, unit).ravel()
+    grid.flags.writeable = False
+    return grid
+
+
+def _component(p: int, e: int, kind: str, order: int,
+               dlog: np.ndarray) -> Component:
+    """A cyclic factor with its classification tables over t = 0..order-1.
+
+    -1 has exponent 0 or order/2 on the factor, so chi(-1) picks up
+    (-1)^t exactly when that exponent is nonzero.  A character of order
+    o = order / gcd(order, t) > 1 on the factor has conductor part
+    gcd(o base, p^e): p^(v+1) for o = p^v m, m | p - 1 (base p); 4 on the
+    sign and mod-4 axes (o = 2, base 2); 4 o on the <5> axis (base 4).
+    base is a power of p, so only the p-part of o counts, and that is
+    d_p / gcd(d_p, t) with d_p the p-part of order: the parts are written
+    per power k of p dividing d_p, ascending, so the last k to divide t
+    is gcd(d_p, t).
+    """
+    pe = p**e
+    parity = np.zeros(order, dtype=np.int8)
+    if dlog[pe - 1]:
+        parity[1::2] = 1
+    base = 4 if kind == "two_five" else p
+    d_p = math.gcd(order, pe)
+    conductor = np.empty(order, dtype=np.int32)
+    k = 1
+    while k <= d_p:
+        conductor[::k] = math.gcd(d_p // k * base, pe)
+        k *= p
+    conductor[0] = 1  # t = 0: the character is trivial on this factor
+    return Component(p, e, pe, kind, order, dlog, parity, conductor)
 
 
 def build_group(q: int) -> CharacterGroup:
@@ -387,24 +384,17 @@ def build_group(q: int) -> CharacterGroup:
             if e == 1:
                 continue  # (Z/2)* is trivial
             if e == 2:
-                gen = 3  # -1 mod 4
-                comps.append(Component(
-                    2, 2, 4, "two4", gen, _crt_lift(gen, 4, q), 2,
-                    _dlog_table(4, gen, 2)))
+                # generator 3 = -1 mod 4
+                comps.append(_component(2, 2, "two4", 2, _dlog_table(4, 3, 2)))
             else:
                 sign, five = _dlog_tables_2e(e)
-                comps.append(Component(
-                    2, e, pe, "two_sign", pe - 1, _crt_lift(pe - 1, pe, q), 2,
-                    sign))
-                comps.append(Component(
-                    2, e, pe, "two_five", 5, _crt_lift(5, pe, q),
-                    1 << (e - 2), five))
+                comps.append(_component(2, e, "two_sign", 2, sign))
+                comps.append(_component(2, e, "two_five", 1 << (e - 2), five))
         else:
             gen = _primitive_root_mod_pe(p, e)
             order = pe // p * (p - 1)
-            comps.append(Component(
-                p, e, pe, "odd", gen, _crt_lift(gen, pe, q), order,
-                _dlog_table(pe, gen, order)))
+            comps.append(_component(p, e, "odd", order,
+                                    _dlog_table(pe, gen, order)))
     return CharacterGroup(q, fact, tuple(comps))
 
 
@@ -428,11 +418,6 @@ def root_of_unity(num: int, den: int) -> complex:
     if 4 * num == 3 * den:
         return complex(0, -1)
     return cmath.exp(2j * math.pi * (num / den))
-
-
-def classify(G: CharacterGroup, chi: CharacterLabel) -> tuple[int, int, bool]:
-    """(parity, conductor, primitive) recomputed from the exponent vector."""
-    return G._classify(chi.exponents)
 
 
 def gauss_sum(G: CharacterGroup, chi: CharacterLabel) -> complex:

@@ -65,24 +65,21 @@ class KernelAccuracyError(RuntimeError):
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Quadrature and series controls.
+    """Quadrature and series controls, one per --kernel-c/-h/-eps and
+    --x-zero flag.
 
-    c:          abscissa of the integration line, must be > 0
-    h:          base trapezoid step in t
-    eps:        target absolute accuracy, must be in (0, 1e-6]
-    t_height:   truncation height T, or None to pick it from the decay of
-                the integrand at the smallest x in play
-    max_refine: step halvings allowed before giving up
-    series_cap: maximum number of residue-series terms
-    x_zero:     arguments >= x_zero evaluate to exactly 0.0
+    c:      abscissa of the integration line, must be > 0
+    h:      base trapezoid step in t
+    eps:    target absolute accuracy, must be in (0, 1e-6]
+    x_zero: arguments >= x_zero evaluate to exactly 0.0
+
+    The truncation height T is always picked from the decay of the
+    integrand at the smallest x in play (_auto_T).
     """
 
     c: float = 1.0
     h: float = 0.1
     eps: float = 1e-10
-    t_height: float | None = None
-    max_refine: int = 3
-    series_cap: int = 80
     x_zero: float = 24.0
 
     def __post_init__(self) -> None:
@@ -93,13 +90,13 @@ class KernelConfig:
         if not 0 < self.eps <= 1e-6:
             raise ValueError(
                 f"eps must lie in (0, 1e-6], got {self.eps}")
-        if self.t_height is not None and not self.t_height > 0:
-            raise ValueError("t_height must be positive when given")
         if self.x_zero <= 4:
             raise ValueError("x_zero must exceed the series domain bound 4")
 
 
 _T_HARD = 400.0  # absolute ceiling on the truncation height
+_MAX_REFINE = 3  # step halvings w_eval allows before giving up
+_SERIES_CAP = 80  # residue-series terms w_series allows
 _STEP_SAMPLES = 16  # arguments per batch re-evaluated at step h/2
 # Points per Horner pass.  Each node step rereads the whole accumulator,
 # so blocks that stay in cache run 3.6x faster at q = 100003 (764k points)
@@ -190,7 +187,7 @@ def _quad_point(a: int, log_x: float, c: float, h: float, T: float) -> float:
 def w_eval(a: int, x: float, cfg: KernelConfig = KernelConfig()) -> float:
     """W_a(x) by line quadrature, refined until two step levels agree.
 
-    Raises KernelAccuracyError when max_refine halvings cannot reach
+    Raises KernelAccuracyError when _MAX_REFINE halvings cannot reach
     cfg.eps.
     """
     a = _check_parity(a)
@@ -200,10 +197,10 @@ def w_eval(a: int, x: float, cfg: KernelConfig = KernelConfig()) -> float:
     if x >= cfg.x_zero:
         return 0.0
     lx = math.log(x)
-    T = cfg.t_height if cfg.t_height is not None else _auto_T(a, cfg.c, lx, cfg.eps)
+    T = _auto_T(a, cfg.c, lx, cfg.eps)
     h = cfg.h
     prev = _quad_point(a, lx, cfg.c, h, T)
-    for _ in range(cfg.max_refine):
+    for _ in range(_MAX_REFINE):
         h *= 0.5
         cur = _quad_point(a, lx, cfg.c, h, T)
         if abs(cur - prev) <= cfg.eps:
@@ -211,7 +208,7 @@ def w_eval(a: int, x: float, cfg: KernelConfig = KernelConfig()) -> float:
         prev = cur
     raise KernelAccuracyError(
         f"quadrature for W_{a}({x}) did not stabilize to {cfg.eps} "
-        f"after {cfg.max_refine} refinements (c={cfg.c}, h={cfg.h}, T={T})")
+        f"after {_MAX_REFINE} refinements (c={cfg.c}, h={cfg.h}, T={T})")
 
 
 def w_eval_batch(a: int, xs: np.ndarray,
@@ -238,8 +235,7 @@ def w_eval_batch(a: int, xs: np.ndarray,
     if not np.any(live):
         return out
     lx = np.log(xs[live])
-    T = cfg.t_height if cfg.t_height is not None else _auto_T(
-        a, cfg.c, float(lx.min()), cfg.eps)
+    T = _auto_T(a, cfg.c, float(lx.min()), cfg.eps)
     vals = _quad_batch(a, lx, cfg.c, cfg.h, T)
     out[live] = vals
     ranks = np.unique(np.linspace(0, lx.size - 1, _STEP_SAMPLES).round()
@@ -258,7 +254,8 @@ def w_series(a: int, x: float, cfg: KernelConfig = KernelConfig()) -> float:
     """W_a(x) by the residue expansion; domain 0 < x <= 4.
 
     Terms are summed until a geometric tail bound falls below cfg.eps/100;
-    exceeding cfg.series_cap raises KernelAccuracyError.
+    exceeding _SERIES_CAP terms raises KernelAccuracyError.  The terms are
+    summed with math.fsum.
     """
     a = _check_parity(a)
     if not (isinstance(x, (int, float, np.floating)) and math.isfinite(x)) or x <= 0:
@@ -274,16 +271,12 @@ def w_series(a: int, x: float, cfg: KernelConfig = KernelConfig()) -> float:
     harmonic = 0.0                 # H_k, so psi(k+1) = H_k - gamma
     xp = x**beta                   # x^sigma_k
     x_sq = x * x
-    total = 1.0
-    comp = 0.0
-    for k in range(cfg.series_cap):
+    terms = [1.0]
+    for k in range(_SERIES_CAP):
         sigma = beta + 2 * k
         psi = harmonic - EULER_GAMMA
-        term = -(4.0 * inv_kfac_sq / sigma) * xp * (psi + 1.0 / sigma - ln_x)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
+        terms.append(-(4.0 * inv_kfac_sq / sigma) * xp
+                     * (psi + 1.0 / sigma - ln_x))
         ratio = x_sq / ((k + 1.0) * (k + 1.0))
         if ratio < 0.8:
             # magnitude envelope, immune to an accidental zero of the term
@@ -291,9 +284,9 @@ def w_series(a: int, x: float, cfg: KernelConfig = KernelConfig()) -> float:
                 abs(psi) + 1.0 / sigma + abs(ln_x))
             tail = bound * 4.0 * ratio / (1.0 - ratio)
             if tail < cfg.eps * 1e-2:
-                return total
+                return math.fsum(terms)
         inv_kfac_sq /= (k + 1.0) * (k + 1.0)
         harmonic += 1.0 / (k + 1.0)
         xp *= x_sq
     raise KernelAccuracyError(
-        f"residue series for W_{a}({x}) needs more than {cfg.series_cap} terms")
+        f"residue series for W_{a}({x}) needs more than {_SERIES_CAP} terms")

@@ -278,7 +278,7 @@ def _pairs(q: int, m_eff: int,
     if est > _MAX_PAIRS:
         raise ValueError(
             f"naive pair enumeration would need ~{est:.2e} entries; "
-            "use the weight-table pipeline at this modulus")
+            "use spectra.compute_spectrum or fourth_moment at this modulus")
     a, b = (np.concatenate(c) for c in zip(*_coprime_pair_chunks(q, m_eff)))
     ab = a * b
     order = np.lexsort((a, ab))

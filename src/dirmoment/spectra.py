@@ -26,6 +26,11 @@ cross-pipeline comparisons isolate the summation reorganization.
 tail_moment_all sums C^2 over every character from the C tables by
 Parseval, with no transform.
 
+Parity (which table a character reads) and primitivity (which characters
+a moment sums over) come from CharacterGroup.parity_grid() and
+conductor_grid(), in the label order the transform returns; this module
+reads neither the component kinds nor the factorization.
+
 Determinism: the build is single-threaded and visits pairs in the fixed
 order of the Dirichlet hyperbola split (lfunc._coprime_pair_chunks): with
 s = isqrt(M), first a = 1..s with every b <= M/a, then b = 1..s with
@@ -106,7 +111,7 @@ def _build_tables(G: CharacterGroup, kw: KernelWeights,
 
 def _grid(G: CharacterGroup, residue_values: np.ndarray) -> np.ndarray:
     """Real residue values scattered onto the component-exponent grid."""
-    grid = np.zeros(G.dims or (1,), dtype=np.float64)
+    grid = np.zeros(G.orders or (1,), dtype=np.float64)
     gi = G.grid_flat_index()
     valid = gi >= 0
     grid.ravel()[gi[valid]] = residue_values[valid]
@@ -167,64 +172,17 @@ def compute_spectrum(q: int, cfg: KernelConfig = KernelConfig(), *,
     segments = ((0, kw.z_floor), (kw.z_floor, kw.m_eff))
     vb0, vb1, vc0, vc1 = (group_transform(G, s)
                           for s in _build_tables(G, kw, segments))
-    par = parity_flat(G)
+    par = G.parity_grid()
     even = par == 0
     b_im = np.where(even, vb0.imag, vb1.imag)
     c_im = np.where(even, vc0.imag, vc1.imag)
     return CharacterSpectrum(
         q=q, group=G, b_values=np.where(even, vb0.real, vb1.real),
         c_values=np.where(even, vc0.real, vc1.real), parity=par,
-        primitive=primitive_flat(G),
+        primitive=G.conductor_grid() == q,
         imag_residue=float(max(np.abs(b_im).max(initial=0.0),
                                np.abs(c_im).max(initial=0.0))),
         m_eff=kw.m_eff, z_floor=kw.z_floor)
-
-
-def parity_flat(G: CharacterGroup) -> np.ndarray:
-    """Parity of every label over the exponent grid, in label order."""
-    dims = G.dims if G.dims else (1,)
-    par = np.zeros(dims, dtype=np.int8)
-    for axis, (d, key) in enumerate(zip(G.dims, G._parity_key)):
-        if key:
-            shape = [1] * len(dims)
-            shape[axis] = d
-            par = par ^ (np.arange(d, dtype=np.int8) & 1).reshape(shape)
-    return par.ravel()
-
-
-def primitive_flat(G: CharacterGroup) -> np.ndarray:
-    """Primitivity of every label, vectorized componentwise."""
-    dims = G.dims if G.dims else (1,)
-    ok = np.ones(dims, dtype=bool)
-
-    def apply(axis: int, good: np.ndarray) -> None:
-        nonlocal ok
-        shape = [1] * len(dims)
-        shape[axis] = dims[axis]
-        ok = ok & good.reshape(shape)
-
-    axis = 0
-    for p, e in G.fact.factors:
-        if p == 2:
-            if e == 1:
-                ok = ok & False  # modulus 2 part can never be primitive
-            elif e == 2:
-                apply(axis, np.arange(2) == 1)
-                axis += 1
-            else:
-                d5 = G.dims[axis + 1]
-                apply(axis + 1, (np.arange(d5) & 1) == 1)
-                axis += 2
-        else:
-            d = G.dims[axis]
-            if e == 1:
-                apply(axis, np.arange(d) != 0)
-            else:
-                apply(axis, np.arange(d) % p != 0)
-            axis += 1
-    if G.q == 1:
-        ok[...] = True
-    return ok.ravel()
 
 
 @dataclass(frozen=True)
@@ -283,8 +241,8 @@ def fourth_moment(q: int, cfg: KernelConfig = KernelConfig(), *,
     wall["transform"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    prim = primitive_flat(G)
-    even = parity_flat(G) == 0
+    prim = G.conductor_grid() == q
+    even = G.parity_grid() == 0
     b = np.where(even, vb[0].real, vb[1].real)
     b_im = np.where(even, vb[0].imag, vb[1].imag)
     # A = |L|^2 / 2 on primitive chi, q^-1/2 |sum_u chi(u) zeta(1/2, u/q)|

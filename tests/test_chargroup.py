@@ -1,6 +1,7 @@
 import cmath
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from dirmoment.arith import divisors, euler_phi, factorize, phi_star
 from dirmoment.chargroup import (_dlog_table, _dlog_tables_2e,
                                  _primitive_root_mod_pe, build_group,
-                                 char_eval, classify,
+                                 char_eval,
                                  exact_primitive_char_sum,
                                  exact_root_of_unity_sum, gauss_sum,
                                  primitive_count, primitive_sum_lemma1,
@@ -175,13 +176,29 @@ def brute_conductor(G, chi):
 
 
 def test_classification_against_brute_force():
+    # label() reads the per-axis tables one character at a time; the
+    # broadcast grids behind labels() are checked below
     for q in range(1, 73):
         G = build_group(q)
-        for chi in G.labels():
-            par, cond, prim = classify(G, chi)
-            assert par == brute_parity(G, chi)
-            assert cond == brute_conductor(G, chi)
-            assert prim == (cond == q)
+        for exps in product(*(range(d) for d in G.orders)):
+            chi = G.label(exps)
+            assert chi.parity == brute_parity(G, chi)
+            assert chi.conductor == brute_conductor(G, chi)
+            assert chi.primitive == (chi.conductor == q)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 8, 12, 15, 16, 32, 45, 64, 96,
+                               105, 120, 160])
+def test_label_grids_match_brute_force(q):
+    # the broadcast per-axis tables against char_eval, label by label;
+    # 32, 64 and 160 couple the <-1> and <5> axes of 2^e
+    G = build_group(q)
+    par = G.parity_grid()
+    cond = G.conductor_grid()
+    assert par.shape == cond.shape == (G.group_order,)
+    for i, chi in enumerate(G.labels()):
+        assert par[i] == brute_parity(G, chi)
+        assert cond[i] == brute_conductor(G, chi)
 
 
 def test_conductor_is_induced_modulus():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -223,3 +224,6 @@ def test_kernel_defaults_come_from_kernel_config():
     assert (args.kernel_c, args.kernel_h, args.kernel_eps, args.x_zero) == (
         d.c, d.h, d.eps, d.x_zero)
     assert cli._kernel_cfg(args) == d
+    # one field per flag, no knob the CLI cannot set
+    assert [f.name for f in dataclasses.fields(KernelConfig)] == [
+        "c", "h", "eps", "x_zero"]

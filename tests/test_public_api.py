@@ -18,9 +18,10 @@ def test_every_exported_name_resolves(name):
 
 
 def test_removed_names_are_gone():
-    # one transform entry point and one compensated sum (math.fsum)
+    # one transform entry point, one compensated sum (math.fsum) and one
+    # home for the classification rule (CharacterGroup's per-axis tables)
     mods = [dirmoment, *(importlib.import_module(f"dirmoment.{m}")
                          for m in SUBMODULES)]
     for gone in ("all_char_sums", "weight_table", "ResidueWeightTable",
-                 "KahanSum"):
+                 "KahanSum", "parity_flat", "primitive_flat", "classify"):
         assert not [m.__name__ for m in mods if hasattr(m, gone)], gone

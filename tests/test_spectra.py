@@ -6,33 +6,15 @@ import pytest
 
 from dirmoment import spectra
 from dirmoment.arith import euler_phi, phi_star
-from dirmoment.chargroup import build_group, classify
+from dirmoment.chargroup import build_group
 from dirmoment.kernel import KernelConfig
 from dirmoment.lfunc import (_coprime_pair_chunks, _hurwitz_half, abc_values,
                              kernel_weights)
 from dirmoment.spectra import (_build_tables, _exact_transform,
                                compute_spectrum, fourth_moment,
-                               group_transform, parity_flat, primitive_flat,
-                               tail_moment_all)
+                               group_transform, tail_moment_all)
 
 CFG = KernelConfig()
-
-
-# ---------------------------------------------------------------------------
-# vectorized classification grids
-
-
-@pytest.mark.parametrize("q", [1, 2, 3, 4, 8, 12, 15, 16, 45, 96, 105, 120])
-def test_flat_grids_match_classify(q):
-    G = build_group(q)
-    par = parity_flat(G)
-    prim = primitive_flat(G)
-    assert par.shape == (G.group_order,)
-    assert prim.shape == (G.group_order,)
-    for i, chi in enumerate(G.labels()):
-        p, _, is_prim = classify(G, chi)
-        assert par[i] == p
-        assert prim[i] == is_prim
 
 
 # ---------------------------------------------------------------------------
