@@ -180,12 +180,9 @@ class CharacterGroup:
 
     def coprime_mask(self) -> np.ndarray:
         if self._coprime_mask is None:
-            u = np.arange(self.q if self.q > 1 else 1, dtype=np.int64)
-            mask = np.ones_like(u, dtype=bool)
+            mask = np.ones(max(self.q, 1), dtype=bool)
             for p, _ in self.fact.factors:
-                mask &= u % p != 0
-            if self.q == 1:
-                mask[:] = True
+                mask[::p] = False
             self._coprime_mask = mask
         return self._coprime_mask
 

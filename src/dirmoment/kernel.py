@@ -5,31 +5,35 @@
 
 evaluated two independent ways:
 
+  * w_eval_batch / w_series: the residue expansion obtained by shifting
+    the line to -infinity.  Every pole s = -(1/2 + a + 2k) is double,
+    giving
+
+        W_a(x) = 1 - sum_{k>=0} (4 / (k!^2 G0^2 sigma_k)) x^sigma_k
+                     (psi(k+1) + 1/sigma_k - ln x),
+
+    with sigma_k = 1/2 + a + 2k, G0 = Gamma((1/2 + a)/2), and
+    psi(k+1) = -gamma + H_k.  It is summed to double rounding, 15 terms
+    at x = pi/2 where the B head ends.  The terms cancel: their sizes sum
+    to 7 at x = 2 but 310 at x = 4 (a = 1), where the sum is off by up to
+    5.7e-13 against 1e-17 for the quadrature.  So the series is the path
+    on 0 < x <= 2 only; w_series accepts 0 < x <= 4.
   * w_eval / w_eval_batch: trapezoid quadrature on the vertical line
-    Re s = c.  The integrand is analytic in a strip of half-width c around
-    the line, so the trapezoid rule converges geometrically in 1/h.  The
-    nodes t_k = k h are equally spaced, so for a batch the sum is a
-    polynomial in z = x^(-ih) and is evaluated by Horner's rule; a single
-    point sums its nodes directly.  Conjugate symmetry folds the line onto
-    t >= 0.  w_eval halves the step until two levels agree; w_eval_batch
-    evaluates at step h and checks a quantile sample of its arguments
-    against step h/2.
+    Re s = c, the path on 2 < x < x_zero and the runtime reference of
+    the series.  The integrand is analytic in a strip of half-width c
+    around the line, so the trapezoid rule converges geometrically in
+    1/h.  The nodes t_k = k h are equally spaced, so for a batch the sum
+    is a polynomial in z = x^(-ih) and is evaluated by Horner's rule; a
+    single point sums its nodes directly.  Conjugate symmetry folds the
+    line onto t >= 0.  w_eval halves the step until two levels agree;
+    w_eval_batch checks a quantile sample of its arguments against the
+    quadrature at step h/2.
 
     The step error is governed by the pole of 1/s at distance c from the
     line: about 2 exp(-2 pi c / h) (Trefethen & Weideman, SIAM Review
     2014).  The default h = 0.1 with c = 1 puts it near 1e-27, far below
     double rounding; the measured error is 1.2e-11 at h = 0.25, where the
     bound predicts it.
-  * w_series: the residue expansion obtained by shifting the line to
-    -infinity.  Every pole s = -(1/2 + a + 2k) is double, giving
-
-        W_a(x) = 1 - sum_{k>=0} (4 / (k!^2 G0^2 sigma_k)) x^sigma_k
-                     (psi(k+1) + 1/sigma_k - ln x),
-
-    with sigma_k = 1/2 + a + 2k, G0 = Gamma((1/2 + a)/2), and
-    psi(k+1) = -gamma + H_k.  The series converges for all x but is
-    exposed only on 0 < x <= 4 where the terms stay tame; it exists as an
-    independent cross-check of the quadrature, not as a fast path.
 
 W_a(x) tends to 1 as x -> 0+ and decays like exp(-2x) (saddle point at
 s = 2x); beyond cfg.x_zero the kernel is treated as exactly zero.  With
@@ -59,14 +63,12 @@ __all__ = [
 
 
 class KernelAccuracyError(RuntimeError):
-    """Raised when refinement, the step check or series truncation cannot
-    meet eps."""
+    """Raised when refinement or the runtime check cannot meet eps."""
 
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Quadrature and series controls, one per --kernel-c/-h/-eps and
-    --x-zero flag.
+    """Quadrature controls, one per --kernel-c/-h/-eps and --x-zero flag.
 
     c:      abscissa of the integration line, must be > 0
     h:      base trapezoid step in t
@@ -74,7 +76,7 @@ class KernelConfig:
     x_zero: arguments >= x_zero evaluate to exactly 0.0
 
     The truncation height T is always picked from the decay of the
-    integrand at the smallest x in play (_auto_T).
+    integrand at the smallest x the quadrature serves (_auto_T).
     """
 
     c: float = 1.0
@@ -96,7 +98,8 @@ class KernelConfig:
 
 _T_HARD = 400.0  # absolute ceiling on the truncation height
 _MAX_REFINE = 3  # step halvings w_eval allows before giving up
-_SERIES_CAP = 80  # residue-series terms w_series allows
+_SERIES_TAIL = 1e-17  # tail bound that stops the residue series
+_SERIES_PATH = 2.0  # largest x w_eval_batch takes from the series
 _STEP_SAMPLES = 16  # arguments per batch re-evaluated at step h/2
 # Points per Horner pass.  Each node step rereads the whole accumulator,
 # so blocks that stay in cache run 3.6x faster at q = 100003 (764k points)
@@ -112,10 +115,6 @@ def _check_parity(a: int) -> int:
     if a not in (0, 1):
         raise ValueError(f"parity a must be 0 or 1, got {a}")
     return int(a)
-
-
-def _gamma0(a: int) -> float:
-    return math.gamma((0.5 + a) / 2)
 
 
 def _log_abs_g(a: int, c: float, t: float) -> float:
@@ -213,80 +212,96 @@ def w_eval(a: int, x: float, cfg: KernelConfig = KernelConfig()) -> float:
 
 def w_eval_batch(a: int, xs: np.ndarray,
                  cfg: KernelConfig = KernelConfig()) -> np.ndarray:
-    """Vectorized quadrature at step cfg.h, with a sampled step check.
+    """W_a at every argument: the residue series on x <= 2, the quadrature
+    at step cfg.h on 2 < x < cfg.x_zero, with a sampled runtime check.
 
-    The values are computed at step cfg.h only.  Then _STEP_SAMPLES
-    quantiles of ln x, always including the smallest and largest, are
-    re-evaluated at step cfg.h / 2; a gap above cfg.eps raises
-    KernelAccuracyError.  The default step h = 0.1 sits far inside the
-    geometric-convergence regime: the step error bound 2 exp(-2 pi c / h)
-    is about 1e-27 at c = 1, so the measured gap over every table argument
-    (6.4e-14 at q = 10007, 6.0e-13 at q = 100003, largest at the smallest
-    x where x^(-c) amplifies it) is rounding.
+    _STEP_SAMPLES quantiles of x, the extremes included, are re-evaluated
+    by the quadrature at step cfg.h / 2 (a cross-method check on series
+    samples, a step check on quadrature samples); a gap above cfg.eps
+    raises KernelAccuracyError.  At the default step the step error is
+    about 1e-27, so the gap is rounding, largest at the smallest x, where
+    x^(-c) amplifies the reference's rounding.
     """
     a = _check_parity(a)
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.size == 0:
-        return np.zeros_like(xs)
     if not np.all(np.isfinite(xs)) or np.any(xs <= 0):
         raise ValueError("kernel arguments must be positive reals")
     out = np.zeros(xs.shape, dtype=np.float64)
     live = xs < cfg.x_zero
     if not np.any(live):
         return out
-    lx = np.log(xs[live])
-    T = _auto_T(a, cfg.c, float(lx.min()), cfg.eps)
-    vals = _quad_batch(a, lx, cfg.c, cfg.h, T)
+    x = xs[live]
+    vals = np.empty(x.shape)
+    ser = x <= _SERIES_PATH
+    if np.any(ser):
+        vals[ser] = _series_batch(a, x[ser])
+    if not np.all(ser):
+        lq = np.log(x[~ser])
+        T = _auto_T(a, cfg.c, float(lq.min()), cfg.eps)
+        vals[~ser] = _quad_batch(a, lq, cfg.c, cfg.h, T)
     out[live] = vals
-    ranks = np.unique(np.linspace(0, lx.size - 1, _STEP_SAMPLES).round()
+    ranks = np.unique(np.linspace(0, x.size - 1, _STEP_SAMPLES).round()
                       .astype(np.int64))
-    pick = np.argpartition(lx, ranks)[ranks]
-    half = _quad_batch(a, lx[pick], cfg.c, 0.5 * cfg.h, T)
-    gap = float(np.max(np.abs(half - vals[pick])))
+    pick = np.argpartition(x, ranks)[ranks]
+    lx = np.log(x[pick])
+    T_ref = _auto_T(a, cfg.c, float(lx[0]), cfg.eps)
+    ref = [_quad_point(a, float(v), cfg.c, 0.5 * cfg.h, T_ref) for v in lx]
+    gap = float(np.max(np.abs(np.array(ref) - vals[pick])))
     if not gap <= cfg.eps:
         raise KernelAccuracyError(
-            f"kernel W_{a} at step h = {cfg.h} differs from step h/2 by "
-            f"{gap:.3g} > eps = {cfg.eps} (c = {cfg.c}, T = {T})")
+            f"kernel W_{a} differs from the quadrature at step h/2 by {gap:.3g}"
+            f" > eps = {cfg.eps} (c = {cfg.c}, h = {cfg.h}, T = {T_ref})")
     return out
 
 
-def w_series(a: int, x: float, cfg: KernelConfig = KernelConfig()) -> float:
-    """W_a(x) by the residue expansion; domain 0 < x <= 4.
+def _series_batch(a: int, x: np.ndarray) -> np.ndarray:
+    """The residue series at every x in (0, 4] as
 
-    Terms are summed until a geometric tail bound falls below cfg.eps/100;
-    exceeding _SERIES_CAP terms raises KernelAccuracyError.  The terms are
-    summed with math.fsum.
+        W_a(x) = 1 - x^beta [P(x^2) - ln x Q(x^2)],
+        Q(y) = sum_k c_k y^k,  P(y) = sum_k c_k (psi(k+1) + 1/sigma_k) y^k,
+
+    c_k = 4 / (k!^2 G0^2 sigma_k), by Horner's rule.  Terms are added until
+    a geometric tail bound at the largest x, which bounds the tail at
+    every x, drops below _SERIES_TAIL (25 terms at x = 4).
     """
+    beta = 0.5 + a
+    x_top = float(x.max())
+    inv_kfac_sq = 1.0 / math.gamma(beta / 2) ** 2  # 1 / (k!^2 G0^2)
+    harmonic = 0.0                 # H_k, so psi(k+1) = H_k - gamma
+    xp = x_top**beta               # x_top^sigma_k
+    pc, qc = [], []
+    k = 0
+    while True:
+        sigma = beta + 2 * k
+        psi = harmonic - EULER_GAMMA
+        qc.append(4.0 * inv_kfac_sq / sigma)
+        pc.append(qc[-1] * (psi + 1.0 / sigma))
+        ratio = x_top * x_top / ((k + 1.0) * (k + 1.0))
+        # magnitude envelope, immune to an accidental zero of the term
+        bound = qc[-1] * xp * (abs(psi) + 1.0 / sigma + abs(math.log(x_top)))
+        if ratio < 0.8 and bound * 4.0 * ratio / (1.0 - ratio) < _SERIES_TAIL:
+            break
+        k += 1
+        inv_kfac_sq /= k * k
+        harmonic += 1.0 / k
+        xp *= x_top * x_top
+    y = x * x
+    p, qy = np.full(x.shape, pc[-1]), np.full(x.shape, qc[-1])
+    for pk, qk in zip(pc[-2::-1], qc[-2::-1]):
+        p *= y
+        p += pk
+        qy *= y
+        qy += qk
+    return 1.0 - x**beta * (p - np.log(x) * qy)
+
+
+def w_series(a: int, x: float) -> float:
+    """W_a(x) by the residue expansion; domain 0 < x <= 4.  The
+    one-element case of the series w_eval_batch uses on x <= 2."""
     a = _check_parity(a)
     if not (isinstance(x, (int, float, np.floating)) and math.isfinite(x)) or x <= 0:
         raise ValueError(f"kernel argument must be a positive real, got {x}")
-    x = float(x)
     if x > 4.0:
         raise ValueError(
             f"series form is restricted to 0 < x <= 4, got {x}")
-    beta = 0.5 + a
-    g0 = _gamma0(a)
-    ln_x = math.log(x)
-    inv_kfac_sq = 1.0 / (g0 * g0)  # 4 / (k!^2 G0^2) built up incrementally
-    harmonic = 0.0                 # H_k, so psi(k+1) = H_k - gamma
-    xp = x**beta                   # x^sigma_k
-    x_sq = x * x
-    terms = [1.0]
-    for k in range(_SERIES_CAP):
-        sigma = beta + 2 * k
-        psi = harmonic - EULER_GAMMA
-        terms.append(-(4.0 * inv_kfac_sq / sigma) * xp
-                     * (psi + 1.0 / sigma - ln_x))
-        ratio = x_sq / ((k + 1.0) * (k + 1.0))
-        if ratio < 0.8:
-            # magnitude envelope, immune to an accidental zero of the term
-            bound = (4.0 * inv_kfac_sq / sigma) * xp * (
-                abs(psi) + 1.0 / sigma + abs(ln_x))
-            tail = bound * 4.0 * ratio / (1.0 - ratio)
-            if tail < cfg.eps * 1e-2:
-                return math.fsum(terms)
-        inv_kfac_sq /= (k + 1.0) * (k + 1.0)
-        harmonic += 1.0 / (k + 1.0)
-        xp *= x_sq
-    raise KernelAccuracyError(
-        f"residue series for W_{a}({x}) needs more than {_SERIES_CAP} terms")
+    return float(_series_batch(a, np.array([float(x)]))[0])

@@ -11,7 +11,12 @@ The tables S are built once per modulus by one vectorized pair
 enumeration (bincount over u), then evaluated against every character at
 once by an FFT over the CRT exponent grid (group_transform).  Its
 oracle, _exact_transform, applies one exact-angle DFT matrix per CRT
-axis, with each angle e t / d reduced mod d in integers.
+axis, with each angle e t / d reduced mod d in integers.  The two parity
+tables share one transform (_parity_transform) of T(u) = (S_0(u) +
+S_0(-u) + S_1(u) - S_1(-u)) / 2, the even part of S_0 plus the odd part
+of S_1: an even chi sums an odd table to zero and an odd chi an even one,
+so sum_u chi(u) T(u) = sum_u chi(u) S_a(u) on every chi of parity a, and
+T(u^-1) = T(u) keeps the values real up to rounding.
 
 fourth_moment takes every central value from the Hurwitz route,
 
@@ -144,6 +149,14 @@ def _exact_transform(G: CharacterGroup, residue_values: np.ndarray) -> np.ndarra
     return out.ravel()
 
 
+def _parity_transform(G: CharacterGroup, s0: np.ndarray,
+                      s1: np.ndarray) -> np.ndarray:
+    """sum_u chi(u) S_a(u), a the parity of chi, for every chi from one
+    transform of the folded table T of the module docstring."""
+    neg = -np.arange(s0.size) % s0.size
+    return group_transform(G, 0.5 * ((s0 + s0[neg]) + (s1 - s1[neg])))
+
+
 @dataclass
 class CharacterSpectrum:
     """Per-character B and C values over the full label grid."""
@@ -170,18 +183,13 @@ def compute_spectrum(q: int, cfg: KernelConfig = KernelConfig(), *,
     G = group if group is not None else build_group(q)
     kw = _resolve_weights(q, cfg, weights)
     segments = ((0, kw.z_floor), (kw.z_floor, kw.m_eff))
-    vb0, vb1, vc0, vc1 = (group_transform(G, s)
-                          for s in _build_tables(G, kw, segments))
-    par = G.parity_grid()
-    even = par == 0
-    b_im = np.where(even, vb0.imag, vb1.imag)
-    c_im = np.where(even, vc0.imag, vc1.imag)
+    sb0, sb1, sc0, sc1 = _build_tables(G, kw, segments)
+    vb, vc = _parity_transform(G, sb0, sb1), _parity_transform(G, sc0, sc1)
     return CharacterSpectrum(
-        q=q, group=G, b_values=np.where(even, vb0.real, vb1.real),
-        c_values=np.where(even, vc0.real, vc1.real), parity=par,
-        primitive=G.conductor_grid() == q,
-        imag_residue=float(max(np.abs(b_im).max(initial=0.0),
-                               np.abs(c_im).max(initial=0.0))),
+        q=q, group=G, b_values=vb.real, c_values=vc.real,
+        parity=G.parity_grid(), primitive=G.conductor_grid() == q,
+        imag_residue=float(max(np.abs(vb.imag).max(initial=0.0),
+                               np.abs(vc.imag).max(initial=0.0))),
         m_eff=kw.m_eff, z_floor=kw.z_floor)
 
 
@@ -197,7 +205,7 @@ class MomentReport:
     b_moment: float        # sum over primitive chi of B^2
     c_moment_primitive: float
     cross_term: float      # sum over primitive chi of B*C
-    imag_residue: float    # max |Im| of the two B transforms
+    imag_residue: float    # max |Im| of the B transform
     m_eff: int
     z_floor: int
     wall: dict
@@ -237,19 +245,16 @@ def fourth_moment(q: int, cfg: KernelConfig = KernelConfig(), *,
 
     t0 = time.perf_counter()
     lt = group_transform(G, hz)
-    vb = [group_transform(G, s) for s in sb]
+    vb = _parity_transform(G, *sb)
     wall["transform"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     prim = G.conductor_grid() == q
-    even = G.parity_grid() == 0
-    b = np.where(even, vb[0].real, vb[1].real)
-    b_im = np.where(even, vb[0].imag, vb[1].imag)
     # A = |L|^2 / 2 on primitive chi, q^-1/2 |sum_u chi(u) zeta(1/2, u/q)|
     a = (lt.real ** 2 + lt.imag ** 2) / (2.0 * q)
     if q == 1:
-        a = b + compute_spectrum(1, cfg).c_values
-    a, b = a[prim], b[prim]
+        a = vb.real + compute_spectrum(1, cfg).c_values
+    a, b = a[prim], vb.real[prim]
     c = a - b
     moment = 4.0 * float(np.sum(a ** 2))
     b_moment = float(np.sum(b ** 2))
@@ -260,7 +265,7 @@ def fourth_moment(q: int, cfg: KernelConfig = KernelConfig(), *,
         ratio=moment / main if main > 0 else float("nan"),
         b_moment=b_moment, c_moment_primitive=float(np.sum(c ** 2)),
         cross_term=float(np.sum(b * c)),
-        imag_residue=float(np.abs(b_im).max(initial=0.0)),
+        imag_residue=float(np.abs(vb.imag).max(initial=0.0)),
         m_eff=truncation_bound(q, cfg), z_floor=kw.z_floor, wall=wall)
 
 

@@ -426,3 +426,12 @@ def test_inverse_table_exact(q):
     want = [pow(u, -1, q) if math.gcd(u, q) == 1 else 0 for u in range(q)]
     assert inv.dtype == np.int64
     assert inv.tolist() == want
+
+
+@pytest.mark.parametrize("q", [1, 2, 12, 30030, 9699690 // 17])
+def test_coprime_mask_matches_gcd(q):
+    # one strided clear per prime factor against gcd(u, q) == 1
+    mask = build_group(q).coprime_mask()
+    want = [math.gcd(u, q) == 1 for u in range(max(q, 1))]
+    assert mask.dtype == bool
+    assert mask.tolist() == want

@@ -76,8 +76,9 @@ def _w_series_mp(a, x, dps=80):
 
 
 def test_default_step_matches_residue_series():
-    # the default step against the exact kernel: the worst gap, 2.0e-12,
-    # is rounding amplified by x^(-c) at the smallest table argument
+    # the batch against the exact kernel, series on x <= 2 and quadrature
+    # at the default step beyond; the quadrature alone was off by 2.0e-12
+    # at the smallest argument, rounding amplified by x^(-c)
     xs = np.geomspace(math.pi / 100003, 4.0, 16)
     for a in (0, 1):
         got = w_eval_batch(a, xs)
@@ -85,9 +86,36 @@ def test_default_step_matches_residue_series():
         assert np.max(np.abs(got - want)) <= 1e-11, a
 
 
+def test_head_table_matches_residue_series():
+    # the B head (x <= pi/2) comes from the series in double precision:
+    # measured 8.4e-16 from the 80-digit sum at q = 100003
+    q = 100003
+    kw = kernel_weights(q, head_only=True)
+    m = np.unique(np.geomspace(1, kw.z_floor, 16).round().astype(np.int64))
+    for a in (0, 1):
+        want = np.array([_w_series_mp(a, math.pi * int(k) / q) for k in m])
+        assert np.max(np.abs(kw.w[a][m] - want)) <= 1e-14, a
+
+
+def test_step_check_covers_series_only_batch():
+    # every argument is a series argument, and the runtime check still
+    # compares samples against the quadrature at step h/2, here unconverged
+    xs = np.geomspace(1e-3, 1.5, 40)
+    with pytest.raises(KernelAccuracyError):
+        w_eval_batch(0, xs, KernelConfig(h=2.0))
+    w_eval_batch(0, xs, KernelConfig(h=0.1))
+
+
+def test_scalar_series_is_one_element_batch():
+    # w_series is the array series on one argument, bit for bit
+    for a in (0, 1):
+        for x in np.geomspace(1e-5, 2.0, 23):
+            assert w_series(a, float(x)) == w_eval_batch(a, np.array([x]))[0]
+
+
 def test_default_step_converged_over_table():
     # every kernel value at q = 10007, default step against half of it:
-    # measured gap 6.4e-14
+    # measured gap 1.2e-16; the series values (x <= 2) do not depend on h
     cfg = KernelConfig()
     fine = dataclasses.replace(cfg, h=cfg.h / 2)
     kw, kw_fine = kernel_weights(10007, cfg), kernel_weights(10007, fine)

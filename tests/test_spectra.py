@@ -128,6 +128,22 @@ def test_transform_matches_exact_angle_at_mid_q(q):
     assert spec.imag_residue <= 1e-12
 
 
+@pytest.mark.parametrize("q", [1, 2, 4, 8, 12, 64, 2992, 2999, 30030])
+def test_parity_fold_matches_per_parity_oracle(q):
+    # one transform of the folded table against the exact-angle transform
+    # of each parity table, read on the characters of that parity, on
+    # every character; compute_spectrum's B and C come from the same fold
+    G, tables = _tables(q)
+    spec = compute_spectrum(q, CFG, group=G)
+    even = spec.parity == 0
+    for (s0, s1), got in ((tables[:2], spec.b_values),
+                          (tables[2:], spec.c_values)):
+        want = np.where(even, _exact_transform(G, s0), _exact_transform(G, s1))
+        fold = spectra._parity_transform(G, s0, s1)
+        assert float(np.max(np.abs(fold - want))) <= 1e-12
+        assert float(np.max(np.abs(got - want.real))) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # spectrum pipeline vs. per-character pipeline
 
