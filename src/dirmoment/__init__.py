@@ -6,9 +6,10 @@ for the primitive-character fourth moment, and checks of the main-term
 asymptotics and supporting lemma-scale bounds.
 """
 
-from .arith import (Factorization, divisor_count, divisors, euler_phi,
-                    euler_phi_sieve, factorize, mobius, mobius_sieve, omega,
-                    omega_sieve, phi_star, prime_sieve, two_pow_omega)
+from .arith import (Factorization, coprime_mask, divisor_count, divisors,
+                    euler_phi, euler_phi_sieve, factorize, mobius,
+                    mobius_sieve, omega, omega_sieve, phi_star, prime_sieve,
+                    two_pow_omega)
 from .chargroup import (CharacterGroup, CharacterLabel, build_group,
                         char_eval, exact_primitive_char_sum,
                         exact_root_of_unity_sum, gauss_sum, primitive_count,
@@ -34,7 +35,7 @@ __all__ = [
     # arith
     "Factorization", "factorize", "mobius", "euler_phi", "omega",
     "divisor_count", "two_pow_omega", "phi_star", "divisors",
-    "prime_sieve", "omega_sieve", "mobius_sieve", "euler_phi_sieve",
+    "prime_sieve", "coprime_mask", "omega_sieve", "mobius_sieve", "euler_phi_sieve",
     # chargroup
     "CharacterGroup", "CharacterLabel", "build_group", "char_eval",
     "root_of_unity", "gauss_sum", "primitive_sum_lemma1",

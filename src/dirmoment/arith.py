@@ -24,6 +24,7 @@ __all__ = [
     "phi_star",
     "divisors",
     "prime_sieve",
+    "coprime_mask",
     "omega_sieve",
     "mobius_sieve",
     "euler_phi_sieve",
@@ -223,6 +224,15 @@ def prime_sieve(limit: int) -> np.ndarray:
         if is_prime[p]:
             is_prime[p * p :: p] = False
     return np.nonzero(is_prime)[0].astype(np.int64)
+
+
+def coprime_mask(q: int, n: int) -> np.ndarray:
+    """gcd(k, q) == 1 for 0 <= k <= n as a bool array: one strided clear
+    per prime p | q.  Index 0 is True only for q = 1."""
+    mask = np.ones(n + 1, dtype=bool)
+    for p in factorize(q).primes:
+        mask[::p] = False
+    return mask
 
 
 def omega_sieve(limit: int) -> np.ndarray:

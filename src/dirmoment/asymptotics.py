@@ -38,10 +38,12 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import euler_phi, factorize, omega, omega_sieve, phi_star, two_pow_omega
+from .arith import (coprime_mask, euler_phi, factorize, omega, omega_sieve,
+                    phi_star, two_pow_omega)
 from .chargroup import CharacterGroup, build_group
 from .kernel import KernelConfig
-from .lfunc import KernelWeights, _pair_terms, _pairs, _resolve_weights
+from .lfunc import (KernelWeights, _coprime_pairs, _pair_terms, _pairs,
+                    _resolve_weights)
 from .numerics import EULER_GAMMA, ZETA2
 
 __all__ = [
@@ -81,29 +83,22 @@ def m_direct(q: int, cfg: KernelConfig = KernelConfig(), *,
              weights: Optional[KernelWeights] = None) -> float:
     """Diagonal main term by literal quadruple enumeration over ac = bd."""
     kw = _resolve_weights(q, cfg, weights, head_only=True)
-    z = kw.z_floor
-    pairs = []
-    for a in range(1, z + 1):
-        if math.gcd(a, q) != 1:
-            continue
-        for b in range(1, z // a + 1):
-            if math.gcd(b, q) == 1:
-                pairs.append((a, b))
-    if len(pairs) ** 2 > _MAX_DIRECT_OPS:
+    a, b = _coprime_pairs(q, kw.z_floor)
+    n = a.size
+    if n**2 > _MAX_DIRECT_OPS:
         raise ValueError(
             f"direct quadruple enumeration at q = {q} needs "
-            f"{len(pairs)**2:.2e} checks; use the reparametrized form")
+            f"{n**2:.2e} checks; use the reparametrized form")
     w0, w1 = kw.w
-    terms = []
-    for a, b in pairs:
-        ab = a * b
-        wa0 = w0[ab]
-        wa1 = w1[ab]
-        for c, d in pairs:
-            if a * c == b * d:
-                cd = c * d
-                terms.append(float(wa0 * w0[cd] + wa1 * w1[cd])
-                             / math.sqrt(a * b * c * d))
+    terms: list[float] = []
+    chunk = max(1, 4_000_000 // n)
+    for lo in range(0, n, chunk):
+        # (a, b) along rows, (c, d) along columns
+        i, j = np.nonzero(np.multiply.outer(a[lo:lo + chunk], a)
+                          == np.multiply.outer(b[lo:lo + chunk], b))
+        ab, cd = a[lo + i] * b[lo + i], a[j] * b[j]
+        terms += ((w0[ab] * w0[cd] + w1[ab] * w1[cd])
+                  / np.sqrt((ab * cd).astype(np.float64))).tolist()
     return phi_star(q) / 2.0 * math.fsum(terms)
 
 
@@ -111,27 +106,21 @@ def _repar_parts(q: int, kw: KernelWeights) -> tuple[float, float, int]:
     """(head, tail, z0_floor): reparametrized sum split at n <= Z_0 with
     Z_0 = Z / 9^omega(q), head/tail exclusive of the phi*/2 prefactor."""
     z = kw.z_floor
-    w0, w1 = kw.w
-    om = omega_sieve(z + 1) if z >= 1 else np.zeros(2, dtype=np.uint8)
-    pow18 = 18 ** omega(q)
-    z0_floor = q // pow18
-    head: list[float] = []
-    tail: list[float] = []
-    for n in range(1, z + 1):
-        if math.gcd(n, q) != 1:
-            continue
-        s0 = 0.0
-        s1 = 0.0
-        g = 1
-        while g * g * n <= z:
-            if math.gcd(g, q) == 1:
-                m = g * g * n
-                s0 += w0[m] / g
-                s1 += w1[m] / g
-            g += 1
-        term = (float(2 ** int(om[n])) / n) * (s0 * s0 + s1 * s1)
-        (head if n <= z0_floor else tail).append(float(term))
-    return math.fsum(head), math.fsum(tail), z0_floor
+    z0_floor = q // 18 ** omega(q)
+    cop = coprime_mask(q, z)
+    # s[a][n] = sum over coprime g with g^2 n <= z of W_a(pi g^2 n / q) / g,
+    # each added from g = 1 upwards
+    s = np.zeros((2, z + 1))
+    for g in np.flatnonzero(cop[1:math.isqrt(z) + 1]) + 1:
+        top = z // (g * g)
+        for w, sa in zip(kw.w, s):
+            sa[1:top + 1] += w[g * g:top * g * g + 1:g * g] / g
+    n = np.flatnonzero(cop[1:]) + 1
+    two_om = np.float64(2.0) ** omega_sieve(z)[n]
+    term = two_om / n * (s[0][n] * s[0][n] + s[1][n] * s[1][n])
+    head = n <= z0_floor
+    return (math.fsum(term[head].tolist()), math.fsum(term[~head].tolist()),
+            z0_floor)
 
 
 def m_reparametrized(q: int, cfg: KernelConfig = KernelConfig(), *,
@@ -181,26 +170,11 @@ class Lemma3Result:
 
 
 def _dyadic_pairs(z: float, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ordered pairs (a, b) with z <= ab < 2z and (ab, k) = 1."""
-    a_list = []
-    b_list = []
-    a_max = int(math.ceil(2 * z)) - 1
-    for a in range(1, a_max + 1):
-        if math.gcd(a, k) != 1:
-            continue
-        b_lo = int(math.ceil(z / a))
-        if b_lo * a < z:  # guard against float ceil slips
-            b_lo += 1
-        b_hi = int(math.ceil(2 * z / a)) - 1
-        while (b_hi + 1) * a < 2 * z:  # same, other direction
-            b_hi += 1
-        for b in range(max(1, b_lo), b_hi + 1):
-            if a * b >= 2 * z:
-                break
-            if math.gcd(b, k) == 1:
-                a_list.append(a)
-                b_list.append(b)
-    return (np.array(a_list, dtype=np.int64), np.array(b_list, dtype=np.int64))
+    """Ordered pairs (a, b) with z <= ab < 2z and (ab, k) = 1: the integer
+    products ceil(z) <= ab <= ceil(2z) - 1."""
+    a, b = _coprime_pairs(k, math.ceil(2 * z) - 1)
+    keep = a * b >= math.ceil(z)
+    return a[keep], b[keep]
 
 
 def lemma3_count(k: int, z1: float, z2: float) -> Lemma3Result:
@@ -246,7 +220,7 @@ def lemma4_check(q: int, x: float) -> Lemma4Result:
         raise ValueError("need q >= 1 and x >= 2")
     if x > _MAX_LEMMA45_N:
         raise ValueError(f"x = {x} exceeds the summation cap")
-    mask = [math.gcd(r, q) == 1 for r in range(q)] if q > 1 else [True]
+    mask = coprime_mask(q, q - 1).tolist()
     lhs = math.fsum(1.0 / n for n in range(1, int(x) + 1) if mask[n % q])
     pls = math.fsum(math.log(p) / (p - 1) for p, _ in factorize(q).factors)
     rhs = euler_phi(q) / q * (math.log(x) + EULER_GAMMA + pls)
@@ -276,6 +250,7 @@ def lemma5_sums(q: int, x: float) -> Lemma5Result:
     xi = int(x)
     om = omega_sieve(xi + 1)
     two_om = np.float64(2.0) ** om.astype(np.float64)
+    cop = coprime_mask(q, xi)
 
     def masked_sum(hi: int, weight_log: bool) -> float:
         parts = []
@@ -283,13 +258,10 @@ def lemma5_sums(q: int, x: float) -> Lemma5Result:
         for n0 in range(1, hi + 1, step):
             n1 = min(n0 + step, hi + 1)
             n = np.arange(n0, n1, dtype=np.int64)
-            mask = np.ones(n.shape, dtype=bool)
-            for p, _ in factorize(q).factors:
-                mask &= n % p != 0
             vals = two_om[n0:n1] / n
             if weight_log:
                 vals = vals * np.log(x / n) ** 2
-            parts.append(float(np.sum(vals[mask])))
+            parts.append(float(np.sum(vals[cop[n0:n1]])))
         return math.fsum(parts)
 
     sum1 = masked_sum(min(q, xi), False) if q > 1 else 1.0  # q = 1: n = 1
@@ -324,14 +296,13 @@ def error_sum_E(q: int, cfg: KernelConfig = KernelConfig(), *,
         raise ValueError("error sum needs q >= 3 so log q > 0")
     kw = _resolve_weights(q, cfg, weights, head_only=True)
     G = group if group is not None else build_group(q)
-    pairs, n_b = _pairs(q, kw.m_eff, kw.z_floor)
-    head = tuple(col[:n_b] for col in pairs)
+    head, _ = _pairs(q, kw.m_eff, kw.z_floor)
     sq = []
     for chi in G.labels():
         if not chi.primitive:
             continue
-        re, _ = _pair_terms(G.char_values(chi), kw.kprod[chi.parity], head)
-        sq.append(math.fsum(re) ** 2)
+        sq.append(math.fsum(_pair_terms(G.char_values(chi),
+                                        kw.kprod[chi.parity], head)) ** 2)
     m_val = m_reparametrized(q, cfg, weights=kw)
     b_sq = math.fsum(sq)
     return ErrorSumResult(q=q, b_sq_sum=b_sq, m_value=m_val,

@@ -35,7 +35,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .arith import Factorization, divisors, euler_phi, factorize, mobius
+from .arith import (Factorization, coprime_mask, divisors, euler_phi,
+                    factorize, mobius)
 
 __all__ = [
     "CharacterGroup",
@@ -180,10 +181,7 @@ class CharacterGroup:
 
     def coprime_mask(self) -> np.ndarray:
         if self._coprime_mask is None:
-            mask = np.ones(max(self.q, 1), dtype=bool)
-            for p, _ in self.fact.factors:
-                mask[::p] = False
-            self._coprime_mask = mask
+            self._coprime_mask = coprime_mask(self.q, self.q - 1)
         return self._coprime_mask
 
     def inverse_table(self) -> np.ndarray:

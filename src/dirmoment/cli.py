@@ -187,7 +187,6 @@ def _cmd_value(args: argparse.Namespace) -> int:
         "a_value": cv.a_value,
         "b_value": cv.b_value,
         "c_value": cv.c_value,
-        "imag_residue": cv.imag_residue,
         "m_eff": cv.m_eff,
         "two_a": 2.0 * cv.a_value,
     }

@@ -260,9 +260,10 @@ def _series_batch(a: int, x: np.ndarray) -> np.ndarray:
         W_a(x) = 1 - x^beta [P(x^2) - ln x Q(x^2)],
         Q(y) = sum_k c_k y^k,  P(y) = sum_k c_k (psi(k+1) + 1/sigma_k) y^k,
 
-    c_k = 4 / (k!^2 G0^2 sigma_k), by Horner's rule.  Terms are added until
-    a geometric tail bound at the largest x, which bounds the tail at
-    every x, drops below _SERIES_TAIL (25 terms at x = 4).
+    c_k = 4 / (k!^2 G0^2 sigma_k), by Horner's rule in blocks of
+    _HORNER_BLOCK points.  Terms are added until a geometric tail bound at
+    the largest x of the batch, which bounds the tail at every x, drops
+    below _SERIES_TAIL (25 terms at x = 4).
     """
     beta = 0.5 + a
     x_top = float(x.max())
@@ -285,14 +286,18 @@ def _series_batch(a: int, x: np.ndarray) -> np.ndarray:
         inv_kfac_sq /= k * k
         harmonic += 1.0 / k
         xp *= x_top * x_top
-    y = x * x
-    p, qy = np.full(x.shape, pc[-1]), np.full(x.shape, qc[-1])
-    for pk, qk in zip(pc[-2::-1], qc[-2::-1]):
-        p *= y
-        p += pk
-        qy *= y
-        qy += qk
-    return 1.0 - x**beta * (p - np.log(x) * qy)
+    out = np.empty(x.shape)
+    for lo in range(0, x.size, _HORNER_BLOCK):
+        xb = x[lo:lo + _HORNER_BLOCK]
+        y = xb * xb
+        p, qy = np.full(xb.shape, pc[-1]), np.full(xb.shape, qc[-1])
+        for pk, qk in zip(pc[-2::-1], qc[-2::-1]):
+            p *= y
+            p += pk
+            qy *= y
+            qy += qk
+        out[lo:lo + _HORNER_BLOCK] = 1.0 - xb**beta * (p - np.log(xb) * qy)
+    return out
 
 
 def w_series(a: int, x: float) -> float:

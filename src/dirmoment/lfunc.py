@@ -19,10 +19,11 @@ membership test is the exact integer predicate a*b * 2^omega(q) <= q.  A
 sum over the head B needs kernel values up to Z only
 (kernel_weights(..., head_only=True)).
 
-The double sum visits the coprime pairs sorted by (ab, a), gathers its
-terms with numpy and adds them with math.fsum: A, B and C are each the
-correctly rounded sum of their terms, so they do not depend on term order
-and reruns are bit-identical.  The oracle fsums chi(a) zeta(1/2, a/q) the
+The double sum visits the coprime pairs split into head (ab <= Z) and
+tail, in no particular order within each part, gathers its terms with
+numpy and adds them with math.fsum: A, B and C are each the correctly
+rounded sum of their terms, so they do not depend on term order and
+reruns are bit-identical.  The oracle fsums chi(a) zeta(1/2, a/q) the
 same way, from one table of Hurwitz values per modulus.
 """
 
@@ -36,7 +37,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .arith import factorize, two_pow_omega
+from .arith import coprime_mask, two_pow_omega
 from .chargroup import CharacterGroup, CharacterLabel
 from .kernel import KernelConfig, w_eval_batch
 
@@ -219,7 +220,6 @@ class CentralValue:
     a_value: float    # A = B + C, rounded once over all terms
     b_value: float    # head: products ab <= Z
     c_value: float    # tail: Z < ab <= m_eff
-    imag_residue: float
     m_eff: int
     l_oracle: Optional[complex] = None
 
@@ -236,11 +236,7 @@ def _coprime_pair_chunks(q: int, m: int, batch: int = _MAX_PAIRS
     as soon as it holds at least `batch` pairs; a batch may span both
     halves.
     """
-    keep = np.ones(m + 1, dtype=bool)
-    keep[0] = False
-    for p in factorize(q).primes:
-        keep[::p] = False
-    cop = np.flatnonzero(keep)  # sorted coprime integers in [1, m]
+    cop = np.flatnonzero(coprime_mask(q, m)[1:]) + 1  # coprime, in [1, m]
     s = math.isqrt(m)
     small = cop[:np.searchsorted(cop, s, side="right")].tolist()
     ends = np.searchsorted(cop, [m // x for x in small], side="right").tolist()
@@ -268,30 +264,39 @@ def _coprime_pair_chunks(q: int, m: int, batch: int = _MAX_PAIRS
         i = j
 
 
+def _coprime_pairs(q: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of _coprime_pair_chunks(q, m), m >= 1, as two int64
+    arrays (a, b)."""
+    a, b = (np.concatenate(c) for c in zip(*_coprime_pair_chunks(q, m)))
+    return a, b
+
+
 @lru_cache(maxsize=8)
-def _pairs(q: int, m_eff: int,
-           z_floor: int) -> tuple[tuple[np.ndarray, ...], int]:
-    """Coprime pairs (a, b) with ab <= m_eff as int64 arrays
-    (ab, a mod q, b mod q), sorted by (ab, a), and the count of pairs with
-    ab <= z_floor (a prefix).  The cached arrays are shared and read-only."""
+def _pairs(q: int, m_eff: int, z_floor: int
+           ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Coprime pairs (a, b) with ab <= m_eff as int64 columns
+    (ab, a mod q, b mod q), split into (head, tail) at ab <= z_floor.  The
+    cached arrays are shared and read-only."""
     est = m_eff * (math.log(m_eff) + 1.0)
     if est > _MAX_PAIRS:
         raise ValueError(
             f"naive pair enumeration would need ~{est:.2e} entries; "
             "use spectra.compute_spectrum or fourth_moment at this modulus")
-    a, b = (np.concatenate(c) for c in zip(*_coprime_pair_chunks(q, m_eff)))
+    a, b = _coprime_pairs(q, m_eff)
     ab = a * b
-    order = np.lexsort((a, ab))
-    cols = (ab[order], a[order] % q, b[order] % q)
-    for col in cols:
+    head = ab <= z_floor
+    parts = tuple((ab[k], a[k] % q, b[k] % q) for k in (head, ~head))
+    for col in parts[0] + parts[1]:
         col.flags.writeable = False
-    return cols, int(np.searchsorted(cols[0], z_floor, side="right"))
+    return parts
 
 
 def _pair_terms(vals: np.ndarray, kp: np.ndarray,
-                pairs: tuple[np.ndarray, ...]) -> tuple[list[float], list[float]]:
-    """Real and imaginary parts of chi(a) chibar(b) kp[ab] over the pairs,
-    from vals = chi(u) for every residue u.
+                pairs: tuple[np.ndarray, ...]) -> list[float]:
+    """Re chi(a) chibar(b) kp[ab] over the pairs, from vals = chi(u) for
+    every residue u.  The pairs (a, b) and (b, a) always sit in the same
+    part, and their imaginary parts are exact negatives, so the imaginary
+    sum is 0.0 and is not formed.
 
     Real arithmetic, one rounding per operation: each term is the same
     float wherever the pair sits in the arrays.  Callers add the terms
@@ -299,10 +304,8 @@ def _pair_terms(vals: np.ndarray, kp: np.ndarray,
     their order.
     """
     ab, ua, ub = pairs
-    xa, xb, w = vals[ua], vals[ub], kp[ab]
-    re = (xa.real * xb.real + xa.imag * xb.imag) * w
-    im = (xa.imag * xb.real - xa.real * xb.imag) * w
-    return re.tolist(), im.tolist()
+    xa, xb = vals[ua], vals[ub]
+    return ((xa.real * xb.real + xa.imag * xb.imag) * kp[ab]).tolist()
 
 
 def abc_values(G: CharacterGroup, chi: CharacterLabel,
@@ -317,12 +320,11 @@ def abc_values(G: CharacterGroup, chi: CharacterLabel,
     """
     q = G.q
     weights = _resolve_weights(q, cfg, weights)
-    pairs, n_b = _pairs(q, weights.m_eff, weights.z_floor)
-    re, im = _pair_terms(G.char_values(chi), weights.kprod[chi.parity], pairs)
+    vals, kp = G.char_values(chi), weights.kprod[chi.parity]
+    head, tail = (_pair_terms(vals, kp, part)
+                  for part in _pairs(q, weights.m_eff, weights.z_floor))
     oracle = l_half_oracle(G, chi) if with_oracle else None
     return CentralValue(
-        label=chi, q=q, a_value=math.fsum(re), b_value=math.fsum(re[:n_b]),
-        c_value=math.fsum(re[n_b:]),
-        imag_residue=max(abs(math.fsum(im[:n_b])), abs(math.fsum(im[n_b:]))),
-        m_eff=weights.m_eff,
-        l_oracle=oracle)
+        label=chi, q=q, a_value=math.fsum(head + tail),
+        b_value=math.fsum(head), c_value=math.fsum(tail),
+        m_eff=weights.m_eff, l_oracle=oracle)

@@ -112,7 +112,9 @@ def brute_lemma3(k, z1, z2):
 
 
 @pytest.mark.parametrize("k,z1,z2", [(1, 4, 4), (2, 4, 4), (3, 4, 6),
-                                     (5, 4, 4), (7, 8, 4), (12, 6, 6)])
+                                     (5, 4, 4), (7, 8, 4), (12, 6, 6),
+                                     (6, 2.5, 3.7), (5, 3.5, 2.25),
+                                     (1, 7.1, 4.9)])
 def test_lemma3_matches_brute_force(k, z1, z2):
     assert lemma3_count(k, z1, z2).count == brute_lemma3(k, z1, z2)
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirmoment.arith import divisors, euler_phi, factorize, phi_star
+from dirmoment.arith import (coprime_mask, divisors, euler_phi, factorize,
+                             phi_star)
 from dirmoment.chargroup import (_dlog_table, _dlog_tables_2e,
                                  _primitive_root_mod_pe, build_group,
                                  char_eval,
@@ -430,8 +431,13 @@ def test_inverse_table_exact(q):
 
 @pytest.mark.parametrize("q", [1, 2, 12, 30030, 9699690 // 17])
 def test_coprime_mask_matches_gcd(q):
-    # one strided clear per prime factor against gcd(u, q) == 1
+    # one strided clear per prime factor against gcd(u, q) == 1; index 0
+    # is coprime only to q = 1
     mask = build_group(q).coprime_mask()
-    want = [math.gcd(u, q) == 1 for u in range(max(q, 1))]
+    want = [math.gcd(u, q) == 1 for u in range(q)]
     assert mask.dtype == bool
     assert mask.tolist() == want
+    for n in (0, q - 1, 3 * q + 2):
+        mask = coprime_mask(q, n)
+        assert mask.dtype == bool
+        assert mask.tolist() == [math.gcd(k, q) == 1 for k in range(n + 1)]

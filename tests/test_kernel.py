@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from dirmoment import kernel
 from dirmoment.kernel import (KernelAccuracyError, KernelConfig,
                               clear_kernel_cache, w_eval, w_eval_batch,
                               w_series)
@@ -111,6 +112,17 @@ def test_scalar_series_is_one_element_batch():
     for a in (0, 1):
         for x in np.geomspace(1e-5, 2.0, 23):
             assert w_series(a, float(x)) == w_eval_batch(a, np.array([x]))[0]
+
+
+def test_horner_blocks_do_not_change_values(monkeypatch):
+    # the series (x <= 2) and the quadrature (x > 2) both run Horner in
+    # blocks of _HORNER_BLOCK points; a ragged last block included, each
+    # value is the same float whatever the block size
+    xs = np.geomspace(1e-3, 20.0, 1001)
+    default = [w_eval_batch(a, xs) for a in (0, 1)]
+    monkeypatch.setattr(kernel, "_HORNER_BLOCK", 7)
+    for a in (0, 1):
+        assert np.array_equal(w_eval_batch(a, xs), default[a]), a
 
 
 def test_default_step_converged_over_table():
