@@ -81,14 +81,22 @@ def theorem_main_term(q: int) -> float:
 
 def m_direct(q: int, cfg: KernelConfig = KernelConfig(), *,
              weights: Optional[KernelWeights] = None) -> float:
-    """Diagonal main term by literal quadruple enumeration over ac = bd."""
-    kw = _resolve_weights(q, cfg, weights, head_only=True)
-    a, b = _coprime_pairs(q, kw.z_floor)
-    n = a.size
+    """Diagonal main term by literal quadruple enumeration over ac = bd.
+
+    The pairs are counted before any kernel value or pair is built: with
+    cnt[k] the number of coprime b <= k, there are sum over coprime
+    a <= Z of cnt[Z // a] of them.
+    """
+    z = q // two_pow_omega(q)
+    cop = coprime_mask(q, z)
+    cop[0] = False
+    n = int(np.cumsum(cop)[z // np.flatnonzero(cop)].sum())
     if n**2 > _MAX_DIRECT_OPS:
         raise ValueError(
             f"direct quadruple enumeration at q = {q} needs "
             f"{n**2:.2e} checks; use the reparametrized form")
+    kw = _resolve_weights(q, cfg, weights, head_only=True)
+    a, b = _coprime_pairs(q, z)
     w0, w1 = kw.w
     terms: list[float] = []
     chunk = max(1, 4_000_000 // n)
@@ -249,7 +257,6 @@ def lemma5_sums(q: int, x: float) -> Lemma5Result:
         raise ValueError(f"x = {x} exceeds the summation cap")
     xi = int(x)
     om = omega_sieve(xi + 1)
-    two_om = np.float64(2.0) ** om.astype(np.float64)
     cop = coprime_mask(q, xi)
 
     def masked_sum(hi: int, weight_log: bool) -> float:
@@ -258,7 +265,7 @@ def lemma5_sums(q: int, x: float) -> Lemma5Result:
         for n0 in range(1, hi + 1, step):
             n1 = min(n0 + step, hi + 1)
             n = np.arange(n0, n1, dtype=np.int64)
-            vals = two_om[n0:n1] / n
+            vals = np.float64(2.0) ** om[n0:n1].astype(np.float64) / n
             if weight_log:
                 vals = vals * np.log(x / n) ** 2
             parts.append(float(np.sum(vals[cop[n0:n1]])))
@@ -296,7 +303,7 @@ def error_sum_E(q: int, cfg: KernelConfig = KernelConfig(), *,
         raise ValueError("error sum needs q >= 3 so log q > 0")
     kw = _resolve_weights(q, cfg, weights, head_only=True)
     G = group if group is not None else build_group(q)
-    head, _ = _pairs(q, kw.m_eff, kw.z_floor)
+    head = _pairs(q, 0, kw.z_floor)
     sq = []
     for chi in G.labels():
         if not chi.primitive:

@@ -35,8 +35,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .arith import (Factorization, coprime_mask, divisors, euler_phi,
-                    factorize, mobius)
+from .arith import coprime_mask, divisors, euler_phi, factorize, mobius
 
 __all__ = [
     "CharacterGroup",
@@ -57,10 +56,9 @@ _MAX_Q = 10**7  # dlog tables are O(q) ints; beyond this the build is refused
 
 @dataclass(frozen=True)
 class Component:
-    """One cyclic factor of (Z/qZ)*.
+    """One cyclic factor of (Z/qZ)*: an odd prime power, modulus 4, or
+    the <-1> or <5> factor of 2^e, e >= 3.
 
-    kind is 'odd' for odd prime powers, 'two4' for modulus 4, and
-    'two_sign' / 'two_five' for the <-1> and <5> factors of 2^e, e >= 3.
     parity[t] and conductor[t] are the parity bit and the conductor part
     of a character with exponent t on this factor.
     """
@@ -68,7 +66,6 @@ class Component:
     prime: int
     exp: int
     pe: int          # p^exp
-    kind: str
     order: int
     dlog: np.ndarray  # residue mod pe -> generator exponent, -1 off units
     parity: np.ndarray     # int8, length order
@@ -146,10 +143,8 @@ def _dlog_tables_2e(e: int) -> tuple[np.ndarray, np.ndarray]:
 class CharacterGroup:
     """The group of Dirichlet characters mod q, immutable after build."""
 
-    def __init__(self, q: int, fact: Factorization,
-                 components: tuple[Component, ...]):
+    def __init__(self, q: int, components: tuple[Component, ...]):
         self.q = q
-        self.fact = fact
         self.components = components
         self.orders = tuple(c.order for c in components)
         self.group_order = euler_phi(q)
@@ -211,12 +206,12 @@ class CharacterGroup:
         """
         if self._grid_index is None:
             # C order one axis at a time, so that only one q-length
-            # exponent array is alive besides the index
-            u = np.arange(self.q, dtype=np.int64)
+            # exponent array is alive besides the index; each axis's
+            # exponent is periodic in u with period p^e, so it is a tile
             idx = np.zeros(self.q, dtype=np.int64)
             for c in self.components:
                 idx *= c.order
-                idx += np.maximum(c.dlog[u % c.pe], 0)
+                idx += np.tile(np.maximum(c.dlog, 0), self.q // c.pe)
             idx[~self.coprime_mask()] = -1
             self._grid_index = idx
         return self._grid_index
@@ -290,15 +285,15 @@ class CharacterGroup:
         """angle_num(chi, u) for every residue u = 0..q-1 as an int64
         array, -1 off units.
 
-        Gathers each component's dlog table at u mod p^e, so no residue
-        by component table is kept.
+        Tiles each component's dlog table, periodic in u with period p^e,
+        over the q residues, so no residue by component table is kept.
         """
         N = self.exponent
-        u = np.arange(max(self.q, 1), dtype=np.int64)
-        num = np.zeros(u.size, dtype=np.int64)
+        num = np.zeros(self.q, dtype=np.int64)
         for e, comp in zip(chi.exponents, self.components):
             if e:
-                num += comp.dlog[u % comp.pe] * (e * (N // comp.order) % N)
+                num += (np.tile(comp.dlog, self.q // comp.pe)
+                        * (e * (N // comp.order) % N))
         num %= N
         num[~self.coprime_mask()] = -1
         return num
@@ -334,9 +329,10 @@ def _fold_outer(op: np.ufunc, tables: Iterable[np.ndarray],
     return grid
 
 
-def _component(p: int, e: int, kind: str, order: int,
+def _component(p: int, e: int, base: int, order: int,
                dlog: np.ndarray) -> Component:
-    """A cyclic factor with its classification tables over t = 0..order-1.
+    """A cyclic factor with its classification tables over t = 0..order-1;
+    base is the conductor base of the factor (4 on the <5> axis, else p).
 
     -1 has exponent 0 or order/2 on the factor, so chi(-1) picks up
     (-1)^t exactly when that exponent is nonzero.  A character of order
@@ -352,7 +348,6 @@ def _component(p: int, e: int, kind: str, order: int,
     parity = np.zeros(order, dtype=np.int8)
     if dlog[pe - 1]:
         parity[1::2] = 1
-    base = 4 if kind == "two_five" else p
     d_p = math.gcd(order, pe)
     conductor = np.empty(order, dtype=np.int32)
     k = 1
@@ -360,7 +355,7 @@ def _component(p: int, e: int, kind: str, order: int,
         conductor[::k] = math.gcd(d_p // k * base, pe)
         k *= p
     conductor[0] = 1  # t = 0: the character is trivial on this factor
-    return Component(p, e, pe, kind, order, dlog, parity, conductor)
+    return Component(p, e, pe, order, dlog, parity, conductor)
 
 
 def build_group(q: int) -> CharacterGroup:
@@ -371,26 +366,25 @@ def build_group(q: int) -> CharacterGroup:
     if q > _MAX_Q:
         raise ValueError(
             f"modulus {q} exceeds the dlog table memory budget (q <= {_MAX_Q})")
-    fact = factorize(q)
     comps: list[Component] = []
-    for p, e in fact.factors:
+    for p, e in factorize(q).factors:
         pe = p**e
         if p == 2:
             if e == 1:
                 continue  # (Z/2)* is trivial
             if e == 2:
                 # generator 3 = -1 mod 4
-                comps.append(_component(2, 2, "two4", 2, _dlog_table(4, 3, 2)))
+                comps.append(_component(2, 2, 2, 2, _dlog_table(4, 3, 2)))
             else:
                 sign, five = _dlog_tables_2e(e)
-                comps.append(_component(2, e, "two_sign", 2, sign))
-                comps.append(_component(2, e, "two_five", 1 << (e - 2), five))
+                comps.append(_component(2, e, 2, 2, sign))
+                comps.append(_component(2, e, 4, 1 << (e - 2), five))
         else:
             gen = _primitive_root_mod_pe(p, e)
             order = pe // p * (p - 1)
-            comps.append(_component(p, e, "odd", order,
+            comps.append(_component(p, e, p, order,
                                     _dlog_table(pe, gen, order)))
-    return CharacterGroup(q, fact, tuple(comps))
+    return CharacterGroup(q, tuple(comps))
 
 
 def char_eval(G: CharacterGroup, chi: CharacterLabel, n: int) -> complex:

@@ -27,7 +27,7 @@ evaluated two independent ways:
     single point sums its nodes directly.  Conjugate symmetry folds the
     line onto t >= 0.  w_eval halves the step until two levels agree;
     w_eval_batch checks a quantile sample of its arguments against the
-    quadrature at step h/2.
+    quadrature at step h/2 on the line Re s = c/2.
 
     The step error is governed by the pole of 1/s at distance c from the
     line: about 2 exp(-2 pi c / h) (Trefethen & Weideman, SIAM Review
@@ -216,11 +216,14 @@ def w_eval_batch(a: int, xs: np.ndarray,
     at step cfg.h on 2 < x < cfg.x_zero, with a sampled runtime check.
 
     _STEP_SAMPLES quantiles of x, the extremes included, are re-evaluated
-    by the quadrature at step cfg.h / 2 (a cross-method check on series
-    samples, a step check on quadrature samples); a gap above cfg.eps
-    raises KernelAccuracyError.  At the default step the step error is
-    about 1e-27, so the gap is rounding, largest at the smallest x, where
-    x^(-c) amplifies the reference's rounding.
+    by the quadrature at step cfg.h / 2 on the line Re s = cfg.c / 2 (a
+    cross-method check on series samples, a step and line check on
+    quadrature samples); a gap above cfg.eps raises KernelAccuracyError.
+    The pole of 1/s sits c/2 from that line, so its step error is the
+    same 2 exp(-2 pi c / h), about 1e-27 at the default step, and the gap
+    is rounding, largest at the smallest x, where x^(-c/2) amplifies the
+    reference's rounding: at x = pi/9999991 the gap is below 1e-13, and
+    on the line c it would be 1.65e-10, above the default eps.
     """
     a = _check_parity(a)
     xs = np.asarray(xs, dtype=np.float64)
@@ -244,13 +247,15 @@ def w_eval_batch(a: int, xs: np.ndarray,
                       .astype(np.int64))
     pick = np.argpartition(x, ranks)[ranks]
     lx = np.log(x[pick])
-    T_ref = _auto_T(a, cfg.c, float(lx[0]), cfg.eps)
-    ref = [_quad_point(a, float(v), cfg.c, 0.5 * cfg.h, T_ref) for v in lx]
+    c_ref, h_ref = 0.5 * cfg.c, 0.5 * cfg.h
+    T_ref = _auto_T(a, c_ref, float(lx[0]), cfg.eps)
+    ref = [_quad_point(a, float(v), c_ref, h_ref, T_ref) for v in lx]
     gap = float(np.max(np.abs(np.array(ref) - vals[pick])))
     if not gap <= cfg.eps:
         raise KernelAccuracyError(
-            f"kernel W_{a} differs from the quadrature at step h/2 by {gap:.3g}"
-            f" > eps = {cfg.eps} (c = {cfg.c}, h = {cfg.h}, T = {T_ref})")
+            f"kernel W_{a} differs from the quadrature at step h/2 on the"
+            f" line c/2 by {gap:.3g} > eps = {cfg.eps} (c = {cfg.c},"
+            f" h = {cfg.h}, T = {T_ref})")
     return out
 
 

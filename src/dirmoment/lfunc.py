@@ -19,8 +19,9 @@ membership test is the exact integer predicate a*b * 2^omega(q) <= q.  A
 sum over the head B needs kernel values up to Z only
 (kernel_weights(..., head_only=True)).
 
-The double sum visits the coprime pairs split into head (ab <= Z) and
-tail, in no particular order within each part, gathers its terms with
+The double sum visits the coprime pairs of the head (0 < ab <= Z) and
+of the tail (Z < ab <= m_eff), each range enumerated and cached on its
+own, in no particular order within a range, gathers its terms with
 numpy and adds them with math.fsum: A, B and C are each the correctly
 rounded sum of their terms, so they do not depend on term order and
 reruns are bit-identical.  The oracle fsums chi(a) zeta(1/2, a/q) the
@@ -50,13 +51,12 @@ __all__ = [
     "abc_values",
 ]
 
-# B_{2j} for 2j = 2..28; enough for ~1e-30 headroom at N ~ 24 shifted terms
+# B_{2j} for 2j = 2..24, one per Bernoulli correction of _hurwitz_em
 _BERNOULLI = (
     Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
     Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6),
     Fraction(-3617, 510), Fraction(43867, 798), Fraction(-174611, 330),
     Fraction(854513, 138), Fraction(-236364091, 2730),
-    Fraction(8553103, 6), Fraction(-23749461029, 870),
 )
 _B_OVER_FACT = tuple(
     float(b / math.factorial(2 * (j + 1))) for j, b in enumerate(_BERNOULLI))
@@ -65,31 +65,33 @@ _MAX_PAIRS = 60_000_000  # guard on the naive pair enumeration
 
 
 _HURWITZ_BLOCK = 1 << 15  # arguments per block of the Euler-Maclaurin sum
+# Euler-Maclaurin depth: direct terms, then Bernoulli corrections
+_EM_TERMS, _EM_BERNOULLI = 24, 12
 
 
-def _hurwitz_em(s: float, a: np.ndarray, n_terms: int,
-                j_terms: int) -> np.ndarray:
+def _hurwitz_em(s: float, a: np.ndarray) -> np.ndarray:
     """zeta(s, a) for every element of a float64 array, by Euler-Maclaurin.
 
     The sum is taken in blocks of _HURWITZ_BLOCK arguments with
     elementwise numpy operations only, so each output is the same float
     whatever the length of the array or the position of its argument.
     Terms are added from the smallest to the largest: the direct terms
-    (a + k)^-s from k = n_terms - 1 down to 0, the Bernoulli corrections
-    as a polynomial in (a + n_terms)^-2 by Horner's rule.
+    (a + k)^-s from k = _EM_TERMS - 1 down to 0, the _EM_BERNOULLI
+    Bernoulli corrections as a polynomial in (a + _EM_TERMS)^-2 by
+    Horner's rule.
     """
     coef = []
     poch = s                      # (s)(s+1)...(s+2j-2), one factor so far
-    for j in range(j_terms):
+    for j in range(_EM_BERNOULLI):
         coef.append(_B_OVER_FACT[j] * poch)
         poch *= (s + 2 * j + 1) * (s + 2 * j + 2)
     out = np.empty(a.shape)
     for lo in range(0, a.size, _HURWITZ_BLOCK):
         x = a[lo:lo + _HURWITZ_BLOCK]
-        direct = (x + (n_terms - 1)) ** -s
-        for k in range(n_terms - 2, -1, -1):
+        direct = (x + (_EM_TERMS - 1)) ** -s
+        for k in range(_EM_TERMS - 2, -1, -1):
             direct += (x + k) ** -s
-        na = x + n_terms
+        na = x + _EM_TERMS
         p = na ** -s
         inv_sq = 1.0 / (na * na)
         poly = np.zeros(x.shape)
@@ -101,24 +103,20 @@ def _hurwitz_em(s: float, a: np.ndarray, n_terms: int,
     return out
 
 
-def hurwitz_zeta(s: float, a: float, *, n_terms: int = 24,
-                 j_terms: int = 12) -> float:
+def hurwitz_zeta(s: float, a: float) -> float:
     """zeta(s, a) = sum_{k>=0} (k + a)^(-s) by Euler-Maclaurin.
 
     Supported region: real 0 < s < 1 (continuation through the shifted
-    tail integral) and a > 0.  With the default depths the truncation
-    error is far below double rounding for a >= 1e-3.  This is the
-    one-element case of the array code behind the Hurwitz tables, so
-    both give the same float for the same argument.
+    tail integral) and a > 0.  At the depth (_EM_TERMS, _EM_BERNOULLI)
+    the truncation error is far below double rounding for a >= 1e-3.
+    This is the one-element case of the array code behind the Hurwitz
+    tables, so both give the same float for the same argument.
     """
     if not (isinstance(s, (int, float)) and 0.0 < s < 1.0):
         raise ValueError(f"s must be a real number in (0, 1), got {s}")
     if not (isinstance(a, (int, float)) and a > 0.0 and math.isfinite(a)):
         raise ValueError(f"a must be a positive real, got {a}")
-    if j_terms > len(_B_OVER_FACT):
-        raise ValueError(f"j_terms capped at {len(_B_OVER_FACT)}")
-    return float(_hurwitz_em(float(s), np.array([float(a)]), n_terms,
-                             j_terms)[0])
+    return float(_hurwitz_em(float(s), np.array([float(a)]))[0])
 
 
 @lru_cache(maxsize=8)
@@ -128,7 +126,7 @@ def _hurwitz_half(q: int) -> np.ndarray:
     cached array is shared and read-only."""
     u = np.arange(q, dtype=np.float64)
     u[0] = q
-    hz = _hurwitz_em(0.5, u / q, 24, 12)
+    hz = _hurwitz_em(0.5, u / q)
     hz.flags.writeable = False
     return hz
 
@@ -272,31 +270,29 @@ def _coprime_pairs(q: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=8)
-def _pairs(q: int, m_eff: int, z_floor: int
-           ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Coprime pairs (a, b) with ab <= m_eff as int64 columns
-    (ab, a mod q, b mod q), split into (head, tail) at ab <= z_floor.  The
-    cached arrays are shared and read-only."""
-    est = m_eff * (math.log(m_eff) + 1.0)
+def _pairs(q: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
+    """Coprime pairs (a, b) with lo < ab <= hi, hi >= 1, as int64 columns
+    (ab, a mod q, b mod q).  The cached arrays are shared and read-only."""
+    est = hi * (math.log(hi) + 1.0)
     if est > _MAX_PAIRS:
         raise ValueError(
             f"naive pair enumeration would need ~{est:.2e} entries; "
             "use spectra.compute_spectrum or fourth_moment at this modulus")
-    a, b = _coprime_pairs(q, m_eff)
+    a, b = _coprime_pairs(q, hi)
     ab = a * b
-    head = ab <= z_floor
-    parts = tuple((ab[k], a[k] % q, b[k] % q) for k in (head, ~head))
-    for col in parts[0] + parts[1]:
+    keep = ab > lo
+    cols = (ab[keep], a[keep] % q, b[keep] % q)
+    for col in cols:
         col.flags.writeable = False
-    return parts
+    return cols
 
 
 def _pair_terms(vals: np.ndarray, kp: np.ndarray,
                 pairs: tuple[np.ndarray, ...]) -> list[float]:
     """Re chi(a) chibar(b) kp[ab] over the pairs, from vals = chi(u) for
     every residue u.  The pairs (a, b) and (b, a) always sit in the same
-    part, and their imaginary parts are exact negatives, so the imaginary
-    sum is 0.0 and is not formed.
+    product range, and their imaginary parts are exact negatives, so the
+    imaginary sum is 0.0 and is not formed.
 
     Real arithmetic, one rounding per operation: each term is the same
     float wherever the pair sits in the arrays.  Callers add the terms
@@ -321,8 +317,9 @@ def abc_values(G: CharacterGroup, chi: CharacterLabel,
     q = G.q
     weights = _resolve_weights(q, cfg, weights)
     vals, kp = G.char_values(chi), weights.kprod[chi.parity]
-    head, tail = (_pair_terms(vals, kp, part)
-                  for part in _pairs(q, weights.m_eff, weights.z_floor))
+    z = weights.z_floor
+    head, tail = (_pair_terms(vals, kp, _pairs(q, lo, hi))
+                  for lo, hi in ((0, z), (z, weights.m_eff)))
     oracle = l_half_oracle(G, chi) if with_oracle else None
     return CentralValue(
         label=chi, q=q, a_value=math.fsum(head + tail),

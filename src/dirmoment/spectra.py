@@ -3,43 +3,48 @@
 Because chi(a) chibar(b) = chi(a b^{-1} mod q) on coprime pairs, the
 double sum A(chi) collapses to a single pass over residue classes:
 
-    S_a(u) = sum over coprime pairs with a b^{-1} = u (mod q),
-             product range fixed, of W_a(pi a b / q) / sqrt(ab)
+    S_a(u) = sum over coprime pairs with a b^{-1} = u (mod q) and
+             lo < ab <= hi of W_a(pi a b / q) / sqrt(ab)
     A(chi) = sum_u chi(u) S_a(u)        (a = parity of chi).
 
-The tables S are built once per modulus by one vectorized pair
-enumeration (bincount over u), then evaluated against every character at
-once by an FFT over the CRT exponent grid (group_transform).  Its
-oracle, _exact_transform, applies one exact-angle DFT matrix per CRT
-axis, with each angle e t / d reduced mod d in integers.  The two parity
-tables share one transform (_parity_transform) of T(u) = (S_0(u) +
-S_0(-u) + S_1(u) - S_1(-u)) / 2, the even part of S_0 plus the odd part
-of S_1: an even chi sums an odd table to zero and an odd chi an even one,
-so sum_u chi(u) T(u) = sum_u chi(u) S_a(u) on every chi of parity a, and
-T(u^-1) = T(u) keeps the values real up to rounding.
+Each call of _build_tables builds the pair (S_0, S_1) for one product
+range by one vectorized pair enumeration (bincount over u); the tables
+are then evaluated against every character at once by an FFT over the
+CRT exponent grid (group_transform).  Its oracle,
+_exact_transform, applies one exact-angle DFT matrix per CRT axis, with
+each angle e t / d reduced mod d in integers.  The two parity tables
+share one transform of the fold (_fold)
+
+    T(u) = (S_0(u) + S_0(-u) + S_1(u) - S_1(-u)) / 2,
+
+the even part of S_0 plus the odd part of S_1: an even chi sums an odd
+table to zero and an odd chi an even one, so sum_u chi(u) T(u) =
+sum_u chi(u) S_a(u) on every chi of parity a, and T(u^-1) = T(u) keeps
+the values real up to rounding.
 
 fourth_moment takes every central value from the Hurwitz route,
 
     L(1/2, chi) = q^(-1/2) sum_u chi(u) zeta(1/2, u/q),
 
 one group transform of a length-q table, and uses the tables only for
-the head B (products ab <= Z = q / 2^omega(q)); on primitive chi the
-tail is C = |L|^2 / 2 - B.  compute_spectrum builds both the B and the C
-tables and stays the independent route to every A = B + C; it consumes
-the same kernel values as the per-character pipeline in lfunc, so
-cross-pipeline comparisons isolate the summation reorganization.
-tail_moment_all sums C^2 over every character from the C tables by
-Parseval, with no transform.
+the head B (the range 0 < ab <= Z = q / 2^omega(q)); on primitive chi
+the tail is C = |L|^2 / 2 - B.  compute_spectrum builds the B tables on
+(0, Z] and the C tables on (Z, m_eff] and stays the independent route to
+every A = B + C; it consumes the same kernel values as the per-character
+pipeline in lfunc, so cross-pipeline comparisons isolate the summation
+reorganization.  tail_moment_all sums C^2 over every character as
+phi(q) sum_u T(u)^2 (Parseval) from the fold of the C tables, with no
+transform.
 
 Parity (which table a character reads) and primitivity (which characters
 a moment sums over) come from CharacterGroup.parity_grid() and
 conductor_grid(), in the label order the transform returns; this module
-reads neither the component kinds nor the factorization.
+does not classify characters itself.
 
 Determinism: the build is single-threaded and visits pairs in the fixed
-order of the Dirichlet hyperbola split (lfunc._coprime_pair_chunks): with
-s = isqrt(M), first a = 1..s with every b <= M/a, then b = 1..s with
-s < a <= M/b.  Reruns are bit-identical.
+order of the Dirichlet hyperbola split (lfunc._coprime_pair_chunks) up
+to the top M of its range: with s = isqrt(M), first a = 1..s with every
+b <= M/a, then b = 1..s with s < a <= M/b.  Reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -70,48 +75,31 @@ _FLUSH = 4_000_000        # pairs per enumerated batch and bincount
 _MAX_TABLE_PAIRS = 3e8    # cost cap on the table build
 
 
-def _build_tables(G: CharacterGroup, kw: KernelWeights,
-                  segments: tuple[tuple[int, int], ...]) -> list[np.ndarray]:
-    """Enumerate all coprime pairs once, in batches of hyperbola chunks;
-    scatter every batch into all tables with one bincount per parity.
-
-    The segments (lo, hi] must be contiguous and increasing; pairs with
-    ab <= the lowest bound are dropped.  Returns
-    [S_seg0_par0, S_seg0_par1, S_seg1_par0, ...] in fixed order.
-    """
+def _build_tables(G: CharacterGroup, kw: KernelWeights, lo: int,
+                  hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(S_0, S_1) over the coprime pairs with lo < ab <= hi: the pairs
+    up to hi are enumerated in batches of hyperbola chunks, and each
+    batch is scattered into both tables with one bincount per parity;
+    pairs with ab <= lo are dropped."""
     q = G.q
-    qq = max(q, 1)
-    if any(prev[1] != cur[0] for prev, cur in zip(segments, segments[1:])):
-        raise ValueError(f"segments must be contiguous, got {segments}")
-    lo_all = segments[0][0]
-    hi_all = segments[-1][1]
-    est = hi_all * (math.log(max(hi_all, 1)) + 1.0)
+    est = hi * (math.log(max(hi, 1)) + 1.0)
     if est > _MAX_TABLE_PAIRS:
         raise ValueError(
             f"table build at q = {q} needs ~{est:.2e} pairs, over the cost cap")
     # residue and inverse residue of every integer a pair coordinate can take
-    res = np.arange(hi_all + 1, dtype=np.int64) % qq
+    res = np.arange(hi + 1, dtype=np.int64) % q
     inv_res = G.inverse_table()[res]
-    # pairs with ab <= lo_all fill a leading segment that is not returned
-    bounds = [lo for lo, _ in segments[1:]]
-    skip = int(lo_all > 0)
-    if skip:
-        bounds.insert(0, lo_all)
-    size = (len(bounds) + 1) * qq
-    acc = [np.zeros(size), np.zeros(size)]
-    for a, b in _coprime_pair_chunks(q, hi_all, _FLUSH):
+    s0, s1 = np.zeros(q), np.zeros(q)
+    for a, b in _coprime_pair_chunks(q, hi, _FLUSH):
         m = a * b
-        # (segment, residue) as one index: segment * q + a b^-1 mod q
         idx = res[a]
         idx *= inv_res[b]
-        idx %= qq
-        for lo in bounds:
-            np.add(idx, qq, out=idx, where=m > lo)
-        for par in (0, 1):
-            acc[par] += np.bincount(idx, weights=kw.kprod[par][m],
-                                    minlength=size)
-    return [acc[par][si * qq:(si + 1) * qq]
-            for si in range(skip, len(bounds) + 1) for par in (0, 1)]
+        idx %= q
+        if lo:
+            idx[m <= lo] = q  # a spare bin, cut off below
+        s0 += np.bincount(idx, weights=kw.kprod[0][m], minlength=q + 1)[:q]
+        s1 += np.bincount(idx, weights=kw.kprod[1][m], minlength=q + 1)[:q]
+    return s0, s1
 
 
 def _grid(G: CharacterGroup, residue_values: np.ndarray) -> np.ndarray:
@@ -149,12 +137,11 @@ def _exact_transform(G: CharacterGroup, residue_values: np.ndarray) -> np.ndarra
     return out.ravel()
 
 
-def _parity_transform(G: CharacterGroup, s0: np.ndarray,
-                      s1: np.ndarray) -> np.ndarray:
-    """sum_u chi(u) S_a(u), a the parity of chi, for every chi from one
-    transform of the folded table T of the module docstring."""
+def _fold(s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
+    """The folded table T of the module docstring: sum_u chi(u) T(u) =
+    sum_u chi(u) S_a(u) on every chi, a the parity of chi."""
     neg = -np.arange(s0.size) % s0.size
-    return group_transform(G, 0.5 * ((s0 + s0[neg]) + (s1 - s1[neg])))
+    return 0.5 * ((s0 + s0[neg]) + (s1 - s1[neg]))
 
 
 @dataclass
@@ -182,9 +169,8 @@ def compute_spectrum(q: int, cfg: KernelConfig = KernelConfig(), *,
     """Tables + transform for every character mod q."""
     G = group if group is not None else build_group(q)
     kw = _resolve_weights(q, cfg, weights)
-    segments = ((0, kw.z_floor), (kw.z_floor, kw.m_eff))
-    sb0, sb1, sc0, sc1 = _build_tables(G, kw, segments)
-    vb, vc = _parity_transform(G, sb0, sb1), _parity_transform(G, sc0, sc1)
+    vb, vc = (group_transform(G, _fold(*_build_tables(G, kw, lo, hi)))
+              for lo, hi in ((0, kw.z_floor), (kw.z_floor, kw.m_eff)))
     return CharacterSpectrum(
         q=q, group=G, b_values=vb.real, c_values=vc.real,
         parity=G.parity_grid(), primitive=G.conductor_grid() == q,
@@ -240,12 +226,12 @@ def fourth_moment(q: int, cfg: KernelConfig = KernelConfig(), *,
     wall["kernel"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    sb = _build_tables(G, kw, ((0, kw.z_floor),))
+    sb = _build_tables(G, kw, 0, kw.z_floor)
     wall["tables"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     lt = group_transform(G, hz)
-    vb = _parity_transform(G, *sb)
+    vb = group_transform(G, _fold(*sb))
     wall["transform"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -274,19 +260,14 @@ def tail_moment_all(q: int, cfg: KernelConfig = KernelConfig(), *,
                     weights: Optional[KernelWeights] = None) -> float:
     """sum over ALL chi mod q of C(chi)^2, from the C tables by Parseval.
 
-    C(chi) = sum_u chi(u) S_C(u) is real (S_C(u) = S_C(u^-1)), and the
-    characters of parity a satisfy sum_chi chi(u) chibar(v) =
-    (phi/2)([u = v] + (-1)^a [u = -v]), so
+    C(chi) = sum_u chi(u) T(u) on every chi, T the fold of the C tables,
+    so the orthogonality of the characters gives
 
-        sum_{chi of parity a} C(chi)^2
-            = (phi/2) sum_u S_C(u) (S_C(u) + (-1)^a S_C(-u)).
+        sum_chi C(chi)^2 = phi(q) sum_u T(u)^2.
 
-    No transform is needed.  For q <= 2, -u = u: the odd sum vanishes and
-    the even one is phi sum_u S_C(u)^2, over every (even) character.
+    No transform is needed.
     """
     G = group if group is not None else build_group(q)
     kw = _resolve_weights(q, cfg, weights)
-    s0, s1 = _build_tables(G, kw, ((kw.z_floor, kw.m_eff),))
-    neg = -np.arange(q) % q
-    return G.group_order / 2.0 * (float(np.sum(s0 * (s0 + s0[neg])))
-                                  + float(np.sum(s1 * (s1 - s1[neg]))))
+    t = _fold(*_build_tables(G, kw, kw.z_floor, kw.m_eff))
+    return G.group_order * float(np.sum(t * t))

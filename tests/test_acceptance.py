@@ -107,7 +107,8 @@ def test_criterion_03_pipeline_equivalence():
         G = build_group(q)
         kw = kernel_weights(q, CFG)
         segments = ((0, kw.z_floor), (kw.z_floor, kw.m_eff))
-        for s in _build_tables(G, kw, segments):
+        for s in (t for lo, hi in segments
+                  for t in _build_tables(G, kw, lo, hi)):
             worst_fft = max(worst_fft, float(np.max(np.abs(
                 group_transform(G, s) - _exact_transform(G, s)))))
     ok = worst_moment <= 1e-9 and worst_fft <= 1e-12

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dirmoment import asymptotics, lfunc
 from dirmoment.arith import euler_phi, omega, two_pow_omega
 from dirmoment.asymptotics import (error_sum_E, lemma3_count, lemma4_check,
                                    lemma5_sums, m_direct, m_reparametrized,
@@ -70,6 +71,21 @@ def test_diagonal_brute_force_tiny():
                               / math.sqrt(a * b * c * d))
     want = 3 / 2 * total
     assert m_direct(q, CFG, weights=kw) == pytest.approx(want, rel=1e-13)
+
+
+def test_m_direct_refuses_before_any_work(monkeypatch):
+    # the pair count behind the cap comes before the kernel table and the
+    # pair enumeration, so neither runs when the cap refuses
+    def fail(*args, **kwargs):
+        raise AssertionError("m_direct built a table before its cap check")
+
+    monkeypatch.setattr(asymptotics, "_coprime_pairs", fail)
+    monkeypatch.setattr(lfunc, "kernel_weights", fail)
+    with pytest.raises(ValueError) as err:
+        m_direct(1000003)
+    assert str(err.value) == (
+        "direct quadruple enumeration at q = 1000003 needs 4.41e+13 checks;"
+        " use the reparametrized form")
 
 
 def test_breakdown_pieces():

@@ -57,6 +57,17 @@ def test_step_check_rejects_coarse_step():
     w_eval_batch(0, xs, KernelConfig(h=0.1))
 
 
+def test_step_check_passes_at_smallest_argument_of_max_q():
+    # x = pi/q at q = 9,999,991: a step-h/2 reference on the line c = 1
+    # is off from the series by 5.6e-11 (a = 0) and 1.65e-10 (a = 1),
+    # rounding amplified by x^(-c), which would refuse the table at the
+    # default eps; on the line c/2 it is off by under 1e-13
+    xs = np.array([math.pi / 9_999_991, 1.0])
+    for a in (0, 1):
+        got = w_eval_batch(a, xs)
+        assert got.tolist() == [w_series(a, float(x)) for x in xs]
+
+
 def _w_series_mp(a, x, dps=80):
     # the residue expansion of the module docstring in 80-digit arithmetic
     with mpmath.workdps(dps):

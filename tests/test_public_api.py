@@ -18,10 +18,12 @@ def test_every_exported_name_resolves(name):
 
 
 def test_removed_names_are_gone():
-    # one transform entry point, one compensated sum (math.fsum) and one
+    # one transform entry point, one compensated sum (math.fsum), one
     # home for the classification rule (CharacterGroup's per-axis tables)
+    # and one parity fold (spectra._fold)
     mods = [dirmoment, *(importlib.import_module(f"dirmoment.{m}")
                          for m in SUBMODULES)]
     for gone in ("all_char_sums", "weight_table", "ResidueWeightTable",
-                 "KahanSum", "parity_flat", "primitive_flat", "classify"):
+                 "KahanSum", "parity_flat", "primitive_flat", "classify",
+                 "_parity_transform"):
         assert not [m.__name__ for m in mods if hasattr(m, gone)], gone

@@ -27,8 +27,9 @@ def test_weight_table_segments_add_up():
     G = build_group(15)
     kw = kernel_weights(15, CFG)
     z, m = kw.z_floor, kw.m_eff
-    tb0, tb1, tc0, tc1 = _build_tables(G, kw, ((0, z), (z, m)))
-    ta0, ta1 = _build_tables(G, kw, ((0, m),))
+    tb0, tb1 = _build_tables(G, kw, 0, z)
+    tc0, tc1 = _build_tables(G, kw, z, m)
+    ta0, ta1 = _build_tables(G, kw, 0, m)
     np.testing.assert_allclose(tb0 + tc0, ta0, rtol=0, atol=1e-12)
     np.testing.assert_allclose(tb1 + tc1, ta1, rtol=0, atol=1e-12)
 
@@ -39,7 +40,7 @@ def test_weight_table_mass_is_coprime_pair_sum():
     q = 12
     G = build_group(q)
     kw = kernel_weights(q, CFG)
-    tables = _build_tables(G, kw, ((0, kw.m_eff),))
+    tables = _build_tables(G, kw, 0, kw.m_eff)
     for parity in (0, 1):
         direct = 0.0
         kp = kw.kprod[parity]
@@ -82,7 +83,8 @@ def test_build_tables_match_brute_force(q, flush, monkeypatch):
         u = a * np.array([pow(int(x), -1, q) for x in b], dtype=np.int64) % q
         z = min(kw.z_floor, m_eff)
         segments = ((0, z), (z, m_eff))
-        got = _build_tables(G, dataclasses.replace(kw, m_eff=m_eff), segments)
+        kw_m = dataclasses.replace(kw, m_eff=m_eff)
+        got = [s for lo, hi in segments for s in _build_tables(G, kw_m, lo, hi)]
         for si, (lo, hi) in enumerate(segments):
             sel = (m > lo) & (m <= hi)
             for par in (0, 1):
@@ -95,7 +97,8 @@ def test_build_tables_match_brute_force(q, flush, monkeypatch):
 def _tables(q):
     G = build_group(q)
     kw = kernel_weights(q, CFG)
-    return G, _build_tables(G, kw, ((0, kw.z_floor), (kw.z_floor, kw.m_eff)))
+    return G, [*_build_tables(G, kw, 0, kw.z_floor),
+               *_build_tables(G, kw, kw.z_floor, kw.m_eff)]
 
 
 def test_transform_principal_row_is_total_mass():
@@ -139,7 +142,7 @@ def test_parity_fold_matches_per_parity_oracle(q):
     for (s0, s1), got in ((tables[:2], spec.b_values),
                           (tables[2:], spec.c_values)):
         want = np.where(even, _exact_transform(G, s0), _exact_transform(G, s1))
-        fold = spectra._parity_transform(G, s0, s1)
+        fold = group_transform(G, spectra._fold(s0, s1))
         assert float(np.max(np.abs(fold - want))) <= 1e-12
         assert float(np.max(np.abs(got - want.real))) <= 1e-12
 
@@ -222,6 +225,16 @@ def test_moment_report_consistency():
     decomposition = 4.0 * (rep.b_moment + 2.0 * rep.cross_term
                            + rep.c_moment_primitive)
     assert rep.fourth_moment == pytest.approx(decomposition, rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [1009, 10007, 15015])
+def test_spectrum_b_moment_is_fourth_moment_b_moment(q):
+    # both build the B tables on the one range (0, z_floor] from the same
+    # kernel table, so their B values and sum* B^2 agree bit for bit
+    kw = kernel_weights(q, CFG)
+    spec = compute_spectrum(q, CFG, weights=kw)
+    b = spec.b_values[spec.primitive]
+    assert float(np.sum(b ** 2)) == fourth_moment(q, CFG, weights=kw).b_moment
 
 
 def test_moment_positive_and_ratio():
