@@ -180,9 +180,7 @@ class Lemma3Result:
 def _dyadic_pairs(z: float, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Ordered pairs (a, b) with z <= ab < 2z and (ab, k) = 1: the integer
     products ceil(z) <= ab <= ceil(2z) - 1."""
-    a, b = _coprime_pairs(k, math.ceil(2 * z) - 1)
-    keep = a * b >= math.ceil(z)
-    return a[keep], b[keep]
+    return _coprime_pairs(k, math.ceil(2 * z) - 1, math.ceil(z) - 1)
 
 
 def lemma3_count(k: int, z1: float, z2: float) -> Lemma3Result:

@@ -27,7 +27,7 @@ evaluated two independent ways:
     single point sums its nodes directly.  Conjugate symmetry folds the
     line onto t >= 0.  w_eval halves the step until two levels agree;
     w_eval_batch checks a quantile sample of its arguments against the
-    quadrature at step h/2 on the line Re s = c/2.
+    quadrature at step h/4 on the line Re s = c/2.
 
     The step error is governed by the pole of 1/s at distance c from the
     line: about 2 exp(-2 pi c / h) (Trefethen & Weideman, SIAM Review
@@ -100,7 +100,7 @@ _T_HARD = 400.0  # absolute ceiling on the truncation height
 _MAX_REFINE = 3  # step halvings w_eval allows before giving up
 _SERIES_TAIL = 1e-17  # tail bound that stops the residue series
 _SERIES_PATH = 2.0  # largest x w_eval_batch takes from the series
-_STEP_SAMPLES = 16  # arguments per batch re-evaluated at step h/2
+_STEP_SAMPLES = 16  # arguments per batch re-evaluated by the reference
 # Points per Horner pass.  Each node step rereads the whole accumulator,
 # so blocks that stay in cache run 3.6x faster at q = 100003 (764k points)
 # and 1.3x at q = 10007 than one pass over all points (2-vCPU VM).
@@ -216,14 +216,16 @@ def w_eval_batch(a: int, xs: np.ndarray,
     at step cfg.h on 2 < x < cfg.x_zero, with a sampled runtime check.
 
     _STEP_SAMPLES quantiles of x, the extremes included, are re-evaluated
-    by the quadrature at step cfg.h / 2 on the line Re s = cfg.c / 2 (a
+    by the quadrature at step cfg.h / 4 on the line Re s = cfg.c / 2 (a
     cross-method check on series samples, a step and line check on
     quadrature samples); a gap above cfg.eps raises KernelAccuracyError.
-    The pole of 1/s sits c/2 from that line, so its step error is the
-    same 2 exp(-2 pi c / h), about 1e-27 at the default step, and the gap
-    is rounding, largest at the smallest x, where x^(-c/2) amplifies the
-    reference's rounding: at x = pi/9999991 the gap is below 1e-13, and
-    on the line c it would be 1.65e-10, above the default eps.
+    The pole of 1/s sits c/2 from that line, so the reference's step error
+    is 2 exp(-4 pi c / h), the square of the checked values' bound, and a
+    coarse cfg.h shows in the gap at every x.  At the default step both
+    are far below rounding, and the gap is largest at the smallest x,
+    where x^(-c/2) amplifies the reference's rounding: at x = pi/9999991
+    it is below 1e-13, and on the line c it would be 1.65e-10, above the
+    default eps.
     """
     a = _check_parity(a)
     xs = np.asarray(xs, dtype=np.float64)
@@ -247,13 +249,13 @@ def w_eval_batch(a: int, xs: np.ndarray,
                       .astype(np.int64))
     pick = np.argpartition(x, ranks)[ranks]
     lx = np.log(x[pick])
-    c_ref, h_ref = 0.5 * cfg.c, 0.5 * cfg.h
+    c_ref, h_ref = 0.5 * cfg.c, 0.25 * cfg.h
     T_ref = _auto_T(a, c_ref, float(lx[0]), cfg.eps)
     ref = [_quad_point(a, float(v), c_ref, h_ref, T_ref) for v in lx]
     gap = float(np.max(np.abs(np.array(ref) - vals[pick])))
     if not gap <= cfg.eps:
         raise KernelAccuracyError(
-            f"kernel W_{a} differs from the quadrature at step h/2 on the"
+            f"kernel W_{a} differs from the quadrature at step h/4 on the"
             f" line c/2 by {gap:.3g} > eps = {cfg.eps} (c = {cfg.c},"
             f" h = {cfg.h}, T = {T_ref})")
     return out

@@ -222,50 +222,56 @@ class CentralValue:
     l_oracle: Optional[complex] = None
 
 
-def _coprime_pair_chunks(q: int, m: int, batch: int = _MAX_PAIRS
+def _coprime_pair_chunks(q: int, m: int, batch: int = _MAX_PAIRS, lo: int = 0
                          ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Every pair (a, b) of integers coprime to q with ab <= m, exactly
-    once, in the fixed order of the Dirichlet hyperbola split.
+    """Every pair (a, b) of integers coprime to q with lo < ab <= m,
+    exactly once, in the fixed order of the Dirichlet hyperbola split.
 
     With s = isqrt(m): first the chunks a = 1..s, each with every
-    b <= m // a in increasing order, then the chunks b = 1..s, each with
-    s < a <= m // b.  That is about 2 sqrt(m) chunks.  They are yielded
-    as int64 arrays (a, b) in batches of whole chunks, each batch closed
-    as soon as it holds at least `batch` pairs; a batch may span both
-    halves.
+    lo // a < b <= m // a in increasing order, then the chunks b = 1..s,
+    each with max(s, lo // b) < a <= m // b.  That is at most 2 sqrt(m)
+    chunks; a range that starts past 0 skips the products up to lo
+    instead of enumerating them.  They are yielded as int64 arrays (a, b)
+    in batches of whole chunks, each batch closed as soon as it holds at
+    least `batch` pairs; a batch may span both halves.
     """
     cop = np.flatnonzero(coprime_mask(q, m)[1:]) + 1  # coprime, in [1, m]
     s = math.isqrt(m)
     small = cop[:np.searchsorted(cop, s, side="right")].tolist()
     ends = np.searchsorted(cop, [m // x for x in small], side="right").tolist()
-    # (fixed value, cop slice of the varying coordinate); the a-chunks
-    # are the ones whose slice starts at 0
+    starts = np.searchsorted(cop, [lo // x for x in small], side="right").tolist()
+    # (fixed value, is an a-chunk, cop slice of the varying coordinate);
+    # the b-chunks vary a over cop[half:], the coprime a > s
     half = len(small)
-    chunks = [(x, 0, end) for x, end in zip(small, ends)]
-    chunks += [(x, half, end) for x, end in zip(small, ends) if end > half]
+    chunks = [(x, True, st, end) for x, st, end in zip(small, starts, ends)]
+    chunks += [(x, False, max(st, half), end)
+               for x, st, end in zip(small, starts, ends)]
+    chunks = [c for c in chunks if c[3] > c[2]]
     i = 0
     while i < len(chunks):
         j, n = i, 0
         while j < len(chunks) and n < batch:
-            _, lo, hi = chunks[j]
-            n += hi - lo
+            n += chunks[j][3] - chunks[j][2]
             j += 1
         a = np.empty(n, dtype=np.int64)
         b = np.empty(n, dtype=np.int64)
         o = 0
-        for x, lo, hi in chunks[i:j]:
-            fix, var = (a, b) if lo == 0 else (b, a)
-            fix[o:o + hi - lo] = x
-            var[o:o + hi - lo] = cop[lo:hi]
-            o += hi - lo
+        for x, is_a, st, end in chunks[i:j]:
+            fix, var = (a, b) if is_a else (b, a)
+            fix[o:o + end - st] = x
+            var[o:o + end - st] = cop[st:end]
+            o += end - st
         yield a, b
         i = j
 
 
-def _coprime_pairs(q: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair of _coprime_pair_chunks(q, m), m >= 1, as two int64
+def _coprime_pairs(q: int, m: int, lo: int = 0
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of _coprime_pair_chunks(q, m, lo=lo) as two int64
     arrays (a, b)."""
-    a, b = (np.concatenate(c) for c in zip(*_coprime_pair_chunks(q, m)))
+    empty = np.empty(0, dtype=np.int64)
+    a, b = (np.concatenate(c) for c in zip(
+        (empty, empty), *_coprime_pair_chunks(q, m, lo=lo)))
     return a, b
 
 
@@ -278,10 +284,8 @@ def _pairs(q: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
         raise ValueError(
             f"naive pair enumeration would need ~{est:.2e} entries; "
             "use spectra.compute_spectrum or fourth_moment at this modulus")
-    a, b = _coprime_pairs(q, hi)
-    ab = a * b
-    keep = ab > lo
-    cols = (ab[keep], a[keep] % q, b[keep] % q)
+    a, b = _coprime_pairs(q, hi, lo)
+    cols = (a * b, a % q, b % q)
     for col in cols:
         col.flags.writeable = False
     return cols

@@ -42,9 +42,10 @@ conductor_grid(), in the label order the transform returns; this module
 does not classify characters itself.
 
 Determinism: the build is single-threaded and visits pairs in the fixed
-order of the Dirichlet hyperbola split (lfunc._coprime_pair_chunks) up
-to the top M of its range: with s = isqrt(M), first a = 1..s with every
-b <= M/a, then b = 1..s with s < a <= M/b.  Reruns are bit-identical.
+order of the Dirichlet hyperbola split (lfunc._coprime_pair_chunks) over
+its range L < ab <= M: with s = isqrt(M), first a = 1..s with every
+L/a < b <= M/a, then b = 1..s with max(s, L/b) < a <= M/b.  Reruns are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -78,9 +79,8 @@ _MAX_TABLE_PAIRS = 3e8    # cost cap on the table build
 def _build_tables(G: CharacterGroup, kw: KernelWeights, lo: int,
                   hi: int) -> tuple[np.ndarray, np.ndarray]:
     """(S_0, S_1) over the coprime pairs with lo < ab <= hi: the pairs
-    up to hi are enumerated in batches of hyperbola chunks, and each
-    batch is scattered into both tables with one bincount per parity;
-    pairs with ab <= lo are dropped."""
+    are enumerated in batches of hyperbola chunks, and each batch is
+    scattered into both tables with one bincount per parity."""
     q = G.q
     est = hi * (math.log(max(hi, 1)) + 1.0)
     if est > _MAX_TABLE_PAIRS:
@@ -90,15 +90,13 @@ def _build_tables(G: CharacterGroup, kw: KernelWeights, lo: int,
     res = np.arange(hi + 1, dtype=np.int64) % q
     inv_res = G.inverse_table()[res]
     s0, s1 = np.zeros(q), np.zeros(q)
-    for a, b in _coprime_pair_chunks(q, hi, _FLUSH):
+    for a, b in _coprime_pair_chunks(q, hi, _FLUSH, lo):
         m = a * b
         idx = res[a]
         idx *= inv_res[b]
         idx %= q
-        if lo:
-            idx[m <= lo] = q  # a spare bin, cut off below
-        s0 += np.bincount(idx, weights=kw.kprod[0][m], minlength=q + 1)[:q]
-        s1 += np.bincount(idx, weights=kw.kprod[1][m], minlength=q + 1)[:q]
+        s0 += np.bincount(idx, weights=kw.kprod[0][m], minlength=q)
+        s1 += np.bincount(idx, weights=kw.kprod[1][m], minlength=q)
     return s0, s1
 
 

@@ -50,7 +50,7 @@ def test_batch_matches_scalar():
 
 def test_step_check_rejects_coarse_step():
     # at h = 2 the trapezoid sum is far from converged; the sampled
-    # comparison against step h/2 must refuse to return the table
+    # comparison against the reference quadrature must refuse the table
     xs = np.geomspace(1e-3, 10.0, 40)
     with pytest.raises(KernelAccuracyError):
         w_eval_batch(0, xs, KernelConfig(h=2.0))
@@ -66,6 +66,19 @@ def test_step_check_passes_at_smallest_argument_of_max_q():
     for a in (0, 1):
         got = w_eval_batch(a, xs)
         assert got.tolist() == [w_series(a, float(x)) for x in xs]
+
+
+def test_step_check_rejects_coarse_step_on_quadrature_only_batch():
+    # every argument is a quadrature argument (as in the kernel table at
+    # q = 1, where x = pi m > 2), so only the reference's smaller step
+    # error can show a coarse step: at h = 0.35 the values are off by
+    # about 1.6e-8, the pole term 1/(e^(2 pi c/h) - 1), which a reference
+    # with the same step-error term would cancel
+    xs = np.geomspace(2.5, 20.0, 40)
+    for a in (0, 1):
+        with pytest.raises(KernelAccuracyError):
+            w_eval_batch(a, xs, KernelConfig(h=0.35))
+        w_eval_batch(a, xs)
 
 
 def _w_series_mp(a, x, dps=80):
@@ -111,7 +124,7 @@ def test_head_table_matches_residue_series():
 
 def test_step_check_covers_series_only_batch():
     # every argument is a series argument, and the runtime check still
-    # compares samples against the quadrature at step h/2, here unconverged
+    # compares samples against the reference quadrature, here unconverged
     xs = np.geomspace(1e-3, 1.5, 40)
     with pytest.raises(KernelAccuracyError):
         w_eval_batch(0, xs, KernelConfig(h=2.0))
