@@ -94,6 +94,21 @@ def test_build_tables_match_brute_force(q, flush, monkeypatch):
                                            rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("q", [1, 2, 12, 45, 97])
+def test_pair_chunks_past_lo_are_the_full_order_filtered(q):
+    # starting each chunk past lo yields the pairs of the full
+    # enumeration with ab > lo, in the same order, at every lower bound
+    # (0, 1, the square root, past it, the top and beyond)
+    m = 600
+    full = np.concatenate([np.stack(p) for p in _coprime_pair_chunks(q, m)],
+                          axis=1)
+    for lo in (0, 1, 24, 25, 26, 599, 600, 700):
+        got = [np.stack(p) for p in _coprime_pair_chunks(q, m, 50, lo)]
+        got = np.concatenate(got, axis=1) if got else np.empty((2, 0), int)
+        want = full[:, full[0] * full[1] > lo]
+        assert np.array_equal(got, want), lo
+
+
 def _tables(q):
     G = build_group(q)
     kw = kernel_weights(q, CFG)
