@@ -183,18 +183,20 @@ class CharacterGroup:
         """u -> u^-1 mod q on units, 0 elsewhere.
 
         The inverse of a unit has component exponents (order - t) mod
-        order; its residue is read back through grid_flat_index.
+        order: on the grid of residues indexed by grid_flat_index, each
+        axis reversed and then rolled by one.  The inverse residue is read
+        back through grid_flat_index.
         """
         if self._inverse_table is None:
             gi = self.grid_flat_index()
-            units = np.flatnonzero(gi >= 0)
+            units = gi >= 0
             residue = np.empty(self.group_order, dtype=np.int64)
-            residue[gi[units]] = units
-            flat = np.ravel_multi_index(
-                [(c.order - c.dlog[units % c.pe]) % c.order
-                 for c in self.components], self.orders)
-            inv = np.zeros(self.q, dtype=np.int64)
-            inv[units] = residue[flat]
+            residue[gi[units]] = np.flatnonzero(units)
+            grid = residue.reshape(self.orders)
+            for axis in range(grid.ndim):
+                grid = np.roll(np.flip(grid, axis), 1, axis)
+            inv = grid.ravel()[gi]
+            inv[~units] = 0
             self._inverse_table = inv
         return self._inverse_table
 

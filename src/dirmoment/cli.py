@@ -104,12 +104,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     d = KernelConfig()
     p.add_argument("--kernel-c", type=float, default=d.c,
                    help="line abscissa of the kernel quadrature, which "
-                        "serves x > 2 and, at step h/4 on the line c/2, "
-                        "checks samples of every kernel table at runtime "
-                        f"(default {d.c})")
+                        "gives the nodes of the interpolant on x > 2 and, "
+                        "at step h/4 on the line c/2, checks samples of "
+                        f"every kernel table at runtime (default {d.c})")
     p.add_argument("--kernel-h", type=float, default=d.h,
-                   help=f"quadrature step for x > 2 (default {d.h}; step "
-                        "error about 2 exp(-2 pi c / h)); the runtime check "
+                   help="quadrature step of the interpolant's nodes on "
+                        f"x > 2 (default {d.h}; step error about "
+                        "2 exp(-2 pi c / h)); the runtime check "
                         "re-evaluates samples at h/4")
     p.add_argument("--kernel-eps", type=float, default=d.eps,
                    help=f"kernel accuracy target (default {d.eps:g})")

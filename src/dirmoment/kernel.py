@@ -3,11 +3,11 @@
     W_a(x) = (1/2 pi i) int_(c) [Gamma((s + 1/2 + a)/2) / Gamma((1/2 + a)/2)]^2
              x^(-s) ds / s,    a in {0, 1},  x > 0,
 
-evaluated two independent ways:
+evaluated three ways, each on its own range:
 
-  * w_eval_batch / w_series: the residue expansion obtained by shifting
-    the line to -infinity.  Every pole s = -(1/2 + a + 2k) is double,
-    giving
+  * w_eval_batch / w_series on 0 < x <= 2: the residue expansion obtained
+    by shifting the line to -infinity.  Every pole s = -(1/2 + a + 2k) is
+    double, giving
 
         W_a(x) = 1 - sum_{k>=0} (4 / (k!^2 G0^2 sigma_k)) x^sigma_k
                      (psi(k+1) + 1/sigma_k - ln x),
@@ -18,17 +18,23 @@ evaluated two independent ways:
     to 7 at x = 2 but 310 at x = 4 (a = 1), where the sum is off by up to
     5.7e-13 against 1e-17 for the quadrature.  So the series is the path
     on 0 < x <= 2 only; w_series accepts 0 < x <= 4.
-  * w_eval / w_eval_batch: trapezoid quadrature on the vertical line
-    Re s = c, the path on 2 < x < x_zero and the runtime reference of
-    the series.  The integrand is analytic in a strip of half-width c
-    around the line, so the trapezoid rule converges geometrically in
-    1/h.  The nodes t_k = k h are equally spaced, so for a batch the sum
-    is a polynomial in z = x^(-ih) and is evaluated by Horner's rule; a
-    few points (w_eval, the runtime reference) sum their nodes directly.
-    Conjugate symmetry folds the line onto t >= 0.  w_eval halves the
-    step until two levels agree; w_eval_batch checks a quantile sample of
-    its arguments against the quadrature at step h/4 on the line
-    Re s = c/2.
+  * w_eval_batch on 2 < x < x_zero: a Chebyshev interpolant in t = ln x
+    on [ln 2, ln x_zero].  The integral converges for |arg x| < pi/2, so
+    W_a(e^t) is analytic in the strip |Im t| < pi/2 and the interpolant
+    converges geometrically (Trefethen, Approximation Theory and
+    Approximation Practice, ch. 8): degree 38 on the default [2, 24].  Its
+    nodes come from the quadrature below, and it sits 7.8e-17 from the
+    exact W_1 there, the quadrature itself 5.2e-17.  It is rebuilt on
+    every call (about 0.3 ms), so a value does not depend on its batch.
+  * w_eval, the interpolant's nodes and the runtime reference: trapezoid
+    quadrature on the vertical line Re s = c.  The integrand is analytic
+    in a strip of half-width c around the line, so the trapezoid rule
+    converges geometrically in 1/h.  Conjugate symmetry folds the line
+    onto t >= 0, and the few points of a call sum their nodes directly.
+    w_eval halves the step until two levels agree; w_eval_batch checks a
+    quantile sample of its arguments against the quadrature at step h/4
+    on the line Re s = c/2, a cross-method check of the series and of the
+    interpolant alike.
 
     The step error is governed by the pole of 1/s at distance c from the
     line: about 2 exp(-2 pi c / h) (Trefethen & Weideman, SIAM Review
@@ -99,12 +105,14 @@ class KernelConfig:
 
 _T_HARD = 400.0  # absolute ceiling on the truncation height
 _MAX_REFINE = 3  # step halvings w_eval allows before giving up
-_SERIES_TAIL = 1e-17  # tail bound that stops the residue series
+_TAIL = 1e-17  # stops the residue series, sets the interpolant degree
 _SERIES_PATH = 2.0  # largest x w_eval_batch takes from the series
 _STEP_SAMPLES = 16  # arguments per batch re-evaluated by the reference
-# Points per Horner pass.  Each node step rereads the whole accumulator,
-# so blocks that stay in cache run 3.6x faster at q = 100003 (764k points)
-# and 1.3x at q = 10007 than one pass over all points (2-vCPU VM).
+# Points per pass of the series' Horner rule and the interpolant's
+# Clenshaw recurrence.  Each coefficient step rereads the accumulators, so
+# blocks that stay in cache run Clenshaw 3.3x faster at q = 100003 (700k
+# points), 4.3x at q = 1000003 and 1.1x at q = 10007 than one pass over
+# all points (2-vCPU VM).
 _HORNER_BLOCK = 32_768
 _PHASE_BLOCK = 32  # node phases per complex exp in _quad_points
 
@@ -159,24 +167,6 @@ def _nodes(a: int, c: float, h: float, T: float) -> np.ndarray:
     return coef
 
 
-def _quad_batch(a: int, log_x: np.ndarray, c: float, h: float, T: float) -> np.ndarray:
-    """Trapezoid sum at fixed step for a vector of log-arguments.
-
-    exp(-i t_k ln x) = z^k with z = exp(-i h ln x), so the node sum is a
-    polynomial in z, evaluated by Horner's rule from the top node down.
-    """
-    coef = _nodes(a, c, h, T)
-    out = np.empty(log_x.shape, dtype=np.float64)
-    for lo in range(0, log_x.size, _HORNER_BLOCK):
-        z = np.exp(-1j * h * log_x[lo:lo + _HORNER_BLOCK])
-        acc = np.full(z.shape, coef[-1])
-        for ck in coef[-2::-1]:
-            acc *= z
-            acc += ck
-        out[lo:lo + _HORNER_BLOCK] = acc.real
-    return out * np.exp(-c * log_x)
-
-
 def _quad_points(a: int, log_x: np.ndarray, c: float, h: float,
                  T: float) -> np.ndarray:
     """Trapezoid sum at fixed step for a few log-arguments, node by node.
@@ -224,13 +214,15 @@ def w_eval(a: int, x: float, cfg: KernelConfig = KernelConfig()) -> float:
 
 def w_eval_batch(a: int, xs: np.ndarray,
                  cfg: KernelConfig = KernelConfig()) -> np.ndarray:
-    """W_a at every argument: the residue series on x <= 2, the quadrature
-    at step cfg.h on 2 < x < cfg.x_zero, with a sampled runtime check.
+    """W_a at every argument: the residue series on x <= 2, the Chebyshev
+    interpolant on 2 < x < cfg.x_zero, whose nodes are the quadrature at
+    step cfg.h on the line cfg.c, with a sampled runtime check.
 
     _STEP_SAMPLES quantiles of x, the extremes included, are re-evaluated
     by the quadrature at step cfg.h / 4 on the line Re s = cfg.c / 2 (a
-    cross-method check on series samples, a step and line check on
-    quadrature samples); a gap above cfg.eps raises KernelAccuracyError.
+    cross-method check on series and interpolant samples, and a step and
+    line check of the interpolant's nodes); a gap above cfg.eps raises
+    KernelAccuracyError.
     The pole of 1/s sits c/2 from that line, so the reference's step error
     is 2 exp(-4 pi c / h), the square of the checked values' bound, and a
     coarse cfg.h shows in the gap at every x.  At the default step both
@@ -253,9 +245,7 @@ def w_eval_batch(a: int, xs: np.ndarray,
     if np.any(ser):
         vals[ser] = _series_batch(a, x[ser])
     if not np.all(ser):
-        lq = np.log(x[~ser])
-        T = _auto_T(a, cfg.c, float(lq.min()), cfg.eps)
-        vals[~ser] = _quad_batch(a, lq, cfg.c, cfg.h, T)
+        vals[~ser] = _cheb_batch(a, np.log(x[~ser]), cfg)
     out[live] = vals
     ranks = np.unique(np.linspace(0, x.size - 1, _STEP_SAMPLES).round()
                       .astype(np.int64))
@@ -273,6 +263,66 @@ def w_eval_batch(a: int, xs: np.ndarray,
     return out
 
 
+def _cheb_degree(log_width: float) -> int:
+    """Degree of the Chebyshev interpolant of W_a(e^t) on an interval of
+    length log_width in t.  W_a(e^t) is analytic in the strip
+    |Im t| < pi/2, which on the unit interval is the strip of half-width
+    d = pi / log_width; the largest Bernstein ellipse inside it has
+    rho = d + sqrt(d^2 + 1), and the coefficients decay like rho^(-k)
+    (Trefethen, Approximation Theory and Approximation Practice, ch. 8).
+    The degree takes them below _TAIL: 38 on the default [2, 24]."""
+    d = math.pi / log_width
+    return math.ceil(-math.log(_TAIL) / math.log(d + math.hypot(d, 1.0)))
+
+
+def _cheb_batch(a: int, log_x: np.ndarray, cfg: KernelConfig) -> np.ndarray:
+    """W_a at log-arguments in (ln 2, ln cfg.x_zero) from its Chebyshev
+    interpolant of degree n in t = ln x.
+
+    The n + 1 nodes are the Chebyshev points of the first kind, at the
+    angles theta_m = pi (2m + 1) / (2n + 2), evaluated by the quadrature
+    at step cfg.h on the line cfg.c.  One cosine sum over them gives the
+    coefficients, with every angle k theta_m reduced in integers first:
+    rounding k theta_m itself, up to 38 pi, put up to 3.0e-16 into W_1
+    near x = 2, against 7.8e-17 reduced.  Clenshaw's recurrence evaluates
+    the interpolant in blocks of _HORNER_BLOCK points.  The coefficients
+    depend on a and cfg only, so a value does not depend on its batch.
+    Trailing coefficients above cfg.eps raise KernelAccuracyError.
+    """
+    t0, t1 = math.log(_SERIES_PATH), math.log(cfg.x_zero)
+    n = _cheb_degree(t1 - t0)
+    N = n + 1
+    theta = (2 * np.arange(N) + 1) * (0.5 * math.pi / N)
+    nodes = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * np.cos(theta)
+    f = _quad_points(a, nodes, cfg.c, cfg.h, _auto_T(a, cfg.c, t0, cfg.eps))
+    r = np.multiply.outer(np.arange(N), 2 * np.arange(N) + 1) % (4 * N)
+    coef = (np.cos(r * (0.5 * math.pi / N)) * f).sum(axis=1)
+    coef *= 2.0 / N
+    coef[0] *= 0.5
+    tail = float(np.abs(coef[-2:]).max())
+    if not tail <= cfg.eps:
+        raise KernelAccuracyError(
+            f"Chebyshev interpolant of W_{a} on [2, {cfg.x_zero}] has"
+            f" trailing coefficients of {tail:.3g} > eps = {cfg.eps} at"
+            f" degree {n}")
+    out = np.empty(log_x.shape, dtype=np.float64)
+    for lo in range(0, log_x.size, _HORNER_BLOCK):
+        y = log_x[lo:lo + _HORNER_BLOCK] - 0.5 * (t0 + t1)
+        y *= 4.0 / (t1 - t0)  # 2 s, s the point on [-1, 1]
+        b1, b2, tmp = np.zeros(y.shape), np.zeros(y.shape), np.empty(y.shape)
+        for ck in coef[:0:-1]:  # b_k = c_k + 2 s b_(k+1) - b_(k+2)
+            np.multiply(y, b1, out=tmp)
+            tmp -= b2
+            tmp += ck
+            b1, b2, tmp = tmp, b1, b2
+        y *= 0.5  # W = c_0 + s b_1 - b_2
+        y *= b1
+        y -= b2
+        y += coef[0]
+        out[lo:lo + _HORNER_BLOCK] = y
+    return out
+
+
 def _series_batch(a: int, x: np.ndarray) -> np.ndarray:
     """The residue series at every x in (0, 4] as
 
@@ -282,7 +332,7 @@ def _series_batch(a: int, x: np.ndarray) -> np.ndarray:
     c_k = 4 / (k!^2 G0^2 sigma_k), by Horner's rule in blocks of
     _HORNER_BLOCK points.  Terms are added until a geometric tail bound at
     the largest x of the batch, which bounds the tail at every x, drops
-    below _SERIES_TAIL (25 terms at x = 4).
+    below _TAIL (25 terms at x = 4).
     """
     beta = 0.5 + a
     x_top = float(x.max())
@@ -299,7 +349,7 @@ def _series_batch(a: int, x: np.ndarray) -> np.ndarray:
         ratio = x_top * x_top / ((k + 1.0) * (k + 1.0))
         # magnitude envelope, immune to an accidental zero of the term
         bound = qc[-1] * xp * (abs(psi) + 1.0 / sigma + abs(math.log(x_top)))
-        if ratio < 0.8 and bound * 4.0 * ratio / (1.0 - ratio) < _SERIES_TAIL:
+        if ratio < 0.8 and bound * 4.0 * ratio / (1.0 - ratio) < _TAIL:
             break
         k += 1
         inv_kfac_sq /= k * k

@@ -213,6 +213,8 @@ def fourth_moment(q: int, cfg: KernelConfig = KernelConfig(), *,
     wall: dict[str, float] = {}
     t0 = time.perf_counter()
     G = group if group is not None else build_group(q)
+    G.grid_flat_index()  # the lazy tables the transform and the head
+    G.inverse_table()    # tables read, charged to this stage
     wall["group"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -101,14 +101,50 @@ def _w_series_mp(a, x, dps=80):
 
 
 def test_default_step_matches_residue_series():
-    # the batch against the exact kernel, series on x <= 2 and quadrature
-    # at the default step beyond; the quadrature alone was off by 2.0e-12
-    # at the smallest argument, rounding amplified by x^(-c)
+    # the batch against the exact kernel, series on x <= 2 and the
+    # interpolant beyond; the quadrature alone was off by 2.0e-12 at the
+    # smallest argument, rounding amplified by x^(-c)
     xs = np.geomspace(math.pi / 100003, 4.0, 16)
     for a in (0, 1):
         got = w_eval_batch(a, xs)
         want = np.array([_w_series_mp(a, float(x)) for x in xs])
         assert np.max(np.abs(got - want)) <= 1e-11, a
+
+
+def test_interpolant_matches_residue_series():
+    # on 2 < x < x_zero, where the double-precision series cancels, the
+    # Chebyshev interpolant against the series at 100 digits: measured
+    # 5.2e-18 (a = 0) and 6.2e-17 (a = 1), the quadrature alone 6.5e-18
+    # and 5.5e-17; with the cosine angles k theta_m rounded unreduced the
+    # a = 1 gap was 2.3e-16
+    xs = np.geomspace(2.001, 23.9, 30)
+    for a in (0, 1):
+        got = w_eval_batch(a, xs)
+        want = np.array([_w_series_mp(a, float(x), dps=100) for x in xs])
+        assert np.max(np.abs(got - want)) <= 1.5e-16, a
+
+
+def test_interpolated_value_does_not_depend_on_batch():
+    # the interpolant depends on a and the config only, so a value
+    # evaluated alone is the same float as inside a full table
+    q = 10007
+    kw = kernel_weights(q)
+    m = np.unique(np.geomspace(q, kw.m_eff, 25).round().astype(np.int64))
+    for a in (0, 1):
+        for k in m:
+            x = math.pi * float(k) / q
+            assert x > 2.0
+            assert w_eval_batch(a, np.array([x]))[0] == kw.w[a][k], (a, k)
+
+
+def test_interpolant_rejects_low_degree(monkeypatch):
+    # a degree too low for the strip leaves trailing coefficients far
+    # above eps, and the guard refuses the interpolant
+    xs = np.geomspace(2.5, 20.0, 40)
+    monkeypatch.setattr(kernel, "_cheb_degree", lambda log_width: 8)
+    for a in (0, 1):
+        with pytest.raises(KernelAccuracyError, match="trailing"):
+            w_eval_batch(a, xs)
 
 
 def test_head_table_matches_residue_series():
@@ -139,9 +175,10 @@ def test_scalar_series_is_one_element_batch():
 
 
 def test_horner_blocks_do_not_change_values(monkeypatch):
-    # the series (x <= 2) and the quadrature (x > 2) both run Horner in
-    # blocks of _HORNER_BLOCK points; a ragged last block included, each
-    # value is the same float whatever the block size
+    # the series (x <= 2, Horner's rule) and the interpolant (x > 2,
+    # Clenshaw's recurrence) both run in blocks of _HORNER_BLOCK points; a
+    # ragged last block included, each value is the same float whatever
+    # the block size
     xs = np.geomspace(1e-3, 20.0, 1001)
     default = [w_eval_batch(a, xs) for a in (0, 1)]
     monkeypatch.setattr(kernel, "_HORNER_BLOCK", 7)
