@@ -6,13 +6,12 @@ for the primitive-character fourth moment, and checks of the main-term
 asymptotics and supporting lemma-scale bounds.
 """
 
-from .arith import (Factorization, coprime_mask, divisor_count, divisors,
-                    euler_phi, euler_phi_sieve, factorize, mobius,
-                    mobius_sieve, omega, omega_sieve, phi_star, prime_sieve,
-                    two_pow_omega)
+from .arith import (Factorization, coprime_mask, divisors, euler_phi,
+                    factorize, mobius, omega, omega_sieve, phi_star,
+                    prime_sieve, two_pow_omega)
 from .chargroup import (CharacterGroup, CharacterLabel, build_group,
                         char_eval, exact_primitive_char_sum,
-                        exact_root_of_unity_sum, gauss_sum, primitive_count,
+                        exact_root_of_unity_sum, gauss_sum,
                         primitive_sum_lemma1, root_of_unity,
                         signed_sum_eq21)
 from .kernel import (KernelAccuracyError, KernelConfig, clear_kernel_cache,
@@ -34,13 +33,13 @@ __all__ = [
     "__version__",
     # arith
     "Factorization", "factorize", "mobius", "euler_phi", "omega",
-    "divisor_count", "two_pow_omega", "phi_star", "divisors",
-    "prime_sieve", "coprime_mask", "omega_sieve", "mobius_sieve", "euler_phi_sieve",
+    "two_pow_omega", "phi_star", "divisors",
+    "prime_sieve", "coprime_mask", "omega_sieve",
     # chargroup
     "CharacterGroup", "CharacterLabel", "build_group", "char_eval",
     "root_of_unity", "gauss_sum", "primitive_sum_lemma1",
     "signed_sum_eq21", "exact_root_of_unity_sum",
-    "exact_primitive_char_sum", "primitive_count",
+    "exact_primitive_char_sum",
     # kernel
     "KernelConfig", "KernelAccuracyError", "w_eval", "w_eval_batch",
     "w_series", "clear_kernel_cache",

@@ -1,15 +1,17 @@
 """Exact integer arithmetic and the multiplicative functions used everywhere else.
 
 Single-value functions (mobius, euler_phi, ...) are computed from a prime
-factorization, never by sieving, so there is one source of truth.  Sieve-backed
-bulk variants exist for range scans (omega_sieve and friends) and are
+factorization, never by sieving, so there is one source of truth.  The sieves
+(prime_sieve, coprime_mask, omega_sieve) serve range scans, and omega_sieve is
 cross-checked against the single-value path in the tests.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -19,21 +21,15 @@ __all__ = [
     "mobius",
     "euler_phi",
     "omega",
-    "divisor_count",
     "two_pow_omega",
     "phi_star",
     "divisors",
     "prime_sieve",
     "coprime_mask",
     "omega_sieve",
-    "mobius_sieve",
-    "euler_phi_sieve",
 ]
 
-_MAX_N = 2**63 - 1
-
-# Deterministic Miller-Rabin witnesses, sufficient for all n < 2^64.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MAX_N = 10**13  # trial division of a prime near this bound takes 0.25 s
 
 
 @dataclass(frozen=True)
@@ -65,91 +61,37 @@ class Factorization:
         return tuple(p for p, _ in self.factors)
 
 
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int) -> int:
-    """One nontrivial factor of composite n (n odd, not a prime power of 2)."""
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 64):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise ArithmeticError(f"pollard rho failed for {n}")  # pragma: no cover
+def _trial_divisors() -> Iterator[int]:
+    """2, 3, then every 6k +- 1 from 5 on."""
+    yield 2
+    yield 3
+    for k in itertools.count(6, 6):
+        yield k - 1
+        yield k + 1
 
 
 def factorize(n: int) -> Factorization:
-    """Factor n into prime powers.
-
-    Trial division handles everything at desk scale; Pollard rho with a
-    Miller-Rabin primality test takes over for large 64-bit inputs.
-    """
+    """Factor n into prime powers by trial division over 2, 3 and the
+    6k +- 1 wheel up to sqrt of the unfactored rest; n <= _MAX_N."""
     if not isinstance(n, (int, np.integer)):
         raise TypeError(f"expected an integer, got {type(n).__name__}")
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > _MAX_N:
-        raise ValueError(f"n = {n} exceeds the 63-bit support bound")
+        raise ValueError(f"n = {n} exceeds the trial-division bound {_MAX_N}")
 
     factors: dict[int, int] = {}
     m = n
-    for p in (2, 3, 5):
+    for p in _trial_divisors():
+        if p * p > m:
+            break
         while m % p == 0:
             factors[p] = factors.get(p, 0) + 1
             m //= p
-    # wheel over 6k +- 1 up to a fixed trial bound, then rho on the remainder
-    p = 7
-    step = 4
-    trial_bound = 1_000_000
-    while p * p <= m and p <= trial_bound:
-        while m % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            m //= p
-        p += step
-        step = 6 - step
-
-    stack = [m] if m > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-
-    return Factorization(n=n, factors=tuple(sorted(factors.items())))
+    if m > 1:  # a prime above every divisor tried
+        factors[m] = 1
+    return Factorization(n=n, factors=tuple(factors.items()))
 
 
 def mobius(n: int) -> int:
@@ -169,13 +111,6 @@ def euler_phi(n: int) -> int:
 
 def omega(n: int) -> int:
     return len(factorize(n).factors)
-
-
-def divisor_count(n: int) -> int:
-    out = 1
-    for _, e in factorize(n).factors:
-        out *= e + 1
-    return out
 
 
 def two_pow_omega(n: int) -> int:
@@ -241,24 +176,3 @@ def omega_sieve(limit: int) -> np.ndarray:
     for p in prime_sieve(limit):
         out[p::p] += 1
     return out
-
-
-def mobius_sieve(limit: int) -> np.ndarray:
-    """mu(n) for 0 <= n <= limit (mu(0) set to 0)."""
-    mu = np.ones(limit + 1, dtype=np.int8)
-    mu[0] = 0
-    for p in prime_sieve(limit):
-        mu[p::p] *= -1
-        p2 = p * p
-        if p2 <= limit:
-            mu[p2::p2] = 0
-    return mu
-
-
-def euler_phi_sieve(limit: int) -> np.ndarray:
-    """phi(n) for 0 <= n <= limit (phi(0) set to 0)."""
-    phi = np.arange(limit + 1, dtype=np.int64)
-    phi[0] = 0
-    for p in prime_sieve(limit):
-        phi[p::p] -= phi[p::p] // p
-    return phi

@@ -7,17 +7,19 @@ The head moment sum over primitive characters splits as
 where M collects the diagonal quadruples ac = bd,
 
     M = (phi*(q)/2) sum_{ab<=Z, cd<=Z, ac=bd, (abcd,q)=1}
-        [W_0(pi ab/q) W_0(pi cd/q) + W_1(pi ab/q) W_1(pi cd/q)] / sqrt(abcd),
+        [K_0(ab) K_0(cd) + K_1(ab) K_1(cd)],
 
-and E is the bounded (not computable in closed form) off-diagonal rest.
-Writing a = gr, b = gs, c = hs, d = hr with r, s coprime and n = rs turns
-M into
+with K_a(m) = W_a(pi m / q) / sqrt(m), the kernel in the form every
+smoothed sum reads (lfunc.KernelWeights.kprod), and E is the bounded (not
+computable in closed form) off-diagonal rest.  Writing a = gr, b = gs,
+c = hs, d = hr with r, s coprime and n = rs turns M into
 
-    M = (phi*(q)/2) sum_{a=0,1} sum_{n<=Z, (n,q)=1} (2^omega(n)/n)
-        ( sum_{g^2 n <= Z, (g,q)=1} W_a(pi g^2 n / q) / g )^2,
+    M = (phi*(q)/2) sum_{a=0,1} sum_{n<=Z, (n,q)=1} 2^omega(n)
+        ( sum_{g^2 n <= Z, (g,q)=1} K_a(g^2 n) )^2,
 
-an exact combinatorial identity checked here numerically by computing
-both sides from the same kernel values.  The closed-form leading term is
+since K_a(g^2 n) = W_a(pi g^2 n / q) / (g sqrt(n)): an exact
+combinatorial identity checked here numerically by computing both sides
+from the same kernel values.  The closed-form leading term is
 
     theorem_main_term(q) = (phi*(q) / 2 pi^2)
         prod_{p|q} (1-1/p)^3 / (1+1/p) * (log q)^4,
@@ -97,7 +99,7 @@ def m_direct(q: int, cfg: KernelConfig = KernelConfig(), *,
             f"{n**2:.2e} checks; use the reparametrized form")
     kw = _resolve_weights(q, cfg, weights, head_only=True)
     a, b = _coprime_pairs(q, z)
-    w0, w1 = kw.w
+    kp0, kp1 = kw.kprod
     terms: list[float] = []
     chunk = max(1, 4_000_000 // n)
     for lo in range(0, n, chunk):
@@ -105,8 +107,7 @@ def m_direct(q: int, cfg: KernelConfig = KernelConfig(), *,
         i, j = np.nonzero(np.multiply.outer(a[lo:lo + chunk], a)
                           == np.multiply.outer(b[lo:lo + chunk], b))
         ab, cd = a[lo + i] * b[lo + i], a[j] * b[j]
-        terms += ((w0[ab] * w0[cd] + w1[ab] * w1[cd])
-                  / np.sqrt((ab * cd).astype(np.float64))).tolist()
+        terms += (kp0[ab] * kp0[cd] + kp1[ab] * kp1[cd]).tolist()
     return phi_star(q) / 2.0 * math.fsum(terms)
 
 
@@ -116,16 +117,16 @@ def _repar_parts(q: int, kw: KernelWeights) -> tuple[float, float, int]:
     z = kw.z_floor
     z0_floor = q // 18 ** omega(q)
     cop = coprime_mask(q, z)
-    # s[a][n] = sum over coprime g with g^2 n <= z of W_a(pi g^2 n / q) / g,
+    # s[a][n] = sum over coprime g with g^2 n <= z of kprod[a][g^2 n],
     # each added from g = 1 upwards
     s = np.zeros((2, z + 1))
     for g in np.flatnonzero(cop[1:math.isqrt(z) + 1]) + 1:
         top = z // (g * g)
-        for w, sa in zip(kw.w, s):
-            sa[1:top + 1] += w[g * g:top * g * g + 1:g * g] / g
+        for kp, sa in zip(kw.kprod, s):
+            sa[1:top + 1] += kp[g * g:top * g * g + 1:g * g]
     n = np.flatnonzero(cop[1:]) + 1
     two_om = np.float64(2.0) ** omega_sieve(z)[n]
-    term = two_om / n * (s[0][n] * s[0][n] + s[1][n] * s[1][n])
+    term = two_om * (s[0][n] * s[0][n] + s[1][n] * s[1][n])
     head = n <= z0_floor
     return (math.fsum(term[head].tolist()), math.fsum(term[~head].tolist()),
             z0_floor)

@@ -558,9 +558,3 @@ def exact_primitive_char_sum(G: CharacterGroup, u: int,
         num = G.angle_num(chi, u)
         counts[num] += 1
     return exact_root_of_unity_sum(counts)
-
-
-def primitive_count(G: CharacterGroup) -> int:
-    """Number of primitive labels; equals phi_star(q) by construction checks."""
-    return sum(1 for chi in G.labels() if chi.primitive)
-

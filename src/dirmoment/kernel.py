@@ -3,7 +3,8 @@
     W_a(x) = (1/2 pi i) int_(c) [Gamma((s + 1/2 + a)/2) / Gamma((1/2 + a)/2)]^2
              x^(-s) ds / s,    a in {0, 1},  x > 0,
 
-evaluated three ways, each on its own range:
+evaluated three ways, each on its own range (w_eval_batch takes its
+arguments in ascending order and hands each method one slice):
 
   * w_eval_batch / w_series on 0 < x <= 2: the residue expansion obtained
     by shifting the line to -infinity.  Every pole s = -(1/2 + a + 2k) is
@@ -214,15 +215,19 @@ def w_eval(a: int, x: float, cfg: KernelConfig = KernelConfig()) -> float:
 
 def w_eval_batch(a: int, xs: np.ndarray,
                  cfg: KernelConfig = KernelConfig()) -> np.ndarray:
-    """W_a at every argument: the residue series on x <= 2, the Chebyshev
-    interpolant on 2 < x < cfg.x_zero, whose nodes are the quadrature at
-    step cfg.h on the line cfg.c, with a sampled runtime check.
+    """W_a at every argument of a 1-D array in ascending order: the
+    residue series on x <= 2, the Chebyshev interpolant on
+    2 < x < cfg.x_zero, whose nodes are the quadrature at step cfg.h on
+    the line cfg.c, and 0.0 from cfg.x_zero on, with a sampled runtime
+    check.  Two binary searches split the arguments into these three
+    slices, each written in place into the result.  Any other input
+    (unsorted, not 1-D, NaN, inf or x <= 0) raises ValueError.
 
-    _STEP_SAMPLES quantiles of x, the extremes included, are re-evaluated
-    by the quadrature at step cfg.h / 4 on the line Re s = cfg.c / 2 (a
-    cross-method check on series and interpolant samples, and a step and
-    line check of the interpolant's nodes); a gap above cfg.eps raises
-    KernelAccuracyError.
+    _STEP_SAMPLES quantiles of the arguments below cfg.x_zero, the
+    extremes included, are re-evaluated by the quadrature at step
+    cfg.h / 4 on the line Re s = cfg.c / 2 (a cross-method check on series
+    and interpolant samples, and a step and line check of the
+    interpolant's nodes); a gap above cfg.eps raises KernelAccuracyError.
     The pole of 1/s sits c/2 from that line, so the reference's step error
     is 2 exp(-4 pi c / h), the square of the checked values' bound, and a
     coarse cfg.h shows in the gap at every x.  At the default step both
@@ -233,28 +238,26 @@ def w_eval_batch(a: int, xs: np.ndarray,
     """
     a = _check_parity(a)
     xs = np.asarray(xs, dtype=np.float64)
-    if not np.all(np.isfinite(xs)) or np.any(xs <= 0):
-        raise ValueError("kernel arguments must be positive reals")
-    out = np.zeros(xs.shape, dtype=np.float64)
-    live = xs < cfg.x_zero
-    if not np.any(live):
+    if xs.ndim != 1 or xs.size and not (
+            xs[0] > 0 and xs[-1] < math.inf and np.all(xs[1:] >= xs[:-1])):
+        raise ValueError("kernel arguments must be a 1-D array of positive"
+                         " reals in ascending order")
+    out = np.zeros(xs.size)
+    i_ser = int(np.searchsorted(xs, _SERIES_PATH, side="right"))
+    i_zero = int(np.searchsorted(xs, cfg.x_zero))
+    if i_zero == 0:
         return out
-    x = xs[live]
-    vals = np.empty(x.shape)
-    ser = x <= _SERIES_PATH
-    if np.any(ser):
-        vals[ser] = _series_batch(a, x[ser])
-    if not np.all(ser):
-        vals[~ser] = _cheb_batch(a, np.log(x[~ser]), cfg)
-    out[live] = vals
-    ranks = np.unique(np.linspace(0, x.size - 1, _STEP_SAMPLES).round()
+    if i_ser:
+        _series_batch(a, xs[:i_ser], out[:i_ser])
+    if i_zero > i_ser:
+        _cheb_batch(a, xs[i_ser:i_zero], cfg, out[i_ser:i_zero])
+    ranks = np.unique(np.linspace(0, i_zero - 1, _STEP_SAMPLES).round()
                       .astype(np.int64))
-    pick = np.argpartition(x, ranks)[ranks]
-    lx = np.log(x[pick])
+    lx = np.log(xs[ranks])
     c_ref, h_ref = 0.5 * cfg.c, 0.25 * cfg.h
     T_ref = _auto_T(a, c_ref, float(lx[0]), cfg.eps)
     ref = _quad_points(a, lx, c_ref, h_ref, T_ref)
-    gap = float(np.max(np.abs(ref - vals[pick])))
+    gap = float(np.max(np.abs(ref - out[ranks])))
     if not gap <= cfg.eps:
         raise KernelAccuracyError(
             f"kernel W_{a} differs from the quadrature at step h/4 on the"
@@ -275,9 +278,10 @@ def _cheb_degree(log_width: float) -> int:
     return math.ceil(-math.log(_TAIL) / math.log(d + math.hypot(d, 1.0)))
 
 
-def _cheb_batch(a: int, log_x: np.ndarray, cfg: KernelConfig) -> np.ndarray:
-    """W_a at log-arguments in (ln 2, ln cfg.x_zero) from its Chebyshev
-    interpolant of degree n in t = ln x.
+def _cheb_batch(a: int, x: np.ndarray, cfg: KernelConfig,
+                out: np.ndarray) -> None:
+    """W_a at every x in (2, cfg.x_zero), written into out, from its
+    Chebyshev interpolant of degree n in t = ln x.
 
     The n + 1 nodes are the Chebyshev points of the first kind, at the
     angles theta_m = pi (2m + 1) / (2n + 2), evaluated by the quadrature
@@ -305,9 +309,9 @@ def _cheb_batch(a: int, log_x: np.ndarray, cfg: KernelConfig) -> np.ndarray:
             f"Chebyshev interpolant of W_{a} on [2, {cfg.x_zero}] has"
             f" trailing coefficients of {tail:.3g} > eps = {cfg.eps} at"
             f" degree {n}")
-    out = np.empty(log_x.shape, dtype=np.float64)
-    for lo in range(0, log_x.size, _HORNER_BLOCK):
-        y = log_x[lo:lo + _HORNER_BLOCK] - 0.5 * (t0 + t1)
+    for lo in range(0, x.size, _HORNER_BLOCK):
+        y = np.log(x[lo:lo + _HORNER_BLOCK])
+        y -= 0.5 * (t0 + t1)
         y *= 4.0 / (t1 - t0)  # 2 s, s the point on [-1, 1]
         b1, b2, tmp = np.zeros(y.shape), np.zeros(y.shape), np.empty(y.shape)
         for ck in coef[:0:-1]:  # b_k = c_k + 2 s b_(k+1) - b_(k+2)
@@ -320,11 +324,10 @@ def _cheb_batch(a: int, log_x: np.ndarray, cfg: KernelConfig) -> np.ndarray:
         y -= b2
         y += coef[0]
         out[lo:lo + _HORNER_BLOCK] = y
-    return out
 
 
-def _series_batch(a: int, x: np.ndarray) -> np.ndarray:
-    """The residue series at every x in (0, 4] as
+def _series_batch(a: int, x: np.ndarray, out: np.ndarray) -> None:
+    """The residue series at every x in (0, 4], written into out, as
 
         W_a(x) = 1 - x^beta [P(x^2) - ln x Q(x^2)],
         Q(y) = sum_k c_k y^k,  P(y) = sum_k c_k (psi(k+1) + 1/sigma_k) y^k,
@@ -355,7 +358,6 @@ def _series_batch(a: int, x: np.ndarray) -> np.ndarray:
         inv_kfac_sq /= k * k
         harmonic += 1.0 / k
         xp *= x_top * x_top
-    out = np.empty(x.shape)
     for lo in range(0, x.size, _HORNER_BLOCK):
         xb = x[lo:lo + _HORNER_BLOCK]
         y = xb * xb
@@ -366,7 +368,6 @@ def _series_batch(a: int, x: np.ndarray) -> np.ndarray:
             qy *= y
             qy += qk
         out[lo:lo + _HORNER_BLOCK] = 1.0 - xb**beta * (p - np.log(xb) * qy)
-    return out
 
 
 def w_series(a: int, x: float) -> float:
@@ -378,4 +379,6 @@ def w_series(a: int, x: float) -> float:
     if x > 4.0:
         raise ValueError(
             f"series form is restricted to 0 < x <= 4, got {x}")
-    return float(_series_batch(a, np.array([float(x)]))[0])
+    out = np.empty(1)
+    _series_batch(a, np.array([float(x)]), out)
+    return float(out[0])

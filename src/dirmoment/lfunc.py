@@ -148,18 +148,18 @@ def l_half_oracle(G: CharacterGroup, chi: CharacterLabel) -> complex:
 class KernelWeights:
     """Kernel values shared verbatim by every pipeline at one modulus.
 
-    w[a][m] = W_a(pi m / q) and kprod[a][m] = W_a(pi m / q) / sqrt(m) for
-    1 <= m <= m_eff; index 0 is zero padding.  m_eff is the effective
-    truncation: products beyond it sit past the kernel's hard zero cutoff
-    (or past the configured analytic truncation bound, whichever is
-    smaller), so every sum over ab can stop there.
+    kprod[a][m] = W_a(pi m / q) / sqrt(m) for 1 <= m <= m_eff, index 0
+    zero padding: every smoothed sum reads the kernel at a product m = ab
+    in this form.  m_eff is the effective truncation: products beyond it
+    sit past the kernel's hard zero cutoff (or past the configured
+    analytic truncation bound, whichever is smaller), so every sum over
+    ab can stop there.
     """
 
     q: int
     cfg: KernelConfig
     z_floor: int   # largest m with m * 2^omega(q) <= q
     m_eff: int
-    w: tuple[np.ndarray, np.ndarray]
     kprod: tuple[np.ndarray, np.ndarray]
 
 
@@ -181,16 +181,14 @@ def kernel_weights(q: int, cfg: KernelConfig = KernelConfig(), *,
     m_eff = truncation_bound(q, cfg)
     if head_only:
         m_eff = min(m_eff, z_floor)
-    m = np.arange(m_eff + 1, dtype=np.float64)
-    x = math.pi * m[1:] / q
-    w0 = np.zeros(m_eff + 1)
-    w1 = np.zeros(m_eff + 1)
-    w0[1:] = w_eval_batch(0, x, cfg)
-    w1[1:] = w_eval_batch(1, x, cfg)
-    inv_sqrt = np.zeros(m_eff + 1)
-    inv_sqrt[1:] = 1.0 / np.sqrt(m[1:])
-    return KernelWeights(q, cfg, z_floor, m_eff,
-                         (w0, w1), (w0 * inv_sqrt, w1 * inv_sqrt))
+    m = np.arange(1, m_eff + 1, dtype=np.float64)
+    x = math.pi * m / q
+    inv_sqrt = 1.0 / np.sqrt(m)
+    kprod = (np.zeros(m_eff + 1), np.zeros(m_eff + 1))
+    for a, kp in enumerate(kprod):
+        kp[1:] = w_eval_batch(a, x, cfg)
+        kp[1:] *= inv_sqrt
+    return KernelWeights(q, cfg, z_floor, m_eff, kprod)
 
 
 def _resolve_weights(q: int, cfg: KernelConfig,

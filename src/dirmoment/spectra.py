@@ -86,14 +86,13 @@ def _build_tables(G: CharacterGroup, kw: KernelWeights, lo: int,
     if est > _MAX_TABLE_PAIRS:
         raise ValueError(
             f"table build at q = {q} needs ~{est:.2e} pairs, over the cost cap")
-    # residue and inverse residue of every integer a pair coordinate can take
-    res = np.arange(hi + 1, dtype=np.int64) % q
-    inv_res = G.inverse_table()[res]
+    # inverse residue of every integer a pair coordinate can take; the
+    # products a * inv_res[b] < hi * q stay far inside int64
+    inv_res = G.inverse_table()[np.arange(hi + 1) % q]
     s0, s1 = np.zeros(q), np.zeros(q)
     for a, b in _coprime_pair_chunks(q, hi, _FLUSH, lo):
         m = a * b
-        idx = res[a]
-        idx *= inv_res[b]
+        idx = a * inv_res[b]
         idx %= q
         s0 += np.bincount(idx, weights=kw.kprod[0][m], minlength=q)
         s1 += np.bincount(idx, weights=kw.kprod[1][m], minlength=q)

@@ -9,7 +9,7 @@ from dirmoment.asymptotics import (error_sum_E, lemma3_count, lemma4_check,
                                    lemma5_sums, m_direct, m_reparametrized,
                                    main_term_breakdown, theorem_main_term)
 from dirmoment.chargroup import build_group
-from dirmoment.kernel import KernelConfig
+from dirmoment.kernel import KernelConfig, w_eval_batch
 from dirmoment.lfunc import abc_values, kernel_weights
 
 CFG = KernelConfig()
@@ -54,7 +54,8 @@ def test_diagonal_brute_force_tiny():
     q = 5
     kw = kernel_weights(q, CFG)
     z = kw.z_floor
-    w0, w1 = kw.w
+    xs = math.pi * np.arange(1, z + 1) / q
+    w0, w1 = (np.concatenate(([0.0], w_eval_batch(a, xs, CFG))) for a in (0, 1))
     total = 0.0
     for a in range(1, z + 1):
         for b in range(1, z + 1):

@@ -134,7 +134,8 @@ def test_interpolated_value_does_not_depend_on_batch():
         for k in m:
             x = math.pi * float(k) / q
             assert x > 2.0
-            assert w_eval_batch(a, np.array([x]))[0] == kw.w[a][k], (a, k)
+            w = w_eval_batch(a, np.array([x]))[0]
+            assert w * (1.0 / math.sqrt(k)) == kw.kprod[a][k], (a, k)
 
 
 def test_interpolant_rejects_low_degree(monkeypatch):
@@ -155,7 +156,7 @@ def test_head_table_matches_residue_series():
     m = np.unique(np.geomspace(1, kw.z_floor, 16).round().astype(np.int64))
     for a in (0, 1):
         want = np.array([_w_series_mp(a, math.pi * int(k) / q) for k in m])
-        assert np.max(np.abs(kw.w[a][m] - want)) <= 1e-14, a
+        assert np.max(np.abs(kw.kprod[a][m] * np.sqrt(m) - want)) <= 1e-14, a
 
 
 def test_step_check_covers_series_only_batch():
@@ -192,8 +193,38 @@ def test_default_step_converged_over_table():
     cfg = KernelConfig()
     fine = dataclasses.replace(cfg, h=cfg.h / 2)
     kw, kw_fine = kernel_weights(10007, cfg), kernel_weights(10007, fine)
+    sqrt_m = np.sqrt(np.arange(kw.m_eff + 1))
     for a in (0, 1):
-        assert np.max(np.abs(kw.w[a] - kw_fine.w[a])) <= 1e-12, a
+        gap = np.abs(kw.kprod[a] - kw_fine.kprod[a]) * sqrt_m
+        assert np.max(gap) <= 1e-12, a
+
+
+@pytest.mark.parametrize("xs", [
+    [2.0, 1.0], [0.5, 3.0, 1.0], [0.5, math.nan, 3.0], [math.nan],
+    [0.5, math.inf], [0.0, 1.0], [-1.0, 1.0], [[0.5, 1.0], [1.5, 2.0]],
+], ids=["descending", "unsorted", "nan", "nan-only", "inf", "zero",
+        "negative", "2-d"])
+def test_batch_rejects_other_than_ascending_positive_1d(xs):
+    with pytest.raises(ValueError, match="ascending"):
+        w_eval_batch(0, np.array(xs))
+
+
+def test_batch_on_empty_input_is_empty():
+    for a in (0, 1):
+        assert w_eval_batch(a, np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("head_only", [True, False])
+def test_table_is_batch_times_inverse_sqrt(head_only):
+    # kprod[a][m] is W_a(pi m / q) rounded once by 1/sqrt(m), whatever the
+    # table's extent
+    q = 10007
+    kw = kernel_weights(q, head_only=head_only)
+    m = np.arange(1, kw.m_eff + 1, dtype=np.float64)
+    for a in (0, 1):
+        want = w_eval_batch(a, math.pi * m / q) * (1.0 / np.sqrt(m))
+        assert kw.kprod[a][0] == 0.0
+        assert np.array_equal(kw.kprod[a][1:], want), a
 
 
 def test_limits():

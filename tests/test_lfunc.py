@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dirmoment.chargroup import build_group, char_eval
-from dirmoment.kernel import KernelConfig
+from dirmoment.kernel import KernelConfig, w_eval_batch
 from dirmoment.lfunc import (_hurwitz_half, abc_values, hurwitz_zeta,
                              kernel_weights, l_half_oracle, truncation_bound)
 
@@ -164,11 +164,12 @@ def test_kernel_weights_structure():
     kw = kernel_weights(12, cfg)
     assert kw.q == 12
     assert kw.m_eff == truncation_bound(12, cfg)
+    xs = math.pi * np.arange(kw.m_eff + 1) / 12
     for par in (0, 1):
-        w = kw.w[par]
+        w = np.concatenate(([0.0], w_eval_batch(par, xs[1:], cfg)))
         kp = kw.kprod[par]
-        assert len(w) == kw.m_eff + 1
-        assert w[0] == 0.0 and kp[0] == 0.0
+        assert len(kp) == kw.m_eff + 1
+        assert kp[0] == 0.0
         for m in (1, 2, 5, kw.m_eff):
             assert kp[m] == pytest.approx(w[m] / math.sqrt(m), rel=1e-14,
                                           abs=0.0)
@@ -178,8 +179,9 @@ def test_kernel_weights_positive_decreasing():
     # checked above the quadrature noise floor only: the last few entries
     # before the hard cutoff are ~1e-19 and dominated by roundoff
     kw = kernel_weights(30, KernelConfig())
+    sqrt_m = np.sqrt(np.arange(1, kw.m_eff + 1))
     for par in (0, 1):
-        w = kw.w[par][1:]
+        w = kw.kprod[par][1:] * sqrt_m
         head = w[w > 1e-12]
         assert len(head) > 100
         assert np.all(head > 0)

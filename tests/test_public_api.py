@@ -20,10 +20,13 @@ def test_every_exported_name_resolves(name):
 def test_removed_names_are_gone():
     # one transform entry point, one compensated sum (math.fsum), one
     # home for the classification rule (CharacterGroup's per-axis tables)
-    # and one parity fold (spectra._fold)
+    # and one parity fold (spectra._fold); no exports without a caller,
+    # and trial division as the only factorization
     mods = [dirmoment, *(importlib.import_module(f"dirmoment.{m}")
                          for m in SUBMODULES)]
     for gone in ("all_char_sums", "weight_table", "ResidueWeightTable",
                  "KahanSum", "parity_flat", "primitive_flat", "classify",
-                 "_parity_transform"):
+                 "_parity_transform", "mobius_sieve", "euler_phi_sieve",
+                 "divisor_count", "primitive_count", "_is_probable_prime",
+                 "_pollard_rho", "_MR_WITNESSES"):
         assert not [m.__name__ for m in mods if hasattr(m, gone)], gone
