@@ -180,7 +180,8 @@ class Lemma3Result:
 
 def _dyadic_pairs(z: float, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Ordered pairs (a, b) with z <= ab < 2z and (ab, k) = 1: the integer
-    products ceil(z) <= ab <= ceil(2z) - 1."""
+    products ceil(z) <= ab <= ceil(2z) - 1, each unordered pair and its
+    swap.  The count reads them in any order."""
     return _coprime_pairs(k, math.ceil(2 * z) - 1, math.ceil(z) - 1)
 
 

@@ -19,13 +19,16 @@ membership test is the exact integer predicate a*b * 2^omega(q) <= q.  A
 sum over the head B needs kernel values up to Z only
 (kernel_weights(..., head_only=True)).
 
-The double sum visits the coprime pairs of the head (0 < ab <= Z) and
-of the tail (Z < ab <= m_eff), each range enumerated and cached on its
-own, in no particular order within a range, gathers its terms with
-numpy and adds them with math.fsum: A, B and C are each the correctly
-rounded sum of their terms, so they do not depend on term order and
-reruns are bit-identical.  The oracle fsums chi(a) zeta(1/2, a/q) the
-same way, from one table of Hurwitz values per modulus.
+The double sum visits each unordered coprime pair a <= b of the head
+(0 < ab <= Z) and of the tail (Z < ab <= m_eff) once, each range
+enumerated and cached on its own.  The term of (b, a) is the same float
+as the term of (a, b), so a pair off the diagonal enters as its term
+doubled (an exact operation) and a diagonal pair a = b as its term once.
+The terms are gathered with numpy and added with math.fsum: A, B and C
+are each the correctly rounded sum over the ordered pairs, so they do not
+depend on term order and reruns are bit-identical.  The oracle fsums
+chi(a) zeta(1/2, a/q) the same way, from one table of Hurwitz values per
+modulus.
 """
 
 from __future__ import annotations
@@ -222,68 +225,76 @@ class CentralValue:
 
 def _coprime_pair_chunks(q: int, m: int, batch: int = _MAX_PAIRS, lo: int = 0
                          ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Every pair (a, b) of integers coprime to q with lo < ab <= m,
-    exactly once, in the fixed order of the Dirichlet hyperbola split.
+    """Every unordered pair a <= b of integers coprime to q with
+    lo < ab <= m, exactly once, in a fixed order.
 
-    With s = isqrt(m): first the chunks a = 1..s, each with every
-    lo // a < b <= m // a in increasing order, then the chunks b = 1..s,
-    each with max(s, lo // b) < a <= m // b.  That is at most 2 sqrt(m)
-    chunks; a range that starts past 0 skips the products up to lo
-    instead of enumerating them.  They are yielded as int64 arrays (a, b)
-    in batches of whole chunks, each batch closed as soon as it holds at
-    least `batch` pairs; a batch may span both halves.
+    With s = isqrt(m): one chunk per a = 1..s, each with every
+    max(a, lo // a + 1) <= b <= m // a in increasing order.  A range that
+    starts past 0 skips the products up to lo instead of enumerating
+    them.  The chunks are yielded as int64 arrays (a, b) in batches of
+    whole chunks, each batch closed as soon as it holds at least `batch`
+    pairs.  The pair (b, a) is left to the caller: its term equals that
+    of (a, b) in every smoothed sum.
     """
     cop = np.flatnonzero(coprime_mask(q, m)[1:]) + 1  # coprime, in [1, m]
-    s = math.isqrt(m)
-    small = cop[:np.searchsorted(cop, s, side="right")].tolist()
-    ends = np.searchsorted(cop, [m // x for x in small], side="right").tolist()
-    starts = np.searchsorted(cop, [lo // x for x in small], side="right").tolist()
-    # (fixed value, is an a-chunk, cop slice of the varying coordinate);
-    # the b-chunks vary a over cop[half:], the coprime a > s
-    half = len(small)
-    chunks = [(x, True, st, end) for x, st, end in zip(small, starts, ends)]
-    chunks += [(x, False, max(st, half), end)
-               for x, st, end in zip(small, starts, ends)]
-    chunks = [c for c in chunks if c[3] > c[2]]
+    small = cop[:np.searchsorted(cop, math.isqrt(m), side="right")].tolist()
+    ends = np.searchsorted(cop, [m // a for a in small], side="right").tolist()
+    starts = np.searchsorted(cop, [lo // a for a in small], side="right").tolist()
+    # cop slice of b per a-chunk; cop[i] = small[i] = a, so b >= a from i
+    chunks = [(a, max(i, st), end)
+              for i, (a, st, end) in enumerate(zip(small, starts, ends))]
+    chunks = [c for c in chunks if c[2] > c[1]]
     i = 0
     while i < len(chunks):
         j, n = i, 0
         while j < len(chunks) and n < batch:
-            n += chunks[j][3] - chunks[j][2]
+            n += chunks[j][2] - chunks[j][1]
             j += 1
         a = np.empty(n, dtype=np.int64)
         b = np.empty(n, dtype=np.int64)
         o = 0
-        for x, is_a, st, end in chunks[i:j]:
-            fix, var = (a, b) if is_a else (b, a)
-            fix[o:o + end - st] = x
-            var[o:o + end - st] = cop[st:end]
+        for x, st, end in chunks[i:j]:
+            a[o:o + end - st] = x
+            b[o:o + end - st] = cop[st:end]
             o += end - st
         yield a, b
         i = j
 
 
-def _coprime_pairs(q: int, m: int, lo: int = 0
-                   ) -> tuple[np.ndarray, np.ndarray]:
+def _unordered_pairs(q: int, m: int, lo: int = 0
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Every pair of _coprime_pair_chunks(q, m, lo=lo) as two int64
-    arrays (a, b)."""
+    arrays (a, b), a <= b."""
     empty = np.empty(0, dtype=np.int64)
     a, b = (np.concatenate(c) for c in zip(
         (empty, empty), *_coprime_pair_chunks(q, m, lo=lo)))
     return a, b
 
 
+def _coprime_pairs(q: int, m: int, lo: int = 0
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered pair (a, b) of integers coprime to q with
+    lo < ab <= m, as two int64 arrays: the unordered pairs a <= b, then
+    the swaps (b, a) of those with a < b."""
+    a, b = _unordered_pairs(q, m, lo)
+    off = a != b
+    return np.concatenate((a, b[off])), np.concatenate((b, a[off]))
+
+
 @lru_cache(maxsize=8)
 def _pairs(q: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
-    """Coprime pairs (a, b) with lo < ab <= hi, hi >= 1, as int64 columns
-    (ab, a mod q, b mod q).  The cached arrays are shared and read-only."""
+    """Unordered coprime pairs a <= b with lo < ab <= hi, hi >= 1, as
+    columns (ab, a mod q, b mod q, mult): int64, and mult the float64
+    count of ordered pairs each one stands for, 2 off the diagonal and 1
+    on it.  The size check counts ordered pairs.  The cached arrays are
+    shared and read-only."""
     est = hi * (math.log(hi) + 1.0)
     if est > _MAX_PAIRS:
         raise ValueError(
             f"naive pair enumeration would need ~{est:.2e} entries; "
             "use spectra.compute_spectrum or fourth_moment at this modulus")
-    a, b = _coprime_pairs(q, hi, lo)
-    cols = (a * b, a % q, b % q)
+    a, b = _unordered_pairs(q, hi, lo)
+    cols = (a * b, a % q, b % q, np.where(a == b, 1.0, 2.0))
     for col in cols:
         col.flags.writeable = False
     return cols
@@ -291,19 +302,21 @@ def _pairs(q: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
 
 def _pair_terms(vals: np.ndarray, kp: np.ndarray,
                 pairs: tuple[np.ndarray, ...]) -> list[float]:
-    """Re chi(a) chibar(b) kp[ab] over the pairs, from vals = chi(u) for
-    every residue u.  The pairs (a, b) and (b, a) always sit in the same
-    product range, and their imaginary parts are exact negatives, so the
-    imaginary sum is 0.0 and is not formed.
+    """Re chi(a) chibar(b) kp[ab] times mult over the unordered pairs of
+    _pairs, from vals = chi(u) for every residue u.  The ordered pairs
+    (a, b) and (b, a) give the same real part, bit for bit (products
+    commute), and imaginary parts that are exact negatives, so the
+    imaginary sum is 0.0 and is not formed, and one term doubled (an
+    exact operation) stands for both.
 
     Real arithmetic, one rounding per operation: each term is the same
     float wherever the pair sits in the arrays.  Callers add the terms
-    with math.fsum, which is correctly rounded and so independent of
-    their order.
+    with math.fsum, which is correctly rounded and so gives the same
+    float as a sum over the ordered pairs, in any order.
     """
-    ab, ua, ub = pairs
+    ab, ua, ub, mult = pairs
     xa, xb = vals[ua], vals[ub]
-    return ((xa.real * xb.real + xa.imag * xb.imag) * kp[ab]).tolist()
+    return ((xa.real * xb.real + xa.imag * xb.imag) * kp[ab] * mult).tolist()
 
 
 def abc_values(G: CharacterGroup, chi: CharacterLabel,

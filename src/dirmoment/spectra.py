@@ -8,7 +8,9 @@ double sum A(chi) collapses to a single pass over residue classes:
     A(chi) = sum_u chi(u) S_a(u)        (a = parity of chi).
 
 Each call of _build_tables builds the pair (S_0, S_1) for one product
-range by one vectorized pair enumeration (bincount over u); the tables
+range by one vectorized enumeration of the unordered pairs a <= b
+(bincount over u), then symmetrizes, S(u) + S(u^-1), since the pair
+(b, a) has the weight of (a, b) and the inverse residue; the tables
 are then evaluated against every character at once by an FFT over the
 CRT exponent grid (group_transform).  Its oracle,
 _exact_transform, applies one exact-angle DFT matrix per CRT axis, with
@@ -41,11 +43,12 @@ a moment sums over) come from CharacterGroup.parity_grid() and
 conductor_grid(), in the label order the transform returns; this module
 does not classify characters itself.
 
-Determinism: the build is single-threaded and visits pairs in the fixed
-order of the Dirichlet hyperbola split (lfunc._coprime_pair_chunks) over
-its range L < ab <= M: with s = isqrt(M), first a = 1..s with every
-L/a < b <= M/a, then b = 1..s with max(s, L/b) < a <= M/b.  Reruns are
-bit-identical.
+Determinism: the build is single-threaded and visits the unordered
+pairs of its range L < ab <= M in a fixed order
+(lfunc._coprime_pair_chunks): with s = isqrt(M), a = 1..s, each with
+every max(a, L/a) < b <= M/a.  The symmetrization adds the two halves in
+either order to the same float, so S(u^-1) == S(u) bit for bit.  Reruns
+are bit-identical.
 """
 
 from __future__ import annotations
@@ -78,24 +81,36 @@ _MAX_TABLE_PAIRS = 3e8    # cost cap on the table build
 
 def _build_tables(G: CharacterGroup, kw: KernelWeights, lo: int,
                   hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """(S_0, S_1) over the coprime pairs with lo < ab <= hi: the pairs
-    are enumerated in batches of hyperbola chunks, and each batch is
-    scattered into both tables with one bincount per parity."""
+    """(S_0, S_1) over the coprime pairs with lo < ab <= hi.
+
+    The unordered pairs a <= b are enumerated in batches of chunks, and
+    each batch is scattered into both tables with one bincount per
+    parity, the diagonal pairs a = b at half weight.  The pair (b, a)
+    has the same weight as (a, b) and the inverse residue, so the tables
+    are S(u) + S(u^-1): symmetric bit for bit, and each diagonal pair
+    (all on the residue 1 mod q) counted once, since doubling is exact.
+    The cost cap counts ordered pairs."""
     q = G.q
     est = hi * (math.log(max(hi, 1)) + 1.0)
     if est > _MAX_TABLE_PAIRS:
         raise ValueError(
             f"table build at q = {q} needs ~{est:.2e} pairs, over the cost cap")
+    inv = G.inverse_table()
     # inverse residue of every integer a pair coordinate can take; the
     # products a * inv_res[b] < hi * q stay far inside int64
-    inv_res = G.inverse_table()[np.arange(hi + 1) % q]
+    inv_res = inv[np.arange(hi + 1) % q]
     s0, s1 = np.zeros(q), np.zeros(q)
     for a, b in _coprime_pair_chunks(q, hi, _FLUSH, lo):
         m = a * b
         idx = a * inv_res[b]
         idx %= q
-        s0 += np.bincount(idx, weights=kw.kprod[0][m], minlength=q)
-        s1 += np.bincount(idx, weights=kw.kprod[1][m], minlength=q)
+        diag = np.flatnonzero(a == b)
+        for kp, s in zip(kw.kprod, (s0, s1)):
+            w = kp[m]
+            w[diag] *= 0.5
+            s += np.bincount(idx, weights=w, minlength=q)
+    for s in (s0, s1):
+        s += s[inv]
     return s0, s1
 
 

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from dirmoment import asymptotics, lfunc
-from dirmoment.arith import euler_phi, omega, two_pow_omega
+from dirmoment.arith import euler_phi, omega, phi_star, two_pow_omega
 from dirmoment.asymptotics import (error_sum_E, lemma3_count, lemma4_check,
                                    lemma5_sums, m_direct, m_reparametrized,
                                    main_term_breakdown, theorem_main_term)
 from dirmoment.chargroup import build_group
 from dirmoment.kernel import KernelConfig, w_eval_batch
-from dirmoment.lfunc import abc_values, kernel_weights
+from dirmoment.lfunc import _coprime_pairs, abc_values, kernel_weights
 
 CFG = KernelConfig()
 
@@ -72,6 +72,33 @@ def test_diagonal_brute_force_tiny():
                               / math.sqrt(a * b * c * d))
     want = 3 / 2 * total
     assert m_direct(q, CFG, weights=kw) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("q", [1, 5, 12, 97])
+def test_coprime_pairs_are_the_ordered_pairs(q):
+    # the unordered pairs plus their swaps: every ordered coprime pair of
+    # the range exactly once, at ranges holding squares on either end
+    for m, lo in ((1, 0), (100, 0), (100, 49), (144, 0), (144, 12),
+                  (600, 299), (600, 600)):
+        a, b = _coprime_pairs(q, m, lo)
+        got = list(zip(a.tolist(), b.tolist()))
+        want = {(x, y) for x in range(1, m + 1) for y in range(1, m // x + 1)
+                if x * y > lo and math.gcd(x * y, q) == 1}
+        assert len(got) == len(want) and set(got) == want, (m, lo)
+
+
+@pytest.mark.parametrize("q", [5, 12, 97, 163])
+def test_m_direct_is_the_fsum_over_ordered_quadruples(q):
+    # the quadruple sum over ordered head pairs from a gcd loop, rounded
+    # once: m_direct gives the same float, whatever its pair order
+    kw = kernel_weights(q, CFG, head_only=True)
+    z = kw.z_floor
+    kp0, kp1 = kw.kprod
+    pairs = [(a, b) for a in range(1, z + 1) for b in range(1, z // a + 1)
+             if math.gcd(a * b, q) == 1]
+    terms = [kp0[a * b] * kp0[c * d] + kp1[a * b] * kp1[c * d]
+             for a, b in pairs for c, d in pairs if a * c == b * d]
+    assert m_direct(q, CFG, weights=kw) == phi_star(q) / 2.0 * math.fsum(terms)
 
 
 def test_m_direct_refuses_before_any_work(monkeypatch):

@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from dirmoment.asymptotics import error_sum_E
 from dirmoment.chargroup import build_group, char_eval
 from dirmoment.kernel import KernelConfig, w_eval_batch
 from dirmoment.lfunc import (_hurwitz_half, abc_values, hurwitz_zeta,
@@ -235,6 +236,39 @@ def test_abc_matches_scalar_loop():
             assert abs(cv.b_value - math.fsum(head)) <= 1e-14
             assert abs(cv.c_value - math.fsum(tail)) <= 1e-14
             assert abs(cv.a_value - math.fsum(head + tail)) <= 1e-14
+
+
+def _ordered_pairs(q, lo, hi):
+    """Every ordered coprime pair (a, b) with lo < ab <= hi, from a gcd
+    double loop, as int64 arrays."""
+    pairs = [(a, b) for a in range(1, hi + 1) if math.gcd(a, q) == 1
+             for b in range(lo // a + 1, hi // a + 1) if math.gcd(b, q) == 1]
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+
+
+@pytest.mark.parametrize("q", [5, 12, 163, 168, 179])
+def test_unordered_sums_equal_ordered_fsums_bitwise(q):
+    # each unordered pair stands for its two orders by one exact doubling
+    # (the diagonal once), so A, B, C and the B^2 total of error_sum_E
+    # are the correctly rounded sums over the ordered pairs, bit for bit;
+    # the terms are formed with the arithmetic of lfunc._pair_terms
+    G = build_group(q)
+    kw = kernel_weights(q, KernelConfig())
+    z = kw.z_floor
+    ranges = [_ordered_pairs(q, lo, hi) for lo, hi in ((0, z), (z, kw.m_eff))]
+    b_sq = []
+    for chi in G.labels():
+        vals, kp = G.char_values(chi), kw.kprod[chi.parity]
+        head, tail = (((vals[a % q].real * vals[b % q].real
+                        + vals[a % q].imag * vals[b % q].imag)
+                       * kp[a * b]).tolist() for a, b in ranges)
+        cv = abc_values(G, chi, weights=kw)
+        assert cv.b_value == math.fsum(head)
+        assert cv.c_value == math.fsum(tail)
+        assert cv.a_value == math.fsum(head + tail)
+        if chi.primitive:
+            b_sq.append(math.fsum(head) ** 2)
+    assert error_sum_E(q, weights=kw, group=G).b_sq_sum == math.fsum(b_sq)
 
 
 def test_abc_split_is_consistent():

@@ -59,25 +59,23 @@ def test_weight_table_mass_is_coprime_pair_sum():
     pytest.param(1009, 5000, id="1009-batched"),
 ])
 def test_build_tables_match_brute_force(q, flush, monkeypatch):
-    # the hyperbola chunks against a plain gcd double loop scattered with
-    # np.add.at; the second range is a perfect square, where the diagonal
-    # pair a = b = isqrt(m_eff) sits on the split and must count once.
-    # With a small batch the build sums over several bincounts, and one
-    # batch spans the end of the a-chunks and the start of the b-chunks.
+    # the unordered chunks, scattered and symmetrized, against a plain
+    # gcd double loop over the ordered pairs scattered with np.add.at;
+    # the second range is a perfect square, where the diagonal pair
+    # a = b = isqrt(m_eff) closes the enumeration and must count once.
+    # With a small batch the build sums over several bincounts.
     if flush is not None:
         monkeypatch.setattr(spectra, "_FLUSH", flush)
     G = build_group(q)
     kw = kernel_weights(q, CFG)
     for m_eff in (kw.m_eff, math.isqrt(kw.m_eff) ** 2):
         if flush is not None:
-            s = math.isqrt(m_eff)
             batches = [a for a, _ in _coprime_pair_chunks(q, m_eff, flush)]
             assert len(batches) > 2
-            assert any(a[0] <= s < a[-1] for a in batches)
         pairs = [(a, b) for a in range(1, m_eff + 1) if math.gcd(a, q) == 1
                  for b in range(1, m_eff // a + 1) if math.gcd(b, q) == 1]
         assert (sum(b.size for _, b in _coprime_pair_chunks(q, m_eff))
-                == len(pairs))
+                == sum(a <= b for a, b in pairs))
         a, b = np.array(pairs, dtype=np.int64).T
         m = a * b
         u = a * np.array([pow(int(x), -1, q) for x in b], dtype=np.int64) % q
@@ -92,6 +90,27 @@ def test_build_tables_match_brute_force(q, flush, monkeypatch):
                 np.add.at(want, u[sel], kw.kprod[par][m[sel]])
                 np.testing.assert_allclose(got[2 * si + par], want,
                                            rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("q", [1, 2, 12, 97, 1009, 15015])
+def test_tables_are_inverse_symmetric_and_count_each_pair_once(q):
+    # the build scatters each unordered pair once and symmetrizes, so
+    # S_a(u^-1) == S_a(u) bit for bit on the head and the tail; and the
+    # mass of each table is sum over coprime n in its range of d(n) kp[n],
+    # every ordered pair once, each diagonal pair a = b once
+    G = build_group(q)
+    kw = kernel_weights(q, CFG)
+    inv = G.inverse_table()
+    m = kw.m_eff
+    d = np.zeros(m + 1, dtype=np.int64)  # d(n) on n coprime to q, else 0
+    for x in range(1, m + 1):
+        d[x::x] += 1
+    d[np.gcd(np.arange(m + 1), q) != 1] = 0
+    for lo, hi in ((0, kw.z_floor), (kw.z_floor, m)):
+        for s, kp in zip(_build_tables(G, kw, lo, hi), kw.kprod):
+            assert np.array_equal(s[inv], s)
+            mass = math.fsum((d[lo + 1:hi + 1] * kp[lo + 1:hi + 1]).tolist())
+            assert math.fsum(s.tolist()) == pytest.approx(mass, rel=1e-13)
 
 
 @pytest.mark.parametrize("q", [1, 2, 12, 45, 97])
