@@ -43,7 +43,6 @@ import numpy as np
 from .arith import (coprime_mask, euler_phi, factorize, omega, omega_sieve,
                     phi_star, two_pow_omega)
 from .chargroup import CharacterGroup, build_group
-from .kernel import KernelConfig
 from .lfunc import (KernelWeights, _coprime_pairs, _pair_terms, _pairs,
                     _resolve_weights)
 from .numerics import EULER_GAMMA, ZETA2
@@ -81,7 +80,7 @@ def theorem_main_term(q: int) -> float:
     return phi_star(q) / (2 * math.pi**2) * prod * math.log(q) ** 4
 
 
-def m_direct(q: int, cfg: KernelConfig = KernelConfig(), *,
+def m_direct(q: int, *,
              weights: Optional[KernelWeights] = None) -> float:
     """Diagonal main term by literal quadruple enumeration over ac = bd.
 
@@ -97,7 +96,7 @@ def m_direct(q: int, cfg: KernelConfig = KernelConfig(), *,
         raise ValueError(
             f"direct quadruple enumeration at q = {q} needs "
             f"{n**2:.2e} checks; use the reparametrized form")
-    kw = _resolve_weights(q, cfg, weights, head_only=True)
+    kw = _resolve_weights(q, weights, head_only=True)
     a, b = _coprime_pairs(q, z)
     kp0, kp1 = kw.kprod
     terms: list[float] = []
@@ -132,10 +131,10 @@ def _repar_parts(q: int, kw: KernelWeights) -> tuple[float, float, int]:
             z0_floor)
 
 
-def m_reparametrized(q: int, cfg: KernelConfig = KernelConfig(), *,
+def m_reparametrized(q: int, *,
                      weights: Optional[KernelWeights] = None) -> float:
     """Diagonal main term via the a=gr, b=gs, c=hs, d=hr grouping."""
-    kw = _resolve_weights(q, cfg, weights, head_only=True)
+    kw = _resolve_weights(q, weights, head_only=True)
     head, tail, _ = _repar_parts(q, kw)
     return phi_star(q) / 2.0 * (head + tail)
 
@@ -154,11 +153,11 @@ class MainTermBreakdown:
     relative_error_budget: float  # (omega(q)/log q) sqrt(q/phi(q))
 
 
-def main_term_breakdown(q: int, cfg: KernelConfig = KernelConfig(), *,
+def main_term_breakdown(q: int, *,
                         weights: Optional[KernelWeights] = None) -> MainTermBreakdown:
     if q < 3:
         raise ValueError("breakdown needs q >= 3 so log q > 0")
-    kw = _resolve_weights(q, cfg, weights, head_only=True)
+    kw = _resolve_weights(q, weights, head_only=True)
     head, tail, z0 = _repar_parts(q, kw)
     pref = phi_star(q) / 2.0
     thm = theorem_main_term(q)
@@ -291,7 +290,7 @@ class ErrorSumResult:
     envelope: float    # q (log q)^3
 
 
-def error_sum_E(q: int, cfg: KernelConfig = KernelConfig(), *,
+def error_sum_E(q: int, *,
                 weights: Optional[KernelWeights] = None,
                 group: Optional[CharacterGroup] = None) -> ErrorSumResult:
     """Off-diagonal remainder E = sum*|B|^2 - M, measured directly.
@@ -301,7 +300,7 @@ def error_sum_E(q: int, cfg: KernelConfig = KernelConfig(), *,
     """
     if q < 3:
         raise ValueError("error sum needs q >= 3 so log q > 0")
-    kw = _resolve_weights(q, cfg, weights, head_only=True)
+    kw = _resolve_weights(q, weights, head_only=True)
     G = group if group is not None else build_group(q)
     head = _pairs(q, 0, kw.z_floor)
     sq = []
@@ -310,7 +309,7 @@ def error_sum_E(q: int, cfg: KernelConfig = KernelConfig(), *,
             continue
         sq.append(math.fsum(_pair_terms(G.char_values(chi),
                                         kw.kprod[chi.parity], head)) ** 2)
-    m_val = m_reparametrized(q, cfg, weights=kw)
+    m_val = m_reparametrized(q, weights=kw)
     b_sq = math.fsum(sq)
     return ErrorSumResult(q=q, b_sq_sum=b_sq, m_value=m_val,
                           e_measured=b_sq - m_val,

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from .arith import euler_phi, omega
 from .chargroup import (build_group, exact_primitive_char_sum, gauss_sum,
                         primitive_sum_lemma1, signed_sum_eq21)
-from .kernel import KernelConfig
 from .lfunc import abc_values, kernel_weights
 from .spectra import tail_moment_all
 from .asymptotics import (error_sum_E, lemma3_count, lemma4_check,
@@ -123,18 +122,17 @@ def gauss_modulus(qmax: int):
 
 
 @_sweep
-def oracle_equation(cfg: KernelConfig = KernelConfig(),
-                    moduli=(3, 4, 5, 7, 8, 9, 11, 12, 13, 16)):
+def oracle_equation(moduli=(3, 4, 5, 7, 8, 9, 11, 12, 13, 16)):
     """|L(1/2, chi)|^2 from the Hurwitz oracle against the smoothed 2A on
     every primitive chi, within 1e-6 relative; worst is the largest
     relative gap."""
     for q in moduli:
         G = build_group(q)
-        kw = kernel_weights(q, cfg)
+        kw = kernel_weights(q)
         for chi in G.labels():
             if not chi.primitive:
                 continue
-            cv = abc_values(G, chi, cfg, weights=kw, with_oracle=True)
+            cv = abc_values(G, chi, weights=kw, with_oracle=True)
             lhs = abs(cv.l_oracle) ** 2
             rel = abs(lhs - 2.0 * cv.a_value) / abs(lhs)
             yield rel, rel > 1e-6 and {"check": "oracle_equation", "q": q,
@@ -143,15 +141,14 @@ def oracle_equation(cfg: KernelConfig = KernelConfig(),
 
 
 @_sweep
-def diagonal_equality(cfg: KernelConfig = KernelConfig(),
-                      moduli=(5, 7, 8, 9, 12)):
+def diagonal_equality(moduli=(5, 7, 8, 9, 12)):
     """Diagonal main term by quadruple enumeration against the
     reparametrized sum, within 1e-10 relative; worst is the largest
     relative gap."""
     for q in moduli:
-        kw = kernel_weights(q, cfg)
-        a = m_direct(q, cfg, weights=kw)
-        b = m_reparametrized(q, cfg, weights=kw)
+        kw = kernel_weights(q)
+        a = m_direct(q, weights=kw)
+        b = m_reparametrized(q, weights=kw)
         rel = abs(a - b) / max(abs(a), abs(b))
         yield rel, rel > 1e-10 and {"check": "diagonal_equality", "q": q,
                                     "direct": a, "reparametrized": b,
@@ -210,11 +207,11 @@ def lemma3():
 
 
 @_sweep
-def error_sum(cfg: KernelConfig = KernelConfig()):
+def error_sum():
     """Measured off-diagonal remainder |E| under 5% of q (log q)^3; worst
     is the largest |E| / envelope."""
     for q in (5, 12, 45, 60):
-        r = error_sum_E(q, cfg)
+        r = error_sum_E(q)
         yield (abs(r.e_measured) / r.envelope,
                abs(r.e_measured) > 0.05 * r.envelope and {
                    "check": "error_sum", "q": q, "e_measured": r.e_measured,
@@ -222,11 +219,11 @@ def error_sum(cfg: KernelConfig = KernelConfig()):
 
 
 @_sweep
-def tail(qmax: int, cfg: KernelConfig = KernelConfig()):
+def tail(qmax: int):
     """sum over all chi of C^2 under its stated envelope for 3 <= q <= qmax;
     worst is the largest value / envelope."""
     for q in range(3, qmax + 1):
-        c_all = tail_moment_all(q, cfg)
+        c_all = tail_moment_all(q)
         env = (q * (euler_phi(q) / q) ** 5
                * (max(omega(q), 1) * math.log(q)) ** 2 + q * math.log(q) ** 3)
         yield c_all / env, c_all > env and {"check": "tail_moment", "q": q,

@@ -14,11 +14,17 @@ Subcommands:
 The verify commands run the sweeps of dirmoment.checks, the same ones the
 acceptance tests run, and print one line per sweep family.
 
+The kernel runs at its one configuration, kernel.KernelConfig(); no
+subcommand takes kernel settings.
+
 Exit codes: 0 success, 1 a verification check failed, 2 usage error
 (the subcommand's usage and the offending argument go to stderr; an
 empty sweep range, any --qmax* below 1, is one) or a rejected input: a
-ValueError or KernelAccuracyError raised by the subcommand becomes
-"dirmoment: error: <type>: <message>" on stderr.
+ValueError (bad input, a cost cap) or KernelAccuracyError (the kernel's
+runtime check failed) raised by the subcommand becomes
+"dirmoment: error: <type>: <message>" on stderr.  A scan row whose
+ratio is nan (main term 0: no primitive characters, or q = 1) also
+prints a warning to stderr.
 All floats are rendered with %.17g so byte-identical reruns mean
 bit-identical numbers; timing columns default to 0 and only carry real
 measurements under --timings, keeping default output reproducible.
@@ -36,7 +42,7 @@ import numpy as np
 
 from . import checks
 from .chargroup import build_group
-from .kernel import KernelAccuracyError, KernelConfig, w_eval_batch
+from .kernel import KernelAccuracyError, w_eval_batch
 from .lfunc import abc_values, kernel_weights
 from .spectra import fourth_moment, tail_moment_all
 from .asymptotics import m_reparametrized
@@ -87,11 +93,6 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _kernel_cfg(args: argparse.Namespace) -> KernelConfig:
-    return KernelConfig(c=args.kernel_c, h=args.kernel_h, eps=args.kernel_eps,
-                        x_zero=args.x_zero)
-
-
 def positive_int(text: str) -> int:
     """Top of a sweep range; an empty range is a usage error."""
     value = int(text)
@@ -101,28 +102,11 @@ def positive_int(text: str) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    d = KernelConfig()
-    p.add_argument("--kernel-c", type=float, default=d.c,
-                   help="line abscissa of the kernel quadrature, which "
-                        "gives the nodes of the interpolant on x > 2 and, "
-                        "at step h/4 on the line c/2, checks samples of "
-                        f"every kernel table at runtime (default {d.c})")
-    p.add_argument("--kernel-h", type=float, default=d.h,
-                   help="quadrature step of the interpolant's nodes on "
-                        f"x > 2 (default {d.h}; step error about "
-                        "2 exp(-2 pi c / h)); the runtime check "
-                        "re-evaluates samples at h/4")
-    p.add_argument("--kernel-eps", type=float, default=d.eps,
-                   help=f"kernel accuracy target (default {d.eps:g})")
-    p.add_argument("--x-zero", type=float, default=d.x_zero,
-                   help=f"hard zero cutoff for the kernel argument "
-                        f"(default {d.x_zero})")
     p.add_argument("--out", help="write output to this file instead of stdout")
 
 
 def _cmd_moment(args: argparse.Namespace) -> int:
-    cfg = _kernel_cfg(args)
-    rep = fourth_moment(args.q, cfg)
+    rep = fourth_moment(args.q)
     payload: dict = {
         "q": rep.q,
         "phi_star": rep.phi_star,
@@ -150,16 +134,18 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if args.qmin < 1 or args.qmax < args.qmin:
         args.parser.error(f"need 1 <= --qmin <= --qmax, got --qmin "
                           f"{args.qmin} --qmax {args.qmax}")
-    cfg = _kernel_cfg(args)
     lines = [_SCAN_HEADER]
     for q in range(args.qmin, args.qmax + 1):
         t0 = time.perf_counter()
         G = build_group(q)
-        kw = kernel_weights(q, cfg)
-        rep = fourth_moment(q, cfg, group=G, weights=kw)
-        c_all = tail_moment_all(q, cfg, group=G, weights=kw)
-        e_meas = rep.b_moment - m_reparametrized(q, cfg, weights=kw)
+        kw = kernel_weights(q)
+        rep = fourth_moment(q, group=G, weights=kw)
+        c_all = tail_moment_all(q, group=G, weights=kw)
+        e_meas = rep.b_moment - m_reparametrized(q, weights=kw)
         wall_ms = (time.perf_counter() - t0) * 1000.0 if args.timings else 0.0
+        if math.isnan(rep.ratio):
+            print(f"warning: ratio is nan at q = {q}: the main term is 0 "
+                  f"(phi_star = {rep.phi_star})", file=sys.stderr)
         lines.append(",".join((
             str(q), str(rep.phi_star),
             fmt_float(rep.fourth_moment), fmt_float(rep.main_term),
@@ -171,14 +157,13 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_value(args: argparse.Namespace) -> int:
-    cfg = _kernel_cfg(args)
     G = build_group(args.q)
     if not 0 <= args.char < G.group_order:
         args.parser.error(f"--char must be in [0, {G.group_order}) for "
                           f"--q {args.q}, got {args.char}")
     chi = G.label_at(args.char)
     want_oracle = chi.primitive and G.q >= 3 and not args.no_oracle
-    cv = abc_values(G, chi, cfg, with_oracle=want_oracle)
+    cv = abc_values(G, chi, with_oracle=want_oracle)
     payload = {
         "q": args.q,
         "char": args.char,
@@ -218,7 +203,6 @@ def _run_sweeps(args: argparse.Namespace, sweeps) -> int:
 
 
 def _cmd_verify_identities(args: argparse.Namespace) -> int:
-    cfg = _kernel_cfg(args)
     cases = "{r.checks} cases, {bad} failures"
     return _run_sweeps(args, (
         ("primitive-sum identity: q <= {a.qmax_lemma1}, " + cases,
@@ -228,29 +212,26 @@ def _cmd_verify_identities(args: argparse.Namespace) -> int:
         ("gauss-sum modulus: q <= {a.qmax_gauss}, " + cases,
          lambda: checks.gauss_modulus(args.qmax_gauss)),
         ("central-value oracle equation: {r.checks} characters, "
-         "{bad} failures", lambda: checks.oracle_equation(cfg)),
+         "{bad} failures", checks.oracle_equation),
         ("diagonal reorganization equality: {r.checks} moduli, "
-         "{bad} failures", lambda: checks.diagonal_equality(cfg))))
+         "{bad} failures", checks.diagonal_equality)))
 
 
 def _cmd_verify_bounds(args: argparse.Namespace) -> int:
-    cfg = _kernel_cfg(args)
     sweeps = {
         "lemma4": ("harmonic-sum bound: q <= {a.qmax}, ok so far: {ok}",
                    lambda: checks.lemma4(args.qmax)),
         "lemma5": ("two-omega sums: regression bands checked", checks.lemma5),
         "lemma3": ("quadruple-count boxes: checked", checks.lemma3),
-        "error": ("off-diagonal remainder: checked",
-                  lambda: checks.error_sum(cfg)),
+        "error": ("off-diagonal remainder: checked", checks.error_sum),
         "tail": ("tail second moment: q <= {a.qmax}, done",
-                 lambda: checks.tail(args.qmax, cfg)),
+                 lambda: checks.tail(args.qmax)),
     }
     want = args.only or sweeps
     return _run_sweeps(args, [v for k, v in sweeps.items() if k in want])
 
 
 def _cmd_kernel_table(args: argparse.Namespace) -> int:
-    cfg = _kernel_cfg(args)
     if args.points < 2:
         args.parser.error(f"--points must be >= 2, got {args.points}")
     if args.xmin <= 0 or args.xmax <= args.xmin:
@@ -260,8 +241,8 @@ def _cmd_kernel_table(args: argparse.Namespace) -> int:
         xs = np.linspace(args.xmin, args.xmax, args.points)
     else:
         xs = np.geomspace(args.xmin, args.xmax, args.points)
-    w0 = w_eval_batch(0, xs, cfg)
-    w1 = w_eval_batch(1, xs, cfg)
+    w0 = w_eval_batch(0, xs)
+    w1 = w_eval_batch(1, xs)
     lines = ["x,W0,W1"]
     for x, a, b in zip(xs, w0, w1):
         lines.append(f"{fmt_float(float(x))},{fmt_float(float(a))},{fmt_float(float(b))}")

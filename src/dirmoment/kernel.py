@@ -76,7 +76,8 @@ class KernelAccuracyError(RuntimeError):
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Quadrature controls, one per --kernel-c/-h/-eps and --x-zero flag.
+    """Quadrature controls of w_eval and w_eval_batch.  The pipeline runs
+    the defaults only; the kernel's own checks vary them.
 
     c:      abscissa of the integration line, must be > 0
     h:      base trapezoid step in t

@@ -154,34 +154,31 @@ class KernelWeights:
     kprod[a][m] = W_a(pi m / q) / sqrt(m) for 1 <= m <= m_eff, index 0
     zero padding: every smoothed sum reads the kernel at a product m = ab
     in this form.  m_eff is the effective truncation: products beyond it
-    sit past the kernel's hard zero cutoff (or past the configured
-    analytic truncation bound, whichever is smaller), so every sum over
-    ab can stop there.
+    sit past the kernel's hard zero cutoff, so every sum over ab can stop
+    there.
     """
 
     q: int
-    cfg: KernelConfig
     z_floor: int   # largest m with m * 2^omega(q) <= q
     m_eff: int
     kprod: tuple[np.ndarray, np.ndarray]
 
 
-def truncation_bound(q: int, cfg: KernelConfig) -> int:
-    """Effective upper bound for products ab in the smoothed sums."""
-    analytic = q * max(40.0, math.log(1.0 / cfg.eps) ** 2)
-    hard_zero = math.floor(cfg.x_zero * q / math.pi)
-    return max(1, min(int(analytic), int(hard_zero)))
+def truncation_bound(q: int) -> int:
+    """Effective upper bound m_eff = floor(x_zero q / pi) for products ab
+    in the smoothed sums: W_a(pi ab / q) is exactly zero past it, at the
+    kernel's hard zero x_zero of KernelConfig()."""
+    return math.floor(KernelConfig().x_zero * q / math.pi)
 
 
-def kernel_weights(q: int, cfg: KernelConfig = KernelConfig(), *,
-                   head_only: bool = False) -> KernelWeights:
+def kernel_weights(q: int, *, head_only: bool = False) -> KernelWeights:
     """Kernel values for 1 <= m <= m_eff.  With head_only the table stops
     at z_floor, where the B head ends, and m_eff is set to z_floor: such a
     table serves the B tables but no sum over the tail."""
     if q < 1:
         raise ValueError(f"modulus must be positive, got {q}")
     z_floor = q // two_pow_omega(q)
-    m_eff = truncation_bound(q, cfg)
+    m_eff = truncation_bound(q)
     if head_only:
         m_eff = min(m_eff, z_floor)
     m = np.arange(1, m_eff + 1, dtype=np.float64)
@@ -189,22 +186,21 @@ def kernel_weights(q: int, cfg: KernelConfig = KernelConfig(), *,
     inv_sqrt = 1.0 / np.sqrt(m)
     kprod = (np.zeros(m_eff + 1), np.zeros(m_eff + 1))
     for a, kp in enumerate(kprod):
-        kp[1:] = w_eval_batch(a, x, cfg)
+        kp[1:] = w_eval_batch(a, x)
         kp[1:] *= inv_sqrt
-    return KernelWeights(q, cfg, z_floor, m_eff, kprod)
+    return KernelWeights(q, z_floor, m_eff, kprod)
 
 
-def _resolve_weights(q: int, cfg: KernelConfig,
-                     weights: Optional[KernelWeights], *,
+def _resolve_weights(q: int, weights: Optional[KernelWeights], *,
                      head_only: bool = False) -> KernelWeights:
-    """`weights` checked against q and cfg, or a fresh table when None.
-    A sum over the B head accepts a head-only table (head_only=True);
-    every other sum needs the full one."""
+    """`weights` checked against q, or a fresh table when None.  A sum
+    over the B head accepts a head-only table (head_only=True); every
+    other sum needs the full one."""
     if weights is None:
-        return kernel_weights(q, cfg, head_only=head_only)
-    if weights.q != q or weights.cfg != cfg:
-        raise ValueError("weights were built for a different modulus or config")
-    if not head_only and weights.m_eff != truncation_bound(q, cfg):
+        return kernel_weights(q, head_only=head_only)
+    if weights.q != q:
+        raise ValueError("weights were built for a different modulus")
+    if not head_only and weights.m_eff != truncation_bound(q):
         raise ValueError("weights stop at the B head; this sum needs the "
                          "full table")
     return weights
@@ -281,6 +277,16 @@ def _coprime_pairs(q: int, m: int, lo: int = 0
     return np.concatenate((a, b[off])), np.concatenate((b, a[off]))
 
 
+def _check_pair_count(hi: int) -> None:
+    """Refuse a naive enumeration of the products up to hi over the cost
+    cap, estimated in ordered pairs."""
+    est = hi * (math.log(hi) + 1.0)
+    if est > _MAX_PAIRS:
+        raise ValueError(
+            f"naive pair enumeration would need ~{est:.2e} entries; "
+            "use spectra.compute_spectrum or fourth_moment at this modulus")
+
+
 @lru_cache(maxsize=8)
 def _pairs(q: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
     """Unordered coprime pairs a <= b with lo < ab <= hi, hi >= 1, as
@@ -288,11 +294,7 @@ def _pairs(q: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
     count of ordered pairs each one stands for, 2 off the diagonal and 1
     on it.  The size check counts ordered pairs.  The cached arrays are
     shared and read-only."""
-    est = hi * (math.log(hi) + 1.0)
-    if est > _MAX_PAIRS:
-        raise ValueError(
-            f"naive pair enumeration would need ~{est:.2e} entries; "
-            "use spectra.compute_spectrum or fourth_moment at this modulus")
+    _check_pair_count(hi)
     a, b = _unordered_pairs(q, hi, lo)
     cols = (a * b, a % q, b % q, np.where(a == b, 1.0, 2.0))
     for col in cols:
@@ -319,8 +321,7 @@ def _pair_terms(vals: np.ndarray, kp: np.ndarray,
     return ((xa.real * xb.real + xa.imag * xb.imag) * kp[ab] * mult).tolist()
 
 
-def abc_values(G: CharacterGroup, chi: CharacterLabel,
-               cfg: KernelConfig = KernelConfig(), *,
+def abc_values(G: CharacterGroup, chi: CharacterLabel, *,
                weights: Optional[KernelWeights] = None,
                with_oracle: bool = False) -> CentralValue:
     """A(chi), B(chi), C(chi) by direct, correctly rounded summation.
@@ -330,7 +331,8 @@ def abc_values(G: CharacterGroup, chi: CharacterLabel,
     against the table pipeline test only the reorganization of the sum.
     """
     q = G.q
-    weights = _resolve_weights(q, cfg, weights)
+    _check_pair_count(truncation_bound(q))  # before any table is built
+    weights = _resolve_weights(q, weights)
     vals, kp = G.char_values(chi), weights.kprod[chi.parity]
     z = weights.z_floor
     head, tail = (_pair_terms(vals, kp, _pairs(q, lo, hi))

@@ -62,7 +62,6 @@ import numpy as np
 
 from .arith import phi_star
 from .chargroup import CharacterGroup, build_group
-from .kernel import KernelConfig
 from .lfunc import (KernelWeights, _coprime_pair_chunks, _hurwitz_half,
                     _resolve_weights, truncation_bound)
 
@@ -175,12 +174,12 @@ class CharacterSpectrum:
         return self.b_values + self.c_values
 
 
-def compute_spectrum(q: int, cfg: KernelConfig = KernelConfig(), *,
+def compute_spectrum(q: int, *,
                      group: Optional[CharacterGroup] = None,
                      weights: Optional[KernelWeights] = None) -> CharacterSpectrum:
     """Tables + transform for every character mod q."""
     G = group if group is not None else build_group(q)
-    kw = _resolve_weights(q, cfg, weights)
+    kw = _resolve_weights(q, weights)
     vb, vc = (group_transform(G, _fold(*_build_tables(G, kw, lo, hi)))
               for lo, hi in ((0, kw.z_floor), (kw.z_floor, kw.m_eff)))
     return CharacterSpectrum(
@@ -209,7 +208,7 @@ class MomentReport:
     wall: dict
 
 
-def fourth_moment(q: int, cfg: KernelConfig = KernelConfig(), *,
+def fourth_moment(q: int, *,
                   group: Optional[CharacterGroup] = None,
                   weights: Optional[KernelWeights] = None) -> MomentReport:
     """sum over primitive chi of |L(1/2, chi)|^4, with its B/C split.
@@ -236,7 +235,7 @@ def fourth_moment(q: int, cfg: KernelConfig = KernelConfig(), *,
     wall["hurwitz"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    kw = _resolve_weights(q, cfg, weights, head_only=True)
+    kw = _resolve_weights(q, weights, head_only=True)
     wall["kernel"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -253,7 +252,7 @@ def fourth_moment(q: int, cfg: KernelConfig = KernelConfig(), *,
     # A = |L|^2 / 2 on primitive chi, q^-1/2 |sum_u chi(u) zeta(1/2, u/q)|
     a = (lt.real ** 2 + lt.imag ** 2) / (2.0 * q)
     if q == 1:
-        a = vb.real + compute_spectrum(1, cfg).c_values
+        a = vb.real + compute_spectrum(1).c_values
     a, b = a[prim], vb.real[prim]
     c = a - b
     moment = 4.0 * float(np.sum(a ** 2))
@@ -266,10 +265,10 @@ def fourth_moment(q: int, cfg: KernelConfig = KernelConfig(), *,
         b_moment=b_moment, c_moment_primitive=float(np.sum(c ** 2)),
         cross_term=float(np.sum(b * c)),
         imag_residue=float(np.abs(vb.imag).max(initial=0.0)),
-        m_eff=truncation_bound(q, cfg), z_floor=kw.z_floor, wall=wall)
+        m_eff=truncation_bound(q), z_floor=kw.z_floor, wall=wall)
 
 
-def tail_moment_all(q: int, cfg: KernelConfig = KernelConfig(), *,
+def tail_moment_all(q: int, *,
                     group: Optional[CharacterGroup] = None,
                     weights: Optional[KernelWeights] = None) -> float:
     """sum over ALL chi mod q of C(chi)^2, from the C tables by Parseval.
@@ -282,6 +281,6 @@ def tail_moment_all(q: int, cfg: KernelConfig = KernelConfig(), *,
     No transform is needed.
     """
     G = group if group is not None else build_group(q)
-    kw = _resolve_weights(q, cfg, weights)
+    kw = _resolve_weights(q, weights)
     t = _fold(*_build_tables(G, kw, kw.z_floor, kw.m_eff))
     return G.group_order * float(np.sum(t * t))

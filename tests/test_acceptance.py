@@ -51,7 +51,7 @@ def test_criterion_01_exact_identities():
 
 def test_criterion_02_oracle_agreement():
     t0 = time.perf_counter()
-    r = checks.oracle_equation(CFG, (3, 4, 5, 7, 8, 9, 11, 12, 13, 16))
+    r = checks.oracle_equation((3, 4, 5, 7, 8, 9, 11, 12, 13, 16))
     ok = not r.failures and r.worst <= 1e-6 and r.checks == 41
     _report(2, "smoothed functional equation vs independent oracle",
             ok, f"{r.checks} primitive characters, worst rel "
@@ -68,14 +68,14 @@ def test_criterion_02_oracle_agreement_at_scale():
     cases = 0
     for q in (499, 512):
         G = build_group(q)
-        kw = kernel_weights(q, CFG)
+        kw = kernel_weights(q)
         m = 24.0 * q / math.pi
         tol = 2.0 * CFG.eps * 2.0 * math.sqrt(m) * (1.0 + math.log(m))
         for chi in G.labels():
             if not chi.primitive:
                 continue
             cases += 1
-            cv = abc_values(G, chi, CFG, weights=kw, with_oracle=True)
+            cv = abc_values(G, chi, weights=kw, with_oracle=True)
             gap = abs(2.0 * cv.a_value - abs(cv.l_oracle) ** 2)
             worst_gap = max(worst_gap, gap)
             worst = max(worst, gap / tol)
@@ -89,15 +89,15 @@ def test_criterion_03_pipeline_equivalence():
     t0 = time.perf_counter()
     worst_moment = 0.0
     for q in range(1, 201):
-        kw = kernel_weights(q, CFG)
+        kw = kernel_weights(q)
         G = build_group(q)
         tot = 0.0
         for chi in G.labels():
             if not chi.primitive:
                 continue
-            tot += abc_values(G, chi, CFG, weights=kw).a_value ** 2
+            tot += abc_values(G, chi, weights=kw).a_value ** 2
         direct = 4.0 * tot
-        table = fourth_moment(q, CFG, weights=kw).fourth_moment
+        table = fourth_moment(q, weights=kw).fourth_moment
         scale = max(abs(direct), abs(table))
         if scale > 0:
             worst_moment = max(worst_moment, abs(direct - table) / scale)
@@ -105,7 +105,7 @@ def test_criterion_03_pipeline_equivalence():
     worst_fft = 0.0
     for q in (5, 8, 15, 16, 105):
         G = build_group(q)
-        kw = kernel_weights(q, CFG)
+        kw = kernel_weights(q)
         segments = ((0, kw.z_floor), (kw.z_floor, kw.m_eff))
         for s in (t for lo, hi in segments
                   for t in _build_tables(G, kw, lo, hi)):
@@ -120,7 +120,7 @@ def test_criterion_03_pipeline_equivalence():
 
 def test_criterion_04_reparametrization():
     t0 = time.perf_counter()
-    r = checks.diagonal_equality(CFG, (5, 7, 8, 9, 12))
+    r = checks.diagonal_equality((5, 7, 8, 9, 12))
     ok = not r.failures and r.worst <= 1e-10 and r.checks == 5
     _report(4, "diagonal quadruple sum reorganization identity",
             ok, f"worst rel {r.worst:.2e} <= 1e-10",
@@ -198,7 +198,7 @@ def test_criterion_07_theorem_scale():
     details = []
     for q, (lo, hi) in bands.items():
         tq = time.perf_counter()
-        rep = fourth_moment(q, CFG)
+        rep = fourth_moment(q)
         dt = time.perf_counter() - tq
         r = rep.ratio
         ok &= math.isfinite(r) and r > 0 and 0.3 <= r <= 4.0

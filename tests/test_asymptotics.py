@@ -9,10 +9,9 @@ from dirmoment.asymptotics import (error_sum_E, lemma3_count, lemma4_check,
                                    lemma5_sums, m_direct, m_reparametrized,
                                    main_term_breakdown, theorem_main_term)
 from dirmoment.chargroup import build_group
-from dirmoment.kernel import KernelConfig, w_eval_batch
+from dirmoment.kernel import w_eval_batch
 from dirmoment.lfunc import _coprime_pairs, abc_values, kernel_weights
 
-CFG = KernelConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -42,9 +41,9 @@ def test_theorem_main_term_grows():
 
 @pytest.mark.parametrize("q", [5, 8, 9, 12])
 def test_diagonal_reorganization_identity(q):
-    kw = kernel_weights(q, CFG)
-    lhs = m_direct(q, CFG, weights=kw)
-    rhs = m_reparametrized(q, CFG, weights=kw)
+    kw = kernel_weights(q)
+    lhs = m_direct(q, weights=kw)
+    rhs = m_reparametrized(q, weights=kw)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -52,10 +51,10 @@ def test_diagonal_brute_force_tiny():
     # q = 5: z_floor = 2, so the quadruple set is tiny; check against a
     # four-deep literal loop written independently of either routine
     q = 5
-    kw = kernel_weights(q, CFG)
+    kw = kernel_weights(q)
     z = kw.z_floor
     xs = math.pi * np.arange(1, z + 1) / q
-    w0, w1 = (np.concatenate(([0.0], w_eval_batch(a, xs, CFG))) for a in (0, 1))
+    w0, w1 = (np.concatenate(([0.0], w_eval_batch(a, xs))) for a in (0, 1))
     total = 0.0
     for a in range(1, z + 1):
         for b in range(1, z + 1):
@@ -71,7 +70,7 @@ def test_diagonal_brute_force_tiny():
                                + w1[a * b] * w1[c * d])
                               / math.sqrt(a * b * c * d))
     want = 3 / 2 * total
-    assert m_direct(q, CFG, weights=kw) == pytest.approx(want, rel=1e-13)
+    assert m_direct(q, weights=kw) == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("q", [1, 5, 12, 97])
@@ -91,14 +90,14 @@ def test_coprime_pairs_are_the_ordered_pairs(q):
 def test_m_direct_is_the_fsum_over_ordered_quadruples(q):
     # the quadruple sum over ordered head pairs from a gcd loop, rounded
     # once: m_direct gives the same float, whatever its pair order
-    kw = kernel_weights(q, CFG, head_only=True)
+    kw = kernel_weights(q, head_only=True)
     z = kw.z_floor
     kp0, kp1 = kw.kprod
     pairs = [(a, b) for a in range(1, z + 1) for b in range(1, z // a + 1)
              if math.gcd(a * b, q) == 1]
     terms = [kp0[a * b] * kp0[c * d] + kp1[a * b] * kp1[c * d]
              for a, b in pairs for c, d in pairs if a * c == b * d]
-    assert m_direct(q, CFG, weights=kw) == phi_star(q) / 2.0 * math.fsum(terms)
+    assert m_direct(q, weights=kw) == phi_star(q) / 2.0 * math.fsum(terms)
 
 
 def test_m_direct_refuses_before_any_work(monkeypatch):
@@ -118,17 +117,17 @@ def test_m_direct_refuses_before_any_work(monkeypatch):
 
 def test_breakdown_pieces():
     for q in (5, 12, 45):
-        kw = kernel_weights(q, CFG)
-        br = main_term_breakdown(q, CFG, weights=kw)
+        kw = kernel_weights(q)
+        br = main_term_breakdown(q, weights=kw)
         assert br.m_value == pytest.approx(br.m_head + br.m_tail, rel=1e-13)
         assert br.m_value == pytest.approx(
-            m_reparametrized(q, CFG, weights=kw), rel=1e-14)
+            m_reparametrized(q, weights=kw), rel=1e-14)
         assert br.theorem_value == theorem_main_term(q)
         assert br.head_main_term == br.theorem_value / 4.0
         assert br.z0_floor == q // 18 ** omega(q)
         assert br.relative_error_budget > 0
     with pytest.raises(ValueError):
-        main_term_breakdown(2, CFG)
+        main_term_breakdown(2)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +247,7 @@ def test_lemma5_rejects():
 
 def test_error_sum_small_q():
     for q in (5, 12, 45):
-        r = error_sum_E(q, CFG)
+        r = error_sum_E(q)
         assert r.envelope == pytest.approx(q * math.log(q) ** 3)
         # remainder is error-sized: far below the envelope at desk scale
         assert abs(r.e_measured) < 0.05 * r.envelope
@@ -261,17 +260,17 @@ def test_error_sum_head_matches_per_character_b():
     # its B^2 total is the same float, bit for bit
     for q in (5, 12, 45):
         G = build_group(q)
-        kw = kernel_weights(q, CFG)
-        b_sq = math.fsum(abc_values(G, chi, CFG, weights=kw).b_value ** 2
+        kw = kernel_weights(q)
+        b_sq = math.fsum(abc_values(G, chi, weights=kw).b_value ** 2
                          for chi in G.labels() if chi.primitive)
-        assert error_sum_E(q, CFG, weights=kw, group=G).b_sq_sum == b_sq
+        assert error_sum_E(q, weights=kw, group=G).b_sq_sum == b_sq
 
 
 def test_error_sum_consistent_with_reparametrized():
     q = 15
-    kw = kernel_weights(q, CFG)
-    r = error_sum_E(q, CFG, weights=kw)
+    kw = kernel_weights(q)
+    r = error_sum_E(q, weights=kw)
     assert r.m_value == pytest.approx(
-        m_reparametrized(q, CFG, weights=kw), rel=1e-14)
+        m_reparametrized(q, weights=kw), rel=1e-14)
     with pytest.raises(ValueError):
-        error_sum_E(2, CFG)
+        error_sum_E(2)

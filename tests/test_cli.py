@@ -1,10 +1,9 @@
-import dataclasses
 import json
 import math
 
 import pytest
 
-from dirmoment import cli
+from dirmoment import cli, kernel, lfunc
 from dirmoment.kernel import KernelConfig
 from dirmoment.numerics import fmt_float
 from dirmoment.spectra import tail_moment_all
@@ -79,7 +78,7 @@ def test_value_rejects_bad_index(capsys):
     assert "--char" in capsys.readouterr().err
 
 
-def test_usage_error_is_exit_2(capsys):
+def test_usage_error_is_exit_2(monkeypatch, capsys):
     with pytest.raises(SystemExit) as e:
         cli.main(["moment"])  # missing --q
     assert e.value.code == 2
@@ -106,16 +105,42 @@ def test_usage_error_is_exit_2(capsys):
         assert e.value.code == 2
         cap = capsys.readouterr()
         assert flag in cap.err and cap.out == ""
-    # rejected input and a failed kernel step check: message, no traceback
-    for argv in (["moment", "--q", "11", "--kernel-c", "0"],
-                 ["moment", "--q", "20000000"],
-                 ["moment", "--q", "101", "--kernel-h", "2.0"]):
+    # rejected input and a failed kernel step check: message, no traceback;
+    # the runtime check fails on tables built at step h = 2.0
+    monkeypatch.setattr(lfunc, "w_eval_batch", lambda a, xs: (
+        kernel.w_eval_batch(a, xs, KernelConfig(h=2.0))))
+    for argv, exc in ((["moment", "--q", "20000000"], "ValueError"),
+                      (["moment", "--q", "101"], "KernelAccuracyError")):
         with pytest.raises(SystemExit) as e:
             cli.main(argv)
         assert e.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("dirmoment: error: ")
-    assert "KernelAccuracyError" in err
+        assert err.startswith(f"dirmoment: error: {exc}: ")
+
+
+def test_value_cost_cap_refuses_before_any_table(monkeypatch, capsys):
+    # the tail of q = 1000003 is over the pair cap: exit 2 before the
+    # kernel table, the character vector or the head pairs are built
+    def no_table(*args, **kwargs):
+        pytest.fail("kernel_weights called past the cost cap")
+    monkeypatch.setattr(lfunc, "kernel_weights", no_table)
+    with pytest.raises(SystemExit) as e:
+        cli.main(["value", "--q", "1000003", "--char", "1"])
+    assert e.value.code == 2
+    assert "naive pair enumeration" in capsys.readouterr().err
+
+
+def test_scan_warns_on_nan_ratio(capsys):
+    # q = 6 has no primitive characters, so its ratio is nan: one warning
+    # on stderr for that row, and the CSV row as before
+    rc = cli.main(["scan", "--qmin", "5", "--qmax", "7"])
+    cap = capsys.readouterr()
+    assert rc == 0
+    rows = cap.out.splitlines()
+    assert rows[0] == HEADER and len(rows) == 4
+    assert rows[2].startswith("6,0,0,0,nan,0,")
+    assert cap.err.splitlines() == [
+        "warning: ratio is nan at q = 6: the main term is 0 (phi_star = 0)"]
 
 
 def test_scan_deterministic_across_threads(tmp_path, capsys):
@@ -214,16 +239,3 @@ def test_float_formatting_roundtrips():
         assert float(fmt_float(v)) == v
     assert fmt_float(float("nan")) == "nan"
     assert fmt_float(float("inf")) == "inf"
-
-
-def test_kernel_defaults_come_from_kernel_config():
-    # the --kernel-* defaults are read from KernelConfig(), so the CLI and
-    # the library cannot drift apart
-    args = cli._build_parser().parse_args(["moment", "--q", "5"])
-    d = KernelConfig()
-    assert (args.kernel_c, args.kernel_h, args.kernel_eps, args.x_zero) == (
-        d.c, d.h, d.eps, d.x_zero)
-    assert cli._kernel_cfg(args) == d
-    # one field per flag, no knob the CLI cannot set
-    assert [f.name for f in dataclasses.fields(KernelConfig)] == [
-        "c", "h", "eps", "x_zero"]

@@ -188,14 +188,16 @@ def test_horner_blocks_do_not_change_values(monkeypatch):
 
 
 def test_default_step_converged_over_table():
-    # every kernel value at q = 10007, default step against half of it:
-    # measured gap 1.2e-16; the series values (x <= 2) do not depend on h
+    # every kernel value of the table at q = 10007 against the kernel at
+    # half the default step; the series values (x <= 2) do not depend on h
+    q = 10007
     cfg = KernelConfig()
     fine = dataclasses.replace(cfg, h=cfg.h / 2)
-    kw, kw_fine = kernel_weights(10007, cfg), kernel_weights(10007, fine)
-    sqrt_m = np.sqrt(np.arange(kw.m_eff + 1))
+    kw = kernel_weights(q)
+    m = np.arange(1, kw.m_eff + 1, dtype=np.float64)
     for a in (0, 1):
-        gap = np.abs(kw.kprod[a] - kw_fine.kprod[a]) * sqrt_m
+        gap = np.abs(kw.kprod[a][1:] * np.sqrt(m)
+                     - w_eval_batch(a, math.pi * m / q, fine))
         assert np.max(gap) <= 1e-12, a
 
 

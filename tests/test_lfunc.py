@@ -152,22 +152,21 @@ def test_oracle_requires_primitive():
 
 
 def test_truncation_bound_scales_linearly():
-    cfg = KernelConfig()
-    for q in (3, 10, 100, 1000):
-        m = truncation_bound(q, cfg)
+    x_zero = KernelConfig().x_zero
+    for q in (1, 3, 10, 100, 1000):
+        m = truncation_bound(q)
         assert m >= 1
-        assert m <= cfg.x_zero * q / math.pi
-    assert truncation_bound(200, cfg) >= 2 * truncation_bound(100, cfg) - 2
+        assert m == math.floor(x_zero * q / math.pi)
+    assert truncation_bound(200) >= 2 * truncation_bound(100) - 2
 
 
 def test_kernel_weights_structure():
-    cfg = KernelConfig()
-    kw = kernel_weights(12, cfg)
+    kw = kernel_weights(12)
     assert kw.q == 12
-    assert kw.m_eff == truncation_bound(12, cfg)
+    assert kw.m_eff == truncation_bound(12)
     xs = math.pi * np.arange(kw.m_eff + 1) / 12
     for par in (0, 1):
-        w = np.concatenate(([0.0], w_eval_batch(par, xs[1:], cfg)))
+        w = np.concatenate(([0.0], w_eval_batch(par, xs[1:])))
         kp = kw.kprod[par]
         assert len(kp) == kw.m_eff + 1
         assert kp[0] == 0.0
@@ -179,7 +178,7 @@ def test_kernel_weights_structure():
 def test_kernel_weights_positive_decreasing():
     # checked above the quadrature noise floor only: the last few entries
     # before the hard cutoff are ~1e-19 and dominated by roundoff
-    kw = kernel_weights(30, KernelConfig())
+    kw = kernel_weights(30)
     sqrt_m = np.sqrt(np.arange(1, kw.m_eff + 1))
     for par in (0, 1):
         w = kw.kprod[par][1:] * sqrt_m
@@ -196,15 +195,14 @@ def test_kernel_weights_positive_decreasing():
 def test_central_value_matches_oracle():
     # |L(1/2, chi)|^2 = 2 A(chi) for primitive characters: the smoothing
     # kernel is built exactly so that this holds up to the truncation tail
-    cfg = KernelConfig()
     worst = 0.0
     for q in (3, 4, 5, 7, 8, 9, 11, 12, 13, 16):
         G = build_group(q)
-        kw = kernel_weights(q, cfg)
+        kw = kernel_weights(q)
         for chi in G.labels():
             if not chi.primitive:
                 continue
-            cv = abc_values(G, chi, cfg, weights=kw, with_oracle=True)
+            cv = abc_values(G, chi, weights=kw, with_oracle=True)
             lhs = abs(cv.l_oracle) ** 2
             rhs = 2.0 * cv.a_value
             rel = abs(lhs - rhs) / abs(lhs)
@@ -216,10 +214,9 @@ def test_abc_matches_scalar_loop():
     # A, B, C against a double loop over coprime (a, b) with scalar
     # character values; both sides are fsums of the same terms up to the
     # rounding of each term
-    cfg = KernelConfig()
     for q in (5, 12, 45):
         G = build_group(q)
-        kw = kernel_weights(q, cfg)
+        kw = kernel_weights(q)
         for chi in G.labels():
             tab = [char_eval(G, chi, u) for u in range(q)]
             kp = kw.kprod[chi.parity]
@@ -232,7 +229,7 @@ def test_abc_matches_scalar_loop():
                         term = (tab[a % q] * tab[b % q].conjugate()).real
                         part = head if a * b <= kw.z_floor else tail
                         part.append(term * kp[a * b])
-            cv = abc_values(G, chi, cfg, weights=kw)
+            cv = abc_values(G, chi, weights=kw)
             assert abs(cv.b_value - math.fsum(head)) <= 1e-14
             assert abs(cv.c_value - math.fsum(tail)) <= 1e-14
             assert abs(cv.a_value - math.fsum(head + tail)) <= 1e-14
@@ -253,7 +250,7 @@ def test_unordered_sums_equal_ordered_fsums_bitwise(q):
     # are the correctly rounded sums over the ordered pairs, bit for bit;
     # the terms are formed with the arithmetic of lfunc._pair_terms
     G = build_group(q)
-    kw = kernel_weights(q, KernelConfig())
+    kw = kernel_weights(q)
     z = kw.z_floor
     ranges = [_ordered_pairs(q, lo, hi) for lo, hi in ((0, z), (z, kw.m_eff))]
     b_sq = []
@@ -272,31 +269,28 @@ def test_unordered_sums_equal_ordered_fsums_bitwise(q):
 
 
 def test_abc_split_is_consistent():
-    cfg = KernelConfig()
     for q in (5, 8, 15):
         G = build_group(q)
-        kw = kernel_weights(q, cfg)
+        kw = kernel_weights(q)
         for chi in G.labels():
-            cv = abc_values(G, chi, cfg, weights=kw)
+            cv = abc_values(G, chi, weights=kw)
             assert abs(cv.a_value - (cv.b_value + cv.c_value)) < 1e-14
             assert cv.m_eff == kw.m_eff
 
 
 def test_conjugate_characters_share_a_value():
-    cfg = KernelConfig()
     G = build_group(13)
-    kw = kernel_weights(13, cfg)
+    kw = kernel_weights(13)
     vals = {}
     for chi in G.labels():
-        vals[chi.exponents] = abc_values(G, chi, cfg, weights=kw).a_value
+        vals[chi.exponents] = abc_values(G, chi, weights=kw).a_value
     for exps, v in vals.items():
         conj = tuple((-e) % d for e, d in zip(exps, G.orders))
         assert abs(v - vals[conj]) < 1e-13
 
 
 def test_weights_modulus_mismatch_rejected():
-    cfg = KernelConfig()
     G = build_group(7)
-    kw = kernel_weights(5, cfg)
+    kw = kernel_weights(5)
     with pytest.raises(ValueError):
-        abc_values(G, G.principal(), cfg, weights=kw)
+        abc_values(G, G.principal(), weights=kw)

@@ -1,4 +1,7 @@
+import argparse
+import dataclasses
 import importlib
+import inspect
 
 import pytest
 
@@ -30,3 +33,23 @@ def test_removed_names_are_gone():
                  "divisor_count", "primitive_count", "_is_probable_prime",
                  "_pollard_rho", "_MR_WITNESSES"):
         assert not [m.__name__ for m in mods if hasattr(m, gone)], gone
+
+
+def test_no_kernel_knobs_above_the_kernel():
+    # the pipeline runs the one kernel configuration: no subcommand takes
+    # kernel settings, and only the kernel module takes a KernelConfig
+    from dirmoment import cli
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        for flag in ("--kernel-c", "--kernel-h", "--kernel-eps", "--x-zero"):
+            assert flag not in parser._option_string_actions, (name, flag)
+    for m in ("lfunc", "spectra", "asymptotics", "checks"):
+        mod = importlib.import_module(f"dirmoment.{m}")
+        for obj in vars(mod).values():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                assert "cfg" not in inspect.signature(obj).parameters, obj
+            elif dataclasses.is_dataclass(obj):
+                assert "cfg" not in {f.name for f in dataclasses.fields(obj)}, obj

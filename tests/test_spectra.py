@@ -25,7 +25,7 @@ def test_weight_table_segments_add_up():
     # the B and C tables of one build add up to the table over the whole
     # product range
     G = build_group(15)
-    kw = kernel_weights(15, CFG)
+    kw = kernel_weights(15)
     z, m = kw.z_floor, kw.m_eff
     tb0, tb1 = _build_tables(G, kw, 0, z)
     tc0, tc1 = _build_tables(G, kw, z, m)
@@ -39,7 +39,7 @@ def test_weight_table_mass_is_coprime_pair_sum():
     # over coprime pairs, independently of the residue bucketing
     q = 12
     G = build_group(q)
-    kw = kernel_weights(q, CFG)
+    kw = kernel_weights(q)
     tables = _build_tables(G, kw, 0, kw.m_eff)
     for parity in (0, 1):
         direct = 0.0
@@ -67,7 +67,7 @@ def test_build_tables_match_brute_force(q, flush, monkeypatch):
     if flush is not None:
         monkeypatch.setattr(spectra, "_FLUSH", flush)
     G = build_group(q)
-    kw = kernel_weights(q, CFG)
+    kw = kernel_weights(q)
     for m_eff in (kw.m_eff, math.isqrt(kw.m_eff) ** 2):
         if flush is not None:
             batches = [a for a, _ in _coprime_pair_chunks(q, m_eff, flush)]
@@ -99,7 +99,7 @@ def test_tables_are_inverse_symmetric_and_count_each_pair_once(q):
     # mass of each table is sum over coprime n in its range of d(n) kp[n],
     # every ordered pair once, each diagonal pair a = b once
     G = build_group(q)
-    kw = kernel_weights(q, CFG)
+    kw = kernel_weights(q)
     inv = G.inverse_table()
     m = kw.m_eff
     d = np.zeros(m + 1, dtype=np.int64)  # d(n) on n coprime to q, else 0
@@ -130,7 +130,7 @@ def test_pair_chunks_past_lo_are_the_full_order_filtered(q):
 
 def _tables(q):
     G = build_group(q)
-    kw = kernel_weights(q, CFG)
+    kw = kernel_weights(q)
     return G, [*_build_tables(G, kw, 0, kw.z_floor),
                *_build_tables(G, kw, kw.z_floor, kw.m_eff)]
 
@@ -156,7 +156,7 @@ def test_transform_matches_exact_angle_at_mid_q(q):
     for s in tables:
         exact.append(_exact_transform(G, s))
         assert float(np.max(np.abs(group_transform(G, s) - exact[-1]))) <= 1e-12
-    spec = compute_spectrum(q, CFG, group=G)
+    spec = compute_spectrum(q, group=G)
     even = spec.parity == 0
     a = sum(np.where(even, exact[i].real, exact[i + 1].real) for i in (0, 2))
     mf = 4.0 * float(np.sum(spec.a_values[spec.primitive] ** 2))
@@ -171,7 +171,7 @@ def test_parity_fold_matches_per_parity_oracle(q):
     # of each parity table, read on the characters of that parity, on
     # every character; compute_spectrum's B and C come from the same fold
     G, tables = _tables(q)
-    spec = compute_spectrum(q, CFG, group=G)
+    spec = compute_spectrum(q, group=G)
     even = spec.parity == 0
     for (s0, s1), got in ((tables[:2], spec.b_values),
                           (tables[2:], spec.c_values)):
@@ -188,10 +188,10 @@ def test_parity_fold_matches_per_parity_oracle(q):
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 8, 9, 12, 15, 16, 21, 24, 45])
 def test_spectrum_matches_per_character(q):
     G = build_group(q)
-    kw = kernel_weights(q, CFG)
-    spec = compute_spectrum(q, CFG, weights=kw, group=G)
+    kw = kernel_weights(q)
+    spec = compute_spectrum(q, weights=kw, group=G)
     for i, chi in enumerate(G.labels()):
-        cv = abc_values(G, chi, CFG, weights=kw)
+        cv = abc_values(G, chi, weights=kw)
         assert spec.b_values[i] == pytest.approx(cv.b_value, rel=1e-10,
                                                  abs=1e-13)
         assert spec.c_values[i] == pytest.approx(cv.c_value, rel=1e-10,
@@ -199,7 +199,7 @@ def test_spectrum_matches_per_character(q):
 
 
 def test_spectrum_a_values_property():
-    spec = compute_spectrum(15, CFG)
+    spec = compute_spectrum(15)
     assert np.allclose(spec.a_values, spec.b_values + spec.c_values,
                        rtol=0, atol=0)
 
@@ -207,8 +207,8 @@ def test_spectrum_a_values_property():
 def test_thread_determinism_bitwise():
     # two independent runs of the single-threaded pipeline agree bit for bit
     for q in (7, 45, 105):
-        s1 = compute_spectrum(q, CFG)
-        s2 = compute_spectrum(q, CFG)
+        s1 = compute_spectrum(q)
+        s2 = compute_spectrum(q)
         assert np.array_equal(s1.b_values, s2.b_values)
         assert np.array_equal(s1.c_values, s2.c_values)
 
@@ -220,7 +220,7 @@ def test_hurwitz_route_matches_afe_tables(q):
     # kernel-eps bound of criterion 2 at scale: each kernel value is within
     # eps and the weights 1 / sqrt(ab), ab <= m, add up to at most
     # 2 sqrt(m)(1 + ln m); doubled for 2A
-    spec = compute_spectrum(q, CFG)
+    spec = compute_spectrum(q)
     lt = group_transform(spec.group, _hurwitz_half(q))
     l_sq = (lt.real ** 2 + lt.imag ** 2) / q
     prim = spec.primitive
@@ -234,9 +234,9 @@ def test_hurwitz_route_matches_afe_tables(q):
 def test_tail_moment_all_matches_transform(q):
     # Parseval over the C tables against the sum of C^2 over every
     # character from the transform
-    spec = compute_spectrum(q, CFG)
+    spec = compute_spectrum(q)
     want = float(np.sum(spec.c_values ** 2))
-    got = tail_moment_all(q, CFG)
+    got = tail_moment_all(q)
     assert abs(got - want) <= 1e-13 * abs(want)
 
 
@@ -246,14 +246,14 @@ def test_tail_moment_all_matches_transform(q):
 
 def test_moment_report_consistency():
     q = 15
-    rep = fourth_moment(q, CFG)
-    spec = compute_spectrum(q, CFG)
+    rep = fourth_moment(q)
+    spec = compute_spectrum(q)
     prim = spec.primitive
     a = spec.a_values
     assert rep.phi_star == phi_star(q)
     assert rep.fourth_moment == pytest.approx(
         4.0 * float(np.sum(a[prim] ** 2)), rel=1e-14)
-    c_all = tail_moment_all(q, CFG)
+    c_all = tail_moment_all(q)
     assert math.sqrt(rep.b_moment * c_all) >= abs(rep.cross_term) - 1e-15
     assert c_all >= rep.c_moment_primitive
     decomposition = 4.0 * (rep.b_moment + 2.0 * rep.cross_term
@@ -265,15 +265,15 @@ def test_moment_report_consistency():
 def test_spectrum_b_moment_is_fourth_moment_b_moment(q):
     # both build the B tables on the one range (0, z_floor] from the same
     # kernel table, so their B values and sum* B^2 agree bit for bit
-    kw = kernel_weights(q, CFG)
-    spec = compute_spectrum(q, CFG, weights=kw)
+    kw = kernel_weights(q)
+    spec = compute_spectrum(q, weights=kw)
     b = spec.b_values[spec.primitive]
-    assert float(np.sum(b ** 2)) == fourth_moment(q, CFG, weights=kw).b_moment
+    assert float(np.sum(b ** 2)) == fourth_moment(q, weights=kw).b_moment
 
 
 def test_moment_positive_and_ratio():
     for q in (3, 4, 5, 8):
-        rep = fourth_moment(q, CFG)
+        rep = fourth_moment(q)
         assert rep.fourth_moment > 0
         assert rep.main_term > 0
         assert rep.ratio == rep.fourth_moment / rep.main_term
@@ -281,18 +281,18 @@ def test_moment_positive_and_ratio():
 
 
 def test_weights_mismatch_rejected():
-    kw = kernel_weights(5, CFG)
+    kw = kernel_weights(5)
     with pytest.raises(ValueError):
-        compute_spectrum(7, CFG, weights=kw)
+        compute_spectrum(7, weights=kw)
 
 
 def test_spectrum_q1_and_q2_edge_cases():
     # q = 1: one (principal, primitive) character; q = 2: one character,
     # primitive count zero
-    s1 = compute_spectrum(1, CFG)
+    s1 = compute_spectrum(1)
     assert s1.b_values.shape == (1,)
     assert bool(s1.primitive[0]) is True
     assert phi_star(2) == 0
-    rep2 = fourth_moment(2, CFG)
+    rep2 = fourth_moment(2)
     assert rep2.fourth_moment == 0.0
     assert euler_phi(2) == 1
