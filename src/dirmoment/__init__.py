@@ -14,8 +14,8 @@ from .chargroup import (CharacterGroup, CharacterLabel, build_group,
                         exact_root_of_unity_sum, gauss_sum,
                         primitive_sum_lemma1, root_of_unity,
                         signed_sum_eq21)
-from .kernel import (KernelAccuracyError, KernelConfig, clear_kernel_cache,
-                     w_eval, w_eval_batch, w_series)
+from .kernel import (KernelAccuracyError, KernelConfig, w_eval, w_eval_batch,
+                     w_series)
 from .lfunc import (CentralValue, KernelWeights, abc_values, hurwitz_zeta,
                     kernel_weights, l_half_oracle, truncation_bound)
 from .spectra import (CharacterSpectrum, MomentReport, compute_spectrum,
@@ -42,7 +42,7 @@ __all__ = [
     "exact_primitive_char_sum",
     # kernel
     "KernelConfig", "KernelAccuracyError", "w_eval", "w_eval_batch",
-    "w_series", "clear_kernel_cache",
+    "w_series",
     # lfunc
     "hurwitz_zeta", "l_half_oracle", "KernelWeights", "kernel_weights",
     "truncation_bound", "CentralValue", "abc_values",

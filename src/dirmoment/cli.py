@@ -22,9 +22,9 @@ Exit codes: 0 success, 1 a verification check failed, 2 usage error
 empty sweep range, any --qmax* below 1, is one) or a rejected input: a
 ValueError (bad input, a cost cap) or KernelAccuracyError (the kernel's
 runtime check failed) raised by the subcommand becomes
-"dirmoment: error: <type>: <message>" on stderr.  A scan row whose
-ratio is nan (main term 0: no primitive characters, or q = 1) also
-prints a warning to stderr.
+"dirmoment: error: <type>: <message>" on stderr.  A moment report or
+scan row whose ratio is nan (main term 0: no primitive characters, or
+q = 1) also prints a warning to stderr.
 All floats are rendered with %.17g so byte-identical reruns mean
 bit-identical numbers; timing columns default to 0 and only carry real
 measurements under --timings, keeping default output reproducible.
@@ -44,7 +44,7 @@ from . import checks
 from .chargroup import build_group
 from .kernel import KernelAccuracyError, w_eval_batch
 from .lfunc import abc_values, kernel_weights
-from .spectra import fourth_moment, tail_moment_all
+from .spectra import MomentReport, fourth_moment, tail_moment_all
 from .asymptotics import m_reparametrized
 from .numerics import fmt_float
 
@@ -105,6 +105,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write output to this file instead of stdout")
 
 
+def _warn_nan_ratio(rep: MomentReport) -> None:
+    if math.isnan(rep.ratio):
+        print(f"warning: ratio is nan at q = {rep.q}: the main term is 0 "
+              f"(phi_star = {rep.phi_star})", file=sys.stderr)
+
+
 def _cmd_moment(args: argparse.Namespace) -> int:
     rep = fourth_moment(args.q)
     payload: dict = {
@@ -124,6 +130,8 @@ def _cmd_moment(args: argparse.Namespace) -> int:
         payload["warning"] = "no primitive characters"
         print(f"warning: no primitive characters mod {rep.q}",
               file=sys.stderr)
+    else:
+        _warn_nan_ratio(rep)
     if args.timings:
         payload["wall_ms"] = {k: v * 1000.0 for k, v in rep.wall.items()}
     _emit(_json(payload), args.out)
@@ -143,9 +151,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         c_all = tail_moment_all(q, group=G, weights=kw)
         e_meas = rep.b_moment - m_reparametrized(q, weights=kw)
         wall_ms = (time.perf_counter() - t0) * 1000.0 if args.timings else 0.0
-        if math.isnan(rep.ratio):
-            print(f"warning: ratio is nan at q = {q}: the main term is 0 "
-                  f"(phi_star = {rep.phi_star})", file=sys.stderr)
+        _warn_nan_ratio(rep)
         lines.append(",".join((
             str(q), str(rep.phi_star),
             fmt_float(rep.fourth_moment), fmt_float(rep.main_term),

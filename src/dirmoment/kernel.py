@@ -43,6 +43,12 @@ arguments in ascending order and hands each method one slice):
     double rounding; the measured error is 1.2e-11 at h = 0.25, where the
     bound predicts it.
 
+The quadrature's Gamma ratio comes from _loggamma: the recurrence shifts
+z to z + 10, then 8 terms of the Stirling series (DLMF 5.11.1) leave an
+error below 1e-17.  Its Im may be off the principal branch by a multiple
+of 2 pi; only Re log Gamma and exp(2 log Gamma) are used, and neither
+sees it.  Only arithmetic and np.log: a complex or an array alike.
+
 W_a(x) tends to 1 as x -> 0+ and decays like exp(-2x) (saddle point at
 s = 2x); beyond cfg.x_zero the kernel is treated as exactly zero.  With
 the default x_zero = 24 the neglected value is below 1e-19 (measured
@@ -56,7 +62,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import loggamma
 
 from .numerics import EULER_GAMMA
 
@@ -66,7 +71,6 @@ __all__ = [
     "w_eval",
     "w_eval_batch",
     "w_series",
-    "clear_kernel_cache",
 ]
 
 
@@ -119,31 +123,41 @@ _HORNER_BLOCK = 32_768
 _PHASE_BLOCK = 32  # node phases per complex exp in _quad_points
 
 
-def clear_kernel_cache() -> None:
-    _nodes.cache_clear()
-
-
 def _check_parity(a: int) -> int:
     if a not in (0, 1):
         raise ValueError(f"parity a must be 0 or 1, got {a}")
     return int(a)
 
 
-def _log_abs_g(a: int, c: float, t: float) -> float:
-    """log |Gamma((c+it+beta)/2) / Gamma(beta/2)|^2, beta = 1/2 + a."""
-    beta = 0.5 + a
-    return 2.0 * (loggamma(complex(c + beta, t) / 2).real
-                  - math.lgamma(beta / 2))
+# B_2k / (2k (2k - 1)), k = 1..8: the Stirling series of log Gamma
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
+             -691 / 360360, 1 / 156, -3617 / 122400)
+
+
+def _loggamma(z):
+    """log Gamma(z) for Re z > 0, up to 2 pi i k (see the module doc)."""
+    w, shift = z + 10.0, z
+    for k in range(1, 10):
+        shift = shift * (z + k)
+    r = 1.0 / (w * w)
+    tail = 0.0
+    for ck in _STIRLING[::-1]:
+        tail = tail * r + ck
+    return ((w - 0.5) * np.log(w) - w + 0.5 * math.log(2 * math.pi)
+            + tail / w - np.log(shift))
 
 
 def _auto_T(a: int, c: float, min_log_x: float, eps: float) -> float:
     """Truncation height: the folded integrand magnitude at T, times the
     largest x^(-c) in the batch, must drop below eps/1000."""
+    beta = 0.5 + a
     amp = max(0.0, -c * min_log_x)  # log of max x^(-c)
     target = math.log(eps) - math.log(1000.0)
     t = 8.0
     while t < _T_HARD:
-        if _log_abs_g(a, c, t) + amp - math.log(2 * math.pi * math.hypot(c, t)) < target:
+        log_g = 2.0 * (_loggamma(complex(c + beta, t) / 2).real
+                       - math.lgamma(beta / 2))
+        if log_g + amp - math.log(2 * math.pi * math.hypot(c, t)) < target:
             return t + 4.0
         t += 2.0
     return _T_HARD
@@ -162,7 +176,7 @@ def _nodes(a: int, c: float, h: float, T: float) -> np.ndarray:
     n = int(math.floor(T / h)) + 1
     t = np.arange(n, dtype=np.float64) * h
     s = c + 1j * t
-    g = np.exp(2.0 * (loggamma((s + beta) / 2) - math.lgamma(beta / 2)))
+    g = np.exp(2.0 * (_loggamma((s + beta) / 2) - math.lgamma(beta / 2)))
     coef = (h / (2 * math.pi)) * g / s
     coef[1:] *= 2.0  # conjugate fold: t and -t
     coef.flags.writeable = False

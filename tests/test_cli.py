@@ -59,6 +59,18 @@ def test_moment_without_primitive_characters_warns(capsys):
     assert "no primitive characters" in captured.err
 
 
+def test_moment_nan_ratio_warns(capsys):
+    # mod 1 the main term is 0 (log 1 = 0), so the ratio is nan: the
+    # report is unchanged and stderr carries the scan's warning
+    rc = cli.main(["moment", "--q", "1"])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert rc == 0
+    assert doc["ratio"] == "nan" and "warning" not in doc
+    assert captured.err.splitlines() == [
+        "warning: ratio is nan at q = 1: the main term is 0 (phi_star = 1)"]
+
+
 def test_value_reports_oracle(capsys):
     rc, out = run(capsys, "value", "--q", "5", "--char", "1")
     doc = json.loads(out)

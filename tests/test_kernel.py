@@ -6,14 +6,34 @@ import numpy as np
 import pytest
 
 from dirmoment import kernel
-from dirmoment.kernel import (KernelAccuracyError, KernelConfig,
-                              clear_kernel_cache, w_eval, w_eval_batch,
-                              w_series)
+from dirmoment.kernel import (KernelAccuracyError, KernelConfig, w_eval,
+                              w_eval_batch, w_series)
 from dirmoment.lfunc import kernel_weights
 
 
 def setup_module(module):
-    clear_kernel_cache()
+    kernel._nodes.cache_clear()
+
+
+def test_loggamma_matches_mpmath():
+    # Re log Gamma on the quadrature node grids t = k h (sampled, t <= 400)
+    # and on the scalar height-search grid t = 8, 10, ...  The shift by 10
+    # sums terms up to about 15 + |log Gamma| in size, each rounded a
+    # few times, hence the bound 32 eps (1 + |log Gamma|)
+    eps = np.finfo(np.float64).eps
+    for a in (0, 1):
+        for c in (0.5, 0.7, 1.0, 1.3):
+            zs = [complex(c + 0.5 + a, t) / 2 for t in np.arange(
+                0.0, 400.0, 0.1 * 37)]
+            got = list(kernel._loggamma(np.array(zs)).real)
+            for t in np.arange(8.0, 400.0, 2.0):
+                zs.append(complex(c + 0.5 + a, t) / 2)
+                got.append(kernel._loggamma(zs[-1]).real)
+            with mpmath.workdps(30):
+                ref = [float(mpmath.loggamma(mpmath.mpc(z.real, z.imag)).real)
+                       for z in zs]
+            for z, g, r in zip(zs, got, ref):
+                assert abs(g - r) <= 32 * eps * (1 + abs(r)), (z, g, r)
 
 
 def test_quadrature_matches_series():
@@ -315,5 +335,5 @@ def test_cache_keyed_by_config():
     v1 = w_eval(0, x, KernelConfig(c=0.9))
     v2 = w_eval(0, x, KernelConfig(c=1.1))
     assert abs(v1 - v2) < 1e-10
-    clear_kernel_cache()
+    kernel._nodes.cache_clear()
     assert abs(w_eval(0, x) - v1) < 1e-10

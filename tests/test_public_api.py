@@ -2,6 +2,10 @@ import argparse
 import dataclasses
 import importlib
 import inspect
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -31,7 +35,7 @@ def test_removed_names_are_gone():
                  "KahanSum", "parity_flat", "primitive_flat", "classify",
                  "_parity_transform", "mobius_sieve", "euler_phi_sieve",
                  "divisor_count", "primitive_count", "_is_probable_prime",
-                 "_pollard_rho", "_MR_WITNESSES"):
+                 "_pollard_rho", "_MR_WITNESSES", "clear_kernel_cache"):
         assert not [m.__name__ for m in mods if hasattr(m, gone)], gone
 
 
@@ -53,3 +57,18 @@ def test_no_kernel_knobs_above_the_kernel():
                 assert "cfg" not in inspect.signature(obj).parameters, obj
             elif dataclasses.is_dataclass(obj):
                 assert "cfg" not in {f.name for f in dataclasses.fields(obj)}, obj
+
+
+def test_runs_without_scipy():
+    # numpy is the only runtime dependency: with scipy unimportable the
+    # CLI still imports and computes a moment
+    src = str(pathlib.Path(dirmoment.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from dirmoment.cli import main\n"
+            "sys.exit(main(['moment', '--q', '1009']))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
