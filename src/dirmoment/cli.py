@@ -43,7 +43,8 @@ import numpy as np
 from . import checks
 from .chargroup import build_group
 from .kernel import KernelAccuracyError, w_eval_batch
-from .lfunc import abc_values, kernel_weights
+from .lfunc import (_MAX_TABLE_PAIRS, _check_pair_count, abc_values,
+                    kernel_weights, truncation_bound)
 from .spectra import MomentReport, fourth_moment, tail_moment_all
 from .asymptotics import m_reparametrized
 from .numerics import fmt_float
@@ -142,6 +143,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if args.qmin < 1 or args.qmax < args.qmin:
         args.parser.error(f"need 1 <= --qmin <= --qmax, got --qmin "
                           f"{args.qmin} --qmax {args.qmax}")
+    # the C tables of the largest modulus, before any row is computed
+    _check_pair_count(truncation_bound(args.qmax), _MAX_TABLE_PAIRS)
     lines = [_SCAN_HEADER]
     for q in range(args.qmin, args.qmax + 1):
         t0 = time.perf_counter()

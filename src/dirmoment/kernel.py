@@ -266,8 +266,8 @@ def w_eval_batch(a: int, xs: np.ndarray,
         _series_batch(a, xs[:i_ser], out[:i_ser])
     if i_zero > i_ser:
         _cheb_batch(a, xs[i_ser:i_zero], cfg, out[i_ser:i_zero])
-    ranks = np.unique(np.linspace(0, i_zero - 1, _STEP_SAMPLES).round()
-                      .astype(np.int64))
+    ranks = np.linspace(0, i_zero - 1, _STEP_SAMPLES).round().astype(np.int64)
+    ranks = ranks[np.diff(ranks, prepend=-1) > 0]  # sorted, so deduplicated
     lx = np.log(xs[ranks])
     c_ref, h_ref = 0.5 * cfg.c, 0.25 * cfg.h
     T_ref = _auto_T(a, c_ref, float(lx[0]), cfg.eps)

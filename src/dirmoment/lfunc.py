@@ -64,7 +64,8 @@ _BERNOULLI = (
 _B_OVER_FACT = tuple(
     float(b / math.factorial(2 * (j + 1))) for j, b in enumerate(_BERNOULLI))
 
-_MAX_PAIRS = 60_000_000  # guard on the naive pair enumeration
+_MAX_PAIRS = 60_000_000   # cap on a materialized pair enumeration
+_MAX_TABLE_PAIRS = 3e8    # cap on a streamed residue-table build
 
 
 _HURWITZ_BLOCK = 1 << 15  # arguments per block of the Euler-Maclaurin sum
@@ -277,14 +278,16 @@ def _coprime_pairs(q: int, m: int, lo: int = 0
     return np.concatenate((a, b[off])), np.concatenate((b, a[off]))
 
 
-def _check_pair_count(hi: int) -> None:
-    """Refuse a naive enumeration of the products up to hi over the cost
-    cap, estimated in ordered pairs."""
-    est = hi * (math.log(hi) + 1.0)
-    if est > _MAX_PAIRS:
+def _check_pair_count(hi: int, cap: float = _MAX_PAIRS) -> None:
+    """Refuse a pass over the products up to hi, estimated in ordered
+    pairs, over cap: _MAX_PAIRS held in memory, _MAX_TABLE_PAIRS streamed."""
+    est = hi * (math.log(max(hi, 1)) + 1.0)
+    if est > cap:
         raise ValueError(
-            f"naive pair enumeration would need ~{est:.2e} entries; "
-            "use spectra.compute_spectrum or fourth_moment at this modulus")
+            f"naive pair enumeration would need ~{est:.2e} entries; use "
+            "spectra.compute_spectrum or fourth_moment at this modulus"
+            if cap == _MAX_PAIRS else f"table build up to ab = {hi} needs "
+            f"~{est:.2e} pairs, over the cost cap")
 
 
 @lru_cache(maxsize=8)

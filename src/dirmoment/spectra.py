@@ -7,22 +7,18 @@ double sum A(chi) collapses to a single pass over residue classes:
              lo < ab <= hi of W_a(pi a b / q) / sqrt(ab)
     A(chi) = sum_u chi(u) S_a(u)        (a = parity of chi).
 
-Each call of _build_tables builds the pair (S_0, S_1) for one product
-range by one vectorized enumeration of the unordered pairs a <= b
-(bincount over u), then symmetrizes, S(u) + S(u^-1), since the pair
-(b, a) has the weight of (a, b) and the inverse residue; the tables
-are then evaluated against every character at once by an FFT over the
-CRT exponent grid (group_transform).  Its oracle,
-_exact_transform, applies one exact-angle DFT matrix per CRT axis, with
-each angle e t / d reduced mod d in integers.  The two parity tables
-share one transform of the fold (_fold)
+Every character reads one table per product range, the fold
 
     T(u) = (S_0(u) + S_0(-u) + S_1(u) - S_1(-u)) / 2,
 
 the even part of S_0 plus the odd part of S_1: an even chi sums an odd
 table to zero and an odd chi an even one, so sum_u chi(u) T(u) =
 sum_u chi(u) S_a(u) on every chi of parity a, and T(u^-1) = T(u) keeps
-the values real up to rounding.
+the values real up to rounding.  _table builds T for one product range
+directly, without S_0 or S_1, and group_transform evaluates it against
+every character at once by an FFT over the CRT exponent grid.  Its
+oracle, _exact_transform, applies one exact-angle DFT matrix per CRT
+axis, with each angle e t / d reduced mod d in integers.
 
 fourth_moment takes every central value from the Hurwitz route,
 
@@ -30,15 +26,16 @@ fourth_moment takes every central value from the Hurwitz route,
 
 one group transform of a length-q table, and uses the tables only for
 the head B (the range 0 < ab <= Z = q / 2^omega(q)); on primitive chi
-the tail is C = |L|^2 / 2 - B.  compute_spectrum builds the B tables on
-(0, Z] and the C tables on (Z, m_eff] and stays the independent route to
+the tail is C = |L|^2 / 2 - B.  compute_spectrum builds the B table on
+(0, Z] and the C table on (Z, m_eff] and stays the independent route to
 every A = B + C; it consumes the same kernel values as the per-character
 pipeline in lfunc, so cross-pipeline comparisons isolate the summation
 reorganization.  tail_moment_all sums C^2 over every character as
-phi(q) sum_u T(u)^2 (Parseval) from the fold of the C tables, with no
-transform.
+phi(q) sum_u T(u)^2 (Parseval) from the C table, with no transform.
+compute_spectrum and tail_moment_all refuse a modulus whose C table is
+over the cost cap (lfunc._MAX_TABLE_PAIRS) before any table is built.
 
-Parity (which table a character reads) and primitivity (which characters
+Parity (which S_a a character's sum stands for) and primitivity (which characters
 a moment sums over) come from CharacterGroup.parity_grid() and
 conductor_grid(), in the label order the transform returns; this module
 does not classify characters itself.
@@ -47,7 +44,7 @@ Determinism: the build is single-threaded and visits the unordered
 pairs of its range L < ab <= M in a fixed order
 (lfunc._coprime_pair_chunks): with s = isqrt(M), a = 1..s, each with
 every max(a, L/a) < b <= M/a.  The symmetrization adds the two halves in
-either order to the same float, so S(u^-1) == S(u) bit for bit.  Reruns
+either order to the same float, so T(u^-1) == T(u) bit for bit.  Reruns
 are bit-identical.
 """
 
@@ -62,8 +59,9 @@ import numpy as np
 
 from .arith import phi_star
 from .chargroup import CharacterGroup, build_group
-from .lfunc import (KernelWeights, _coprime_pair_chunks, _hurwitz_half,
-                    _resolve_weights, truncation_bound)
+from .lfunc import (_MAX_TABLE_PAIRS, KernelWeights, _check_pair_count,
+                    _coprime_pair_chunks, _hurwitz_half, _resolve_weights,
+                    truncation_bound)
 
 __all__ = [
     "CharacterSpectrum",
@@ -74,43 +72,43 @@ __all__ = [
     "tail_moment_all",
 ]
 
-_FLUSH = 4_000_000        # pairs per enumerated batch and bincount
-_MAX_TABLE_PAIRS = 3e8    # cost cap on the table build
+_FLUSH = 4_000_000  # pairs per enumerated batch
 
 
-def _build_tables(G: CharacterGroup, kw: KernelWeights, lo: int,
-                  hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """(S_0, S_1) over the coprime pairs with lo < ab <= hi.
-
-    The unordered pairs a <= b are enumerated in batches of chunks, and
-    each batch is scattered into both tables with one bincount per
-    parity, the diagonal pairs a = b at half weight.  The pair (b, a)
-    has the same weight as (a, b) and the inverse residue, so the tables
-    are S(u) + S(u^-1): symmetric bit for bit, and each diagonal pair
-    (all on the residue 1 mod q) counted once, since doubling is exact.
-    The cost cap counts ordered pairs."""
+def _table(G: CharacterGroup, kw: KernelWeights, lo: int,
+           hi: int) -> np.ndarray:
+    """T over the coprime pairs with lo < ab <= hi.  Each batch of unordered
+    pairs a <= b is scattered twice into t with bincount: the even weight
+    K_0 + K_1 at r = a b^-1 and the odd weight K_0 - K_1 at -r
+    (K_a = kw.kprod[a][ab]), diagonal pairs at half weight.  The pair
+    (b, a) has the weights of (a, b) and the inverse residues, so
+    T(u) = (t(u) + t(u^-1)) / 2: symmetric bit for bit, each diagonal
+    pair (on the residues +-1) counted once, since doubling is exact."""
     q = G.q
-    est = hi * (math.log(max(hi, 1)) + 1.0)
-    if est > _MAX_TABLE_PAIRS:
-        raise ValueError(
-            f"table build at q = {q} needs ~{est:.2e} pairs, over the cost cap")
     inv = G.inverse_table()
     # inverse residue of every integer a pair coordinate can take; the
     # products a * inv_res[b] < hi * q stay far inside int64
     inv_res = inv[np.arange(hi + 1) % q]
-    s0, s1 = np.zeros(q), np.zeros(q)
+    k0, k1 = kw.kprod
+    t = np.zeros(q)
     for a, b in _coprime_pair_chunks(q, hi, _FLUSH, lo):
         m = a * b
         idx = a * inv_res[b]
         idx %= q
         diag = np.flatnonzero(a == b)
-        for kp, s in zip(kw.kprod, (s0, s1)):
-            w = kp[m]
-            w[diag] *= 0.5
-            s += np.bincount(idx, weights=w, minlength=q)
-    for s in (s0, s1):
-        s += s[inv]
-    return s0, s1
+        k0m, w = k0[m], k1[m]
+        w += k0m
+        w[diag] *= 0.5
+        t += np.bincount(idx, weights=w, minlength=q)
+        # refill w in place; take's default mode="raise" buffers a copy
+        np.subtract(k0m, np.take(k1, m, out=w, mode="clip"), out=w)
+        w[diag] *= 0.5
+        np.subtract(q, idx, out=idx)
+        idx %= q
+        t += np.bincount(idx, weights=w, minlength=q)
+    t += t[inv]
+    t *= 0.5
+    return t
 
 
 def _grid(G: CharacterGroup, residue_values: np.ndarray) -> np.ndarray:
@@ -148,13 +146,6 @@ def _exact_transform(G: CharacterGroup, residue_values: np.ndarray) -> np.ndarra
     return out.ravel()
 
 
-def _fold(s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
-    """The folded table T of the module docstring: sum_u chi(u) T(u) =
-    sum_u chi(u) S_a(u) on every chi, a the parity of chi."""
-    neg = -np.arange(s0.size) % s0.size
-    return 0.5 * ((s0 + s0[neg]) + (s1 - s1[neg]))
-
-
 @dataclass
 class CharacterSpectrum:
     """Per-character B and C values over the full label grid."""
@@ -178,9 +169,10 @@ def compute_spectrum(q: int, *,
                      group: Optional[CharacterGroup] = None,
                      weights: Optional[KernelWeights] = None) -> CharacterSpectrum:
     """Tables + transform for every character mod q."""
+    _check_pair_count(truncation_bound(q), _MAX_TABLE_PAIRS)
     G = group if group is not None else build_group(q)
     kw = _resolve_weights(q, weights)
-    vb, vc = (group_transform(G, _fold(*_build_tables(G, kw, lo, hi)))
+    vb, vc = (group_transform(G, _table(G, kw, lo, hi))
               for lo, hi in ((0, kw.z_floor), (kw.z_floor, kw.m_eff)))
     return CharacterSpectrum(
         q=q, group=G, b_values=vb.real, c_values=vc.real,
@@ -214,7 +206,7 @@ def fourth_moment(q: int, *,
     """sum over primitive chi of |L(1/2, chi)|^4, with its B/C split.
 
     Every |L|^2 comes from one group transform of the Hurwitz table; B
-    from the head tables, which need kernel values for m <= z_floor only
+    from the head table, which need kernel values for m <= z_floor only
     (`weights` may be a full or a head-only table); C = |L|^2 / 2 - B.
     The one exception is q = 1: its only character is principal, and
     zeta's pole puts terms into |zeta(1/2)|^2 that the smoothed sum 2A
@@ -239,12 +231,12 @@ def fourth_moment(q: int, *,
     wall["kernel"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    sb = _build_tables(G, kw, 0, kw.z_floor)
+    tb = _table(G, kw, 0, kw.z_floor)
     wall["tables"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     lt = group_transform(G, hz)
-    vb = group_transform(G, _fold(*sb))
+    vb = group_transform(G, tb)
     wall["transform"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -271,16 +263,17 @@ def fourth_moment(q: int, *,
 def tail_moment_all(q: int, *,
                     group: Optional[CharacterGroup] = None,
                     weights: Optional[KernelWeights] = None) -> float:
-    """sum over ALL chi mod q of C(chi)^2, from the C tables by Parseval.
+    """sum over ALL chi mod q of C(chi)^2, from the C table by Parseval.
 
-    C(chi) = sum_u chi(u) T(u) on every chi, T the fold of the C tables,
+    C(chi) = sum_u chi(u) T(u) on every chi, T the table of the tail,
     so the orthogonality of the characters gives
 
         sum_chi C(chi)^2 = phi(q) sum_u T(u)^2.
 
     No transform is needed.
     """
+    _check_pair_count(truncation_bound(q), _MAX_TABLE_PAIRS)
     G = group if group is not None else build_group(q)
     kw = _resolve_weights(q, weights)
-    t = _fold(*_build_tables(G, kw, kw.z_floor, kw.m_eff))
+    t = _table(G, kw, kw.z_floor, kw.m_eff)
     return G.group_order * float(np.sum(t * t))

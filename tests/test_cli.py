@@ -142,6 +142,22 @@ def test_value_cost_cap_refuses_before_any_table(monkeypatch, capsys):
     assert "naive pair enumeration" in capsys.readouterr().err
 
 
+def test_scan_and_tail_cost_cap_refuse_before_any_table(monkeypatch, capsys):
+    # the C tables of q = 2500009 are over the table-build cap: scan exits
+    # 2 and tail_moment_all raises before the kernel table, the group or
+    # the moment of any row is built
+    def no_table(*args, **kwargs):
+        pytest.fail("kernel_weights called past the cost cap")
+    monkeypatch.setattr(lfunc, "kernel_weights", no_table)
+    monkeypatch.setattr(cli, "kernel_weights", no_table)
+    with pytest.raises(SystemExit) as e:
+        cli.main(["scan", "--qmin", "2500009", "--qmax", "2500009"])
+    assert e.value.code == 2
+    assert "over the cost cap" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="over the cost cap"):
+        tail_moment_all(2500009)
+
+
 def test_scan_warns_on_nan_ratio(capsys):
     # q = 6 has no primitive characters, so its ratio is nan: one warning
     # on stderr for that row, and the CSV row as before

@@ -27,15 +27,17 @@ def test_every_exported_name_resolves(name):
 def test_removed_names_are_gone():
     # one transform entry point, one compensated sum (math.fsum), one
     # home for the classification rule (CharacterGroup's per-axis tables)
-    # and one parity fold (spectra._fold); no exports without a caller,
-    # and trial division as the only factorization
+    # and one residue table per product range, scattered already folded
+    # (spectra._table); no exports without a caller, and trial division
+    # as the only factorization
     mods = [dirmoment, *(importlib.import_module(f"dirmoment.{m}")
                          for m in SUBMODULES)]
     for gone in ("all_char_sums", "weight_table", "ResidueWeightTable",
                  "KahanSum", "parity_flat", "primitive_flat", "classify",
                  "_parity_transform", "mobius_sieve", "euler_phi_sieve",
                  "divisor_count", "primitive_count", "_is_probable_prime",
-                 "_pollard_rho", "_MR_WITNESSES", "clear_kernel_cache"):
+                 "_pollard_rho", "_MR_WITNESSES", "clear_kernel_cache",
+                 "_fold", "_build_tables"):
         assert not [m.__name__ for m in mods if hasattr(m, gone)], gone
 
 
@@ -68,6 +70,22 @@ def test_runs_without_scipy():
             "sys.modules['scipy'] = None\n"
             "from dirmoment.cli import main\n"
             "sys.exit(main(['moment', '--q', '1009']))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_moment_and_scan_leave_numpy_ma_unimported():
+    # numpy.ma costs about 13 ms to import; nothing on the moment or the
+    # scan path needs it
+    src = str(pathlib.Path(dirmoment.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = ("import os, sys\n"
+            "from dirmoment.cli import main\n"
+            "main(['moment', '--q', '1009', '--out', os.devnull])\n"
+            "main(['scan', '--qmin', '7', '--qmax', '9', '--out', os.devnull])\n"
+            "sys.exit('numpy.ma' in sys.modules and 'numpy.ma imported')\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": path})

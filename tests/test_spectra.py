@@ -10,11 +10,36 @@ from dirmoment.chargroup import build_group
 from dirmoment.kernel import KernelConfig
 from dirmoment.lfunc import (_coprime_pair_chunks, _hurwitz_half, abc_values,
                              kernel_weights)
-from dirmoment.spectra import (_build_tables, _exact_transform,
-                               compute_spectrum, fourth_moment,
-                               group_transform, tail_moment_all)
+from dirmoment.spectra import (_exact_transform, _table, compute_spectrum,
+                               fourth_moment, group_transform,
+                               tail_moment_all)
 
 CFG = KernelConfig()
+
+
+def _fold(s0, s1):
+    """T(u) = (S_0(u) + S_0(-u) + S_1(u) - S_1(-u)) / 2 from the two
+    parity tables S_0, S_1."""
+    neg = -np.arange(s0.size) % s0.size
+    return 0.5 * ((s0 + s0[neg]) + (s1 - s1[neg]))
+
+
+def _parity_tables(q, kw, lo, hi):
+    """(S_0, S_1) over lo < ab <= hi by brute force: every ordered pair
+    of integers coprime to q, each a with every b in lo / a < b <= hi / a,
+    scattered with np.add.at at a b^-1 mod q (inverses from pow)."""
+    n = np.arange(1, hi + 1)
+    cop = n[np.gcd(n, q) == 1]
+    first = np.searchsorted(cop, lo // cop, side="right")
+    end = np.searchsorted(cop, hi // cop, side="right")
+    a = np.repeat(cop, np.maximum(end - first, 0))
+    b = np.concatenate([cop[:0], *(cop[i:j] for i, j in zip(first, end))])
+    inv = {x: pow(x, -1, q) for x in set(b.tolist())}
+    u = a * np.array([inv[x] for x in b.tolist()], dtype=np.int64) % q
+    tables = (np.zeros(q), np.zeros(q))
+    for s, kp in zip(tables, kw.kprod):
+        np.add.at(s, u, kp[a * b])
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -27,31 +52,28 @@ def test_weight_table_segments_add_up():
     G = build_group(15)
     kw = kernel_weights(15)
     z, m = kw.z_floor, kw.m_eff
-    tb0, tb1 = _build_tables(G, kw, 0, z)
-    tc0, tc1 = _build_tables(G, kw, z, m)
-    ta0, ta1 = _build_tables(G, kw, 0, m)
-    np.testing.assert_allclose(tb0 + tc0, ta0, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(tb1 + tc1, ta1, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(_table(G, kw, 0, z) + _table(G, kw, z, m),
+                               _table(G, kw, 0, m), rtol=0, atol=1e-12)
 
 
 def test_weight_table_mass_is_coprime_pair_sum():
     # summing the table over residues must reproduce the plain double sum
-    # over coprime pairs, independently of the residue bucketing
+    # over coprime pairs of the even kernel, independently of the residue
+    # bucketing: the odd part of the fold sums to zero
     q = 12
     G = build_group(q)
     kw = kernel_weights(q)
-    tables = _build_tables(G, kw, 0, kw.m_eff)
-    for parity in (0, 1):
-        direct = 0.0
-        kp = kw.kprod[parity]
-        for a in range(1, kw.m_eff + 1):
-            if math.gcd(a, q) != 1:
+    table = _table(G, kw, 0, kw.m_eff)
+    direct = 0.0
+    kp = kw.kprod[0]
+    for a in range(1, kw.m_eff + 1):
+        if math.gcd(a, q) != 1:
+            continue
+        for b in range(1, kw.m_eff // a + 1):
+            if math.gcd(b, q) != 1:
                 continue
-            for b in range(1, kw.m_eff // a + 1):
-                if math.gcd(b, q) != 1:
-                    continue
-                direct += kp[a * b] / 1.0
-        assert np.sum(tables[parity]) == pytest.approx(direct, rel=1e-12)
+            direct += kp[a * b] / 1.0
+    assert np.sum(table) == pytest.approx(direct, rel=1e-12)
 
 
 @pytest.mark.parametrize("q, flush", [
@@ -60,10 +82,11 @@ def test_weight_table_mass_is_coprime_pair_sum():
 ])
 def test_build_tables_match_brute_force(q, flush, monkeypatch):
     # the unordered chunks, scattered and symmetrized, against a plain
-    # gcd double loop over the ordered pairs scattered with np.add.at;
-    # the second range is a perfect square, where the diagonal pair
-    # a = b = isqrt(m_eff) closes the enumeration and must count once.
-    # With a small batch the build sums over several bincounts.
+    # gcd double loop over the ordered pairs scattered with np.add.at
+    # into one table per parity, folded; the second range is a perfect
+    # square, where the diagonal pair a = b = isqrt(m_eff) closes the
+    # enumeration and must count once.  With a small batch the build
+    # sums over several bincounts.
     if flush is not None:
         monkeypatch.setattr(spectra, "_FLUSH", flush)
     G = build_group(q)
@@ -82,21 +105,24 @@ def test_build_tables_match_brute_force(q, flush, monkeypatch):
         z = min(kw.z_floor, m_eff)
         segments = ((0, z), (z, m_eff))
         kw_m = dataclasses.replace(kw, m_eff=m_eff)
-        got = [s for lo, hi in segments for s in _build_tables(G, kw_m, lo, hi)]
-        for si, (lo, hi) in enumerate(segments):
+        for lo, hi in segments:
             sel = (m > lo) & (m <= hi)
-            for par in (0, 1):
-                want = np.zeros(q)
-                np.add.at(want, u[sel], kw.kprod[par][m[sel]])
-                np.testing.assert_allclose(got[2 * si + par], want,
-                                           rtol=1e-13, atol=0)
+            want = (np.zeros(q), np.zeros(q))
+            for s, kp in zip(want, kw.kprod):
+                np.add.at(s, u[sel], kp[m[sel]])
+            # relative to the four terms of the fold in absolute value,
+            # since T(u) can cancel to far below them
+            neg = -np.arange(q) % q
+            scale = 0.5 * sum(np.abs(s) + np.abs(s[neg]) for s in want)
+            gap = np.abs(_table(G, kw_m, lo, hi) - _fold(*want))
+            assert np.all(gap <= 1e-13 * scale)
 
 
 @pytest.mark.parametrize("q", [1, 2, 12, 97, 1009, 15015])
 def test_tables_are_inverse_symmetric_and_count_each_pair_once(q):
     # the build scatters each unordered pair once and symmetrizes, so
-    # S_a(u^-1) == S_a(u) bit for bit on the head and the tail; and the
-    # mass of each table is sum over coprime n in its range of d(n) kp[n],
+    # T(u^-1) == T(u) bit for bit on the head and the tail; and the mass
+    # of each table is sum over coprime n in its range of d(n) K_0(n),
     # every ordered pair once, each diagonal pair a = b once
     G = build_group(q)
     kw = kernel_weights(q)
@@ -107,10 +133,11 @@ def test_tables_are_inverse_symmetric_and_count_each_pair_once(q):
         d[x::x] += 1
     d[np.gcd(np.arange(m + 1), q) != 1] = 0
     for lo, hi in ((0, kw.z_floor), (kw.z_floor, m)):
-        for s, kp in zip(_build_tables(G, kw, lo, hi), kw.kprod):
-            assert np.array_equal(s[inv], s)
-            mass = math.fsum((d[lo + 1:hi + 1] * kp[lo + 1:hi + 1]).tolist())
-            assert math.fsum(s.tolist()) == pytest.approx(mass, rel=1e-13)
+        t = _table(G, kw, lo, hi)
+        assert np.array_equal(t[inv], t)
+        kp = kw.kprod[0][lo + 1:hi + 1]
+        mass = math.fsum((d[lo + 1:hi + 1] * kp).tolist())
+        assert math.fsum(t.tolist()) == pytest.approx(mass, rel=1e-13)
 
 
 @pytest.mark.parametrize("q", [1, 2, 12, 45, 97])
@@ -128,11 +155,14 @@ def test_pair_chunks_past_lo_are_the_full_order_filtered(q):
         assert np.array_equal(got, want), lo
 
 
+def _ranges(kw):
+    return (0, kw.z_floor), (kw.z_floor, kw.m_eff)
+
+
 def _tables(q):
     G = build_group(q)
     kw = kernel_weights(q)
-    return G, [*_build_tables(G, kw, 0, kw.z_floor),
-               *_build_tables(G, kw, kw.z_floor, kw.m_eff)]
+    return G, [_table(G, kw, lo, hi) for lo, hi in _ranges(kw)]
 
 
 def test_transform_principal_row_is_total_mass():
@@ -147,7 +177,7 @@ def test_transform_principal_row_is_total_mass():
 
 @pytest.mark.parametrize("q", [1009, 2999])
 def test_transform_matches_exact_angle_at_mid_q(q):
-    # the FFT against the exact-angle oracle on all four B/C tables, over
+    # the FFT against the exact-angle oracle on the B and the C table, over
     # every character of the grid (an oracle that forms the angle e t / d
     # in floats before reducing it drifts by ~1e-11 at these q), and the
     # moment and imaginary residue of the spectrum built on the FFT
@@ -157,8 +187,7 @@ def test_transform_matches_exact_angle_at_mid_q(q):
         exact.append(_exact_transform(G, s))
         assert float(np.max(np.abs(group_transform(G, s) - exact[-1]))) <= 1e-12
     spec = compute_spectrum(q, group=G)
-    even = spec.parity == 0
-    a = sum(np.where(even, exact[i].real, exact[i + 1].real) for i in (0, 2))
+    a = exact[0].real + exact[1].real
     mf = 4.0 * float(np.sum(spec.a_values[spec.primitive] ** 2))
     mn = 4.0 * float(np.sum(a[spec.primitive] ** 2))
     assert abs(mf - mn) <= 1e-12 * abs(mn)
@@ -168,15 +197,17 @@ def test_transform_matches_exact_angle_at_mid_q(q):
 @pytest.mark.parametrize("q", [1, 2, 4, 8, 12, 64, 2992, 2999, 30030])
 def test_parity_fold_matches_per_parity_oracle(q):
     # one transform of the folded table against the exact-angle transform
-    # of each parity table, read on the characters of that parity, on
-    # every character; compute_spectrum's B and C come from the same fold
-    G, tables = _tables(q)
-    spec = compute_spectrum(q, group=G)
+    # of each brute-force parity table, read on the characters of that
+    # parity, on every character; compute_spectrum's B and C come from
+    # the same folded tables
+    G = build_group(q)
+    kw = kernel_weights(q)
+    spec = compute_spectrum(q, group=G, weights=kw)
     even = spec.parity == 0
-    for (s0, s1), got in ((tables[:2], spec.b_values),
-                          (tables[2:], spec.c_values)):
+    for (lo, hi), got in zip(_ranges(kw), (spec.b_values, spec.c_values)):
+        s0, s1 = _parity_tables(q, kw, lo, hi)
         want = np.where(even, _exact_transform(G, s0), _exact_transform(G, s1))
-        fold = group_transform(G, spectra._fold(s0, s1))
+        fold = group_transform(G, _table(G, kw, lo, hi))
         assert float(np.max(np.abs(fold - want))) <= 1e-12
         assert float(np.max(np.abs(got - want.real))) <= 1e-12
 
