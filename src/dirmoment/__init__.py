@@ -21,10 +21,9 @@ from .lfunc import (CentralValue, KernelWeights, abc_values, hurwitz_zeta,
 from .spectra import (CharacterSpectrum, MomentReport, compute_spectrum,
                       fourth_moment, group_transform, tail_moment_all)
 from .asymptotics import (ErrorSumResult, Lemma3Result, Lemma4Result,
-                          Lemma5Result, MainTermBreakdown, error_sum_E,
-                          lemma3_count, lemma4_check, lemma5_sums,
-                          m_direct, m_reparametrized, main_term_breakdown,
-                          theorem_main_term)
+                          Lemma5Result, error_sum_E, lemma3_count,
+                          lemma4_check, lemma5_sums, m_direct,
+                          m_reparametrized, theorem_main_term)
 from .numerics import EULER_GAMMA, ZETA2, fmt_float
 
 __version__ = "0.1.0"
@@ -50,8 +49,7 @@ __all__ = [
     "group_transform", "CharacterSpectrum", "compute_spectrum",
     "MomentReport", "fourth_moment", "tail_moment_all",
     # asymptotics
-    "theorem_main_term", "m_direct", "m_reparametrized",
-    "MainTermBreakdown", "main_term_breakdown", "Lemma3Result",
+    "theorem_main_term", "m_direct", "m_reparametrized", "Lemma3Result",
     "lemma3_count", "Lemma4Result", "lemma4_check", "Lemma5Result",
     "lemma5_sums", "ErrorSumResult", "error_sum_E",
     # numerics

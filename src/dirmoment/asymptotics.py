@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import (coprime_mask, euler_phi, factorize, omega, omega_sieve,
+from .arith import (coprime_mask, euler_phi, factorize, omega_sieve,
                     phi_star, two_pow_omega)
 from .chargroup import CharacterGroup, build_group
 from .lfunc import (KernelWeights, _coprime_pairs, _pair_terms, _pairs,
@@ -51,8 +51,6 @@ __all__ = [
     "theorem_main_term",
     "m_direct",
     "m_reparametrized",
-    "MainTermBreakdown",
-    "main_term_breakdown",
     "Lemma3Result",
     "lemma3_count",
     "Lemma4Result",
@@ -72,8 +70,6 @@ def theorem_main_term(q: int) -> float:
     """Leading fourth-moment asymptotic at modulus q."""
     if q < 1:
         raise ValueError(f"modulus must be positive, got {q}")
-    if q == 1:
-        return 0.0  # log(1)^4
     prod = 1.0
     for p, _ in factorize(q).factors:
         prod *= (1.0 - 1.0 / p) ** 3 / (1.0 + 1.0 / p)
@@ -110,11 +106,11 @@ def m_direct(q: int, *,
     return phi_star(q) / 2.0 * math.fsum(terms)
 
 
-def _repar_parts(q: int, kw: KernelWeights) -> tuple[float, float, int]:
-    """(head, tail, z0_floor): reparametrized sum split at n <= Z_0 with
-    Z_0 = Z / 9^omega(q), head/tail exclusive of the phi*/2 prefactor."""
+def m_reparametrized(q: int, *,
+                     weights: Optional[KernelWeights] = None) -> float:
+    """Diagonal main term via the a=gr, b=gs, c=hs, d=hr grouping."""
+    kw = _resolve_weights(q, weights, head_only=True)
     z = kw.z_floor
-    z0_floor = q // 18 ** omega(q)
     cop = coprime_mask(q, z)
     # s[a][n] = sum over coprime g with g^2 n <= z of kprod[a][g^2 n],
     # each added from g = 1 upwards
@@ -126,46 +122,7 @@ def _repar_parts(q: int, kw: KernelWeights) -> tuple[float, float, int]:
     n = np.flatnonzero(cop[1:]) + 1
     two_om = np.float64(2.0) ** omega_sieve(z)[n]
     term = two_om * (s[0][n] * s[0][n] + s[1][n] * s[1][n])
-    head = n <= z0_floor
-    return (math.fsum(term[head].tolist()), math.fsum(term[~head].tolist()),
-            z0_floor)
-
-
-def m_reparametrized(q: int, *,
-                     weights: Optional[KernelWeights] = None) -> float:
-    """Diagonal main term via the a=gr, b=gs, c=hs, d=hr grouping."""
-    kw = _resolve_weights(q, weights, head_only=True)
-    head, tail, _ = _repar_parts(q, kw)
-    return phi_star(q) / 2.0 * (head + tail)
-
-
-@dataclass(frozen=True)
-class MainTermBreakdown:
-    """Where the head moment mass sits, against the closed form."""
-
-    q: int
-    theorem_value: float        # (phi*/2 pi^2) prod (log q)^4
-    head_main_term: float       # theorem_value / 4: the sum* |B|^2 share
-    m_value: float              # reparametrized diagonal sum
-    m_head: float               # n <= Z_0 part (carries the asymptotic)
-    m_tail: float               # Z_0 < n <= Z part (error-sized)
-    z0_floor: int
-    relative_error_budget: float  # (omega(q)/log q) sqrt(q/phi(q))
-
-
-def main_term_breakdown(q: int, *,
-                        weights: Optional[KernelWeights] = None) -> MainTermBreakdown:
-    if q < 3:
-        raise ValueError("breakdown needs q >= 3 so log q > 0")
-    kw = _resolve_weights(q, weights, head_only=True)
-    head, tail, z0 = _repar_parts(q, kw)
-    pref = phi_star(q) / 2.0
-    thm = theorem_main_term(q)
-    budget = omega(q) / math.log(q) * math.sqrt(q / euler_phi(q))
-    return MainTermBreakdown(
-        q=q, theorem_value=thm, head_main_term=thm / 4.0,
-        m_value=pref * (head + tail), m_head=pref * head,
-        m_tail=pref * tail, z0_floor=z0, relative_error_budget=budget)
+    return phi_star(q) / 2.0 * math.fsum(term.tolist())
 
 
 @dataclass(frozen=True)
@@ -270,7 +227,7 @@ def lemma5_sums(q: int, x: float) -> Lemma5Result:
             parts.append(float(np.sum(vals[cop[n0:n1]])))
         return math.fsum(parts)
 
-    sum1 = masked_sum(min(q, xi), False) if q > 1 else 1.0  # q = 1: n = 1
+    sum1 = masked_sum(min(q, xi), False)
     sum2 = masked_sum(xi, True)
     prod = 1.0
     for p, _ in factorize(q).factors:

@@ -526,8 +526,6 @@ def exact_root_of_unity_sum(counts: Sequence[int]) -> Optional[int]:
     N = len(counts)
     if N == 0:
         return 0
-    if N == 1:
-        return int(counts[0])
     phi = _cyclotomic(N)
     dphi = len(phi) - 1
     rem = [int(c) for c in counts]

@@ -90,7 +90,7 @@ def pair_sum(qmax: int):
             for n in range(1, 2 * q + 1):
                 if math.gcd(n, q) != 1:
                     continue
-                u = m * pow(n, -1, q) % q if q > 1 else 0
+                u = m * pow(n, -1, q) % q
                 for par in (0, 1):
                     key = (u, par)
                     if key not in cache:

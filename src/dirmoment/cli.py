@@ -33,6 +33,7 @@ measurements under --timings, keeping default output reproducible.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 import time
@@ -114,19 +115,8 @@ def _warn_nan_ratio(rep: MomentReport) -> None:
 
 def _cmd_moment(args: argparse.Namespace) -> int:
     rep = fourth_moment(args.q)
-    payload: dict = {
-        "q": rep.q,
-        "phi_star": rep.phi_star,
-        "fourth_moment": rep.fourth_moment,
-        "main_term": rep.main_term,
-        "ratio": rep.ratio,
-        "b_moment": rep.b_moment,
-        "c_moment_primitive": rep.c_moment_primitive,
-        "cross_term": rep.cross_term,
-        "imag_residue": rep.imag_residue,
-        "m_eff": rep.m_eff,
-        "z_floor": rep.z_floor,
-    }
+    payload = dataclasses.asdict(rep)
+    del payload["wall"]
     if rep.phi_star == 0:
         payload["warning"] = "no primitive characters"
         print(f"warning: no primitive characters mod {rep.q}",

@@ -208,10 +208,8 @@ def fourth_moment(q: int, *,
     Every |L|^2 comes from one group transform of the Hurwitz table; B
     from the head table, which need kernel values for m <= z_floor only
     (`weights` may be a full or a head-only table); C = |L|^2 / 2 - B.
-    The one exception is q = 1: its only character is principal, and
-    zeta's pole puts terms into |zeta(1/2)|^2 that the smoothed sum 2A
-    leaves out, so there A = B + C comes from the tables and the moment
-    is 4 A^2 as the per-character pipeline gives it.
+    At q = 1 too: the moment is |zeta(1/2)|^4, and C takes up the pole
+    terms of zeta that the smoothed sum 2A leaves out.
     """
     from .asymptotics import theorem_main_term
 
@@ -243,8 +241,6 @@ def fourth_moment(q: int, *,
     prim = G.conductor_grid() == q
     # A = |L|^2 / 2 on primitive chi, q^-1/2 |sum_u chi(u) zeta(1/2, u/q)|
     a = (lt.real ** 2 + lt.imag ** 2) / (2.0 * q)
-    if q == 1:
-        a = vb.real + compute_spectrum(1).c_values
     a, b = a[prim], vb.real[prim]
     c = a - b
     moment = 4.0 * float(np.sum(a ** 2))

@@ -88,7 +88,9 @@ def test_criterion_02_oracle_agreement_at_scale():
 def test_criterion_03_pipeline_equivalence():
     t0 = time.perf_counter()
     worst_moment = 0.0
-    for q in range(1, 201):
+    # the moment reads |L|^2 = 2A; q = 1 is left out, since there the
+    # pole of zeta puts terms into |zeta(1/2)|^2 that 2A does not carry
+    for q in range(2, 201):
         kw = kernel_weights(q)
         G = build_group(q)
         tot = 0.0
@@ -112,7 +114,7 @@ def test_criterion_03_pipeline_equivalence():
                 group_transform(G, s) - _exact_transform(G, s)))))
     ok = worst_moment <= 1e-9 and worst_fft <= 1e-12
     _report(3, "table pipeline vs per-character; FFT vs exact-angle transform",
-            ok, f"moment rel {worst_moment:.2e} <= 1e-09 over q <= 200, "
+            ok, f"moment rel {worst_moment:.2e} <= 1e-09 over 2 <= q <= 200, "
             f"transform abs {worst_fft:.2e} <= 1e-12",
             300.0, time.perf_counter() - t0)
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from dirmoment import asymptotics, lfunc
-from dirmoment.arith import euler_phi, omega, phi_star, two_pow_omega
+from dirmoment.arith import euler_phi, phi_star, two_pow_omega
 from dirmoment.asymptotics import (error_sum_E, lemma3_count, lemma4_check,
                                    lemma5_sums, m_direct, m_reparametrized,
-                                   main_term_breakdown, theorem_main_term)
+                                   theorem_main_term)
 from dirmoment.chargroup import build_group
 from dirmoment.kernel import w_eval_batch
 from dirmoment.lfunc import _coprime_pairs, abc_values, kernel_weights
@@ -113,21 +113,6 @@ def test_m_direct_refuses_before_any_work(monkeypatch):
     assert str(err.value) == (
         "direct quadruple enumeration at q = 1000003 needs 4.41e+13 checks;"
         " use the reparametrized form")
-
-
-def test_breakdown_pieces():
-    for q in (5, 12, 45):
-        kw = kernel_weights(q)
-        br = main_term_breakdown(q, weights=kw)
-        assert br.m_value == pytest.approx(br.m_head + br.m_tail, rel=1e-13)
-        assert br.m_value == pytest.approx(
-            m_reparametrized(q, weights=kw), rel=1e-14)
-        assert br.theorem_value == theorem_main_term(q)
-        assert br.head_main_term == br.theorem_value / 4.0
-        assert br.z0_floor == q // 18 ** omega(q)
-        assert br.relative_error_budget > 0
-    with pytest.raises(ValueError):
-        main_term_breakdown(2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -37,8 +38,26 @@ def test_removed_names_are_gone():
                  "_parity_transform", "mobius_sieve", "euler_phi_sieve",
                  "divisor_count", "primitive_count", "_is_probable_prime",
                  "_pollard_rho", "_MR_WITNESSES", "clear_kernel_cache",
-                 "_fold", "_build_tables"):
+                 "_fold", "_build_tables", "main_term_breakdown",
+                 "MainTermBreakdown", "_repar_parts"):
         assert not [m.__name__ for m in mods if hasattr(m, gone)], gone
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_no_unused_imports(name):
+    # every name a module imports is read somewhere in it; __init__ is
+    # left out, since it imports only to re-export
+    path = pathlib.Path(dirmoment.__file__).with_name(f"{name}.py")
+    tree = ast.parse(path.read_text())
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(imported - used)
+    assert not unused
 
 
 def test_no_kernel_knobs_above_the_kernel():

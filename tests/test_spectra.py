@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -300,6 +301,20 @@ def test_spectrum_b_moment_is_fourth_moment_b_moment(q):
     spec = compute_spectrum(q, weights=kw)
     b = spec.b_values[spec.primitive]
     assert float(np.sum(b ** 2)) == fourth_moment(q, weights=kw).b_moment
+
+
+def test_moment_at_q1_is_zeta_fourth_power():
+    # mod 1 the one character is principal and |L|^2 = |zeta(1/2)|^2
+    # comes from the Hurwitz transform, as at every q; C = |L|^2 / 2 - B
+    # takes up the pole terms the smoothed sum leaves out
+    rep = fourth_moment(1)
+    with mpmath.workdps(30):
+        want = float(mpmath.zeta(0.5) ** 4)
+    assert abs(rep.fourth_moment - want) <= 1e-14 * want
+    assert rep.b_moment == compute_spectrum(1).b_values[0] ** 2
+    decomposition = 4.0 * (rep.b_moment + 2.0 * rep.cross_term
+                           + rep.c_moment_primitive)
+    assert rep.fourth_moment == pytest.approx(decomposition, rel=1e-12)
 
 
 def test_moment_positive_and_ratio():
