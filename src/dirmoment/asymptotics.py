@@ -42,9 +42,9 @@ import numpy as np
 
 from .arith import (coprime_mask, euler_phi, factorize, omega_sieve,
                     phi_star, two_pow_omega)
-from .chargroup import CharacterGroup, build_group
+from .chargroup import build_group
 from .lfunc import (KernelWeights, _coprime_pairs, _pair_terms, _pairs,
-                    _resolve_weights)
+                    _resolve_weights, kernel_weights)
 from .numerics import EULER_GAMMA, ZETA2
 
 __all__ = [
@@ -76,8 +76,7 @@ def theorem_main_term(q: int) -> float:
     return phi_star(q) / (2 * math.pi**2) * prod * math.log(q) ** 4
 
 
-def m_direct(q: int, *,
-             weights: Optional[KernelWeights] = None) -> float:
+def m_direct(q: int) -> float:
     """Diagonal main term by literal quadruple enumeration over ac = bd.
 
     The pairs are counted before any kernel value or pair is built: with
@@ -92,7 +91,7 @@ def m_direct(q: int, *,
         raise ValueError(
             f"direct quadruple enumeration at q = {q} needs "
             f"{n**2:.2e} checks; use the reparametrized form")
-    kw = _resolve_weights(q, weights, head_only=True)
+    kw = kernel_weights(q, head_only=True)
     a, b = _coprime_pairs(q, z)
     kp0, kp1 = kw.kprod
     terms: list[float] = []
@@ -247,9 +246,7 @@ class ErrorSumResult:
     envelope: float    # q (log q)^3
 
 
-def error_sum_E(q: int, *,
-                weights: Optional[KernelWeights] = None,
-                group: Optional[CharacterGroup] = None) -> ErrorSumResult:
+def error_sum_E(q: int) -> ErrorSumResult:
     """Off-diagonal remainder E = sum*|B|^2 - M, measured directly.
 
     The B values are recomputed here by the naive per-character route
@@ -257,8 +254,8 @@ def error_sum_E(q: int, *,
     """
     if q < 3:
         raise ValueError("error sum needs q >= 3 so log q > 0")
-    kw = _resolve_weights(q, weights, head_only=True)
-    G = group if group is not None else build_group(q)
+    kw = kernel_weights(q, head_only=True)
+    G = build_group(q)
     head = _pairs(q, 0, kw.z_floor)
     sq = []
     for chi in G.labels():

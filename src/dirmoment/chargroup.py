@@ -63,9 +63,7 @@ class Component:
     of a character with exponent t on this factor.
     """
 
-    prime: int
-    exp: int
-    pe: int          # p^exp
+    pe: int          # the prime power p^e
     order: int
     dlog: np.ndarray  # residue mod pe -> generator exponent, -1 off units
     parity: np.ndarray     # int8, length order
@@ -357,7 +355,7 @@ def _component(p: int, e: int, base: int, order: int,
         conductor[::k] = math.gcd(d_p // k * base, pe)
         k *= p
     conductor[0] = 1  # t = 0: the character is trivial on this factor
-    return Component(p, e, pe, order, dlog, parity, conductor)
+    return Component(pe, order, dlog, parity, conductor)
 
 
 def build_group(q: int) -> CharacterGroup:
@@ -465,7 +463,7 @@ def signed_sum_eq21(q: int, m: int, n: int, parity: int) -> Fraction:
     s1 = _phi_mu_divisor_sum(q, abs(m - n))
     s2 = _phi_mu_divisor_sum(q, m + n)
     sign = -1 if parity else 1
-    return Fraction(s1, 2) + Fraction(sign * s2, 2)
+    return Fraction(s1 + sign * s2, 2)
 
 
 # ---------------------------------------------------------------------------

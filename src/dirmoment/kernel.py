@@ -14,8 +14,10 @@ arguments in ascending order and hands each method one slice):
                      (psi(k+1) + 1/sigma_k - ln x),
 
     with sigma_k = 1/2 + a + 2k, G0 = Gamma((1/2 + a)/2), and
-    psi(k+1) = -gamma + H_k.  It is summed to double rounding, 15 terms
-    at x = pi/2 where the B head ends.  The terms cancel: their sizes sum
+    psi(k+1) = -gamma + H_k.  It is summed to double rounding with as
+    many terms as x = 2 needs (16 for a = 0, 17 for a = 1), so a value
+    does not depend on its batch; on the B head at q = 100003 it sits at
+    most 1.7e-15 from an 80-digit sum.  The terms cancel: their sizes sum
     to 7 at x = 2 but 310 at x = 4 (a = 1), where the sum is off by up to
     5.7e-13 against 1e-17 for the quadrature.  So the series is the path
     on 0 < x <= 2 only; w_series accepts 0 < x <= 4.
@@ -349,11 +351,14 @@ def _series_batch(a: int, x: np.ndarray, out: np.ndarray) -> None:
 
     c_k = 4 / (k!^2 G0^2 sigma_k), by Horner's rule in blocks of
     _HORNER_BLOCK points.  Terms are added until a geometric tail bound at
-    the largest x of the batch, which bounds the tail at every x, drops
-    below _TAIL (25 terms at x = 4).
+    x_top, the larger of _SERIES_PATH and the batch's largest x, drops
+    below _TAIL; it bounds the tail at every x of the batch.  On the
+    series path the count is that of x = 2 (16 terms for a = 0, 17 for
+    a = 1), so each value depends on (a, x) alone; w_series on (2, 4]
+    takes its own x (24 terms at x = 4, a = 1).
     """
     beta = 0.5 + a
-    x_top = float(x.max())
+    x_top = max(float(x.max()), _SERIES_PATH)
     inv_kfac_sq = 1.0 / math.gamma(beta / 2) ** 2  # 1 / (k!^2 G0^2)
     harmonic = 0.0                 # H_k, so psi(k+1) = H_k - gamma
     xp = x_top**beta               # x_top^sigma_k

@@ -61,7 +61,7 @@ from .arith import phi_star
 from .chargroup import CharacterGroup, build_group
 from .lfunc import (_MAX_TABLE_PAIRS, KernelWeights, _check_pair_count,
                     _coprime_pair_chunks, _hurwitz_half, _resolve_weights,
-                    truncation_bound)
+                    kernel_weights, truncation_bound)
 
 __all__ = [
     "CharacterSpectrum",
@@ -165,13 +165,11 @@ class CharacterSpectrum:
         return self.b_values + self.c_values
 
 
-def compute_spectrum(q: int, *,
-                     group: Optional[CharacterGroup] = None,
-                     weights: Optional[KernelWeights] = None) -> CharacterSpectrum:
+def compute_spectrum(q: int) -> CharacterSpectrum:
     """Tables + transform for every character mod q."""
     _check_pair_count(truncation_bound(q), _MAX_TABLE_PAIRS)
-    G = group if group is not None else build_group(q)
-    kw = _resolve_weights(q, weights)
+    G = build_group(q)
+    kw = kernel_weights(q)
     vb, vc = (group_transform(G, _table(G, kw, lo, hi))
               for lo, hi in ((0, kw.z_floor), (kw.z_floor, kw.m_eff)))
     return CharacterSpectrum(
@@ -266,7 +264,9 @@ def tail_moment_all(q: int, *,
 
         sum_chi C(chi)^2 = phi(q) sum_u T(u)^2.
 
-    No transform is needed.
+    No transform is needed.  At q = 1 this is the smoothed C, which lacks
+    the pole terms of zeta and reads about 1e-14, while fourth_moment's
+    c_moment_primitive there is |L|^2 / 2 - B = 1.137.
     """
     _check_pair_count(truncation_bound(q), _MAX_TABLE_PAIRS)
     G = group if group is not None else build_group(q)

@@ -51,7 +51,7 @@ def test_criterion_01_exact_identities():
 
 def test_criterion_02_oracle_agreement():
     t0 = time.perf_counter()
-    r = checks.oracle_equation((3, 4, 5, 7, 8, 9, 11, 12, 13, 16))
+    r = checks.oracle_equation()
     ok = not r.failures and r.worst <= 1e-6 and r.checks == 41
     _report(2, "smoothed functional equation vs independent oracle",
             ok, f"{r.checks} primitive characters, worst rel "
@@ -121,7 +121,7 @@ def test_criterion_03_pipeline_equivalence():
 
 def test_criterion_04_reparametrization():
     t0 = time.perf_counter()
-    r = checks.diagonal_equality((5, 7, 8, 9, 12))
+    r = checks.diagonal_equality()
     ok = not r.failures and r.worst <= 1e-10 and r.checks == 5
     _report(4, "diagonal quadruple sum reorganization identity",
             ok, f"worst rel {r.worst:.2e} <= 1e-10",
@@ -178,7 +178,7 @@ def test_criterion_06_harmonic_and_two_omega_sums():
     # subleading term of the sum decays only like 1/log x (see the
     # decisions ledger), so the frozen measured bands are the criterion.
     # The sweep also checks each head sum against 6x its envelope.
-    r5 = checks.lemma5({1: (1.70, 1.72), 6: (2.50, 2.52), 30: (2.86, 2.88)})
+    r5 = checks.lemma5()
     ok = not r4.failures and not r5.failures and r4.checks == 180 + 177
     detail = (f"harmonic-sum failures 0/180, prime-log caps 0/177, worst "
               f"error/envelope {r4.worst:.3f}; ratio2 in the frozen bands, "

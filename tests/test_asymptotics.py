@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dirmoment import asymptotics, lfunc
+from dirmoment import asymptotics
 from dirmoment.arith import euler_phi, phi_star, two_pow_omega
 from dirmoment.asymptotics import (error_sum_E, lemma3_count, lemma4_check,
                                    lemma5_sums, m_direct, m_reparametrized,
@@ -41,9 +41,8 @@ def test_theorem_main_term_grows():
 
 @pytest.mark.parametrize("q", [5, 8, 9, 12])
 def test_diagonal_reorganization_identity(q):
-    kw = kernel_weights(q)
-    lhs = m_direct(q, weights=kw)
-    rhs = m_reparametrized(q, weights=kw)
+    lhs = m_direct(q)
+    rhs = m_reparametrized(q)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -70,7 +69,7 @@ def test_diagonal_brute_force_tiny():
                                + w1[a * b] * w1[c * d])
                               / math.sqrt(a * b * c * d))
     want = 3 / 2 * total
-    assert m_direct(q, weights=kw) == pytest.approx(want, rel=1e-13)
+    assert m_direct(q) == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("q", [1, 5, 12, 97])
@@ -97,7 +96,7 @@ def test_m_direct_is_the_fsum_over_ordered_quadruples(q):
              if math.gcd(a * b, q) == 1]
     terms = [kp0[a * b] * kp0[c * d] + kp1[a * b] * kp1[c * d]
              for a, b in pairs for c, d in pairs if a * c == b * d]
-    assert m_direct(q, weights=kw) == phi_star(q) / 2.0 * math.fsum(terms)
+    assert m_direct(q) == phi_star(q) / 2.0 * math.fsum(terms)
 
 
 def test_m_direct_refuses_before_any_work(monkeypatch):
@@ -107,7 +106,7 @@ def test_m_direct_refuses_before_any_work(monkeypatch):
         raise AssertionError("m_direct built a table before its cap check")
 
     monkeypatch.setattr(asymptotics, "_coprime_pairs", fail)
-    monkeypatch.setattr(lfunc, "kernel_weights", fail)
+    monkeypatch.setattr(asymptotics, "kernel_weights", fail)
     with pytest.raises(ValueError) as err:
         m_direct(1000003)
     assert str(err.value) == (
@@ -248,13 +247,13 @@ def test_error_sum_head_matches_per_character_b():
         kw = kernel_weights(q)
         b_sq = math.fsum(abc_values(G, chi, weights=kw).b_value ** 2
                          for chi in G.labels() if chi.primitive)
-        assert error_sum_E(q, weights=kw, group=G).b_sq_sum == b_sq
+        assert error_sum_E(q).b_sq_sum == b_sq
 
 
 def test_error_sum_consistent_with_reparametrized():
     q = 15
     kw = kernel_weights(q)
-    r = error_sum_E(q, weights=kw)
+    r = error_sum_E(q)
     assert r.m_value == pytest.approx(
         m_reparametrized(q, weights=kw), rel=1e-14)
     with pytest.raises(ValueError):

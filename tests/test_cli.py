@@ -188,6 +188,23 @@ def test_scan_deterministic_across_threads(tmp_path, capsys):
     assert all(ln.rsplit(",", 1)[1] == "0" for ln in lines[1:])
 
 
+@pytest.mark.parametrize("q", [1009, 2999, 10007])
+def test_moment_and_scan_print_the_same_digits(q, tmp_path, capsys):
+    # moment reads a head-only kernel table and scan a full one; the head
+    # values are the same floats, so the shared columns print alike
+    rc, out = run(capsys, "moment", "--q", str(q))
+    assert rc == 0
+    doc = json.loads(out)
+    f = tmp_path / "s.csv"
+    assert cli.main(["scan", "--qmin", str(q), "--qmax", str(q),
+                     "--out", str(f)]) == 0
+    row = dict(zip(HEADER.split(","), f.read_text().split("\n")[1].split(",")))
+    assert row["phi_star"] == str(doc["phi_star"])
+    for col, key in (("moment", "fourth_moment"), ("main_term", "main_term"),
+                     ("ratio", "ratio"), ("b_moment", "b_moment")):
+        assert row[col] == fmt_float(doc[key]), col
+
+
 def test_scan_row_values_roundtrip(tmp_path):
     f = tmp_path / "s.csv"
     cli.main(["scan", "--qmin", "5", "--qmax", "5", "--out", str(f)])

@@ -170,7 +170,8 @@ def test_interpolant_rejects_low_degree(monkeypatch):
 
 def test_head_table_matches_residue_series():
     # the B head (x <= pi/2) comes from the series in double precision:
-    # measured 8.4e-16 from the 80-digit sum at q = 100003
+    # measured 8.5e-16 from the 80-digit sum at these points of the head
+    # at q = 100003, 1.7e-15 over the whole head
     q = 100003
     kw = kernel_weights(q, head_only=True)
     m = np.unique(np.geomspace(1, kw.z_floor, 16).round().astype(np.int64))
@@ -189,10 +190,25 @@ def test_step_check_covers_series_only_batch():
 
 
 def test_scalar_series_is_one_element_batch():
-    # w_series is the array series on one argument, bit for bit
+    # w_series is the array series on one argument, bit for bit, and the
+    # same float as inside a batch: the series takes its term count from
+    # the end of its path, x = 2, not from the batch's largest argument
+    xs = np.linspace(0.01, 2.0, 200)
     for a in (0, 1):
         for x in np.geomspace(1e-5, 2.0, 23):
             assert w_series(a, float(x)) == w_eval_batch(a, np.array([x]))[0]
+        alone = [w_series(a, float(x)) for x in xs]
+        assert alone == w_eval_batch(a, xs).tolist(), a
+
+
+@pytest.mark.parametrize("q", [129, 277, 2999, 10007, 100003])
+def test_head_only_table_is_prefix_of_full_table(q):
+    # every kernel value depends on (a, x) alone, so the head-only table
+    # holds the full table's first z_floor + 1 entries bit for bit
+    head, full = kernel_weights(q, head_only=True), kernel_weights(q)
+    for a in (0, 1):
+        assert np.array_equal(head.kprod[a],
+                              full.kprod[a][:head.z_floor + 1]), a
 
 
 def test_horner_blocks_do_not_change_values(monkeypatch):

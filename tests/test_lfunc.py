@@ -265,7 +265,7 @@ def test_unordered_sums_equal_ordered_fsums_bitwise(q):
         assert cv.a_value == math.fsum(head + tail)
         if chi.primitive:
             b_sq.append(math.fsum(head) ** 2)
-    assert error_sum_E(q, weights=kw, group=G).b_sq_sum == math.fsum(b_sq)
+    assert error_sum_E(q).b_sq_sum == math.fsum(b_sq)
 
 
 def test_abc_split_is_consistent():

@@ -80,6 +80,19 @@ def test_no_kernel_knobs_above_the_kernel():
                 assert "cfg" not in {f.name for f in dataclasses.fields(obj)}, obj
 
 
+def test_no_optional_parameters():
+    # these build their own group and kernel table, which reproduce a
+    # caller's bit for bit, and run their own frozen case lists, so they
+    # take no weights, group, moduli or bands
+    from dirmoment import asymptotics, checks, spectra
+    for fn in (spectra.compute_spectrum, asymptotics.error_sum_E,
+               asymptotics.m_direct, checks.oracle_equation,
+               checks.diagonal_equality, checks.lemma5):
+        params = inspect.signature(fn).parameters.values()
+        assert all(p.default is p.empty and p.kind is p.POSITIONAL_OR_KEYWORD
+                   for p in params), fn.__name__
+
+
 def test_runs_without_scipy():
     # numpy is the only runtime dependency: with scipy unimportable the
     # CLI still imports and computes a moment

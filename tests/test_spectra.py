@@ -187,7 +187,7 @@ def test_transform_matches_exact_angle_at_mid_q(q):
     for s in tables:
         exact.append(_exact_transform(G, s))
         assert float(np.max(np.abs(group_transform(G, s) - exact[-1]))) <= 1e-12
-    spec = compute_spectrum(q, group=G)
+    spec = compute_spectrum(q)
     a = exact[0].real + exact[1].real
     mf = 4.0 * float(np.sum(spec.a_values[spec.primitive] ** 2))
     mn = 4.0 * float(np.sum(a[spec.primitive] ** 2))
@@ -203,7 +203,7 @@ def test_parity_fold_matches_per_parity_oracle(q):
     # the same folded tables
     G = build_group(q)
     kw = kernel_weights(q)
-    spec = compute_spectrum(q, group=G, weights=kw)
+    spec = compute_spectrum(q)
     even = spec.parity == 0
     for (lo, hi), got in zip(_ranges(kw), (spec.b_values, spec.c_values)):
         s0, s1 = _parity_tables(q, kw, lo, hi)
@@ -221,7 +221,7 @@ def test_parity_fold_matches_per_parity_oracle(q):
 def test_spectrum_matches_per_character(q):
     G = build_group(q)
     kw = kernel_weights(q)
-    spec = compute_spectrum(q, weights=kw, group=G)
+    spec = compute_spectrum(q)
     for i, chi in enumerate(G.labels()):
         cv = abc_values(G, chi, weights=kw)
         assert spec.b_values[i] == pytest.approx(cv.b_value, rel=1e-10,
@@ -295,12 +295,12 @@ def test_moment_report_consistency():
 
 @pytest.mark.parametrize("q", [1009, 10007, 15015])
 def test_spectrum_b_moment_is_fourth_moment_b_moment(q):
-    # both build the B tables on the one range (0, z_floor] from the same
-    # kernel table, so their B values and sum* B^2 agree bit for bit
-    kw = kernel_weights(q)
-    spec = compute_spectrum(q, weights=kw)
+    # both build the B tables on the one range (0, z_floor], from a full
+    # and a head-only kernel table whose head values are the same floats,
+    # so their B values and sum* B^2 agree bit for bit
+    spec = compute_spectrum(q)
     b = spec.b_values[spec.primitive]
-    assert float(np.sum(b ** 2)) == fourth_moment(q, weights=kw).b_moment
+    assert float(np.sum(b ** 2)) == fourth_moment(q).b_moment
 
 
 def test_moment_at_q1_is_zeta_fourth_power():
@@ -327,9 +327,8 @@ def test_moment_positive_and_ratio():
 
 
 def test_weights_mismatch_rejected():
-    kw = kernel_weights(5)
     with pytest.raises(ValueError):
-        compute_spectrum(7, weights=kw)
+        fourth_moment(7, weights=kernel_weights(5))
 
 
 def test_spectrum_q1_and_q2_edge_cases():
