@@ -152,7 +152,7 @@ class CharacterGroup:
         self._labels_cache: Optional[list[CharacterLabel]] = None
         self._coprime_mask: Optional[np.ndarray] = None
         self._inverse_table: Optional[np.ndarray] = None
-        self._grid_index: Optional[np.ndarray] = None
+        self._unit_residues: Optional[np.ndarray] = None
         self._roots: Optional[np.ndarray] = None
         self._parity_grid: Optional[np.ndarray] = None
         self._conductor_grid: Optional[np.ndarray] = None
@@ -181,40 +181,37 @@ class CharacterGroup:
         """u -> u^-1 mod q on units, 0 elsewhere.
 
         The inverse of a unit has component exponents (order - t) mod
-        order: on the grid of residues indexed by grid_flat_index, each
-        axis reversed and then rolled by one.  The inverse residue is read
-        back through grid_flat_index.
+        order: on the grid of unit_residues, each axis reversed and then
+        rolled by one.  That grid is scattered back to its residues.
         """
         if self._inverse_table is None:
-            gi = self.grid_flat_index()
-            units = gi >= 0
-            residue = np.empty(self.group_order, dtype=np.int64)
-            residue[gi[units]] = np.flatnonzero(units)
-            grid = residue.reshape(self.orders)
+            grid = self.unit_residues().reshape(self.orders)
             for axis in range(grid.ndim):
                 grid = np.roll(np.flip(grid, axis), 1, axis)
-            inv = grid.ravel()[gi]
-            inv[~units] = 0
+            inv = np.zeros(self.q, dtype=np.int64)
+            inv[self.unit_residues()] = grid.ravel()
             self._inverse_table = inv
         return self._inverse_table
 
-    def grid_flat_index(self) -> np.ndarray:
-        """Residue u -> flat C-order index into the component-exponent grid.
-
-        Off-unit residues map to -1.  Used to scatter residue-indexed data
-        onto the grid the group transform runs over.
-        """
-        if self._grid_index is None:
-            # C order one axis at a time, so that only one q-length
-            # exponent array is alive besides the index; each axis's
-            # exponent is periodic in u with period p^e, so it is a tile
+    def unit_residues(self) -> np.ndarray:
+        """The phi(q) unit residues in label order: entry k is the residue
+        whose component exponents are those of label k.  The cached array
+        is shared and read-only."""
+        if self._unit_residues is None:
+            # the flat label index of every residue, C order one axis at
+            # a time, so that only one q-length exponent array is alive
+            # besides it; each axis's exponent is periodic in u with
+            # period p^e, so it is a tile
             idx = np.zeros(self.q, dtype=np.int64)
             for c in self.components:
                 idx *= c.order
                 idx += np.tile(np.maximum(c.dlog, 0), self.q // c.pe)
-            idx[~self.coprime_mask()] = -1
-            self._grid_index = idx
-        return self._grid_index
+            units = np.flatnonzero(self.coprime_mask())
+            res = np.empty(self.group_order, dtype=np.int64)
+            res[idx[units]] = units
+            res.flags.writeable = False
+            self._unit_residues = res
+        return self._unit_residues
 
     # -- character side ----------------------------------------------------
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .arith import euler_phi, omega
 from .chargroup import (build_group, exact_primitive_char_sum, gauss_sum,
                         primitive_sum_lemma1, signed_sum_eq21)
-from .lfunc import abc_values, kernel_weights
+from .lfunc import abc_values, kernel_weights, l_half_oracle
 from .spectra import tail_moment_all
 from .asymptotics import (error_sum_E, lemma3_count, lemma4_check,
                           lemma5_sums, m_direct, m_reparametrized)
@@ -132,8 +132,8 @@ def oracle_equation():
         for chi in G.labels():
             if not chi.primitive:
                 continue
-            cv = abc_values(G, chi, weights=kw, with_oracle=True)
-            lhs = abs(cv.l_oracle) ** 2
+            cv = abc_values(G, chi, weights=kw)
+            lhs = abs(l_half_oracle(G, chi)) ** 2
             rel = abs(lhs - 2.0 * cv.a_value) / abs(lhs)
             yield rel, rel > 1e-6 and {"check": "oracle_equation", "q": q,
                                        "exponents": list(chi.exponents),

@@ -45,7 +45,7 @@ from . import checks
 from .chargroup import build_group
 from .kernel import KernelAccuracyError, w_eval_batch
 from .lfunc import (_MAX_TABLE_PAIRS, _check_pair_count, abc_values,
-                    kernel_weights, truncation_bound)
+                    kernel_weights, l_half_oracle, truncation_bound)
 from .spectra import MomentReport, fourth_moment, tail_moment_all
 from .asymptotics import m_reparametrized
 from .numerics import fmt_float
@@ -138,10 +138,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     lines = [_SCAN_HEADER]
     for q in range(args.qmin, args.qmax + 1):
         t0 = time.perf_counter()
-        G = build_group(q)
         kw = kernel_weights(q)
-        rep = fourth_moment(q, group=G, weights=kw)
-        c_all = tail_moment_all(q, group=G, weights=kw)
+        rep = fourth_moment(q, weights=kw)
+        c_all = tail_moment_all(q, weights=kw)
         e_meas = rep.b_moment - m_reparametrized(q, weights=kw)
         wall_ms = (time.perf_counter() - t0) * 1000.0 if args.timings else 0.0
         _warn_nan_ratio(rep)
@@ -161,8 +160,7 @@ def _cmd_value(args: argparse.Namespace) -> int:
         args.parser.error(f"--char must be in [0, {G.group_order}) for "
                           f"--q {args.q}, got {args.char}")
     chi = G.label_at(args.char)
-    want_oracle = chi.primitive and G.q >= 3 and not args.no_oracle
-    cv = abc_values(G, chi, with_oracle=want_oracle)
+    cv = abc_values(G, chi)
     payload = {
         "q": args.q,
         "char": args.char,
@@ -176,10 +174,11 @@ def _cmd_value(args: argparse.Namespace) -> int:
         "m_eff": cv.m_eff,
         "two_a": 2.0 * cv.a_value,
     }
-    if cv.l_oracle is not None:
-        payload["l_oracle"] = cv.l_oracle
-        payload["l_abs_sq"] = abs(cv.l_oracle) ** 2
-        payload["afe_discrepancy"] = abs(cv.l_oracle) ** 2 - 2.0 * cv.a_value
+    if chi.primitive and G.q >= 3 and not args.no_oracle:
+        oracle = l_half_oracle(G, chi)
+        payload["l_oracle"] = oracle
+        payload["l_abs_sq"] = abs(oracle) ** 2
+        payload["afe_discrepancy"] = abs(oracle) ** 2 - 2.0 * cv.a_value
     _emit(_json(payload), args.out)
     return 0
 

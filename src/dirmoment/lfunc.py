@@ -209,7 +209,7 @@ def _resolve_weights(q: int, weights: Optional[KernelWeights], *,
 
 @dataclass(frozen=True)
 class CentralValue:
-    """Smoothed-sum output for one character, with the oracle alongside."""
+    """Smoothed-sum output for one character."""
 
     label: CharacterLabel
     q: int
@@ -217,7 +217,6 @@ class CentralValue:
     b_value: float    # head: products ab <= Z
     c_value: float    # tail: Z < ab <= m_eff
     m_eff: int
-    l_oracle: Optional[complex] = None
 
 
 def _coprime_pair_chunks(q: int, m: int, batch: int = _MAX_PAIRS, lo: int = 0
@@ -325,8 +324,7 @@ def _pair_terms(vals: np.ndarray, kp: np.ndarray,
 
 
 def abc_values(G: CharacterGroup, chi: CharacterLabel, *,
-               weights: Optional[KernelWeights] = None,
-               with_oracle: bool = False) -> CentralValue:
+               weights: Optional[KernelWeights] = None) -> CentralValue:
     """A(chi), B(chi), C(chi) by direct, correctly rounded summation.
 
     This is the reference pipeline: one character at a time, no residue
@@ -340,8 +338,7 @@ def abc_values(G: CharacterGroup, chi: CharacterLabel, *,
     z = weights.z_floor
     head, tail = (_pair_terms(vals, kp, _pairs(q, lo, hi))
                   for lo, hi in ((0, z), (z, weights.m_eff)))
-    oracle = l_half_oracle(G, chi) if with_oracle else None
     return CentralValue(
         label=chi, q=q, a_value=math.fsum(head + tail),
         b_value=math.fsum(head), c_value=math.fsum(tail),
-        m_eff=weights.m_eff, l_oracle=oracle)
+        m_eff=weights.m_eff)

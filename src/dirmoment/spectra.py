@@ -16,7 +16,8 @@ table to zero and an odd chi an even one, so sum_u chi(u) T(u) =
 sum_u chi(u) S_a(u) on every chi of parity a, and T(u^-1) = T(u) keeps
 the values real up to rounding.  _table builds T for one product range
 directly, without S_0 or S_1, and group_transform evaluates it against
-every character at once by an FFT over the CRT exponent grid.  Its
+every character at once by an FFT over the CRT exponent grid, gathered
+from the table at the units in label order (unit_residues()).  Its
 oracle, _exact_transform, applies one exact-angle DFT matrix per CRT
 axis, with each angle e t / d reduced mod d in integers.
 
@@ -112,12 +113,9 @@ def _table(G: CharacterGroup, kw: KernelWeights, lo: int,
 
 
 def _grid(G: CharacterGroup, residue_values: np.ndarray) -> np.ndarray:
-    """Real residue values scattered onto the component-exponent grid."""
-    grid = np.zeros(G.orders or (1,), dtype=np.float64)
-    gi = G.grid_flat_index()
-    valid = gi >= 0
-    grid.ravel()[gi[valid]] = residue_values[valid]
-    return grid
+    """Residue values gathered at the units in label order
+    (G.unit_residues()), shaped as the component-exponent grid."""
+    return residue_values[G.unit_residues()].reshape(G.orders or (1,))
 
 
 def group_transform(G: CharacterGroup, residue_values: np.ndarray) -> np.ndarray:
@@ -130,7 +128,8 @@ def group_transform(G: CharacterGroup, residue_values: np.ndarray) -> np.ndarray
     transform is parity-blind: a table of one parity gives meaningful
     values on the characters of that parity.
     """
-    return np.conj(np.fft.fftn(_grid(G, residue_values))).ravel()
+    out = np.fft.fftn(_grid(G, residue_values))
+    return np.conj(out, out=out).ravel()
 
 
 def _exact_transform(G: CharacterGroup, residue_values: np.ndarray) -> np.ndarray:
@@ -199,7 +198,6 @@ class MomentReport:
 
 
 def fourth_moment(q: int, *,
-                  group: Optional[CharacterGroup] = None,
                   weights: Optional[KernelWeights] = None) -> MomentReport:
     """sum over primitive chi of |L(1/2, chi)|^4, with its B/C split.
 
@@ -213,9 +211,9 @@ def fourth_moment(q: int, *,
 
     wall: dict[str, float] = {}
     t0 = time.perf_counter()
-    G = group if group is not None else build_group(q)
-    G.grid_flat_index()  # the lazy tables the transform and the head
-    G.inverse_table()    # tables read, charged to this stage
+    G = build_group(q)
+    G.unit_residues()  # the lazy tables the transform and the head
+    G.inverse_table()  # tables read, charged to this stage
     wall["group"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -255,7 +253,6 @@ def fourth_moment(q: int, *,
 
 
 def tail_moment_all(q: int, *,
-                    group: Optional[CharacterGroup] = None,
                     weights: Optional[KernelWeights] = None) -> float:
     """sum over ALL chi mod q of C(chi)^2, from the C table by Parseval.
 
@@ -269,7 +266,7 @@ def tail_moment_all(q: int, *,
     c_moment_primitive there is |L|^2 / 2 - B = 1.137.
     """
     _check_pair_count(truncation_bound(q), _MAX_TABLE_PAIRS)
-    G = group if group is not None else build_group(q)
+    G = build_group(q)
     kw = _resolve_weights(q, weights)
     t = _table(G, kw, kw.z_floor, kw.m_eff)
     return G.group_order * float(np.sum(t * t))

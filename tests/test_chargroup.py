@@ -420,12 +420,31 @@ def test_residue_vectors_match_scalar(q):
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 8, 12, 16, 24, 45, 97, 384, 1009])
 def test_inverse_table_exact(q):
-    # the array inverse (component exponents negated, read back through
-    # the grid index) against pow(u, -1, q) on units and 0 elsewhere
+    # the array inverse (component exponents negated, scattered back
+    # through unit_residues) against pow(u, -1, q) on units and 0 elsewhere
     inv = build_group(q).inverse_table()
     want = [pow(u, -1, q) if math.gcd(u, q) == 1 else 0 for u in range(q)]
     assert inv.dtype == np.int64
     assert inv.tolist() == want
+
+
+@pytest.mark.parametrize(
+    "q", [1, 2, 4, 8, 12, 15, 16, 24, 45, 97, 384, 1009])
+def test_unit_residues_in_label_order(q):
+    # each unit once, and entry k has the exponents of label k; q = 4 has
+    # the mod-4 axis, 8, 16, 24 and 384 the sign and <5> pair
+    G = build_group(q)
+    res = G.unit_residues()
+    assert res.dtype == np.int64 and not res.flags.writeable
+    assert sorted(res.tolist()) == [u for u in range(q)
+                                    if math.gcd(u, q) == 1]
+    for k, chi in enumerate(G.labels()):
+        assert G.dlog_vector(int(res[k])) == chi.exponents
+
+
+def test_grid_flat_index_is_gone():
+    # unit_residues is the one map between residues and the label grid
+    assert not hasattr(build_group(12), "grid_flat_index")
 
 
 @pytest.mark.parametrize("q", [1, 2, 12, 30030, 9699690 // 17])

@@ -80,7 +80,45 @@ def test_no_kernel_knobs_above_the_kernel():
                 assert "cfg" not in {f.name for f in dataclasses.fields(obj)}, obj
 
 
-def test_no_optional_parameters():
+# every parameter with a default on a module-level function of the
+# package, as (module, function, parameter): the knob count
+KNOBS = {
+    ("chargroup", "exact_primitive_char_sum", "parity"),
+    ("kernel", "w_eval", "cfg"),
+    ("kernel", "w_eval_batch", "cfg"),
+    ("lfunc", "kernel_weights", "head_only"),
+    ("lfunc", "_resolve_weights", "head_only"),
+    ("lfunc", "_coprime_pair_chunks", "batch"),
+    ("lfunc", "_coprime_pair_chunks", "lo"),
+    ("lfunc", "_unordered_pairs", "lo"),
+    ("lfunc", "_coprime_pairs", "lo"),
+    ("lfunc", "_check_pair_count", "cap"),
+    ("lfunc", "abc_values", "weights"),
+    ("spectra", "fourth_moment", "weights"),
+    ("spectra", "tail_moment_all", "weights"),
+    ("asymptotics", "m_reparametrized", "weights"),
+    ("cli", "_json", "indent"),
+    ("cli", "main", "argv"),
+}
+
+
+def test_knobs_are_listed():
+    # read from the source, so decorated functions count as written; a
+    # new default is added to KNOBS or not at all, and nothing takes
+    # *args or **kwargs
+    found = set()
+    for path in pathlib.Path(dirmoment.__file__).parent.glob("*.py"):
+        for fn in ast.parse(path.read_text()).body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            args = fn.args
+            assert args.vararg is None and args.kwarg is None, fn.name
+            pos = args.posonlyargs + args.args
+            found |= {(path.stem, fn.name, a.arg) for a in
+                      pos[len(pos) - len(args.defaults):]
+                      + [a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                         if d is not None]}
+    assert found == KNOBS
     # these build their own group and kernel table, which reproduce a
     # caller's bit for bit, and run their own frozen case lists, so they
     # take no weights, group, moduli or bands
