@@ -261,8 +261,9 @@ def error_sum_E(q: int) -> ErrorSumResult:
     for chi in G.labels():
         if not chi.primitive:
             continue
-        sq.append(math.fsum(_pair_terms(G.char_values(chi),
-                                        kw.kprod[chi.parity], head)) ** 2)
+        b = math.fsum(_pair_terms(G.char_values(chi), kw.kprod[chi.parity],
+                                  head).tolist())
+        sq.append(b ** 2)
     m_val = m_reparametrized(q, weights=kw)
     b_sq = math.fsum(sq)
     return ErrorSumResult(q=q, b_sq_sum=b_sq, m_value=m_val,

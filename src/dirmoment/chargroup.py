@@ -199,13 +199,13 @@ class CharacterGroup:
         is shared and read-only."""
         if self._unit_residues is None:
             # the flat label index of every residue, C order one axis at
-            # a time, so that only one q-length exponent array is alive
-            # besides it; each axis's exponent is periodic in u with
-            # period p^e, so it is a tile
+            # a time, in place; each axis's exponent is periodic in u with
+            # period p^e, so it is added to every row of a (q / p^e, p^e)
+            # view by broadcasting
             idx = np.zeros(self.q, dtype=np.int64)
             for c in self.components:
                 idx *= c.order
-                idx += np.tile(np.maximum(c.dlog, 0), self.q // c.pe)
+                idx.reshape(-1, c.pe)[...] += np.maximum(c.dlog, 0)
             units = np.flatnonzero(self.coprime_mask())
             res = np.empty(self.group_order, dtype=np.int64)
             res[idx[units]] = units
@@ -282,15 +282,16 @@ class CharacterGroup:
         """angle_num(chi, u) for every residue u = 0..q-1 as an int64
         array, -1 off units.
 
-        Tiles each component's dlog table, periodic in u with period p^e,
-        over the q residues, so no residue by component table is kept.
+        Each component's dlog table, periodic in u with period p^e, is
+        added to every row of a (q / p^e, p^e) view of the q residues by
+        broadcasting, so no residue by component table is kept.
         """
         N = self.exponent
         num = np.zeros(self.q, dtype=np.int64)
         for e, comp in zip(chi.exponents, self.components):
             if e:
-                num += (np.tile(comp.dlog, self.q // comp.pe)
-                        * (e * (N // comp.order) % N))
+                num.reshape(-1, comp.pe)[...] += (
+                    comp.dlog * (e * (N // comp.order) % N))
         num %= N
         num[~self.coprime_mask()] = -1
         return num

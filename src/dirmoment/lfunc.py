@@ -24,11 +24,13 @@ The double sum visits each unordered coprime pair a <= b of the head
 enumerated and cached on its own.  The term of (b, a) is the same float
 as the term of (a, b), so a pair off the diagonal enters as its term
 doubled (an exact operation) and a diagonal pair a = b as its term once.
-The terms are gathered with numpy and added with math.fsum: A, B and C
-are each the correctly rounded sum over the ordered pairs, so they do not
-depend on term order and reruns are bit-identical.  The oracle fsums
-chi(a) zeta(1/2, a/q) the same way, from one table of Hurwitz values per
-modulus.
+The terms are gathered with numpy and added exactly by _exact_sum, one
+bin per eight exponents: B and C are the exact head and tail sums rounded once,
+and A is their exact total rounded once.  Each is the correctly rounded
+sum over the ordered pairs, the float math.fsum gives, so it does not
+depend on term order and reruns are bit-identical.  The oracle adds
+chi(a) zeta(1/2, a/q) with math.fsum, from one table of Hurwitz values
+per modulus.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ _B_OVER_FACT = tuple(
 
 _MAX_PAIRS = 60_000_000   # cap on a materialized pair enumeration
 _MAX_TABLE_PAIRS = 3e8    # cap on a streamed residue-table build
+_SUM_CHUNK = 1 << 16      # terms per pass of _exact_sum, at most 2^23
 
 
 _HURWITZ_BLOCK = 1 << 15  # arguments per block of the Euler-Maclaurin sum
@@ -305,22 +308,55 @@ def _pairs(q: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
 
 
 def _pair_terms(vals: np.ndarray, kp: np.ndarray,
-                pairs: tuple[np.ndarray, ...]) -> list[float]:
+                pairs: tuple[np.ndarray, ...]) -> np.ndarray:
     """Re chi(a) chibar(b) kp[ab] times mult over the unordered pairs of
-    _pairs, from vals = chi(u) for every residue u.  The ordered pairs
-    (a, b) and (b, a) give the same real part, bit for bit (products
-    commute), and imaginary parts that are exact negatives, so the
-    imaginary sum is 0.0 and is not formed, and one term doubled (an
-    exact operation) stands for both.
+    _pairs, from vals = chi(u) for every residue u, as a float64 array.
+    The ordered pairs (a, b) and (b, a) give the same real part, bit for
+    bit (products commute), and imaginary parts that are exact negatives,
+    so the imaginary sum is 0.0 and is not formed, and one term doubled
+    (an exact operation) stands for both.
 
     Real arithmetic, one rounding per operation: each term is the same
-    float wherever the pair sits in the arrays.  Callers add the terms
-    with math.fsum, which is correctly rounded and so gives the same
-    float as a sum over the ordered pairs, in any order.
+    float wherever the pair sits in the arrays.  The sum of the terms,
+    exact (_exact_sum) or correctly rounded (math.fsum), is the same as
+    over the ordered pairs, in any order.
     """
     ab, ua, ub, mult = pairs
     xa, xb = vals[ua], vals[ub]
-    return ((xa.real * xb.real + xa.imag * xb.imag) * kp[ab] * mult).tolist()
+    return (xa.real * xb.real + xa.imag * xb.imag) * kp[ab] * mult
+
+
+def _exact_sum(x: np.ndarray) -> Fraction:
+    """The exact sum of a finite float64 array; float() of it is the
+    correctly rounded sum, ties to even, the float math.fsum gives.
+
+    One bin per eight exponents (R. Neal, arXiv:1505.05571): with
+    x = m 2^(e - 53), m an integer with |m| < 2^53 (np.frexp), each m
+    is scaled by 2^((e - e_min) mod 8), which keeps it an integer below
+    2^60 in magnitude and exact in float64, and is binned by
+    (e - e_min) div 8.  Split at 2^30, its high and low parts are
+    integers of magnitude at most 2^30, whose sums per bin by np.bincount
+    stay integers of magnitude at most 2^53, so exact, for up to 2^23
+    terms a pass.  The bins are then combined as Python ints.  Arrays
+    longer than _SUM_CHUNK are summed in passes of that many terms.
+    """
+    if not np.isfinite(x).all():
+        raise ValueError("exact sum needs finite terms")
+    total = Fraction(0)
+    for start in range(0, x.size, _SUM_CHUNK):
+        mant, e = np.frexp(x[start:start + _SUM_CHUNK])
+        e0 = int(e.min())
+        e -= e0
+        m = np.ldexp(mant, (e & 7) + 53)
+        e >>= 3
+        hi = np.floor(m * 2.0 ** -30)
+        m -= hi * 2.0 ** 30
+        acc = 0
+        for h, lo in zip(np.bincount(e, weights=hi).tolist()[::-1],
+                         np.bincount(e, weights=m).tolist()[::-1]):
+            acc = (acc << 8) + (int(h) << 30) + int(lo)
+        total += acc * Fraction(2) ** (e0 - 53)
+    return total
 
 
 def abc_values(G: CharacterGroup, chi: CharacterLabel, *,
@@ -336,9 +372,8 @@ def abc_values(G: CharacterGroup, chi: CharacterLabel, *,
     weights = _resolve_weights(q, weights)
     vals, kp = G.char_values(chi), weights.kprod[chi.parity]
     z = weights.z_floor
-    head, tail = (_pair_terms(vals, kp, _pairs(q, lo, hi))
+    head, tail = (_exact_sum(_pair_terms(vals, kp, _pairs(q, lo, hi)))
                   for lo, hi in ((0, z), (z, weights.m_eff)))
     return CentralValue(
-        label=chi, q=q, a_value=math.fsum(head + tail),
-        b_value=math.fsum(head), c_value=math.fsum(tail),
-        m_eff=weights.m_eff)
+        label=chi, q=q, a_value=float(head + tail), b_value=float(head),
+        c_value=float(tail), m_eff=weights.m_eff)

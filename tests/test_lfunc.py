@@ -3,12 +3,17 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from dirmoment import lfunc
 from dirmoment.asymptotics import error_sum_E
 from dirmoment.chargroup import build_group, char_eval
 from dirmoment.kernel import KernelConfig, w_eval_batch
-from dirmoment.lfunc import (_hurwitz_half, abc_values, hurwitz_zeta,
-                             kernel_weights, l_half_oracle, truncation_bound)
+from dirmoment.lfunc import (_exact_sum, _hurwitz_half, abc_values,
+                             hurwitz_zeta, kernel_weights, l_half_oracle,
+                             truncation_bound)
 
 mp.mp.dps = 30
 
@@ -266,6 +271,68 @@ def test_unordered_sums_equal_ordered_fsums_bitwise(q):
         if chi.primitive:
             b_sq.append(math.fsum(head) ** 2)
     assert error_sum_E(q).b_sq_sum == math.fsum(b_sq)
+
+
+@st.composite
+def _finite_arrays(draw):
+    """Finite float64 arrays of length 0..6000: hypothesis's own floats
+    (zeros of both signs, subnormals, the bounds) next to terms spread
+    evenly over every exponent, with -x appended to x (in another order)
+    half the time, so that the exact sum is zero.  |x| <= 2^1000 / len,
+    since math.fsum raises on an intermediate overflow where the exact
+    sum can still be finite."""
+    n = draw(st.integers(0, 3000))
+    cap = 2.0 ** 1000 / max(2 * n, 1)
+    k = draw(st.integers(0, n))
+    edge = draw(hnp.arrays(np.float64, k, elements=st.floats(-cap, cap)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    top = math.frexp(cap)[1] - 1                      # 2^top <= cap
+    spread = np.ldexp(rng.uniform(-1.0, 1.0, n - k),
+                      rng.integers(-1080, top + 1, n - k))
+    x = np.concatenate((edge, spread))
+    if draw(st.booleans()):
+        x = np.concatenate((x, -rng.permutation(x)))
+    return x
+
+
+@given(_finite_arrays())
+@settings(max_examples=300, deadline=None)
+def test_exact_sum_is_fsum_bitwise(x):
+    # the exact sum rounded once is the correctly rounded sum, ties to
+    # even, and a zero sum is +0.0: the float math.fsum gives, bit for bit
+    assert float(_exact_sum(x)).hex() == math.fsum(x.tolist()).hex()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 256])
+def test_exact_sum_over_several_chunks(chunk, monkeypatch):
+    # passes of _SUM_CHUNK terms add up to the one-pass sum: the exact
+    # sum of the whole array
+    rng = np.random.default_rng(chunk)
+    x = np.ldexp(rng.uniform(-1.0, 1.0, 2000), rng.integers(-1080, 980, 2000))
+    x = np.concatenate((x, [0.0, -0.0, 5e-324], -x[:700], x[:50]))
+    whole = _exact_sum(x)
+    monkeypatch.setattr(lfunc, "_SUM_CHUNK", chunk)
+    assert x.size > 2 * chunk
+    assert _exact_sum(x) == whole
+    assert float(_exact_sum(x)).hex() == math.fsum(x.tolist()).hex()
+
+
+@pytest.mark.parametrize("x, want", [
+    ([1.0, 2.0 ** -53], 1.0),                            # tie, down to even
+    ([1.0 + 2.0 ** -52, 2.0 ** -53], 1.0 + 2.0 ** -51),  # tie, up to even
+    ([1.0, 2.0 ** -53, 2.0 ** -105], 1.0 + 2.0 ** -52),  # just past a tie
+    ([2.0 ** 1023, -(2.0 ** 1023), 5e-324], 5e-324),
+    ([-0.0, -0.0], 0.0),
+])
+def test_exact_sum_rounds_half_to_even(x, want):
+    x = np.array(x)
+    assert float(_exact_sum(x)).hex() == want.hex() == math.fsum(x).hex()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_exact_sum_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        _exact_sum(np.array([1.0, bad, -1.0]))
 
 
 def test_abc_split_is_consistent():

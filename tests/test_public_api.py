@@ -26,7 +26,8 @@ def test_every_exported_name_resolves(name):
 
 
 def test_removed_names_are_gone():
-    # one transform entry point, one compensated sum (math.fsum), one
+    # one transform entry point, two correctly rounded sums (math.fsum,
+    # and lfunc._exact_sum for the pair sums of abc_values), one
     # home for the classification rule (CharacterGroup's per-axis tables)
     # and one residue table per product range, scattered already folded
     # (spectra._table); no exports without a caller, and trial division
