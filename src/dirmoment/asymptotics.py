@@ -43,8 +43,8 @@ import numpy as np
 from .arith import (coprime_mask, euler_phi, factorize, omega_sieve,
                     phi_star, two_pow_omega)
 from .chargroup import build_group
-from .lfunc import (KernelWeights, _coprime_pairs, _pair_terms, _pairs,
-                    _resolve_weights, kernel_weights)
+from .lfunc import (KernelWeights, _coprime_pairs, _exact_sum, _pair_terms,
+                    _pairs, _resolve_weights, kernel_weights)
 from .numerics import EULER_GAMMA, ZETA2
 
 __all__ = [
@@ -92,7 +92,7 @@ def m_direct(q: int) -> float:
             f"direct quadruple enumeration at q = {q} needs "
             f"{n**2:.2e} checks; use the reparametrized form")
     kw = kernel_weights(q, head_only=True)
-    a, b = _coprime_pairs(q, z)
+    a, b = _coprime_pairs(q, 0, z)
     kp0, kp1 = kw.kprod
     terms: list[float] = []
     chunk = max(1, 4_000_000 // n)
@@ -107,7 +107,8 @@ def m_direct(q: int) -> float:
 
 def m_reparametrized(q: int, *,
                      weights: Optional[KernelWeights] = None) -> float:
-    """Diagonal main term via the a=gr, b=gs, c=hs, d=hr grouping."""
+    """Diagonal main term via the a=gr, b=gs, c=hs, d=hr grouping, its
+    terms added exactly (lfunc._exact_sum) and rounded once."""
     kw = _resolve_weights(q, weights, head_only=True)
     z = kw.z_floor
     cop = coprime_mask(q, z)
@@ -121,7 +122,7 @@ def m_reparametrized(q: int, *,
     n = np.flatnonzero(cop[1:]) + 1
     two_om = np.float64(2.0) ** omega_sieve(z)[n]
     term = two_om * (s[0][n] * s[0][n] + s[1][n] * s[1][n])
-    return phi_star(q) / 2.0 * math.fsum(term.tolist())
+    return phi_star(q) / 2.0 * float(_exact_sum(term))
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,7 @@ def _dyadic_pairs(z: float, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Ordered pairs (a, b) with z <= ab < 2z and (ab, k) = 1: the integer
     products ceil(z) <= ab <= ceil(2z) - 1, each unordered pair and its
     swap.  The count reads them in any order."""
-    return _coprime_pairs(k, math.ceil(2 * z) - 1, math.ceil(z) - 1)
+    return _coprime_pairs(k, math.ceil(z) - 1, math.ceil(2 * z) - 1)
 
 
 def lemma3_count(k: int, z1: float, z2: float) -> Lemma3Result:
@@ -154,14 +155,13 @@ def lemma3_count(k: int, z1: float, z2: float) -> Lemma3Result:
         raise ValueError(
             f"lemma-3 box ({z1}, {z2}) needs {n1 * n2:.2e} comparisons")
     count = 0
-    if n1 and n2:
-        chunk = max(1, int(4_000_000 // max(n1, 1)))
-        for lo in range(0, n2, chunk):
-            ac = np.multiply.outer(a1, a2[lo:lo + chunk])
-            bd = np.multiply.outer(b1, b2[lo:lo + chunk])
-            hit = ((ac - bd) % k == 0) | ((ac + bd) % k == 0)
-            hit &= ac != bd
-            count += int(np.count_nonzero(hit))
+    chunk = max(1, 4_000_000 // max(n1, 1))
+    for lo in range(0, n2, chunk):
+        ac = np.multiply.outer(a1, a2[lo:lo + chunk])
+        bd = np.multiply.outer(b1, b2[lo:lo + chunk])
+        hit = ((ac - bd) % k == 0) | ((ac + bd) % k == 0)
+        hit &= ac != bd
+        count += int(np.count_nonzero(hit))
     env = (z1 * z2 / k) * math.log(z1 * z2) ** 3
     return Lemma3Result(k=k, z1=z1, z2=z2, count=count, envelope=env)
 

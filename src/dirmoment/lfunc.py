@@ -21,16 +21,17 @@ sum over the head B needs kernel values up to Z only
 
 The double sum visits each unordered coprime pair a <= b of the head
 (0 < ab <= Z) and of the tail (Z < ab <= m_eff) once, each range
-enumerated and cached on its own.  The term of (b, a) is the same float
-as the term of (a, b), so a pair off the diagonal enters as its term
-doubled (an exact operation) and a diagonal pair a = b as its term once.
-The terms are gathered with numpy and added exactly by _exact_sum, one
-bin per eight exponents: B and C are the exact head and tail sums rounded once,
-and A is their exact total rounded once.  Each is the correctly rounded
-sum over the ordered pairs, the float math.fsum gives, so it does not
-depend on term order and reruns are bit-identical.  The oracle adds
-chi(a) zeta(1/2, a/q) with math.fsum, from one table of Hurwitz values
-per modulus.
+enumerated by _coprime_pair_chunks(q, lo, hi), the one pair enumerator,
+and held and cached on its own (_unordered_pairs caps it at _MAX_PAIRS).
+The term of (b, a) is the same float as the term of (a, b), so a pair
+off the diagonal enters as its term doubled (an exact operation) and a
+diagonal pair a = b as its term once.  The terms are gathered with numpy
+and added exactly by _exact_sum, one bin per eight exponents: B and C
+are the exact head and tail sums rounded once, and A is their exact
+total rounded once.  Each is the correctly rounded sum over the ordered
+pairs, the float math.fsum gives, so it does not depend on term order
+and reruns are bit-identical.  The oracle adds chi(a) zeta(1/2, a/q)
+with math.fsum, from one table of Hurwitz values per modulus.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ _B_OVER_FACT = tuple(
 
 _MAX_PAIRS = 60_000_000   # cap on a materialized pair enumeration
 _MAX_TABLE_PAIRS = 3e8    # cap on a streamed residue-table build
+_PAIR_BATCH = 4_000_000   # pairs per enumerated batch
 _SUM_CHUNK = 1 << 16      # terms per pass of _exact_sum, at most 2^23
 
 
@@ -196,7 +198,7 @@ def kernel_weights(q: int, *, head_only: bool = False) -> KernelWeights:
 
 
 def _resolve_weights(q: int, weights: Optional[KernelWeights], *,
-                     head_only: bool = False) -> KernelWeights:
+                     head_only: bool) -> KernelWeights:
     """`weights` checked against q, or a fresh table when None.  A sum
     over the B head accepts a head-only table (head_only=True); every
     other sum needs the full one."""
@@ -222,35 +224,34 @@ class CentralValue:
     m_eff: int
 
 
-def _coprime_pair_chunks(q: int, m: int, batch: int = _MAX_PAIRS, lo: int = 0
+def _coprime_pair_chunks(q: int, lo: int, hi: int
                          ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Every unordered pair a <= b of integers coprime to q with
-    lo < ab <= m, exactly once, in a fixed order.
+    lo < ab <= hi, exactly once, in a fixed order.
 
-    With s = isqrt(m): one chunk per a = 1..s, each with every
-    max(a, lo // a + 1) <= b <= m // a in increasing order.  A range that
-    starts past 0 skips the products up to lo instead of enumerating
-    them.  The chunks are yielded as int64 arrays (a, b) in batches of
-    whole chunks, each batch closed as soon as it holds at least `batch`
-    pairs.  The pair (b, a) is left to the caller: its term equals that
-    of (a, b) in every smoothed sum.
+    With s = isqrt(hi): one chunk per a = 1..s, each with every
+    max(a, lo // a + 1) <= b <= hi // a in increasing order.  A range
+    that starts past 0 skips the products up to lo instead of
+    enumerating them.  The chunks are yielded as int64 arrays (a, b) in
+    batches of whole chunks, each batch closed as soon as it holds at
+    least _PAIR_BATCH pairs.  The pair (b, a) is left to the caller: its
+    term equals that of (a, b) in every smoothed sum.
     """
-    cop = np.flatnonzero(coprime_mask(q, m)[1:]) + 1  # coprime, in [1, m]
-    small = cop[:np.searchsorted(cop, math.isqrt(m), side="right")].tolist()
-    ends = np.searchsorted(cop, [m // a for a in small], side="right").tolist()
+    cop = np.flatnonzero(coprime_mask(q, hi)[1:]) + 1  # coprime, in [1, hi]
+    small = cop[:np.searchsorted(cop, math.isqrt(hi), side="right")].tolist()
+    ends = np.searchsorted(cop, [hi // a for a in small], side="right").tolist()
     starts = np.searchsorted(cop, [lo // a for a in small], side="right").tolist()
     # cop slice of b per a-chunk; cop[i] = small[i] = a, so b >= a from i
     chunks = [(a, max(i, st), end)
-              for i, (a, st, end) in enumerate(zip(small, starts, ends))]
-    chunks = [c for c in chunks if c[2] > c[1]]
+              for i, (a, st, end) in enumerate(zip(small, starts, ends))
+              if end > max(i, st)]
     i = 0
     while i < len(chunks):
         j, n = i, 0
-        while j < len(chunks) and n < batch:
+        while j < len(chunks) and n < _PAIR_BATCH:
             n += chunks[j][2] - chunks[j][1]
             j += 1
-        a = np.empty(n, dtype=np.int64)
-        b = np.empty(n, dtype=np.int64)
+        a, b = np.empty((2, n), dtype=np.int64)
         o = 0
         for x, st, end in chunks[i:j]:
             a[o:o + end - st] = x
@@ -260,29 +261,31 @@ def _coprime_pair_chunks(q: int, m: int, batch: int = _MAX_PAIRS, lo: int = 0
         i = j
 
 
-def _unordered_pairs(q: int, m: int, lo: int = 0
+def _unordered_pairs(q: int, lo: int, hi: int
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair of _coprime_pair_chunks(q, m, lo=lo) as two int64
-    arrays (a, b), a <= b."""
+    """Every pair of _coprime_pair_chunks(q, lo, hi) as two int64 arrays
+    (a, b), a <= b: the one place pairs are held, capped at _MAX_PAIRS."""
+    _check_pair_count(hi, _MAX_PAIRS)
     empty = np.empty(0, dtype=np.int64)
-    a, b = (np.concatenate(c) for c in zip(
-        (empty, empty), *_coprime_pair_chunks(q, m, lo=lo)))
-    return a, b
+    return tuple(np.concatenate(c) for c in zip(
+        (empty, empty), *_coprime_pair_chunks(q, lo, hi)))
 
 
-def _coprime_pairs(q: int, m: int, lo: int = 0
+def _coprime_pairs(q: int, lo: int, hi: int
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Every ordered pair (a, b) of integers coprime to q with
-    lo < ab <= m, as two int64 arrays: the unordered pairs a <= b, then
+    lo < ab <= hi, as two int64 arrays: the unordered pairs a <= b, then
     the swaps (b, a) of those with a < b."""
-    a, b = _unordered_pairs(q, m, lo)
+    a, b = _unordered_pairs(q, lo, hi)
     off = a != b
     return np.concatenate((a, b[off])), np.concatenate((b, a[off]))
 
 
-def _check_pair_count(hi: int, cap: float = _MAX_PAIRS) -> None:
+def _check_pair_count(hi: int, cap: float) -> None:
     """Refuse a pass over the products up to hi, estimated in ordered
-    pairs, over cap: _MAX_PAIRS held in memory, _MAX_TABLE_PAIRS streamed."""
+    pairs, over cap: _MAX_PAIRS from _unordered_pairs and abc_values
+    (pairs held), _MAX_TABLE_PAIRS from compute_spectrum,
+    tail_moment_all and cli's scan (tables streamed)."""
     est = hi * (math.log(max(hi, 1)) + 1.0)
     if est > cap:
         raise ValueError(
@@ -297,10 +300,8 @@ def _pairs(q: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
     """Unordered coprime pairs a <= b with lo < ab <= hi, hi >= 1, as
     columns (ab, a mod q, b mod q, mult): int64, and mult the float64
     count of ordered pairs each one stands for, 2 off the diagonal and 1
-    on it.  The size check counts ordered pairs.  The cached arrays are
-    shared and read-only."""
-    _check_pair_count(hi)
-    a, b = _unordered_pairs(q, hi, lo)
+    on it.  The cached arrays are shared and read-only."""
+    a, b = _unordered_pairs(q, lo, hi)
     cols = (a * b, a % q, b % q, np.where(a == b, 1.0, 2.0))
     for col in cols:
         col.flags.writeable = False
@@ -368,8 +369,8 @@ def abc_values(G: CharacterGroup, chi: CharacterLabel, *,
     against the table pipeline test only the reorganization of the sum.
     """
     q = G.q
-    _check_pair_count(truncation_bound(q))  # before any table is built
-    weights = _resolve_weights(q, weights)
+    _check_pair_count(truncation_bound(q), _MAX_PAIRS)  # before any table
+    weights = _resolve_weights(q, weights, head_only=False)
     vals, kp = G.char_values(chi), weights.kprod[chi.parity]
     z = weights.z_floor
     head, tail = (_exact_sum(_pair_terms(vals, kp, _pairs(q, lo, hi)))

@@ -34,7 +34,8 @@ pipeline in lfunc, so cross-pipeline comparisons isolate the summation
 reorganization.  tail_moment_all sums C^2 over every character as
 phi(q) sum_u T(u)^2 (Parseval) from the C table, with no transform.
 compute_spectrum and tail_moment_all refuse a modulus whose C table is
-over the cost cap (lfunc._MAX_TABLE_PAIRS) before any table is built.
+over the cost cap (lfunc._MAX_TABLE_PAIRS) before any table is built;
+the pairs stream in batches of lfunc._PAIR_BATCH.
 
 Parity (which S_a a character's sum stands for) and primitivity (which characters
 a moment sums over) come from CharacterGroup.parity_grid() and
@@ -43,10 +44,10 @@ does not classify characters itself.
 
 Determinism: the build is single-threaded and visits the unordered
 pairs of its range L < ab <= M in a fixed order
-(lfunc._coprime_pair_chunks): with s = isqrt(M), a = 1..s, each with
-every max(a, L/a) < b <= M/a.  The symmetrization adds the two halves in
-either order to the same float, so T(u^-1) == T(u) bit for bit.  Reruns
-are bit-identical.
+(lfunc._coprime_pair_chunks(q, L, M)): with s = isqrt(M), a = 1..s, each
+with every max(a, L/a) < b <= M/a.  The symmetrization adds the two
+halves in either order to the same float, so T(u^-1) == T(u) bit for
+bit.  Reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -73,8 +74,6 @@ __all__ = [
     "tail_moment_all",
 ]
 
-_FLUSH = 4_000_000  # pairs per enumerated batch
-
 
 def _table(G: CharacterGroup, kw: KernelWeights, lo: int,
            hi: int) -> np.ndarray:
@@ -92,7 +91,7 @@ def _table(G: CharacterGroup, kw: KernelWeights, lo: int,
     inv_res = inv[np.arange(hi + 1) % q]
     k0, k1 = kw.kprod
     t = np.zeros(q)
-    for a, b in _coprime_pair_chunks(q, hi, _FLUSH, lo):
+    for a, b in _coprime_pair_chunks(q, lo, hi):
         m = a * b
         idx = a * inv_res[b]
         idx %= q
@@ -267,6 +266,6 @@ def tail_moment_all(q: int, *,
     """
     _check_pair_count(truncation_bound(q), _MAX_TABLE_PAIRS)
     G = build_group(q)
-    kw = _resolve_weights(q, weights)
+    kw = _resolve_weights(q, weights, head_only=False)
     t = _table(G, kw, kw.z_floor, kw.m_eff)
     return G.group_order * float(np.sum(t * t))

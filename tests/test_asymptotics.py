@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dirmoment import asymptotics
+from dirmoment import asymptotics, lfunc
 from dirmoment.arith import euler_phi, phi_star, two_pow_omega
 from dirmoment.asymptotics import (error_sum_E, lemma3_count, lemma4_check,
                                    lemma5_sums, m_direct, m_reparametrized,
@@ -78,7 +78,7 @@ def test_coprime_pairs_are_the_ordered_pairs(q):
     # the range exactly once, at ranges holding squares on either end
     for m, lo in ((1, 0), (100, 0), (100, 49), (144, 0), (144, 12),
                   (600, 299), (600, 600)):
-        a, b = _coprime_pairs(q, m, lo)
+        a, b = _coprime_pairs(q, lo, m)
         got = list(zip(a.tolist(), b.tolist()))
         want = {(x, y) for x in range(1, m + 1) for y in range(1, m // x + 1)
                 if x * y > lo and math.gcd(x * y, q) == 1}
@@ -112,6 +112,20 @@ def test_m_direct_refuses_before_any_work(monkeypatch):
     assert str(err.value) == (
         "direct quadruple enumeration at q = 1000003 needs 4.41e+13 checks;"
         " use the reparametrized form")
+
+
+def test_lemma3_count_refuses_before_any_enumeration(monkeypatch):
+    # the box z1 = 1e8 holds about 10^9 pairs: the pair cap refuses it
+    # before the enumerator starts, not after the lists are built
+    def fail(*args, **kwargs):
+        raise AssertionError("lemma3_count enumerated pairs past the cap")
+
+    monkeypatch.setattr(lfunc, "_coprime_pair_chunks", fail)
+    with pytest.raises(ValueError) as err:
+        lemma3_count(5, 1e8, 2)
+    assert str(err.value) == (
+        "naive pair enumeration would need ~4.02e+09 entries; use "
+        "spectra.compute_spectrum or fourth_moment at this modulus")
 
 
 # ---------------------------------------------------------------------------

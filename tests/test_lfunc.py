@@ -248,6 +248,28 @@ def _ordered_pairs(q, lo, hi):
     return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
 
 
+@pytest.mark.parametrize("q", [1, 12, 97, 1009])
+def test_held_pairs_do_not_depend_on_the_batch(q, monkeypatch):
+    # _unordered_pairs concatenates the enumerator's batches and _pairs
+    # builds its columns from them: the same arrays whether a batch holds
+    # one a-chunk (batch 1), a few (7) or every chunk (the default)
+    hi = truncation_bound(q)
+    ranges = [(lo, hi) for lo in (0, math.isqrt(hi),
+                                  kernel_weights(q).z_floor)]
+
+    def held(lo, hi):
+        return (*lfunc._unordered_pairs(q, lo, hi),
+                *lfunc._pairs.__wrapped__(q, lo, hi))
+
+    want = {r: held(*r) for r in ranges}
+    for batch in (1, 7):
+        monkeypatch.setattr(lfunc, "_PAIR_BATCH", batch)
+        for r in ranges:
+            got = held(*r)
+            assert all(x.dtype == y.dtype and np.array_equal(x, y)
+                       for x, y in zip(got, want[r], strict=True)), (batch, r)
+
+
 @pytest.mark.parametrize("q", [5, 12, 163, 168, 179])
 def test_unordered_sums_equal_ordered_fsums_bitwise(q):
     # each unordered pair stands for its two orders by one exact doubling

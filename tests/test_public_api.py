@@ -30,8 +30,9 @@ def test_removed_names_are_gone():
     # and lfunc._exact_sum for the pair sums of abc_values), one
     # home for the classification rule (CharacterGroup's per-axis tables)
     # and one residue table per product range, scattered already folded
-    # (spectra._table); no exports without a caller, and trial division
-    # as the only factorization
+    # (spectra._table); no exports without a caller, trial division
+    # as the only factorization, and one pair batch size
+    # (lfunc._PAIR_BATCH)
     mods = [dirmoment, *(importlib.import_module(f"dirmoment.{m}")
                          for m in SUBMODULES)]
     for gone in ("all_char_sums", "weight_table", "ResidueWeightTable",
@@ -40,7 +41,7 @@ def test_removed_names_are_gone():
                  "divisor_count", "primitive_count", "_is_probable_prime",
                  "_pollard_rho", "_MR_WITNESSES", "clear_kernel_cache",
                  "_fold", "_build_tables", "main_term_breakdown",
-                 "MainTermBreakdown", "_repar_parts"):
+                 "MainTermBreakdown", "_repar_parts", "_FLUSH"):
         assert not [m.__name__ for m in mods if hasattr(m, gone)], gone
 
 
@@ -88,12 +89,6 @@ KNOBS = {
     ("kernel", "w_eval", "cfg"),
     ("kernel", "w_eval_batch", "cfg"),
     ("lfunc", "kernel_weights", "head_only"),
-    ("lfunc", "_resolve_weights", "head_only"),
-    ("lfunc", "_coprime_pair_chunks", "batch"),
-    ("lfunc", "_coprime_pair_chunks", "lo"),
-    ("lfunc", "_unordered_pairs", "lo"),
-    ("lfunc", "_coprime_pairs", "lo"),
-    ("lfunc", "_check_pair_count", "cap"),
     ("lfunc", "abc_values", "weights"),
     ("spectra", "fourth_moment", "weights"),
     ("spectra", "tail_moment_all", "weights"),

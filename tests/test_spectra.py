@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from dirmoment import spectra
+from dirmoment import lfunc
 from dirmoment.arith import euler_phi, phi_star
 from dirmoment.chargroup import build_group
 from dirmoment.kernel import KernelConfig
@@ -77,28 +77,28 @@ def test_weight_table_mass_is_coprime_pair_sum():
     assert np.sum(table) == pytest.approx(direct, rel=1e-12)
 
 
-@pytest.mark.parametrize("q, flush", [
+@pytest.mark.parametrize("q, batch", [
     *(pytest.param(q, None, id=str(q)) for q in (1, 2, 12, 45, 97, 1009)),
     pytest.param(1009, 5000, id="1009-batched"),
 ])
-def test_build_tables_match_brute_force(q, flush, monkeypatch):
+def test_build_tables_match_brute_force(q, batch, monkeypatch):
     # the unordered chunks, scattered and symmetrized, against a plain
     # gcd double loop over the ordered pairs scattered with np.add.at
     # into one table per parity, folded; the second range is a perfect
     # square, where the diagonal pair a = b = isqrt(m_eff) closes the
     # enumeration and must count once.  With a small batch the build
     # sums over several bincounts.
-    if flush is not None:
-        monkeypatch.setattr(spectra, "_FLUSH", flush)
+    if batch is not None:
+        monkeypatch.setattr(lfunc, "_PAIR_BATCH", batch)
     G = build_group(q)
     kw = kernel_weights(q)
     for m_eff in (kw.m_eff, math.isqrt(kw.m_eff) ** 2):
-        if flush is not None:
-            batches = [a for a, _ in _coprime_pair_chunks(q, m_eff, flush)]
+        if batch is not None:
+            batches = [a for a, _ in _coprime_pair_chunks(q, 0, m_eff)]
             assert len(batches) > 2
         pairs = [(a, b) for a in range(1, m_eff + 1) if math.gcd(a, q) == 1
                  for b in range(1, m_eff // a + 1) if math.gcd(b, q) == 1]
-        assert (sum(b.size for _, b in _coprime_pair_chunks(q, m_eff))
+        assert (sum(b.size for _, b in _coprime_pair_chunks(q, 0, m_eff))
                 == sum(a <= b for a, b in pairs))
         a, b = np.array(pairs, dtype=np.int64).T
         m = a * b
@@ -142,15 +142,17 @@ def test_tables_are_inverse_symmetric_and_count_each_pair_once(q):
 
 
 @pytest.mark.parametrize("q", [1, 2, 12, 45, 97])
-def test_pair_chunks_past_lo_are_the_full_order_filtered(q):
+def test_pair_chunks_past_lo_are_the_full_order_filtered(q, monkeypatch):
     # starting each chunk past lo yields the pairs of the full
     # enumeration with ab > lo, in the same order, at every lower bound
-    # (0, 1, the square root, past it, the top and beyond)
+    # (0, 1, the square root, past it, the top and beyond), in batches
+    # of at least 50 pairs
     m = 600
-    full = np.concatenate([np.stack(p) for p in _coprime_pair_chunks(q, m)],
-                          axis=1)
+    full = np.concatenate(
+        [np.stack(p) for p in _coprime_pair_chunks(q, 0, m)], axis=1)
+    monkeypatch.setattr(lfunc, "_PAIR_BATCH", 50)
     for lo in (0, 1, 24, 25, 26, 599, 600, 700):
-        got = [np.stack(p) for p in _coprime_pair_chunks(q, m, 50, lo)]
+        got = [np.stack(p) for p in _coprime_pair_chunks(q, lo, m)]
         got = np.concatenate(got, axis=1) if got else np.empty((2, 0), int)
         want = full[:, full[0] * full[1] > lo]
         assert np.array_equal(got, want), lo
