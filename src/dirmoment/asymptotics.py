@@ -64,6 +64,9 @@ __all__ = [
 _MAX_DIRECT_OPS = 5e7   # |pairs|^2 cap for the quadruple enumeration
 _MAX_LEMMA3_OPS = 2e8
 _MAX_LEMMA45_N = 5e7
+# entries per block of the outer-product comparisons of m_direct and
+# lemma3_count: a block's int64 matrices take 32 MB each
+_OUTER_BLOCK = 4_000_000
 
 
 def theorem_main_term(q: int) -> float:
@@ -95,7 +98,7 @@ def m_direct(q: int) -> float:
     a, b = _coprime_pairs(q, 0, z)
     kp0, kp1 = kw.kprod
     terms: list[float] = []
-    chunk = max(1, 4_000_000 // n)
+    chunk = max(1, _OUTER_BLOCK // n)
     for lo in range(0, n, chunk):
         # (a, b) along rows, (c, d) along columns
         i, j = np.nonzero(np.multiply.outer(a[lo:lo + chunk], a)
@@ -155,7 +158,7 @@ def lemma3_count(k: int, z1: float, z2: float) -> Lemma3Result:
         raise ValueError(
             f"lemma-3 box ({z1}, {z2}) needs {n1 * n2:.2e} comparisons")
     count = 0
-    chunk = max(1, 4_000_000 // max(n1, 1))
+    chunk = max(1, _OUTER_BLOCK // max(n1, 1))
     for lo in range(0, n2, chunk):
         ac = np.multiply.outer(a1, a2[lo:lo + chunk])
         bd = np.multiply.outer(b1, b2[lo:lo + chunk])

@@ -21,14 +21,17 @@ arguments in ascending order and hands each method one slice):
     to 7 at x = 2 but 310 at x = 4 (a = 1), where the sum is off by up to
     5.7e-13 against 1e-17 for the quadrature.  So the series is the path
     on 0 < x <= 2 only; w_series accepts 0 < x <= 4.
-  * w_eval_batch on 2 < x < x_zero: a Chebyshev interpolant in t = ln x
-    on [ln 2, ln x_zero].  The integral converges for |arg x| < pi/2, so
-    W_a(e^t) is analytic in the strip |Im t| < pi/2 and the interpolant
-    converges geometrically (Trefethen, Approximation Theory and
-    Approximation Practice, ch. 8): degree 38 on the default [2, 24].  Its
-    nodes come from the quadrature below, and it sits 7.8e-17 from the
-    exact W_1 there, the quadrature itself 5.2e-17.  It is rebuilt on
-    every call (about 0.3 ms), so a value does not depend on its batch.
+  * w_eval_batch on 2 < x < x_zero: Chebyshev interpolants in t = ln x
+    on _CHEB_PIECES = 4 equal pieces of [ln 2, ln x_zero].  The integral
+    converges for |arg x| < pi/2, so W_a(e^t) is analytic in the strip
+    |Im t| < pi/2 and an interpolant converges geometrically, the faster
+    the shorter its interval (Trefethen, Approximation Theory and
+    Approximation Practice, ch. 8): degree 17 on each piece of the
+    default [2, 24], against 38 on the whole.  Its nodes come from the
+    quadrature below, and it sits within 2.7e-17 of the exact W_1 at the
+    tested points, the pieces' ends included, the quadrature itself
+    within 5.2e-17.  Each piece's coefficients are built once per parity
+    and config and cached, so a value does not depend on its batch.
   * w_eval, the interpolant's nodes and the runtime reference: trapezoid
     quadrature on the vertical line Re s = c.  The integrand is analytic
     in a strip of half-width c around the line, so the trapezoid rule
@@ -122,6 +125,13 @@ _STEP_SAMPLES = 16  # arguments per batch re-evaluated by the reference
 # points), 4.3x at q = 1000003 and 1.1x at q = 10007 than one pass over
 # all points (2-vCPU VM).
 _HORNER_BLOCK = 32_768
+# Equal pieces in t = ln x of the interpolant's interval [ln 2, ln x_zero].
+# The interpolant's share of a warm full table, per parity, median ms on
+# one interval (degree 38), two, four (17) and six: 1.9, 1.4, 0.85, 0.97
+# at q = 2999 (21k points); 50, 36, 28, 31 at q = 100003 (700k points);
+# 0.24, 0.25, 0.34, 0.39 at q = 170 (1.2k points), where each piece adds
+# its per-call cost (2-vCPU VM).
+_CHEB_PIECES = 4
 _PHASE_BLOCK = 32  # node phases per complex exp in _quad_points
 
 
@@ -233,7 +243,7 @@ def w_eval(a: int, x: float, cfg: KernelConfig = KernelConfig()) -> float:
 def w_eval_batch(a: int, xs: np.ndarray,
                  cfg: KernelConfig = KernelConfig()) -> np.ndarray:
     """W_a at every argument of a 1-D array in ascending order: the
-    residue series on x <= 2, the Chebyshev interpolant on
+    residue series on x <= 2, the piecewise Chebyshev interpolant on
     2 < x < cfg.x_zero, whose nodes are the quadrature at step cfg.h on
     the line cfg.c, and 0.0 from cfg.x_zero on, with a sampled runtime
     check.  Two binary searches split the arguments into these three
@@ -290,32 +300,41 @@ def _cheb_degree(log_width: float) -> int:
     d = pi / log_width; the largest Bernstein ellipse inside it has
     rho = d + sqrt(d^2 + 1), and the coefficients decay like rho^(-k)
     (Trefethen, Approximation Theory and Approximation Practice, ch. 8).
-    The degree takes them below _TAIL: 38 on the default [2, 24]."""
+    The degree takes them below _TAIL: 38 on the whole default [2, 24],
+    17 on each of its _CHEB_PIECES pieces."""
     d = math.pi / log_width
     return math.ceil(-math.log(_TAIL) / math.log(d + math.hypot(d, 1.0)))
 
 
-def _cheb_batch(a: int, x: np.ndarray, cfg: KernelConfig,
-                out: np.ndarray) -> None:
-    """W_a at every x in (2, cfg.x_zero), written into out, from its
-    Chebyshev interpolant of degree n in t = ln x.
+def _cheb_piece(cfg: KernelConfig, k: int) -> tuple[float, float]:
+    """The interval in t = ln x of piece k of [ln 2, ln cfg.x_zero]."""
+    t0 = math.log(_SERIES_PATH)
+    width = (math.log(cfg.x_zero) - t0) / _CHEB_PIECES
+    return t0 + k * width, t0 + (k + 1) * width
+
+
+@lru_cache(maxsize=64)
+def _cheb_coef(a: int, cfg: KernelConfig, k: int, n: int) -> np.ndarray:
+    """Chebyshev coefficients c_0..c_n of the degree-n interpolant of
+    W_a(e^t) on piece k (_cheb_piece).
 
     The n + 1 nodes are the Chebyshev points of the first kind, at the
     angles theta_m = pi (2m + 1) / (2n + 2), evaluated by the quadrature
-    at step cfg.h on the line cfg.c.  One cosine sum over them gives the
-    coefficients, with every angle k theta_m reduced in integers first:
-    rounding k theta_m itself, up to 38 pi, put up to 3.0e-16 into W_1
-    near x = 2, against 7.8e-17 reduced.  Clenshaw's recurrence evaluates
-    the interpolant in blocks of _HORNER_BLOCK points.  The coefficients
-    depend on a and cfg only, so a value does not depend on its batch.
-    Trailing coefficients above cfg.eps raise KernelAccuracyError.
+    at step cfg.h on the line cfg.c, truncated at the height of x = 2 on
+    every piece.  One cosine sum over them gives the coefficients, with
+    every angle j theta_m reduced in integers first: at degree 38 on one
+    interval over [2, 24], rounding j theta_m itself (up to 38 pi) put up
+    to 3.0e-16 into W_1 near x = 2, against 7.8e-17 reduced.  Trailing
+    coefficients above cfg.eps raise KernelAccuracyError; a raise is not
+    cached, so the guard runs for every new key.  The cached array is
+    shared and read-only.
     """
-    t0, t1 = math.log(_SERIES_PATH), math.log(cfg.x_zero)
-    n = _cheb_degree(t1 - t0)
+    t0, t1 = _cheb_piece(cfg, k)
     N = n + 1
     theta = (2 * np.arange(N) + 1) * (0.5 * math.pi / N)
     nodes = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * np.cos(theta)
-    f = _quad_points(a, nodes, cfg.c, cfg.h, _auto_T(a, cfg.c, t0, cfg.eps))
+    T = _auto_T(a, cfg.c, math.log(_SERIES_PATH), cfg.eps)
+    f = _quad_points(a, nodes, cfg.c, cfg.h, T)
     r = np.multiply.outer(np.arange(N), 2 * np.arange(N) + 1) % (4 * N)
     coef = (np.cos(r * (0.5 * math.pi / N)) * f).sum(axis=1)
     coef *= 2.0 / N
@@ -323,24 +342,50 @@ def _cheb_batch(a: int, x: np.ndarray, cfg: KernelConfig,
     tail = float(np.abs(coef[-2:]).max())
     if not tail <= cfg.eps:
         raise KernelAccuracyError(
-            f"Chebyshev interpolant of W_{a} on [2, {cfg.x_zero}] has"
-            f" trailing coefficients of {tail:.3g} > eps = {cfg.eps} at"
-            f" degree {n}")
-    for lo in range(0, x.size, _HORNER_BLOCK):
-        y = np.log(x[lo:lo + _HORNER_BLOCK])
-        y -= 0.5 * (t0 + t1)
-        y *= 4.0 / (t1 - t0)  # 2 s, s the point on [-1, 1]
-        b1, b2, tmp = np.zeros(y.shape), np.zeros(y.shape), np.empty(y.shape)
-        for ck in coef[:0:-1]:  # b_k = c_k + 2 s b_(k+1) - b_(k+2)
-            np.multiply(y, b1, out=tmp)
-            tmp -= b2
-            tmp += ck
-            b1, b2, tmp = tmp, b1, b2
-        y *= 0.5  # W = c_0 + s b_1 - b_2
-        y *= b1
-        y -= b2
-        y += coef[0]
-        out[lo:lo + _HORNER_BLOCK] = y
+            f"Chebyshev interpolant of W_{a} on [{math.exp(t0):.6g},"
+            f" {math.exp(t1):.6g}] has trailing coefficients of {tail:.3g}"
+            f" > eps = {cfg.eps} at degree {n}")
+    coef.flags.writeable = False
+    return coef
+
+
+def _cheb_batch(a: int, x: np.ndarray, cfg: KernelConfig,
+                out: np.ndarray) -> None:
+    """W_a at every x in (2, cfg.x_zero), written into out, from
+    Chebyshev interpolants in t = ln x on _CHEB_PIECES equal pieces of
+    [ln 2, ln cfg.x_zero], each of the degree _cheb_degree gives for its
+    width (17 on the default pieces, against 38 on one interval).
+
+    Binary searches at the pieces' ends in x split the ascending
+    arguments into one slice per piece.  Each piece's coefficients
+    (_cheb_coef) are built once per parity and config and cached, and
+    Clenshaw's recurrence evaluates them in blocks of _HORNER_BLOCK
+    points, so a value depends on (a, x) and cfg alone.
+    """
+    t0, t1 = _cheb_piece(cfg, 0)
+    n = _cheb_degree(t1 - t0)
+    ends = [math.exp(_cheb_piece(cfg, k)[0]) for k in range(1, _CHEB_PIECES)]
+    cuts = [0, *np.searchsorted(x, ends).tolist(), x.size]
+    for k in range(_CHEB_PIECES):
+        t0, t1 = _cheb_piece(cfg, k)
+        coef = _cheb_coef(a, cfg, k, n)
+        for lo in range(cuts[k], cuts[k + 1], _HORNER_BLOCK):
+            hi = min(lo + _HORNER_BLOCK, cuts[k + 1])
+            y = np.log(x[lo:hi])
+            y -= 0.5 * (t0 + t1)
+            y *= 4.0 / (t1 - t0)  # 2 s, s the point on [-1, 1]
+            b1, b2 = np.zeros(y.shape), np.zeros(y.shape)
+            tmp = np.empty(y.shape)
+            for ck in coef[:0:-1]:  # b_k = c_k + 2 s b_(k+1) - b_(k+2)
+                np.multiply(y, b1, out=tmp)
+                tmp -= b2
+                tmp += ck
+                b1, b2, tmp = tmp, b1, b2
+            y *= 0.5  # W = c_0 + s b_1 - b_2
+            y *= b1
+            y -= b2
+            y += coef[0]
+            out[lo:hi] = y
 
 
 def _series_batch(a: int, x: np.ndarray, out: np.ndarray) -> None:

@@ -59,7 +59,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import phi_star
+from .arith import phi_star, two_pow_omega
 from .chargroup import CharacterGroup, build_group
 from .lfunc import (_MAX_TABLE_PAIRS, KernelWeights, _check_pair_count,
                     _coprime_pair_chunks, _hurwitz_half, _resolve_weights,
@@ -190,7 +190,8 @@ class MomentReport:
     b_moment: float        # sum over primitive chi of B^2
     c_moment_primitive: float
     cross_term: float      # sum over primitive chi of B*C
-    imag_residue: float    # max |Im| of the B transform
+    imag_residue: float    # max |Im| of the B transform, over every chi;
+                           # 0.0 at phi* = 0, where no transform runs
     m_eff: int
     z_floor: int
     wall: dict
@@ -204,10 +205,18 @@ def fourth_moment(q: int, *,
     from the head table, which need kernel values for m <= z_floor only
     (`weights` may be a full or a head-only table); C = |L|^2 / 2 - B.
     At q = 1 too: the moment is |zeta(1/2)|^4, and C takes up the pole
-    terms of zeta that the smoothed sum 2A leaves out.
+    terms of zeta that the smoothed sum 2A leaves out.  With no primitive
+    character (phi* = 0, q = 2 mod 4) every sum is empty: the report of
+    zeros, with no stage times, comes before any table is built.
     """
     from .asymptotics import theorem_main_term
 
+    if phi_star(q) == 0:
+        return MomentReport(
+            q=q, phi_star=0, fourth_moment=0.0, main_term=0.0,
+            ratio=float("nan"), b_moment=0.0, c_moment_primitive=0.0,
+            cross_term=0.0, imag_residue=0.0, m_eff=truncation_bound(q),
+            z_floor=q // two_pow_omega(q), wall={})
     wall: dict[str, float] = {}
     t0 = time.perf_counter()
     G = build_group(q)

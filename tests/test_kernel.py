@@ -133,10 +133,10 @@ def test_default_step_matches_residue_series():
 
 def test_interpolant_matches_residue_series():
     # on 2 < x < x_zero, where the double-precision series cancels, the
-    # Chebyshev interpolant against the series at 100 digits: measured
-    # 5.2e-18 (a = 0) and 6.2e-17 (a = 1), the quadrature alone 6.5e-18
-    # and 5.5e-17; with the cosine angles k theta_m rounded unreduced the
-    # a = 1 gap was 2.3e-16
+    # Chebyshev interpolants against the series at 100 digits: measured
+    # 1.7e-17 (a = 0) and 2.5e-17 (a = 1) on four pieces of degree 17,
+    # 1.4e-17 and 2.8e-17 on one interval of degree 38; with the cosine
+    # angles j theta_m rounded unreduced the a = 1 gap was 2.3e-16 there
     xs = np.geomspace(2.001, 23.9, 30)
     for a in (0, 1):
         got = w_eval_batch(a, xs)
@@ -166,6 +166,39 @@ def test_interpolant_rejects_low_degree(monkeypatch):
     for a in (0, 1):
         with pytest.raises(KernelAccuracyError, match="trailing"):
             w_eval_batch(a, xs)
+
+
+def _piece_ends():
+    # every end in x between two of the interpolant's pieces, with the
+    # floats just below and just above it
+    cfg = KernelConfig()
+    ends = [math.exp(kernel._cheb_piece(cfg, k)[0])
+            for k in range(1, kernel._CHEB_PIECES)]
+    return [y for e in ends
+            for y in (np.nextafter(e, 0.0), e, np.nextafter(e, math.inf))]
+
+
+def test_interpolant_pieces_match_residue_series_at_their_ends():
+    # each piece is good up to its ends, from both sides: the bound of
+    # test_interpolant_matches_residue_series on the floats around every
+    # inner end
+    xs = np.array(_piece_ends())
+    assert xs.size == 3 * (kernel._CHEB_PIECES - 1)
+    for a in (0, 1):
+        got = w_eval_batch(a, xs)
+        want = np.array([_w_series_mp(a, float(x), dps=100) for x in xs])
+        assert np.max(np.abs(got - want)) <= 1.5e-16, a
+
+
+def test_batch_across_piece_ends_matches_single_points():
+    # one ascending batch that straddles every piece end gives each
+    # argument the float it gets alone: the split between pieces depends
+    # on x, not on the batch
+    xs = np.sort(np.concatenate((np.geomspace(2.0, 23.9, 41),
+                                 _piece_ends())))
+    for a in (0, 1):
+        alone = [w_eval_batch(a, np.array([x]))[0] for x in xs]
+        assert w_eval_batch(a, xs).tolist() == alone, a
 
 
 def test_head_table_matches_residue_series():

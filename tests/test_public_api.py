@@ -127,6 +127,30 @@ def test_knobs_are_listed():
                    for p in params), fn.__name__
 
 
+# every cache of the package, as (module, function, maxsize): each holds
+# its arrays or tuples for the life of the process
+CACHES = {
+    ("chargroup", "_phi_mu_terms", 64),
+    ("chargroup", "_cyclotomic", None),
+    ("kernel", "_nodes", 64),
+    ("kernel", "_cheb_coef", 64),
+    ("lfunc", "_hurwitz_half", 8),
+    ("lfunc", "_pairs", 8),
+}
+
+
+def test_caches_are_listed():
+    # a cache is added to CACHES or not at all
+    found = set()
+    for m in SUBMODULES:
+        mod = importlib.import_module(f"dirmoment.{m}")
+        found |= {(m, name, obj.cache_parameters()["maxsize"])
+                  for name, obj in vars(mod).items()
+                  if hasattr(obj, "cache_parameters")
+                  and obj.__module__ == mod.__name__}
+    assert found == CACHES
+
+
 def test_runs_without_scipy():
     # numpy is the only runtime dependency: with scipy unimportable the
     # CLI still imports and computes a moment

@@ -328,6 +328,28 @@ def test_moment_positive_and_ratio():
         assert rep.imag_residue < 1e-12
 
 
+@pytest.mark.parametrize("q", [2990, 9699690])
+def test_moment_without_primitive_characters_builds_nothing(q, monkeypatch):
+    # phi* = 0 (q = 2 mod 4): the zero report comes before the group, the
+    # Hurwitz table, the kernel table or a pair table is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a table at phi* = 0")
+
+    from dirmoment import spectra
+    for mod, name in ((lfunc, "_hurwitz_half"), (spectra, "_hurwitz_half"),
+                      (lfunc, "kernel_weights"), (spectra, "_table"),
+                      (spectra, "build_group")):
+        monkeypatch.setattr(mod, name, refuse)
+    rep = fourth_moment(q)
+    assert rep.phi_star == 0 and rep.wall == {}
+    assert (rep.fourth_moment, rep.main_term, rep.b_moment,
+            rep.c_moment_primitive, rep.cross_term, rep.imag_residue) == (
+                0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    assert math.isnan(rep.ratio)
+    assert (rep.m_eff, rep.z_floor) == (
+        lfunc.truncation_bound(q), q // lfunc.two_pow_omega(q))
+
+
 def test_weights_mismatch_rejected():
     with pytest.raises(ValueError):
         fourth_moment(7, weights=kernel_weights(5))
