@@ -36,7 +36,8 @@ arguments in ascending order and hands each method one slice):
     quadrature on the vertical line Re s = c.  The integrand is analytic
     in a strip of half-width c around the line, so the trapezoid rule
     converges geometrically in 1/h.  Conjugate symmetry folds the line
-    onto t >= 0, and the few points of a call sum their nodes directly.
+    onto t >= 0, and the few points of a call sum their nodes directly,
+    block by block of node phases.
     w_eval halves the step until two levels agree; w_eval_batch checks a
     quantile sample of its arguments against the quadrature at step h/4
     on the line Re s = c/2, a cross-method check of the series and of the
@@ -63,6 +64,7 @@ envelope |W| <= 12 e^{-2x} on 6 <= x <= 16, extrapolated with margin).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -119,8 +121,9 @@ _MAX_REFINE = 3  # step halvings w_eval allows before giving up
 _TAIL = 1e-17  # stops the residue series, sets the interpolant degree
 _SERIES_PATH = 2.0  # largest x w_eval_batch takes from the series
 _STEP_SAMPLES = 16  # arguments per batch re-evaluated by the reference
-# Points per pass of the series' Horner rule and the interpolant's
-# Clenshaw recurrence.  Each coefficient step rereads the accumulators, so
+# Points per pass of the series' Horner rule and of the Clenshaw
+# recurrence (_clenshaw: the interpolant's pieces here, the Hurwitz table
+# in lfunc).  Each coefficient step rereads the accumulators, so
 # blocks that stay in cache run Clenshaw 3.3x faster at q = 100003 (700k
 # points), 4.3x at q = 1000003 and 1.1x at q = 10007 than one pass over
 # all points (2-vCPU VM).
@@ -202,15 +205,21 @@ def _quad_points(a: int, log_x: np.ndarray, c: float, h: float,
     The phase of node k = i B + j, B = _PHASE_BLOCK, is the product of
     exp(-i (i B h) ln x) and exp(-i (j h) ln x), each rounded once: one
     complex exp per block and per offset, not one per node, as accurate
-    as the direct phases (B h is exact, B being a power of two).
+    as the direct phases (B h is exact, B being a power of two).  Each
+    block's coefficients are summed against the offset phases first and
+    the block sums against the block phases second, by np.einsum, which
+    calls no BLAS: the order of every sum is fixed, whatever the threads.
     """
     coef = _nodes(a, c, h, T)
     n_blocks = -(-coef.size // _PHASE_BLOCK)
     outer = np.exp(-1j * np.multiply.outer(
         np.arange(n_blocks) * (_PHASE_BLOCK * h), log_x))
     inner = np.exp(-1j * np.multiply.outer(np.arange(_PHASE_BLOCK) * h, log_x))
-    z = (outer[:, None] * inner).reshape(-1, log_x.size)[:coef.size]
-    return (coef[:, None] * z).real.sum(axis=0) * np.exp(-c * log_x)
+    blocks = np.zeros(n_blocks * _PHASE_BLOCK, dtype=np.complex128)
+    blocks[:coef.size] = coef
+    part = np.einsum("ij,jp->ip", blocks.reshape(n_blocks, _PHASE_BLOCK),
+                     inner)
+    return np.einsum("ip,ip->p", outer, part).real * np.exp(-c * log_x)
 
 
 def w_eval(a: int, x: float, cfg: KernelConfig = KernelConfig()) -> float:
@@ -313,32 +322,59 @@ def _cheb_piece(cfg: KernelConfig, k: int) -> tuple[float, float]:
     return t0 + k * width, t0 + (k + 1) * width
 
 
+def _cheb_interp(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
+                 n: int) -> np.ndarray:
+    """Chebyshev coefficients c_0..c_n of the degree-n interpolant of f on
+    [lo, hi], f mapping an array of points to their values.
+
+    The n + 1 nodes are the Chebyshev points of the first kind, at the
+    angles theta_m = pi (2m + 1) / (2n + 2).  One cosine sum over them
+    gives the coefficients, with every angle j theta_m reduced in integers
+    first: at degree 38 on one interval over the kernel's [2, 24],
+    rounding j theta_m itself (up to 38 pi) put up to 3.0e-16 into W_1
+    near x = 2, against 7.8e-17 reduced.
+    """
+    N = n + 1
+    theta = (2 * np.arange(N) + 1) * (0.5 * math.pi / N)
+    f_nodes = f(0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta))
+    r = np.multiply.outer(np.arange(N), 2 * np.arange(N) + 1) % (4 * N)
+    coef = (np.cos(r * (0.5 * math.pi / N)) * f_nodes).sum(axis=1)
+    coef *= 2.0 / N
+    coef[0] *= 0.5
+    return coef
+
+
+def _clenshaw(coef: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_k coef_k T_k(s) at every point of one block, by Clenshaw's
+    recurrence from y = 2 s; y is overwritten by the values and returned.
+    Callers pass blocks of at most _HORNER_BLOCK points."""
+    b1, b2 = np.zeros(y.shape), np.zeros(y.shape)
+    tmp = np.empty(y.shape)
+    for ck in coef[:0:-1]:  # b_k = c_k + 2 s b_(k+1) - b_(k+2)
+        np.multiply(y, b1, out=tmp)
+        tmp -= b2
+        tmp += ck
+        b1, b2, tmp = tmp, b1, b2
+    y *= 0.5  # c_0 + s b_1 - b_2
+    y *= b1
+    y -= b2
+    y += coef[0]
+    return y
+
+
 @lru_cache(maxsize=64)
 def _cheb_coef(a: int, cfg: KernelConfig, k: int, n: int) -> np.ndarray:
     """Chebyshev coefficients c_0..c_n of the degree-n interpolant of
-    W_a(e^t) on piece k (_cheb_piece).
-
-    The n + 1 nodes are the Chebyshev points of the first kind, at the
-    angles theta_m = pi (2m + 1) / (2n + 2), evaluated by the quadrature
-    at step cfg.h on the line cfg.c, truncated at the height of x = 2 on
-    every piece.  One cosine sum over them gives the coefficients, with
-    every angle j theta_m reduced in integers first: at degree 38 on one
-    interval over [2, 24], rounding j theta_m itself (up to 38 pi) put up
-    to 3.0e-16 into W_1 near x = 2, against 7.8e-17 reduced.  Trailing
-    coefficients above cfg.eps raise KernelAccuracyError; a raise is not
-    cached, so the guard runs for every new key.  The cached array is
-    shared and read-only.
+    W_a(e^t) on piece k (_cheb_piece), by _cheb_interp at nodes evaluated
+    by the quadrature at step cfg.h on the line cfg.c, truncated at the
+    height of x = 2 on every piece.  Trailing coefficients above cfg.eps
+    raise KernelAccuracyError; a raise is not cached, so the guard runs
+    for every new key.  The cached array is shared and read-only.
     """
     t0, t1 = _cheb_piece(cfg, k)
-    N = n + 1
-    theta = (2 * np.arange(N) + 1) * (0.5 * math.pi / N)
-    nodes = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * np.cos(theta)
     T = _auto_T(a, cfg.c, math.log(_SERIES_PATH), cfg.eps)
-    f = _quad_points(a, nodes, cfg.c, cfg.h, T)
-    r = np.multiply.outer(np.arange(N), 2 * np.arange(N) + 1) % (4 * N)
-    coef = (np.cos(r * (0.5 * math.pi / N)) * f).sum(axis=1)
-    coef *= 2.0 / N
-    coef[0] *= 0.5
+    coef = _cheb_interp(lambda t: _quad_points(a, t, cfg.c, cfg.h, T),
+                        t0, t1, n)
     tail = float(np.abs(coef[-2:]).max())
     if not tail <= cfg.eps:
         raise KernelAccuracyError(
@@ -359,8 +395,8 @@ def _cheb_batch(a: int, x: np.ndarray, cfg: KernelConfig,
     Binary searches at the pieces' ends in x split the ascending
     arguments into one slice per piece.  Each piece's coefficients
     (_cheb_coef) are built once per parity and config and cached, and
-    Clenshaw's recurrence evaluates them in blocks of _HORNER_BLOCK
-    points, so a value depends on (a, x) and cfg alone.
+    _clenshaw evaluates them in blocks of _HORNER_BLOCK points, so a
+    value depends on (a, x) and cfg alone.
     """
     t0, t1 = _cheb_piece(cfg, 0)
     n = _cheb_degree(t1 - t0)
@@ -374,18 +410,7 @@ def _cheb_batch(a: int, x: np.ndarray, cfg: KernelConfig,
             y = np.log(x[lo:hi])
             y -= 0.5 * (t0 + t1)
             y *= 4.0 / (t1 - t0)  # 2 s, s the point on [-1, 1]
-            b1, b2 = np.zeros(y.shape), np.zeros(y.shape)
-            tmp = np.empty(y.shape)
-            for ck in coef[:0:-1]:  # b_k = c_k + 2 s b_(k+1) - b_(k+2)
-                np.multiply(y, b1, out=tmp)
-                tmp -= b2
-                tmp += ck
-                b1, b2, tmp = tmp, b1, b2
-            y *= 0.5  # W = c_0 + s b_1 - b_2
-            y *= b1
-            y -= b2
-            y += coef[0]
-            out[lo:hi] = y
+            out[lo:hi] = _clenshaw(coef, y)
 
 
 def _series_batch(a: int, x: np.ndarray, out: np.ndarray) -> None:

@@ -5,10 +5,14 @@ Hurwitz zeta function,
 
     L(1/2, chi) = q^(-1/2) sum_{a=1}^{q} chi(a) zeta(1/2, a/q),
 
-with zeta(s, a) computed by Euler-Maclaurin summation as numpy array
-code: one table of zeta(1/2, u/q) per modulus serves the oracle here and
-the all-character transform in spectra, and the scalar hurwitz_zeta is
-the one-element case of the same code, so both give the same floats.
+with zeta(s, a) computed by Euler-Maclaurin summation (the scalar
+hurwitz_zeta).  One table of zeta(1/2, u/q) per modulus serves the
+oracle here and the all-character transform in spectra; it is
+x^(-1/2) + zeta(1/2, 1 + x) at x = u/q, the second term from one
+Chebyshev interpolant on [0, 1] (_hurwitz_cheb, built once from
+Euler-Maclaurin nodes) evaluated by the kernel's blocked Clenshaw
+recurrence.  The scalar is not the one-element case of the table code:
+the two agree to rounding, not bit for bit.
 The smoothed route evaluates the rapidly truncating double sum
 
     A(chi) = sum_{a,b >= 1} chi(a) chibar(b) / sqrt(ab) * W_a(pi a b / q),
@@ -46,7 +50,8 @@ import numpy as np
 
 from .arith import coprime_mask, two_pow_omega
 from .chargroup import CharacterGroup, CharacterLabel
-from .kernel import KernelConfig, w_eval_batch
+from .kernel import (_HORNER_BLOCK, KernelConfig, _cheb_interp, _clenshaw,
+                     w_eval_batch)
 
 __all__ = [
     "CentralValue",
@@ -73,17 +78,25 @@ _PAIR_BATCH = 4_000_000   # pairs per enumerated batch
 _SUM_CHUNK = 1 << 16      # terms per pass of _exact_sum, at most 2^23
 
 
-_HURWITZ_BLOCK = 1 << 15  # arguments per block of the Euler-Maclaurin sum
 # Euler-Maclaurin depth: direct terms, then Bernoulli corrections
 _EM_TERMS, _EM_BERNOULLI = 24, 12
+# Degree of the Chebyshev interpolant of zeta(1/2, a) on [1, 2].  The
+# function is analytic off a <= 0, so its coefficients decay like
+# (3 + sqrt 8)^-k (Trefethen, Approximation Theory and Approximation
+# Practice, ch. 8): measured 4.8e-12, 8.0e-13, 1.3e-13, 2.2e-14 and
+# 3.8e-15 at k = 14..18, then a rounding floor of a few 1e-16 from k = 19.
+# At degree 22 the first omitted one is about 5e-19.
+_HURWITZ_DEGREE = 22
+# Trailing coefficients above this mean the degree no longer resolves the
+# function; the truncation error is then about a sixth of them.
+_HURWITZ_TAIL = 1e-14
 
 
 def _hurwitz_em(s: float, a: np.ndarray) -> np.ndarray:
-    """zeta(s, a) for every element of a float64 array, by Euler-Maclaurin.
+    """zeta(s, a) for every element of a float array, by Euler-Maclaurin,
+    in the array's precision (float64, or np.longdouble for the nodes of
+    _hurwitz_cheb), with elementwise numpy operations only.
 
-    The sum is taken in blocks of _HURWITZ_BLOCK arguments with
-    elementwise numpy operations only, so each output is the same float
-    whatever the length of the array or the position of its argument.
     Terms are added from the smallest to the largest: the direct terms
     (a + k)^-s from k = _EM_TERMS - 1 down to 0, the _EM_BERNOULLI
     Bernoulli corrections as a polynomial in (a + _EM_TERMS)^-2 by
@@ -94,22 +107,17 @@ def _hurwitz_em(s: float, a: np.ndarray) -> np.ndarray:
     for j in range(_EM_BERNOULLI):
         coef.append(_B_OVER_FACT[j] * poch)
         poch *= (s + 2 * j + 1) * (s + 2 * j + 2)
-    out = np.empty(a.shape)
-    for lo in range(0, a.size, _HURWITZ_BLOCK):
-        x = a[lo:lo + _HURWITZ_BLOCK]
-        direct = (x + (_EM_TERMS - 1)) ** -s
-        for k in range(_EM_TERMS - 2, -1, -1):
-            direct += (x + k) ** -s
-        na = x + _EM_TERMS
-        p = na ** -s
-        inv_sq = 1.0 / (na * na)
-        poly = np.zeros(x.shape)
-        for c in reversed(coef):
-            poly *= inv_sq
-            poly += c
-        corr = poly * (p / na) + 0.5 * p + p * na / (s - 1.0)
-        out[lo:lo + _HURWITZ_BLOCK] = direct + corr
-    return out
+    direct = (a + (_EM_TERMS - 1)) ** -s
+    for k in range(_EM_TERMS - 2, -1, -1):
+        direct += (a + k) ** -s
+    na = a + _EM_TERMS
+    p = na ** -s
+    inv_sq = 1.0 / (na * na)
+    poly = np.zeros(a.shape, dtype=a.dtype)
+    for c in reversed(coef):
+        poly *= inv_sq
+        poly += c
+    return direct + (poly * (p / na) + 0.5 * p + p * na / (s - 1.0))
 
 
 def hurwitz_zeta(s: float, a: float) -> float:
@@ -118,8 +126,8 @@ def hurwitz_zeta(s: float, a: float) -> float:
     Supported region: real 0 < s < 1 (continuation through the shifted
     tail integral) and a > 0.  At the depth (_EM_TERMS, _EM_BERNOULLI)
     the truncation error is far below double rounding for a >= 1e-3.
-    This is the one-element case of the array code behind the Hurwitz
-    tables, so both give the same float for the same argument.
+    It gives the nodes of the interpolant behind the Hurwitz tables
+    (_hurwitz_cheb), and the tests hold the tables against it.
     """
     if not (isinstance(s, (int, float)) and 0.0 < s < 1.0):
         raise ValueError(f"s must be a real number in (0, 1), got {s}")
@@ -128,14 +136,52 @@ def hurwitz_zeta(s: float, a: float) -> float:
     return float(_hurwitz_em(float(s), np.array([float(a)]))[0])
 
 
+@lru_cache(maxsize=1)
+def _hurwitz_cheb() -> np.ndarray:
+    """Chebyshev coefficients of zeta(1/2, a) on 1 <= a <= 2, degree
+    _HURWITZ_DEGREE, from _hurwitz_em at the nodes, in np.longdouble up to
+    the final rounding to float64.  A coefficient's error moves every
+    table entry the same way, so it adds up over the units: in float64
+    (where the Euler-Maclaurin sum loses a digit to cancellation, direct
+    terms near 8 against a tail near -10) the principal character's
+    L(1/2, chi_0) at q = 255255 came out 4.8e-13 off in relative terms,
+    from extended-precision coefficients 1.7e-14 off (x86-64).  Trailing
+    coefficients above _HURWITZ_TAIL raise RuntimeError.  The cached array
+    is shared and read-only."""
+    coef = _cheb_interp(lambda a: _hurwitz_em(0.5, a.astype(np.longdouble)),
+                        1.0, 2.0, _HURWITZ_DEGREE).astype(np.float64)
+    tail = float(np.abs(coef[-2:]).max())
+    if not tail <= _HURWITZ_TAIL:
+        raise RuntimeError(
+            f"Chebyshev interpolant of zeta(1/2, a) on [1, 2] has trailing"
+            f" coefficients of {tail:.3g} > {_HURWITZ_TAIL} at degree"
+            f" {_HURWITZ_DEGREE}")
+    coef.flags.writeable = False
+    return coef
+
+
 @lru_cache(maxsize=8)
 def _hurwitz_half(q: int) -> np.ndarray:
     """zeta(1/2, u/q) for every residue u = 0..q-1, with u = 0 read as
-    u = q (the value zeta(1/2, 1), the one unit residue when q = 1).  The
-    cached array is shared and read-only."""
-    u = np.arange(q, dtype=np.float64)
-    u[0] = q
-    hz = _hurwitz_em(0.5, u / q)
+    u = q (the value zeta(1/2, 1), the one unit residue when q = 1), as
+    x^(-1/2) + zeta(1/2, 1 + x) at x = u/q: the first term is sqrt(q/u),
+    the second the interpolant of _hurwitz_cheb at s = 2x - 1, whose
+    2 s = (4u - 2q)/q is rounded once.  Blocks of _HORNER_BLOCK residues,
+    so no other q-length array is held.  The cached array is shared and
+    read-only."""
+    coef = _hurwitz_cheb()
+    hz = np.empty(q)
+    for lo in range(0, q, _HORNER_BLOCK):
+        u = np.arange(lo, min(lo + _HORNER_BLOCK, q), dtype=np.float64)
+        if lo == 0:
+            u[0] = q
+        y = 4.0 * u
+        y -= 2.0 * q
+        y /= q
+        block = _clenshaw(coef, y)
+        np.divide(q, u, out=u)
+        block += np.sqrt(u, out=u)
+        hz[lo:lo + block.size] = block
     hz.flags.writeable = False
     return hz
 

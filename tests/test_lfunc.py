@@ -44,16 +44,29 @@ def test_hurwitz_table_against_mpmath(q):
     for u in us:
         ref = float(mp.zeta(0.5, mp.mpf(u if u else q) / q))
         worst = max(worst, abs(hz[u] - ref) / max(1.0, abs(ref)))
-    assert worst < 1e-12
-    assert hz[0] == hurwitz_zeta(0.5, 1.0)
+    assert worst < 1e-14
 
 
-def test_hurwitz_scalar_is_table_element():
-    # the scalar function is the one-element case of the table code
-    q = 1009
-    hz = _hurwitz_half(q)
-    for u in (1, 2, 17, 500, 1008):
-        assert hurwitz_zeta(0.5, u / q) == hz[u]
+def test_hurwitz_table_matches_scalar():
+    # the table (x^-1/2 plus a Chebyshev interpolant of zeta(1/2, 1 + x))
+    # against the scalar Euler-Maclaurin sum at every residue, u = 0 read
+    # as u = q, where both give zeta(1/2, 1)
+    for q in (7, 1009):
+        hz = _hurwitz_half(q)
+        want = np.array([hurwitz_zeta(0.5, (u or q) / q) for u in range(q)])
+        gap = np.abs(hz - want) / np.maximum(1.0, np.abs(want))
+        assert float(gap.max()) <= 2e-14, q
+
+
+def test_hurwitz_interpolant_rejects_low_degree(monkeypatch):
+    # trailing coefficients above the guard raise, and the raise is not
+    # cached
+    lfunc._hurwitz_cheb.cache_clear()
+    monkeypatch.setattr(lfunc, "_HURWITZ_DEGREE", 12)
+    with pytest.raises(RuntimeError, match="trailing coefficients"):
+        lfunc._hurwitz_cheb()
+    monkeypatch.undo()
+    assert lfunc._hurwitz_cheb().size == lfunc._HURWITZ_DEGREE + 1
 
 
 def test_hurwitz_riemann_special_case():
@@ -125,9 +138,9 @@ def test_oracle_quadratic_real():
 
 
 def test_oracle_matches_scalar_loop():
-    # one Hurwitz table per modulus and vectorised character values give
-    # the same products as the scalar loop, and fsum does not depend on
-    # their order, so the value is the same float
+    # vectorised character values give the same products with the Hurwitz
+    # table as a scalar loop over char_eval and the table's entries, and
+    # fsum does not depend on their order, so the value is the same float
     for q in (5, 12, 45, 97):
         G = build_group(q)
         for chi in G.labels():
@@ -136,7 +149,7 @@ def test_oracle_matches_scalar_loop():
             re, im = [], []
             for a in range(1, q):
                 z = char_eval(G, chi, a)
-                hz = hurwitz_zeta(0.5, a / q)
+                hz = _hurwitz_half(q)[a]
                 re.append(z.real * hz)
                 im.append(z.imag * hz)
             want = complex(math.fsum(re), math.fsum(im)) / math.sqrt(q)

@@ -134,6 +134,7 @@ CACHES = {
     ("chargroup", "_cyclotomic", None),
     ("kernel", "_nodes", 64),
     ("kernel", "_cheb_coef", 64),
+    ("lfunc", "_hurwitz_cheb", 1),
     ("lfunc", "_hurwitz_half", 8),
     ("lfunc", "_pairs", 8),
 }

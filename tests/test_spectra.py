@@ -5,8 +5,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from dirmoment import lfunc
-from dirmoment.arith import euler_phi, phi_star
+from dirmoment import lfunc, spectra
+from dirmoment.arith import euler_phi, factorize, phi_star
 from dirmoment.chargroup import build_group
 from dirmoment.kernel import KernelConfig
 from dirmoment.lfunc import (_coprime_pair_chunks, _hurwitz_half, abc_values,
@@ -185,10 +185,9 @@ def test_transform_matches_exact_angle_at_mid_q(q):
     # in floats before reducing it drifts by ~1e-11 at these q), and the
     # moment and imaginary residue of the spectrum built on the FFT
     G, tables = _tables(q)
-    exact = []
-    for s in tables:
-        exact.append(_exact_transform(G, s))
-        assert float(np.max(np.abs(group_transform(G, s) - exact[-1]))) <= 1e-12
+    exact = [_exact_transform(G, s) for s in tables]
+    for got, want in zip(group_transform(G, *tables), exact):
+        assert float(np.max(np.abs(got - want))) <= 1e-12
     spec = compute_spectrum(q)
     a = exact[0].real + exact[1].real
     mf = 4.0 * float(np.sum(spec.a_values[spec.primitive] ** 2))
@@ -207,12 +206,82 @@ def test_parity_fold_matches_per_parity_oracle(q):
     kw = kernel_weights(q)
     spec = compute_spectrum(q)
     even = spec.parity == 0
-    for (lo, hi), got in zip(_ranges(kw), (spec.b_values, spec.c_values)):
+    folds = group_transform(G, *(_table(G, kw, lo, hi)
+                                 for lo, hi in _ranges(kw)))
+    for (lo, hi), got, fold in zip(_ranges(kw), (spec.b_values,
+                                                 spec.c_values), folds):
         s0, s1 = _parity_tables(q, kw, lo, hi)
         want = np.where(even, _exact_transform(G, s0), _exact_transform(G, s1))
-        fold = group_transform(G, _table(G, kw, lo, hi))
         assert float(np.max(np.abs(fold - want))) <= 1e-12
         assert float(np.max(np.abs(got - want.real))) <= 1e-12
+
+
+def _fft_eps(phi):
+    # normwise relative error bound of a float64 FFT over phi points,
+    # c eps log2(phi) with c = 10 (Higham, Accuracy and Stability of
+    # Numerical Algorithms, Thm 24.2, with margin for the pairwise sums)
+    return 10.0 * 2.0 ** -52 * max(1.0, math.log2(phi))
+
+
+def _hurwitz_and_head(q):
+    """The group and the two tables fourth_moment packs: the Hurwitz
+    table and the B table."""
+    G = build_group(q)
+    kw = kernel_weights(q, head_only=True)
+    return G, (_hurwitz_half(q), _table(G, kw, 0, kw.z_floor))
+
+
+@pytest.mark.parametrize("split_prime", [spectra._SPLIT_PRIME, 1])
+@pytest.mark.parametrize("q", [1009, 2992, 2999, 1024, 8997, 15015, 255255])
+def test_packed_transform_matches_exact_angle(q, split_prime, monkeypatch):
+    # each output of the one packed FFT against the exact-angle transform
+    # of its own table, on a split axis (2999 and 8997 = 3 * 2999), the
+    # <-1>/<5> axes (2992, 1024) and many axes (15015, 255255).  With
+    # _SPLIT_PRIME = 1 every prime power of an axis order is a sub-axis of
+    # its own (up to three per axis here), which tests the Good-Thomas maps
+    # at sizes the exact oracle can hold.  The Hurwitz table's sum of |hz|
+    # is 10^2 to 10^4 times the B table's, so cross-talk between the two
+    # would show in B; the bound is the FFT's rounding over the packed
+    # input, eps_fft * sum_u (|hz(u)| + |T(u)|)
+    monkeypatch.setattr(spectra, "_SPLIT_PRIME", split_prime)
+    G, tables = _hurwitz_and_head(q)
+    units = G.unit_residues()
+    scale = _fft_eps(G.group_order) * sum(
+        float(np.abs(t[units]).sum()) for t in tables)
+    for got, t in zip(group_transform(G, *tables), tables):
+        gap = float(np.max(np.abs(got - _exact_transform(G, t))))
+        assert gap <= scale, f"gap {gap:.2e} over {scale:.2e}"
+
+
+@pytest.mark.parametrize("q", [100003, 255255])
+def test_packed_transform_identities(q):
+    # Parseval on each output, sum_chi |X(chi)|^2 = phi sum_u f(u)^2, and
+    # the principal character of the Hurwitz transform,
+    # X(chi_0) / sqrt(q) = L(1/2, chi_0) = zeta(1/2) prod_{p | q}
+    # (1 - p^-1/2).  Bounds from the FFT's normwise rounding eps_fft over
+    # the packed input: Parseval within 3 eps_fft phi |f| |(f, g)| (2-norms
+    # over the units), and X(chi_0) within eps_fft phi^1/2 |(f, g)| plus
+    # the table's accuracy, 1e-14 max(1, |hz(u)|) per unit
+    G, tables = _hurwitz_and_head(q)
+    units = G.unit_residues()
+    phi = G.group_order
+    eps = _fft_eps(phi)
+    sq = [float(np.sum(t[units] ** 2)) for t in tables]
+    outs = group_transform(G, *tables)
+    for x, s in zip(outs, sq):
+        gap = abs(float(np.sum(x.real ** 2 + x.imag ** 2)) - phi * s)
+        assert gap <= 3.0 * eps * phi * math.sqrt(s * sum(sq)), gap
+    hz = tables[0][units]
+    with mpmath.workdps(30):
+        want = mpmath.zeta(0.5)
+        for p in factorize(q).primes:
+            want *= 1 - mpmath.mpf(p) ** -0.5
+        want = float(want)
+    x0 = outs[0][G.label_index(G.principal())]
+    tol = (eps * math.sqrt(phi * sum(sq))
+           + 1e-14 * float(np.maximum(1.0, np.abs(hz)).sum())) / math.sqrt(q)
+    assert abs(x0 / math.sqrt(q) - want) <= tol
+    assert abs(x0.imag) <= eps * math.sqrt(phi * sum(sq))
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +322,12 @@ def test_hurwitz_route_matches_afe_tables(q):
     # 2A from the B and C tables, on every primitive character, within the
     # kernel-eps bound of criterion 2 at scale: each kernel value is within
     # eps and the weights 1 / sqrt(ab), ab <= m, add up to at most
-    # 2 sqrt(m)(1 + ln m); doubled for 2A
+    # 2 sqrt(m)(1 + ln m); doubled for 2A.  The Hurwitz table is packed
+    # with the B table, as in fourth_moment
     spec = compute_spectrum(q)
-    lt = group_transform(spec.group, _hurwitz_half(q))
+    kw = kernel_weights(q, head_only=True)
+    lt, _ = group_transform(spec.group, _hurwitz_half(q),
+                            _table(spec.group, kw, 0, kw.z_floor))
     l_sq = (lt.real ** 2 + lt.imag ** 2) / q
     prim = spec.primitive
     m = 24.0 * q / math.pi
@@ -297,12 +369,19 @@ def test_moment_report_consistency():
 
 @pytest.mark.parametrize("q", [1009, 10007, 15015])
 def test_spectrum_b_moment_is_fourth_moment_b_moment(q):
-    # both build the B tables on the one range (0, z_floor], from a full
+    # both build the B table on the one range (0, z_floor], from a full
     # and a head-only kernel table whose head values are the same floats,
-    # so their B values and sum* B^2 agree bit for bit
+    # so the tables agree bit for bit; the transform packs B with the C
+    # table in one and with the Hurwitz table in the other, so sum* B^2
+    # agrees to rounding
+    G = build_group(q)
+    full, head = kernel_weights(q), kernel_weights(q, head_only=True)
+    assert np.array_equal(_table(G, full, 0, full.z_floor),
+                          _table(G, head, 0, head.z_floor))
     spec = compute_spectrum(q)
     b = spec.b_values[spec.primitive]
-    assert float(np.sum(b ** 2)) == fourth_moment(q).b_moment
+    want = fourth_moment(q).b_moment
+    assert abs(float(np.sum(b ** 2)) - want) <= 1e-13 * want
 
 
 def test_moment_at_q1_is_zeta_fourth_power():
@@ -335,7 +414,6 @@ def test_moment_without_primitive_characters_builds_nothing(q, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("built a table at phi* = 0")
 
-    from dirmoment import spectra
     for mod, name in ((lfunc, "_hurwitz_half"), (spectra, "_hurwitz_half"),
                       (lfunc, "kernel_weights"), (spectra, "_table"),
                       (spectra, "build_group")):
