@@ -160,7 +160,7 @@ def _hurwitz_cheb() -> np.ndarray:
     return coef
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _hurwitz_half(q: int) -> np.ndarray:
     """zeta(1/2, u/q) for every residue u = 0..q-1, with u = 0 read as
     u = q (the value zeta(1/2, 1), the one unit residue when q = 1), as
@@ -168,7 +168,8 @@ def _hurwitz_half(q: int) -> np.ndarray:
     the second the interpolant of _hurwitz_cheb at s = 2x - 1, whose
     2 s = (4u - 2q)/q is rounded once.  Blocks of _HORNER_BLOCK residues,
     so no other q-length array is held.  The cached array is shared and
-    read-only."""
+    read-only; only the last modulus is kept, which fourth_moment and then
+    l_half_oracle at the same q both read."""
     coef = _hurwitz_cheb()
     hz = np.empty(q)
     for lo in range(0, q, _HORNER_BLOCK):

@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import math
 import time
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -83,6 +84,14 @@ from .lfunc import (_MAX_TABLE_PAIRS, KernelWeights, _check_pair_count,
 # 0.70 against 0.43 ms at 2^3 3^2 139, and 12.4 against 0.87 s at
 # 2 * 3^2 * 157 * 2477.
 _SPLIT_PRIME = 100
+
+
+def _fft_eps(phi: int) -> float:
+    """Normwise relative error bound of a float64 FFT over phi points,
+    c eps log2(phi) with c = 10 (Higham, Accuracy and Stability of
+    Numerical Algorithms, Thm 24.2, with margin for the pairwise sums)."""
+    return 10.0 * 2.0 ** -52 * max(1.0, math.log2(phi))
+
 
 __all__ = [
     "CharacterSpectrum",
@@ -273,7 +282,8 @@ class MomentReport:
     imag_residue: float    # max |Im| of the B transform, over every chi;
                            # B is packed with the Hurwitz table in one
                            # FFT, so this carries that table's rounding
-                           # too; 0.0 at phi* = 0, where no transform runs
+                           # too; 0.0 at phi* = 0, where no transform runs;
+                           # over the FFT's rounding bound, a RuntimeWarning
     m_eff: int
     z_floor: int
     wall: dict
@@ -290,6 +300,8 @@ def fourth_moment(q: int, *,
     terms of zeta that the smoothed sum 2A leaves out.  With no primitive
     character (phi* = 0, q = 2 mod 4) every sum is empty: the report of
     zeros, with no stage times, comes before any table is built.
+    An imag_residue over the packed FFT's rounding bound (_fft_eps)
+    warns with a RuntimeWarning; the report is the same either way.
     """
     from .asymptotics import theorem_main_term
 
@@ -323,6 +335,16 @@ def fourth_moment(q: int, *,
     wall["transform"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    # B is real, so Im B is rounding of the packed FFT, bounded by its
+    # normwise error over the packed input, eps_fft sum_u (|hz| + |T_B|)
+    # over the units; T_B is 0 off the units, so it needs no gather
+    imag = float(np.abs(vb.imag).max())
+    bound = _fft_eps(G.group_order) * (
+        float(np.abs(hz[G.unit_residues()]).sum()) + float(np.abs(tb).sum()))
+    if not imag <= bound:
+        warnings.warn(f"imag_residue {imag:.3g} at q = {q} is over its FFT "
+                      f"rounding bound {bound:.3g}", RuntimeWarning,
+                      stacklevel=2)
     prim = G.conductor_grid() == q
     # A = |L|^2 / 2 on primitive chi, q^-1/2 |sum_u chi(u) zeta(1/2, u/q)|
     a = (lt.real ** 2 + lt.imag ** 2) / (2.0 * q)
@@ -337,8 +359,8 @@ def fourth_moment(q: int, *,
         ratio=moment / main if main > 0 else float("nan"),
         b_moment=b_moment, c_moment_primitive=float(np.sum(c ** 2)),
         cross_term=float(np.sum(b * c)),
-        imag_residue=float(np.abs(vb.imag).max(initial=0.0)),
-        m_eff=truncation_bound(q), z_floor=kw.z_floor, wall=wall)
+        imag_residue=imag, m_eff=truncation_bound(q), z_floor=kw.z_floor,
+        wall=wall)
 
 
 def tail_moment_all(q: int, *,

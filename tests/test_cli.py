@@ -90,6 +90,31 @@ def test_value_rejects_bad_index(capsys):
     assert "--char" in capsys.readouterr().err
 
 
+def test_parser_is_reused_without_carrying_state(monkeypatch, capsys):
+    # main parses with the one parser built at import, never a new one;
+    # runs, usage errors and a flag in between leave nothing behind, so
+    # the same moment call prints the same bytes before and after
+    def refuse():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    outs = []
+    for argv, code in ((["moment", "--q", "1009"], 0),
+                       (["scan", "--qmin", "0"], 2),
+                       (["value", "--q", "13", "--char", "99"], 2),
+                       (["moment", "--q", "1009", "--timings"], 0),
+                       (["moment", "--q", "1009"], 0)):
+        if code:
+            with pytest.raises(SystemExit) as e:
+                cli.main(argv)
+            assert e.value.code == code, argv
+        else:
+            assert cli.main(argv) == code, argv
+        outs.append(capsys.readouterr().out)
+    assert "wall_ms" in json.loads(outs[3])
+    assert outs[0] and outs[4] == outs[0]
+
+
 def test_usage_error_is_exit_2(monkeypatch, capsys):
     with pytest.raises(SystemExit) as e:
         cli.main(["moment"])  # missing --q

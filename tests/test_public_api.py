@@ -135,7 +135,7 @@ CACHES = {
     ("kernel", "_nodes", 64),
     ("kernel", "_cheb_coef", 64),
     ("lfunc", "_hurwitz_cheb", 1),
-    ("lfunc", "_hurwitz_half", 8),
+    ("lfunc", "_hurwitz_half", 1),
     ("lfunc", "_pairs", 8),
 }
 

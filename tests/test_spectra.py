@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -11,9 +12,9 @@ from dirmoment.chargroup import build_group
 from dirmoment.kernel import KernelConfig
 from dirmoment.lfunc import (_coprime_pair_chunks, _hurwitz_half, abc_values,
                              kernel_weights)
-from dirmoment.spectra import (_exact_transform, _table, compute_spectrum,
-                               fourth_moment, group_transform,
-                               tail_moment_all)
+from dirmoment.spectra import (_exact_transform, _fft_eps, _table,
+                               compute_spectrum, fourth_moment,
+                               group_transform, tail_moment_all)
 
 CFG = KernelConfig()
 
@@ -216,13 +217,6 @@ def test_parity_fold_matches_per_parity_oracle(q):
         assert float(np.max(np.abs(got - want.real))) <= 1e-12
 
 
-def _fft_eps(phi):
-    # normwise relative error bound of a float64 FFT over phi points,
-    # c eps log2(phi) with c = 10 (Higham, Accuracy and Stability of
-    # Numerical Algorithms, Thm 24.2, with margin for the pairwise sums)
-    return 10.0 * 2.0 ** -52 * max(1.0, math.log2(phi))
-
-
 def _hurwitz_and_head(q):
     """The group and the two tables fourth_moment packs: the Hurwitz
     table and the B table."""
@@ -405,6 +399,21 @@ def test_moment_positive_and_ratio():
         assert rep.main_term > 0
         assert rep.ratio == rep.fourth_moment / rep.main_term
         assert rep.imag_residue < 1e-12
+
+
+def test_imag_residue_over_its_bound_warns(monkeypatch):
+    # the runtime bound is the FFT rounding model of the packed-transform
+    # tests, eps_fft sum_u (|hz| + |T_B|): a residue within it is silent;
+    # with eps_fft = 0 the same (nonzero) residue is a breach, which warns
+    # and leaves the report as it was
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = fourth_moment(1009)
+    assert rep.imag_residue > 0.0
+    monkeypatch.setattr(spectra, "_fft_eps", lambda phi: 0.0)
+    with pytest.warns(RuntimeWarning, match="imag_residue .* at q = 1009"):
+        breach = fourth_moment(1009)
+    assert dataclasses.replace(breach, wall=rep.wall) == rep
 
 
 @pytest.mark.parametrize("q", [2990, 9699690])
