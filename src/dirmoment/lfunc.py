@@ -26,7 +26,9 @@ sum over the head B needs kernel values up to Z only
 The double sum visits each unordered coprime pair a <= b of the head
 (0 < ab <= Z) and of the tail (Z < ab <= m_eff) once, each range
 enumerated by _coprime_pair_chunks(q, lo, hi), the one pair enumerator,
-and held and cached on its own (_unordered_pairs caps it at _MAX_PAIRS).
+which yields the fixed pair order in slices of _PAIR_BATCH pairs that
+may end anywhere, and held and cached on its own (_unordered_pairs
+concatenates the slices and caps the range at _MAX_PAIRS).
 The term of (b, a) is the same float as the term of (a, b), so a pair
 off the diagonal enters as its term doubled (an exact operation) and a
 diagonal pair a = b as its term once.  The terms are gathered with numpy
@@ -41,6 +43,7 @@ with math.fsum, from one table of Hurwitz values per modulus.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -74,7 +77,7 @@ _B_OVER_FACT = tuple(
 
 _MAX_PAIRS = 60_000_000   # cap on a materialized pair enumeration
 _MAX_TABLE_PAIRS = 3e8    # cap on a streamed residue-table build
-_PAIR_BATCH = 4_000_000   # pairs per enumerated batch
+_PAIR_BATCH = 1 << 14      # pairs per enumerated slice, ~70 bytes each
 _SUM_CHUNK = 1 << 16      # terms per pass of _exact_sum, at most 2^23
 
 
@@ -276,36 +279,43 @@ def _coprime_pair_chunks(q: int, lo: int, hi: int
     """Every unordered pair a <= b of integers coprime to q with
     lo < ab <= hi, exactly once, in a fixed order.
 
-    With s = isqrt(hi): one chunk per a = 1..s, each with every
+    With s = isqrt(hi): one run per a = 1..s, each with every
     max(a, lo // a + 1) <= b <= hi // a in increasing order.  A range
     that starts past 0 skips the products up to lo instead of
-    enumerating them.  The chunks are yielded as int64 arrays (a, b) in
-    batches of whole chunks, each batch closed as soon as it holds at
-    least _PAIR_BATCH pairs.  The pair (b, a) is left to the caller: its
-    term equals that of (a, b) in every smoothed sum.
+    enumerating them.  The order is yielded as int64 arrays (a, b) in
+    consecutive slices of _PAIR_BATCH pairs, which may end anywhere,
+    inside the run of one a too.  The coprime integers come from the
+    residues coprime to q in [1, q], so nothing here grows with hi but
+    the runs.  The pair (b, a) is left to the caller: its term equals
+    that of (a, b) in every smoothed sum.
     """
-    cop = np.flatnonzero(coprime_mask(q, hi)[1:]) + 1  # coprime, in [1, hi]
-    small = cop[:np.searchsorted(cop, math.isqrt(hi), side="right")].tolist()
-    ends = np.searchsorted(cop, [hi // a for a in small], side="right").tolist()
-    starts = np.searchsorted(cop, [lo // a for a in small], side="right").tolist()
-    # cop slice of b per a-chunk; cop[i] = small[i] = a, so b >= a from i
-    chunks = [(a, max(i, st), end)
-              for i, (a, st, end) in enumerate(zip(small, starts, ends))
-              if end > max(i, st)]
-    i = 0
-    while i < len(chunks):
-        j, n = i, 0
-        while j < len(chunks) and n < _PAIR_BATCH:
-            n += chunks[j][2] - chunks[j][1]
-            j += 1
-        a, b = np.empty((2, n), dtype=np.int64)
-        o = 0
-        for x, st, end in chunks[i:j]:
-            a[o:o + end - st] = x
-            b[o:o + end - st] = cop[st:end]
-            o += end - st
-        yield a, b
-        i = j
+    res = np.flatnonzero(coprime_mask(q, q)[1:])
+    res += 1
+    phi = res.size
+
+    def count(x):  # coprime integers in [1, x], elementwise
+        return x // q * phi + np.searchsorted(res, x % q, side="right")
+
+    def nth(n):  # the coprime integers at 0-based positions n
+        k = n // phi  # numpy divides by a scalar several times faster
+        n -= k * phi  # than it takes a remainder (%, divmod)
+        k *= q
+        k += res[n]
+        return k
+
+    a = nth(np.arange(count(math.isqrt(hi))))
+    start = np.maximum(np.arange(a.size), count(lo // a))  # b >= a, ab > lo
+    runs = np.maximum(count(hi // a) - start, 0)
+    end = np.cumsum(runs)  # run i holds the pairs first[i] .. end[i] - 1
+    first = end - runs     # of the order, at b = nth(pair + shift[i])
+    shift = start - first
+    ends = end.tolist()
+    top = ends[-1] if ends else 0
+    for p in range(0, top, _PAIR_BATCH):
+        e = min(p + _PAIR_BATCH, top)
+        i, j = bisect_right(ends, p), bisect_left(ends, e) + 1
+        n = np.minimum(end[i:j], e) - np.maximum(first[i:j], p)
+        yield a[i:j].repeat(n), nth(np.arange(p, e) + shift[i:j].repeat(n))
 
 
 def _unordered_pairs(q: int, lo: int, hi: int

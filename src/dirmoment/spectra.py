@@ -42,7 +42,8 @@ reorganization.  tail_moment_all sums C^2 over every character as
 phi(q) sum_u T(u)^2 (Parseval) from the C table, with no transform.
 compute_spectrum and tail_moment_all refuse a modulus whose C table is
 over the cost cap (lfunc._MAX_TABLE_PAIRS) before any table is built;
-the pairs stream in batches of lfunc._PAIR_BATCH.
+the pairs stream in slices of lfunc._PAIR_BATCH, each scattered in place
+into two q-length accumulators, so a build holds O(q + slice) scratch.
 
 Parity (which S_a a character's sum stands for) and primitivity (which characters
 a moment sums over) come from CharacterGroup.parity_grid() and
@@ -52,13 +53,15 @@ does not classify characters itself.
 Determinism: the build is single-threaded and visits the unordered
 pairs of its range L < ab <= M in a fixed order
 (lfunc._coprime_pair_chunks(q, L, M)): with s = isqrt(M), a = 1..s, each
-with every max(a, L/a) < b <= M/a.  The symmetrization adds the two
-halves in either order to the same float, so T(u^-1) == T(u) bit for
-bit.  Reruns are bit-identical.
+with every max(a, L/a) < b <= M/a.  Each accumulator entry is the
+in-order sum of its own pairs, so a table is the same bits at any slice
+size.  The symmetrization adds the two halves in either order to the
+same float, so T(u^-1) == T(u) bit for bit.  Reruns are bit-identical.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 import warnings
@@ -93,6 +96,16 @@ def _fft_eps(phi: int) -> float:
     return 10.0 * 2.0 ** -52 * max(1.0, math.log2(phi))
 
 
+def _unit_abs_sum(q: int, x: np.ndarray) -> float:
+    """sum of |x[u]| over the units u mod q (u = 0 at q = 1), by
+    inclusion-exclusion over the squarefree d | q,
+    sum_d mu(d) sum_k |x[d k]|: strided passes, with no gather."""
+    primes = factorize(q).primes
+    return math.fsum((-1) ** k * float(np.abs(x[::math.prod(d)]).sum())
+                     for k in range(len(primes) + 1)
+                     for d in itertools.combinations(primes, k))
+
+
 __all__ = [
     "CharacterSpectrum",
     "MomentReport",
@@ -105,35 +118,36 @@ __all__ = [
 
 def _table(G: CharacterGroup, kw: KernelWeights, lo: int,
            hi: int) -> np.ndarray:
-    """T over the coprime pairs with lo < ab <= hi.  Each batch of unordered
-    pairs a <= b is scattered twice into t with bincount: the even weight
-    K_0 + K_1 at r = a b^-1 and the odd weight K_0 - K_1 at -r
-    (K_a = kw.kprod[a][ab]), diagonal pairs at half weight.  The pair
-    (b, a) has the weights of (a, b) and the inverse residues, so
-    T(u) = (t(u) + t(u^-1)) / 2: symmetric bit for bit, each diagonal
-    pair (on the residues +-1) counted once, since doubling is exact."""
+    """T over the coprime pairs with lo < ab <= hi.  Each slice of unordered
+    pairs a <= b is scattered in place into one accumulator per parity,
+    s_a(r) += K_a at r = a b^-1 (K_a = kw.kprod[a][ab]), diagonal pairs at
+    half weight: each entry is the in-order sum of its own pairs at any
+    slice size.  Then t(u) = (s_0 + s_1)(u) + (s_0 - s_1)(-u), on a reversed
+    view.  (b, a) has the weights of (a, b) at the inverse residue, so
+    T(u) = (t(u) + t(u^-1)) / 2: symmetric bit for bit, each diagonal pair
+    (on the residues +-1) counted once, since doubling is exact."""
     q = G.q
     inv = G.inverse_table()
-    # inverse residue of every integer a pair coordinate can take; the
-    # products a * inv_res[b] < hi * q stay far inside int64
-    inv_res = inv[np.arange(hi + 1) % q]
     k0, k1 = kw.kprod
-    t = np.zeros(q)
+    s0, s1 = np.zeros(q), np.zeros(q)
     for a, b in _coprime_pair_chunks(q, lo, hi):
         m = a * b
-        idx = a * inv_res[b]
-        idx %= q
-        diag = np.flatnonzero(a == b)
-        k0m, w = k0[m], k1[m]
-        w += k0m
-        w[diag] *= 0.5
-        t += np.bincount(idx, weights=w, minlength=q)
-        # refill w in place; take's default mode="raise" buffers a copy
-        np.subtract(k0m, np.take(k1, m, out=w, mode="clip"), out=w)
-        w[diag] *= 0.5
-        np.subtract(q, idx, out=idx)
-        idx %= q
-        t += np.bincount(idx, weights=w, minlength=q)
+        # x - x // q * q = x % q, which numpy runs slower; a r < q sqrt(hi)
+        r = inv[b - b // q * q]
+        r *= a
+        r -= r // q * q
+        half = a == b
+        w = k0[m]
+        w[half] *= 0.5
+        np.add.at(s0, r, w)
+        w = k1[m]
+        w[half] *= 0.5
+        np.add.at(s1, r, w)
+    t = s0 + s1
+    s0 -= s1
+    t[1:] += s0[:0:-1]  # (s_0 - s_1)(q - u)
+    t[0] += s0[0]
+    del s0, s1
     t += t[inv]
     t *= 0.5
     return t
@@ -337,10 +351,11 @@ def fourth_moment(q: int, *,
     t0 = time.perf_counter()
     # B is real, so Im B is rounding of the packed FFT, bounded by its
     # normwise error over the packed input, eps_fft sum_u (|hz| + |T_B|)
-    # over the units; T_B is 0 off the units, so it needs no gather
+    # over the units; T_B is 0 off the units, so it is summed whole
     imag = float(np.abs(vb.imag).max())
-    bound = _fft_eps(G.group_order) * (
-        float(np.abs(hz[G.unit_residues()]).sum()) + float(np.abs(tb).sum()))
+    bound = _fft_eps(G.group_order) * (_unit_abs_sum(q, hz)
+                                       + float(np.abs(tb).sum()))
+    del tb  # each array goes once it has been read for the last time
     if not imag <= bound:
         warnings.warn(f"imag_residue {imag:.3g} at q = {q} is over its FFT "
                       f"rounding bound {bound:.3g}", RuntimeWarning,
@@ -348,17 +363,20 @@ def fourth_moment(q: int, *,
     prim = G.conductor_grid() == q
     # A = |L|^2 / 2 on primitive chi, q^-1/2 |sum_u chi(u) zeta(1/2, u/q)|
     a = (lt.real ** 2 + lt.imag ** 2) / (2.0 * q)
+    del lt
     a, b = a[prim], vb.real[prim]
-    c = a - b
+    del vb, prim
     moment = 4.0 * float(np.sum(a ** 2))
     b_moment = float(np.sum(b ** 2))
+    a -= b  # C = A - B, in a's place
+    c_moment = float(np.sum(a ** 2))
+    cross = float(np.sum(b * a))
     main = theorem_main_term(q)
     wall["assemble"] = time.perf_counter() - t0
     return MomentReport(
         q=q, phi_star=phi_star(q), fourth_moment=moment, main_term=main,
         ratio=moment / main if main > 0 else float("nan"),
-        b_moment=b_moment, c_moment_primitive=float(np.sum(c ** 2)),
-        cross_term=float(np.sum(b * c)),
+        b_moment=b_moment, c_moment_primitive=c_moment, cross_term=cross,
         imag_residue=imag, m_eff=truncation_bound(q), z_floor=kw.z_floor,
         wall=wall)
 

@@ -263,9 +263,10 @@ def _ordered_pairs(q, lo, hi):
 
 @pytest.mark.parametrize("q", [1, 12, 97, 1009])
 def test_held_pairs_do_not_depend_on_the_batch(q, monkeypatch):
-    # _unordered_pairs concatenates the enumerator's batches and _pairs
-    # builds its columns from them: the same arrays whether a batch holds
-    # one a-chunk (batch 1), a few (7) or every chunk (the default)
+    # _unordered_pairs concatenates the enumerator's slices and _pairs
+    # builds its columns from them: the same arrays whether a slice holds
+    # one pair (batch 1), seven, ending inside the runs of one a, or the
+    # default number
     hi = truncation_bound(q)
     ranges = [(lo, hi) for lo in (0, math.isqrt(hi),
                                   kernel_weights(q).z_floor)]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -79,24 +80,32 @@ def test_weight_table_mass_is_coprime_pair_sum():
 
 
 @pytest.mark.parametrize("q, batch", [
-    *(pytest.param(q, None, id=str(q)) for q in (1, 2, 12, 45, 97, 1009)),
+    *(pytest.param(q, None, id=str(q))
+      for q in (1, 2, 12, 45, 97, 1009, 2992, 2997, 15015)),
+    pytest.param(97, 1, id="97-batch1"),
+    pytest.param(1009, 7, id="1009-batch7"),
     pytest.param(1009, 5000, id="1009-batched"),
 ])
 def test_build_tables_match_brute_force(q, batch, monkeypatch):
-    # the unordered chunks, scattered and symmetrized, against a plain
+    # the unordered slices, scattered and symmetrized, against a plain
     # gcd double loop over the ordered pairs scattered with np.add.at
     # into one table per parity, folded; the second range is a perfect
     # square, where the diagonal pair a = b = isqrt(m_eff) closes the
-    # enumeration and must count once.  With a small batch the build
-    # sums over several bincounts.
+    # enumeration and must count once.  With a small batch the slices
+    # end inside the run of one a, and at batch 1 and 7 some slice ends
+    # on a diagonal pair (a, a) whose run goes on in the next slice.
     if batch is not None:
         monkeypatch.setattr(lfunc, "_PAIR_BATCH", batch)
     G = build_group(q)
     kw = kernel_weights(q)
     for m_eff in (kw.m_eff, math.isqrt(kw.m_eff) ** 2):
         if batch is not None:
-            batches = [a for a, _ in _coprime_pair_chunks(q, 0, m_eff)]
-            assert len(batches) > 2
+            slices = list(_coprime_pair_chunks(q, 0, m_eff))
+            assert len(slices) > 2
+            # per slice that ends inside a run: does it end on (a, a)?
+            cut = [b[-1] == a[-1] for (a, b), (n, _)
+                   in zip(slices, slices[1:]) if a[-1] == n[0]]
+            assert cut and (batch > 7 or any(cut))
         pairs = [(a, b) for a in range(1, m_eff + 1) if math.gcd(a, q) == 1
                  for b in range(1, m_eff // a + 1) if math.gcd(b, q) == 1]
         assert (sum(b.size for _, b in _coprime_pair_chunks(q, 0, m_eff))
@@ -144,10 +153,10 @@ def test_tables_are_inverse_symmetric_and_count_each_pair_once(q):
 
 @pytest.mark.parametrize("q", [1, 2, 12, 45, 97])
 def test_pair_chunks_past_lo_are_the_full_order_filtered(q, monkeypatch):
-    # starting each chunk past lo yields the pairs of the full
+    # starting each run of one a past lo yields the pairs of the full
     # enumeration with ab > lo, in the same order, at every lower bound
-    # (0, 1, the square root, past it, the top and beyond), in batches
-    # of at least 50 pairs
+    # (0, 1, the square root, past it, the top and beyond), in slices of
+    # 50 pairs that end wherever the 50th pair falls, inside a run too
     m = 600
     full = np.concatenate(
         [np.stack(p) for p in _coprime_pair_chunks(q, 0, m)], axis=1)
@@ -157,6 +166,54 @@ def test_pair_chunks_past_lo_are_the_full_order_filtered(q, monkeypatch):
         got = np.concatenate(got, axis=1) if got else np.empty((2, 0), int)
         want = full[:, full[0] * full[1] > lo]
         assert np.array_equal(got, want), lo
+
+
+@pytest.mark.parametrize("q", [12, 1009, 2992, 15015])
+def test_tables_do_not_depend_on_the_slice_size(q, monkeypatch):
+    # every entry is the in-order sum of its own pairs, whatever slice
+    # they arrive in, so the head and the tail are the same bits at a
+    # slice of one pair, of seven and of the default size
+    G = build_group(q)
+    kw = kernel_weights(q)
+    want = [_table(G, kw, lo, hi) for lo, hi in _ranges(kw)]
+    for batch in (1, 7):
+        monkeypatch.setattr(lfunc, "_PAIR_BATCH", batch)
+        for t, (lo, hi) in zip(want, _ranges(kw)):
+            assert np.array_equal(_table(G, kw, lo, hi), t), (batch, lo)
+
+
+def test_table_scratch_does_not_grow_with_the_pairs():
+    # the tail at q = 10007 (414k pairs, 26 slices) holds the two q-length
+    # accumulators and the output, a fixed number of slice-length arrays
+    # and the residues coprime to q with their mask; nothing that grows
+    # with hi or with the pair count beyond the runs of a (isqrt(hi) of
+    # them), so halving hi leaves the traced peak where it was
+    q = 10007
+    G = build_group(q)
+    G.inverse_table()
+    kw = kernel_weights(q)
+    phi = G.group_order
+    slice_bytes = 8 * lfunc._PAIR_BATCH
+    bound = 3 * 8 * q + (q + 1) + 8 * phi + 16 * slice_bytes + (64 << 10)
+    peaks = []
+    for hi in (kw.m_eff // 2, kw.m_eff):
+        tracemalloc.start()
+        try:
+            _table(G, kw, kw.z_floor, hi)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= bound, (peaks, bound)
+    assert peaks[1] <= peaks[0] + (16 << 10), peaks
+
+
+@pytest.mark.parametrize("q", [1, 2, 12, 2999, 255255])
+def test_unit_abs_sum_matches_the_gather(q):
+    # inclusion-exclusion over the squarefree divisors of q against the
+    # plain gather of the units, on the Hurwitz table fourth_moment reads
+    hz = _hurwitz_half(q)
+    want = float(np.abs(hz[build_group(q).unit_residues()]).sum())
+    assert spectra._unit_abs_sum(q, hz) == pytest.approx(want, rel=1e-13)
 
 
 def _ranges(kw):
