@@ -352,12 +352,13 @@ def _check_pair_count(hi: int, cap: float) -> None:
             f"~{est:.2e} pairs, over the cost cap")
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=2)
 def _pairs(q: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
     """Unordered coprime pairs a <= b with lo < ab <= hi, hi >= 1, as
     columns (ab, a mod q, b mod q, mult): int64, and mult the float64
     count of ordered pairs each one stands for, 2 off the diagonal and 1
-    on it.  The cached arrays are shared and read-only."""
+    on it.  The cached arrays are shared and read-only, two entries: the
+    head and the tail of one modulus (one tail at 100003 is 151 MiB)."""
     a, b = _unordered_pairs(q, lo, hi)
     cols = (a * b, a % q, b % q, np.where(a == b, 1.0, 2.0))
     for col in cols:

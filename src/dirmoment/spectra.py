@@ -17,15 +17,16 @@ sum_u chi(u) S_a(u) on every chi of parity a, and T(u^-1) = T(u) keeps
 the values real up to rounding.  _table builds T for one product range
 directly, without S_0 or S_1.
 
-group_transform evaluates two real tables f, g against every character
-at once by one complex FFT of f + i g, unpacked through Z(chibar).  The
-FFT runs over the CRT exponent grid with each axis split by Good-Thomas
-into coprime sub-axes (_sub_axes: the prime powers of large primes each
-on their own), gathered from the tables at the units through
-unit_residues() and the maps of _axis_maps; one gather per split axis
-puts the output in label order.  Its oracle, _exact_transform, stays on
-the label axes and applies one exact-angle DFT matrix per CRT axis,
-with each angle e t / d reduced mod d in integers.
+group_transform evaluates two real tables f, g over the units in label
+order (entry k at G.unit_residues()[k], gathered once by the callers)
+against every character at once by one complex FFT of f + i g, unpacked
+through Z(chibar).  The FFT runs over the CRT exponent grid with each
+axis split by Good-Thomas into coprime sub-axes (_sub_axes: the prime
+powers of large primes each on their own), permuted in by the input maps
+of _axis_maps; one gather per split axis puts the output in label order.
+Its oracle, _exact_transform, stays on the label axes and applies one
+exact-angle DFT matrix per CRT axis, with each angle e t / d reduced mod
+d in integers.
 
 fourth_moment takes every central value from the Hurwitz route,
 
@@ -61,7 +62,6 @@ same float, so T(u^-1) == T(u) bit for bit.  Reruns are bit-identical.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 import warnings
@@ -71,6 +71,7 @@ from typing import Optional
 import numpy as np
 
 from .arith import factorize, phi_star, two_pow_omega
+from .asymptotics import theorem_main_term
 from .chargroup import CharacterGroup, build_group
 from .lfunc import (_MAX_TABLE_PAIRS, KernelWeights, _check_pair_count,
                     _coprime_pair_chunks, _hurwitz_half, _resolve_weights,
@@ -96,14 +97,19 @@ def _fft_eps(phi: int) -> float:
     return 10.0 * 2.0 ** -52 * max(1.0, math.log2(phi))
 
 
-def _unit_abs_sum(q: int, x: np.ndarray) -> float:
-    """sum of |x[u]| over the units u mod q (u = 0 at q = 1), by
-    inclusion-exclusion over the squarefree d | q,
-    sum_d mu(d) sum_k |x[d k]|: strided passes, with no gather."""
-    primes = factorize(q).primes
-    return math.fsum((-1) ** k * float(np.abs(x[::math.prod(d)]).sum())
-                     for k in range(len(primes) + 1)
-                     for d in itertools.combinations(primes, k))
+def _imag_residue(q: int, tables: tuple[np.ndarray, ...],
+                  outs: tuple[np.ndarray, ...]) -> float:
+    """max |Im| over outs, transforms of the real tables one FFT packed:
+    rounding, which warns (RuntimeWarning) over the FFT's normwise error
+    on the packed input, _fft_eps(phi) sum_u (|f| + |g|)."""
+    imag = max(float(np.abs(x.imag).max()) for x in outs)
+    bound = _fft_eps(tables[0].size) * sum(float(np.abs(t).sum())
+                                           for t in tables)
+    if not imag <= bound:
+        warnings.warn(f"imag_residue {imag:.3g} at q = {q} is over its FFT "
+                      f"rounding bound {bound:.3g}", RuntimeWarning,
+                      stacklevel=3)
+    return imag
 
 
 __all__ = [
@@ -192,16 +198,16 @@ def _axis_maps(n: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 def group_transform(G: CharacterGroup, f: np.ndarray, g: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
     """sum_u chi(u) f(u) and sum_u chi(u) g(u) for every character chi mod
-    q at once, from two real residue tables f and g of length q (only
-    units count), by one complex FFT of f + i g.
+    q at once, from two real tables f and g of length phi(q) over the
+    units in label order (entry k is the value at G.unit_residues()[k]),
+    by one complex FFT of f + i g.
 
     The FFT runs over the sub-axes _sub_axes gives each CRT axis: the
-    units are gathered into that grid through G.unit_residues() and the
-    input maps of _axis_maps, and the output maps put the result back in
-    label order, one gather per split axis.  With Z the FFT, the
-    transforms are (conj Z(chi) + Z(chibar)) / 2 and
-    i (conj Z(chi) - Z(chibar)) / 2, f and g being real; chibar has the
-    exponents -t, read on each label axis by a gather at -t.
+    input maps of _axis_maps permute f + i g into that grid, and the
+    output maps put the result back in label order, one gather per split
+    axis.  With Z the FFT, the transforms are (conj Z(chi) + Z(chibar)) / 2
+    and i (conj Z(chi) - Z(chibar)) / 2, f and g being real; chibar has
+    the exponents -t, read on each label axis by a gather at -t.
 
     Returns two complex arrays over the full label grid in lexicographic
     exponent order (G.label_index gives the position of a label).  The
@@ -212,11 +218,10 @@ def group_transform(G: CharacterGroup, f: np.ndarray, g: np.ndarray
     subs = [_sub_axes(d) for d in shape]
     split = [(axis, _axis_maps(n)) for axis, n in enumerate(subs)
              if len(n) > 1]
-    units = G.unit_residues().reshape(shape)
-    for axis, (e_of, _) in split:
-        units = np.take(units, e_of, axis)
     z = np.empty(shape, dtype=np.complex128)
-    z.real, z.imag = f[units], g[units]
+    z.real, z.imag = f.reshape(shape), g.reshape(shape)
+    for axis, (e_of, _) in split:
+        z = np.take(z, e_of, axis)
     z = np.fft.fftn(z.reshape([nj for n in subs for nj in n])).reshape(shape)
     for axis, (_, pos_of) in split:
         z = np.take(z, pos_of, axis)
@@ -232,13 +237,12 @@ def group_transform(G: CharacterGroup, f: np.ndarray, g: np.ndarray
     return x_f, z
 
 
-def _exact_transform(G: CharacterGroup, residue_values: np.ndarray) -> np.ndarray:
-    """group_transform's oracle for one table: per CRT axis of order d, one
-    DFT matrix roots[(e t) mod d] with roots[k] = e(k / d), so every angle
-    comes from an exactly reduced integer; applied axis by axis over the
-    label grid with tensordot."""
-    out = residue_values[G.unit_residues()].reshape(
-        G.orders or (1,)).astype(np.complex128)
+def _exact_transform(G: CharacterGroup, f: np.ndarray) -> np.ndarray:
+    """group_transform's oracle for one label-order table: per CRT axis of
+    order d, one DFT matrix roots[(e t) mod d] with roots[k] = e(k / d), so
+    every angle comes from an exactly reduced integer; applied axis by
+    axis over the label grid with tensordot."""
+    out = f.reshape(G.orders or (1,)).astype(np.complex128)
     for axis, d in enumerate(out.shape):
         k = np.arange(d)
         roots = np.exp(2j * math.pi * (k / d))
@@ -267,17 +271,19 @@ class CharacterSpectrum:
 
 
 def compute_spectrum(q: int) -> CharacterSpectrum:
-    """Tables + transform for every character mod q."""
+    """Tables + transform for every character mod q; an imag_residue over
+    the FFT's rounding bound warns (_imag_residue), with the same result."""
     _check_pair_count(truncation_bound(q), _MAX_TABLE_PAIRS)
     G = build_group(q)
     kw = kernel_weights(q)
-    vb, vc = group_transform(G, _table(G, kw, 0, kw.z_floor),
-                             _table(G, kw, kw.z_floor, kw.m_eff))
+    units = G.unit_residues()
+    tables = (_table(G, kw, 0, kw.z_floor)[units],
+              _table(G, kw, kw.z_floor, kw.m_eff)[units])
+    vb, vc = outs = group_transform(G, *tables)
     return CharacterSpectrum(
         q=q, group=G, b_values=vb.real, c_values=vc.real,
         parity=G.parity_grid(), primitive=G.conductor_grid() == q,
-        imag_residue=float(max(np.abs(vb.imag).max(initial=0.0),
-                               np.abs(vc.imag).max(initial=0.0))),
+        imag_residue=_imag_residue(q, tables, outs),
         m_eff=kw.m_eff, z_floor=kw.z_floor)
 
 
@@ -314,11 +320,9 @@ def fourth_moment(q: int, *,
     terms of zeta that the smoothed sum 2A leaves out.  With no primitive
     character (phi* = 0, q = 2 mod 4) every sum is empty: the report of
     zeros, with no stage times, comes before any table is built.
-    An imag_residue over the packed FFT's rounding bound (_fft_eps)
+    An imag_residue over the packed FFT's rounding bound (_imag_residue)
     warns with a RuntimeWarning; the report is the same either way.
     """
-    from .asymptotics import theorem_main_term
-
     if phi_star(q) == 0:
         return MomentReport(
             q=q, phi_star=0, fourth_moment=0.0, main_term=0.0,
@@ -328,12 +332,12 @@ def fourth_moment(q: int, *,
     wall: dict[str, float] = {}
     t0 = time.perf_counter()
     G = build_group(q)
-    G.unit_residues()  # the lazy tables the transform and the head
-    G.inverse_table()  # tables read, charged to this stage
+    units = G.unit_residues()  # the lazy tables the gathers and the
+    G.inverse_table()          # head table read, charged to this stage
     wall["group"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    hz = _hurwitz_half(q)
+    hz = _hurwitz_half(q)[units]
     wall["hurwitz"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -341,7 +345,8 @@ def fourth_moment(q: int, *,
     wall["kernel"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    tb = _table(G, kw, 0, kw.z_floor)
+    tb = _table(G, kw, 0, kw.z_floor)[units]
+    del kw  # not read again; the transform's peak has room for hz gathered
     wall["tables"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -349,17 +354,9 @@ def fourth_moment(q: int, *,
     wall["transform"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    # B is real, so Im B is rounding of the packed FFT, bounded by its
-    # normwise error over the packed input, eps_fft sum_u (|hz| + |T_B|)
-    # over the units; T_B is 0 off the units, so it is summed whole
-    imag = float(np.abs(vb.imag).max())
-    bound = _fft_eps(G.group_order) * (_unit_abs_sum(q, hz)
-                                       + float(np.abs(tb).sum()))
-    del tb  # each array goes once it has been read for the last time
-    if not imag <= bound:
-        warnings.warn(f"imag_residue {imag:.3g} at q = {q} is over its FFT "
-                      f"rounding bound {bound:.3g}", RuntimeWarning,
-                      stacklevel=2)
+    # B is real, so Im B is rounding of the packed FFT; |L| is complex
+    imag = _imag_residue(q, (hz, tb), (vb,))
+    del hz, tb  # each array goes once it has been read for the last time
     prim = G.conductor_grid() == q
     # A = |L|^2 / 2 on primitive chi, q^-1/2 |sum_u chi(u) zeta(1/2, u/q)|
     a = (lt.real ** 2 + lt.imag ** 2) / (2.0 * q)
@@ -377,8 +374,8 @@ def fourth_moment(q: int, *,
         q=q, phi_star=phi_star(q), fourth_moment=moment, main_term=main,
         ratio=moment / main if main > 0 else float("nan"),
         b_moment=b_moment, c_moment_primitive=c_moment, cross_term=cross,
-        imag_residue=imag, m_eff=truncation_bound(q), z_floor=kw.z_floor,
-        wall=wall)
+        imag_residue=imag, m_eff=truncation_bound(q),
+        z_floor=q // two_pow_omega(q), wall=wall)
 
 
 def tail_moment_all(q: int, *,

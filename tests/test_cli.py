@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from dirmoment import cli, kernel, lfunc
@@ -254,6 +255,21 @@ def test_kernel_table_csv(tmp_path):
     for ln in lines[1:]:
         x, w0, w1 = (float(t) for t in ln.split(","))
         assert 0 < w0 < w1 <= 1.0001
+
+
+def test_kernel_table_linear_grid(capsys):
+    # --linear: the x column is np.linspace(xmin, xmax, points) in %.17g,
+    # and each row's W0, W1 are w_eval_batch at that x, bit for bit
+    rc, out = run(capsys, "kernel-table", "--xmin", "0.5", "--xmax", "3",
+                  "--points", "6", "--linear")
+    assert rc == 0
+    header, *rows = out.strip().split("\n")
+    assert header == "x,W0,W1"
+    xs = np.linspace(0.5, 3.0, 6)
+    assert [r.split(",")[0] for r in rows] == [format(x, ".17g") for x in xs]
+    got = np.array([[float(t) for t in r.split(",")[1:]] for r in rows])
+    assert np.array_equal(got[:, 0], kernel.w_eval_batch(0, xs))
+    assert np.array_equal(got[:, 1], kernel.w_eval_batch(1, xs))
 
 
 def test_kernel_table_rejects_bad_grid():

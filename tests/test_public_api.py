@@ -31,8 +31,9 @@ def test_removed_names_are_gone():
     # home for the classification rule (CharacterGroup's per-axis tables)
     # and one residue table per product range, scattered already folded
     # (spectra._table); no exports without a caller, trial division
-    # as the only factorization, and one pair batch size
-    # (lfunc._PAIR_BATCH)
+    # as the only factorization, one pair batch size
+    # (lfunc._PAIR_BATCH), and one unit gather per table, shared by the
+    # transform and its rounding bound (spectra._imag_residue)
     mods = [dirmoment, *(importlib.import_module(f"dirmoment.{m}")
                          for m in SUBMODULES)]
     for gone in ("all_char_sums", "weight_table", "ResidueWeightTable",
@@ -41,7 +42,8 @@ def test_removed_names_are_gone():
                  "divisor_count", "primitive_count", "_is_probable_prime",
                  "_pollard_rho", "_MR_WITNESSES", "clear_kernel_cache",
                  "_fold", "_build_tables", "main_term_breakdown",
-                 "MainTermBreakdown", "_repar_parts", "_FLUSH"):
+                 "MainTermBreakdown", "_repar_parts", "_FLUSH",
+                 "_unit_abs_sum"):
         assert not [m.__name__ for m in mods if hasattr(m, gone)], gone
 
 
@@ -136,7 +138,7 @@ CACHES = {
     ("kernel", "_cheb_coef", 64),
     ("lfunc", "_hurwitz_cheb", 1),
     ("lfunc", "_hurwitz_half", 1),
-    ("lfunc", "_pairs", 8),
+    ("lfunc", "_pairs", 2),
 }
 
 

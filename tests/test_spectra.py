@@ -207,23 +207,17 @@ def test_table_scratch_does_not_grow_with_the_pairs():
     assert peaks[1] <= peaks[0] + (16 << 10), peaks
 
 
-@pytest.mark.parametrize("q", [1, 2, 12, 2999, 255255])
-def test_unit_abs_sum_matches_the_gather(q):
-    # inclusion-exclusion over the squarefree divisors of q against the
-    # plain gather of the units, on the Hurwitz table fourth_moment reads
-    hz = _hurwitz_half(q)
-    want = float(np.abs(hz[build_group(q).unit_residues()]).sum())
-    assert spectra._unit_abs_sum(q, hz) == pytest.approx(want, rel=1e-13)
-
-
 def _ranges(kw):
     return (0, kw.z_floor), (kw.z_floor, kw.m_eff)
 
 
 def _tables(q):
+    """The group and its B and C tables in label order, as
+    group_transform takes them."""
     G = build_group(q)
     kw = kernel_weights(q)
-    return G, [_table(G, kw, lo, hi) for lo, hi in _ranges(kw)]
+    units = G.unit_residues()
+    return G, [_table(G, kw, lo, hi)[units] for lo, hi in _ranges(kw)]
 
 
 def test_transform_principal_row_is_total_mass():
@@ -234,6 +228,18 @@ def test_transform_principal_row_is_total_mass():
         vals = _exact_transform(G, s)
         assert vals[i0].real == pytest.approx(float(np.sum(s)), rel=1e-12)
         assert abs(vals[i0].imag) < 1e-12
+
+
+@pytest.mark.parametrize("q", [12, 21, 2999])
+def test_transform_refuses_residue_order_tables(q):
+    # both transforms take phi-length label-order tables; a q-length
+    # residue table is refused at the reshape, not read in the wrong order
+    G = build_group(q)
+    t = np.ones(q)
+    with pytest.raises(ValueError):
+        group_transform(G, t, t)
+    with pytest.raises(ValueError):
+        _exact_transform(G, t)
 
 
 @pytest.mark.parametrize("q", [1009, 2999])
@@ -260,26 +266,28 @@ def test_parity_fold_matches_per_parity_oracle(q):
     # of each brute-force parity table, read on the characters of that
     # parity, on every character; compute_spectrum's B and C come from
     # the same folded tables
-    G = build_group(q)
+    G, tables = _tables(q)
     kw = kernel_weights(q)
+    units = G.unit_residues()
     spec = compute_spectrum(q)
     even = spec.parity == 0
-    folds = group_transform(G, *(_table(G, kw, lo, hi)
-                                 for lo, hi in _ranges(kw)))
+    folds = group_transform(G, *tables)
     for (lo, hi), got, fold in zip(_ranges(kw), (spec.b_values,
                                                  spec.c_values), folds):
         s0, s1 = _parity_tables(q, kw, lo, hi)
-        want = np.where(even, _exact_transform(G, s0), _exact_transform(G, s1))
+        want = np.where(even, _exact_transform(G, s0[units]),
+                        _exact_transform(G, s1[units]))
         assert float(np.max(np.abs(fold - want))) <= 1e-12
         assert float(np.max(np.abs(got - want.real))) <= 1e-12
 
 
 def _hurwitz_and_head(q):
-    """The group and the two tables fourth_moment packs: the Hurwitz
-    table and the B table."""
+    """The group and the two tables fourth_moment packs, in label order:
+    the Hurwitz table and the B table."""
     G = build_group(q)
     kw = kernel_weights(q, head_only=True)
-    return G, (_hurwitz_half(q), _table(G, kw, 0, kw.z_floor))
+    units = G.unit_residues()
+    return G, (_hurwitz_half(q)[units], _table(G, kw, 0, kw.z_floor)[units])
 
 
 @pytest.mark.parametrize("split_prime", [spectra._SPLIT_PRIME, 1])
@@ -296,9 +304,8 @@ def test_packed_transform_matches_exact_angle(q, split_prime, monkeypatch):
     # input, eps_fft * sum_u (|hz(u)| + |T(u)|)
     monkeypatch.setattr(spectra, "_SPLIT_PRIME", split_prime)
     G, tables = _hurwitz_and_head(q)
-    units = G.unit_residues()
     scale = _fft_eps(G.group_order) * sum(
-        float(np.abs(t[units]).sum()) for t in tables)
+        float(np.abs(t).sum()) for t in tables)
     for got, t in zip(group_transform(G, *tables), tables):
         gap = float(np.max(np.abs(got - _exact_transform(G, t))))
         assert gap <= scale, f"gap {gap:.2e} over {scale:.2e}"
@@ -314,15 +321,14 @@ def test_packed_transform_identities(q):
     # over the units), and X(chi_0) within eps_fft phi^1/2 |(f, g)| plus
     # the table's accuracy, 1e-14 max(1, |hz(u)|) per unit
     G, tables = _hurwitz_and_head(q)
-    units = G.unit_residues()
     phi = G.group_order
     eps = _fft_eps(phi)
-    sq = [float(np.sum(t[units] ** 2)) for t in tables]
+    sq = [float(np.sum(t ** 2)) for t in tables]
     outs = group_transform(G, *tables)
     for x, s in zip(outs, sq):
         gap = abs(float(np.sum(x.real ** 2 + x.imag ** 2)) - phi * s)
         assert gap <= 3.0 * eps * phi * math.sqrt(s * sum(sq)), gap
-    hz = tables[0][units]
+    hz = tables[0]
     with mpmath.workdps(30):
         want = mpmath.zeta(0.5)
         for p in factorize(q).primes:
@@ -376,9 +382,8 @@ def test_hurwitz_route_matches_afe_tables(q):
     # 2 sqrt(m)(1 + ln m); doubled for 2A.  The Hurwitz table is packed
     # with the B table, as in fourth_moment
     spec = compute_spectrum(q)
-    kw = kernel_weights(q, head_only=True)
-    lt, _ = group_transform(spec.group, _hurwitz_half(q),
-                            _table(spec.group, kw, 0, kw.z_floor))
+    G, tables = _hurwitz_and_head(q)
+    lt, _ = group_transform(G, *tables)
     l_sq = (lt.real ** 2 + lt.imag ** 2) / q
     prim = spec.primitive
     m = 24.0 * q / math.pi
@@ -471,6 +476,24 @@ def test_imag_residue_over_its_bound_warns(monkeypatch):
     with pytest.warns(RuntimeWarning, match="imag_residue .* at q = 1009"):
         breach = fourth_moment(1009)
     assert dataclasses.replace(breach, wall=rep.wall) == rep
+
+
+@pytest.mark.parametrize("q", [1009, 2992])
+def test_spectrum_imag_residue_over_its_bound_warns(q, monkeypatch):
+    # compute_spectrum checks its imag_residue against the same bound,
+    # eps_fft sum_u (|T_B| + |T_C|): silent within it; with eps_fft = 0
+    # the breach warns and the spectrum is the same bits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = compute_spectrum(q)
+    assert spec.imag_residue > 0.0
+    monkeypatch.setattr(spectra, "_fft_eps", lambda phi: 0.0)
+    with pytest.warns(RuntimeWarning, match=f"imag_residue .* at q = {q}"):
+        breach = compute_spectrum(q)
+    for name in ("b_values", "c_values", "parity", "primitive"):
+        assert np.array_equal(getattr(breach, name), getattr(spec, name))
+    assert ((breach.q, breach.imag_residue, breach.m_eff, breach.z_floor)
+            == (spec.q, spec.imag_residue, spec.m_eff, spec.z_floor))
 
 
 @pytest.mark.parametrize("q", [2990, 9699690])
