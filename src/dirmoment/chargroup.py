@@ -2,9 +2,12 @@
 
 The unit group (Z/qZ)* is decomposed into cyclic components via CRT: one
 component per odd prime power, one component for modulus 4, and the pair
-<-1>, <5> with orders (2, 2^(e-2)) for modulus 2^e with e >= 3.  Discrete
-logs are tabulated per component at build time, so a character value is an
-exact exponent of a root of unity: an integer numerator over the group
+<-1>, <5> with orders (2, 2^(e-2)) for modulus 2^e with e >= 3.  Each
+component keeps its generator, lifted by CRT to 1 mod q / p^e, and the
+units in label order are the products of the generators' powers
+(unit_residues); residue_labels() inverts that map on request.  A
+character is evaluated on that label grid, so its value is an exact
+exponent of a root of unity: an integer numerator over the group
 exponent.  Floating complex appears only at the numeric boundary.
 
 Classification lives here alone.  Each component of order d carries two
@@ -35,7 +38,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .arith import coprime_mask, divisors, euler_phi, factorize, mobius
+from .arith import divisors, euler_phi, factorize, mobius
 
 __all__ = [
     "CharacterGroup",
@@ -51,7 +54,7 @@ __all__ = [
     "root_of_unity",
 ]
 
-_MAX_Q = 10**7  # dlog tables are O(q) ints; beyond this the build is refused
+_MAX_Q = 10**7  # residue tables hold O(q) ints; a larger q is refused
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,7 @@ class Component:
 
     pe: int          # the prime power p^e
     order: int
-    dlog: np.ndarray  # residue mod pe -> generator exponent, -1 off units
+    gen: int         # generator of the factor mod pe, 1 mod q / pe
     parity: np.ndarray     # int8, length order
     conductor: np.ndarray  # int32 (parts are <= p^e <= _MAX_Q), length order
 
@@ -106,36 +109,17 @@ def _primitive_root_mod_pe(p: int, e: int) -> int:
 
 
 def _powers(gen: int, n: int, mod: int) -> np.ndarray:
-    """gen^j mod `mod` for j = 0..n-1 as int64, by doubling: each step
-    multiplies the powers so far by gen^len.  Products stay below
-    mod^2 <= _MAX_Q^2, inside int64."""
-    out = np.ones(1, dtype=np.int64)
-    while out.size < n:
-        out = np.concatenate((out, out * pow(gen, out.size, mod) % mod))
-    return out[:n]
-
-
-def _dlog_table(pe: int, gen: int, order: int) -> np.ndarray:
-    if pow(gen, order, pe) != 1:
-        raise ArithmeticError(f"generator {gen} mod {pe} has order > {order}")
-    table = np.full(pe, -1, dtype=np.int64)
-    table[_powers(gen, order, pe)] = np.arange(order, dtype=np.int64)
-    return table
-
-
-def _dlog_tables_2e(e: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sign and five-part dlogs for modulus 2^e, e >= 3: u = (-1)^s 5^j."""
-    pe = 1 << e
-    half = 1 << (e - 2)
-    sign = np.full(pe, -1, dtype=np.int64)
-    five = np.full(pe, -1, dtype=np.int64)
-    x = _powers(5, half, pe)
-    j = np.arange(half, dtype=np.int64)
-    sign[x] = 0
-    five[x] = j
-    sign[pe - x] = 1
-    five[pe - x] = j
-    return sign, five
+    """gen^j mod `mod` for j = 0..n-1 as int64, by doubling in place: each
+    step multiplies the powers so far by gen^k, k of them written.
+    Products stay below mod^2 <= _MAX_Q^2, inside int64."""
+    out = np.ones(n, dtype=np.int64)
+    k = 1
+    while k < n:
+        m = min(k, n - k)
+        np.multiply(out[:m], pow(gen, k, mod), out=out[k:k + m])
+        out[k:k + m] %= mod
+        k += m
+    return out
 
 
 class CharacterGroup:
@@ -150,9 +134,9 @@ class CharacterGroup:
         if math.prod(self.orders) != self.group_order:
             raise ArithmeticError("component orders do not multiply to phi(q)")
         self._labels_cache: Optional[list[CharacterLabel]] = None
-        self._coprime_mask: Optional[np.ndarray] = None
         self._inverse_table: Optional[np.ndarray] = None
         self._unit_residues: Optional[np.ndarray] = None
+        self._residue_labels: Optional[np.ndarray] = None
         self._roots: Optional[np.ndarray] = None
         self._parity_grid: Optional[np.ndarray] = None
         self._conductor_grid: Optional[np.ndarray] = None
@@ -161,21 +145,14 @@ class CharacterGroup:
 
     def dlog_vector(self, n: int) -> Optional[tuple[int, ...]]:
         """Component exponents of n, or None when gcd(n, q) > 1."""
-        u = n % self.q
-        if math.gcd(u, self.q) != 1:
+        k = int(self.residue_labels()[n % self.q])
+        if k < 0:
             return None
-        out = []
-        for comp in self.components:
-            t = int(comp.dlog[u % comp.pe])
-            if t < 0:  # pragma: no cover - coprime u always has a dlog
-                return None
-            out.append(t)
-        return tuple(out)
-
-    def coprime_mask(self) -> np.ndarray:
-        if self._coprime_mask is None:
-            self._coprime_mask = coprime_mask(self.q, self.q - 1)
-        return self._coprime_mask
+        t = []
+        for d in reversed(self.orders):  # the flat label, unraveled
+            k, r = divmod(k, d)
+            t.append(r)
+        return tuple(t[::-1])
 
     def inverse_table(self) -> np.ndarray:
         """u -> u^-1 mod q on units, 0 elsewhere.
@@ -195,23 +172,28 @@ class CharacterGroup:
 
     def unit_residues(self) -> np.ndarray:
         """The phi(q) unit residues in label order: entry k is the residue
-        whose component exponents are those of label k.  The cached array
-        is shared and read-only."""
+        whose component exponents are those of label k, the product mod q
+        of each generator to its exponent (the generators are 1 mod the
+        other factors).  The cached array is shared and read-only."""
         if self._unit_residues is None:
-            # the flat label index of every residue, C order one axis at
-            # a time, in place; each axis's exponent is periodic in u with
-            # period p^e, so it is added to every row of a (q / p^e, p^e)
-            # view by broadcasting
-            idx = np.zeros(self.q, dtype=np.int64)
-            for c in self.components:
-                idx *= c.order
-                idx.reshape(-1, c.pe)[...] += np.maximum(c.dlog, 0)
-            units = np.flatnonzero(self.coprime_mask())
-            res = np.empty(self.group_order, dtype=np.int64)
-            res[idx[units]] = units
+            q = self.q
+            axes = [_powers(c.gen, c.order, q) for c in self.components]
+            res = (reduce(lambda x, y: np.multiply.outer(x, y).ravel() % q,
+                          axes) if axes else np.array([1 % q], dtype=np.int64))
             res.flags.writeable = False
             self._unit_residues = res
         return self._unit_residues
+
+    def residue_labels(self) -> np.ndarray:
+        """The flat label of every residue u = 0..q-1, -1 off units: the
+        inverse of unit_residues.  The cached array is shared and
+        read-only."""
+        if self._residue_labels is None:
+            lab = np.full(self.q, -1, dtype=np.int64)
+            lab[self.unit_residues()] = np.arange(self.group_order)
+            lab.flags.writeable = False
+            self._residue_labels = lab
+        return self._residue_labels
 
     # -- character side ----------------------------------------------------
 
@@ -279,25 +261,22 @@ class CharacterGroup:
         return num % N
 
     def angle_nums(self, chi: CharacterLabel) -> np.ndarray:
-        """angle_num(chi, u) for every residue u = 0..q-1 as an int64
-        array, -1 off units.
+        """angle_num(chi, u) for every unit u as an int64 array in label
+        order: entry k is the numerator at unit_residues()[k].
 
-        Each component's dlog table, periodic in u with period p^e, is
-        added to every row of a (q / p^e, p^e) view of the q residues by
-        broadcasting, so no residue by component table is kept.
+        The numerator is sum over the axes of t e (N / d) mod N, with t the
+        unit's exponent and e chi's on an axis of order d, so it is an
+        outer sum over the label grid of one length-d table per axis.
         """
         N = self.exponent
-        num = np.zeros(self.q, dtype=np.int64)
-        for e, comp in zip(chi.exponents, self.components):
-            if e:
-                num.reshape(-1, comp.pe)[...] += (
-                    comp.dlog * (e * (N // comp.order) % N))
-        num %= N
-        num[~self.coprime_mask()] = -1
-        return num
+        return _fold_outer(np.add, (
+            np.arange(c.order, dtype=np.int64) * (e * (N // c.order) % N)
+            for e, c in zip(chi.exponents, self.components)),
+            np.zeros((), dtype=np.int64)) % N
 
     def char_values(self, chi: CharacterLabel) -> np.ndarray:
-        """char_eval(chi, u) for every residue u = 0..q-1, 0 off units.
+        """char_eval(chi, u) for every unit u, in label order like
+        angle_nums.
 
         Values come from one table of root_of_unity(k, exponent), so they
         are bit-identical to char_eval.
@@ -305,17 +284,15 @@ class CharacterGroup:
         if self._roots is None:
             N = self.exponent
             self._roots = np.array([root_of_unity(k, N) for k in range(N)])
-        num = self.angle_nums(chi)
-        return np.where(num >= 0, self._roots[num], 0j)
+        return self._roots[self.angle_nums(chi)]
 
     def is_induced_modulus(self, chi: CharacterLabel, f: int) -> bool:
         """True when chi is trivial on units u = 1 (mod f), i.e. chi factors
         through modulus f."""
         if self.q % f != 0:
             raise ValueError(f"{f} does not divide the modulus {self.q}")
-        # the units u = 1 (mod f) below q; u = q itself (f = 1) is a unit
-        # only for q = 1, where every character is trivial
-        return not np.any(self.angle_nums(chi)[1::f] > 0)
+        ones = self.unit_residues() % f == 1 % f
+        return not np.any(self.angle_nums(chi)[ones])
 
 
 def _fold_outer(op: np.ufunc, tables: Iterable[np.ndarray],
@@ -327,13 +304,16 @@ def _fold_outer(op: np.ufunc, tables: Iterable[np.ndarray],
     return grid
 
 
-def _component(p: int, e: int, base: int, order: int,
-               dlog: np.ndarray) -> Component:
-    """A cyclic factor with its classification tables over t = 0..order-1;
-    base is the conductor base of the factor (4 on the <5> axis, else p).
+def _component(q: int, p: int, e: int, base: int, order: int,
+               gen: int) -> Component:
+    """The cyclic factor of order `order` generated by gen mod p^e, with
+    gen lifted by CRT to 1 mod q / p^e, and its classification tables over
+    t = 0..order-1; base is the conductor base of the factor (4 on the <5>
+    axis, else p).  A gen whose order does not divide `order` raises
+    ArithmeticError.
 
     -1 has exponent 0 or order/2 on the factor, so chi(-1) picks up
-    (-1)^t exactly when that exponent is nonzero.  A character of order
+    (-1)^t exactly when gen^(order/2) = -1.  A character of order
     o = order / gcd(order, t) > 1 on the factor has conductor part
     gcd(o base, p^e): p^(v+1) for o = p^v m, m | p - 1 (base p); 4 on the
     sign and mod-4 axes (o = 2, base 2); 4 o on the <5> axis (base 4).
@@ -343,8 +323,10 @@ def _component(p: int, e: int, base: int, order: int,
     is gcd(d_p, t).
     """
     pe = p**e
+    if pow(gen, order, pe) != 1:
+        raise ArithmeticError(f"generator {gen} mod {pe} has order > {order}")
     parity = np.zeros(order, dtype=np.int8)
-    if dlog[pe - 1]:
+    if pow(gen, order // 2, pe) == pe - 1:
         parity[1::2] = 1
     d_p = math.gcd(order, pe)
     conductor = np.empty(order, dtype=np.int32)
@@ -353,35 +335,32 @@ def _component(p: int, e: int, base: int, order: int,
         conductor[::k] = math.gcd(d_p // k * base, pe)
         k *= p
     conductor[0] = 1  # t = 0: the character is trivial on this factor
-    return Component(pe, order, dlog, parity, conductor)
+    m = q // pe
+    lift = gen + pe * ((1 - gen) * pow(pe, -1, m) % m)
+    return Component(pe, order, lift, parity, conductor)
 
 
 def build_group(q: int) -> CharacterGroup:
-    """Construct the character group mod q with per-component dlog tables."""
+    """Construct the character group mod q from its CRT generators."""
     if not isinstance(q, (int, np.integer)) or q < 1:
         raise ValueError(f"modulus must be a positive integer, got {q}")
     q = int(q)
     if q > _MAX_Q:
         raise ValueError(
-            f"modulus {q} exceeds the dlog table memory budget (q <= {_MAX_Q})")
+            f"modulus {q} exceeds the residue table memory budget"
+            f" (q <= {_MAX_Q})")
     comps: list[Component] = []
     for p, e in factorize(q).factors:
         pe = p**e
         if p == 2:
-            if e == 1:
-                continue  # (Z/2)* is trivial
-            if e == 2:
-                # generator 3 = -1 mod 4
-                comps.append(_component(2, 2, 2, 2, _dlog_table(4, 3, 2)))
-            else:
-                sign, five = _dlog_tables_2e(e)
-                comps.append(_component(2, e, 2, 2, sign))
-                comps.append(_component(2, e, 4, 1 << (e - 2), five))
+            # (Z/2)* is trivial; -1 generates mod 4, and -1, 5 mod 2^e
+            if e >= 2:
+                comps.append(_component(q, 2, e, 2, 2, pe - 1))
+            if e >= 3:
+                comps.append(_component(q, 2, e, 4, 1 << (e - 2), 5))
         else:
-            gen = _primitive_root_mod_pe(p, e)
-            order = pe // p * (p - 1)
-            comps.append(_component(p, e, p, order,
-                                    _dlog_table(pe, gen, order)))
+            comps.append(_component(q, p, e, p, pe // p * (p - 1),
+                                    _primitive_root_mod_pe(p, e)))
     return CharacterGroup(q, tuple(comps))
 
 
@@ -411,15 +390,11 @@ def gauss_sum(G: CharacterGroup, chi: CharacterLabel) -> complex:
     """tau(chi) = sum over a mod q of chi(a) e(a/q)."""
     q = G.q
     N = G.exponent
-    nums = G.angle_nums(chi).tolist()
     re: list[float] = []
     im: list[float] = []
-    for a in range(1, q + 1):
-        num = nums[a % q]
-        if num < 0:
-            continue
+    for a, num in zip(G.unit_residues().tolist(), G.angle_nums(chi).tolist()):
         # combine both phases exactly before the single complex exponential
-        z = root_of_unity((num * q + (a % q) * N) % (N * q), N * q)
+        z = root_of_unity((num * q + a * N) % (N * q), N * q)
         re.append(z.real)
         im.append(z.imag)
     return complex(math.fsum(re), math.fsum(im))

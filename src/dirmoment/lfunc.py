@@ -6,12 +6,12 @@ Hurwitz zeta function,
     L(1/2, chi) = q^(-1/2) sum_{a=1}^{q} chi(a) zeta(1/2, a/q),
 
 with zeta(s, a) computed by Euler-Maclaurin summation (the scalar
-hurwitz_zeta).  One table of zeta(1/2, u/q) per modulus serves the
-oracle here and the all-character transform in spectra; it is
-x^(-1/2) + zeta(1/2, 1 + x) at x = u/q, the second term from one
-Chebyshev interpolant on [0, 1] (_hurwitz_cheb, built once from
-Euler-Maclaurin nodes) evaluated by the kernel's blocked Clenshaw
-recurrence.  The scalar is not the one-element case of the table code:
+hurwitz_zeta).  The Hurwitz values zeta(1/2, u/q) that the oracle here
+and the all-character transform in spectra read (_hurwitz_at, at every
+residue or at the units) are x^(-1/2) + zeta(1/2, 1 + x) at x = u/q,
+the second term from one Chebyshev interpolant on [0, 1]
+(_hurwitz_cheb, built once from Euler-Maclaurin nodes) evaluated by the
+kernel's blocked Clenshaw recurrence.  The scalar is not the one-element case of the table code:
 the two agree to rounding, not bit for bit.
 The smoothed route evaluates the rapidly truncating double sum
 
@@ -37,7 +37,8 @@ are the exact head and tail sums rounded once, and A is their exact
 total rounded once.  Each is the correctly rounded sum over the ordered
 pairs, the float math.fsum gives, so it does not depend on term order
 and reruns are bit-identical.  The oracle adds chi(a) zeta(1/2, a/q)
-with math.fsum, from one table of Hurwitz values per modulus.
+over the units with math.fsum, from one cached table of Hurwitz values
+per modulus.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .arith import coprime_mask, two_pow_omega
-from .chargroup import CharacterGroup, CharacterLabel
+from .chargroup import CharacterGroup, CharacterLabel, build_group
 from .kernel import (_HORNER_BLOCK, KernelConfig, _cheb_interp, _clenshaw,
                      w_eval_batch)
 
@@ -163,29 +164,35 @@ def _hurwitz_cheb() -> np.ndarray:
     return coef
 
 
-@lru_cache(maxsize=1)
-def _hurwitz_half(q: int) -> np.ndarray:
-    """zeta(1/2, u/q) for every residue u = 0..q-1, with u = 0 read as
-    u = q (the value zeta(1/2, 1), the one unit residue when q = 1), as
-    x^(-1/2) + zeta(1/2, 1 + x) at x = u/q: the first term is sqrt(q/u),
-    the second the interpolant of _hurwitz_cheb at s = 2x - 1, whose
-    2 s = (4u - 2q)/q is rounded once.  Blocks of _HORNER_BLOCK residues,
-    so no other q-length array is held.  The cached array is shared and
-    read-only; only the last modulus is kept, which fourth_moment and then
-    l_half_oracle at the same q both read."""
+def _hurwitz_at(q: int, u: np.ndarray) -> np.ndarray:
+    """zeta(1/2, u/q) for every residue of the int array u, with u = 0
+    read as u = q (the value zeta(1/2, 1), the one unit residue when
+    q = 1), as x^(-1/2) + zeta(1/2, 1 + x) at x = u/q: the first term is
+    sqrt(q/u), the second the interpolant of _hurwitz_cheb at s = 2x - 1,
+    whose 2 s = (4u - 2q)/q is rounded once.  Elementwise, in blocks of
+    _HORNER_BLOCK residues, so a residue's value does not depend on the
+    array it sits in and no other array of u's length is held."""
     coef = _hurwitz_cheb()
-    hz = np.empty(q)
-    for lo in range(0, q, _HORNER_BLOCK):
-        u = np.arange(lo, min(lo + _HORNER_BLOCK, q), dtype=np.float64)
-        if lo == 0:
-            u[0] = q
-        y = 4.0 * u
+    hz = np.empty(u.size)
+    for lo in range(0, u.size, _HORNER_BLOCK):
+        x = u[lo:lo + _HORNER_BLOCK].astype(np.float64)
+        x[x == 0.0] = q
+        y = 4.0 * x
         y -= 2.0 * q
         y /= q
         block = _clenshaw(coef, y)
-        np.divide(q, u, out=u)
-        block += np.sqrt(u, out=u)
+        np.divide(q, x, out=x)
+        block += np.sqrt(x, out=x)
         hz[lo:lo + block.size] = block
+    return hz
+
+
+@lru_cache(maxsize=1)
+def _hurwitz_half(q: int) -> np.ndarray:
+    """_hurwitz_at every residue u = 0..q-1, for l_half_oracle, which
+    reads one modulus many times.  The cached array is shared and
+    read-only; only the last modulus is kept."""
+    hz = _hurwitz_at(q, np.arange(q))
     hz.flags.writeable = False
     return hz
 
@@ -197,8 +204,8 @@ def l_half_oracle(G: CharacterGroup, chi: CharacterLabel) -> complex:
         raise ValueError(
             "the Hurwitz-zeta route needs a primitive character of modulus"
             f" >= 3; got q = {q}, primitive = {chi.primitive}")
-    z = G.char_values(chi)[1:]
-    hz = _hurwitz_half(q)[1:]
+    z = G.char_values(chi)
+    hz = _hurwitz_half(q)[G.unit_residues()]
     return complex(math.fsum((z.real * hz).tolist()),
                    math.fsum((z.imag * hz).tolist())) / math.sqrt(q)
 
@@ -355,12 +362,14 @@ def _check_pair_count(hi: int, cap: float) -> None:
 @lru_cache(maxsize=2)
 def _pairs(q: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
     """Unordered coprime pairs a <= b with lo < ab <= hi, hi >= 1, as
-    columns (ab, a mod q, b mod q, mult): int64, and mult the float64
+    columns (ab, label of a, label of b, mult): int64, the labels those of
+    the group mod q (CharacterGroup.residue_labels), and mult the float64
     count of ordered pairs each one stands for, 2 off the diagonal and 1
     on it.  The cached arrays are shared and read-only, two entries: the
     head and the tail of one modulus (one tail at 100003 is 151 MiB)."""
     a, b = _unordered_pairs(q, lo, hi)
-    cols = (a * b, a % q, b % q, np.where(a == b, 1.0, 2.0))
+    lab = build_group(q).residue_labels()
+    cols = (a * b, lab[a % q], lab[b % q], np.where(a == b, 1.0, 2.0))
     for col in cols:
         col.flags.writeable = False
     return cols
@@ -369,7 +378,8 @@ def _pairs(q: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
 def _pair_terms(vals: np.ndarray, kp: np.ndarray,
                 pairs: tuple[np.ndarray, ...]) -> np.ndarray:
     """Re chi(a) chibar(b) kp[ab] times mult over the unordered pairs of
-    _pairs, from vals = chi(u) for every residue u, as a float64 array.
+    _pairs, from vals = CharacterGroup.char_values(chi) in label order, as
+    a float64 array.
     The ordered pairs (a, b) and (b, a) give the same real part, bit for
     bit (products commute), and imaginary parts that are exact negatives,
     so the imaginary sum is 0.0 and is not formed, and one term doubled

@@ -74,7 +74,7 @@ from .arith import factorize, phi_star, two_pow_omega
 from .asymptotics import theorem_main_term
 from .chargroup import CharacterGroup, build_group
 from .lfunc import (_MAX_TABLE_PAIRS, KernelWeights, _check_pair_count,
-                    _coprime_pair_chunks, _hurwitz_half, _resolve_weights,
+                    _coprime_pair_chunks, _hurwitz_at, _resolve_weights,
                     kernel_weights, truncation_bound)
 
 # Primes of an axis order above this get sub-axes of their own in
@@ -337,7 +337,7 @@ def fourth_moment(q: int, *,
     wall["group"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    hz = _hurwitz_half(q)[units]
+    hz = _hurwitz_at(q, units)
     wall["hurwitz"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from dirmoment.arith import (coprime_mask, divisors, euler_phi, factorize,
                              phi_star)
-from dirmoment.chargroup import (_dlog_table, _dlog_tables_2e,
+from dirmoment.chargroup import (_component, _powers,
                                  _primitive_root_mod_pe, build_group,
                                  char_eval,
                                  exact_primitive_char_sum,
@@ -56,50 +56,39 @@ def test_dlog_roundtrip():
         assert len(seen) == euler_phi(q)
 
 
-def _dlog_loop(pe, gen, order):
-    # the plain loop over the group order: table[gen^j mod pe] = j
-    table = np.full(pe, -1, dtype=np.int64)
-    x = 1
-    for j in range(order):
-        table[x] = j
+def _power_loop(gen, order, pe):
+    # the plain loop over the group order: gen^j mod pe for j = 0..order-1
+    out, x = [], 1
+    for _ in range(order):
+        out.append(x)
         x = x * gen % pe
-    return table
+    return out
 
 
-def test_dlog_tables_match_power_loop():
-    # the blocked numpy powers against the loop, for every prime power up
-    # to 2000 and for one prime above 10^6
+def test_powers_match_power_loop():
+    # the doubling numpy powers against the loop, for every prime power up
+    # to 2000 and for one prime above 10^6, on the generators of the axes:
+    # 3 mod 4, 5 mod 2^e for e >= 3, and the primitive roots of odd p^e
     pes = [(p, e) for p in range(2, 2001)
            if all(p % d for d in range(2, math.isqrt(p) + 1))
            for e in range(1, 12) if p ** e <= 2000]
     for p, e in pes + [(1_000_003, 1)]:
         pe = p ** e
         if p == 2:
-            if e == 2:
-                assert np.array_equal(_dlog_table(4, 3, 2),
-                                      _dlog_loop(4, 3, 2))
-            elif e >= 3:
-                sign, five = _dlog_tables_2e(e)
-                want_s = np.full(pe, -1, dtype=np.int64)
-                want_f = np.full(pe, -1, dtype=np.int64)
-                x = 1
-                for j in range(pe // 4):
-                    want_s[x], want_f[x] = 0, j
-                    want_s[pe - x], want_f[pe - x] = 1, j
-                    x = x * 5 % pe
-                assert np.array_equal(sign, want_s)
-                assert np.array_equal(five, want_f)
-            continue
-        gen = _primitive_root_mod_pe(p, e)
-        order = pe // p * (p - 1)
-        assert np.array_equal(_dlog_table(pe, gen, order),
-                              _dlog_loop(pe, gen, order)), pe
+            if e == 1:
+                continue
+            gen, order = (3, 2) if e == 2 else (5, pe // 4)
+        else:
+            gen, order = _primitive_root_mod_pe(p, e), pe // p * (p - 1)
+        got = _powers(gen, order, pe)
+        assert got.dtype == np.int64
+        assert got.tolist() == _power_loop(gen, order, pe), pe
 
 
-def test_dlog_table_rejects_wrong_order():
+def test_component_rejects_wrong_order():
     # 3 generates (Z/7)* with order 6; claiming order 3 must fail
     with pytest.raises(ArithmeticError):
-        _dlog_table(7, 3, 3)
+        _component(7, 7, 1, 7, 3, 3)
 
 
 def test_character_is_homomorphism():
@@ -404,18 +393,20 @@ def test_angle_num_defines_character(q):
 @pytest.mark.parametrize("q", [1, 2, 4, 8, 16, 24, 45, 97, 384])
 def test_residue_vectors_match_scalar(q):
     # angle_nums / char_values against angle_num / char_eval, exactly, for
-    # every character and residue; q = 4 has the two4 component, 8, 16,
-    # 24 and 384 the two_sign and two_five pair, 24, 45, 97 and 384 odd ones
+    # every character and unit, in label order; q = 4 has the mod-4
+    # axis, 8, 16, 24 and 384 the sign and <5> pair, 24, 45, 97 and 384
+    # odd ones
     G = build_group(q)
+    res = G.unit_residues().tolist()
     for chi in G.labels():
         nums = G.angle_nums(chi)
         vals = G.char_values(chi)
-        assert nums.dtype == np.int64 and nums.shape == (q,)
-        for u in range(q):
-            num = G.angle_num(chi, u)
-            assert nums[u] == (-1 if num is None else num)
+        assert nums.dtype == np.int64 and nums.shape == (G.group_order,)
+        assert vals.shape == (G.group_order,)
+        for k, u in enumerate(res):
+            assert nums[k] == G.angle_num(chi, u)
             want = char_eval(G, chi, u)
-            assert vals[u].real == want.real and vals[u].imag == want.imag
+            assert vals[k].real == want.real and vals[k].imag == want.imag
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 8, 12, 16, 24, 45, 97, 384, 1009])
@@ -428,33 +419,70 @@ def test_inverse_table_exact(q):
     assert inv.tolist() == want
 
 
+def _axis_residues(q):
+    # per label axis, in the order of the group's axes: (p^e, f) with
+    # f(t) the residue mod p^e of the axis generator to the power t, from
+    # Python pow alone; the 2^e pair as (-1)^s and 5^j
+    axes = []
+    for p, e in factorize(q).factors:
+        pe = p ** e
+        if p == 2 and e == 2:
+            axes.append((pe, lambda t: pow(3, t, 4)))
+        elif p == 2 and e >= 3:
+            axes.append((pe, lambda s, pe=pe: (-1) ** s % pe))
+            axes.append((pe, lambda j, pe=pe: pow(5, j, pe)))
+        elif p > 2:
+            g = _primitive_root_mod_pe(p, e)
+            axes.append((pe, lambda t, g=g, pe=pe: pow(g, t, pe)))
+    return axes
+
+
 @pytest.mark.parametrize(
     "q", [1, 2, 4, 8, 12, 15, 16, 24, 45, 97, 384, 1009])
 def test_unit_residues_in_label_order(q):
-    # each unit once, and entry k has the exponents of label k; q = 4 has
-    # the mod-4 axis, 8, 16, 24 and 384 the sign and <5> pair
+    # each unit once, and entry k has the exponents of label k: its residue
+    # mod each p^e is the axis generator's power, read off with Python
+    # pow, not through the group's own maps; q = 4 has the mod-4 axis, 8,
+    # 16, 24 and 384 the sign and <5> pair, whose product (-1)^s 5^j is
+    # checked mod 2^e
     G = build_group(q)
     res = G.unit_residues()
     assert res.dtype == np.int64 and not res.flags.writeable
     assert sorted(res.tolist()) == [u for u in range(q)
                                     if math.gcd(u, q) == 1]
+    axes = _axis_residues(q)
+    assert len(axes) == len(G.orders)
     for k, chi in enumerate(G.labels()):
-        assert G.dlog_vector(int(res[k])) == chi.exponents
+        u = int(res[k])
+        want = {}
+        for (pe, f), t in zip(axes, chi.exponents):
+            want[pe] = want.get(pe, 1) * f(t) % pe
+        assert all(u % pe == w for pe, w in want.items()), (q, k)
 
 
 def test_grid_flat_index_is_gone():
-    # unit_residues is the one map between residues and the label grid
-    assert not hasattr(build_group(12), "grid_flat_index")
+    # unit_residues is the one map from the label grid to the residues,
+    # residue_labels its inverse
+    G = build_group(12)
+    assert not hasattr(G, "grid_flat_index")
+    assert not hasattr(G, "coprime_mask")
+    assert not hasattr(G.components[0], "dlog")
+
+
+@pytest.mark.parametrize("q", [1, 2, 12, 30030, 9699690 // 17])
+def test_residue_labels_mark_non_units(q):
+    # -1 exactly where gcd(u, q) > 1 (index 0 is a unit only for q = 1),
+    # and the inverse of unit_residues on the units
+    G = build_group(q)
+    lab = G.residue_labels()
+    assert lab.dtype == np.int64 and not lab.flags.writeable
+    assert ((lab < 0) == (np.gcd(np.arange(q), q) > 1)).all()
+    assert lab[G.unit_residues()].tolist() == list(range(G.group_order))
 
 
 @pytest.mark.parametrize("q", [1, 2, 12, 30030, 9699690 // 17])
 def test_coprime_mask_matches_gcd(q):
-    # one strided clear per prime factor against gcd(u, q) == 1; index 0
-    # is coprime only to q = 1
-    mask = build_group(q).coprime_mask()
-    want = [math.gcd(u, q) == 1 for u in range(q)]
-    assert mask.dtype == bool
-    assert mask.tolist() == want
+    # one strided clear per prime factor against gcd(k, q) == 1 over 0..n
     for n in (0, q - 1, 3 * q + 2):
         mask = coprime_mask(q, n)
         assert mask.dtype == bool

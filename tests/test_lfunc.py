@@ -11,9 +11,10 @@ from dirmoment import lfunc
 from dirmoment.asymptotics import error_sum_E
 from dirmoment.chargroup import build_group, char_eval
 from dirmoment.kernel import KernelConfig, w_eval_batch
-from dirmoment.lfunc import (_exact_sum, _hurwitz_half, abc_values,
-                             hurwitz_zeta, kernel_weights, l_half_oracle,
-                             truncation_bound)
+from dirmoment.lfunc import (_exact_sum, _hurwitz_at, _hurwitz_half,
+                             abc_values, hurwitz_zeta, kernel_weights,
+                             l_half_oracle, truncation_bound)
+from dirmoment.spectra import fourth_moment
 
 mp.mp.dps = 30
 
@@ -56,6 +57,24 @@ def test_hurwitz_table_matches_scalar():
         want = np.array([hurwitz_zeta(0.5, (u or q) / q) for u in range(q)])
         gap = np.abs(hz - want) / np.maximum(1.0, np.abs(want))
         assert float(gap.max()) <= 2e-14, q
+
+
+@pytest.mark.parametrize("q", [1, 2, 12, 1009, 255255])
+def test_hurwitz_at_units_is_the_table_gathered(q):
+    # elementwise in blocks, so the values at the units alone are the
+    # cached table's, bit for bit, across block boundaries and at u = 0
+    units = build_group(q).unit_residues()
+    got = _hurwitz_at(q, units)
+    want = _hurwitz_half(q)[units]
+    assert got.tobytes() == want.tobytes()
+
+
+def test_fourth_moment_leaves_hurwitz_cache_empty():
+    # fourth_moment evaluates the Hurwitz values at the units only: no
+    # q-length table is built or kept
+    _hurwitz_half.cache_clear()
+    fourth_moment(1009)
+    assert _hurwitz_half.cache_info().currsize == 0
 
 
 def test_hurwitz_interpolant_rejects_low_degree(monkeypatch):
@@ -294,12 +313,14 @@ def test_unordered_sums_equal_ordered_fsums_bitwise(q):
     kw = kernel_weights(q)
     z = kw.z_floor
     ranges = [_ordered_pairs(q, lo, hi) for lo, hi in ((0, z), (z, kw.m_eff))]
+    lab = G.residue_labels()
+    ranges = [(lab[a % q], lab[b % q], a * b) for a, b in ranges]
     b_sq = []
     for chi in G.labels():
         vals, kp = G.char_values(chi), kw.kprod[chi.parity]
-        head, tail = (((vals[a % q].real * vals[b % q].real
-                        + vals[a % q].imag * vals[b % q].imag)
-                       * kp[a * b]).tolist() for a, b in ranges)
+        head, tail = (((vals[ka].real * vals[kb].real
+                        + vals[ka].imag * vals[kb].imag)
+                       * kp[ab]).tolist() for ka, kb, ab in ranges)
         cv = abc_values(G, chi, weights=kw)
         assert cv.b_value == math.fsum(head)
         assert cv.c_value == math.fsum(tail)

@@ -32,8 +32,10 @@ def test_removed_names_are_gone():
     # and one residue table per product range, scattered already folded
     # (spectra._table); no exports without a caller, trial division
     # as the only factorization, one pair batch size
-    # (lfunc._PAIR_BATCH), and one unit gather per table, shared by the
-    # transform and its rounding bound (spectra._imag_residue)
+    # (lfunc._PAIR_BATCH), one unit gather per table, shared by the
+    # transform and its rounding bound (spectra._imag_residue), and one
+    # map from the label grid to the residues
+    # (CharacterGroup.unit_residues, from the generators' powers)
     mods = [dirmoment, *(importlib.import_module(f"dirmoment.{m}")
                          for m in SUBMODULES)]
     for gone in ("all_char_sums", "weight_table", "ResidueWeightTable",
@@ -43,7 +45,7 @@ def test_removed_names_are_gone():
                  "_pollard_rho", "_MR_WITNESSES", "clear_kernel_cache",
                  "_fold", "_build_tables", "main_term_breakdown",
                  "MainTermBreakdown", "_repar_parts", "_FLUSH",
-                 "_unit_abs_sum"):
+                 "_unit_abs_sum", "_dlog_table", "_dlog_tables_2e"):
         assert not [m.__name__ for m in mods if hasattr(m, gone)], gone
 
 

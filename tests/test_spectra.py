@@ -503,7 +503,7 @@ def test_moment_without_primitive_characters_builds_nothing(q, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("built a table at phi* = 0")
 
-    for mod, name in ((lfunc, "_hurwitz_half"), (spectra, "_hurwitz_half"),
+    for mod, name in ((lfunc, "_hurwitz_half"), (spectra, "_hurwitz_at"),
                       (lfunc, "kernel_weights"), (spectra, "_table"),
                       (spectra, "build_group")):
         monkeypatch.setattr(mod, name, refuse)
