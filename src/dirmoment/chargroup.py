@@ -134,7 +134,6 @@ class CharacterGroup:
         if math.prod(self.orders) != self.group_order:
             raise ArithmeticError("component orders do not multiply to phi(q)")
         self._labels_cache: Optional[list[CharacterLabel]] = None
-        self._inverse_table: Optional[np.ndarray] = None
         self._unit_residues: Optional[np.ndarray] = None
         self._residue_labels: Optional[np.ndarray] = None
         self._roots: Optional[np.ndarray] = None
@@ -153,22 +152,6 @@ class CharacterGroup:
             k, r = divmod(k, d)
             t.append(r)
         return tuple(t[::-1])
-
-    def inverse_table(self) -> np.ndarray:
-        """u -> u^-1 mod q on units, 0 elsewhere.
-
-        The inverse of a unit has component exponents (order - t) mod
-        order: on the grid of unit_residues, each axis reversed and then
-        rolled by one.  That grid is scattered back to its residues.
-        """
-        if self._inverse_table is None:
-            grid = self.unit_residues().reshape(self.orders)
-            for axis in range(grid.ndim):
-                grid = np.roll(np.flip(grid, axis), 1, axis)
-            inv = np.zeros(self.q, dtype=np.int64)
-            inv[self.unit_residues()] = grid.ravel()
-            self._inverse_table = inv
-        return self._inverse_table
 
     def unit_residues(self) -> np.ndarray:
         """The phi(q) unit residues in label order: entry k is the residue
@@ -515,15 +498,16 @@ def exact_primitive_char_sum(G: CharacterGroup, u: int,
                              parity: Optional[int] = None) -> Optional[int]:
     """Brute-force sum of chi(u) over primitive chi mod q (optionally of one
     parity), evaluated exactly; None when the sum is not a rational integer.
+
+    The angle sum_j e_j t_j N / d_j of character k at u is symmetric in the
+    exponents e of k and t of u: the angles of all characters at u are the
+    angle_nums of the label with u's exponents.
     """
     if math.gcd(u, G.q) != 1:
         raise ValueError(f"u = {u} is not coprime to q = {G.q}")
-    counts = [0] * G.exponent
-    for chi in G.labels():
-        if not chi.primitive:
-            continue
-        if parity is not None and chi.parity != parity:
-            continue
-        num = G.angle_num(chi, u)
-        counts[num] += 1
-    return exact_root_of_unity_sum(counts)
+    pick = G.conductor_grid() == G.q
+    if parity is not None:
+        pick &= G.parity_grid() == parity
+    nums = G.angle_nums(G.label(G.dlog_vector(u)))
+    return exact_root_of_unity_sum(
+        np.bincount(nums[pick], minlength=G.exponent).tolist())

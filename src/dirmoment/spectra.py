@@ -15,10 +15,11 @@ the even part of S_0 plus the odd part of S_1: an even chi sums an odd
 table to zero and an odd chi an even one, so sum_u chi(u) T(u) =
 sum_u chi(u) S_a(u) on every chi of parity a, and T(u^-1) = T(u) keeps
 the values real up to rounding.  _table builds T for one product range
-directly, without S_0 or S_1.
+directly, without S_0 or S_1, and returns it over the units in label
+order, the order every reader of a table takes.
 
 group_transform evaluates two real tables f, g over the units in label
-order (entry k at G.unit_residues()[k], gathered once by the callers)
+order (entry k at G.unit_residues()[k], as _table returns them)
 against every character at once by one complex FFT of f + i g, unpacked
 through Z(chibar).  The FFT runs over the CRT exponent grid with each
 axis split by Good-Thomas into coprime sub-axes (_sub_axes: the prime
@@ -124,23 +125,28 @@ __all__ = [
 
 def _table(G: CharacterGroup, kw: KernelWeights, lo: int,
            hi: int) -> np.ndarray:
-    """T over the coprime pairs with lo < ab <= hi.  Each slice of unordered
+    """T over the coprime pairs with lo < ab <= hi, in label order: phi(q)
+    entries, entry k at G.unit_residues()[k].  Each slice of unordered
     pairs a <= b is scattered in place into one accumulator per parity,
-    s_a(r) += K_a at r = a b^-1 (K_a = kw.kprod[a][ab]), diagonal pairs at
+    s_a(r) += K_a at r = b a^-1 (K_a = kw.kprod[a][ab]), diagonal pairs at
     half weight: each entry is the in-order sum of its own pairs at any
-    slice size.  Then t(u) = (s_0 + s_1)(u) + (s_0 - s_1)(-u), on a reversed
-    view.  (b, a) has the weights of (a, b) at the inverse residue, so
-    T(u) = (t(u) + t(u^-1)) / 2: symmetric bit for bit, each diagonal pair
-    (on the residues +-1) counted once, since doubling is exact."""
+    slice size.  Then t(u) = (s_0 + s_1)(u) + (s_0 - s_1)(-u), on a
+    reversed view, is gathered at the units.  (b, a) has the weights of
+    (a, b) at the inverse residue, so T(u) = (t(u) + t(u^-1)) / 2, u^-1 at
+    the negated label (_negated): symmetric bit for bit, each diagonal
+    pair (on the residues +-1) counted once, since doubling is exact."""
     q = G.q
-    inv = G.inverse_table()
+    # a^-1 mod q for the a <= isqrt(hi) the pairs start from
+    inv_a = np.array([pow(a, -1, q) if math.gcd(a, q) == 1 else 0
+                      for a in range(math.isqrt(hi) + 1)], dtype=np.int64)
     k0, k1 = kw.kprod
     s0, s1 = np.zeros(q), np.zeros(q)
     for a, b in _coprime_pair_chunks(q, lo, hi):
         m = a * b
-        # x - x // q * q = x % q, which numpy runs slower; a r < q sqrt(hi)
-        r = inv[b - b // q * q]
-        r *= a
+        # x - x // q * q = x % q, which numpy runs slower; b a^-1 < q hi,
+        # inside int64 up to _MAX_Q
+        r = inv_a[a]
+        r *= b
         r -= r // q * q
         half = a == b
         w = k0[m]
@@ -154,9 +160,20 @@ def _table(G: CharacterGroup, kw: KernelWeights, lo: int,
     t[1:] += s0[:0:-1]  # (s_0 - s_1)(q - u)
     t[0] += s0[0]
     del s0, s1
-    t += t[inv]
+    t = t[G.unit_residues()]
+    t += _negated(G, t)
     t *= 0.5
     return t
+
+
+def _negated(G: CharacterGroup, x: np.ndarray) -> np.ndarray:
+    """A new flat copy of x over the label grid read at the exponents -t:
+    entry k is x at the label of unit k's inverse, or chi_k's conjugate."""
+    shape = G.orders or (1,)
+    x = x.reshape(shape)
+    for axis, d in enumerate(shape):
+        x = np.take(x, -np.arange(d), axis)
+    return x.ravel()
 
 
 def _sub_axes(d: int) -> tuple[int, ...]:
@@ -225,10 +242,7 @@ def group_transform(G: CharacterGroup, f: np.ndarray, g: np.ndarray
     z = np.fft.fftn(z.reshape([nj for n in subs for nj in n])).reshape(shape)
     for axis, (_, pos_of) in split:
         z = np.take(z, pos_of, axis)
-    zn = z
-    for axis, d in enumerate(shape):
-        zn = np.take(zn, -np.arange(d), axis)  # chibar: exponents -t
-    z, zn = z.ravel(), zn.ravel()
+    z, zn = z.ravel(), _negated(G, z)  # chibar: exponents -t
     np.conj(z, out=z)
     x_f = z + zn
     x_f *= 0.5
@@ -276,9 +290,8 @@ def compute_spectrum(q: int) -> CharacterSpectrum:
     _check_pair_count(truncation_bound(q), _MAX_TABLE_PAIRS)
     G = build_group(q)
     kw = kernel_weights(q)
-    units = G.unit_residues()
-    tables = (_table(G, kw, 0, kw.z_floor)[units],
-              _table(G, kw, kw.z_floor, kw.m_eff)[units])
+    tables = (_table(G, kw, 0, kw.z_floor),
+              _table(G, kw, kw.z_floor, kw.m_eff))
     vb, vc = outs = group_transform(G, *tables)
     return CharacterSpectrum(
         q=q, group=G, b_values=vb.real, c_values=vc.real,
@@ -332,8 +345,7 @@ def fourth_moment(q: int, *,
     wall: dict[str, float] = {}
     t0 = time.perf_counter()
     G = build_group(q)
-    units = G.unit_residues()  # the lazy tables the gathers and the
-    G.inverse_table()          # head table read, charged to this stage
+    units = G.unit_residues()  # read by hz and the head table
     wall["group"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -345,7 +357,7 @@ def fourth_moment(q: int, *,
     wall["kernel"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    tb = _table(G, kw, 0, kw.z_floor)[units]
+    tb = _table(G, kw, 0, kw.z_floor)
     del kw  # not read again; the transform's peak has room for hz gathered
     wall["tables"] = time.perf_counter() - t0
 
@@ -385,9 +397,10 @@ def tail_moment_all(q: int, *,
     C(chi) = sum_u chi(u) T(u) on every chi, T the table of the tail,
     so the orthogonality of the characters gives
 
-        sum_chi C(chi)^2 = phi(q) sum_u T(u)^2.
+        sum_chi C(chi)^2 = phi(q) sum_u T(u)^2,
 
-    No transform is needed.  At q = 1 this is the smoothed C, which lacks
+    summed over the phi(q) label-order entries of _table.  No transform
+    is needed.  At q = 1 this is the smoothed C, which lacks
     the pole terms of zeta and reads about 1e-14, while fourth_moment's
     c_moment_primitive there is |L|^2 / 2 - B = 1.137.
     """

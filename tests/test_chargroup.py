@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dirmoment import chargroup
 from dirmoment.arith import (coprime_mask, divisors, euler_phi, factorize,
                              phi_star)
 from dirmoment.chargroup import (_component, _powers,
@@ -17,6 +18,7 @@ from dirmoment.chargroup import (_component, _powers,
                                  exact_root_of_unity_sum, gauss_sum,
                                  primitive_sum_lemma1,
                                  root_of_unity, signed_sum_eq21)
+from dirmoment.spectra import _negated
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +280,25 @@ def test_primitive_sum_at_one_counts_characters():
         assert exact_primitive_char_sum(G, u) == phi_star(q)
 
 
+def test_primitive_char_sum_counts_match_angle_num_loop(monkeypatch):
+    # the counts of angles that exact_primitive_char_sum reduces, against
+    # the literal loop over the characters with angle_num, at every unit
+    # mod q <= 40 and every parity filter
+    monkeypatch.setattr(chargroup, "exact_root_of_unity_sum", list)
+    for q in range(1, 41):
+        G = build_group(q)
+        for u in range(q):
+            if math.gcd(u, q) != 1:
+                continue
+            for parity in (None, 0, 1):
+                want = [0] * G.exponent
+                for chi in G.labels():
+                    if chi.primitive and parity in (None, chi.parity):
+                        want[G.angle_num(chi, u)] += 1
+                assert exact_primitive_char_sum(G, u, parity) == want, (
+                    q, u, parity)
+
+
 def test_signed_pair_sum_exact():
     for q in (3, 4, 5, 8, 9, 12, 15, 16, 21, 24):
         G = build_group(q)
@@ -411,12 +432,15 @@ def test_residue_vectors_match_scalar(q):
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 8, 12, 16, 24, 45, 97, 384, 1009])
 def test_inverse_table_exact(q):
-    # the array inverse (component exponents negated, scattered back
-    # through unit_residues) against pow(u, -1, q) on units and 0 elsewhere
-    inv = build_group(q).inverse_table()
-    want = [pow(u, -1, q) if math.gcd(u, q) == 1 else 0 for u in range(q)]
-    assert inv.dtype == np.int64
-    assert inv.tolist() == want
+    # the inverse on the label grid (component exponents negated, the
+    # helper that serves the pair tables and chibar in the transform) maps
+    # label k to the label of the inverse unit, checked by multiplying the
+    # two residues mod q
+    G = build_group(q)
+    units = G.unit_residues()
+    neg = _negated(G, np.arange(G.group_order))
+    assert neg.shape == (G.group_order,)
+    assert np.all(units * units[neg] % q == 1 % q)
 
 
 def _axis_residues(q):

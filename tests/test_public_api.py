@@ -47,6 +47,9 @@ def test_removed_names_are_gone():
                  "MainTermBreakdown", "_repar_parts", "_FLUSH",
                  "_unit_abs_sum", "_dlog_table", "_dlog_tables_2e"):
         assert not [m.__name__ for m in mods if hasattr(m, gone)], gone
+    # the pair tables scatter at b a^-1 and symmetrize on the label grid,
+    # so the group keeps no q-length table of inverses
+    assert not hasattr(dirmoment.CharacterGroup, "inverse_table")
 
 
 @pytest.mark.parametrize("name", SUBMODULES)

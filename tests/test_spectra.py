@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from dirmoment import lfunc, spectra
+from dirmoment import chargroup, lfunc, spectra
 from dirmoment.arith import euler_phi, factorize, phi_star
 from dirmoment.chargroup import build_group
 from dirmoment.kernel import KernelConfig
@@ -50,8 +50,8 @@ def _parity_tables(q, kw, lo, hi):
 
 
 def test_weight_table_segments_add_up():
-    # the B and C tables of one build add up to the table over the whole
-    # product range
+    # the B and C tables of one build add up, entry by entry in label
+    # order, to the table over the whole product range
     G = build_group(15)
     kw = kernel_weights(15)
     z, m = kw.z_floor, kw.m_eff
@@ -60,9 +60,10 @@ def test_weight_table_segments_add_up():
 
 
 def test_weight_table_mass_is_coprime_pair_sum():
-    # summing the table over residues must reproduce the plain double sum
+    # summing the table over the units must reproduce the plain double sum
     # over coprime pairs of the even kernel, independently of the residue
-    # bucketing: the odd part of the fold sums to zero
+    # bucketing and of the order of the entries: the odd part of the fold
+    # sums to zero
     q = 12
     G = build_group(q)
     kw = kernel_weights(q)
@@ -89,7 +90,8 @@ def test_weight_table_mass_is_coprime_pair_sum():
 def test_build_tables_match_brute_force(q, batch, monkeypatch):
     # the unordered slices, scattered and symmetrized, against a plain
     # gcd double loop over the ordered pairs scattered with np.add.at
-    # into one table per parity, folded; the second range is a perfect
+    # into one table per parity, folded and gathered at the units in
+    # label order; the second range is a perfect
     # square, where the diagonal pair a = b = isqrt(m_eff) closes the
     # enumeration and must count once.  With a small batch the slices
     # end inside the run of one a, and at batch 1 and 7 some slice ends
@@ -98,6 +100,7 @@ def test_build_tables_match_brute_force(q, batch, monkeypatch):
         monkeypatch.setattr(lfunc, "_PAIR_BATCH", batch)
     G = build_group(q)
     kw = kernel_weights(q)
+    units = G.unit_residues()
     for m_eff in (kw.m_eff, math.isqrt(kw.m_eff) ** 2):
         if batch is not None:
             slices = list(_coprime_pair_chunks(q, 0, m_eff))
@@ -125,19 +128,47 @@ def test_build_tables_match_brute_force(q, batch, monkeypatch):
             # since T(u) can cancel to far below them
             neg = -np.arange(q) % q
             scale = 0.5 * sum(np.abs(s) + np.abs(s[neg]) for s in want)
-            gap = np.abs(_table(G, kw_m, lo, hi) - _fold(*want))
-            assert np.all(gap <= 1e-13 * scale)
+            gap = np.abs(_table(G, kw_m, lo, hi) - _fold(*want)[units])
+            assert np.all(gap <= 1e-13 * scale[units])
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 12, 16, 45, 97, 2992, 15015])
+def test_table_is_label_order(q):
+    # _table returns phi(q) entries, entry k the brute-force fold at
+    # unit_residues()[k], on the head and the tail, at one axis, the
+    # <-1>/<5> pair (16, 2992) and many axes (15015)
+    G = build_group(q)
+    kw = kernel_weights(q)
+    units = G.unit_residues()
+    neg = -np.arange(q) % q
+    for lo, hi in _ranges(kw):
+        s0, s1 = _parity_tables(q, kw, lo, hi)
+        scale = 0.5 * (np.abs(s0) + np.abs(s0[neg]) + np.abs(s1)
+                       + np.abs(s1[neg]))
+        t = _table(G, kw, lo, hi)
+        assert t.shape == (G.group_order,)
+        assert np.all(np.abs(t - _fold(s0, s1)[units]) <= 1e-13 * scale[units])
+
+
+def test_table_index_products_fit_int64():
+    # _table scatters at b a^-1 mod q from the int64 product of b <= hi
+    # and a^-1 < q, with hi at most truncation_bound(q) and q at most
+    # _MAX_Q, so b a^-1 < q hi stays inside int64 at every admitted q
+    assert (chargroup._MAX_Q * lfunc.truncation_bound(chargroup._MAX_Q)
+            < 2 ** 63)
 
 
 @pytest.mark.parametrize("q", [1, 2, 12, 97, 1009, 15015])
 def test_tables_are_inverse_symmetric_and_count_each_pair_once(q):
     # the build scatters each unordered pair once and symmetrizes, so
-    # T(u^-1) == T(u) bit for bit on the head and the tail; and the mass
-    # of each table is sum over coprime n in its range of d(n) K_0(n),
-    # every ordered pair once, each diagonal pair a = b once
+    # T(u^-1) == T(u) bit for bit on the head and the tail, read on the
+    # label grid (the label of u^-1 from pow and residue_labels); and the
+    # mass of each table is sum over coprime n in its range of
+    # d(n) K_0(n), every ordered pair once, each diagonal pair a = b once
     G = build_group(q)
     kw = kernel_weights(q)
-    inv = G.inverse_table()
+    inv = G.residue_labels()[[pow(int(u), -1, q)
+                              for u in G.unit_residues()]]
     m = kw.m_eff
     d = np.zeros(m + 1, dtype=np.int64)  # d(n) on n coprime to q, else 0
     for x in range(1, m + 1):
@@ -145,6 +176,7 @@ def test_tables_are_inverse_symmetric_and_count_each_pair_once(q):
     d[np.gcd(np.arange(m + 1), q) != 1] = 0
     for lo, hi in ((0, kw.z_floor), (kw.z_floor, m)):
         t = _table(G, kw, lo, hi)
+        assert t.shape == (G.group_order,)
         assert np.array_equal(t[inv], t)
         kp = kw.kprod[0][lo + 1:hi + 1]
         mass = math.fsum((d[lo + 1:hi + 1] * kp).tolist())
@@ -184,17 +216,21 @@ def test_tables_do_not_depend_on_the_slice_size(q, monkeypatch):
 
 def test_table_scratch_does_not_grow_with_the_pairs():
     # the tail at q = 10007 (414k pairs, 26 slices) holds the two q-length
-    # accumulators and the output, a fixed number of slice-length arrays
-    # and the residues coprime to q with their mask; nothing that grows
-    # with hi or with the pair count beyond the runs of a (isqrt(hi) of
-    # them), so halving hi leaves the traced peak where it was
+    # accumulators and the fold's output, a fixed number of slice-length
+    # arrays and the residues coprime to q with their mask; then the fold
+    # gathered at the units, and the index and the output of _negated's
+    # take on the one axis, phi entries each.  Nothing grows with hi or
+    # with the pair count beyond the runs of a and their inverses
+    # (isqrt(hi) of each), so halving hi leaves the traced peak where it
+    # was.  The units in label order are the group's, built before
     q = 10007
     G = build_group(q)
-    G.inverse_table()
+    G.unit_residues()
     kw = kernel_weights(q)
     phi = G.group_order
     slice_bytes = 8 * lfunc._PAIR_BATCH
-    bound = 3 * 8 * q + (q + 1) + 8 * phi + 16 * slice_bytes + (64 << 10)
+    bound = (3 * 8 * q + (q + 1) + 8 * phi + 16 * slice_bytes
+             + 3 * 8 * phi + (64 << 10))
     peaks = []
     for hi in (kw.m_eff // 2, kw.m_eff):
         tracemalloc.start()
@@ -216,8 +252,7 @@ def _tables(q):
     group_transform takes them."""
     G = build_group(q)
     kw = kernel_weights(q)
-    units = G.unit_residues()
-    return G, [_table(G, kw, lo, hi)[units] for lo, hi in _ranges(kw)]
+    return G, [_table(G, kw, lo, hi) for lo, hi in _ranges(kw)]
 
 
 def test_transform_principal_row_is_total_mass():
@@ -287,7 +322,7 @@ def _hurwitz_and_head(q):
     G = build_group(q)
     kw = kernel_weights(q, head_only=True)
     units = G.unit_residues()
-    return G, (_hurwitz_half(q)[units], _table(G, kw, 0, kw.z_floor)[units])
+    return G, (_hurwitz_half(q)[units], _table(G, kw, 0, kw.z_floor))
 
 
 @pytest.mark.parametrize("split_prime", [spectra._SPLIT_PRIME, 1])
