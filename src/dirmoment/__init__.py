@@ -10,14 +10,12 @@ from .arith import (Factorization, coprime_mask, divisors, euler_phi,
                     factorize, mobius, omega, omega_sieve, phi_star,
                     prime_sieve, two_pow_omega)
 from .chargroup import (CharacterGroup, CharacterLabel, build_group,
-                        char_eval, exact_primitive_char_sum,
-                        exact_root_of_unity_sum, gauss_sum,
-                        primitive_sum_lemma1, root_of_unity,
+                        exact_primitive_char_sum, exact_root_of_unity_sum,
+                        gauss_sum, primitive_sum_lemma1, root_of_unity,
                         signed_sum_eq21)
-from .kernel import (KernelAccuracyError, KernelConfig, w_eval, w_eval_batch,
-                     w_series)
-from .lfunc import (CentralValue, KernelWeights, abc_values, hurwitz_zeta,
-                    kernel_weights, l_half_oracle, truncation_bound)
+from .kernel import KernelAccuracyError, KernelConfig, w_eval_batch
+from .lfunc import (CentralValue, KernelWeights, abc_values, kernel_weights,
+                    l_half_oracle, truncation_bound)
 from .spectra import (CharacterSpectrum, MomentReport, compute_spectrum,
                       fourth_moment, group_transform, tail_moment_all)
 from .asymptotics import (ErrorSumResult, Lemma3Result, Lemma4Result,
@@ -35,15 +33,14 @@ __all__ = [
     "two_pow_omega", "phi_star", "divisors",
     "prime_sieve", "coprime_mask", "omega_sieve",
     # chargroup
-    "CharacterGroup", "CharacterLabel", "build_group", "char_eval",
+    "CharacterGroup", "CharacterLabel", "build_group",
     "root_of_unity", "gauss_sum", "primitive_sum_lemma1",
     "signed_sum_eq21", "exact_root_of_unity_sum",
     "exact_primitive_char_sum",
     # kernel
-    "KernelConfig", "KernelAccuracyError", "w_eval", "w_eval_batch",
-    "w_series",
+    "KernelConfig", "KernelAccuracyError", "w_eval_batch",
     # lfunc
-    "hurwitz_zeta", "l_half_oracle", "KernelWeights", "kernel_weights",
+    "l_half_oracle", "KernelWeights", "kernel_weights",
     "truncation_bound", "CentralValue", "abc_values",
     # spectra
     "group_transform", "CharacterSpectrum", "compute_spectrum",

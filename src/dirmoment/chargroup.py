@@ -45,7 +45,6 @@ __all__ = [
     "CharacterLabel",
     "Component",
     "build_group",
-    "char_eval",
     "gauss_sum",
     "primitive_sum_lemma1",
     "signed_sum_eq21",
@@ -142,17 +141,6 @@ class CharacterGroup:
 
     # -- residue side ------------------------------------------------------
 
-    def dlog_vector(self, n: int) -> Optional[tuple[int, ...]]:
-        """Component exponents of n, or None when gcd(n, q) > 1."""
-        k = int(self.residue_labels()[n % self.q])
-        if k < 0:
-            return None
-        t = []
-        for d in reversed(self.orders):  # the flat label, unraveled
-            k, r = divmod(k, d)
-            t.append(r)
-        return tuple(t[::-1])
-
     def unit_residues(self) -> np.ndarray:
         """The phi(q) unit residues in label order: entry k is the residue
         whose component exponents are those of label k, the product mod q
@@ -190,9 +178,6 @@ class CharacterGroup:
         conductor = math.lcm(*(int(c.conductor[t]) for c, t in parts))
         return CharacterLabel(exps, parity, conductor, conductor == self.q)
 
-    def principal(self) -> CharacterLabel:
-        return self.label((0,) * len(self.orders))
-
     def labels(self) -> list[CharacterLabel]:
         """All phi(q) characters, lexicographic in the exponent grid."""
         if self._labels_cache is None:
@@ -210,9 +195,6 @@ class CharacterGroup:
             raise ValueError(
                 f"character index {index} out of range [0, {self.group_order})")
         return self.label(np.unravel_index(index, self.orders))
-
-    def label_index(self, chi: CharacterLabel) -> int:
-        return int(np.ravel_multi_index(chi.exponents, self.orders))
 
     def parity_grid(self) -> np.ndarray:
         """Parity of every label as int8, flat in label order.  The cached
@@ -232,20 +214,10 @@ class CharacterGroup:
                 np.ones((), dtype=np.int32))
         return self._conductor_grid
 
-    def angle_num(self, chi: CharacterLabel, n: int) -> Optional[int]:
-        """Numerator a with chi(n) = e(a / exponent); None off units."""
-        t = self.dlog_vector(n)
-        if t is None:
-            return None
-        N = self.exponent
-        num = 0
-        for e, ti, d in zip(chi.exponents, t, self.orders):
-            num += e * ti * (N // d)
-        return num % N
-
     def angle_nums(self, chi: CharacterLabel) -> np.ndarray:
-        """angle_num(chi, u) for every unit u as an int64 array in label
-        order: entry k is the numerator at unit_residues()[k].
+        """The numerators a with chi(u) = e(a / exponent) at every unit u,
+        as an int64 array in label order: entry k is the numerator at
+        unit_residues()[k].
 
         The numerator is sum over the axes of t e (N / d) mod N, with t the
         unit's exponent and e chi's on an axis of order d, so it is an
@@ -258,24 +230,13 @@ class CharacterGroup:
             np.zeros((), dtype=np.int64)) % N
 
     def char_values(self, chi: CharacterLabel) -> np.ndarray:
-        """char_eval(chi, u) for every unit u, in label order like
-        angle_nums.
-
-        Values come from one table of root_of_unity(k, exponent), so they
-        are bit-identical to char_eval.
-        """
+        """chi(u) for every unit u, in label order like angle_nums: each
+        value is root_of_unity at its numerator, read from one table of
+        root_of_unity(k, exponent)."""
         if self._roots is None:
             N = self.exponent
             self._roots = np.array([root_of_unity(k, N) for k in range(N)])
         return self._roots[self.angle_nums(chi)]
-
-    def is_induced_modulus(self, chi: CharacterLabel, f: int) -> bool:
-        """True when chi is trivial on units u = 1 (mod f), i.e. chi factors
-        through modulus f."""
-        if self.q % f != 0:
-            raise ValueError(f"{f} does not divide the modulus {self.q}")
-        ones = self.unit_residues() % f == 1 % f
-        return not np.any(self.angle_nums(chi)[ones])
 
 
 def _fold_outer(op: np.ufunc, tables: Iterable[np.ndarray],
@@ -345,14 +306,6 @@ def build_group(q: int) -> CharacterGroup:
             comps.append(_component(q, p, e, p, pe // p * (p - 1),
                                     _primitive_root_mod_pe(p, e)))
     return CharacterGroup(q, tuple(comps))
-
-
-def char_eval(G: CharacterGroup, chi: CharacterLabel, n: int) -> complex:
-    """chi(n) as a complex number: 0 off units, else a root of unity."""
-    num = G.angle_num(chi, n)
-    if num is None:
-        return 0j
-    return root_of_unity(num, G.exponent)
 
 
 def root_of_unity(num: int, den: int) -> complex:
@@ -508,6 +461,6 @@ def exact_primitive_char_sum(G: CharacterGroup, u: int,
     pick = G.conductor_grid() == G.q
     if parity is not None:
         pick &= G.parity_grid() == parity
-    nums = G.angle_nums(G.label(G.dlog_vector(u)))
+    nums = G.angle_nums(G.label_at(int(G.residue_labels()[u % G.q])))
     return exact_root_of_unity_sum(
         np.bincount(nums[pick], minlength=G.exponent).tolist())

@@ -6,7 +6,7 @@
 evaluated three ways, each on its own range (w_eval_batch takes its
 arguments in ascending order and hands each method one slice):
 
-  * w_eval_batch / w_series on 0 < x <= 2: the residue expansion obtained
+  * w_eval_batch on 0 < x <= 2: the residue expansion obtained
     by shifting the line to -infinity.  Every pole s = -(1/2 + a + 2k) is
     double, giving
 
@@ -20,7 +20,7 @@ arguments in ascending order and hands each method one slice):
     most 1.7e-15 from an 80-digit sum.  The terms cancel: their sizes sum
     to 7 at x = 2 but 310 at x = 4 (a = 1), where the sum is off by up to
     5.7e-13 against 1e-17 for the quadrature.  So the series is the path
-    on 0 < x <= 2 only; w_series accepts 0 < x <= 4.
+    on 0 < x <= 2 only.
   * w_eval_batch on 2 < x < x_zero: Chebyshev interpolants in t = ln x
     on _CHEB_PIECES = 4 equal pieces of [ln 2, ln x_zero].  The integral
     converges for |arg x| < pi/2, so W_a(e^t) is analytic in the strip
@@ -32,16 +32,15 @@ arguments in ascending order and hands each method one slice):
     tested points, the pieces' ends included, the quadrature itself
     within 5.2e-17.  Each piece's coefficients are built once per parity
     and config and cached, so a value does not depend on its batch.
-  * w_eval, the interpolant's nodes and the runtime reference: trapezoid
-    quadrature on the vertical line Re s = c.  The integrand is analytic
-    in a strip of half-width c around the line, so the trapezoid rule
-    converges geometrically in 1/h.  Conjugate symmetry folds the line
+  * _quad_points, the interpolant's nodes and the runtime reference:
+    trapezoid quadrature on the vertical line Re s = c.  The integrand is
+    analytic in a strip of half-width c around the line, so the trapezoid
+    rule converges geometrically in 1/h.  Conjugate symmetry folds the line
     onto t >= 0, and the few points of a call sum their nodes directly,
     block by block of node phases.
-    w_eval halves the step until two levels agree; w_eval_batch checks a
-    quantile sample of its arguments against the quadrature at step h/4
-    on the line Re s = c/2, a cross-method check of the series and of the
-    interpolant alike.
+    w_eval_batch checks a quantile sample of its arguments against the
+    quadrature at step h/4 on the line Re s = c/2, a cross-method check of
+    the series and of the interpolant alike.
 
     The step error is governed by the pole of 1/s at distance c from the
     line: about 2 exp(-2 pi c / h) (Trefethen & Weideman, SIAM Review
@@ -75,20 +74,18 @@ from .numerics import EULER_GAMMA
 __all__ = [
     "KernelConfig",
     "KernelAccuracyError",
-    "w_eval",
     "w_eval_batch",
-    "w_series",
 ]
 
 
 class KernelAccuracyError(RuntimeError):
-    """Raised when refinement or the runtime check cannot meet eps."""
+    """Raised when the interpolant or the runtime check cannot meet eps."""
 
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Quadrature controls of w_eval and w_eval_batch.  The pipeline runs
-    the defaults only; the kernel's own checks vary them.
+    """Quadrature controls of w_eval_batch.  The pipeline runs the
+    defaults only; the kernel's own checks vary them.
 
     c:      abscissa of the integration line, must be > 0
     h:      base trapezoid step in t
@@ -117,7 +114,6 @@ class KernelConfig:
 
 
 _T_HARD = 400.0  # absolute ceiling on the truncation height
-_MAX_REFINE = 3  # step halvings w_eval allows before giving up
 _TAIL = 1e-17  # stops the residue series, sets the interpolant degree
 _SERIES_PATH = 2.0  # largest x w_eval_batch takes from the series
 _STEP_SAMPLES = 16  # arguments per batch re-evaluated by the reference
@@ -220,33 +216,6 @@ def _quad_points(a: int, log_x: np.ndarray, c: float, h: float,
     part = np.einsum("ij,jp->ip", blocks.reshape(n_blocks, _PHASE_BLOCK),
                      inner)
     return np.einsum("ip,ip->p", outer, part).real * np.exp(-c * log_x)
-
-
-def w_eval(a: int, x: float, cfg: KernelConfig = KernelConfig()) -> float:
-    """W_a(x) by line quadrature, refined until two step levels agree.
-
-    Raises KernelAccuracyError when _MAX_REFINE halvings cannot reach
-    cfg.eps.
-    """
-    a = _check_parity(a)
-    if not (isinstance(x, (int, float, np.floating)) and math.isfinite(x)) or x <= 0:
-        raise ValueError(f"kernel argument must be a positive real, got {x}")
-    x = float(x)
-    if x >= cfg.x_zero:
-        return 0.0
-    lx = np.array([math.log(x)])
-    T = _auto_T(a, cfg.c, float(lx[0]), cfg.eps)
-    h = cfg.h
-    prev = float(_quad_points(a, lx, cfg.c, h, T)[0])
-    for _ in range(_MAX_REFINE):
-        h *= 0.5
-        cur = float(_quad_points(a, lx, cfg.c, h, T)[0])
-        if abs(cur - prev) <= cfg.eps:
-            return cur
-        prev = cur
-    raise KernelAccuracyError(
-        f"quadrature for W_{a}({x}) did not stabilize to {cfg.eps} "
-        f"after {_MAX_REFINE} refinements (c={cfg.c}, h={cfg.h}, T={T})")
 
 
 def w_eval_batch(a: int, xs: np.ndarray,
@@ -424,8 +393,8 @@ def _series_batch(a: int, x: np.ndarray, out: np.ndarray) -> None:
     x_top, the larger of _SERIES_PATH and the batch's largest x, drops
     below _TAIL; it bounds the tail at every x of the batch.  On the
     series path the count is that of x = 2 (16 terms for a = 0, 17 for
-    a = 1), so each value depends on (a, x) alone; w_series on (2, 4]
-    takes its own x (24 terms at x = 4, a = 1).
+    a = 1), so each value depends on (a, x) alone; a batch reaching into
+    (2, 4] takes the count of its largest x (24 terms at x = 4, a = 1).
     """
     beta = 0.5 + a
     x_top = max(float(x.max()), _SERIES_PATH)
@@ -458,17 +427,3 @@ def _series_batch(a: int, x: np.ndarray, out: np.ndarray) -> None:
             qy *= y
             qy += qk
         out[lo:lo + _HORNER_BLOCK] = 1.0 - xb**beta * (p - np.log(xb) * qy)
-
-
-def w_series(a: int, x: float) -> float:
-    """W_a(x) by the residue expansion; domain 0 < x <= 4.  The
-    one-element case of the series w_eval_batch uses on x <= 2."""
-    a = _check_parity(a)
-    if not (isinstance(x, (int, float, np.floating)) and math.isfinite(x)) or x <= 0:
-        raise ValueError(f"kernel argument must be a positive real, got {x}")
-    if x > 4.0:
-        raise ValueError(
-            f"series form is restricted to 0 < x <= 4, got {x}")
-    out = np.empty(1)
-    _series_batch(a, np.array([float(x)]), out)
-    return float(out[0])

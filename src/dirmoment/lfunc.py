@@ -5,14 +5,14 @@ Hurwitz zeta function,
 
     L(1/2, chi) = q^(-1/2) sum_{a=1}^{q} chi(a) zeta(1/2, a/q),
 
-with zeta(s, a) computed by Euler-Maclaurin summation (the scalar
-hurwitz_zeta).  The Hurwitz values zeta(1/2, u/q) that the oracle here
-and the all-character transform in spectra read (_hurwitz_at, at every
-residue or at the units) are x^(-1/2) + zeta(1/2, 1 + x) at x = u/q,
-the second term from one Chebyshev interpolant on [0, 1]
-(_hurwitz_cheb, built once from Euler-Maclaurin nodes) evaluated by the
-kernel's blocked Clenshaw recurrence.  The scalar is not the one-element case of the table code:
-the two agree to rounding, not bit for bit.
+with zeta(s, a) computed by Euler-Maclaurin summation (_hurwitz_em).
+The Hurwitz values zeta(1/2, u/q) that the oracle here and the
+all-character transform in spectra read (_hurwitz_at, at every residue
+or at the units) are x^(-1/2) + zeta(1/2, 1 + x) at x = u/q, the second
+term from one Chebyshev interpolant on [0, 1] (_hurwitz_cheb, built once
+from Euler-Maclaurin nodes) evaluated by the kernel's blocked Clenshaw
+recurrence.  The table agrees with the Euler-Maclaurin sum to rounding,
+not bit for bit.
 The smoothed route evaluates the rapidly truncating double sum
 
     A(chi) = sum_{a,b >= 1} chi(a) chibar(b) / sqrt(ab) * W_a(pi a b / q),
@@ -60,7 +60,6 @@ from .kernel import (_HORNER_BLOCK, KernelConfig, _cheb_interp, _clenshaw,
 __all__ = [
     "CentralValue",
     "KernelWeights",
-    "hurwitz_zeta",
     "kernel_weights",
     "l_half_oracle",
     "abc_values",
@@ -101,6 +100,10 @@ def _hurwitz_em(s: float, a: np.ndarray) -> np.ndarray:
     in the array's precision (float64, or np.longdouble for the nodes of
     _hurwitz_cheb), with elementwise numpy operations only.
 
+    Supported region: real 0 < s < 1 (continuation through the shifted
+    tail integral) and a > 0.  At the depth (_EM_TERMS, _EM_BERNOULLI)
+    the truncation error is far below double rounding for a >= 1e-3.
+
     Terms are added from the smallest to the largest: the direct terms
     (a + k)^-s from k = _EM_TERMS - 1 down to 0, the _EM_BERNOULLI
     Bernoulli corrections as a polynomial in (a + _EM_TERMS)^-2 by
@@ -122,22 +125,6 @@ def _hurwitz_em(s: float, a: np.ndarray) -> np.ndarray:
         poly *= inv_sq
         poly += c
     return direct + (poly * (p / na) + 0.5 * p + p * na / (s - 1.0))
-
-
-def hurwitz_zeta(s: float, a: float) -> float:
-    """zeta(s, a) = sum_{k>=0} (k + a)^(-s) by Euler-Maclaurin.
-
-    Supported region: real 0 < s < 1 (continuation through the shifted
-    tail integral) and a > 0.  At the depth (_EM_TERMS, _EM_BERNOULLI)
-    the truncation error is far below double rounding for a >= 1e-3.
-    It gives the nodes of the interpolant behind the Hurwitz tables
-    (_hurwitz_cheb), and the tests hold the tables against it.
-    """
-    if not (isinstance(s, (int, float)) and 0.0 < s < 1.0):
-        raise ValueError(f"s must be a real number in (0, 1), got {s}")
-    if not (isinstance(a, (int, float)) and a > 0.0 and math.isfinite(a)):
-        raise ValueError(f"a must be a positive real, got {a}")
-    return float(_hurwitz_em(float(s), np.array([float(a)]))[0])
 
 
 @lru_cache(maxsize=1)

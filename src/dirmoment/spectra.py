@@ -227,7 +227,7 @@ def group_transform(G: CharacterGroup, f: np.ndarray, g: np.ndarray
     the exponents -t, read on each label axis by a gather at -t.
 
     Returns two complex arrays over the full label grid in lexicographic
-    exponent order (G.label_index gives the position of a label).  The
+    exponent order (label k, G.label_at(k), at position k).  The
     transform is parity-blind: a table of one parity gives meaningful
     values on the characters of that parity.
     """
@@ -279,10 +279,6 @@ class CharacterSpectrum:
     m_eff: int
     z_floor: int
 
-    @property
-    def a_values(self) -> np.ndarray:
-        return self.b_values + self.c_values
-
 
 def compute_spectrum(q: int) -> CharacterSpectrum:
     """Tables + transform for every character mod q; an imag_residue over
@@ -332,10 +328,13 @@ def fourth_moment(q: int, *,
     At q = 1 too: the moment is |zeta(1/2)|^4, and C takes up the pole
     terms of zeta that the smoothed sum 2A leaves out.  With no primitive
     character (phi* = 0, q = 2 mod 4) every sum is empty: the report of
-    zeros, with no stage times, comes before any table is built.
+    zeros, with no stage times, comes after the group build, which
+    refuses a modulus over its range, and before any table is built.
     An imag_residue over the packed FFT's rounding bound (_imag_residue)
     warns with a RuntimeWarning; the report is the same either way.
     """
+    t0 = time.perf_counter()
+    G = build_group(q)
     if phi_star(q) == 0:
         return MomentReport(
             q=q, phi_star=0, fourth_moment=0.0, main_term=0.0,
@@ -343,8 +342,6 @@ def fourth_moment(q: int, *,
             cross_term=0.0, imag_residue=0.0, m_eff=truncation_bound(q),
             z_floor=q // two_pow_omega(q), wall={})
     wall: dict[str, float] = {}
-    t0 = time.perf_counter()
-    G = build_group(q)
     units = G.unit_residues()  # read by hz and the head table
     wall["group"] = time.perf_counter() - t0
 

@@ -15,11 +15,12 @@ import time
 import numpy as np
 
 from dirmoment.chargroup import build_group
-from dirmoment.kernel import KernelConfig, w_eval, w_series
+from dirmoment.kernel import KernelConfig, w_eval_batch
 from dirmoment.lfunc import abc_values, kernel_weights, l_half_oracle
 from dirmoment.spectra import (_exact_transform, _table, fourth_moment,
                                group_transform)
 from dirmoment import checks, cli
+from scalar_ref import w_quad
 
 CFG = KernelConfig()
 
@@ -134,15 +135,15 @@ def test_criterion_05_kernel_checks():
     t0 = time.perf_counter()
     worst_qs = 0.0
     for a in (0, 1):
-        for x in np.geomspace(1e-4, 2.0, 25):
-            worst_qs = max(worst_qs,
-                           abs(w_eval(a, float(x)) - w_series(a, float(x))))
+        xs = np.geomspace(1e-4, 2.0, 25)
+        for x, ser in zip(xs, w_eval_batch(a, xs)):
+            worst_qs = max(worst_qs, abs(w_quad(a, float(x)) - ser))
     worst_line = 0.0
     cfg_l, cfg_r = KernelConfig(c=0.7), KernelConfig(c=1.3)
     for a in (0, 1):
         for x in np.geomspace(1e-3, 8.0, 12):
-            worst_line = max(worst_line, abs(w_eval(a, float(x), cfg_l)
-                                             - w_eval(a, float(x), cfg_r)))
+            worst_line = max(worst_line, abs(w_quad(a, float(x), cfg_l)
+                                             - w_quad(a, float(x), cfg_r)))
     # decay envelope and rate, frozen from the first run: |W_a(x)| stays
     # under 1.3 e^(-2x) on [4, 16] and the fitted log-slopes land in
     # (-2.20, -2.00) for parity 0 and (-2.05, -1.95) for parity 1
@@ -152,7 +153,7 @@ def test_criterion_05_kernel_checks():
     for a in (0, 1):
         vals = []
         for x in xs:
-            w = w_eval(a, float(x), KernelConfig(c=2.0 * float(x),
+            w = w_quad(a, float(x), KernelConfig(c=2.0 * float(x),
                                                  x_zero=64.0))
             decay_ok &= 0.0 < w <= 1.3 * math.exp(-2.0 * float(x))
             vals.append(w)
@@ -161,7 +162,7 @@ def test_criterion_05_kernel_checks():
         decay_ok &= lo < slope < hi
     # small-x envelope, frozen from the first run: |W - 1| <= 5 x^0.4
     small_ok = all(
-        abs(w_eval(a, float(x)) - 1.0) <= 5.0 * float(x) ** 0.4
+        abs(w_quad(a, float(x)) - 1.0) <= 5.0 * float(x) ** 0.4
         for a in (0, 1) for x in np.geomspace(1e-4, 0.5, 9))
     ok = worst_qs <= 1e-10 and worst_line <= 1e-10 and decay_ok and small_ok
     _report(5, "kernel quadrature/series/line/decay/small-x",

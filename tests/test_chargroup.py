@@ -13,12 +13,12 @@ from dirmoment.arith import (coprime_mask, divisors, euler_phi, factorize,
                              phi_star)
 from dirmoment.chargroup import (_component, _powers,
                                  _primitive_root_mod_pe, build_group,
-                                 char_eval,
                                  exact_primitive_char_sum,
                                  exact_root_of_unity_sum, gauss_sum,
                                  primitive_sum_lemma1,
                                  root_of_unity, signed_sum_eq21)
 from dirmoment.spectra import _negated
+from scalar_ref import angle_ref, char_ref, unit_exponents
 
 
 # ---------------------------------------------------------------------------
@@ -43,19 +43,16 @@ def test_orders_multiply_to_group_order():
 
 
 def test_dlog_roundtrip():
-    # the exponent vector determines the unit: rebuild u from its dlogs
+    # the exponent vector determines the unit: each unit is rebuilt from
+    # one vector, as the product of the generators' powers, and the
+    # group's label of the unit unravels to that vector
     for q in (3, 8, 15, 16, 45, 96, 105):
         G = build_group(q)
-        seen = set()
-        for u in range(1, q + 1):
-            if math.gcd(u, q) != 1:
-                assert G.dlog_vector(u) is None
-                continue
-            v = G.dlog_vector(u % q if q > 1 else 0)
-            assert v is not None
-            assert v not in seen
-            seen.add(v)
-        assert len(seen) == euler_phi(q)
+        exps = unit_exponents(q)
+        assert sorted(exps) == [u for u in range(q) if math.gcd(u, q) == 1]
+        lab = G.residue_labels()
+        for u, t in exps.items():
+            assert np.unravel_index(lab[u], G.orders) == t
 
 
 def _power_loop(gen, order, pe):
@@ -100,24 +97,9 @@ def test_character_is_homomorphism():
         for chi in G.labels():
             for m in units[:6]:
                 for n in units[:6]:
-                    lhs = char_eval(G, chi, m * n)
-                    rhs = char_eval(G, chi, m) * char_eval(G, chi, n)
+                    lhs = char_ref(G, chi, m * n)
+                    rhs = char_ref(G, chi, m) * char_ref(G, chi, n)
                     assert abs(lhs - rhs) < 1e-12
-
-
-def test_char_eval_vanishes_off_units():
-    G = build_group(12)
-    chi = G.labels()[1]
-    for n in (0, 2, 3, 4, 6, 8, 9, 10):
-        assert char_eval(G, chi, n) == 0
-
-
-def test_label_index_roundtrip():
-    for q in (1, 2, 7, 16, 40, 105):
-        G = build_group(q)
-        for i, chi in enumerate(G.labels()):
-            assert G.label_index(chi) == i
-            assert G.label_at(i) == chi
 
 
 def test_orthogonality_rows():
@@ -125,9 +107,9 @@ def test_orthogonality_rows():
     for q in (5, 8, 9, 12, 16, 21):
         G = build_group(q)
         for chi in G.labels():
-            s = sum(char_eval(G, chi, u) for u in range(q)
+            s = sum(char_ref(G, chi, u) for u in range(q)
                     if math.gcd(u, q) == 1)
-            want = euler_phi(q) if chi == G.principal() else 0.0
+            want = euler_phi(q) if chi == G.label_at(0) else 0.0
             assert abs(s - want) < 1e-10
 
 
@@ -138,7 +120,7 @@ def test_orthogonality_columns():
         for u in range(1, q):
             if math.gcd(u, q) != 1:
                 continue
-            s = sum(char_eval(G, chi, u) for chi in G.labels())
+            s = sum(char_ref(G, chi, u) for chi in G.labels())
             want = euler_phi(q) if u % q == 1 % q else 0.0
             assert abs(s - want) < 1e-10
 
@@ -148,7 +130,7 @@ def test_orthogonality_columns():
 
 
 def brute_parity(G, chi):
-    v = char_eval(G, chi, G.q - 1) if G.q > 2 else 1.0
+    v = char_ref(G, chi, G.q - 1) if G.q > 2 else 1.0
     return 0 if abs(v - 1.0) < 1e-9 else 1
 
 
@@ -159,7 +141,7 @@ def brute_conductor(G, chi):
         for u in range(1, G.q + 1):
             if math.gcd(u, G.q) != 1 or u % f != 1 % f:
                 continue
-            if abs(char_eval(G, chi, u) - 1.0) > 1e-9:
+            if abs(char_ref(G, chi, u) - 1.0) > 1e-9:
                 ok = False
                 break
         if ok:
@@ -169,11 +151,13 @@ def brute_conductor(G, chi):
 
 def test_classification_against_brute_force():
     # label() reads the per-axis tables one character at a time; the
-    # broadcast grids behind labels() are checked below
+    # broadcast grids behind labels() are checked below.  Label k sits at
+    # position k of the lexicographic exponent grid
     for q in range(1, 73):
         G = build_group(q)
-        for exps in product(*(range(d) for d in G.orders)):
+        for k, exps in enumerate(product(*(range(d) for d in G.orders))):
             chi = G.label(exps)
+            assert G.label_at(k) == chi
             assert chi.parity == brute_parity(G, chi)
             assert chi.conductor == brute_conductor(G, chi)
             assert chi.primitive == (chi.conductor == q)
@@ -182,7 +166,7 @@ def test_classification_against_brute_force():
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 8, 12, 15, 16, 32, 45, 64, 96,
                                105, 120, 160])
 def test_label_grids_match_brute_force(q):
-    # the broadcast per-axis tables against char_eval, label by label;
+    # the broadcast per-axis tables against char_ref, label by label;
     # 32, 64 and 160 couple the <-1> and <5> axes of 2^e
     G = build_group(q)
     par = G.parity_grid()
@@ -193,14 +177,20 @@ def test_label_grids_match_brute_force(q):
         assert cond[i] == brute_conductor(G, chi)
 
 
+def _is_induced_modulus(G, chi, f):
+    # chi is trivial on the units u = 1 (mod f): it factors through f
+    ones = G.unit_residues() % f == 1 % f
+    return not np.any(G.angle_nums(chi)[ones])
+
+
 def test_conductor_is_induced_modulus():
     for q in (8, 12, 16, 45, 48, 105):
         G = build_group(q)
         for chi in G.labels():
             f = chi.conductor
-            assert G.is_induced_modulus(chi, f)
+            assert _is_induced_modulus(G, chi, f)
             for p, _ in factorize(f).factors:
-                assert not G.is_induced_modulus(chi, f // p)
+                assert not _is_induced_modulus(G, chi, f // p)
 
 
 def test_primitive_count_matches_phi_star():
@@ -282,7 +272,7 @@ def test_primitive_sum_at_one_counts_characters():
 
 def test_primitive_char_sum_counts_match_angle_num_loop(monkeypatch):
     # the counts of angles that exact_primitive_char_sum reduces, against
-    # the literal loop over the characters with angle_num, at every unit
+    # the literal loop over the characters with angle_ref, at every unit
     # mod q <= 40 and every parity filter
     monkeypatch.setattr(chargroup, "exact_root_of_unity_sum", list)
     for q in range(1, 41):
@@ -294,7 +284,7 @@ def test_primitive_char_sum_counts_match_angle_num_loop(monkeypatch):
                 want = [0] * G.exponent
                 for chi in G.labels():
                     if chi.primitive and parity in (None, chi.parity):
-                        want[G.angle_num(chi, u)] += 1
+                        want[angle_ref(G, chi, u)] += 1
                 assert exact_primitive_char_sum(G, u, parity) == want, (
                     q, u, parity)
 
@@ -370,7 +360,7 @@ def test_gauss_sum_quadratic_values():
 def test_gauss_sum_imprimitive_can_vanish():
     G = build_group(9)
     impr = [chi for chi in G.labels()
-            if not chi.primitive and chi != G.principal()]
+            if not chi.primitive and chi != G.label_at(0)]
     assert impr
     for chi in impr:
         assert abs(gauss_sum(G, chi)) < 1e-12
@@ -398,22 +388,23 @@ def test_label_rejects_bad_exponents():
 @given(st.integers(1, 400))
 @settings(max_examples=80, deadline=None)
 def test_angle_num_defines_character(q):
+    # the array numerators at a unit's label against the scalar value
     G = build_group(q)
     chi = G.labels()[len(G.labels()) // 2]
     N = G.exponent
+    nums, lab = G.angle_nums(chi), G.residue_labels()
     for u in (1, q - 1 if q > 1 else 1, 2, 3):
         if math.gcd(u, q) != 1:
             continue
-        num = G.angle_num(chi, u)
-        assert num is not None
+        num = int(nums[lab[u % q]])
         assert 0 <= num < N
-        want = char_eval(G, chi, u)
+        want = char_ref(G, chi, u)
         assert abs(root_of_unity(num, N) - want) < 1e-12
 
 
 @pytest.mark.parametrize("q", [1, 2, 4, 8, 16, 24, 45, 97, 384])
 def test_residue_vectors_match_scalar(q):
-    # angle_nums / char_values against angle_num / char_eval, exactly, for
+    # angle_nums / char_values against angle_ref / char_ref, exactly, for
     # every character and unit, in label order; q = 4 has the mod-4
     # axis, 8, 16, 24 and 384 the sign and <5> pair, 24, 45, 97 and 384
     # odd ones
@@ -425,8 +416,8 @@ def test_residue_vectors_match_scalar(q):
         assert nums.dtype == np.int64 and nums.shape == (G.group_order,)
         assert vals.shape == (G.group_order,)
         for k, u in enumerate(res):
-            assert nums[k] == G.angle_num(chi, u)
-            want = char_eval(G, chi, u)
+            assert nums[k] == angle_ref(G, chi, u)
+            want = char_ref(G, chi, u)
             assert vals[k].real == want.real and vals[k].imag == want.imag
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dirmoment import cli, kernel, lfunc
+from dirmoment import chargroup, cli, kernel, lfunc
 from dirmoment.kernel import KernelConfig
 from dirmoment.numerics import fmt_float
 from dirmoment.spectra import tail_moment_all
@@ -58,6 +58,20 @@ def test_moment_without_primitive_characters_warns(capsys):
     assert doc["fourth_moment"] == 0
     assert doc["warning"] == "no primitive characters"
     assert "no primitive characters" in captured.err
+
+
+def test_moment_over_the_modulus_cap_is_exit_2(capsys):
+    # the group build's range check comes before the phi* = 0 report, so
+    # 20000002 = 2 mod 4, with no primitive characters, is refused too
+    for q in (20000001, 20000002):
+        with pytest.raises(SystemExit) as e:
+            cli.main(["moment", "--q", str(q)])
+        assert e.value.code == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err == (
+            f"dirmoment: error: ValueError: modulus {q} exceeds the residue"
+            f" table memory budget (q <= {chargroup._MAX_Q})\n")
 
 
 def test_moment_nan_ratio_warns(capsys):

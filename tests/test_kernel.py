@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from dirmoment import kernel
-from dirmoment.kernel import (KernelAccuracyError, KernelConfig, w_eval,
-                              w_eval_batch, w_series)
+from dirmoment.kernel import KernelAccuracyError, KernelConfig, w_eval_batch
 from dirmoment.lfunc import kernel_weights
+from scalar_ref import w_quad
 
 
 def setup_module(module):
@@ -36,14 +36,21 @@ def test_loggamma_matches_mpmath():
                 assert abs(g - r) <= 32 * eps * (1 + abs(r)), (z, g, r)
 
 
+def _series(a, x):
+    # the residue series at one argument, with no runtime check
+    out = np.empty(1)
+    kernel._series_batch(a, np.array([float(x)]), out)
+    return float(out[0])
+
+
 def test_quadrature_matches_series():
     # two completely different evaluation routes for the same contour
     # integral: vertical-line quadrature vs. the residue expansion
     xs = np.geomspace(1e-4, 2.0, 25)
     for a in (0, 1):
         for x in xs:
-            quad = w_eval(a, float(x))
-            ser = w_series(a, float(x))
+            quad = w_quad(a, float(x))
+            ser = _series(a, x)
             assert abs(quad - ser) < 1e-10, (a, x, quad, ser)
 
 
@@ -54,8 +61,8 @@ def test_line_independence():
     cfg_r = KernelConfig(c=1.3)
     for a in (0, 1):
         for x in np.geomspace(1e-3, 8.0, 12):
-            wl = w_eval(a, float(x), cfg_l)
-            wr = w_eval(a, float(x), cfg_r)
+            wl = w_quad(a, float(x), cfg_l)
+            wr = w_quad(a, float(x), cfg_r)
             assert abs(wl - wr) < 1e-10
 
 
@@ -64,7 +71,7 @@ def test_batch_matches_scalar():
     xs = np.geomspace(math.pi / 100003, 23.9, 40)
     for a in (0, 1):
         batch = w_eval_batch(a, xs)
-        scal = np.array([w_eval(a, float(x)) for x in xs])
+        scal = np.array([w_quad(a, float(x)) for x in xs])
         assert np.max(np.abs(batch - scal)) < 1e-9
 
 
@@ -85,7 +92,7 @@ def test_step_check_passes_at_smallest_argument_of_max_q():
     xs = np.array([math.pi / 9_999_991, 1.0])
     for a in (0, 1):
         got = w_eval_batch(a, xs)
-        assert got.tolist() == [w_series(a, float(x)) for x in xs]
+        assert got.tolist() == [_series(a, x) for x in xs]
 
 
 def test_step_check_rejects_coarse_step_on_quadrature_only_batch():
@@ -223,14 +230,14 @@ def test_step_check_covers_series_only_batch():
 
 
 def test_scalar_series_is_one_element_batch():
-    # w_series is the array series on one argument, bit for bit, and the
-    # same float as inside a batch: the series takes its term count from
-    # the end of its path, x = 2, not from the batch's largest argument
+    # the series on one argument is the batch's value, bit for bit, and
+    # the same float as inside a batch: the series takes its term count
+    # from the end of its path, x = 2, not from the batch's largest argument
     xs = np.linspace(0.01, 2.0, 200)
     for a in (0, 1):
         for x in np.geomspace(1e-5, 2.0, 23):
-            assert w_series(a, float(x)) == w_eval_batch(a, np.array([x]))[0]
-        alone = [w_series(a, float(x)) for x in xs]
+            assert _series(a, x) == w_eval_batch(a, np.array([x]))[0]
+        alone = [_series(a, x) for x in xs]
         assert alone == w_eval_batch(a, xs).tolist(), a
 
 
@@ -302,15 +309,16 @@ def test_limits():
     # W(x) -> 1 as x -> 0+ and the hard cutoff returns exactly zero
     cfg = KernelConfig()
     for a in (0, 1):
-        assert abs(w_eval(a, 1e-6) - 1.0) < 1e-2
-        assert w_eval(a, cfg.x_zero) == 0.0
-        assert w_eval(a, 1e9) == 0.0
+        w = w_eval_batch(a, np.array([1e-6, cfg.x_zero, 1e9]))
+        assert abs(w[0] - 1.0) < 1e-2
+        assert w[1] == 0.0
+        assert w[2] == 0.0
 
 
 def test_monotone_decreasing_samples():
     xs = np.geomspace(1e-3, 12.0, 30)
     for a in (0, 1):
-        vals = [w_eval(a, float(x)) for x in xs]
+        vals = [w_quad(a, float(x)) for x in xs]
         for lo, hi in zip(vals[1:], vals[:-1]):
             assert lo < hi + 1e-12
         assert all(v > 0 for v in vals)
@@ -319,7 +327,7 @@ def test_monotone_decreasing_samples():
 def test_odd_kernel_dominates():
     # the odd-case gamma factors decay slower, so W_1 >= W_0 pointwise
     for x in np.geomspace(1e-3, 10.0, 15):
-        assert w_eval(1, float(x)) > w_eval(0, float(x))
+        assert w_quad(1, float(x)) > w_quad(0, float(x))
 
 
 def test_exponential_decay_rate():
@@ -333,7 +341,7 @@ def test_exponential_decay_rate():
         vals = []
         for x in xs:
             cfg = KernelConfig(c=2.0 * float(x), x_zero=64.0)
-            w = w_eval(a, float(x), cfg)
+            w = w_quad(a, float(x), cfg)
             assert 0.0 < w <= 1.3 * math.exp(-2.0 * float(x))
             vals.append(w)
         slope = np.polyfit(xs, np.log(vals), 1)[0]
@@ -346,24 +354,16 @@ def test_small_x_envelope():
     # slightly weaker exponent 0.4 with a measured constant
     for a in (0, 1):
         for x in np.geomspace(1e-4, 0.5, 9):
-            w = w_eval(a, float(x))
+            w = w_quad(a, float(x))
             assert abs(w - 1.0) <= 5.0 * float(x) ** 0.4
-
-
-def test_series_domain():
-    with pytest.raises(ValueError):
-        w_series(0, 0.0)
-    with pytest.raises(ValueError):
-        w_series(0, 4.5)
-    with pytest.raises(ValueError):
-        w_series(2, 1.0)
 
 
 def test_eval_domain():
     with pytest.raises(ValueError):
-        w_eval(0, -1.0)
-    with pytest.raises(ValueError):
-        w_eval(3, 1.0)
+        w_eval_batch(0, np.array([-1.0]))
+    for a in (2, 3):
+        with pytest.raises(ValueError, match="parity"):
+            w_eval_batch(a, np.array([1.0]))
 
 
 def test_config_validation():
@@ -381,8 +381,8 @@ def test_cache_keyed_by_config():
     # same x under different configs agrees, and clearing the node cache
     # does not change a value
     x = 0.37
-    v1 = w_eval(0, x, KernelConfig(c=0.9))
-    v2 = w_eval(0, x, KernelConfig(c=1.1))
+    v1 = w_quad(0, x, KernelConfig(c=0.9))
+    v2 = w_quad(0, x, KernelConfig(c=1.1))
     assert abs(v1 - v2) < 1e-10
     kernel._nodes.cache_clear()
-    assert abs(w_eval(0, x) - v1) < 1e-10
+    assert abs(w_quad(0, x) - v1) < 1e-10

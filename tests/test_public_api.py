@@ -45,11 +45,66 @@ def test_removed_names_are_gone():
                  "_pollard_rho", "_MR_WITNESSES", "clear_kernel_cache",
                  "_fold", "_build_tables", "main_term_breakdown",
                  "MainTermBreakdown", "_repar_parts", "_FLUSH",
-                 "_unit_abs_sum", "_dlog_table", "_dlog_tables_2e"):
+                 "_unit_abs_sum", "_dlog_table", "_dlog_tables_2e",
+                 "w_eval", "w_series", "_MAX_REFINE", "hurwitz_zeta",
+                 "char_eval"):
         assert not [m.__name__ for m in mods if hasattr(m, gone)], gone
     # the pair tables scatter at b a^-1 and symmetrize on the label grid,
-    # so the group keeps no q-length table of inverses
-    assert not hasattr(dirmoment.CharacterGroup, "inverse_table")
+    # so the group keeps no q-length table of inverses; a character is
+    # read on the label grid only, and label k sits at position k
+    for gone in ("inverse_table", "angle_num", "dlog_vector",
+                 "is_induced_modulus", "principal", "label_index"):
+        assert not hasattr(dirmoment.CharacterGroup, gone), gone
+    assert not hasattr(dirmoment.CharacterSpectrum, "a_values")
+
+
+# read outside src/dirmoment only: perfbench's moment-prime check builds
+# the spectrum, the independent route to every A = B + C
+UNREAD_EXPORTS = {("spectra", "compute_spectrum")}
+
+
+def test_every_export_is_read_in_src():
+    # each name of a submodule's __all__, and each public method or
+    # property of an exported class, is read (an ast.Name or, for a
+    # method, an ast.Attribute, loaded) somewhere in src/dirmoment outside
+    # __init__.py and outside its own definition; docstrings and
+    # assignments do not count
+    names, attrs = [], []  # (name, ids of the enclosing definitions)
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inside = inside | {id(node)}
+        if isinstance(getattr(node, "ctx", None), ast.Load):
+            if isinstance(node, ast.Name):
+                names.append((node.id, inside))
+            elif isinstance(node, ast.Attribute):
+                attrs.append((node.attr, inside))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    trees = {m: ast.parse(pathlib.Path(dirmoment.__file__).with_name(
+        f"{m}.py").read_text()) for m in SUBMODULES}
+    for tree in trees.values():
+        visit(tree, frozenset())
+
+    def read(name, definition, reads):
+        return any(n == name and id(definition) not in inside
+                   for n, inside in reads)
+
+    unread = set()
+    for m, tree in trees.items():
+        defs = {node.name: node for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        for name in importlib.import_module(f"dirmoment.{m}").__all__:
+            node = defs.get(name)
+            if not read(name, node, names + attrs):
+                unread.add((m, name))
+            if isinstance(node, ast.ClassDef):
+                unread |= {(m, f"{name}.{fn.name}") for fn in node.body
+                           if isinstance(fn, ast.FunctionDef)
+                           and not fn.name.startswith("_")
+                           and not read(fn.name, fn, attrs)}
+    assert unread == UNREAD_EXPORTS
 
 
 @pytest.mark.parametrize("name", SUBMODULES)
@@ -93,7 +148,6 @@ def test_no_kernel_knobs_above_the_kernel():
 # package, as (module, function, parameter): the knob count
 KNOBS = {
     ("chargroup", "exact_primitive_char_sum", "parity"),
-    ("kernel", "w_eval", "cfg"),
     ("kernel", "w_eval_batch", "cfg"),
     ("lfunc", "kernel_weights", "head_only"),
     ("lfunc", "abc_values", "weights"),

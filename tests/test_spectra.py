@@ -256,13 +256,14 @@ def _tables(q):
 
 
 def test_transform_principal_row_is_total_mass():
-    # the principal character sums the table with unit coefficients
+    # the principal character, label 0, sums the table with unit
+    # coefficients
     G, tables = _tables(21)
-    i0 = G.label_index(G.principal())
+    assert G.label_at(0).exponents == (0,) * len(G.orders)
     for s in tables:
         vals = _exact_transform(G, s)
-        assert vals[i0].real == pytest.approx(float(np.sum(s)), rel=1e-12)
-        assert abs(vals[i0].imag) < 1e-12
+        assert vals[0].real == pytest.approx(float(np.sum(s)), rel=1e-12)
+        assert abs(vals[0].imag) < 1e-12
 
 
 @pytest.mark.parametrize("q", [12, 21, 2999])
@@ -289,7 +290,8 @@ def test_transform_matches_exact_angle_at_mid_q(q):
         assert float(np.max(np.abs(got - want))) <= 1e-12
     spec = compute_spectrum(q)
     a = exact[0].real + exact[1].real
-    mf = 4.0 * float(np.sum(spec.a_values[spec.primitive] ** 2))
+    a_fft = spec.b_values + spec.c_values
+    mf = 4.0 * float(np.sum(a_fft[spec.primitive] ** 2))
     mn = 4.0 * float(np.sum(a[spec.primitive] ** 2))
     assert abs(mf - mn) <= 1e-12 * abs(mn)
     assert spec.imag_residue <= 1e-12
@@ -369,7 +371,7 @@ def test_packed_transform_identities(q):
         for p in factorize(q).primes:
             want *= 1 - mpmath.mpf(p) ** -0.5
         want = float(want)
-    x0 = outs[0][G.label_index(G.principal())]
+    x0 = outs[0][0]  # the principal character, label 0
     tol = (eps * math.sqrt(phi * sum(sq))
            + 1e-14 * float(np.maximum(1.0, np.abs(hz)).sum())) / math.sqrt(q)
     assert abs(x0 / math.sqrt(q) - want) <= tol
@@ -391,12 +393,6 @@ def test_spectrum_matches_per_character(q):
                                                  abs=1e-13)
         assert spec.c_values[i] == pytest.approx(cv.c_value, rel=1e-10,
                                                  abs=1e-13)
-
-
-def test_spectrum_a_values_property():
-    spec = compute_spectrum(15)
-    assert np.allclose(spec.a_values, spec.b_values + spec.c_values,
-                       rtol=0, atol=0)
 
 
 def test_thread_determinism_bitwise():
@@ -423,7 +419,8 @@ def test_hurwitz_route_matches_afe_tables(q):
     prim = spec.primitive
     m = 24.0 * q / math.pi
     tol = 2.0 * CFG.eps * 2.0 * math.sqrt(m) * (1.0 + math.log(m))
-    gap = float(np.max(np.abs(l_sq[prim] - 2.0 * spec.a_values[prim])))
+    a = spec.b_values + spec.c_values
+    gap = float(np.max(np.abs(l_sq[prim] - 2.0 * a[prim])))
     assert gap <= tol, f"worst gap {gap:.2e} = {gap / tol:.2e} of the bound"
 
 
@@ -446,7 +443,7 @@ def test_moment_report_consistency():
     rep = fourth_moment(q)
     spec = compute_spectrum(q)
     prim = spec.primitive
-    a = spec.a_values
+    a = spec.b_values + spec.c_values
     assert rep.phi_star == phi_star(q)
     assert rep.fourth_moment == pytest.approx(
         4.0 * float(np.sum(a[prim] ** 2)), rel=1e-14)
@@ -533,14 +530,15 @@ def test_spectrum_imag_residue_over_its_bound_warns(q, monkeypatch):
 
 @pytest.mark.parametrize("q", [2990, 9699690])
 def test_moment_without_primitive_characters_builds_nothing(q, monkeypatch):
-    # phi* = 0 (q = 2 mod 4): the zero report comes before the group, the
-    # Hurwitz table, the kernel table or a pair table is built
+    # phi* = 0 (q = 2 mod 4): the zero report comes after the group build,
+    # which checks the modulus's range, and before the group's unit table,
+    # the Hurwitz table, the kernel table or a pair table is built
     def refuse(*args, **kwargs):
         raise AssertionError("built a table at phi* = 0")
 
     for mod, name in ((lfunc, "_hurwitz_half"), (spectra, "_hurwitz_at"),
                       (lfunc, "kernel_weights"), (spectra, "_table"),
-                      (spectra, "build_group")):
+                      (chargroup.CharacterGroup, "unit_residues")):
         monkeypatch.setattr(mod, name, refuse)
     rep = fourth_moment(q)
     assert rep.phi_star == 0 and rep.wall == {}
