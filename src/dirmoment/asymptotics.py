@@ -43,8 +43,9 @@ import numpy as np
 from .arith import (coprime_mask, euler_phi, factorize, omega_sieve,
                     phi_star, two_pow_omega)
 from .chargroup import build_group
-from .lfunc import (KernelWeights, _coprime_pairs, _exact_sum, _pair_terms,
-                    _pairs, _resolve_weights, kernel_weights)
+from .lfunc import (_EXACT_SCALE, _PAIR_BATCH, KernelWeights, _coprime_pairs,
+                    _exact_sum, _pair_terms, _pairs, _resolve_weights,
+                    kernel_weights)
 from .numerics import EULER_GAMMA, ZETA2
 
 __all__ = [
@@ -67,6 +68,12 @@ _MAX_LEMMA45_N = 5e7
 # entries per block of the outer-product comparisons of m_direct and
 # lemma3_count: a block's int64 matrices take 32 MB each
 _OUTER_BLOCK = 4_000_000
+# entries per row block of error_sum_E: its complex gathers take 32 KiB,
+# far below the 128 KiB from which glibc's malloc serves an array by mmap.
+# Blocks of _PAIR_BATCH entries (256 KiB gathers) took 135 page faults
+# per call at q in 160..179, and 28 against 21 ms per perfbench
+# crosscheck op (in process, 2-vCPU VM)
+_ROW_BLOCK = _PAIR_BATCH // 8
 
 
 def theorem_main_term(q: int) -> float:
@@ -125,7 +132,7 @@ def m_reparametrized(q: int, *,
     n = np.flatnonzero(cop[1:]) + 1
     two_om = np.float64(2.0) ** omega_sieve(z)[n]
     term = two_om * (s[0][n] * s[0][n] + s[1][n] * s[1][n])
-    return phi_star(q) / 2.0 * float(_exact_sum(term))
+    return phi_star(q) / 2.0 * (_exact_sum(term, ())[0] / _EXACT_SCALE)
 
 
 @dataclass(frozen=True)
@@ -253,22 +260,32 @@ def error_sum_E(q: int) -> ErrorSumResult:
     """Off-diagonal remainder E = sum*|B|^2 - M, measured directly.
 
     The B values are recomputed here by the naive per-character route
-    (head pairs only), independent of the table pipeline.
+    (head pairs only), independent of the table pipeline, with the terms
+    and the exact sum of abc_values, so each B is the same float as its
+    b_value.  The primitive characters of each parity are taken in blocks
+    of rows, stacked from CharacterGroup.char_values, with at most
+    _ROW_BLOCK entries in any array of a block (one row when a row alone
+    holds more), and one _exact_sum pass cut at the rows gives the
+    block's B values.  The B^2 are added exactly too, rounded once.
     """
     if q < 3:
         raise ValueError("error sum needs q >= 3 so log q > 0")
     kw = kernel_weights(q, head_only=True)
     G = build_group(q)
     head = _pairs(q, 0, kw.z_floor)
-    sq = []
-    for chi in G.labels():
-        if not chi.primitive:
-            continue
-        b = math.fsum(_pair_terms(G.char_values(chi), kw.kprod[chi.parity],
-                                  head).tolist())
-        sq.append(b ** 2)
+    n = head[0].size
+    rows = max(1, _ROW_BLOCK // max(n, G.group_order))
+    b: list[float] = []
+    for parity, kp in enumerate(kw.kprod):
+        prim = [chi for chi in G.labels()
+                if chi.primitive and chi.parity == parity]
+        for lo in range(0, len(prim), rows):
+            vals = np.stack([G.char_values(chi) for chi in prim[lo:lo + rows]])
+            terms = _pair_terms(vals, kp, head)
+            b += [s / _EXACT_SCALE for s in
+                  _exact_sum(terms.ravel(), range(n, terms.size, n))]
+    b_sq = _exact_sum(np.array([v ** 2 for v in b]), ())[0] / _EXACT_SCALE
     m_val = m_reparametrized(q, weights=kw)
-    b_sq = math.fsum(sq)
     return ErrorSumResult(q=q, b_sq_sum=b_sq, m_value=m_val,
                           e_measured=b_sq - m_val,
                           envelope=q * math.log(q) ** 3)

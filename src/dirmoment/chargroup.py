@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
+from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -221,13 +222,16 @@ class CharacterGroup:
 
         The numerator is sum over the axes of t e (N / d) mod N, with t the
         unit's exponent and e chi's on an axis of order d, so it is an
-        outer sum over the label grid of one length-d table per axis.
+        outer sum over the label grid of one length-d table per axis,
+        folded in axis by axis.
         """
         N = self.exponent
-        return _fold_outer(np.add, (
-            np.arange(c.order, dtype=np.int64) * (e * (N // c.order) % N)
-            for e, c in zip(chi.exponents, self.components)),
-            np.zeros((), dtype=np.int64)) % N
+        nums = np.zeros(1, dtype=np.int64)  # the one unit of an empty grid
+        for k, (e, c) in enumerate(zip(chi.exponents, self.components)):
+            axis = np.arange(c.order, dtype=np.int64)
+            axis *= e * (N // c.order) % N
+            nums = np.add.outer(nums, axis) if k else axis
+        return nums.ravel() % N
 
     def char_values(self, chi: CharacterLabel) -> np.ndarray:
         """chi(u) for every unit u, in label order like angle_nums: each
@@ -337,16 +341,17 @@ def gauss_sum(G: CharacterGroup, chi: CharacterLabel) -> complex:
 
 
 @lru_cache(maxsize=64)
-def _phi_mu_terms(q: int) -> tuple[tuple[int, int], ...]:
-    """(k, phi(k) mu(q/k)) for the divisors k of q with mu(q/k) != 0."""
-    terms = ((k, euler_phi(k) * mobius(q // k)) for k in divisors(q))
-    return tuple((k, c) for k, c in terms if c)
+def _phi_mu_sums(q: int) -> MappingProxyType:
+    """g -> sum over k | g of phi(k) mu(q/k), for every divisor g of q,
+    as a read-only map shared by every caller."""
+    terms = [(k, euler_phi(k) * mobius(q // k)) for k in divisors(q)]
+    return MappingProxyType({g: sum(c for k, c in terms if g % k == 0)
+                             for g in divisors(q)})
 
 
 def _phi_mu_divisor_sum(q: int, t: int) -> int:
     """sum over k | gcd(q, t) of phi(k) mu(q/k), with gcd(q, 0) = q."""
-    g = q if t == 0 else math.gcd(q, abs(t))
-    return sum(c for k, c in _phi_mu_terms(q) if g % k == 0)
+    return _phi_mu_sums(q)[math.gcd(q, t)]
 
 
 def primitive_sum_lemma1(q: int, r: int) -> int:

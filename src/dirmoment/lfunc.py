@@ -31,10 +31,12 @@ may end anywhere, and held and cached on its own (_unordered_pairs
 concatenates the slices and caps the range at _MAX_PAIRS).
 The term of (b, a) is the same float as the term of (a, b), so a pair
 off the diagonal enters as its term doubled (an exact operation) and a
-diagonal pair a = b as its term once.  The terms are gathered with numpy
-and added exactly by _exact_sum, one bin per eight exponents: B and C
-are the exact head and tail sums rounded once, and A is their exact
-total rounded once.  Each is the correctly rounded sum over the ordered
+diagonal pair a = b as its term once.  The head and tail terms are
+gathered with numpy, concatenated and added exactly by one _exact_sum
+pass cut between them, one bin per eight exponents, which returns each
+segment's exact sum as an integer in units of 2^-1126: B and C are the
+exact head and tail sums rounded once, and A is their exact total
+rounded once.  Each is the correctly rounded sum over the ordered
 pairs, the float math.fsum gives, so it does not depend on term order
 and reruns are bit-identical.  The oracle adds chi(a) zeta(1/2, a/q)
 over the units with math.fsum, from one cached table of Hurwitz values
@@ -48,7 +50,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -79,6 +81,7 @@ _MAX_PAIRS = 60_000_000   # cap on a materialized pair enumeration
 _MAX_TABLE_PAIRS = 3e8    # cap on a streamed residue-table build
 _PAIR_BATCH = 1 << 14      # pairs per enumerated slice, ~70 bytes each
 _SUM_CHUNK = 1 << 16      # terms per pass of _exact_sum, at most 2^23
+_EXACT_SCALE = 1 << 1126  # _exact_sum counts units of 2^-1126
 
 
 # Euler-Maclaurin depth: direct terms, then Bernoulli corrections
@@ -366,53 +369,82 @@ def _pair_terms(vals: np.ndarray, kp: np.ndarray,
                 pairs: tuple[np.ndarray, ...]) -> np.ndarray:
     """Re chi(a) chibar(b) kp[ab] times mult over the unordered pairs of
     _pairs, from vals = CharacterGroup.char_values(chi) in label order, as
-    a float64 array.
+    a float64 array; from a stack of such rows, one per character, the
+    terms of each character along its row.
     The ordered pairs (a, b) and (b, a) give the same real part, bit for
     bit (products commute), and imaginary parts that are exact negatives,
     so the imaginary sum is 0.0 and is not formed, and one term doubled
     (an exact operation) stands for both.
 
-    Real arithmetic, one rounding per operation: each term is the same
-    float wherever the pair sits in the arrays.  The sum of the terms,
+    Real arithmetic, (Re x_a Re x_b + Im x_a Im x_b) kp[ab] mult in that
+    order, formed in place, one rounding per operation: each term is the
+    same float wherever the pair sits in the arrays.  The sum of the terms,
     exact (_exact_sum) or correctly rounded (math.fsum), is the same as
     over the ordered pairs, in any order.
     """
     ab, ua, ub, mult = pairs
-    xa, xb = vals[ua], vals[ub]
-    return (xa.real * xb.real + xa.imag * xb.imag) * kp[ab] * mult
+    xa, xb = vals.take(ua, axis=-1), vals.take(ub, axis=-1)
+    terms = xa.real * xb.real
+    terms += xa.imag * xb.imag
+    terms *= kp[ab]
+    terms *= mult
+    return terms
 
 
-def _exact_sum(x: np.ndarray) -> Fraction:
-    """The exact sum of a finite float64 array; float() of it is the
-    correctly rounded sum, ties to even, the float math.fsum gives.
+def _exact_sum(x: np.ndarray, cuts: Sequence[int]) -> list[int]:
+    """The exact sums of the consecutive segments x[:c_1], x[c_1:c_2],
+    ..., x[c_k:] of a finite float64 array, cut at the non-decreasing
+    cuts = (c_1, ..., c_k) in [0, x.size] (an empty segment sums to 0),
+    each a Python int in units of 2^-1126, of which every float64 is an
+    integer multiple.  n / _EXACT_SCALE rounds once (CPython's int true
+    division is correctly rounded): it is the correctly rounded sum, ties
+    to even, the float math.fsum gives, and +0.0 for a zero sum.
 
     One bin per eight exponents (R. Neal, arXiv:1505.05571): with
-    x = m 2^(e - 53), m an integer with |m| < 2^53 (np.frexp), each m
-    is scaled by 2^((e - e_min) mod 8), which keeps it an integer below
-    2^60 in magnitude and exact in float64, and is binned by
-    (e - e_min) div 8.  Split at 2^30, its high and low parts are
-    integers of magnitude at most 2^30, whose sums per bin by np.bincount
-    stay integers of magnitude at most 2^53, so exact, for up to 2^23
-    terms a pass.  The bins are then combined as Python ints.  Arrays
-    longer than _SUM_CHUNK are summed in passes of that many terms.
+    x = f 2^e, 1/2 <= |f| < 1 (np.frexp), each f is scaled by
+    2^(23 + (e - e_min) mod 8) and binned by (e - e_min) div 8, offset by
+    its segment's position times the number of bins, so one np.bincount
+    per part bins every segment.  The scaled f is below 2^30 in
+    magnitude, with 30 bits after the point: its floor and the fraction
+    left are multiples of 1 and of 2^-30 below 2^30 and 1 in magnitude,
+    whose sums per bin stay exact for up to 2^23 terms a pass.  Each
+    segment's bins are then combined as Python ints.  Arrays longer than
+    _SUM_CHUNK are summed in passes of that many terms, each binning the
+    segments it meets.
     """
     if not np.isfinite(x).all():
         raise ValueError("exact sum needs finite terms")
-    total = Fraction(0)
+    bounds = [0, *cuts, x.size]
+    sums = [0] * (len(bounds) - 1)
     for start in range(0, x.size, _SUM_CHUNK):
-        mant, e = np.frexp(x[start:start + _SUM_CHUNK])
+        stop = min(start + _SUM_CHUNK, x.size)
+        first = bisect_right(bounds, start) - 1  # segments first..last-1
+        last = bisect_left(bounds, stop)         # meet this pass
+        edges = bounds[first:last + 1]
+        edges[0], edges[-1] = start, stop
+        k = last - first
+        frac, e = np.frexp(x[start:stop])
         e0 = int(e.min())
         e -= e0
-        m = np.ldexp(mant, (e & 7) + 53)
+        np.ldexp(frac, (e & 7) + 23, out=frac)
+        whole = np.floor(frac)
+        frac -= whole
         e >>= 3
-        hi = np.floor(m * 2.0 ** -30)
-        m -= hi * 2.0 ** 30
-        acc = 0
-        for h, lo in zip(np.bincount(e, weights=hi).tolist()[::-1],
-                         np.bincount(e, weights=m).tolist()[::-1]):
-            acc = (acc << 8) + (int(h) << 30) + int(lo)
-        total += acc * Fraction(2) ** (e0 - 53)
-    return total
+        nb = int(e.max()) + 1
+        idx = np.repeat(np.arange(0, k * nb, nb),
+                        [b - a for a, b in zip(edges, edges[1:])])
+        idx += e
+        whole, frac = (np.bincount(idx, weights=w, minlength=k * nb)
+                       for w in (whole, frac))
+        frac *= 2.0 ** 30
+        his, los = (w.astype(np.int64).reshape(k, nb)[:, ::-1].tolist()
+                    for w in (whole, frac))
+        for s, hs, ls in zip(range(first, last), his, los):
+            acc = 0
+            for h, lo in zip(hs, ls):
+                acc = (acc << 8) + (h << 30) + lo
+            sums[s] += acc << (e0 + 1073)  # units of 2^(e0 - 53)
+    return sums
 
 
 def abc_values(G: CharacterGroup, chi: CharacterLabel, *,
@@ -422,14 +454,20 @@ def abc_values(G: CharacterGroup, chi: CharacterLabel, *,
     This is the reference pipeline: one character at a time, no residue
     grouping.  Shares kernel values through `weights` so that comparisons
     against the table pipeline test only the reorganization of the sum.
+    The head and tail terms are added exactly in one _exact_sum pass cut
+    between them, and B, C and A = B + C are each rounded once from the
+    exact sums.
     """
     q = G.q
     _check_pair_count(truncation_bound(q), _MAX_PAIRS)  # before any table
     weights = _resolve_weights(q, weights, head_only=False)
     vals, kp = G.char_values(chi), weights.kprod[chi.parity]
     z = weights.z_floor
-    head, tail = (_exact_sum(_pair_terms(vals, kp, _pairs(q, lo, hi)))
-                  for lo, hi in ((0, z), (z, weights.m_eff)))
+    head, tail = (_pairs(q, lo, hi) for lo, hi in ((0, z), (z, weights.m_eff)))
+    b, c = _exact_sum(np.concatenate((_pair_terms(vals, kp, head),
+                                      _pair_terms(vals, kp, tail))),
+                      (head[0].size,))
     return CentralValue(
-        label=chi, q=q, a_value=float(head + tail), b_value=float(head),
-        c_value=float(tail), m_eff=weights.m_eff)
+        label=chi, q=q, a_value=(b + c) / _EXACT_SCALE,
+        b_value=b / _EXACT_SCALE, c_value=c / _EXACT_SCALE,
+        m_eff=weights.m_eff)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,13 +256,44 @@ def test_error_sum_small_q():
 
 def test_error_sum_head_matches_per_character_b():
     # error_sum_E shares the per-character head sum with abc_values, so
-    # its B^2 total is the same float, bit for bit
-    for q in (5, 12, 45):
+    # its B^2 total is the same float, bit for bit; at 179 and 1009 the
+    # rows of each parity span several blocks
+    for q in (5, 12, 45, 179, 1009):
         G = build_group(q)
         kw = kernel_weights(q)
         b_sq = math.fsum(abc_values(G, chi, weights=kw).b_value ** 2
                          for chi in G.labels() if chi.primitive)
         assert error_sum_E(q).b_sq_sum == b_sq
+
+
+def test_error_sum_scratch_does_not_grow_with_the_characters():
+    # a block of rows holds at most _PAIR_BATCH entries per array (in
+    # fact _ROW_BLOCK, an eighth of it): the stacked character values
+    # and the two complex gathers (16 bytes an entry), their real
+    # products and terms and the arrays of one _exact_sum pass (8 bytes
+    # or less an entry), about 80 bytes an entry in all.  Besides the
+    # block, error_sum_E holds about 80 bytes per primitive character
+    # (its B and B^2 as floats in lists, B^2 in an array, its label),
+    # and the head kernel table and the sums of m_reparametrized (a few
+    # z_floor-length arrays on top of the kernel's fixed scratch).
+    # Nothing grows with phi* times the head pairs n: the terms held
+    # whole would take 8 phi* n bytes, 0.3 MiB at q = 179 and 13 MiB at
+    # 1009 (n = 211 and 1623), before their gathers.  The group and the
+    # head pairs are built before
+    for q in (179, 1009):
+        G = build_group(q)
+        G.char_values(G.labels()[1])
+        z = kernel_weights(q, head_only=True).z_floor
+        lfunc._pairs(q, 0, z)
+        bound = (96 * lfunc._PAIR_BATCH + 96 * G.group_order + 128 * z
+                 + (128 << 10))
+        tracemalloc.start()
+        try:
+            error_sum_E(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (q, peak, bound)
 
 
 def test_error_sum_consistent_with_reparametrized():

@@ -348,12 +348,18 @@ def _finite_arrays(draw):
     return x
 
 
+def _rounded(n):
+    # an _exact_sum total rounded once, as abc_values rounds it
+    return n / lfunc._EXACT_SCALE
+
+
 @given(_finite_arrays())
 @settings(max_examples=300, deadline=None)
 def test_exact_sum_is_fsum_bitwise(x):
     # the exact sum rounded once is the correctly rounded sum, ties to
     # even, and a zero sum is +0.0: the float math.fsum gives, bit for bit
-    assert float(_exact_sum(x)).hex() == math.fsum(x.tolist()).hex()
+    (total,) = _exact_sum(x, ())
+    assert _rounded(total).hex() == math.fsum(x.tolist()).hex()
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 256])
@@ -363,11 +369,42 @@ def test_exact_sum_over_several_chunks(chunk, monkeypatch):
     rng = np.random.default_rng(chunk)
     x = np.ldexp(rng.uniform(-1.0, 1.0, 2000), rng.integers(-1080, 980, 2000))
     x = np.concatenate((x, [0.0, -0.0, 5e-324], -x[:700], x[:50]))
-    whole = _exact_sum(x)
+    whole = _exact_sum(x, ())
     monkeypatch.setattr(lfunc, "_SUM_CHUNK", chunk)
     assert x.size > 2 * chunk
-    assert _exact_sum(x) == whole
-    assert float(_exact_sum(x)).hex() == math.fsum(x.tolist()).hex()
+    assert _exact_sum(x, ()) == whole
+    assert _rounded(whole[0]).hex() == math.fsum(x.tolist()).hex()
+
+
+@st.composite
+def _cut_arrays(draw):
+    """A finite array of _finite_arrays, non-decreasing cuts into it
+    (repeated cuts and cuts at 0 and at the end included), and the
+    _SUM_CHUNK to sum it with (None: the default)."""
+    x = draw(_finite_arrays())
+    cuts = sorted(draw(st.lists(st.sampled_from([0, x.size]) | st.integers(
+        0, x.size), max_size=12)))
+    return x, cuts, draw(st.sampled_from([None, 1, 7, 256]))
+
+
+@given(_cut_arrays())
+@settings(max_examples=100, deadline=None)
+def test_exact_sum_segments_are_fsums_bitwise(case):
+    # each segment's exact sum and their total, rounded once, are the
+    # correctly rounded sums of the segment and of the whole array, bit
+    # for bit, whether a pass of _SUM_CHUNK terms ends inside a segment,
+    # at a cut or on an empty segment
+    x, cuts, chunk = case
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            patch.setattr(lfunc, "_SUM_CHUNK", chunk)
+        sums = _exact_sum(x, cuts)
+    bounds = [0, *cuts, x.size]
+    assert len(sums) == len(bounds) - 1
+    for n, lo, hi in zip(sums, bounds, bounds[1:]):
+        assert _rounded(n).hex() == math.fsum(x[lo:hi].tolist()).hex()
+    assert sum(sums) == _exact_sum(x, ())[0]
+    assert _rounded(sum(sums)).hex() == math.fsum(x.tolist()).hex()
 
 
 @pytest.mark.parametrize("x, want", [
@@ -379,13 +416,14 @@ def test_exact_sum_over_several_chunks(chunk, monkeypatch):
 ])
 def test_exact_sum_rounds_half_to_even(x, want):
     x = np.array(x)
-    assert float(_exact_sum(x)).hex() == want.hex() == math.fsum(x).hex()
+    (total,) = _exact_sum(x, ())
+    assert _rounded(total).hex() == want.hex() == math.fsum(x).hex()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_exact_sum_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="finite"):
-        _exact_sum(np.array([1.0, bad, -1.0]))
+        _exact_sum(np.array([1.0, bad, -1.0]), ())
 
 
 def test_abc_split_is_consistent():

@@ -27,7 +27,8 @@ def test_every_exported_name_resolves(name):
 
 def test_removed_names_are_gone():
     # one transform entry point, two correctly rounded sums (math.fsum,
-    # and lfunc._exact_sum for the pair sums of abc_values), one
+    # and lfunc._exact_sum, integers in units of 2^-1126 cut into
+    # segments, for the pair sums of abc_values and of error_sum_E), one
     # home for the classification rule (CharacterGroup's per-axis tables)
     # and one residue table per product range, scattered already folded
     # (spectra._table); no exports without a caller, trial division
@@ -189,9 +190,9 @@ def test_knobs_are_listed():
 
 
 # every cache of the package, as (module, function, maxsize): each holds
-# its arrays or tuples for the life of the process
+# its arrays, tuples or read-only maps for the life of the process
 CACHES = {
-    ("chargroup", "_phi_mu_terms", 64),
+    ("chargroup", "_phi_mu_sums", 64),
     ("chargroup", "_cyclotomic", None),
     ("kernel", "_nodes", 64),
     ("kernel", "_cheb_coef", 64),
