@@ -401,16 +401,16 @@ def _exact_sum(x: np.ndarray, cuts: Sequence[int]) -> list[int]:
     to even, the float math.fsum gives, and +0.0 for a zero sum.
 
     One bin per eight exponents (R. Neal, arXiv:1505.05571): with
-    x = f 2^e, 1/2 <= |f| < 1 (np.frexp), each f is scaled by
-    2^(23 + (e - e_min) mod 8) and binned by (e - e_min) div 8, offset by
-    its segment's position times the number of bins, so one np.bincount
-    per part bins every segment.  The scaled f is below 2^30 in
-    magnitude, with 30 bits after the point: its floor and the fraction
-    left are multiples of 1 and of 2^-30 below 2^30 and 1 in magnitude,
-    whose sums per bin stay exact for up to 2^23 terms a pass.  Each
-    segment's bins are then combined as Python ints.  Arrays longer than
-    _SUM_CHUNK are summed in passes of that many terms, each binning the
-    segments it meets.
+    x = f 2^e, 1/2 <= |f| < 1 (np.frexp), and e_min the least e of a
+    pass, each f is scaled by 2^(23 + (e - e_min) mod 8) and binned by
+    (e - e_min) div 8, offset by its segment's position times the number
+    of bins, so one np.bincount per part bins every segment.  The scaled
+    f is below 2^30 in magnitude and a multiple of 2^-30: its floor and
+    the fraction left, multiples of 1 and of 2^-30 below 2^30 and 1 in
+    magnitude, have sums per bin that stay exact for up to 2^23 terms a
+    pass.  Each segment's bins are then combined as Python ints.  Arrays
+    longer than _SUM_CHUNK are summed in passes of that many terms, each
+    binning the segments it meets.
     """
     if not np.isfinite(x).all():
         raise ValueError("exact sum needs finite terms")
