@@ -6,9 +6,8 @@ for the primitive-character fourth moment, and checks of the main-term
 asymptotics and supporting lemma-scale bounds.
 """
 
-from .arith import (Factorization, coprime_mask, divisors, euler_phi,
-                    factorize, mobius, omega, omega_sieve, phi_star,
-                    prime_sieve, two_pow_omega)
+from .arith import (coprime_mask, divisors, euler_phi, factorize, mobius,
+                    omega, omega_sieve, phi_star, prime_sieve, two_pow_omega)
 from .chargroup import (CharacterGroup, CharacterLabel, build_group,
                         exact_primitive_char_sum, exact_root_of_unity_sum,
                         gauss_sum, primitive_sum_lemma1, root_of_unity,
@@ -29,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # arith
-    "Factorization", "factorize", "mobius", "euler_phi", "omega",
+    "factorize", "mobius", "euler_phi", "omega",
     "two_pow_omega", "phi_star", "divisors",
     "prime_sieve", "coprime_mask", "omega_sieve",
     # chargroup

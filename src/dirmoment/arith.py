@@ -1,22 +1,21 @@
 """Exact integer arithmetic and the multiplicative functions used everywhere else.
 
-Single-value functions (mobius, euler_phi, ...) are computed from a prime
-factorization, never by sieving, so there is one source of truth.  The sieves
-(prime_sieve, coprime_mask, omega_sieve) serve range scans, and omega_sieve is
-cross-checked against the single-value path in the tests.
+Single-value functions (mobius, euler_phi, ...) are computed from the
+(p, e) pairs factorize returns, never by sieving, so there is one source
+of truth.  The sieves (prime_sieve, coprime_mask, omega_sieve) serve range
+scans, and omega_sieve is cross-checked against the single-value path in
+the tests.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 __all__ = [
-    "Factorization",
     "factorize",
     "mobius",
     "euler_phi",
@@ -32,35 +31,6 @@ __all__ = [
 _MAX_N = 10**13  # trial division of a prime near this bound takes 0.25 s
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime-power decomposition of a positive integer.
-
-    ``factors`` is a list of (prime, exponent) pairs with strictly increasing
-    primes whose product of prime powers equals ``n``.
-    """
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        prod = 1
-        prev = 1
-        for p, e in self.factors:
-            if e < 1:
-                raise ValueError(f"exponent {e} < 1 for prime {p}")
-            if p <= prev:
-                raise ValueError("primes must be strictly increasing")
-            prev = p
-            prod *= p**e
-        if prod != self.n:
-            raise ValueError(f"factors multiply to {prod}, not {self.n}")
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-
 def _trial_divisors() -> Iterator[int]:
     """2, 3, then every 6k +- 1 from 5 on."""
     yield 2
@@ -70,9 +40,10 @@ def _trial_divisors() -> Iterator[int]:
         yield k + 1
 
 
-def factorize(n: int) -> Factorization:
-    """Factor n into prime powers by trial division over 2, 3 and the
-    6k +- 1 wheel up to sqrt of the unfactored rest; n <= _MAX_N."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The prime powers of n as (p, e) pairs in increasing p, () for
+    n = 1, by trial division over 2, 3 and the 6k +- 1 wheel up to sqrt
+    of the unfactored rest; n <= _MAX_N."""
     if not isinstance(n, (int, np.integer)):
         raise TypeError(f"expected an integer, got {type(n).__name__}")
     n = int(n)
@@ -91,26 +62,25 @@ def factorize(n: int) -> Factorization:
             m //= p
     if m > 1:  # a prime above every divisor tried
         factors[m] = 1
-    return Factorization(n=n, factors=tuple(factors.items()))
+    return tuple(factors.items())
 
 
 def mobius(n: int) -> int:
     f = factorize(n)
-    if any(e > 1 for _, e in f.factors):
+    if any(e > 1 for _, e in f):
         return 0
-    return -1 if len(f.factors) % 2 else 1
+    return -1 if len(f) % 2 else 1
 
 
 def euler_phi(n: int) -> int:
-    f = factorize(n)
     out = 1
-    for p, e in f.factors:
+    for p, e in factorize(n):
         out *= p ** (e - 1) * (p - 1)
     return out
 
 
 def omega(n: int) -> int:
-    return len(factorize(n).factors)
+    return len(factorize(n))
 
 
 def two_pow_omega(n: int) -> int:
@@ -124,7 +94,7 @@ def phi_star(q: int) -> int:
     vanishes exactly when q = 2 mod 4.
     """
     out = 1
-    for p, e in factorize(q).factors:
+    for p, e in factorize(q):
         if e == 1:
             out *= p - 2
         else:
@@ -135,7 +105,7 @@ def phi_star(q: int) -> int:
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, sorted increasing."""
     divs = [1]
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         pk = 1
         block = []
         for _ in range(e):
@@ -165,7 +135,7 @@ def coprime_mask(q: int, n: int) -> np.ndarray:
     """gcd(k, q) == 1 for 0 <= k <= n as a bool array: one strided clear
     per prime p | q.  Index 0 is True only for q = 1."""
     mask = np.ones(n + 1, dtype=bool)
-    for p in factorize(q).primes:
+    for p, _ in factorize(q):
         mask[::p] = False
     return mask
 

@@ -81,7 +81,7 @@ def theorem_main_term(q: int) -> float:
     if q < 1:
         raise ValueError(f"modulus must be positive, got {q}")
     prod = 1.0
-    for p, _ in factorize(q).factors:
+    for p, _ in factorize(q):
         prod *= (1.0 - 1.0 / p) ** 3 / (1.0 + 1.0 / p)
     return phi_star(q) / (2 * math.pi**2) * prod * math.log(q) ** 4
 
@@ -195,7 +195,7 @@ def lemma4_check(q: int, x: float) -> Lemma4Result:
         raise ValueError(f"x = {x} exceeds the summation cap")
     mask = coprime_mask(q, q - 1).tolist()
     lhs = math.fsum(1.0 / n for n in range(1, int(x) + 1) if mask[n % q])
-    pls = math.fsum(math.log(p) / (p - 1) for p, _ in factorize(q).factors)
+    pls = math.fsum(math.log(p) / (p - 1) for p, _ in factorize(q))
     rhs = euler_phi(q) / q * (math.log(x) + EULER_GAMMA + pls)
     env = 4.0 * two_pow_omega(q) * math.log(x) / x
     return Lemma4Result(q=q, x=float(x), lhs=lhs, rhs=rhs,
@@ -239,7 +239,7 @@ def lemma5_sums(q: int, x: float) -> Lemma5Result:
     sum1 = masked_sum(min(q, xi), False)
     sum2 = masked_sum(xi, True)
     prod = 1.0
-    for p, _ in factorize(q).factors:
+    for p, _ in factorize(q):
         prod *= (1.0 - 1.0 / p) / (1.0 + 1.0 / p)
     main2 = math.log(x) ** 4 / (12.0 * ZETA2) * prod
     env1 = (euler_phi(q) / q) ** 2 * math.log(max(q, 2)) ** 2

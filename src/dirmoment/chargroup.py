@@ -92,7 +92,7 @@ def _primitive_root_mod_p(p: int) -> int:
         return 1
     fact = factorize(p - 1)
     for g in range(2, p):
-        if all(pow(g, (p - 1) // ell, p) != 1 for ell, _ in fact.factors):
+        if all(pow(g, (p - 1) // ell, p) != 1 for ell, _ in fact):
             return g
     raise ArithmeticError(f"no primitive root mod {p}")  # pragma: no cover
 
@@ -298,7 +298,7 @@ def build_group(q: int) -> CharacterGroup:
             f"modulus {q} exceeds the residue table memory budget"
             f" (q <= {_MAX_Q})")
     comps: list[Component] = []
-    for p, e in factorize(q).factors:
+    for p, e in factorize(q):
         pe = p**e
         if p == 2:
             # (Z/2)* is trivial; -1 generates mod 4, and -1, 5 mod 2^e

@@ -14,14 +14,14 @@ Subcommands:
 The verify commands run the sweeps of dirmoment.checks, the same ones the
 acceptance tests run, and print one line per sweep family.
 
-The kernel runs at its one configuration, kernel.KernelConfig(); no
+The kernel runs at its one configuration, kernel._CONFIG; no
 subcommand takes kernel settings.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage error
 (the subcommand's usage and the offending argument go to stderr; an
 empty sweep range, any --qmax* below 1, is one) or a rejected input: a
 ValueError (bad input, a cost cap) or KernelAccuracyError (the kernel's
-runtime check failed) raised by the subcommand becomes
+runtime check or a Chebyshev fit failed) raised by the subcommand becomes
 "dirmoment: error: <type>: <message>" on stderr.  A moment report or
 scan row whose ratio is nan (main term 0: no primitive characters, or
 q = 1) also prints a warning to stderr.

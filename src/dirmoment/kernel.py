@@ -31,7 +31,7 @@ arguments in ascending order and hands each method one slice):
     quadrature below, and it sits within 2.7e-17 of the exact W_1 at the
     tested points, the pieces' ends included, the quadrature itself
     within 5.2e-17.  Each piece's coefficients are built once per parity
-    and config and cached, so a value does not depend on its batch.
+    and cached, so a value does not depend on its batch.
   * _quad_points, the interpolant's nodes and the runtime reference:
     trapezoid quadrature on the vertical line Re s = c.  The integrand is
     analytic in a strip of half-width c around the line, so the trapezoid
@@ -55,9 +55,13 @@ of 2 pi; only Re log Gamma and exp(2 log Gamma) are used, and neither
 sees it.  Only arithmetic and np.log: a complex or an array alike.
 
 W_a(x) tends to 1 as x -> 0+ and decays like exp(-2x) (saddle point at
-s = 2x); beyond cfg.x_zero the kernel is treated as exactly zero.  With
-the default x_zero = 24 the neglected value is below 1e-19 (measured
-envelope |W| <= 12 e^{-2x} on 6 <= x <= 16, extrapolated with margin).
+s = 2x); from x_zero = 24 on the kernel is treated as exactly zero, the
+neglected value below 1e-19 (measured envelope |W| <= 12 e^{-2x} on
+6 <= x <= 16, extrapolated with margin).
+
+The kernel runs at one configuration, _CONFIG = KernelConfig(): line
+c = 1, step h = 0.1, runtime tolerance eps = 1e-10 and hard zero
+x_zero = 24.  No function takes another from its caller.
 """
 
 from __future__ import annotations
@@ -79,17 +83,17 @@ __all__ = [
 
 
 class KernelAccuracyError(RuntimeError):
-    """Raised when the interpolant or the runtime check cannot meet eps."""
+    """Raised when an interpolant or the runtime check misses its
+    tolerance."""
 
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Quadrature controls of w_eval_batch.  The pipeline runs the
-    defaults only; the kernel's own checks vary them.
+    """The kernel's configuration; the module runs one, _CONFIG.
 
-    c:      abscissa of the integration line, must be > 0
+    c:      abscissa of the integration line
     h:      base trapezoid step in t
-    eps:    target absolute accuracy, must be in (0, 1e-6]
+    eps:    absolute tolerance of the interpolant and the runtime check
     x_zero: arguments >= x_zero evaluate to exactly 0.0
 
     The truncation height T is always picked from the decay of the
@@ -101,17 +105,8 @@ class KernelConfig:
     eps: float = 1e-10
     x_zero: float = 24.0
 
-    def __post_init__(self) -> None:
-        if not self.c > 0:
-            raise ValueError(f"line abscissa c must be positive, got {self.c}")
-        if not self.h > 0:
-            raise ValueError(f"step h must be positive, got {self.h}")
-        if not 0 < self.eps <= 1e-6:
-            raise ValueError(
-                f"eps must lie in (0, 1e-6], got {self.eps}")
-        if self.x_zero <= 4:
-            raise ValueError("x_zero must exceed the series domain bound 4")
 
+_CONFIG = KernelConfig()
 
 _T_HARD = 400.0  # absolute ceiling on the truncation height
 _TAIL = 1e-17  # stops the residue series, sets the interpolant degree
@@ -218,30 +213,29 @@ def _quad_points(a: int, log_x: np.ndarray, c: float, h: float,
     return np.einsum("ip,ip->p", outer, part).real * np.exp(-c * log_x)
 
 
-def w_eval_batch(a: int, xs: np.ndarray,
-                 cfg: KernelConfig = KernelConfig()) -> np.ndarray:
+def w_eval_batch(a: int, xs: np.ndarray) -> np.ndarray:
     """W_a at every argument of a 1-D array in ascending order: the
     residue series on x <= 2, the piecewise Chebyshev interpolant on
-    2 < x < cfg.x_zero, whose nodes are the quadrature at step cfg.h on
-    the line cfg.c, and 0.0 from cfg.x_zero on, with a sampled runtime
-    check.  Two binary searches split the arguments into these three
-    slices, each written in place into the result.  Any other input
-    (unsorted, not 1-D, NaN, inf or x <= 0) raises ValueError.
+    2 < x < x_zero, whose nodes are the quadrature at step h on the line
+    c, and 0.0 from x_zero on, with a sampled runtime check (c, h, eps
+    and x_zero those of _CONFIG).  Two binary searches split the
+    arguments into these three slices, each written in place into the
+    result.  Any other input (unsorted, not 1-D, NaN, inf or x <= 0)
+    raises ValueError.
 
-    _STEP_SAMPLES quantiles of the arguments below cfg.x_zero, the
-    extremes included, are re-evaluated by the quadrature at step
-    cfg.h / 4 on the line Re s = cfg.c / 2 (a cross-method check on series
-    and interpolant samples, and a step and line check of the
-    interpolant's nodes); a gap above cfg.eps raises KernelAccuracyError.
-    The pole of 1/s sits c/2 from that line, so the reference's step error
-    is 2 exp(-4 pi c / h), the square of the checked values' bound, and a
-    coarse cfg.h shows in the gap at every x.  At the default step both
-    are far below rounding, and the gap is largest at the smallest x,
-    where x^(-c/2) amplifies the reference's rounding: at x = pi/9999991
-    it is below 1e-13, and on the line c it would be 1.65e-10, above the
-    default eps.
+    _STEP_SAMPLES quantiles of the arguments below x_zero, the extremes
+    included, are re-evaluated by the quadrature at step h / 4 on the
+    line Re s = c / 2 (a cross-method check on series and interpolant
+    samples, and a step and line check of the interpolant's nodes); a gap
+    above eps raises KernelAccuracyError.  The pole of 1/s sits c/2 from
+    that line, so the reference's step error is 2 exp(-4 pi c / h), the
+    square of the checked values' bound, and a coarse h shows in the gap
+    at every x.  At h = 0.1 both are far below rounding, and the gap is
+    largest at the smallest x, where x^(-c/2) amplifies the reference's
+    rounding: at x = pi/9999991 it is below 1e-13, and on the line c it
+    would be 1.65e-10, above eps.
     """
-    a = _check_parity(a)
+    a, cfg = _check_parity(a), _CONFIG
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 1 or xs.size and not (
             xs[0] > 0 and xs[-1] < math.inf and np.all(xs[1:] >= xs[:-1])):
@@ -292,9 +286,11 @@ def _cheb_piece(cfg: KernelConfig, k: int) -> tuple[float, float]:
 
 
 def _cheb_interp(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                 n: int) -> np.ndarray:
+                 n: int, tol: float) -> np.ndarray:
     """Chebyshev coefficients c_0..c_n of the degree-n interpolant of f on
-    [lo, hi], f mapping an array of points to their values.
+    [lo, hi], f mapping an array of points to their values.  Trailing
+    coefficients (c_(n-1), c_n) above tol mean the degree does not resolve
+    f there, and raise KernelAccuracyError.
 
     The n + 1 nodes are the Chebyshev points of the first kind, at the
     angles theta_m = pi (2m + 1) / (2n + 2).  One cosine sum over them
@@ -310,6 +306,11 @@ def _cheb_interp(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     coef = (np.cos(r * (0.5 * math.pi / N)) * f_nodes).sum(axis=1)
     coef *= 2.0 / N
     coef[0] *= 0.5
+    tail = float(np.abs(coef[-2:]).max())
+    if not tail <= tol:
+        raise KernelAccuracyError(
+            f"Chebyshev interpolant on [{lo:.6g}, {hi:.6g}] has trailing"
+            f" coefficients of {tail:.3g} > {tol:.3g} at degree {n}")
     return coef
 
 
@@ -338,18 +339,14 @@ def _cheb_coef(a: int, cfg: KernelConfig, k: int, n: int) -> np.ndarray:
     by the quadrature at step cfg.h on the line cfg.c, truncated at the
     height of x = 2 on every piece.  Trailing coefficients above cfg.eps
     raise KernelAccuracyError; a raise is not cached, so the guard runs
-    for every new key.  The cached array is shared and read-only.
+    for every new key.  cfg is always _CONFIG, and a key, so that no
+    entry outlives a swap of _CONFIG.  The cached array is shared and
+    read-only.
     """
     t0, t1 = _cheb_piece(cfg, k)
     T = _auto_T(a, cfg.c, math.log(_SERIES_PATH), cfg.eps)
     coef = _cheb_interp(lambda t: _quad_points(a, t, cfg.c, cfg.h, T),
-                        t0, t1, n)
-    tail = float(np.abs(coef[-2:]).max())
-    if not tail <= cfg.eps:
-        raise KernelAccuracyError(
-            f"Chebyshev interpolant of W_{a} on [{math.exp(t0):.6g},"
-            f" {math.exp(t1):.6g}] has trailing coefficients of {tail:.3g}"
-            f" > eps = {cfg.eps} at degree {n}")
+                        t0, t1, n, cfg.eps)
     coef.flags.writeable = False
     return coef
 
@@ -363,9 +360,9 @@ def _cheb_batch(a: int, x: np.ndarray, cfg: KernelConfig,
 
     Binary searches at the pieces' ends in x split the ascending
     arguments into one slice per piece.  Each piece's coefficients
-    (_cheb_coef) are built once per parity and config and cached, and
+    (_cheb_coef) are built once per parity and cached, and
     _clenshaw evaluates them in blocks of _HORNER_BLOCK points, so a
-    value depends on (a, x) and cfg alone.
+    value depends on (a, x) alone.
     """
     t0, t1 = _cheb_piece(cfg, 0)
     n = _cheb_degree(t1 - t0)
@@ -383,21 +380,19 @@ def _cheb_batch(a: int, x: np.ndarray, cfg: KernelConfig,
 
 
 def _series_batch(a: int, x: np.ndarray, out: np.ndarray) -> None:
-    """The residue series at every x in (0, 4], written into out, as
+    """The residue series at every x in (0, 2], written into out, as
 
         W_a(x) = 1 - x^beta [P(x^2) - ln x Q(x^2)],
         Q(y) = sum_k c_k y^k,  P(y) = sum_k c_k (psi(k+1) + 1/sigma_k) y^k,
 
     c_k = 4 / (k!^2 G0^2 sigma_k), by Horner's rule in blocks of
     _HORNER_BLOCK points.  Terms are added until a geometric tail bound at
-    x_top, the larger of _SERIES_PATH and the batch's largest x, drops
-    below _TAIL; it bounds the tail at every x of the batch.  On the
-    series path the count is that of x = 2 (16 terms for a = 0, 17 for
-    a = 1), so each value depends on (a, x) alone; a batch reaching into
-    (2, 4] takes the count of its largest x (24 terms at x = 4, a = 1).
+    x_top = _SERIES_PATH drops below _TAIL; it bounds the tail at every
+    x <= 2.  The count is that of x = 2 (16 terms for a = 0, 17 for
+    a = 1) in every batch, so each value depends on (a, x) alone.
     """
     beta = 0.5 + a
-    x_top = max(float(x.max()), _SERIES_PATH)
+    x_top = _SERIES_PATH
     inv_kfac_sq = 1.0 / math.gamma(beta / 2) ** 2  # 1 / (k!^2 G0^2)
     harmonic = 0.0                 # H_k, so psi(k+1) = H_k - gamma
     xp = x_top**beta               # x_top^sigma_k

@@ -56,7 +56,7 @@ import numpy as np
 
 from .arith import coprime_mask, two_pow_omega
 from .chargroup import CharacterGroup, CharacterLabel, build_group
-from .kernel import (_HORNER_BLOCK, KernelConfig, _cheb_interp, _clenshaw,
+from .kernel import (_CONFIG, _HORNER_BLOCK, _cheb_interp, _clenshaw,
                      w_eval_batch)
 
 __all__ = [
@@ -140,16 +140,11 @@ def _hurwitz_cheb() -> np.ndarray:
     terms near 8 against a tail near -10) the principal character's
     L(1/2, chi_0) at q = 255255 came out 4.8e-13 off in relative terms,
     from extended-precision coefficients 1.7e-14 off (x86-64).  Trailing
-    coefficients above _HURWITZ_TAIL raise RuntimeError.  The cached array
-    is shared and read-only."""
+    coefficients above _HURWITZ_TAIL raise KernelAccuracyError.  The
+    cached array is shared and read-only."""
     coef = _cheb_interp(lambda a: _hurwitz_em(0.5, a.astype(np.longdouble)),
-                        1.0, 2.0, _HURWITZ_DEGREE).astype(np.float64)
-    tail = float(np.abs(coef[-2:]).max())
-    if not tail <= _HURWITZ_TAIL:
-        raise RuntimeError(
-            f"Chebyshev interpolant of zeta(1/2, a) on [1, 2] has trailing"
-            f" coefficients of {tail:.3g} > {_HURWITZ_TAIL} at degree"
-            f" {_HURWITZ_DEGREE}")
+                        1.0, 2.0, _HURWITZ_DEGREE,
+                        _HURWITZ_TAIL).astype(np.float64)
     coef.flags.writeable = False
     return coef
 
@@ -220,8 +215,8 @@ class KernelWeights:
 def truncation_bound(q: int) -> int:
     """Effective upper bound m_eff = floor(x_zero q / pi) for products ab
     in the smoothed sums: W_a(pi ab / q) is exactly zero past it, at the
-    kernel's hard zero x_zero of KernelConfig()."""
-    return math.floor(KernelConfig().x_zero * q / math.pi)
+    kernel's hard zero x_zero."""
+    return math.floor(_CONFIG.x_zero * q / math.pi)
 
 
 def kernel_weights(q: int, *, head_only: bool = False) -> KernelWeights:

@@ -25,9 +25,8 @@ through Z(chibar).  The FFT runs over the CRT exponent grid with each
 axis split by Good-Thomas into coprime sub-axes (_sub_axes: the prime
 powers of large primes each on their own), permuted in by the input maps
 of _axis_maps; one gather per split axis puts the output in label order.
-Its oracle, _exact_transform, stays on the label axes and applies one
-exact-angle DFT matrix per CRT axis, with each angle e t / d reduced mod
-d in integers.
+The tests hold it against an exact-angle DFT on the label axes
+(tests/scalar_ref.py).
 
 fourth_moment takes every central value from the Hurwitz route,
 
@@ -181,7 +180,7 @@ def _sub_axes(d: int) -> tuple[int, ...]:
     transforms as axes of their own: each prime power p^e of d with
     p > _SPLIT_PRIME, and the product of the other prime powers; (d,)
     when there is no such prime."""
-    split = [p**e for p, e in factorize(d).factors if p > _SPLIT_PRIME]
+    split = [p**e for p, e in factorize(d) if p > _SPLIT_PRIME]
     rest = d // math.prod(split)
     return (rest, *split) if rest > 1 or not split else tuple(split)
 
@@ -249,20 +248,6 @@ def group_transform(G: CharacterGroup, f: np.ndarray, g: np.ndarray
     z -= zn
     z *= 0.5j
     return x_f, z
-
-
-def _exact_transform(G: CharacterGroup, f: np.ndarray) -> np.ndarray:
-    """group_transform's oracle for one label-order table: per CRT axis of
-    order d, one DFT matrix roots[(e t) mod d] with roots[k] = e(k / d), so
-    every angle comes from an exactly reduced integer; applied axis by
-    axis over the label grid with tensordot."""
-    out = f.reshape(G.orders or (1,)).astype(np.complex128)
-    for axis, d in enumerate(out.shape):
-        k = np.arange(d)
-        roots = np.exp(2j * math.pi * (k / d))
-        out = np.moveaxis(np.tensordot(roots[np.outer(k, k) % d], out,
-                                       axes=(1, axis)), 0, axis)
-    return out.ravel()
 
 
 @dataclass

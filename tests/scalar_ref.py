@@ -1,6 +1,6 @@
 """Scalar references the tests hold the package's array paths against:
-the kernel by line quadrature at two steps, and a character's value from
-a unit's exponent vector."""
+the kernel by line quadrature at two steps, a character's value from a
+unit's exponent vector, and the group transform by exact-angle DFTs."""
 
 import math
 from functools import lru_cache
@@ -50,3 +50,17 @@ def char_ref(G, chi, n):
     angle_ref."""
     num = angle_ref(G, chi, n)
     return 0j if num is None else root_of_unity(num, G.exponent)
+
+
+def exact_transform(G, f):
+    """spectra.group_transform's oracle for one label-order table: per CRT
+    axis of order d, one DFT matrix roots[(e t) mod d] with
+    roots[k] = e(k / d), so every angle comes from an exactly reduced
+    integer; applied axis by axis over the label grid with tensordot."""
+    out = f.reshape(G.orders or (1,)).astype(np.complex128)
+    for axis, d in enumerate(out.shape):
+        k = np.arange(d)
+        roots = np.exp(2j * math.pi * (k / d))
+        out = np.moveaxis(np.tensordot(roots[np.outer(k, k) % d], out,
+                                       axes=(1, axis)), 0, axis)
+    return out.ravel()

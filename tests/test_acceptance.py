@@ -17,10 +17,9 @@ import numpy as np
 from dirmoment.chargroup import build_group
 from dirmoment.kernel import KernelConfig, w_eval_batch
 from dirmoment.lfunc import abc_values, kernel_weights, l_half_oracle
-from dirmoment.spectra import (_exact_transform, _table, fourth_moment,
-                               group_transform)
+from dirmoment.spectra import _table, fourth_moment, group_transform
 from dirmoment import checks, cli
-from scalar_ref import w_quad
+from scalar_ref import exact_transform, w_quad
 
 CFG = KernelConfig()
 
@@ -114,7 +113,7 @@ def test_criterion_03_pipeline_equivalence():
         tables = [_table(G, kw, lo, hi) for lo, hi in segments]
         for s, got in zip(tables, group_transform(G, *tables)):
             worst_fft = max(worst_fft, float(np.max(np.abs(
-                got - _exact_transform(G, s)))))
+                got - exact_transform(G, s)))))
     ok = worst_moment <= 1e-9 and worst_fft <= 1e-12
     _report(3, "table pipeline vs per-character; FFT vs exact-angle transform",
             ok, f"moment rel {worst_moment:.2e} <= 1e-09 over 2 <= q <= 200, "

@@ -7,25 +7,22 @@ from dirmoment.arith import (divisors, euler_phi, factorize, mobius, omega,
 
 
 def test_factorize_small():
-    f = factorize(360)
-    assert f.factors == ((2, 3), (3, 2), (5, 1))
-    assert factorize(1).factors == ()
-    assert factorize(97).factors == ((97, 1),)
+    assert factorize(360) == ((2, 3), (3, 2), (5, 1))
+    assert factorize(1) == ()
+    assert factorize(97) == ((97, 1),)
 
 
 def test_factorize_reconstructs():
     for n in range(1, 2000):
         f = factorize(n)
-        prod = 1
-        for p, e in f.factors:
-            prod *= p ** e
-        assert prod == n
+        assert math.prod(p ** e for p, e in f) == n
+        assert all(e >= 1 for _, e in f)
+        assert [p for p, _ in f] == sorted({p for p, _ in f})
 
 
 def test_factorize_large_semiprime():
     p, r = 1000003, 1000033
-    f = factorize(p * r)
-    assert f.factors == ((p, 1), (r, 1))
+    assert factorize(p * r) == ((p, 1), (r, 1))
 
 
 def test_factorize_rejects():
@@ -37,8 +34,8 @@ def test_factorize_rejects():
 
 def test_factorize_up_to_trial_division_bound():
     # trial division serves every n <= 10^13 and refuses the rest
-    assert factorize(10**13).factors == ((2, 13), (5, 13))
-    assert factorize(999983 * 9999991).factors == ((999983, 1), (9999991, 1))
+    assert factorize(10**13) == ((2, 13), (5, 13))
+    assert factorize(999983 * 9999991) == ((999983, 1), (9999991, 1))
     with pytest.raises(ValueError, match="trial-division bound"):
         factorize(10**13 + 1)
 

@@ -189,7 +189,7 @@ def test_conductor_is_induced_modulus():
         for chi in G.labels():
             f = chi.conductor
             assert _is_induced_modulus(G, chi, f)
-            for p, _ in factorize(f).factors:
+            for p, _ in factorize(f):
                 assert not _is_induced_modulus(G, chi, f // p)
 
 
@@ -439,7 +439,7 @@ def _axis_residues(q):
     # f(t) the residue mod p^e of the axis generator to the power t, from
     # Python pow alone; the 2^e pair as (-1)^s and 5^j
     axes = []
-    for p, e in factorize(q).factors:
+    for p, e in factorize(q):
         pe = p ** e
         if p == 2 and e == 2:
             axes.append((pe, lambda t: pow(3, t, 4)))

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from dirmoment import chargroup, cli, kernel, lfunc
-from dirmoment.kernel import KernelConfig
 from dirmoment.numerics import fmt_float
 from dirmoment.spectra import tail_moment_all
 
@@ -130,7 +129,7 @@ def test_parser_is_reused_without_carrying_state(monkeypatch, capsys):
     assert outs[0] and outs[4] == outs[0]
 
 
-def test_usage_error_is_exit_2(monkeypatch, capsys):
+def test_usage_error_is_exit_2(kernel_config, capsys):
     with pytest.raises(SystemExit) as e:
         cli.main(["moment"])  # missing --q
     assert e.value.code == 2
@@ -159,15 +158,26 @@ def test_usage_error_is_exit_2(monkeypatch, capsys):
         assert flag in cap.err and cap.out == ""
     # rejected input and a failed kernel step check: message, no traceback;
     # the runtime check fails on tables built at step h = 2.0
-    monkeypatch.setattr(lfunc, "w_eval_batch", lambda a, xs: (
-        kernel.w_eval_batch(a, xs, KernelConfig(h=2.0))))
     for argv, exc in ((["moment", "--q", "20000000"], "ValueError"),
                       (["moment", "--q", "101"], "KernelAccuracyError")):
-        with pytest.raises(SystemExit) as e:
+        with kernel_config(h=2.0), pytest.raises(SystemExit) as e:
             cli.main(argv)
         assert e.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"dirmoment: error: {exc}: ")
+
+
+def test_failed_hurwitz_fit_is_exit_2(monkeypatch, capsys):
+    # the Hurwitz interpolant's fit shares the kernel's guard: a degree
+    # too low for its tolerance is a message and exit 2, not a traceback
+    lfunc._hurwitz_cheb.cache_clear()
+    monkeypatch.setattr(lfunc, "_HURWITZ_DEGREE", 12)
+    with pytest.raises(SystemExit) as e:
+        cli.main(["moment", "--q", "101"])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dirmoment: error: KernelAccuracyError: ")
+    assert "trailing coefficients" in err
 
 
 def test_value_cost_cap_refuses_before_any_table(monkeypatch, capsys):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import mpmath
@@ -75,13 +74,27 @@ def test_batch_matches_scalar():
         assert np.max(np.abs(batch - scal)) < 1e-9
 
 
-def test_step_check_rejects_coarse_step():
+def test_step_check_rejects_coarse_step(kernel_config):
     # at h = 2 the trapezoid sum is far from converged; the sampled
     # comparison against the reference quadrature must refuse the table
     xs = np.geomspace(1e-3, 10.0, 40)
-    with pytest.raises(KernelAccuracyError):
-        w_eval_batch(0, xs, KernelConfig(h=2.0))
-    w_eval_batch(0, xs, KernelConfig(h=0.1))
+    with kernel_config(h=2.0), pytest.raises(KernelAccuracyError):
+        w_eval_batch(0, xs)
+    w_eval_batch(0, xs)
+
+
+def test_swapped_configuration_leaves_no_cached_value(kernel_config):
+    # the interpolant's coefficients built at h = 2 (their cache emptied
+    # first, so that they are built there) are not read at the one
+    # configuration: its values are the same bits before and after
+    xs = np.geomspace(1e-3, 20.0, 200)
+    before = [w_eval_batch(a, xs).tobytes() for a in (0, 1)]
+    kernel._cheb_coef.cache_clear()
+    with kernel_config(h=2.0):
+        for a in (0, 1):
+            with pytest.raises(KernelAccuracyError):
+                w_eval_batch(a, xs)
+    assert [w_eval_batch(a, xs).tobytes() for a in (0, 1)] == before
 
 
 def test_step_check_passes_at_smallest_argument_of_max_q():
@@ -95,7 +108,8 @@ def test_step_check_passes_at_smallest_argument_of_max_q():
         assert got.tolist() == [_series(a, x) for x in xs]
 
 
-def test_step_check_rejects_coarse_step_on_quadrature_only_batch():
+def test_step_check_rejects_coarse_step_on_quadrature_only_batch(
+        kernel_config):
     # every argument is a quadrature argument (as in the kernel table at
     # q = 1, where x = pi m > 2), so only the reference's smaller step
     # error can show a coarse step: at h = 0.35 the values are off by
@@ -103,8 +117,8 @@ def test_step_check_rejects_coarse_step_on_quadrature_only_batch():
     # with the same step-error term would cancel
     xs = np.geomspace(2.5, 20.0, 40)
     for a in (0, 1):
-        with pytest.raises(KernelAccuracyError):
-            w_eval_batch(a, xs, KernelConfig(h=0.35))
+        with kernel_config(h=0.35), pytest.raises(KernelAccuracyError):
+            w_eval_batch(a, xs)
         w_eval_batch(a, xs)
 
 
@@ -178,8 +192,7 @@ def test_interpolant_rejects_low_degree(monkeypatch):
 def _piece_ends():
     # every end in x between two of the interpolant's pieces, with the
     # floats just below and just above it
-    cfg = KernelConfig()
-    ends = [math.exp(kernel._cheb_piece(cfg, k)[0])
+    ends = [math.exp(kernel._cheb_piece(kernel._CONFIG, k)[0])
             for k in range(1, kernel._CHEB_PIECES)]
     return [y for e in ends
             for y in (np.nextafter(e, 0.0), e, np.nextafter(e, math.inf))]
@@ -220,13 +233,13 @@ def test_head_table_matches_residue_series():
         assert np.max(np.abs(kw.kprod[a][m] * np.sqrt(m) - want)) <= 1e-14, a
 
 
-def test_step_check_covers_series_only_batch():
+def test_step_check_covers_series_only_batch(kernel_config):
     # every argument is a series argument, and the runtime check still
     # compares samples against the reference quadrature, here unconverged
     xs = np.geomspace(1e-3, 1.5, 40)
-    with pytest.raises(KernelAccuracyError):
-        w_eval_batch(0, xs, KernelConfig(h=2.0))
-    w_eval_batch(0, xs, KernelConfig(h=0.1))
+    with kernel_config(h=2.0), pytest.raises(KernelAccuracyError):
+        w_eval_batch(0, xs)
+    w_eval_batch(0, xs)
 
 
 def test_scalar_series_is_one_element_batch():
@@ -263,17 +276,16 @@ def test_horner_blocks_do_not_change_values(monkeypatch):
         assert np.array_equal(w_eval_batch(a, xs), default[a]), a
 
 
-def test_default_step_converged_over_table():
+def test_default_step_converged_over_table(kernel_config):
     # every kernel value of the table at q = 10007 against the kernel at
     # half the default step; the series values (x <= 2) do not depend on h
     q = 10007
-    cfg = KernelConfig()
-    fine = dataclasses.replace(cfg, h=cfg.h / 2)
     kw = kernel_weights(q)
     m = np.arange(1, kw.m_eff + 1, dtype=np.float64)
     for a in (0, 1):
-        gap = np.abs(kw.kprod[a][1:] * np.sqrt(m)
-                     - w_eval_batch(a, math.pi * m / q, fine))
+        with kernel_config(h=kernel._CONFIG.h / 2):
+            fine = w_eval_batch(a, math.pi * m / q)
+        gap = np.abs(kw.kprod[a][1:] * np.sqrt(m) - fine)
         assert np.max(gap) <= 1e-12, a
 
 
@@ -307,9 +319,8 @@ def test_table_is_batch_times_inverse_sqrt(head_only):
 
 def test_limits():
     # W(x) -> 1 as x -> 0+ and the hard cutoff returns exactly zero
-    cfg = KernelConfig()
     for a in (0, 1):
-        w = w_eval_batch(a, np.array([1e-6, cfg.x_zero, 1e9]))
+        w = w_eval_batch(a, np.array([1e-6, kernel._CONFIG.x_zero, 1e9]))
         assert abs(w[0] - 1.0) < 1e-2
         assert w[1] == 0.0
         assert w[2] == 0.0
@@ -364,17 +375,6 @@ def test_eval_domain():
     for a in (2, 3):
         with pytest.raises(ValueError, match="parity"):
             w_eval_batch(a, np.array([1.0]))
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        KernelConfig(eps=1e-3)
-    with pytest.raises(ValueError):
-        KernelConfig(eps=0.0)
-    with pytest.raises(ValueError):
-        KernelConfig(c=0.0)
-    with pytest.raises(ValueError):
-        KernelConfig(x_zero=2.0)
 
 
 def test_cache_keyed_by_config():

@@ -36,7 +36,9 @@ def test_removed_names_are_gone():
     # (lfunc._PAIR_BATCH), one unit gather per table, shared by the
     # transform and its rounding bound (spectra._imag_residue), and one
     # map from the label grid to the residues
-    # (CharacterGroup.unit_residues, from the generators' powers)
+    # (CharacterGroup.unit_residues, from the generators' powers);
+    # factorize returns its (p, e) pairs, the transform's exact-angle
+    # oracle lives with the tests (scalar_ref.exact_transform)
     mods = [dirmoment, *(importlib.import_module(f"dirmoment.{m}")
                          for m in SUBMODULES)]
     for gone in ("all_char_sums", "weight_table", "ResidueWeightTable",
@@ -48,7 +50,7 @@ def test_removed_names_are_gone():
                  "MainTermBreakdown", "_repar_parts", "_FLUSH",
                  "_unit_abs_sum", "_dlog_table", "_dlog_tables_2e",
                  "w_eval", "w_series", "_MAX_REFINE", "hurwitz_zeta",
-                 "char_eval"):
+                 "char_eval", "Factorization", "_exact_transform"):
         assert not [m.__name__ for m in mods if hasattr(m, gone)], gone
     # the pair tables scatter at b a^-1 and symmetrize on the label grid,
     # so the group keeps no q-length table of inverses; a character is
@@ -126,30 +128,45 @@ def test_no_unused_imports(name):
 
 
 def test_no_kernel_knobs_above_the_kernel():
-    # the pipeline runs the one kernel configuration: no subcommand takes
-    # kernel settings, and only the kernel module takes a KernelConfig
+    # the package runs the one kernel configuration, kernel._CONFIG: no
+    # subcommand takes kernel settings, no function or dataclass takes a
+    # cfg or a KernelConfig (in the kernel module a private helper may:
+    # _cheb_coef takes _CONFIG as its cache key), and no function builds
+    # a KernelConfig
     from dirmoment import cli
     sub = next(a for a in cli._build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     for name, parser in sub.choices.items():
         for flag in ("--kernel-c", "--kernel-h", "--kernel-eps", "--x-zero"):
             assert flag not in parser._option_string_actions, (name, flag)
-    for m in ("lfunc", "spectra", "asymptotics", "checks"):
+    for m in SUBMODULES:
         mod = importlib.import_module(f"dirmoment.{m}")
-        for obj in vars(mod).values():
-            if getattr(obj, "__module__", None) != mod.__name__:
+        for name, obj in vars(mod).items():
+            if (getattr(obj, "__module__", None) != mod.__name__
+                    or m == "kernel" and name.startswith("_")):
                 continue
             if inspect.isfunction(obj):
-                assert "cfg" not in inspect.signature(obj).parameters, obj
+                params = [(p.name, p.annotation) for p in
+                          inspect.signature(obj).parameters.values()]
             elif dataclasses.is_dataclass(obj):
-                assert "cfg" not in {f.name for f in dataclasses.fields(obj)}, obj
+                params = [(f.name, f.type) for f in dataclasses.fields(obj)]
+            else:
+                continue
+            for arg, annotation in params:
+                assert arg != "cfg", (name, arg)
+                assert "KernelConfig" not in str(annotation), (name, arg)
+        tree = ast.parse(pathlib.Path(mod.__file__).read_text())
+        builds = [fn.name for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef)
+                  for node in ast.walk(fn) if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "KernelConfig"]
+        assert not builds, (m, builds)
 
 
 # every parameter with a default on a module-level function of the
 # package, as (module, function, parameter): the knob count
 KNOBS = {
     ("chargroup", "exact_primitive_char_sum", "parity"),
-    ("kernel", "w_eval_batch", "cfg"),
     ("lfunc", "kernel_weights", "head_only"),
     ("lfunc", "abc_values", "weights"),
     ("spectra", "fourth_moment", "weights"),
