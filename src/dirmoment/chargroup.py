@@ -22,8 +22,11 @@ whole label grid, and labels() is built from those grids.
 
 Exactness matters here because the character-sum identities (the primitive
 sum formula and the parity-restricted pair sum) are verified as identities
-in Z, via remainder arithmetic modulo cyclotomic polynomials, not to a
-floating tolerance.
+in Z, not to a floating tolerance: the enumerated side counts the
+characters' angles a mod N, N the group exponent, those counts are
+constant on each class of a with one gcd(a, N), and the a with
+gcd(a, N) = d are the primitive (N/d)-th roots of unity, which sum to
+mu(N/d).
 """
 
 from __future__ import annotations
@@ -66,9 +69,8 @@ class Component:
     of a character with exponent t on this factor.
     """
 
-    pe: int          # the prime power p^e
     order: int
-    gen: int         # generator of the factor mod pe, 1 mod q / pe
+    gen: int         # generator of the factor mod p^e, 1 mod q / p^e
     parity: np.ndarray     # int8, length order
     conductor: np.ndarray  # int32 (parts are <= p^e <= _MAX_Q), length order
 
@@ -285,7 +287,7 @@ def _component(q: int, p: int, e: int, base: int, order: int,
     conductor[0] = 1  # t = 0: the character is trivial on this factor
     m = q // pe
     lift = gen + pe * ((1 - gen) * pow(pe, -1, m) % m)
-    return Component(pe, order, lift, parity, conductor)
+    return Component(order, lift, parity, conductor)
 
 
 def build_group(q: int) -> CharacterGroup:
@@ -330,14 +332,11 @@ def gauss_sum(G: CharacterGroup, chi: CharacterLabel) -> complex:
     """tau(chi) = sum over a mod q of chi(a) e(a/q)."""
     q = G.q
     N = G.exponent
-    re: list[float] = []
-    im: list[float] = []
-    for a, num in zip(G.unit_residues().tolist(), G.angle_nums(chi).tolist()):
-        # combine both phases exactly before the single complex exponential
-        z = root_of_unity((num * q + a * N) % (N * q), N * q)
-        re.append(z.real)
-        im.append(z.imag)
-    return complex(math.fsum(re), math.fsum(im))
+    # combine both phases exactly before the single complex exponential;
+    # the products stay below q^2 <= _MAX_Q^2, inside int64
+    nums = (G.angle_nums(chi) * q + G.unit_residues() * N) % (N * q)
+    z = np.exp(2j * math.pi * (nums / (N * q)))
+    return complex(math.fsum(z.real), math.fsum(z.imag))
 
 
 @lru_cache(maxsize=64)
@@ -380,76 +379,28 @@ def signed_sum_eq21(q: int, m: int, n: int, parity: int) -> Fraction:
     return Fraction(s1 + sign * s2, 2)
 
 
-# ---------------------------------------------------------------------------
-# exact sums of roots of unity (for identity checks in Z)
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic(n: int) -> tuple[int, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, low degree first."""
-    poly = [1]
-    # Phi_n(x) = prod over d | n of (x^(n/d) - 1)^mu(d)
-    denoms = []
-    for d in divisors(n):
-        mu = mobius(d)
-        if mu == 1:
-            poly = _poly_mul_xk_minus_1(poly, n // d)
-        elif mu == -1:
-            denoms.append(n // d)
-    for k in denoms:
-        poly = _poly_div_xk_minus_1(poly, k)
-    return tuple(poly)
-
-
-def _poly_mul_xk_minus_1(poly: list[int], k: int) -> list[int]:
-    out = [0] * (len(poly) + k)
-    for i, c in enumerate(poly):
-        out[i + k] += c
-        out[i] -= c
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _poly_div_xk_minus_1(poly: list[int], k: int) -> list[int]:
-    # exact division by x^k - 1
-    rem = list(poly)
-    out = [0] * max(len(rem) - k, 1)
-    for i in range(len(rem) - 1, k - 1, -1):
-        c = rem[i]
-        if c:
-            out[i - k] = c
-            rem[i] = 0
-            rem[i - k] += c
-    if any(rem[k:]) or any(rem[:k]):
-        raise ArithmeticError("inexact cyclotomic division")  # pragma: no cover
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def exact_root_of_unity_sum(counts: Sequence[int]) -> Optional[int]:
-    """Exact value of sum_a counts[a] * e(a/N), N = len(counts), when that
-    value is a rational integer; None when it is not.
+    """Exact value of sum_a counts[a] * e(a/N), N = len(counts), when the
+    counts are constant on each class of exponents a with one gcd(a, N)
+    (gcd(0, N) = N); None when they vary inside a class.
 
-    Reduces the count polynomial modulo the N-th cyclotomic polynomial over
-    Z, so the verdict involves no floating point at all.
+    The a with gcd(a, N) = d are the primitive (N/d)-th roots of unity,
+    which sum to mu(N/d) (Ramanujan's sum c_{N/d}(1)), so a class-constant
+    sum is sum over d | N of c_d mu(N/d), an integer found with no floating
+    point.  A sum that is integral by cancellation across classes, such
+    as e(1/3) + e(5/6) = 0, gives None.
+
+    exact_primitive_char_sum meets the contract: for k prime to N,
+    chi -> chi^k permutes the primitive characters of each parity and
+    sends the numerator n of chi(u) to k n mod N, so its counts are
+    constant on each class.
     """
     N = len(counts)
-    if N == 0:
-        return 0
-    phi = _cyclotomic(N)
-    dphi = len(phi) - 1
-    rem = [int(c) for c in counts]
-    for deg in range(len(rem) - 1, dphi - 1, -1):
-        c = rem[deg]
-        if c:
-            off = deg - dphi
-            for j, pc in enumerate(phi):
-                rem[off + j] -= c * pc
-    if any(rem[1:]):
-        return None
-    return rem[0]
+    by_gcd: dict[int, int] = {}
+    for a, c in enumerate(counts):
+        if by_gcd.setdefault(math.gcd(a, N), c) != c:
+            return None
+    return sum(c * mobius(N // d) for d, c in by_gcd.items())
 
 
 def exact_primitive_char_sum(G: CharacterGroup, u: int,

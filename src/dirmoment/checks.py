@@ -1,12 +1,15 @@
 """Verification sweeps shared by `verify-identities`, `verify-bounds` and
 the acceptance tests.
 
-Each family is one function returning a SweepResult: the family name,
-the number of checks, one dict per failed check (the JSON the CLI
-emits), and the worst measured value in the family's own unit, stated
-in each docstring.  The exact families compare integers in the
-cyclotomic ring; there `worst` is the largest |enumerated - formula|,
-0 when every case is exact.
+Each family is one function returning a SweepResult: the number of
+checks, one dict per failed check (the JSON the CLI emits), and the
+worst measured value in the family's own unit, stated in each
+docstring.  The exact families compare integers: the enumerated side
+is a sum of roots of unity found exactly from the Moebius function
+(chargroup.exact_root_of_unity_sum), or None when its angle counts
+vary inside a gcd class, which only a wrong group table produces;
+there `worst` is the largest |enumerated - formula|, inf for None, 0
+when every case is exact.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ LEMMA5_BANDS = {1: (1.70, 1.72), 6: (2.50, 2.52), 30: (2.86, 2.88)}
 
 @dataclass(frozen=True)
 class SweepResult:
-    family: str
     checks: int
     failures: list
     worst: float
@@ -42,8 +44,7 @@ class SweepResult:
 
 def _sweep(cases):
     """Turn a generator of (measured value, failure dict or falsy), one
-    pair per check, into a function returning its SweepResult; the
-    family is the function's name."""
+    pair per check, into a function returning its SweepResult."""
     @functools.wraps(cases)
     def run(*args, **kwargs) -> SweepResult:
         failures, checks, worst = [], 0, 0.0
@@ -52,7 +53,7 @@ def _sweep(cases):
             worst = max(worst, value)
             if failure:
                 failures.append(failure)
-        return SweepResult(cases.__name__, checks, failures, worst)
+        return SweepResult(checks, failures, worst)
     return run
 
 

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirmoment import chargroup
+from dirmoment import chargroup, checks
 from dirmoment.arith import (coprime_mask, divisors, euler_phi, factorize,
-                             phi_star)
+                             mobius, phi_star)
 from dirmoment.chargroup import (_component, _powers,
                                  _primitive_root_mod_pe, build_group,
                                  exact_primitive_char_sum,
@@ -232,20 +232,31 @@ def test_exact_root_of_unity_sum_detects_integers():
     assert exact_root_of_unity_sum([5]) == 5
 
 
-@given(st.integers(2, 30), st.lists(st.integers(0, 5), min_size=1,
-                                    max_size=30))
+@given(st.integers(1, 40), st.data())
 @settings(max_examples=200, deadline=None)
-def test_exact_sum_agrees_with_float(den, counts):
-    counts = (counts + [0] * den)[:den]
+def test_exact_sum_agrees_with_float(den, data):
+    # counts drawn as one value per class of exponents a with one
+    # gcd(a, den): the sum is sum over d | den of c_d mu(den/d), and the
+    # float sum agrees; one entry changed in a class of two or more
+    # members gives None
+    per_class = {d: data.draw(st.integers(0, 5)) for d in divisors(den)}
+    counts = [per_class[math.gcd(a, den)] for a in range(den)]
     got = exact_root_of_unity_sum(counts)
+    assert got == sum(c * mobius(den // d) for d, c in per_class.items())
     approx = sum(c * cmath.exp(2j * cmath.pi * k / den)
                  for k, c in enumerate(counts))
-    if got is None:
-        # not an integer: float value must be visibly non-integral
-        assert (abs(approx.imag) > 1e-9
-                or abs(approx.real - round(approx.real)) > 1e-9)
-    else:
-        assert abs(approx - got) < 1e-9
+    assert abs(approx - got) < 1e-9
+    shared = [a for a in range(den) if euler_phi(den // math.gcd(a, den)) > 1]
+    if shared:
+        a = data.draw(st.sampled_from(shared))
+        counts[a] += data.draw(st.sampled_from([-1, 1]))
+        assert exact_root_of_unity_sum(counts) is None
+
+
+def test_exact_sum_rejects_cancellation_across_classes():
+    # e(1/3) + e(5/6) = 0, but exponent 2 counts once in the class
+    # {2, 4} and exponent 5 once in the class {1, 5}
+    assert exact_root_of_unity_sum([0, 0, 1, 0, 0, 1]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +298,28 @@ def test_primitive_char_sum_counts_match_angle_num_loop(monkeypatch):
                         want[angle_ref(G, chi, u)] += 1
                 assert exact_primitive_char_sum(G, u, parity) == want, (
                     q, u, parity)
+
+
+@pytest.mark.parametrize("q, conductor, uneven", [(12, 1, False),
+                                                  (15, 5, True)])
+def test_primitive_sum_flags_a_misread_conductor(monkeypatch, q, conductor,
+                                                 uneven):
+    # one imprimitive character read as primitive: a real one (the
+    # trivial character mod 12) moves each enumerated sum by an integer;
+    # one with non-real values (order 4, conductor 5, mod 15) leaves the
+    # angle counts uneven on a gcd class, so the enumerated side is None
+    G = build_group(q)
+    k = next(k for k, chi in enumerate(G.labels())
+             if chi.conductor == conductor
+             and G.char_values(chi).imag.any() == uneven)
+    misread = G.conductor_grid().copy()
+    misread[k] = q
+    real = chargroup.CharacterGroup.conductor_grid
+    monkeypatch.setattr(chargroup.CharacterGroup, "conductor_grid",
+                        lambda G: misread if G.q == q else real(G))
+    r = checks.primitive_sum(q)
+    assert r.failures and {f["q"] for f in r.failures} == {q}
+    assert any(f["enumerated"] is None for f in r.failures) == uneven
 
 
 def test_signed_pair_sum_exact():

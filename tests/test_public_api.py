@@ -38,7 +38,9 @@ def test_removed_names_are_gone():
     # map from the label grid to the residues
     # (CharacterGroup.unit_residues, from the generators' powers);
     # factorize returns its (p, e) pairs, the transform's exact-angle
-    # oracle lives with the tests (scalar_ref.exact_transform)
+    # oracle lives with the tests (scalar_ref.exact_transform), and exact
+    # root-of-unity sums go by the Moebius function, not by division by
+    # cyclotomic polynomials
     mods = [dirmoment, *(importlib.import_module(f"dirmoment.{m}")
                          for m in SUBMODULES)]
     for gone in ("all_char_sums", "weight_table", "ResidueWeightTable",
@@ -50,7 +52,9 @@ def test_removed_names_are_gone():
                  "MainTermBreakdown", "_repar_parts", "_FLUSH",
                  "_unit_abs_sum", "_dlog_table", "_dlog_tables_2e",
                  "w_eval", "w_series", "_MAX_REFINE", "hurwitz_zeta",
-                 "char_eval", "Factorization", "_exact_transform"):
+                 "char_eval", "Factorization", "_exact_transform",
+                 "_cyclotomic", "_poly_mul_xk_minus_1",
+                 "_poly_div_xk_minus_1"):
         assert not [m.__name__ for m in mods if hasattr(m, gone)], gone
     # the pair tables scatter at b a^-1 and symmetrize on the label grid,
     # so the group keeps no q-length table of inverses; a character is
@@ -210,7 +214,6 @@ def test_knobs_are_listed():
 # its arrays, tuples or read-only maps for the life of the process
 CACHES = {
     ("chargroup", "_phi_mu_sums", 64),
-    ("chargroup", "_cyclotomic", None),
     ("kernel", "_nodes", 64),
     ("kernel", "_cheb_coef", 64),
     ("lfunc", "_hurwitz_cheb", 1),
