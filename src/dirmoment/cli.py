@@ -280,7 +280,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--char", type=int, required=True,
                    help="character index in [0, phi(q)), lexicographic over "
-                        "component exponents")
+                        "component exponents (an odd p^e's cyclic group "
+                        "split into coprime factors, Good-Thomas)")
     p.add_argument("--no-oracle", action="store_true",
                    help="skip the Hurwitz-zeta cross-check")
     _add_common(p)

@@ -21,10 +21,8 @@ order, the order every reader of a table takes.
 group_transform evaluates two real tables f, g over the units in label
 order (entry k at G.unit_residues()[k], as _table returns them)
 against every character at once by one complex FFT of f + i g, unpacked
-through Z(chibar).  The FFT runs over the CRT exponent grid with each
-axis split by Good-Thomas into coprime sub-axes (_sub_axes: the prime
-powers of large primes each on their own), permuted in by the input maps
-of _axis_maps; one gather per split axis puts the output in label order.
+through Z(chibar).  The FFT runs over the label grid as it stands: the
+group's components are short coprime axes already (chargroup._sub_axes).
 The tests hold it against an exact-angle DFT on the label axes
 (tests/scalar_ref.py).
 
@@ -70,25 +68,12 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import factorize, phi_star, two_pow_omega
+from .arith import phi_star, two_pow_omega
 from .asymptotics import theorem_main_term
 from .chargroup import CharacterGroup, build_group
 from .lfunc import (_MAX_TABLE_PAIRS, KernelWeights, _check_pair_count,
                     _coprime_pair_chunks, _hurwitz_at, _resolve_weights,
                     kernel_weights, truncation_bound)
-
-# Primes of an axis order above this get sub-axes of their own in
-# group_transform (Good-Thomas); the small primes stay on one axis.
-# pocketfft is slow on a length with a large prime factor, and an extra
-# axis costs about 15 us of fftn overhead.  Over the orders d = 300..6000
-# whose largest prime power p^e < d has p > 20 (random data, 2 vCPUs),
-# splitting p^e off beat the 1-D FFT in 0 of 317 cases with p <= 50, 5
-# of 261 with 50 < p <= 100, 220 of 283 with 100 < p <= 200 and 577 of
-# 579 with p > 200.  1-D against split: 2.4 against 1.3 ms at 2 * 5003,
-# 0.70 against 0.43 ms at 2^3 3^2 139, and 12.4 against 0.87 s at
-# 2 * 3^2 * 157 * 2477.
-_SPLIT_PRIME = 100
-
 
 def _fft_eps(phi: int) -> float:
     """Normwise relative error bound of a float64 FFT over phi points,
@@ -175,42 +160,6 @@ def _negated(G: CharacterGroup, x: np.ndarray) -> np.ndarray:
     return x.ravel()
 
 
-def _sub_axes(d: int) -> tuple[int, ...]:
-    """The coprime factors of an axis of order d >= 1 that the FFT
-    transforms as axes of their own: each prime power p^e of d with
-    p > _SPLIT_PRIME, and the product of the other prime powers; (d,)
-    when there is no such prime."""
-    split = [p**e for p, e in factorize(d) if p > _SPLIT_PRIME]
-    rest = d // math.prod(split)
-    return (rest, *split) if rest > 1 or not split else tuple(split)
-
-
-def _axis_maps(n: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Good-Thomas maps of a cyclic axis of order d = n_1 ... n_k, the n_j
-    pairwise coprime (_sub_axes), over the d positions s = (s_1, ..., s_k)
-    of its sub-grid in C order:
-
-      - e_of[s] = sum_j s_j d / n_j mod d, the exponent of the unit that
-        sits at s in the input, and
-      - pos_of[t] = the s with s_j = t mod n_j, where the character t
-        sits in the output; each s_j is periodic in t, so pos_of is a sum
-        of tiled ranges.
-
-    Then sum_j s_j s'_j / n_j = t e_of[s] / d mod 1 at s' = pos_of[t], so
-    the FFT over the sub-axes is the DFT over the axis.
-    """
-    d = math.prod(n)
-    e_of = np.zeros(1, dtype=np.int64)
-    pos_of = np.zeros(d, dtype=np.int64)
-    stride = d
-    for nj in n:
-        stride //= nj
-        e_of = np.add.outer(e_of, np.arange(0, d, d // nj)).ravel()
-        np.subtract(e_of, d, out=e_of, where=e_of >= d)
-        pos_of += np.tile(np.arange(0, nj * stride, stride), d // nj)
-    return e_of, pos_of
-
-
 def group_transform(G: CharacterGroup, f: np.ndarray, g: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
     """sum_u chi(u) f(u) and sum_u chi(u) g(u) for every character chi mod
@@ -218,12 +167,10 @@ def group_transform(G: CharacterGroup, f: np.ndarray, g: np.ndarray
     units in label order (entry k is the value at G.unit_residues()[k]),
     by one complex FFT of f + i g.
 
-    The FFT runs over the sub-axes _sub_axes gives each CRT axis: the
-    input maps of _axis_maps permute f + i g into that grid, and the
-    output maps put the result back in label order, one gather per split
-    axis.  With Z the FFT, the transforms are (conj Z(chi) + Z(chibar)) / 2
-    and i (conj Z(chi) - Z(chibar)) / 2, f and g being real; chibar has
-    the exponents -t, read on each label axis by a gather at -t.
+    The FFT runs over the label axes, G.orders.  With Z the FFT, the
+    transforms are (conj Z(chi) + Z(chibar)) / 2 and
+    i (conj Z(chi) - Z(chibar)) / 2, f and g being real; chibar has the
+    exponents -t, read on each label axis by a gather at -t.
 
     Returns two complex arrays over the full label grid in lexicographic
     exponent order (label k, G.label_at(k), at position k).  The
@@ -231,16 +178,9 @@ def group_transform(G: CharacterGroup, f: np.ndarray, g: np.ndarray
     values on the characters of that parity.
     """
     shape = G.orders or (1,)
-    subs = [_sub_axes(d) for d in shape]
-    split = [(axis, _axis_maps(n)) for axis, n in enumerate(subs)
-             if len(n) > 1]
     z = np.empty(shape, dtype=np.complex128)
     z.real, z.imag = f.reshape(shape), g.reshape(shape)
-    for axis, (e_of, _) in split:
-        z = np.take(z, e_of, axis)
-    z = np.fft.fftn(z.reshape([nj for n in subs for nj in n])).reshape(shape)
-    for axis, (_, pos_of) in split:
-        z = np.take(z, pos_of, axis)
+    z = np.fft.fftn(z)
     z, zn = z.ravel(), _negated(G, z)  # chibar: exponents -t
     np.conj(z, out=z)
     x_f = z + zn

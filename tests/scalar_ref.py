@@ -53,7 +53,7 @@ def char_ref(G, chi, n):
 
 
 def exact_transform(G, f):
-    """spectra.group_transform's oracle for one label-order table: per CRT
+    """spectra.group_transform's oracle for one label-order table: per label
     axis of order d, one DFT matrix roots[(e t) mod d] with
     roots[k] = e(k / d), so every angle comes from an exactly reduced
     integer; applied axis by axis over the label grid with tensordot."""

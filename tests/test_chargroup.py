@@ -12,7 +12,8 @@ from dirmoment import chargroup, checks
 from dirmoment.arith import (coprime_mask, divisors, euler_phi, factorize,
                              mobius, phi_star)
 from dirmoment.chargroup import (_component, _powers,
-                                 _primitive_root_mod_pe, build_group,
+                                 _primitive_root_mod_pe, _sub_axes,
+                                 build_group,
                                  exact_primitive_char_sum,
                                  exact_root_of_unity_sum, gauss_sum,
                                  primitive_sum_lemma1,
@@ -470,7 +471,9 @@ def test_inverse_table_exact(q):
 def _axis_residues(q):
     # per label axis, in the order of the group's axes: (p^e, f) with
     # f(t) the residue mod p^e of the axis generator to the power t, from
-    # Python pow alone; the 2^e pair as (-1)^s and 5^j
+    # Python pow alone; the 2^e pair as (-1)^s and 5^j, and an odd p^e as
+    # one axis per order n in _sub_axes(d), generated by g^(d/n), with g
+    # the primitive root and d = p^(e-1)(p-1)
     axes = []
     for p, e in factorize(q):
         pe = p ** e
@@ -480,19 +483,22 @@ def _axis_residues(q):
             axes.append((pe, lambda s, pe=pe: (-1) ** s % pe))
             axes.append((pe, lambda j, pe=pe: pow(5, j, pe)))
         elif p > 2:
-            g = _primitive_root_mod_pe(p, e)
-            axes.append((pe, lambda t, g=g, pe=pe: pow(g, t, pe)))
+            g, d = _primitive_root_mod_pe(p, e), pe // p * (p - 1)
+            for n in _sub_axes(d):
+                axes.append((pe, lambda t, h=pow(g, d // n, pe), pe=pe:
+                             pow(h, t, pe)))
     return axes
 
 
 @pytest.mark.parametrize(
-    "q", [1, 2, 4, 8, 12, 15, 16, 24, 45, 97, 384, 1009])
+    "q", [1, 2, 4, 8, 12, 15, 16, 24, 45, 97, 384, 1009, 2999, 8997, 10201])
 def test_unit_residues_in_label_order(q):
     # each unit once, and entry k has the exponents of label k: its residue
     # mod each p^e is the axis generator's power, read off with Python
     # pow, not through the group's own maps; q = 4 has the mod-4 axis, 8,
     # 16, 24 and 384 the sign and <5> pair, whose product (-1)^s 5^j is
-    # checked mod 2^e
+    # checked mod 2^e; 2999 and 8997 = 3 * 2999 split 2998 into 2 * 1499,
+    # and 10201 = 101^2 splits 10100 into 100 and the p-power axis 101
     G = build_group(q)
     res = G.unit_residues()
     assert res.dtype == np.int64 and not res.flags.writeable
@@ -506,6 +512,47 @@ def test_unit_residues_in_label_order(q):
         for (pe, f), t in zip(axes, chi.exponents):
             want[pe] = want.get(pe, 1) * f(t) % pe
         assert all(u % pe == w for pe, w in want.items()), (q, k)
+
+
+@pytest.mark.parametrize("q", [2999, 10201])
+def test_split_labels_are_the_cyclic_exponent_mod_each_order(q):
+    # mod a prime power with primitive root g and group order d, the
+    # character chi_t(g^k) = e(t k / d) of the one cyclic axis has the
+    # label (t mod n_j)_j on the Good-Thomas components: its angles and
+    # values at every unit g^k are those of e(t k / d), exactly
+    G = build_group(q)
+    ((p, e),) = factorize(q)
+    g, d = _primitive_root_mod_pe(p, e), G.group_order
+    assert len(G.orders) == 2 and math.prod(G.orders) == d
+    k = np.arange(d)
+    at = G.residue_labels()[[pow(g, int(j), q) for j in k]]
+    rng = np.random.default_rng(q)
+    for t in [0, 1, d // 2, d - 1, *rng.integers(0, d, 12).tolist()]:
+        chi = G.label([t % n for n in G.orders])
+        want = t * k % d
+        assert G.angle_nums(chi)[at].tolist() == want.tolist(), t
+        assert G.char_values(chi)[at].tolist() == [
+            root_of_unity(int(a), d) for a in want], t
+
+
+def test_split_prime_power_classification():
+    # 10201 = 101^2: the order-100 component carries the parity and the
+    # conductor part 101, the order-101 one the part 101^2; the primitive
+    # count is phi*(q), and conductor_grid agrees with brute force on
+    # labels of each conductor and on a random sample
+    q = 10201
+    G = build_group(q)
+    assert G.orders == (100, 101)
+    cond = G.conductor_grid()
+    assert int(np.sum(cond == q)) == phi_star(q)
+    rng = np.random.default_rng(0)
+    sample = [0, 1, 50, 101, 2 * 101 + 7, *rng.integers(0, G.group_order,
+                                                         6).tolist()]
+    assert {int(cond[i]) for i in sample} == {1, 101, q}
+    for i in sample:
+        chi = G.label_at(i)
+        assert cond[i] == chi.conductor == brute_conductor(G, chi), i
+        assert G.parity_grid()[i] == chi.parity == brute_parity(G, chi), i
 
 
 def test_grid_flat_index_is_gone():

@@ -40,7 +40,8 @@ def test_removed_names_are_gone():
     # factorize returns its (p, e) pairs, the transform's exact-angle
     # oracle lives with the tests (scalar_ref.exact_transform), and exact
     # root-of-unity sums go by the Moebius function, not by division by
-    # cyclotomic polynomials
+    # cyclotomic polynomials; the group's components are the FFT's axes,
+    # so the transform keeps no Good-Thomas index maps
     mods = [dirmoment, *(importlib.import_module(f"dirmoment.{m}")
                          for m in SUBMODULES)]
     for gone in ("all_char_sums", "weight_table", "ResidueWeightTable",
@@ -54,7 +55,7 @@ def test_removed_names_are_gone():
                  "w_eval", "w_series", "_MAX_REFINE", "hurwitz_zeta",
                  "char_eval", "Factorization", "_exact_transform",
                  "_cyclotomic", "_poly_mul_xk_minus_1",
-                 "_poly_div_xk_minus_1"):
+                 "_poly_div_xk_minus_1", "_axis_maps"):
         assert not [m.__name__ for m in mods if hasattr(m, gone)], gone
     # the pair tables scatter at b a^-1 and symmetrize on the label grid,
     # so the group keeps no q-length table of inverses; a character is

@@ -328,19 +328,20 @@ def _hurwitz_and_head(q):
     return G, (_hurwitz_half(q)[units], _table(G, kw, 0, kw.z_floor))
 
 
-@pytest.mark.parametrize("split_prime", [spectra._SPLIT_PRIME, 1])
+@pytest.mark.parametrize("split_prime", [chargroup._SPLIT_PRIME, 1])
 @pytest.mark.parametrize("q", [1009, 2992, 2999, 1024, 8997, 15015, 255255])
 def test_packed_transform_matches_exact_angle(q, split_prime, monkeypatch):
     # each output of the one packed FFT against the exact-angle transform
     # of its own table, on a split axis (2999 and 8997 = 3 * 2999), the
     # <-1>/<5> axes (2992, 1024) and many axes (15015, 255255).  With
-    # _SPLIT_PRIME = 1 every prime power of an axis order is a sub-axis of
-    # its own (up to three per axis here), which tests the Good-Thomas maps
-    # at sizes the exact oracle can hold.  The Hurwitz table's sum of |hz|
+    # _SPLIT_PRIME = 1 every prime power of the order mod an odd p^e is a
+    # component of its own (up to three per prime power here), which tests
+    # the Good-Thomas split at sizes the exact oracle can hold.  The
+    # Hurwitz table's sum of |hz|
     # is 10^2 to 10^4 times the B table's, so cross-talk between the two
     # would show in B; the bound is the FFT's rounding over the packed
     # input, eps_fft * sum_u (|hz(u)| + |T(u)|)
-    monkeypatch.setattr(spectra, "_SPLIT_PRIME", split_prime)
+    monkeypatch.setattr(chargroup, "_SPLIT_PRIME", split_prime)
     G, tables = _hurwitz_and_head(q)
     scale = _fft_eps(G.group_order) * sum(
         float(np.abs(t).sum()) for t in tables)
@@ -471,6 +472,36 @@ def test_spectrum_b_moment_is_fourth_moment_b_moment(q):
     b = spec.b_values[spec.primitive]
     want = fourth_moment(q).b_moment
     assert abs(float(np.sum(b ** 2)) - want) <= 1e-13 * want
+
+
+# Frozen regression values: fourth_moment's fields as computed before the
+# group's odd prime powers were split into Good-Thomas components, printed
+# with %.17g.  10201 = 101^2 splits into axes 100 and 101, and 1000003
+# into 2 and 500001; 1000003 also has pair-table index products b a^-1
+# past 2^31.  Only the order of the sums over characters may move them.
+FROZEN_MOMENTS = {
+    10201: {"fourth_moment": 3094949.4767455533,
+            "b_moment": 770443.78105917084,
+            "c_moment_primitive": 19.062787185397646,
+            "cross_term": 1637.2626700161352,
+            "ratio": 0.87573771915918674},
+    1000003: {"fourth_moment": 1639668294.691251,
+              "b_moment": 408870709.92227352,
+              "c_moment_primitive": 3428.2132389402695,
+              "cross_term": 521467.76865015697,
+              "ratio": 0.8884211919197782},
+}
+
+
+@pytest.mark.parametrize("q", sorted(FROZEN_MOMENTS))
+def test_moment_matches_frozen_values(q):
+    # byte comparisons of reruns cannot see a result that is wrong the
+    # same way every run (an index product wrapped in int32 moves b_moment
+    # by 5% at 1000003); these values can
+    rep = fourth_moment(q)
+    for field, want in FROZEN_MOMENTS[q].items():
+        got = getattr(rep, field)
+        assert abs(got - want) <= 1e-12 * abs(want), (field, got, want)
 
 
 def test_moment_at_q1_is_zeta_fourth_power():
