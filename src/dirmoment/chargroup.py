@@ -314,6 +314,16 @@ def _component(q: int, p: int, e: int, base: int, order: int,
     return Component(order, lift, parity, conductor)
 
 
+def _check_modulus(q: int) -> int:
+    """q as an int if build_group takes it (1 <= q <= _MAX_Q)."""
+    if not isinstance(q, (int, np.integer)) or q < 1:
+        raise ValueError(f"modulus must be a positive integer, got {q}")
+    if q > _MAX_Q:
+        raise ValueError(f"modulus {q} exceeds the residue table memory "
+                         f"budget (q <= {_MAX_Q})")
+    return int(q)
+
+
 def build_group(q: int) -> CharacterGroup:
     """Construct the character group mod q from its CRT generators.
 
@@ -322,13 +332,7 @@ def build_group(q: int) -> CharacterGroup:
     generated by g^(d/n) (Good-Thomas): the character e(t s / d) at g^s
     has the exponents t mod n, and g^s the exponents s (d/n)^-1 mod n.
     """
-    if not isinstance(q, (int, np.integer)) or q < 1:
-        raise ValueError(f"modulus must be a positive integer, got {q}")
-    q = int(q)
-    if q > _MAX_Q:
-        raise ValueError(
-            f"modulus {q} exceeds the residue table memory budget"
-            f" (q <= {_MAX_Q})")
+    q = _check_modulus(q)
     comps: list[Component] = []
     for p, e in factorize(q):
         pe = p**e

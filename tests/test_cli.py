@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from dirmoment import chargroup, cli, kernel, lfunc
+from dirmoment import chargroup, cli, kernel, lfunc, spectra
 from dirmoment.numerics import fmt_float
-from dirmoment.spectra import tail_moment_all
+from dirmoment.spectra import fourth_moment, tail_moment_all
 
-HEADER = "q,phi_star,moment,main_term,ratio,b_moment,c_moment,E_measured,wall_ms"
+HEADER = ("q,phi_star,moment,main_term,ratio,b_moment,c_moment_primitive,"
+          "E_measured,wall_ms")
 
 
 def run(capsys, *argv):
@@ -192,20 +193,50 @@ def test_value_cost_cap_refuses_before_any_table(monkeypatch, capsys):
     assert "naive pair enumeration" in capsys.readouterr().err
 
 
-def test_scan_and_tail_cost_cap_refuse_before_any_table(monkeypatch, capsys):
-    # the C tables of q = 2500009 are over the table-build cap: scan exits
-    # 2 and tail_moment_all raises before the kernel table, the group or
-    # the moment of any row is built
+def test_tail_cost_cap_refuses_before_any_table(monkeypatch):
+    # the C table of q = 2500009 is over the table-build cap:
+    # tail_moment_all raises before the kernel table or the group is built
     def no_table(*args, **kwargs):
         pytest.fail("kernel_weights called past the cost cap")
     monkeypatch.setattr(lfunc, "kernel_weights", no_table)
-    monkeypatch.setattr(cli, "kernel_weights", no_table)
-    with pytest.raises(SystemExit) as e:
-        cli.main(["scan", "--qmin", "2500009", "--qmax", "2500009"])
-    assert e.value.code == 2
-    assert "over the cost cap" in capsys.readouterr().err
     with pytest.raises(ValueError, match="over the cost cap"):
         tail_moment_all(2500009)
+
+
+def test_scan_over_the_modulus_cap_is_exit_2_before_any_row(monkeypatch,
+                                                            capsys):
+    # --qmax over the group's range: exit 2 with build_group's message,
+    # before the kernel table of the first row (q = 3) is built
+    def no_table(*args, **kwargs):
+        pytest.fail("kernel_weights called past the modulus cap")
+    monkeypatch.setattr(cli, "kernel_weights", no_table)
+    with pytest.raises(SystemExit) as e:
+        cli.main(["scan", "--qmin", "3", "--qmax", "20000001"])
+    assert e.value.code == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == (
+        "dirmoment: error: ValueError: modulus 20000001 exceeds the residue"
+        f" table memory budget (q <= {chargroup._MAX_Q})\n")
+
+
+def test_scan_rows_read_a_head_only_table(monkeypatch, capsys):
+    # every row builds the kernel table up to z_floor only, and no row
+    # builds the smoothed tail table
+    calls = []
+
+    def head_only(q, **kwargs):
+        assert kwargs == {"head_only": True}, (q, kwargs)
+        calls.append(q)
+        return lfunc.kernel_weights(q, **kwargs)
+
+    def no_tail(*args, **kwargs):
+        pytest.fail("scan built the tail table")
+    monkeypatch.setattr(cli, "kernel_weights", head_only)
+    monkeypatch.setattr(spectra, "tail_moment_all", no_tail)
+    assert cli.main(["scan", "--qmin", "2990", "--qmax", "2999"]) == 0
+    assert calls == list(range(2990, 3000))
+    assert len(capsys.readouterr().out.splitlines()) == 11
 
 
 def test_scan_warns_on_nan_ratio(capsys):
@@ -240,8 +271,8 @@ def test_scan_deterministic_across_threads(tmp_path, capsys):
 
 @pytest.mark.parametrize("q", [1009, 2999, 10007])
 def test_moment_and_scan_print_the_same_digits(q, tmp_path, capsys):
-    # moment reads a head-only kernel table and scan a full one; the head
-    # values are the same floats, so the shared columns print alike
+    # both commands read a head-only kernel table and one moment report,
+    # so the shared columns print alike
     rc, out = run(capsys, "moment", "--q", str(q))
     assert rc == 0
     doc = json.loads(out)
@@ -251,7 +282,8 @@ def test_moment_and_scan_print_the_same_digits(q, tmp_path, capsys):
     row = dict(zip(HEADER.split(","), f.read_text().split("\n")[1].split(",")))
     assert row["phi_star"] == str(doc["phi_star"])
     for col, key in (("moment", "fourth_moment"), ("main_term", "main_term"),
-                     ("ratio", "ratio"), ("b_moment", "b_moment")):
+                     ("ratio", "ratio"), ("b_moment", "b_moment"),
+                     ("c_moment_primitive", "c_moment_primitive")):
         assert row[col] == fmt_float(doc[key]), col
 
 
@@ -264,8 +296,8 @@ def test_scan_row_values_roundtrip(tmp_path):
     assert float(row[4]) == moment / main
     # E_measured = b_moment - diagonal: finite and small at q = 5
     assert abs(float(row[7])) < 1.0
-    # c_moment sums C^2 over every character mod q
-    assert row[6] == fmt_float(tail_moment_all(5))
+    # c_moment_primitive sums C^2 over the primitive characters mod q
+    assert row[6] == fmt_float(fourth_moment(5).c_moment_primitive)
 
 
 def test_kernel_table_csv(tmp_path):
