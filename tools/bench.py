@@ -117,18 +117,14 @@ def _tier1(tree: str) -> dict:
     return d
 
 
-def _entries() -> list[tuple[str, object]]:
-    """(name, tree -> dict) for each entry, in the order they run."""
-    ents: list[tuple[str, object]] = [
-        (f"fourth_moment/{q}",
-         lambda t, q=q: _child(t, _MOMENT.format(q=q))) for q in MOMENT_QS]
-    ents += [(f"scan/{lo}-{hi}" if lo != hi else f"scan/{lo}",
-              lambda t, lo=lo, hi=hi: _child(t, _SCAN.format(qmin=lo,
-                                                             qmax=hi)))
-             for lo, hi in ((3, 50), (999983, 999983))]
-    ents.append(("moment_primes", lambda t: _child(t, _PRIMES)))
-    ents.append(("import_cli", lambda t: _child(t, _IMPORT)))
-    ents.append(("tier1", _tier1))
+def _entries() -> list[tuple[str, str | None]]:
+    """(name, child code) for each entry, in the order they run; Tier-1
+    has no child code of its own."""
+    ents = [(f"fourth_moment/{q}", _MOMENT.format(q=q)) for q in MOMENT_QS]
+    ents += [("scan/3-50", _SCAN.format(qmin=3, qmax=50)),
+             ("scan/999983", _SCAN.format(qmin=999983, qmax=999983)),
+             ("moment_primes", _PRIMES), ("import_cli", _IMPORT),
+             ("tier1", None)]
     return ents
 
 
@@ -177,10 +173,11 @@ def main(argv=None) -> int:
     samples = {(tree, name): [] for tree, _ in targets
                for name, _ in entries}
     for r in range(args.runs):
-        for i, (name, run) in enumerate(entries):
+        for i, (name, code) in enumerate(entries):
             order = targets if (r + i) % 2 == 0 else targets[::-1]
             for tree, _ in order:
-                samples[tree, name].append(run(tree))
+                samples[tree, name].append(
+                    _tier1(tree) if code is None else _child(tree, code))
                 print(f"run {r + 1}/{args.runs} {name} {tree}",
                       file=sys.stderr)
     for tree, out in targets:
