@@ -129,6 +129,12 @@ _CHEB_PIECES = 4
 _PHASE_BLOCK = 32  # node phases per complex exp in _quad_points
 
 
+def _check_parity(a: int) -> int:
+    if a not in (0, 1):
+        raise ValueError(f"parity a must be 0 or 1, got {a}")
+    return int(a)
+
+
 # B_2k / (2k (2k - 1)), k = 1..8: the Stirling series of log Gamma
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
              -691 / 360360, 1 / 156, -3617 / 122400)
@@ -229,9 +235,7 @@ def w_eval_batch(a: int, xs: np.ndarray) -> np.ndarray:
     rounding: at x = pi/9999991 it is below 1e-13, and on the line c it
     would be 1.65e-10, above eps.
     """
-    if a not in (0, 1):
-        raise ValueError(f"parity a must be 0 or 1, got {a}")
-    a, cfg = int(a), _CONFIG
+    a, cfg = _check_parity(a), _CONFIG
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 1 or xs.size and not (
             xs[0] > 0 and xs[-1] < math.inf and np.all(xs[1:] >= xs[:-1])):

@@ -1,7 +1,7 @@
 """Write BENCH_<n>.json: dirmoment's fixed benchmark list, each entry run
-in fresh processes and summarized over several runs.
+in fresh processes and summarized over RUNS runs.
 
-    python tools/bench.py TREE=OUT.json [TREE=OUT.json ...] [--runs 3]
+    python tools/bench.py TREE=OUT.json [TREE=OUT.json ...]
 
 TREE is a checkout of this repository (its src/ is put on PYTHONPATH and
 Tier-1 runs in it); OUT is the JSON file written for it.  With two or
@@ -41,6 +41,7 @@ import time
 
 MOMENT_QS = (10007, 100003, 1000003, 4849845, 5000011, 7000003, 7000523,
              9699690, 9999047, 9999991)
+RUNS = 3  # runs of each entry per tree
 
 # child prologue: the peak RSS of this process in MiB, and a JSON printer
 _PEAK = """
@@ -162,26 +163,25 @@ def _environment(tree: str) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("pairs", nargs="+", metavar="TREE=OUT")
-    ap.add_argument("--runs", type=int, default=3)
     args = ap.parse_args(argv)
     targets = [p.split("=", 1) for p in args.pairs]
-    if args.runs < 1 or any(len(t) != 2 for t in targets):
-        ap.error("need --runs >= 1 and arguments of the form TREE=OUT")
+    if any(len(t) != 2 for t in targets):
+        ap.error("need arguments of the form TREE=OUT")
     for tree, _ in targets:
         _child(tree, _IMPORT)  # fill the bytecode cache before timing
     entries = _entries()
     samples = {(tree, name): [] for tree, _ in targets
                for name, _ in entries}
-    for r in range(args.runs):
+    for r in range(RUNS):
         for i, (name, code) in enumerate(entries):
             order = targets if (r + i) % 2 == 0 else targets[::-1]
             for tree, _ in order:
                 samples[tree, name].append(
                     _tier1(tree) if code is None else _child(tree, code))
-                print(f"run {r + 1}/{args.runs} {name} {tree}",
+                print(f"run {r + 1}/{RUNS} {name} {tree}",
                       file=sys.stderr)
     for tree, out in targets:
-        doc = {"environment": _environment(tree), "runs": args.runs,
+        doc = {"environment": _environment(tree), "runs": RUNS,
                "entries": {name: _summary(samples[tree, name])
                            for name, _ in entries}}
         with open(out, "w") as fh:
