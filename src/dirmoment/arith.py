@@ -4,7 +4,9 @@ Single-value functions (mobius, euler_phi, ...) are computed from the
 (p, e) pairs factorize returns, never by sieving, so there is one source
 of truth.  The sieves (prime_sieve, coprime_mask, omega_sieve) serve range
 scans, and omega_sieve is cross-checked against the single-value path in
-the tests.
+the tests.  Each sieve makes its Python-level steps over the primes up to
+sqrt(limit) or over the primes of q only; the work per step is one numpy
+strided slice.
 """
 
 from __future__ import annotations
@@ -141,8 +143,20 @@ def coprime_mask(q: int, n: int) -> np.ndarray:
 
 
 def omega_sieve(limit: int) -> np.ndarray:
-    """omega(n) for 0 <= n <= limit; omega(0) = omega(1) = 0."""
+    """omega(n) for 0 <= n <= limit; omega(0) = omega(1) = 0.
+
+    One strided step per prime p <= sqrt(limit): it counts p at its
+    multiples and divides it out of the residual rest[n] = n.  What is
+    left above 1 is a single prime above sqrt(limit), one count more.
+    rest is the smallest unsigned type that holds limit (uint32 below
+    2^32), which halves the divisions' memory traffic against int64."""
     out = np.zeros(limit + 1, dtype=np.uint8)
-    for p in prime_sieve(limit):
+    rest = np.arange(limit + 1, dtype=np.min_scalar_type(limit))
+    for p in prime_sieve(math.isqrt(max(limit, 0))).tolist():
         out[p::p] += 1
+        pk = p
+        while pk <= limit:
+            rest[pk::pk] //= p
+            pk *= p
+    out[2:] += rest[2:] > 1
     return out

@@ -122,16 +122,17 @@ def m_reparametrized(q: int, *,
     kw = _resolve_weights(q, weights, head_only=True)
     z = kw.z_floor
     cop = coprime_mask(q, z)
-    # s[a][n] = sum over coprime g with g^2 n <= z of kprod[a][g^2 n],
-    # each added from g = 1 upwards
+    # s[a, n] = sum over coprime g with g^2 n <= z of kprod[a, g^2 n],
+    # each added from g = 1 upwards, both parities in one strided slice
     s = np.zeros((2, z + 1))
     for g in np.flatnonzero(cop[1:math.isqrt(z) + 1]) + 1:
-        top = z // (g * g)
-        for kp, sa in zip(kw.kprod, s):
-            sa[1:top + 1] += kp[g * g:top * g * g + 1:g * g]
+        gg = g * g
+        top = z // gg
+        s[:, 1:top + 1] += kw.kprod[:, gg:top * gg + 1:gg]
     n = np.flatnonzero(cop[1:]) + 1
-    two_om = np.float64(2.0) ** omega_sieve(z)[n]
-    term = two_om * (s[0][n] * s[0][n] + s[1][n] * s[1][n])
+    sn = s[:, n]  # S gathered at n once; 2^omega(n) scales exactly
+    sn *= sn
+    term = np.ldexp(sn[0] + sn[1], omega_sieve(z)[n])
     return phi_star(q) / 2.0 * (_exact_sum(term, ())[0] / _EXACT_SCALE)
 
 

@@ -5,7 +5,9 @@ Subcommands:
                      times under --timings: group, hurwitz, kernel,
                      tables, transform, assemble)
   scan               moment sweep over a modulus range, CSV: each row reads
-                     the moment report, from a head-only kernel table
+                     the moment report, from a head-only kernel table; a
+                     row with no primitive character (phi* = 0, q = 2
+                     mod 4) builds no table and prints E_measured 0
   value              one character's central value, both pipelines
   verify-identities  exact character-sum identity checks, exit 1 on failure
   verify-bounds      measured-bound checks (lemmas, tails), exit 1 on failure
@@ -47,6 +49,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import checks
+from .arith import phi_star
 from .chargroup import _check_modulus, build_group
 from .kernel import KernelAccuracyError, w_eval_batch
 from .lfunc import abc_values, kernel_weights, l_half_oracle
@@ -143,9 +146,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     lines = [_SCAN_HEADER]
     for q in range(args.qmin, args.qmax + 1):
         t0 = time.perf_counter()
-        kw = kernel_weights(q, head_only=True)
-        rep = fourth_moment(q, weights=kw)
-        e_meas = rep.b_moment - m_reparametrized(q, weights=kw)
+        if phi_star(q):
+            kw = kernel_weights(q, head_only=True)
+            rep = fourth_moment(q, weights=kw)
+            e_meas = rep.b_moment - m_reparametrized(q, weights=kw)
+        else:  # no primitive character: the report of zeros, E = 0 - 0
+            rep, e_meas = fourth_moment(q), 0.0
         wall_ms = (time.perf_counter() - t0) * 1000.0 if args.timings else 0.0
         _warn_nan_ratio(rep)
         lines.append(",".join((

@@ -201,7 +201,9 @@ class KernelWeights:
 
     kprod[a][m] = W_a(pi m / q) / sqrt(m) for 1 <= m <= m_eff, index 0
     zero padding: every smoothed sum reads the kernel at a product m = ab
-    in this form.  m_eff is the effective truncation: products beyond it
+    in this form.  kprod is one (2, m_eff + 1) float64 array, row a the
+    parity a, so a sum over both parities can read both rows in one
+    slice.  m_eff is the effective truncation: products beyond it
     sit past the kernel's hard zero cutoff, so every sum over ab can stop
     there.
     """
@@ -209,7 +211,7 @@ class KernelWeights:
     q: int
     z_floor: int   # largest m with m * 2^omega(q) <= q
     m_eff: int
-    kprod: tuple[np.ndarray, np.ndarray]
+    kprod: np.ndarray  # (2, m_eff + 1) float64, row a = parity a
 
 
 def truncation_bound(q: int) -> int:
@@ -232,7 +234,7 @@ def kernel_weights(q: int, *, head_only: bool = False) -> KernelWeights:
     m = np.arange(1, m_eff + 1, dtype=np.float64)
     x = math.pi * m / q
     inv_sqrt = 1.0 / np.sqrt(m)
-    kprod = (np.zeros(m_eff + 1), np.zeros(m_eff + 1))
+    kprod = np.zeros((2, m_eff + 1))
     for a, kp in enumerate(kprod):
         kp[1:] = w_eval_batch(a, x)
         kp[1:] *= inv_sqrt

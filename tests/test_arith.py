@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from dirmoment.arith import (divisors, euler_phi, factorize, mobius, omega,
@@ -106,6 +107,36 @@ def test_sieves_match_pointwise():
     om = omega_sieve(n)
     for k in range(1, n + 1):
         assert om[k] == omega(k)
+
+
+def test_omega_sieve_at_its_edges():
+    # the sieve steps over primes p <= sqrt(limit) and counts a cofactor
+    # above 1 as one prime: check the smallest limits, and the limits
+    # around p^k where a prime enters or leaves the stepped range
+    limits = [0, 1, 2, 3, 4] + [p**k + d for p in (2, 3, 5, 7, 11, 31)
+                                for k in (2, 3) for d in (-1, 0, 1)]
+    want = [0] + [omega(k) for k in range(1, max(limits) + 1)]
+    for limit in limits:
+        om = omega_sieve(limit)
+        assert om.dtype == np.uint8 and om.size == limit + 1, limit
+        assert om.tolist() == want[:limit + 1], limit
+    # a negative limit gives the empty array, before any isqrt
+    assert omega_sieve(-1).size == 0
+
+
+def test_omega_sieve_to_a_million():
+    # every prime power p^k <= 10^6 (for p > 1000 the cofactor path, for
+    # p <= 1000 the divided-out residual) and 2,000 random k
+    limit = 10**6
+    om = omega_sieve(limit)
+    ks = []
+    for p in prime_sieve(limit).tolist():
+        pk = p
+        while pk <= limit:
+            ks.append(pk)
+            pk *= p
+    ks += np.random.default_rng(37).integers(1, limit + 1, 2000).tolist()
+    assert [int(om[k]) for k in ks] == [omega(k) for k in ks]
 
 
 def test_prime_sieve():

@@ -47,6 +47,23 @@ def test_diagonal_reorganization_identity(q):
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+# Frozen regression values: m_reparametrized(q) as computed before its S
+# sums read both parities in one slice and its sieve stepped only over
+# the primes up to sqrt(z), printed with %.17g.  m_direct reaches small q
+# only; these catch a sum that is wrong the same way on every run.
+FROZEN_M = {
+    1009: 24781.198291364581,
+    100003: 19648470.22057157,
+    999983: 413847042.30023348,
+}
+
+
+@pytest.mark.parametrize("q", sorted(FROZEN_M))
+def test_m_reparametrized_matches_frozen_values(q):
+    got, want = m_reparametrized(q), FROZEN_M[q]
+    assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+
+
 def test_diagonal_brute_force_tiny():
     # q = 5: z_floor = 2, so the quadruple set is tiny; check against a
     # four-deep literal loop written independently of either routine

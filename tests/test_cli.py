@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dirmoment import chargroup, cli, kernel, lfunc, spectra
+from dirmoment.arith import phi_star
 from dirmoment.numerics import fmt_float
 from dirmoment.spectra import fourth_moment, tail_moment_all
 
@@ -221,9 +222,10 @@ def test_scan_over_the_modulus_cap_is_exit_2_before_any_row(monkeypatch,
 
 
 def test_scan_rows_read_a_head_only_table(monkeypatch, capsys):
-    # every row builds the kernel table up to z_floor only, and no row
-    # builds the smoothed tail table; each module's binding is wrapped,
-    # so a table built through spectra or lfunc fails the test too
+    # every row with a primitive character builds the kernel table up to
+    # z_floor only, a row with none (2990, 2994, 2998) builds no table,
+    # and no row builds the smoothed tail table; each module's binding is
+    # wrapped, so a table built through spectra or lfunc fails the test too
     calls = []
     real = lfunc.kernel_weights
 
@@ -239,8 +241,32 @@ def test_scan_rows_read_a_head_only_table(monkeypatch, capsys):
     for mod in (cli, spectra):
         monkeypatch.setattr(mod, "tail_moment_all", no_tail, raising=False)
     assert cli.main(["scan", "--qmin", "2990", "--qmax", "2999"]) == 0
-    assert calls == list(range(2990, 3000))
+    assert calls == [q for q in range(2990, 3000) if phi_star(q)]
     assert len(capsys.readouterr().out.splitlines()) == 11
+
+
+def test_scan_rows_without_primitive_characters_build_nothing(monkeypatch,
+                                                              capsys):
+    # a phi* = 0 row (q = 2 mod 4) prints the report of zeros and E = 0
+    # without the kernel table or the diagonal term M; the rows around it
+    # still reach both
+    seen = []
+
+    def only_primitive(real):
+        def wrapped(q, **kwargs):
+            assert phi_star(q), f"q = {q} has no primitive character"
+            seen.append(q)
+            return real(q, **kwargs)
+        return wrapped
+    for name in ("kernel_weights", "m_reparametrized"):
+        monkeypatch.setattr(cli, name, only_primitive(getattr(cli, name)))
+    assert cli.main(["scan", "--qmin", "5", "--qmax", "7"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == HEADER and rows[2] == "6,0,0,0,nan,0,0,0,0"
+    assert cli.main(["scan", "--qmin", "2994", "--qmax", "2994"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        HEADER, "2994,0,0,0,nan,0,0,0,0"]
+    assert seen == [5, 5, 7, 7]
 
 
 def test_scan_warns_on_nan_ratio(capsys):

@@ -12,7 +12,7 @@ entry, so drift of the machine falls on both trees alike.
 The entries (each one fresh Python process a run):
   fourth_moment/<q>  fourth_moment(q): its MomentReport.wall stages,
                      total seconds, peak RSS, moment and ratio
-  scan/3-50, scan/999983
+  scan/3-50, scan/999983, scan/9999991
                      cli.main(["scan", ...]): wall seconds and peak RSS
   moment_primes      fourth_moment at each prime in [10000, 11000] after
                      one warm-up call: the median over the primes of each
@@ -124,6 +124,7 @@ def _entries() -> list[tuple[str, str | None]]:
     ents = [(f"fourth_moment/{q}", _MOMENT.format(q=q)) for q in MOMENT_QS]
     ents += [("scan/3-50", _SCAN.format(qmin=3, qmax=50)),
              ("scan/999983", _SCAN.format(qmin=999983, qmax=999983)),
+             ("scan/9999991", _SCAN.format(qmin=9999991, qmax=9999991)),
              ("moment_primes", _PRIMES), ("import_cli", _IMPORT),
              ("tier1", None)]
     return ents
