@@ -145,9 +145,10 @@ def coprime_mask(q: int, n: int) -> np.ndarray:
 def omega_sieve(limit: int) -> np.ndarray:
     """omega(n) for 0 <= n <= limit; omega(0) = omega(1) = 0.
 
-    One strided step per prime p <= sqrt(limit): it counts p at its
-    multiples and divides it out of the residual rest[n] = n.  What is
-    left above 1 is a single prime above sqrt(limit), one count more.
+    Python steps over the primes p <= sqrt(limit) only: each counts p at
+    its multiples and divides p out of the residual rest[n] = n, one
+    strided division per p^k <= limit.  A residual left above 1 is a
+    single prime above sqrt(limit), one count more.
     rest is the smallest unsigned type that holds limit (uint32 below
     2^32), which halves the divisions' memory traffic against int64."""
     out = np.zeros(limit + 1, dtype=np.uint8)
