@@ -16,7 +16,7 @@ from .kernel import KernelAccuracyError, KernelConfig, w_eval_batch
 from .lfunc import (CentralValue, KernelWeights, abc_values, kernel_weights,
                     l_half_oracle, truncation_bound)
 from .spectra import (CharacterSpectrum, MomentReport, compute_spectrum,
-                      fourth_moment, group_transform, tail_moment_all)
+                      fourth_moment, group_transform)
 from .asymptotics import (ErrorSumResult, Lemma3Result, Lemma4Result,
                           Lemma5Result, error_sum_E, lemma3_count,
                           lemma4_check, lemma5_sums, m_direct,
@@ -43,7 +43,7 @@ __all__ = [
     "truncation_bound", "CentralValue", "abc_values",
     # spectra
     "group_transform", "CharacterSpectrum", "compute_spectrum",
-    "MomentReport", "fourth_moment", "tail_moment_all",
+    "MomentReport", "fourth_moment",
     # asymptotics
     "theorem_main_term", "m_direct", "m_reparametrized", "Lemma3Result",
     "lemma3_count", "Lemma4Result", "lemma4_check", "Lemma5Result",

@@ -129,10 +129,10 @@ def m_reparametrized(q: int, *,
         gg = g * g
         top = z // gg
         s[:, 1:top + 1] += kw.kprod[:, gg:top * gg + 1:gg]
-    n = np.flatnonzero(cop[1:]) + 1
-    sn = s[:, n]  # S gathered at n once; 2^omega(n) scales exactly
+    # S and omega at the coprime n >= 1, by mask; 2^omega(n) scales exactly
+    sn = s[:, 1:][:, cop[1:]]
     sn *= sn
-    term = np.ldexp(sn[0] + sn[1], omega_sieve(z)[n])
+    term = np.ldexp(sn[0] + sn[1], omega_sieve(z)[1:][cop[1:]])
     return phi_star(q) / 2.0 * (_exact_sum(term, ())[0] / _EXACT_SCALE)
 
 

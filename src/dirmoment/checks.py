@@ -18,11 +18,13 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .arith import euler_phi, omega
 from .chargroup import (build_group, exact_primitive_char_sum, gauss_sum,
                         primitive_sum_lemma1, signed_sum_eq21)
 from .lfunc import abc_values, kernel_weights, l_half_oracle
-from .spectra import tail_moment_all
+from .spectra import compute_spectrum
 from .asymptotics import (error_sum_E, lemma3_count, lemma4_check,
                           lemma5_sums, m_direct, m_reparametrized)
 
@@ -220,12 +222,14 @@ def error_sum():
 
 @_sweep
 def tail(qmax: int):
-    """sum over all chi of C^2 under its stated envelope for 3 <= q <= qmax;
-    worst is the largest value / envelope."""
+    """sum over all chi of C^2, from compute_spectrum's C values, under its
+    stated envelope for 3 <= q <= qmax; worst is the largest value /
+    envelope."""
     for q in range(3, qmax + 1):
-        c_all = tail_moment_all(q)
+        c = compute_spectrum(q).c_values
+        c_all = float(np.sum(c * c))
         env = (q * (euler_phi(q) / q) ** 5
                * (max(omega(q), 1) * math.log(q)) ** 2 + q * math.log(q) ** 3)
         yield c_all / env, c_all > env and {"check": "tail_moment", "q": q,
-                                            "tail_moment_all": c_all,
+                                            "c_moment_all": c_all,
                                             "envelope": env}

@@ -335,8 +335,8 @@ def _coprime_pairs(q: int, lo: int, hi: int
 def _check_pair_count(hi: int, cap: float) -> None:
     """Refuse a pass over the products up to hi, estimated in ordered
     pairs, over cap: _MAX_PAIRS from _unordered_pairs and abc_values
-    (pairs held), _MAX_TABLE_PAIRS from compute_spectrum and
-    tail_moment_all (tables streamed)."""
+    (pairs held), _MAX_TABLE_PAIRS from compute_spectrum (tables
+    streamed)."""
     est = hi * (math.log(max(hi, 1)) + 1.0)
     if est > cap:
         raise ValueError(

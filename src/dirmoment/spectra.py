@@ -37,12 +37,11 @@ builds the B table on (0, Z] and the C table on (Z, m_eff], transforms
 the two together, and stays the independent route to every A = B + C;
 it consumes the same kernel values as the per-character pipeline in
 lfunc, so cross-pipeline comparisons isolate the summation
-reorganization.  tail_moment_all sums C^2 over every character as
-phi(q) sum_u T(u)^2 (Parseval) from the C table, with no transform.
-compute_spectrum and tail_moment_all refuse a modulus whose C table is
-over the cost cap (lfunc._MAX_TABLE_PAIRS) before any table is built;
-the pairs stream in slices of lfunc._PAIR_BATCH, each scattered in place
-into two q-length accumulators, so a build holds O(q + slice) scratch.
+reorganization.  checks.tail (verify-bounds) sums its C^2 over every
+character.  compute_spectrum refuses a modulus whose C table is over the
+cost cap (lfunc._MAX_TABLE_PAIRS) before any table is built; the pairs
+stream in slices of lfunc._PAIR_BATCH, each scattered in place into two
+q-length accumulators, so a build holds O(q + slice) scratch.
 
 Parity (which S_a a character's sum stands for) and primitivity (which characters
 a moment sums over) come from CharacterGroup.parity_grid() and
@@ -103,7 +102,6 @@ __all__ = [
     "group_transform",
     "compute_spectrum",
     "fourth_moment",
-    "tail_moment_all",
 ]
 
 
@@ -152,12 +150,12 @@ def _table(G: CharacterGroup, kw: KernelWeights, lo: int,
 
 def _negated(G: CharacterGroup, x: np.ndarray) -> np.ndarray:
     """A new flat copy of x over the label grid read at the exponents -t:
-    entry k is x at the label of unit k's inverse, or chi_k's conjugate."""
+    entry k is x at the label of unit k's inverse, or chi_k's conjugate.
+    -t mod d on each axis is a reversal rolled by one (index 0 kept,
+    1..d-1 reversed): 2^k block copies on k axes, no index array."""
     shape = G.orders or (1,)
-    x = x.reshape(shape)
-    for axis, d in enumerate(shape):
-        x = np.take(x, -np.arange(d), axis)
-    return x.ravel()
+    x = np.flip(x.reshape(shape))
+    return np.roll(x, 1, axis=tuple(range(x.ndim))).ravel()
 
 
 def group_transform(G: CharacterGroup, f: np.ndarray, g: np.ndarray
@@ -170,7 +168,7 @@ def group_transform(G: CharacterGroup, f: np.ndarray, g: np.ndarray
     The FFT runs over the label axes, G.orders.  With Z the FFT, the
     transforms are (conj Z(chi) + Z(chibar)) / 2 and
     i (conj Z(chi) - Z(chibar)) / 2, f and g being real; chibar has the
-    exponents -t, read on each label axis by a gather at -t.
+    exponents -t, read by block copies of the grid (_negated).
 
     Returns two complex arrays over the full label grid in lexicographic
     exponent order (label k, G.label_at(k), at position k).  The
@@ -310,24 +308,3 @@ def fourth_moment(q: int, *,
         b_moment=b_moment, c_moment_primitive=c_moment, cross_term=cross,
         imag_residue=imag, m_eff=truncation_bound(q),
         z_floor=q // two_pow_omega(q), wall=wall)
-
-
-def tail_moment_all(q: int, *,
-                    weights: Optional[KernelWeights] = None) -> float:
-    """sum over ALL chi mod q of C(chi)^2, from the C table by Parseval.
-
-    C(chi) = sum_u chi(u) T(u) on every chi, T the table of the tail,
-    so the orthogonality of the characters gives
-
-        sum_chi C(chi)^2 = phi(q) sum_u T(u)^2,
-
-    summed over the phi(q) label-order entries of _table.  No transform
-    is needed.  At q = 1 this is the smoothed C, which lacks
-    the pole terms of zeta and reads about 1e-14, while fourth_moment's
-    c_moment_primitive there is |L|^2 / 2 - B = 1.137.
-    """
-    _check_pair_count(truncation_bound(q), _MAX_TABLE_PAIRS)
-    G = build_group(q)
-    kw = _resolve_weights(q, weights, head_only=False)
-    t = _table(G, kw, kw.z_floor, kw.m_eff)
-    return G.group_order * float(np.sum(t * t))

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from dirmoment import chargroup, cli, kernel, lfunc, spectra
+from dirmoment import chargroup, checks, cli, kernel, lfunc, spectra
 from dirmoment.arith import phi_star
 from dirmoment.numerics import fmt_float
-from dirmoment.spectra import fourth_moment, tail_moment_all
+from dirmoment.spectra import compute_spectrum, fourth_moment
 
 HEADER = ("q,phi_star,moment,main_term,ratio,b_moment,c_moment_primitive,"
           "E_measured,wall_ms")
@@ -196,12 +196,29 @@ def test_value_cost_cap_refuses_before_any_table(monkeypatch, capsys):
 
 def test_tail_cost_cap_refuses_before_any_table(monkeypatch):
     # the C table of q = 2500009 is over the table-build cap:
-    # tail_moment_all raises before the kernel table or the group is built
+    # compute_spectrum raises before the kernel table or the group is built
     def no_table(*args, **kwargs):
-        pytest.fail("kernel_weights called past the cost cap")
-    monkeypatch.setattr(lfunc, "kernel_weights", no_table)
+        pytest.fail("table or group built past the cost cap")
+    for name in ("kernel_weights", "build_group"):
+        monkeypatch.setattr(spectra, name, no_table)
     with pytest.raises(ValueError, match="over the cost cap"):
-        tail_moment_all(2500009)
+        compute_spectrum(2500009)
+
+
+def test_tail_sweep_reports_a_breach(monkeypatch):
+    # C scaled by 2000 puts sum C^2 at 4e6 times its value, over the
+    # envelope at every q (the worst ratio is 6.7e-4): each check fails
+    # and its record names the sum c_moment_all
+    def scaled(q):
+        spec = compute_spectrum(q)
+        spec.c_values *= 2000.0
+        return spec
+    monkeypatch.setattr(checks, "compute_spectrum", scaled)
+    r = checks.tail(20)
+    assert r.checks == 18 and len(r.failures) == 18 and r.worst > 1.0
+    for f in r.failures:
+        assert f["check"] == "tail_moment"
+        assert f["c_moment_all"] > f["envelope"]
 
 
 def test_scan_over_the_modulus_cap_is_exit_2_before_any_row(monkeypatch,
@@ -239,7 +256,7 @@ def test_scan_rows_read_a_head_only_table(monkeypatch, capsys):
     for mod in (cli, spectra, lfunc):
         monkeypatch.setattr(mod, "kernel_weights", head_only)
     for mod in (cli, spectra):
-        monkeypatch.setattr(mod, "tail_moment_all", no_tail, raising=False)
+        monkeypatch.setattr(mod, "compute_spectrum", no_tail, raising=False)
     assert cli.main(["scan", "--qmin", "2990", "--qmax", "2999"]) == 0
     assert calls == [q for q in range(2990, 3000) if phi_star(q)]
     assert len(capsys.readouterr().out.splitlines()) == 11

@@ -66,9 +66,8 @@ def test_removed_names_are_gone():
     assert not hasattr(dirmoment.CharacterSpectrum, "a_values")
 
 
-# read outside src/dirmoment only: perfbench's moment-prime check builds
-# the spectrum, the independent route to every A = B + C
-UNREAD_EXPORTS = {("spectra", "compute_spectrum")}
+# names exported but read outside src/dirmoment only: none
+UNREAD_EXPORTS = set()
 
 
 def test_every_export_is_read_in_src():
@@ -175,7 +174,6 @@ KNOBS = {
     ("lfunc", "kernel_weights", "head_only"),
     ("lfunc", "abc_values", "weights"),
     ("spectra", "fourth_moment", "weights"),
-    ("spectra", "tail_moment_all", "weights"),
     ("asymptotics", "m_reparametrized", "weights"),
     ("cli", "_json", "indent"),
     ("cli", "main", "argv"),

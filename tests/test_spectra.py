@@ -14,8 +14,7 @@ from dirmoment.kernel import KernelConfig
 from dirmoment.lfunc import (_coprime_pair_chunks, _hurwitz_half, abc_values,
                              kernel_weights)
 from dirmoment.spectra import (_fft_eps, _table, compute_spectrum,
-                               fourth_moment, group_transform,
-                               tail_moment_all)
+                               fourth_moment, group_transform)
 from scalar_ref import exact_transform
 
 CFG = KernelConfig()
@@ -219,8 +218,8 @@ def test_table_scratch_does_not_grow_with_the_pairs():
     # the tail at q = 10007 (414k pairs, 26 slices) holds the two q-length
     # accumulators and the fold's output, a fixed number of slice-length
     # arrays and the residues coprime to q with their mask; then the fold
-    # gathered at the units, and the index and the output of _negated's
-    # take on the one axis, phi entries each.  Nothing grows with hi or
+    # gathered at the units and _negated's block copies of it, phi
+    # entries each, within three such arrays.  Nothing grows with hi or
     # with the pair count beyond the runs of a and their inverses
     # (isqrt(hi) of each), so halving hi leaves the traced peak where it
     # was.  The units in label order are the group's, built before
@@ -428,11 +427,13 @@ def test_hurwitz_route_matches_afe_tables(q):
 
 @pytest.mark.parametrize("q", [*range(1, 121), *range(2990, 3000)])
 def test_tail_moment_all_matches_transform(q):
-    # Parseval over the C tables against the sum of C^2 over every
-    # character from the transform
+    # the tail moment over all characters, the sum of C^2 from the
+    # transform, against Parseval over the C table, phi(q) sum_u T(u)^2
     spec = compute_spectrum(q)
     want = float(np.sum(spec.c_values ** 2))
-    got = tail_moment_all(q)
+    G = build_group(q)
+    t = _table(G, kernel_weights(q), spec.z_floor, spec.m_eff)
+    got = G.group_order * float(np.sum(t * t))
     assert abs(got - want) <= 1e-13 * abs(want)
 
 
@@ -449,7 +450,7 @@ def test_moment_report_consistency():
     assert rep.phi_star == phi_star(q)
     assert rep.fourth_moment == pytest.approx(
         4.0 * float(np.sum(a[prim] ** 2)), rel=1e-14)
-    c_all = tail_moment_all(q)
+    c_all = float(np.sum(spec.c_values ** 2))
     assert math.sqrt(rep.b_moment * c_all) >= abs(rep.cross_term) - 1e-15
     assert c_all >= rep.c_moment_primitive
     decomposition = 4.0 * (rep.b_moment + 2.0 * rep.cross_term
