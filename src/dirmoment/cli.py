@@ -249,8 +249,7 @@ def _cmd_kernel_table(args: argparse.Namespace) -> int:
         xs = np.linspace(args.xmin, args.xmax, args.points)
     else:
         xs = np.geomspace(args.xmin, args.xmax, args.points)
-    w0 = w_eval_batch(0, xs)
-    w1 = w_eval_batch(1, xs)
+    w0, w1 = w_eval_batch(np.empty((2, xs.size)), xs)
     lines = ["x,W0,W1"]
     for x, a, b in zip(xs, w0, w1):
         lines.append(f"{fmt_float(float(x))},{fmt_float(float(a))},{fmt_float(float(b))}")

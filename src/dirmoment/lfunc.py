@@ -224,7 +224,10 @@ def truncation_bound(q: int) -> int:
 def kernel_weights(q: int, *, head_only: bool = False) -> KernelWeights:
     """Kernel values for 1 <= m <= m_eff.  With head_only the table stops
     at z_floor, where the B head ends, and m_eff is set to z_floor: such a
-    table serves the B tables but no sum over the tail."""
+    table serves the B tables but no sum over the tail.  One w_eval_batch
+    call writes both parities into kprod[:, 1:] in place, which is then
+    scaled by 1/sqrt(m): the peak holds m, x, 1/sqrt(m) and kprod, with
+    no temporary row."""
     if q < 1:
         raise ValueError(f"modulus must be positive, got {q}")
     z_floor = q // two_pow_omega(q)
@@ -235,9 +238,8 @@ def kernel_weights(q: int, *, head_only: bool = False) -> KernelWeights:
     x = math.pi * m / q
     inv_sqrt = 1.0 / np.sqrt(m)
     kprod = np.zeros((2, m_eff + 1))
-    for a, kp in enumerate(kprod):
-        kp[1:] = w_eval_batch(a, x)
-        kp[1:] *= inv_sqrt
+    w_eval_batch(kprod[:, 1:], x)
+    kprod[:, 1:] *= inv_sqrt
     return KernelWeights(q, z_floor, m_eff, kprod)
 
 

@@ -19,8 +19,9 @@ def w_quad(a, x, cfg=KernelConfig()):
     cfg.eps; the value at cfg.h / 2."""
     lx = np.array([math.log(x)])
     T = kernel._auto_T(a, cfg.c, float(lx[0]), cfg.eps)
-    coarse, fine = (float(kernel._quad_points(a, lx, cfg.c, h, T)[0])
-                    for h in (cfg.h, cfg.h / 2))
+    coarse, fine = (float(kernel._quad_points(
+        [kernel._nodes(a, cfg.c, h, T)], lx, cfg.c, h)[0, 0])
+        for h in (cfg.h, cfg.h / 2))
     assert abs(fine - coarse) <= cfg.eps, (a, x, coarse, fine)
     return fine
 

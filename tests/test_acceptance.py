@@ -133,9 +133,9 @@ def test_criterion_04_reparametrization():
 def test_criterion_05_kernel_checks():
     t0 = time.perf_counter()
     worst_qs = 0.0
-    for a in (0, 1):
-        xs = np.geomspace(1e-4, 2.0, 25)
-        for x, ser in zip(xs, w_eval_batch(a, xs)):
+    xs = np.geomspace(1e-4, 2.0, 25)
+    for a, row in enumerate(w_eval_batch(np.empty((2, xs.size)), xs)):
+        for x, ser in zip(xs, row):
             worst_qs = max(worst_qs, abs(w_quad(a, float(x)) - ser))
     worst_line = 0.0
     cfg_l, cfg_r = KernelConfig(c=0.7), KernelConfig(c=1.3)

@@ -71,7 +71,8 @@ def test_diagonal_brute_force_tiny():
     kw = kernel_weights(q)
     z = kw.z_floor
     xs = math.pi * np.arange(1, z + 1) / q
-    w0, w1 = (np.concatenate(([0.0], w_eval_batch(a, xs))) for a in (0, 1))
+    w0, w1 = w = np.zeros((2, z + 1))  # index 0 zero, as in kprod
+    w_eval_batch(w[:, 1:], xs)
     total = 0.0
     for a in range(1, z + 1):
         for b in range(1, z + 1):

@@ -362,7 +362,8 @@ def test_kernel_table_csv(tmp_path):
 
 def test_kernel_table_linear_grid(capsys):
     # --linear: the x column is np.linspace(xmin, xmax, points) in %.17g,
-    # and each row's W0, W1 are w_eval_batch at that x, bit for bit
+    # and each row's W0, W1 are the two rows of one w_eval_batch call at
+    # that x, bit for bit
     rc, out = run(capsys, "kernel-table", "--xmin", "0.5", "--xmax", "3",
                   "--points", "6", "--linear")
     assert rc == 0
@@ -371,8 +372,8 @@ def test_kernel_table_linear_grid(capsys):
     xs = np.linspace(0.5, 3.0, 6)
     assert [r.split(",")[0] for r in rows] == [format(x, ".17g") for x in xs]
     got = np.array([[float(t) for t in r.split(",")[1:]] for r in rows])
-    assert np.array_equal(got[:, 0], kernel.w_eval_batch(0, xs))
-    assert np.array_equal(got[:, 1], kernel.w_eval_batch(1, xs))
+    want = kernel.w_eval_batch(np.empty((2, xs.size)), xs)
+    assert np.array_equal(got.T, want)
 
 
 def test_kernel_table_rejects_bad_grid():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -35,11 +36,17 @@ def test_loggamma_matches_mpmath():
                 assert abs(g - r) <= 32 * eps * (1 + abs(r)), (z, g, r)
 
 
+def _w(xs):
+    # both parities' rows at the ascending arguments xs, shape (2, n)
+    xs = np.asarray(xs, dtype=np.float64)
+    return w_eval_batch(np.empty((2, xs.size)), xs)
+
+
 def _series(a, x):
     # the residue series at one argument, with no runtime check
-    out = np.empty(1)
-    kernel._series_batch(a, np.array([float(x)]), out)
-    return float(out[0])
+    out = np.empty((2, 1))
+    kernel._series_batch(np.array([float(x)]), out)
+    return float(out[a, 0])
 
 
 def test_quadrature_matches_series():
@@ -68,10 +75,10 @@ def test_line_independence():
 def test_batch_matches_scalar():
     # from the smallest table argument at q = 100003 up to the x_zero edge
     xs = np.geomspace(math.pi / 100003, 23.9, 40)
+    batch = _w(xs)
     for a in (0, 1):
-        batch = w_eval_batch(a, xs)
         scal = np.array([w_quad(a, float(x)) for x in xs])
-        assert np.max(np.abs(batch - scal)) < 1e-9
+        assert np.max(np.abs(batch[a] - scal)) < 1e-9
 
 
 def test_step_check_rejects_coarse_step(kernel_config):
@@ -79,8 +86,8 @@ def test_step_check_rejects_coarse_step(kernel_config):
     # comparison against the reference quadrature must refuse the table
     xs = np.geomspace(1e-3, 10.0, 40)
     with kernel_config(h=2.0), pytest.raises(KernelAccuracyError):
-        w_eval_batch(0, xs)
-    w_eval_batch(0, xs)
+        _w(xs)
+    _w(xs)
 
 
 def test_swapped_configuration_leaves_no_cached_value(kernel_config):
@@ -88,13 +95,12 @@ def test_swapped_configuration_leaves_no_cached_value(kernel_config):
     # first, so that they are built there) are not read at the one
     # configuration: its values are the same bits before and after
     xs = np.geomspace(1e-3, 20.0, 200)
-    before = [w_eval_batch(a, xs).tobytes() for a in (0, 1)]
+    before = _w(xs).tobytes()
     kernel._cheb_coef.cache_clear()
     with kernel_config(h=2.0):
-        for a in (0, 1):
-            with pytest.raises(KernelAccuracyError):
-                w_eval_batch(a, xs)
-    assert [w_eval_batch(a, xs).tobytes() for a in (0, 1)] == before
+        with pytest.raises(KernelAccuracyError):
+            _w(xs)
+    assert _w(xs).tobytes() == before
 
 
 def test_step_check_passes_at_smallest_argument_of_max_q():
@@ -103,9 +109,9 @@ def test_step_check_passes_at_smallest_argument_of_max_q():
     # rounding amplified by x^(-c), which would refuse the table at the
     # default eps; on the line c/2 it is off by under 1e-13
     xs = np.array([math.pi / 9_999_991, 1.0])
+    got = _w(xs)
     for a in (0, 1):
-        got = w_eval_batch(a, xs)
-        assert got.tolist() == [_series(a, x) for x in xs]
+        assert got[a].tolist() == [_series(a, x) for x in xs]
 
 
 def test_step_check_rejects_coarse_step_on_quadrature_only_batch(
@@ -116,10 +122,9 @@ def test_step_check_rejects_coarse_step_on_quadrature_only_batch(
     # about 1.6e-8, the pole term 1/(e^(2 pi c/h) - 1), which a reference
     # with the same step-error term would cancel
     xs = np.geomspace(2.5, 20.0, 40)
-    for a in (0, 1):
-        with kernel_config(h=0.35), pytest.raises(KernelAccuracyError):
-            w_eval_batch(a, xs)
-        w_eval_batch(a, xs)
+    with kernel_config(h=0.35), pytest.raises(KernelAccuracyError):
+        _w(xs)
+    _w(xs)
 
 
 def _w_series_mp(a, x, dps=80):
@@ -146,10 +151,10 @@ def test_default_step_matches_residue_series():
     # interpolant beyond; the quadrature alone was off by 2.0e-12 at the
     # smallest argument, rounding amplified by x^(-c)
     xs = np.geomspace(math.pi / 100003, 4.0, 16)
+    got = _w(xs)
     for a in (0, 1):
-        got = w_eval_batch(a, xs)
         want = np.array([_w_series_mp(a, float(x)) for x in xs])
-        assert np.max(np.abs(got - want)) <= 1e-11, a
+        assert np.max(np.abs(got[a] - want)) <= 1e-11, a
 
 
 def test_interpolant_matches_residue_series():
@@ -159,10 +164,10 @@ def test_interpolant_matches_residue_series():
     # 1.4e-17 and 2.8e-17 on one interval of degree 38; with the cosine
     # angles j theta_m rounded unreduced the a = 1 gap was 2.3e-16 there
     xs = np.geomspace(2.001, 23.9, 30)
+    got = _w(xs)
     for a in (0, 1):
-        got = w_eval_batch(a, xs)
         want = np.array([_w_series_mp(a, float(x), dps=100) for x in xs])
-        assert np.max(np.abs(got - want)) <= 1.5e-16, a
+        assert np.max(np.abs(got[a] - want)) <= 1.5e-16, a
 
 
 def test_interpolated_value_does_not_depend_on_batch():
@@ -171,12 +176,12 @@ def test_interpolated_value_does_not_depend_on_batch():
     q = 10007
     kw = kernel_weights(q)
     m = np.unique(np.geomspace(q, kw.m_eff, 25).round().astype(np.int64))
-    for a in (0, 1):
-        for k in m:
-            x = math.pi * float(k) / q
-            assert x > 2.0
-            w = w_eval_batch(a, np.array([x]))[0]
-            assert w * (1.0 / math.sqrt(k)) == kw.kprod[a][k], (a, k)
+    for k in m:
+        x = math.pi * float(k) / q
+        assert x > 2.0
+        w = _w([x])[:, 0]
+        for a in (0, 1):
+            assert w[a] * (1.0 / math.sqrt(k)) == kw.kprod[a][k], (a, k)
 
 
 def test_interpolant_rejects_low_degree(monkeypatch):
@@ -184,9 +189,8 @@ def test_interpolant_rejects_low_degree(monkeypatch):
     # above eps, and the guard refuses the interpolant
     xs = np.geomspace(2.5, 20.0, 40)
     monkeypatch.setattr(kernel, "_cheb_degree", lambda log_width: 8)
-    for a in (0, 1):
-        with pytest.raises(KernelAccuracyError, match="trailing"):
-            w_eval_batch(a, xs)
+    with pytest.raises(KernelAccuracyError, match="trailing"):
+        _w(xs)
 
 
 def _piece_ends():
@@ -204,10 +208,10 @@ def test_interpolant_pieces_match_residue_series_at_their_ends():
     # inner end
     xs = np.array(_piece_ends())
     assert xs.size == 3 * (kernel._CHEB_PIECES - 1)
+    got = _w(xs)
     for a in (0, 1):
-        got = w_eval_batch(a, xs)
         want = np.array([_w_series_mp(a, float(x), dps=100) for x in xs])
-        assert np.max(np.abs(got - want)) <= 1.5e-16, a
+        assert np.max(np.abs(got[a] - want)) <= 1.5e-16, a
 
 
 def test_batch_across_piece_ends_matches_single_points():
@@ -216,9 +220,8 @@ def test_batch_across_piece_ends_matches_single_points():
     # on x, not on the batch
     xs = np.sort(np.concatenate((np.geomspace(2.0, 23.9, 41),
                                  _piece_ends())))
-    for a in (0, 1):
-        alone = [w_eval_batch(a, np.array([x]))[0] for x in xs]
-        assert w_eval_batch(a, xs).tolist() == alone, a
+    alone = np.stack([_w([x])[:, 0] for x in xs], axis=1)
+    assert np.array_equal(_w(xs), alone)
 
 
 def test_head_table_matches_residue_series():
@@ -238,8 +241,8 @@ def test_step_check_covers_series_only_batch(kernel_config):
     # compares samples against the reference quadrature, here unconverged
     xs = np.geomspace(1e-3, 1.5, 40)
     with kernel_config(h=2.0), pytest.raises(KernelAccuracyError):
-        w_eval_batch(0, xs)
-    w_eval_batch(0, xs)
+        _w(xs)
+    _w(xs)
 
 
 def test_scalar_series_is_one_element_batch():
@@ -247,11 +250,12 @@ def test_scalar_series_is_one_element_batch():
     # the same float as inside a batch: the series takes its term count
     # from the end of its path, x = 2, not from the batch's largest argument
     xs = np.linspace(0.01, 2.0, 200)
+    batch = _w(xs)
     for a in (0, 1):
         for x in np.geomspace(1e-5, 2.0, 23):
-            assert _series(a, x) == w_eval_batch(a, np.array([x]))[0]
+            assert _series(a, x) == _w([x])[a, 0]
         alone = [_series(a, x) for x in xs]
-        assert alone == w_eval_batch(a, xs).tolist(), a
+        assert alone == batch[a].tolist(), a
 
 
 @pytest.mark.parametrize("q", [129, 277, 2999, 10007, 100003])
@@ -270,10 +274,9 @@ def test_horner_blocks_do_not_change_values(monkeypatch):
     # ragged last block included, each value is the same float whatever
     # the block size
     xs = np.geomspace(1e-3, 20.0, 1001)
-    default = [w_eval_batch(a, xs) for a in (0, 1)]
+    default = _w(xs)
     monkeypatch.setattr(kernel, "_HORNER_BLOCK", 7)
-    for a in (0, 1):
-        assert np.array_equal(w_eval_batch(a, xs), default[a]), a
+    assert np.array_equal(_w(xs), default)
 
 
 def test_default_step_converged_over_table(kernel_config):
@@ -282,10 +285,10 @@ def test_default_step_converged_over_table(kernel_config):
     q = 10007
     kw = kernel_weights(q)
     m = np.arange(1, kw.m_eff + 1, dtype=np.float64)
+    with kernel_config(h=kernel._CONFIG.h / 2):
+        fine = _w(math.pi * m / q)
     for a in (0, 1):
-        with kernel_config(h=kernel._CONFIG.h / 2):
-            fine = w_eval_batch(a, math.pi * m / q)
-        gap = np.abs(kw.kprod[a][1:] * np.sqrt(m) - fine)
+        gap = np.abs(kw.kprod[a][1:] * np.sqrt(m) - fine[a])
         assert np.max(gap) <= 1e-12, a
 
 
@@ -295,13 +298,39 @@ def test_default_step_converged_over_table(kernel_config):
 ], ids=["descending", "unsorted", "nan", "nan-only", "inf", "zero",
         "negative", "2-d"])
 def test_batch_rejects_other_than_ascending_positive_1d(xs):
+    xs = np.array(xs)
     with pytest.raises(ValueError, match="ascending"):
-        w_eval_batch(0, np.array(xs))
+        w_eval_batch(np.empty((2, xs.size)), xs)
+
+
+@pytest.mark.parametrize("out", [
+    np.empty((2, 2)), np.empty((1, 3)), np.empty((3, 3)), np.empty(6),
+    np.empty((2, 3), dtype=np.float32), [[0.0] * 3] * 2, 0,
+], ids=["short", "one-row", "three-rows", "1-d", "float32", "list",
+        "parity"])
+def test_batch_rejects_other_than_two_float64_rows(out):
+    # out must hold one float64 row per parity, as long as xs; the old
+    # call shape w_eval_batch(a, xs) is refused too
+    xs = np.array([0.5, 1.0, 3.0])
+    with pytest.raises(ValueError, match="out must be"):
+        w_eval_batch(out, xs)
+
+
+def test_batch_writes_rows_in_place_and_zeros_past_x_zero():
+    # every entry of out is written, the values at x >= x_zero with 0.0,
+    # and out itself is returned; a strided out gets the same bits
+    xs = np.array([0.5, 3.0, kernel._CONFIG.x_zero, 40.0])
+    out = np.full((2, xs.size), np.nan)
+    assert w_eval_batch(out, xs) is out
+    assert np.all(out[:, 2:] == 0.0) and np.all(out[:, :2] > 0.0)
+    wide = np.full((2, 2 * xs.size), np.nan)
+    w_eval_batch(wide[:, ::2], xs)
+    assert np.array_equal(wide[:, ::2], out)
+    assert np.all(np.isnan(wide[:, 1::2]))
 
 
 def test_batch_on_empty_input_is_empty():
-    for a in (0, 1):
-        assert w_eval_batch(a, np.array([])).shape == (0,)
+    assert _w(np.array([])).shape == (2, 0)
 
 
 @pytest.mark.parametrize("head_only", [True, False])
@@ -311,16 +340,15 @@ def test_table_is_batch_times_inverse_sqrt(head_only):
     q = 10007
     kw = kernel_weights(q, head_only=head_only)
     m = np.arange(1, kw.m_eff + 1, dtype=np.float64)
+    want = _w(math.pi * m / q) * (1.0 / np.sqrt(m))
     for a in (0, 1):
-        want = w_eval_batch(a, math.pi * m / q) * (1.0 / np.sqrt(m))
         assert kw.kprod[a][0] == 0.0
-        assert np.array_equal(kw.kprod[a][1:], want), a
+        assert np.array_equal(kw.kprod[a][1:], want[a]), a
 
 
 def test_limits():
     # W(x) -> 1 as x -> 0+ and the hard cutoff returns exactly zero
-    for a in (0, 1):
-        w = w_eval_batch(a, np.array([1e-6, kernel._CONFIG.x_zero, 1e9]))
+    for w in _w([1e-6, kernel._CONFIG.x_zero, 1e9]):
         assert abs(w[0] - 1.0) < 1e-2
         assert w[1] == 0.0
         assert w[2] == 0.0
@@ -371,10 +399,7 @@ def test_small_x_envelope():
 
 def test_eval_domain():
     with pytest.raises(ValueError):
-        w_eval_batch(0, np.array([-1.0]))
-    for a in (2, 3):
-        with pytest.raises(ValueError, match="parity"):
-            w_eval_batch(a, np.array([1.0]))
+        _w([-1.0])
 
 
 def test_cache_keyed_by_config():
@@ -386,3 +411,58 @@ def test_cache_keyed_by_config():
     assert abs(v1 - v2) < 1e-10
     kernel._nodes.cache_clear()
     assert abs(w_quad(0, x) - v1) < 1e-10
+
+
+@pytest.mark.parametrize("a", [0, 1])
+def test_shared_check_covers_each_parity_series(monkeypatch, a):
+    # one runtime check serves both rows: a series coefficient of parity
+    # a off by one part in 10^6 (the other parity untouched) moves W_a by
+    # far more than eps, and the head-only table at 10007 (all series
+    # arguments) is refused, naming W_a
+    real = kernel._series_coef
+
+    def perturbed(par):
+        pc, qc = real(par)
+        if par == a:
+            pc = (pc[0] * (1 + 1e-6),) + pc[1:]
+        return pc, qc
+
+    monkeypatch.setattr(kernel, "_series_coef", perturbed)
+    with pytest.raises(KernelAccuracyError, match=f"W_{a} "):
+        kernel_weights(10007, head_only=True)
+
+
+@pytest.mark.parametrize("k", range(kernel._CHEB_PIECES))
+@pytest.mark.parametrize("a", [0, 1])
+def test_shared_check_covers_each_parity_interpolant(monkeypatch, a, k):
+    # the check's quantile sample of the full table at 10007 lands in
+    # every interpolant piece: piece k of parity a shifted by 10 eps (the
+    # other parity untouched) is refused, naming W_a
+    real = kernel._cheb_coef
+
+    def perturbed(par, cfg, piece, n):
+        coef = real(par, cfg, piece, n)
+        if (par, piece) == (a, k):
+            coef = coef.copy()
+            coef[0] += 10 * cfg.eps
+        return coef
+
+    monkeypatch.setattr(kernel, "_cheb_coef", perturbed)
+    with pytest.raises(KernelAccuracyError, match=f"W_{a} "):
+        kernel_weights(10007)
+
+
+def test_table_peak_memory():
+    # kernel_weights fills kprod in place, with no per-parity temporary:
+    # at q = 100003 the traced peak is m, x, 1/sqrt(m) and both rows of
+    # kprod plus the kernel's per-block scratch, measured 5.30 x 8 m_eff
+    # bytes (6.26 x with a copied row per parity)
+    q = 100003
+    kernel_weights(q)  # caches built outside the trace
+    tracemalloc.start()
+    try:
+        kw = kernel_weights(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * 8 * kw.m_eff, peak / (8 * kw.m_eff)

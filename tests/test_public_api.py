@@ -213,8 +213,10 @@ def test_knobs_are_listed():
 # its arrays, tuples or read-only maps for the life of the process
 CACHES = {
     ("chargroup", "_phi_mu_sums", 64),
+    ("kernel", "_height_grid", 64),
     ("kernel", "_nodes", 64),
     ("kernel", "_cheb_coef", 64),
+    ("kernel", "_series_coef", 2),
     ("lfunc", "_hurwitz_cheb", 1),
     ("lfunc", "_hurwitz_half", 1),
     ("lfunc", "_pairs", 2),
