@@ -43,9 +43,8 @@ import numpy as np
 from .arith import (coprime_mask, euler_phi, factorize, omega_sieve,
                     phi_star, two_pow_omega)
 from .chargroup import build_group
-from .lfunc import (_EXACT_SCALE, _PAIR_BATCH, KernelWeights, _coprime_pairs,
-                    _exact_sum, _pair_terms, _pairs, _resolve_weights,
-                    kernel_weights)
+from .lfunc import (_PAIR_BATCH, KernelWeights, _coprime_pairs, _exact_sum,
+                    _pair_terms, _pairs, _resolve_weights, kernel_weights)
 from .numerics import EULER_GAMMA, ZETA2
 
 __all__ = [
@@ -118,7 +117,7 @@ def m_direct(q: int) -> float:
 def m_reparametrized(q: int, *,
                      weights: Optional[KernelWeights] = None) -> float:
     """Diagonal main term via the a=gr, b=gs, c=hs, d=hr grouping, its
-    terms added exactly (lfunc._exact_sum) and rounded once."""
+    terms added exactly and rounded once (the total of lfunc._exact_sum)."""
     kw = _resolve_weights(q, weights, head_only=True)
     z = kw.z_floor
     cop = coprime_mask(q, z)
@@ -133,7 +132,7 @@ def m_reparametrized(q: int, *,
     sn = s[:, 1:][:, cop[1:]]
     sn *= sn
     term = np.ldexp(sn[0] + sn[1], omega_sieve(z)[1:][cop[1:]])
-    return phi_star(q) / 2.0 * (_exact_sum(term, ())[0] / _EXACT_SCALE)
+    return phi_star(q) / 2.0 * _exact_sum(term, ())[1]
 
 
 @dataclass(frozen=True)
@@ -260,21 +259,21 @@ class ErrorSumResult:
 def error_sum_E(q: int) -> ErrorSumResult:
     """Off-diagonal remainder E = sum*|B|^2 - M, measured directly.
 
-    The B values are recomputed here by the naive per-character route
-    (head pairs only), independent of the table pipeline, with the terms
-    and the exact sum of abc_values, so each B is the same float as its
-    b_value.  The primitive characters of each parity are taken in blocks
-    of rows, stacked from CharacterGroup.char_values, with at most
-    _ROW_BLOCK entries in any array of a block (one row when a row alone
-    holds more), and one _exact_sum pass cut at the rows gives the
-    block's B values.  The B^2 are added exactly too, rounded once.
+    The B values are recomputed by the naive per-character route,
+    independent of the table pipeline, from the head rows of the pairs,
+    the terms and the exact sum of abc_values, so each B is the same float
+    as its b_value.  The primitive characters of each parity are stacked
+    from CharacterGroup.char_values in blocks of rows with at most
+    _ROW_BLOCK entries in any array (one row when a row alone holds more),
+    and the segments of one _exact_sum pass cut at the rows are the
+    block's B values.  sum* B^2 is the exact total of the B^2.
     """
     if q < 3:
         raise ValueError("error sum needs q >= 3 so log q > 0")
     kw = kernel_weights(q, head_only=True)
     G = build_group(q)
-    head = _pairs(q, 0, kw.z_floor)
-    n = head[0].size
+    pairs, n = _pairs(q)
+    head = tuple(col[:n] for col in pairs)
     rows = max(1, _ROW_BLOCK // max(n, G.group_order))
     b: list[float] = []
     for parity, kp in enumerate(kw.kprod):
@@ -283,9 +282,8 @@ def error_sum_E(q: int) -> ErrorSumResult:
         for lo in range(0, len(prim), rows):
             vals = np.stack([G.char_values(chi) for chi in prim[lo:lo + rows]])
             terms = _pair_terms(vals, kp, head)
-            b += [s / _EXACT_SCALE for s in
-                  _exact_sum(terms.ravel(), range(n, terms.size, n))]
-    b_sq = _exact_sum(np.array([v ** 2 for v in b]), ())[0] / _EXACT_SCALE
+            b += _exact_sum(terms.ravel(), range(n, terms.size, n))[0]
+    b_sq = _exact_sum(np.array([v ** 2 for v in b]), ())[1]
     m_val = m_reparametrized(q, weights=kw)
     return ErrorSumResult(q=q, b_sq_sum=b_sq, m_value=m_val,
                           e_measured=b_sq - m_val,

@@ -23,6 +23,7 @@ import numpy as np
 from .arith import euler_phi, omega
 from .chargroup import (build_group, exact_primitive_char_sum, gauss_sum,
                         primitive_sum_lemma1, signed_sum_eq21)
+from .kernel import _CONFIG
 from .lfunc import abc_values, kernel_weights, l_half_oracle
 from .spectra import compute_spectrum
 from .asymptotics import (error_sum_E, lemma3_count, lemma4_check,
@@ -61,6 +62,14 @@ def _sweep(cases):
 
 def _gap(got, want) -> float:
     return math.inf if got is None else float(abs(got - want))
+
+
+def _oracle_tol(q: int) -> float:
+    """Absolute bound on |2A - |L(1/2, chi)|^2| mod q from the kernel's
+    eps: A weighs kernel values, each within eps, by 1 / sqrt(ab) over
+    ab <= m = x_zero q / pi, at most 2 sqrt(m) (1 + ln m); doubled for 2A."""
+    m = _CONFIG.x_zero * q / math.pi
+    return 2.0 * _CONFIG.eps * 2.0 * math.sqrt(m) * (1.0 + math.log(m))
 
 
 @_sweep
@@ -127,20 +136,20 @@ def gauss_modulus(qmax: int):
 @_sweep
 def oracle_equation():
     """|L(1/2, chi)|^2 from the Hurwitz oracle against the smoothed 2A on
-    every primitive chi, within 1e-6 relative; worst is the largest
-    relative gap."""
+    every primitive chi, within the kernel-eps bound _oracle_tol(q);
+    worst is the largest gap / bound."""
     for q in (3, 4, 5, 7, 8, 9, 11, 12, 13, 16):
         G = build_group(q)
         kw = kernel_weights(q)
+        tol = _oracle_tol(q)
         for chi in G.labels():
             if not chi.primitive:
                 continue
             cv = abc_values(G, chi, weights=kw)
-            lhs = abs(l_half_oracle(G, chi)) ** 2
-            rel = abs(lhs - 2.0 * cv.a_value) / abs(lhs)
-            yield rel, rel > 1e-6 and {"check": "oracle_equation", "q": q,
-                                       "exponents": list(chi.exponents),
-                                       "rel": rel}
+            gap = abs(abs(l_half_oracle(G, chi)) ** 2 - 2.0 * cv.a_value)
+            yield gap / tol, gap > tol and {
+                "check": "oracle_equation", "q": q,
+                "exponents": list(chi.exponents), "gap": gap, "bound": tol}
 
 
 @_sweep

@@ -184,7 +184,7 @@ def _cmd_value(args: argparse.Namespace) -> int:
         "m_eff": cv.m_eff,
         "two_a": 2.0 * cv.a_value,
     }
-    if chi.primitive and G.q >= 3 and not args.no_oracle:
+    if chi.primitive and G.q >= 3:
         oracle = l_half_oracle(G, chi)
         payload["l_oracle"] = oracle
         payload["l_abs_sq"] = abs(oracle) ** 2
@@ -285,8 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="character index in [0, phi(q)), lexicographic over "
                         "component exponents (an odd p^e's cyclic group "
                         "split into coprime factors, Good-Thomas)")
-    p.add_argument("--no-oracle", action="store_true",
-                   help="skip the Hurwitz-zeta cross-check")
     _add_common(p)
     p.set_defaults(func=_cmd_value, parser=p)
 

@@ -23,24 +23,21 @@ membership test is the exact integer predicate a*b * 2^omega(q) <= q.  A
 sum over the head B needs kernel values up to Z only
 (kernel_weights(..., head_only=True)).
 
-The double sum visits each unordered coprime pair a <= b of the head
-(0 < ab <= Z) and of the tail (Z < ab <= m_eff) once, each range
-enumerated by _coprime_pair_chunks(q, lo, hi), the one pair enumerator,
-which yields the fixed pair order in slices of _PAIR_BATCH pairs that
-may end anywhere, and held and cached on its own (_unordered_pairs
-concatenates the slices and caps the range at _MAX_PAIRS).
-The term of (b, a) is the same float as the term of (a, b), so a pair
-off the diagonal enters as its term doubled (an exact operation) and a
-diagonal pair a = b as its term once.  The head and tail terms are
-gathered with numpy, concatenated and added exactly by one _exact_sum
-pass cut between them, one bin per eight exponents, which returns each
-segment's exact sum as an integer in units of 2^-1126: B and C are the
-exact head and tail sums rounded once, and A is their exact total
-rounded once.  Each is the correctly rounded sum over the ordered
-pairs, the float math.fsum gives, so it does not depend on term order
-and reruns are bit-identical.  The oracle adds chi(a) zeta(1/2, a/q)
-over the units with math.fsum, from one cached table of Hurwitz values
-per modulus.
+The double sum visits each unordered coprime pair a <= b with
+0 < ab <= m_eff once, in the fixed order of _coprime_pair_chunks, the
+one pair enumerator (slices of _PAIR_BATCH pairs that may end anywhere);
+_unordered_pairs concatenates the slices once, capped at _MAX_PAIRS, and
+_pairs holds them in one cache entry per modulus, the head (ab <= Z)
+then the tail, with the head's length.  The term of (b, a) is the same
+float as that of (a, b), so a pair off the diagonal enters as its term
+doubled (exact) and a diagonal pair a = b once.  A character's terms,
+formed in one numpy pass, are added exactly by one _exact_sum pass cut
+at the head (one bin per eight exponents): B and C are the exact head
+and tail sums rounded once, and A their exact total rounded once, each
+the correctly rounded sum over the ordered pairs that math.fsum gives,
+so it does not depend on term order and reruns are bit-identical.  The
+oracle adds chi(a) zeta(1/2, a/q) over the units with math.fsum, from
+one cached table of Hurwitz values per modulus.
 """
 
 from __future__ import annotations
@@ -314,14 +311,16 @@ def _coprime_pair_chunks(q: int, lo: int, hi: int
         yield a[i:j].repeat(n), nth(np.arange(p, e) + shift[i:j].repeat(n))
 
 
-def _unordered_pairs(q: int, lo: int, hi: int
+def _unordered_pairs(q: int, bounds: Sequence[int]
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair of _coprime_pair_chunks(q, lo, hi) as two int64 arrays
-    (a, b), a <= b: the one place pairs are held, capped at _MAX_PAIRS."""
-    _check_pair_count(hi, _MAX_PAIRS)
+    """Every pair of _coprime_pair_chunks(q, lo, hi), range after range
+    over bounds = (lo, ..., hi), as two int64 arrays (a, b), a <= b: the
+    one place pairs are held, capped at _MAX_PAIRS before any is built."""
+    _check_pair_count(bounds[-1], _MAX_PAIRS)
     empty = np.empty(0, dtype=np.int64)
     return tuple(np.concatenate(c) for c in zip(
-        (empty, empty), *_coprime_pair_chunks(q, lo, hi)))
+        (empty, empty), *(chunk for lo, hi in zip(bounds, bounds[1:])
+                          for chunk in _coprime_pair_chunks(q, lo, hi))))
 
 
 def _coprime_pairs(q: int, lo: int, hi: int
@@ -329,16 +328,15 @@ def _coprime_pairs(q: int, lo: int, hi: int
     """Every ordered pair (a, b) of integers coprime to q with
     lo < ab <= hi, as two int64 arrays: the unordered pairs a <= b, then
     the swaps (b, a) of those with a < b."""
-    a, b = _unordered_pairs(q, lo, hi)
+    a, b = _unordered_pairs(q, (lo, hi))
     off = a != b
     return np.concatenate((a, b[off])), np.concatenate((b, a[off]))
 
 
 def _check_pair_count(hi: int, cap: float) -> None:
     """Refuse a pass over the products up to hi, estimated in ordered
-    pairs, over cap: _MAX_PAIRS from _unordered_pairs and abc_values
-    (pairs held), _MAX_TABLE_PAIRS from compute_spectrum (tables
-    streamed)."""
+    pairs, over cap: _MAX_PAIRS from _unordered_pairs (pairs held),
+    _MAX_TABLE_PAIRS from compute_spectrum (tables streamed)."""
     est = hi * (math.log(max(hi, 1)) + 1.0)
     if est > cap:
         raise ValueError(
@@ -348,20 +346,22 @@ def _check_pair_count(hi: int, cap: float) -> None:
             f"~{est:.2e} pairs, over the cost cap")
 
 
-@lru_cache(maxsize=2)
-def _pairs(q: int, lo: int, hi: int) -> tuple[np.ndarray, ...]:
-    """Unordered coprime pairs a <= b with lo < ab <= hi, hi >= 1, as
-    columns (ab, label of a, label of b, mult): int64, the labels those of
-    the group mod q (CharacterGroup.residue_labels), and mult the float64
-    count of ordered pairs each one stands for, 2 off the diagonal and 1
-    on it.  The cached arrays are shared and read-only, two entries: the
-    head and the tail of one modulus (one tail at 100003 is 151 MiB)."""
-    a, b = _unordered_pairs(q, lo, hi)
+@lru_cache(maxsize=1)
+def _pairs(q: int) -> tuple[tuple[np.ndarray, ...], int]:
+    """Unordered coprime pairs a <= b with ab <= m_eff, the head
+    (ab <= z_floor) then the tail, as columns (ab, label of a, label of
+    b, mult), and the head's length: int64, the labels those of the group
+    mod q (CharacterGroup.residue_labels), and mult the float64 count of
+    ordered pairs each one stands for, 2 off the diagonal and 1 on it.
+    Shared and read-only, one modulus at a time (160 MiB at 100003)."""
+    z = q // two_pow_omega(q)
+    a, b = _unordered_pairs(q, (0, z, truncation_bound(q)))
+    ab = a * b
     lab = build_group(q).residue_labels()
-    cols = (a * b, lab[a % q], lab[b % q], np.where(a == b, 1.0, 2.0))
+    cols = (ab, lab[a % q], lab[b % q], np.where(a == b, 1.0, 2.0))
     for col in cols:
         col.flags.writeable = False
-    return cols
+    return cols, int(np.count_nonzero(ab <= z))
 
 
 def _pair_terms(vals: np.ndarray, kp: np.ndarray,
@@ -390,14 +390,15 @@ def _pair_terms(vals: np.ndarray, kp: np.ndarray,
     return terms
 
 
-def _exact_sum(x: np.ndarray, cuts: Sequence[int]) -> list[int]:
-    """The exact sums of the consecutive segments x[:c_1], x[c_1:c_2],
-    ..., x[c_k:] of a finite float64 array, cut at the non-decreasing
+def _exact_sum(x: np.ndarray, cuts: Sequence[int]
+               ) -> tuple[list[float], float]:
+    """The sums of the consecutive segments x[:c_1], x[c_1:c_2], ...,
+    x[c_k:] of a finite float64 array, cut at the non-decreasing
     cuts = (c_1, ..., c_k) in [0, x.size] (an empty segment sums to 0),
-    each a Python int in units of 2^-1126, of which every float64 is an
-    integer multiple.  n / _EXACT_SCALE rounds once (CPython's int true
-    division is correctly rounded): it is the correctly rounded sum, ties
-    to even, the float math.fsum gives, and +0.0 for a zero sum.
+    and of the whole array, each the correctly rounded sum, ties to even,
+    that math.fsum gives, +0.0 for a zero sum: an exact Python int in
+    units of 2^-1126, of which every float64 is an integer multiple,
+    divided by _EXACT_SCALE (CPython's int true division rounds once).
 
     One bin per eight exponents (R. Neal, arXiv:1505.05571): with
     x = f 2^e, 1/2 <= |f| < 1 (np.frexp), and e_min the least e of a
@@ -443,7 +444,7 @@ def _exact_sum(x: np.ndarray, cuts: Sequence[int]) -> list[int]:
             for h, lo in zip(hs, ls):
                 acc = (acc << 8) + (h << 30) + lo
             sums[s] += acc << (e0 + 1073)  # units of 2^(e0 - 53)
-    return sums
+    return [n / _EXACT_SCALE for n in sums], sum(sums) / _EXACT_SCALE
 
 
 def abc_values(G: CharacterGroup, chi: CharacterLabel, *,
@@ -453,20 +454,13 @@ def abc_values(G: CharacterGroup, chi: CharacterLabel, *,
     This is the reference pipeline: one character at a time, no residue
     grouping.  Shares kernel values through `weights` so that comparisons
     against the table pipeline test only the reorganization of the sum.
-    The head and tail terms are added exactly in one _exact_sum pass cut
-    between them, and B, C and A = B + C are each rounded once from the
-    exact sums.
+    The terms over the pairs of _pairs, formed in one pass, are added
+    exactly in one _exact_sum pass cut at the head: B and C are the exact
+    head and tail sums and A their exact total, each rounded once.
     """
-    q = G.q
-    _check_pair_count(truncation_bound(q), _MAX_PAIRS)  # before any table
-    weights = _resolve_weights(q, weights, head_only=False)
-    vals, kp = G.char_values(chi), weights.kprod[chi.parity]
-    z = weights.z_floor
-    head, tail = (_pairs(q, lo, hi) for lo, hi in ((0, z), (z, weights.m_eff)))
-    b, c = _exact_sum(np.concatenate((_pair_terms(vals, kp, head),
-                                      _pair_terms(vals, kp, tail))),
-                      (head[0].size,))
-    return CentralValue(
-        label=chi, q=q, a_value=(b + c) / _EXACT_SCALE,
-        b_value=b / _EXACT_SCALE, c_value=c / _EXACT_SCALE,
-        m_eff=weights.m_eff)
+    pairs, n_head = _pairs(G.q)  # refused over the cap before any table
+    weights = _resolve_weights(G.q, weights, head_only=False)
+    terms = _pair_terms(G.char_values(chi), weights.kprod[chi.parity], pairs)
+    (b, c), a = _exact_sum(terms, (n_head,))
+    return CentralValue(label=chi, q=G.q, a_value=a, b_value=b, c_value=c,
+                        m_eff=weights.m_eff)

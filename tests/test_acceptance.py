@@ -21,8 +21,6 @@ from dirmoment.spectra import _table, fourth_moment, group_transform
 from dirmoment import checks, cli
 from scalar_ref import exact_transform, w_quad
 
-CFG = KernelConfig()
-
 # one line per criterion; echoed by conftest in the terminal summary
 REPORT_LINES: list[str] = []
 
@@ -52,26 +50,24 @@ def test_criterion_01_exact_identities():
 def test_criterion_02_oracle_agreement():
     t0 = time.perf_counter()
     r = checks.oracle_equation()
-    ok = not r.failures and r.worst <= 1e-6 and r.checks == 41
+    ok = not r.failures and r.worst <= 1.0 and r.checks == 41
     _report(2, "smoothed functional equation vs independent oracle",
-            ok, f"{r.checks} primitive characters, worst rel "
-            f"{r.worst:.2e} <= 1e-06", 60.0, time.perf_counter() - t0)
+            ok, f"{r.checks} primitive characters, worst abs gap "
+            f"{r.worst:.2e} x the kernel-eps bound", 60.0,
+            time.perf_counter() - t0)
 
 
 def test_criterion_02_oracle_agreement_at_scale():
     # every primitive character at a prime and a power of two near 500,
     # and every 625th at the prime 10007 (16 primitive, of both parities),
-    # against the absolute bound the kernel eps implies: each kernel value
-    # is within eps and A weighs them by 1 / sqrt(ab) over ab <= m, which
-    # adds up to at most 2 sqrt(m) (1 + ln m); doubled for 2A
+    # against the absolute bound the kernel eps implies (checks._oracle_tol)
     t0 = time.perf_counter()
     worst_gap = worst = 0.0
     cases = 0
     for q, step in ((499, 1), (512, 1), (10007, 625)):
         G = build_group(q)
         kw = kernel_weights(q)
-        m = 24.0 * q / math.pi
-        tol = 2.0 * CFG.eps * 2.0 * math.sqrt(m) * (1.0 + math.log(m))
+        tol = checks._oracle_tol(q)
         for chi in G.labels()[::step]:
             if not chi.primitive:
                 continue

@@ -297,12 +297,13 @@ def test_error_sum_scratch_does_not_grow_with_the_characters():
     # Nothing grows with phi* times the head pairs n: the terms held
     # whole would take 8 phi* n bytes, 0.3 MiB at q = 179 and 13 MiB at
     # 1009 (n = 211 and 1623), before their gathers.  The group and the
-    # head pairs are built before
+    # pair set of lfunc._pairs, whose head rows error_sum_E reads, are
+    # built before
     for q in (179, 1009):
         G = build_group(q)
         G.char_values(G.labels()[1])
         z = kernel_weights(q, head_only=True).z_floor
-        lfunc._pairs(q, 0, z)
+        lfunc._pairs(q)
         bound = (96 * lfunc._PAIR_BATCH + 96 * G.group_order + 128 * z
                  + (128 << 10))
         tracemalloc.start()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 
 from dirmoment import chargroup, checks, cli, kernel, lfunc, spectra
 from dirmoment.arith import phi_star
+from dirmoment.lfunc import abc_values
 from dirmoment.numerics import fmt_float
 from dirmoment.spectra import compute_spectrum, fourth_moment
 
@@ -95,8 +97,12 @@ def test_value_reports_oracle(capsys):
     assert doc["conductor"] == 5
     l_sq = doc["l_oracle"]["re"] ** 2 + doc["l_oracle"]["im"] ** 2
     assert abs(l_sq - doc["two_a"]) < 1e-10
-    rc, out = run(capsys, "value", "--q", "5", "--char", "1", "--no-oracle")
-    assert "l_oracle" not in json.loads(out)
+    # the principal character is not primitive: no oracle fields
+    rc, out = run(capsys, "value", "--q", "5", "--char", "0")
+    assert rc == 0 and "l_oracle" not in json.loads(out)
+    with pytest.raises(SystemExit) as e:  # the option is gone
+        cli.main(["value", "--q", "5", "--char", "1", "--no-oracle"])
+    assert e.value.code == 2
 
 
 def test_value_rejects_bad_index(capsys):
@@ -219,6 +225,20 @@ def test_tail_sweep_reports_a_breach(monkeypatch):
     for f in r.failures:
         assert f["check"] == "tail_moment"
         assert f["c_moment_all"] > f["envelope"]
+
+
+def test_oracle_sweep_reports_a_breach(monkeypatch):
+    # A scaled by 1 + 1e-7 moves 2A by 1e-7 of itself: inside the relative
+    # 1e-6 of earlier versions, but over the kernel-eps bound (under 3e-8
+    # at every q of the sweep) at 30 of the 41 characters
+    def scaled(G, chi, *, weights):
+        cv = abc_values(G, chi, weights=weights)
+        return dataclasses.replace(cv, a_value=cv.a_value * (1.0 + 1e-7))
+    monkeypatch.setattr(checks, "abc_values", scaled)
+    r = checks.oracle_equation()
+    assert r.checks == 41 and len(r.failures) == 30 and r.worst > 1.0
+    for f in r.failures:
+        assert f["check"] == "oracle_equation" and f["gap"] > f["bound"]
 
 
 def test_scan_over_the_modulus_cap_is_exit_2_before_any_row(monkeypatch,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dirmoment import lfunc
+from dirmoment.arith import two_pow_omega
 from dirmoment.asymptotics import error_sum_E
 from dirmoment.chargroup import build_group
 from dirmoment.kernel import KernelConfig, w_eval_batch
@@ -279,25 +280,46 @@ def _ordered_pairs(q, lo, hi):
 
 @pytest.mark.parametrize("q", [1, 12, 97, 1009])
 def test_held_pairs_do_not_depend_on_the_batch(q, monkeypatch):
-    # _unordered_pairs concatenates the enumerator's slices and _pairs
-    # builds its columns from them: the same arrays whether a slice holds
-    # one pair (batch 1), seven, ending inside the runs of one a, or the
-    # default number
+    # _unordered_pairs concatenates the enumerator's slices, of one range
+    # or of consecutive ones, and _pairs builds its columns from them: the
+    # same arrays whether a slice holds one pair (batch 1), seven, ending
+    # inside the runs of one a, or the default number
     hi = truncation_bound(q)
-    ranges = [(lo, hi) for lo in (0, math.isqrt(hi),
-                                  kernel_weights(q).z_floor)]
 
-    def held(lo, hi):
-        return (*lfunc._unordered_pairs(q, lo, hi),
-                *lfunc._pairs.__wrapped__(q, lo, hi))
+    def held():
+        cols, n_head = lfunc._pairs.__wrapped__(q)
+        return (*lfunc._unordered_pairs(q, (0, hi)),
+                *lfunc._unordered_pairs(q, (math.isqrt(hi), hi)),
+                *cols, np.array(n_head))
 
-    want = {r: held(*r) for r in ranges}
+    want = held()
     for batch in (1, 7):
         monkeypatch.setattr(lfunc, "_PAIR_BATCH", batch)
-        for r in ranges:
-            got = held(*r)
-            assert all(x.dtype == y.dtype and np.array_equal(x, y)
-                       for x, y in zip(got, want[r], strict=True)), (batch, r)
+        got = held()
+        assert all(x.dtype == y.dtype and np.array_equal(x, y)
+                   for x, y in zip(got, want, strict=True)), batch
+
+
+@pytest.mark.parametrize("q", [1, 2, 12, 179, 1009, 15015])
+def test_pairs_hold_the_head_then_the_tail(q):
+    # one cache entry per modulus: the columns of the head range
+    # (0, z_floor] followed by those of the tail range (z_floor, m_eff],
+    # as if each were built on its own, read-only, and the head's length
+    z, m = q // two_pow_omega(q), truncation_bound(q)
+    lab = build_group(q).residue_labels()
+
+    def columns(lo, hi):
+        a, b = lfunc._unordered_pairs(q, (lo, hi))
+        return a * b, lab[a % q], lab[b % q], np.where(a == b, 1.0, 2.0)
+
+    want = [np.concatenate(c) for c in zip(columns(0, z), columns(z, m))]
+    cols, n_head = lfunc._pairs(q)
+    assert all(x.dtype == y.dtype and np.array_equal(x, y)
+               and not x.flags.writeable
+               for x, y in zip(cols, want, strict=True))
+    assert n_head == sum(1 for a in range(1, z + 1)
+                         for b in range(a, z // a + 1)
+                         if math.gcd(a * b, q) == 1)
 
 
 @pytest.mark.parametrize("q", [5, 12, 163, 168, 179])
@@ -349,24 +371,21 @@ def _finite_arrays(draw):
     return x
 
 
-def _rounded(n):
-    # an _exact_sum total rounded once, as abc_values rounds it
-    return n / lfunc._EXACT_SCALE
-
-
 @given(_finite_arrays())
 @settings(max_examples=300, deadline=None)
 def test_exact_sum_is_fsum_bitwise(x):
     # the exact sum rounded once is the correctly rounded sum, ties to
-    # even, and a zero sum is +0.0: the float math.fsum gives, bit for bit
-    (total,) = _exact_sum(x, ())
-    assert _rounded(total).hex() == math.fsum(x.tolist()).hex()
+    # even, and a zero sum is +0.0: the float math.fsum gives, bit for
+    # bit, as the one segment and as the total
+    want = math.fsum(x.tolist()).hex()
+    (seg,), total = _exact_sum(x, ())
+    assert seg.hex() == total.hex() == want
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 256])
 def test_exact_sum_over_several_chunks(chunk, monkeypatch):
-    # passes of _SUM_CHUNK terms add up to the one-pass sum: the exact
-    # sum of the whole array
+    # passes of _SUM_CHUNK terms add up to the one-pass sum: the
+    # correctly rounded sum of the whole array
     rng = np.random.default_rng(chunk)
     x = np.ldexp(rng.uniform(-1.0, 1.0, 2000), rng.integers(-1080, 980, 2000))
     x = np.concatenate((x, [0.0, -0.0, 5e-324], -x[:700], x[:50]))
@@ -374,7 +393,7 @@ def test_exact_sum_over_several_chunks(chunk, monkeypatch):
     monkeypatch.setattr(lfunc, "_SUM_CHUNK", chunk)
     assert x.size > 2 * chunk
     assert _exact_sum(x, ()) == whole
-    assert _rounded(whole[0]).hex() == math.fsum(x.tolist()).hex()
+    assert whole[1].hex() == math.fsum(x.tolist()).hex()
 
 
 @st.composite
@@ -391,21 +410,20 @@ def _cut_arrays(draw):
 @given(_cut_arrays())
 @settings(max_examples=100, deadline=None)
 def test_exact_sum_segments_are_fsums_bitwise(case):
-    # each segment's exact sum and their total, rounded once, are the
-    # correctly rounded sums of the segment and of the whole array, bit
-    # for bit, whether a pass of _SUM_CHUNK terms ends inside a segment,
-    # at a cut or on an empty segment
+    # each segment's sum and the total are the correctly rounded sums of
+    # the segment and of the whole array, bit for bit, whether a pass of
+    # _SUM_CHUNK terms ends inside a segment, at a cut or on an empty
+    # segment
     x, cuts, chunk = case
     with pytest.MonkeyPatch.context() as patch:
         if chunk is not None:
             patch.setattr(lfunc, "_SUM_CHUNK", chunk)
-        sums = _exact_sum(x, cuts)
+        segs, total = _exact_sum(x, cuts)
     bounds = [0, *cuts, x.size]
-    assert len(sums) == len(bounds) - 1
-    for n, lo, hi in zip(sums, bounds, bounds[1:]):
-        assert _rounded(n).hex() == math.fsum(x[lo:hi].tolist()).hex()
-    assert sum(sums) == _exact_sum(x, ())[0]
-    assert _rounded(sum(sums)).hex() == math.fsum(x.tolist()).hex()
+    assert len(segs) == len(bounds) - 1
+    for seg, lo, hi in zip(segs, bounds, bounds[1:]):
+        assert seg.hex() == math.fsum(x[lo:hi].tolist()).hex()
+    assert total.hex() == math.fsum(x.tolist()).hex()
 
 
 @pytest.mark.parametrize("x, want", [
@@ -417,8 +435,8 @@ def test_exact_sum_segments_are_fsums_bitwise(case):
 ])
 def test_exact_sum_rounds_half_to_even(x, want):
     x = np.array(x)
-    (total,) = _exact_sum(x, ())
-    assert _rounded(total).hex() == want.hex() == math.fsum(x).hex()
+    _, total = _exact_sum(x, ())
+    assert total.hex() == want.hex() == math.fsum(x).hex()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -27,8 +27,9 @@ def test_every_exported_name_resolves(name):
 
 def test_removed_names_are_gone():
     # one transform entry point, two correctly rounded sums (math.fsum,
-    # and lfunc._exact_sum, integers in units of 2^-1126 cut into
-    # segments, for the pair sums of abc_values and of error_sum_E), one
+    # and lfunc._exact_sum, floats for each segment and the total, for the
+    # pair sums of abc_values and of error_sum_E), one pair set per
+    # modulus (lfunc._pairs, the head then the tail), one
     # home for the classification rule (CharacterGroup's per-axis tables)
     # and one residue table per product range, scattered already folded
     # (spectra._table); no exports without a caller, trial division
@@ -219,7 +220,7 @@ CACHES = {
     ("kernel", "_series_coef", 2),
     ("lfunc", "_hurwitz_cheb", 1),
     ("lfunc", "_hurwitz_half", 1),
-    ("lfunc", "_pairs", 2),
+    ("lfunc", "_pairs", 1),
 }
 
 
