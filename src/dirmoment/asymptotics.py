@@ -266,7 +266,9 @@ def error_sum_E(q: int) -> ErrorSumResult:
     from CharacterGroup.char_values in blocks of rows with at most
     _ROW_BLOCK entries in any array (one row when a row alone holds more),
     and the segments of one _exact_sum pass cut at the rows are the
-    block's B values.  sum* B^2 is the exact total of the B^2.
+    block's B values.  One character per conjugate class is stacked:
+    B(chibar) is B(chi) bit for bit, so sum* B^2, the exact total of B^2
+    with each non-real class's doubled, is the sum over every chi.
     """
     if q < 3:
         raise ValueError("error sum needs q >= 3 so log q > 0")
@@ -275,15 +277,21 @@ def error_sum_E(q: int) -> ErrorSumResult:
     pairs, n = _pairs(q)
     head = tuple(col[:n] for col in pairs)
     rows = max(1, _ROW_BLOCK // max(n, G.group_order))
-    b: list[float] = []
-    for parity, kp in enumerate(kw.kprod):
-        prim = [chi for chi in G.labels()
-                if chi.primitive and chi.parity == parity]
+    classes: tuple[list, list] = ([], [])  # by parity: (chi, its class size)
+    for chi in G.labels():
+        if chi.primitive:
+            bar = G.conjugate_exponents(chi)
+            if chi.exponents <= bar:
+                classes[chi.parity].append((chi, 1 + (chi.exponents != bar)))
+    sq: list[float] = []
+    for kp, prim in zip(kw.kprod, classes):
         for lo in range(0, len(prim), rows):
-            vals = np.stack([G.char_values(chi) for chi in prim[lo:lo + rows]])
+            block = prim[lo:lo + rows]
+            vals = np.stack([G.char_values(chi) for chi, _ in block])
             terms = _pair_terms(vals, kp, head)
-            b += _exact_sum(terms.ravel(), range(n, terms.size, n))[0]
-    b_sq = _exact_sum(np.array([v ** 2 for v in b]), ())[1]
+            b = _exact_sum(terms.ravel(), range(n, terms.size, n))[0]
+            sq += [v ** 2 * k for v, (_, k) in zip(b, block)]
+    b_sq = _exact_sum(np.array(sq), ())[1]
     m_val = m_reparametrized(q, weights=kw)
     return ErrorSumResult(q=q, b_sq_sum=b_sq, m_value=m_val,
                           e_measured=b_sq - m_val,

@@ -213,6 +213,11 @@ class CharacterGroup:
                 f"character index {index} out of range [0, {self.group_order})")
         return self.label(np.unravel_index(index, self.orders))
 
+    def conjugate_exponents(self, chi: CharacterLabel) -> tuple[int, ...]:
+        """The exponents of chibar, the conjugate of chi: -e mod each
+        order.  chibar has chi's parity and conductor."""
+        return tuple(-e % d for e, d in zip(chi.exponents, self.orders))
+
     def parity_grid(self) -> np.ndarray:
         """Parity of every label as int8, flat in label order.  The cached
         array is shared and read-only."""
@@ -252,7 +257,9 @@ class CharacterGroup:
     def char_values(self, chi: CharacterLabel) -> np.ndarray:
         """chi(u) for every unit u, in label order like angle_nums: each
         value is root_of_unity at its numerator, read from one table of
-        root_of_unity(k, exponent)."""
+        root_of_unity(k, exponent).  The table is conjugate-symmetric, so
+        chibar's array equals (==) the conjugate of chi's: lfunc's sums
+        for chibar are chi's, bit for bit, the imaginary ones negated."""
         if self._roots is None:
             N = self.exponent
             self._roots = np.array([root_of_unity(k, N) for k in range(N)])
@@ -350,7 +357,11 @@ def build_group(q: int) -> CharacterGroup:
 
 
 def root_of_unity(num: int, den: int) -> complex:
+    """e(num / den); past the half turn, the conjugate of
+    root_of_unity(den - num, den), so e(-x) is exactly conj(e(x))."""
     num %= den
+    if 2 * num > den:
+        return root_of_unity(den - num, den).conjugate()
     # exact values at the quarter points keep small cases clean
     if num == 0:
         return complex(1, 0)
@@ -358,8 +369,6 @@ def root_of_unity(num: int, den: int) -> complex:
         return complex(-1, 0)
     if 4 * num == den:
         return complex(0, 1)
-    if 4 * num == 3 * den:
-        return complex(0, -1)
     return cmath.exp(2j * math.pi * (num / den))
 
 

@@ -38,6 +38,12 @@ the correctly rounded sum over the ordered pairs that math.fsum gives,
 so it does not depend on term order and reruns are bit-identical.  The
 oracle adds chi(a) zeta(1/2, a/q) over the units with math.fsum, from
 one cached table of Hurwitz values per modulus.
+
+Both routes compute each conjugate class {chi, chibar} once per modulus
+(_class_values), and that is exact: char_values(chibar) is exactly the
+conjugate of char_values(chi), so chibar's terms Re x_a Re x_b +
+Im x_a Im x_b are chi's floats and its oracle fsums chi's, the imaginary
+one negated.  A call for chibar returns the bits a fresh one would.
 """
 
 from __future__ import annotations
@@ -179,17 +185,42 @@ def _hurwitz_half(q: int) -> np.ndarray:
     return hz
 
 
+@lru_cache(maxsize=1)
+def _class_values(q: int) -> dict:
+    """The results of abc_values and l_half_oracle at modulus q, one per
+    conjugate class {chi, chibar}, keyed by the smaller of the two
+    exponent tuples, chi's: 'oracle' holds its L(1/2, chi), 'abc' its
+    (B, C) and A from the kernel table 'weights' (dropped when a call
+    passes another table).  Only the last modulus is kept."""
+    return {"oracle": {}, "abc": {}, "weights": None}
+
+
+def _class_key(G: CharacterGroup, chi: CharacterLabel
+               ) -> tuple[tuple[int, ...], bool]:
+    """The key of chi's conjugate class in _class_values, and whether chi
+    is the conjugate of the character it names."""
+    bar = G.conjugate_exponents(chi)
+    return min(chi.exponents, bar), bar < chi.exponents
+
+
 def l_half_oracle(G: CharacterGroup, chi: CharacterLabel) -> complex:
-    """L(1/2, chi) for primitive chi mod q >= 3 via Hurwitz zeta values."""
+    """L(1/2, chi) for primitive chi mod q >= 3 via Hurwitz zeta values;
+    for chibar, the exact conjugate of chi's (once per class and modulus)."""
     q = G.q
     if q < 3 or not chi.primitive:
         raise ValueError(
             "the Hurwitz-zeta route needs a primitive character of modulus"
             f" >= 3; got q = {q}, primitive = {chi.primitive}")
+    key, flip = _class_key(G, chi)
+    known = _class_values(q)["oracle"]
+    if key in known:
+        return known[key].conjugate() if flip else known[key]
     z = G.char_values(chi)
     hz = _hurwitz_half(q)[G.unit_residues()]
-    return complex(math.fsum((z.real * hz).tolist()),
-                   math.fsum((z.imag * hz).tolist())) / math.sqrt(q)
+    val = complex(math.fsum((z.real * hz).tolist()),
+                  math.fsum((z.imag * hz).tolist())) / math.sqrt(q)
+    known[key] = val.conjugate() if flip else val
+    return val
 
 
 @dataclass
@@ -457,10 +488,20 @@ def abc_values(G: CharacterGroup, chi: CharacterLabel, *,
     The terms over the pairs of _pairs, formed in one pass, are added
     exactly in one _exact_sum pass cut at the head: B and C are the exact
     head and tail sums and A their exact total, each rounded once.
+    chibar has chi's terms bit for bit, so each conjugate class is summed
+    once per modulus and table, and chibar gets chi's floats.
     """
     pairs, n_head = _pairs(G.q)  # refused over the cap before any table
     weights = _resolve_weights(G.q, weights, head_only=False)
-    terms = _pair_terms(G.char_values(chi), weights.kprod[chi.parity], pairs)
-    (b, c), a = _exact_sum(terms, (n_head,))
+    store = _class_values(G.q)
+    if store["weights"] is not weights:
+        store.update(abc={}, weights=weights)
+    known = store["abc"]
+    key = _class_key(G, chi)[0]
+    if key not in known:
+        terms = _pair_terms(G.char_values(chi), weights.kprod[chi.parity],
+                            pairs)
+        known[key] = _exact_sum(terms, (n_head,))
+    (b, c), a = known[key]
     return CentralValue(label=chi, q=G.q, a_value=a, b_value=b, c_value=c,
                         m_eff=weights.m_eff)

@@ -284,6 +284,23 @@ def test_error_sum_head_matches_per_character_b():
         assert error_sum_E(q).b_sq_sum == b_sq
 
 
+@pytest.mark.parametrize("q", [13, 163, 512, 1009])
+def test_error_sum_equals_the_sum_over_every_character(q):
+    # error_sum_E sums one character per conjugate class and counts a
+    # non-real class twice: the same float as the exact sum of B^2 over
+    # every primitive chi, each B computed afresh
+    G = build_group(q)
+    kw = kernel_weights(q)
+    b_sq = []
+    for chi in G.labels():
+        if chi.primitive:
+            lfunc._class_values.cache_clear()
+            b_sq.append(abc_values(G, chi, weights=kw).b_value ** 2)
+    r = error_sum_E(q)
+    assert r.b_sq_sum == math.fsum(b_sq)
+    assert r.e_measured == math.fsum(b_sq) - m_reparametrized(q)
+
+
 def test_error_sum_scratch_does_not_grow_with_the_characters():
     # a block of rows holds at most _PAIR_BATCH entries per array (in
     # fact _ROW_BLOCK, an eighth of it): the stacked character values

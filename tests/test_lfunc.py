@@ -125,15 +125,16 @@ def test_oracle_beta_constant():
 
 
 def test_oracle_conjugate_symmetry():
-    # L(1/2, conj(chi)) is the conjugate of L(1/2, chi)
+    # L(1/2, conj(chi)) is the conjugate of L(1/2, chi), each computed
+    # afresh
     G = build_group(7)
     prim = [c for c in G.labels() if c.primitive]
     by_exp = {c.exponents: c for c in prim}
     for chi in prim:
         conj = by_exp[tuple((-e) % d for e, d in zip(chi.exponents,
                                                      G.orders))]
-        a = l_half_oracle(G, chi)
-        b = l_half_oracle(G, conj)
+        a = _fresh(l_half_oracle, G, chi)
+        b = _fresh(l_half_oracle, G, conj)
         assert abs(a - b.conjugate()) < 1e-12
 
 
@@ -455,15 +456,88 @@ def test_abc_split_is_consistent():
             assert cv.m_eff == kw.m_eff
 
 
+def _fresh(f, *args, **kwargs):
+    # f with the per-modulus store of conjugate classes emptied first, so
+    # the value is computed, not read back
+    lfunc._class_values.cache_clear()
+    return f(*args, **kwargs)
+
+
 def test_conjugate_characters_share_a_value():
-    G = build_group(13)
-    kw = kernel_weights(13)
-    vals = {}
-    for chi in G.labels():
-        vals[chi.exponents] = abc_values(G, chi, weights=kw).a_value
-    for exps, v in vals.items():
-        conj = tuple((-e) % d for e, d in zip(exps, G.orders))
-        assert abs(v - vals[conj]) < 1e-13
+    # the root table is conjugate-symmetric, so chibar takes exactly the
+    # conjugate values, its smoothed sums are chi's floats and its oracle
+    # value is the exact conjugate of chi's; each side is computed afresh
+    # from its own kernel table
+    for q in (13, 163, 512, 1009):
+        G = build_group(q)
+        kw_chi, kw_bar = kernel_weights(q), kernel_weights(q)
+        for chi in G.labels():
+            bar = G.label(G.conjugate_exponents(chi))
+            if bar.exponents < chi.exponents:
+                continue  # the pair was checked from bar
+            assert (G.char_values(bar) == G.char_values(chi).conj()).all()
+            cv, cv_bar = (_fresh(abc_values, G, c, weights=kw)
+                          for c, kw in ((chi, kw_chi), (bar, kw_bar)))
+            assert ((cv.a_value, cv.b_value, cv.c_value)
+                    == (cv_bar.a_value, cv_bar.b_value, cv_bar.c_value))
+            if chi.primitive:
+                assert (_fresh(l_half_oracle, G, bar)
+                        == _fresh(l_half_oracle, G, chi).conjugate())
+
+
+@pytest.mark.parametrize("q", [13, 512])
+def test_conjugate_reuse_is_invisible(q, monkeypatch):
+    # each conjugate class is computed once per modulus and kernel table;
+    # the values do not depend on the order of the calls, each carries
+    # the label asked for, and the store holds one modulus only
+    G = build_group(q)
+    kw = kernel_weights(q)
+    prim = [chi for chi in G.labels() if chi.primitive]
+
+    def run(order):
+        lfunc._class_values.cache_clear()
+        return {chi: (abc_values(G, chi, weights=kw), l_half_oracle(G, chi))
+                for chi in order}
+
+    fwd, rev = run(prim), run(prim[::-1])
+    for chi in prim:
+        assert fwd[chi][0].label == rev[chi][0].label == chi
+        assert repr(fwd[chi]) == repr(rev[chi])
+
+    passes = {"terms": 0, "oracle": 0}
+
+    def counting(name, f):
+        def inner(*args):
+            passes[name] += 1
+            return f(*args)
+        return inner
+
+    monkeypatch.setattr(lfunc, "_pair_terms",
+                        counting("terms", lfunc._pair_terms))
+    monkeypatch.setattr(lfunc, "_hurwitz_half",
+                        counting("oracle", lfunc._hurwitz_half))
+    chi = next(c for c in prim if c.exponents < G.conjugate_exponents(c))
+    bar = G.label(G.conjugate_exponents(chi))
+
+    def both(weights):
+        for c in (chi, bar):
+            abc_values(G, c, weights=weights)
+            l_half_oracle(G, c)
+        return dict(passes)
+
+    lfunc._class_values.cache_clear()
+    assert both(kw) == {"terms": 1, "oracle": 1}
+    assert both(kw) == {"terms": 1, "oracle": 1}
+    kw_new = kernel_weights(q)  # a new table: the sums again, not L
+    assert both(kw_new) == {"terms": 2, "oracle": 1}
+    G7 = build_group(7)  # a new modulus (one term pass) drops everything
+    abc_values(G7, G7.labels()[1], weights=kernel_weights(7))
+    assert lfunc._class_values.cache_info().currsize == 1
+    assert both(kw_new) == {"terms": 4, "oracle": 2}
+    store = lfunc._class_values(q)
+    assert lfunc._class_values.cache_info().currsize == 1
+    assert store["weights"] is kw_new
+    assert set(store["abc"]) == set(store["oracle"]) == {chi.exponents}
 
 
 def test_weights_modulus_mismatch_rejected():

@@ -211,7 +211,9 @@ def test_knobs_are_listed():
 
 
 # every cache of the package, as (module, function, maxsize): each holds
-# its arrays, tuples or read-only maps for the life of the process
+# its arrays, tuples or read-only maps for the life of the process, but
+# lfunc._class_values, which fills one modulus's per-character results
+# (one per conjugate class) as they are asked for
 CACHES = {
     ("chargroup", "_phi_mu_sums", 64),
     ("kernel", "_height_grid", 64),
@@ -221,6 +223,7 @@ CACHES = {
     ("lfunc", "_hurwitz_cheb", 1),
     ("lfunc", "_hurwitz_half", 1),
     ("lfunc", "_pairs", 1),
+    ("lfunc", "_class_values", 1),
 }
 
 
