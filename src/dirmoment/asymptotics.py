@@ -43,8 +43,8 @@ import numpy as np
 from .arith import (coprime_mask, euler_phi, factorize, omega_sieve,
                     phi_star, two_pow_omega)
 from .chargroup import build_group
-from .lfunc import (_PAIR_BATCH, KernelWeights, _coprime_pairs, _exact_sum,
-                    _pair_terms, _pairs, _resolve_weights, kernel_weights)
+from .lfunc import (KernelWeights, _class_sums, _coprime_pairs, _exact_sum,
+                    _resolve_weights, kernel_weights)
 from .numerics import EULER_GAMMA, ZETA2
 
 __all__ = [
@@ -67,12 +67,6 @@ _MAX_LEMMA45_N = 5e7
 # entries per block of the outer-product comparisons of m_direct and
 # lemma3_count: a block's int64 matrices take 32 MB each
 _OUTER_BLOCK = 4_000_000
-# entries per row block of error_sum_E: its complex gathers take 32 KiB,
-# far below the 128 KiB from which glibc's malloc serves an array by mmap.
-# Blocks of _PAIR_BATCH entries (256 KiB gathers) took 135 page faults
-# per call at q in 160..179, and 28 against 21 ms per perfbench
-# crosscheck op (in process, 2-vCPU VM)
-_ROW_BLOCK = _PAIR_BATCH // 8
 
 
 def theorem_main_term(q: int) -> float:
@@ -259,38 +253,23 @@ class ErrorSumResult:
 def error_sum_E(q: int) -> ErrorSumResult:
     """Off-diagonal remainder E = sum*|B|^2 - M, measured directly.
 
-    The B values are recomputed by the naive per-character route,
-    independent of the table pipeline, from the head rows of the pairs,
-    the terms and the exact sum of abc_values, so each B is the same float
-    as its b_value.  The primitive characters of each parity are stacked
-    from CharacterGroup.char_values in blocks of rows with at most
-    _ROW_BLOCK entries in any array (one row when a row alone holds more),
-    and the segments of one _exact_sum pass cut at the rows are the
-    block's B values.  One character per conjugate class is stacked:
-    B(chibar) is B(chi) bit for bit, so sum* B^2, the exact total of B^2
-    with each non-real class's doubled, is the sum over every chi.
+    Each B is its b_value from abc_values, the naive per-character route
+    independent of the table pipeline: lfunc._class_sums with a head-only
+    table (the full one's prefix), which reads back what abc_values
+    stored for q.  One character per conjugate class: B(chibar) is B(chi)
+    bit for bit, so sum* B^2 is the exact total of B^2 with each non-real
+    class's doubled.
     """
     if q < 3:
         raise ValueError("error sum needs q >= 3 so log q > 0")
     kw = kernel_weights(q, head_only=True)
     G = build_group(q)
-    pairs, n = _pairs(q)
-    head = tuple(col[:n] for col in pairs)
-    rows = max(1, _ROW_BLOCK // max(n, G.group_order))
-    classes: tuple[list, list] = ([], [])  # by parity: (chi, its class size)
-    for chi in G.labels():
-        if chi.primitive:
-            bar = G.conjugate_exponents(chi)
-            if chi.exponents <= bar:
-                classes[chi.parity].append((chi, 1 + (chi.exponents != bar)))
     sq: list[float] = []
-    for kp, prim in zip(kw.kprod, classes):
-        for lo in range(0, len(prim), rows):
-            block = prim[lo:lo + rows]
-            vals = np.stack([G.char_values(chi) for chi, _ in block])
-            terms = _pair_terms(vals, kp, head)
-            b = _exact_sum(terms.ravel(), range(n, terms.size, n))[0]
-            sq += [v ** 2 * k for v, (_, k) in zip(b, block)]
+    for chi in G.labels():
+        bar = G.conjugate_exponents(chi)
+        if chi.primitive and chi.exponents <= bar:
+            b = _class_sums(G, chi, kw)[0]
+            sq.append(b ** 2 * (1 + (chi.exponents != bar)))
     b_sq = _exact_sum(np.array(sq), ())[1]
     m_val = m_reparametrized(q, weights=kw)
     return ErrorSumResult(q=q, b_sq_sum=b_sq, m_value=m_val,

@@ -36,14 +36,15 @@ at the head (one bin per eight exponents): B and C are the exact head
 and tail sums rounded once, and A their exact total rounded once, each
 the correctly rounded sum over the ordered pairs that math.fsum gives,
 so it does not depend on term order and reruns are bit-identical.  The
-oracle adds chi(a) zeta(1/2, a/q) over the units with math.fsum, from
-one cached table of Hurwitz values per modulus.
+oracle adds chi(a) zeta(1/2, a/q) over the units with math.fsum.
 
-Both routes compute each conjugate class {chi, chibar} once per modulus
-(_class_values), and that is exact: char_values(chibar) is exactly the
-conjugate of char_values(chi), so chibar's terms Re x_a Re x_b +
-Im x_a Im x_b are chi's floats and its oracle fsums chi's, the imaginary
-one negated.  A call for chibar returns the bits a fresh one would.
+Both routes compute each conjugate class {chi, chibar} once per modulus,
+into one store (_class_values), and that is exact: char_values(chibar)
+is exactly the conjugate of char_values(chi), so chibar's terms
+Re x_a Re x_b + Im x_a Im x_b are chi's floats and its oracle fsums
+chi's, the imaginary one negated.  The smoothed sums (_class_sums) follow
+the kernel values they read, not a table object, so error_sum_E's
+head-only table reads the B values of abc_values.
 """
 
 from __future__ import annotations
@@ -176,23 +177,14 @@ def _hurwitz_at(q: int, u: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _hurwitz_half(q: int) -> np.ndarray:
-    """_hurwitz_at every residue u = 0..q-1, for l_half_oracle, which
-    reads one modulus many times.  The cached array is shared and
-    read-only; only the last modulus is kept."""
-    hz = _hurwitz_at(q, np.arange(q))
-    hz.flags.writeable = False
-    return hz
-
-
-@lru_cache(maxsize=1)
 def _class_values(q: int) -> dict:
-    """The results of abc_values and l_half_oracle at modulus q, one per
-    conjugate class {chi, chibar}, keyed by the smaller of the two
-    exponent tuples, chi's: 'oracle' holds its L(1/2, chi), 'abc' its
-    (B, C) and A from the kernel table 'weights' (dropped when a call
-    passes another table).  Only the last modulus is kept."""
-    return {"oracle": {}, "abc": {}, "weights": None}
+    """The per-character results at modulus q, one per conjugate class
+    {chi, chibar}, keyed by the smaller of the two exponent tuples,
+    chi's: 'oracle' holds its L(1/2, chi), 'abc' its sums (_class_sums,
+    which reads and sets 'kprod' and 'weights'); 'hz' is _hurwitz_at the
+    units in label order.  Only the last modulus is kept."""
+    return {"oracle": {}, "abc": {}, "hz": None,
+            "kprod": np.zeros((2, 0)), "weights": None}
 
 
 def _class_key(G: CharacterGroup, chi: CharacterLabel
@@ -204,19 +196,22 @@ def _class_key(G: CharacterGroup, chi: CharacterLabel
 
 
 def l_half_oracle(G: CharacterGroup, chi: CharacterLabel) -> complex:
-    """L(1/2, chi) for primitive chi mod q >= 3 via Hurwitz zeta values;
-    for chibar, the exact conjugate of chi's (once per class and modulus)."""
+    """L(1/2, chi) for primitive chi mod q >= 3 via Hurwitz zeta values
+    at the units (once per modulus); for chibar, the exact conjugate of
+    chi's (once per class and modulus)."""
     q = G.q
     if q < 3 or not chi.primitive:
         raise ValueError(
             "the Hurwitz-zeta route needs a primitive character of modulus"
             f" >= 3; got q = {q}, primitive = {chi.primitive}")
     key, flip = _class_key(G, chi)
-    known = _class_values(q)["oracle"]
+    store = _class_values(q)
+    known = store["oracle"]
     if key in known:
         return known[key].conjugate() if flip else known[key]
-    z = G.char_values(chi)
-    hz = _hurwitz_half(q)[G.unit_residues()]
+    if store["hz"] is None:
+        store["hz"] = _hurwitz_at(q, G.unit_residues())
+    z, hz = G.char_values(chi), store["hz"]
     val = complex(math.fsum((z.real * hz).tolist()),
                   math.fsum((z.imag * hz).tolist())) / math.sqrt(q)
     known[key] = val.conjugate() if flip else val
@@ -462,20 +457,52 @@ def _exact_sum(x: np.ndarray, cuts: Sequence[int]
         frac -= whole
         e >>= 3
         nb = int(e.max()) + 1
-        idx = np.repeat(np.arange(0, k * nb, nb),
-                        [b - a for a, b in zip(edges, edges[1:])])
-        idx += e
-        whole, frac = (np.bincount(idx, weights=w, minlength=k * nb)
-                       for w in (whole, frac))
+        for i in range(1, k):  # the pass's segment i takes bins i nb on
+            e[edges[i] - start:edges[i + 1] - start] += i * nb
+        whole = np.bincount(e, weights=whole, minlength=k * nb)
+        frac = np.bincount(e, weights=frac, minlength=k * nb)
         frac *= 2.0 ** 30
-        his, los = (w.astype(np.int64).reshape(k, nb)[:, ::-1].tolist()
-                    for w in (whole, frac))
-        for s, hs, ls in zip(range(first, last), his, los):
+        his, los = (w.astype(np.int64).tolist() for w in (whole, frac))
+        for s in range(k):  # segment first + s, its highest bin first
             acc = 0
-            for h, lo in zip(hs, ls):
-                acc = (acc << 8) + (h << 30) + lo
-            sums[s] += acc << (e0 + 1073)  # units of 2^(e0 - 53)
+            for j in range(s * nb + nb - 1, s * nb - 1, -1):
+                acc = (acc << 8) + (his[j] << 30) + los[j]
+            sums[first + s] += acc << (e0 + 1073)  # units of 2^(e0 - 53)
     return [n / _EXACT_SCALE for n in sums], sum(sums) / _EXACT_SCALE
+
+
+def _class_sums(G: CharacterGroup, chi: CharacterLabel,
+                weights: KernelWeights) -> tuple[float, ...]:
+    """chi's sums (B,) from a head-only table, or (B, C, A) from a full
+    one (m_eff past z_floor, as x_zero > pi makes it), once per conjugate
+    class in the store of _class_values.  A new table keeps the stored
+    sums if its kernel values equal, bit for bit, those in 'kprod' (the
+    widest table they agree with) over the range both cover, and drops
+    them if not.
+    On a miss, chi's terms over the pairs of _pairs (the head rows only
+    for a head-only table) are added exactly in one _exact_sum pass cut at
+    the head: B and C are the exact head and tail sums and A their exact
+    total, each rounded once."""
+    pairs, n_head = _pairs(G.q)
+    store = _class_values(G.q)
+    if weights is not store["weights"]:
+        kp, ref = weights.kprod, store["kprod"]
+        n = min(kp.shape[1], ref.shape[1])
+        if not np.array_equal(kp[:, :n], ref[:, :n]):
+            store.update(abc={}, kprod=kp)
+        elif kp.shape[1] > n:
+            store["kprod"] = kp
+        store["weights"] = weights
+    full = weights.m_eff > weights.z_floor
+    known = store["abc"]
+    key = _class_key(G, chi)[0]
+    if len(known.get(key, ())) < 1 + 2 * full:
+        rows = pairs if full else tuple(col[:n_head] for col in pairs)
+        terms = _pair_terms(G.char_values(chi), weights.kprod[chi.parity],
+                            rows)
+        (b, c), a = _exact_sum(terms, (n_head,))
+        known[key] = (b, c, a) if full else (b,)
+    return known[key]
 
 
 def abc_values(G: CharacterGroup, chi: CharacterLabel, *,
@@ -485,23 +512,14 @@ def abc_values(G: CharacterGroup, chi: CharacterLabel, *,
     This is the reference pipeline: one character at a time, no residue
     grouping.  Shares kernel values through `weights` so that comparisons
     against the table pipeline test only the reorganization of the sum.
-    The terms over the pairs of _pairs, formed in one pass, are added
-    exactly in one _exact_sum pass cut at the head: B and C are the exact
-    head and tail sums and A their exact total, each rounded once.
-    chibar has chi's terms bit for bit, so each conjugate class is summed
-    once per modulus and table, and chibar gets chi's floats.
+    The sums are _class_sums': chibar has chi's terms bit for bit, so
+    each conjugate class is summed once per modulus and kernel values.
+    A table is checked against q unless it is the store's current one
+    (checked here, or error_sum_E's own).
     """
-    pairs, n_head = _pairs(G.q)  # refused over the cap before any table
-    weights = _resolve_weights(G.q, weights, head_only=False)
-    store = _class_values(G.q)
-    if store["weights"] is not weights:
-        store.update(abc={}, weights=weights)
-    known = store["abc"]
-    key = _class_key(G, chi)[0]
-    if key not in known:
-        terms = _pair_terms(G.char_values(chi), weights.kprod[chi.parity],
-                            pairs)
-        known[key] = _exact_sum(terms, (n_head,))
-    (b, c), a = known[key]
+    _pairs(G.q)  # refused over the cap before any table
+    if weights is None or weights is not _class_values(G.q)["weights"]:
+        weights = _resolve_weights(G.q, weights, head_only=False)
+    b, c, a = _class_sums(G, chi, weights)
     return CentralValue(label=chi, q=G.q, a_value=a, b_value=b, c_value=c,
                         m_eff=weights.m_eff)

@@ -302,27 +302,27 @@ def test_error_sum_equals_the_sum_over_every_character(q):
 
 
 def test_error_sum_scratch_does_not_grow_with_the_characters():
-    # a block of rows holds at most _PAIR_BATCH entries per array (in
-    # fact _ROW_BLOCK, an eighth of it): the stacked character values
-    # and the two complex gathers (16 bytes an entry), their real
-    # products and terms and the arrays of one _exact_sum pass (8 bytes
-    # or less an entry), about 80 bytes an entry in all.  Besides the
-    # block, error_sum_E holds about 80 bytes per primitive character
-    # (its B and B^2 as floats in lists, B^2 in an array, its label),
-    # and the head kernel table and the sums of m_reparametrized (a few
-    # z_floor-length arrays on top of the kernel's fixed scratch).
-    # Nothing grows with phi* times the head pairs n: the terms held
-    # whole would take 8 phi* n bytes, 0.3 MiB at q = 179 and 13 MiB at
-    # 1009 (n = 211 and 1623), before their gathers.  The group and the
-    # pair set of lfunc._pairs, whose head rows error_sum_E reads, are
-    # built before
+    # error_sum_E forms one class's head terms at a time (lfunc._class_sums):
+    # the two complex gathers (16 bytes an entry), their real products and
+    # terms and the arrays of one _exact_sum pass (8 bytes or less an
+    # entry), about 80 bytes a head pair.  Besides those, it holds about
+    # 350 bytes per character: its label on the group error_sum_E builds
+    # (about 220), B in the class store (about 110: a key, a 1-tuple, a
+    # float and a dict slot per class) and B^2 as a float in a list and
+    # in an array.  And it holds the head kernel table and the sums of
+    # m_reparametrized (a few z_floor-length arrays on top of the
+    # kernel's fixed scratch).  Nothing grows with phi* times the head
+    # pairs n: the terms held whole would take 8 phi* n bytes, 0.3 MiB at
+    # q = 179 and 13 MiB at 1009 (n = 211 and 1623), before their gathers.
+    # The group and the pair set of lfunc._pairs, whose head rows the
+    # class sums read, are built before, and the class store is empty
     for q in (179, 1009):
         G = build_group(q)
         G.char_values(G.labels()[1])
         z = kernel_weights(q, head_only=True).z_floor
-        lfunc._pairs(q)
-        bound = (96 * lfunc._PAIR_BATCH + 96 * G.group_order + 128 * z
-                 + (128 << 10))
+        n = lfunc._pairs(q)[1]
+        lfunc._class_values.cache_clear()
+        bound = 96 * n + 400 * G.group_order + 128 * z + (128 << 10)
         tracemalloc.start()
         try:
             error_sum_E(q)

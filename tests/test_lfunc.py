@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dirmoment import lfunc
+from dirmoment import asymptotics, lfunc
 from dirmoment.arith import two_pow_omega
 from dirmoment.asymptotics import error_sum_E
 from dirmoment.chargroup import build_group
 from dirmoment.kernel import KernelConfig, w_eval_batch
 from dirmoment.lfunc import (_exact_sum, _hurwitz_at, _hurwitz_em,
-                             _hurwitz_half, abc_values, kernel_weights,
-                             l_half_oracle, truncation_bound)
+                             abc_values, kernel_weights, l_half_oracle,
+                             truncation_bound)
 from dirmoment.spectra import fourth_moment
 from scalar_ref import char_ref
 
@@ -45,7 +45,7 @@ def test_hurwitz_table_against_mpmath(q):
     # the residue table zeta(1/2, u/q), u = 0 read as u = q, at its ends and
     # a few interior points: u = 1 at q = 10^6 is a = 1e-6, and the one
     # residue at q = 1 is zeta(1/2, 1)
-    hz = _hurwitz_half(q)
+    hz = _hurwitz_at(q, np.arange(q))
     assert hz.shape == (q,)
     us = sorted({u % q for u in (0, 1, 2, q // 3, q // 2, q - 1)})
     worst = 0.0
@@ -60,7 +60,7 @@ def test_hurwitz_table_matches_scalar():
     # against the Euler-Maclaurin sum at every residue, u = 0 read as
     # u = q, where both give zeta(1/2, 1)
     for q in (7, 1009):
-        hz = _hurwitz_half(q)
+        hz = _hurwitz_at(q, np.arange(q))
         u = np.arange(q)
         want = _hurwitz_em(0.5, np.where(u, u, q) / q)
         gap = np.abs(hz - want) / np.maximum(1.0, np.abs(want))
@@ -70,19 +70,19 @@ def test_hurwitz_table_matches_scalar():
 @pytest.mark.parametrize("q", [1, 2, 12, 1009, 255255])
 def test_hurwitz_at_units_is_the_table_gathered(q):
     # elementwise in blocks, so the values at the units alone are the
-    # cached table's, bit for bit, across block boundaries and at u = 0
+    # residue table's, bit for bit, across block boundaries and at u = 0
     units = build_group(q).unit_residues()
     got = _hurwitz_at(q, units)
-    want = _hurwitz_half(q)[units]
+    want = _hurwitz_at(q, np.arange(q))[units]
     assert got.tobytes() == want.tobytes()
 
 
 def test_fourth_moment_leaves_hurwitz_cache_empty():
-    # fourth_moment evaluates the Hurwitz values at the units only: no
-    # q-length table is built or kept
-    _hurwitz_half.cache_clear()
+    # fourth_moment evaluates the Hurwitz values at the units itself: it
+    # neither fills nor reads the store where l_half_oracle keeps them
+    lfunc._class_values.cache_clear()
     fourth_moment(1009)
-    assert _hurwitz_half.cache_info().currsize == 0
+    assert lfunc._class_values.cache_info().currsize == 0
 
 
 def test_hurwitz_interpolant_rejects_low_degree(monkeypatch):
@@ -160,13 +160,14 @@ def test_oracle_matches_scalar_loop():
     # fsum does not depend on their order, so the value is the same float
     for q in (5, 12, 45, 97):
         G = build_group(q)
+        table = _hurwitz_at(q, np.arange(q))
         for chi in G.labels():
             if not chi.primitive:
                 continue
             re, im = [], []
             for a in range(1, q):
                 z = char_ref(G, chi, a)
-                hz = _hurwitz_half(q)[a]
+                hz = table[a]
                 re.append(z.real * hz)
                 im.append(z.imag * hz)
             want = complex(math.fsum(re), math.fsum(im)) / math.sqrt(q)
@@ -487,7 +488,7 @@ def test_conjugate_characters_share_a_value():
 
 @pytest.mark.parametrize("q", [13, 512])
 def test_conjugate_reuse_is_invisible(q, monkeypatch):
-    # each conjugate class is computed once per modulus and kernel table;
+    # each conjugate class is computed once per modulus and kernel values;
     # the values do not depend on the order of the calls, each carries
     # the label asked for, and the store holds one modulus only
     G = build_group(q)
@@ -514,8 +515,8 @@ def test_conjugate_reuse_is_invisible(q, monkeypatch):
 
     monkeypatch.setattr(lfunc, "_pair_terms",
                         counting("terms", lfunc._pair_terms))
-    monkeypatch.setattr(lfunc, "_hurwitz_half",
-                        counting("oracle", lfunc._hurwitz_half))
+    monkeypatch.setattr(lfunc, "_hurwitz_at",
+                        counting("oracle", lfunc._hurwitz_at))
     chi = next(c for c in prim if c.exponents < G.conjugate_exponents(c))
     bar = G.label(G.conjugate_exponents(chi))
 
@@ -528,16 +529,70 @@ def test_conjugate_reuse_is_invisible(q, monkeypatch):
     lfunc._class_values.cache_clear()
     assert both(kw) == {"terms": 1, "oracle": 1}
     assert both(kw) == {"terms": 1, "oracle": 1}
-    kw_new = kernel_weights(q)  # a new table: the sums again, not L
-    assert both(kw_new) == {"terms": 2, "oracle": 1}
+    kw_new = kernel_weights(q)  # a new table with the same values
+    assert both(kw_new) == {"terms": 1, "oracle": 1}
     G7 = build_group(7)  # a new modulus (one term pass) drops everything
     abc_values(G7, G7.labels()[1], weights=kernel_weights(7))
     assert lfunc._class_values.cache_info().currsize == 1
-    assert both(kw_new) == {"terms": 4, "oracle": 2}
+    assert both(kw_new) == {"terms": 3, "oracle": 2}
     store = lfunc._class_values(q)
     assert lfunc._class_values.cache_info().currsize == 1
     assert store["weights"] is kw_new
     assert set(store["abc"]) == set(store["oracle"]) == {chi.exponents}
+
+
+@pytest.mark.parametrize("q", [163, 179, 512, 1009])
+def test_error_sum_reads_the_sums_of_abc_values(q, monkeypatch):
+    # after a sweep of abc_values, error_sum_E reads every B from the
+    # class store through its own head-only table (the full table's
+    # prefix, bit for bit) and forms no term; its fields are a cold
+    # call's, bit for bit
+    cold = _fresh(error_sum_E, q)
+    G = build_group(q)
+    lfunc._class_values.cache_clear()
+    kw = kernel_weights(q)
+    for chi in G.labels():
+        abc_values(G, chi, weights=kw)
+    calls = []
+    for mod in (lfunc, asymptotics):  # wherever a term pass could run
+        monkeypatch.setattr(mod, "_pair_terms",
+                            lambda *args: calls.append(1), raising=False)
+    warm = error_sum_E(q)
+    assert calls == []
+    assert ([v.hex() for v in (warm.b_sq_sum, warm.m_value, warm.e_measured)]
+            == [v.hex() for v in (cold.b_sq_sum, cold.m_value,
+                                  cold.e_measured)])
+
+
+def test_class_sums_follow_the_kernel_values(monkeypatch):
+    # a fresh table with the same values keeps the stored sums; a copy
+    # with one head value moved by an ulp-sized step drops them, moves B
+    # of the even characters and leaves the odd ones' as they were
+    q = 163
+    G = build_group(q)
+    kw = kernel_weights(q)
+    lfunc._class_values.cache_clear()
+    before = {chi: abc_values(G, chi, weights=kw) for chi in G.labels()}
+    store = lfunc._class_values(q)
+    held = dict(store["abc"])
+    calls = []
+    terms = lfunc._pair_terms
+    monkeypatch.setattr(lfunc, "_pair_terms",
+                        lambda *args: calls.append(1) or terms(*args))
+    fresh = kernel_weights(q)
+    assert fresh is not kw
+    for chi in G.labels():
+        assert abc_values(G, chi, weights=fresh) == before[chi]
+    assert calls == [] and store["abc"] == held
+
+    moved = lfunc.KernelWeights(kw.q, kw.z_floor, kw.m_eff, kw.kprod.copy())
+    moved.kprod[0, 3] *= 1 + 2**-40
+    after = {chi: abc_values(G, chi, weights=moved) for chi in G.labels()}
+    assert len(calls) == len(held)
+    even = [chi for chi in G.labels() if chi.parity == 0]
+    odd = [chi for chi in G.labels() if chi.parity == 1]
+    assert any(after[c].b_value != before[c].b_value for c in even)
+    assert all(after[c].b_value == before[c].b_value for c in odd)
 
 
 def test_weights_modulus_mismatch_rejected():

@@ -213,7 +213,8 @@ def test_knobs_are_listed():
 # every cache of the package, as (module, function, maxsize): each holds
 # its arrays, tuples or read-only maps for the life of the process, but
 # lfunc._class_values, which fills one modulus's per-character results
-# (one per conjugate class) as they are asked for
+# (one per conjugate class, and the oracle's Hurwitz values at the units)
+# as they are asked for
 CACHES = {
     ("chargroup", "_phi_mu_sums", 64),
     ("kernel", "_height_grid", 64),
@@ -221,7 +222,6 @@ CACHES = {
     ("kernel", "_cheb_coef", 64),
     ("kernel", "_series_coef", 2),
     ("lfunc", "_hurwitz_cheb", 1),
-    ("lfunc", "_hurwitz_half", 1),
     ("lfunc", "_pairs", 1),
     ("lfunc", "_class_values", 1),
 }

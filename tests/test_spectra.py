@@ -11,7 +11,7 @@ from dirmoment import chargroup, lfunc, spectra
 from dirmoment.arith import euler_phi, factorize, phi_star
 from dirmoment.chargroup import build_group
 from dirmoment.kernel import KernelConfig
-from dirmoment.lfunc import (_coprime_pair_chunks, _hurwitz_half, abc_values,
+from dirmoment.lfunc import (_coprime_pair_chunks, _hurwitz_at, abc_values,
                              kernel_weights)
 from dirmoment.spectra import (_fft_eps, _table, compute_spectrum,
                                fourth_moment, group_transform)
@@ -324,7 +324,7 @@ def _hurwitz_and_head(q):
     G = build_group(q)
     kw = kernel_weights(q, head_only=True)
     units = G.unit_residues()
-    return G, (_hurwitz_half(q)[units], _table(G, kw, 0, kw.z_floor))
+    return G, (_hurwitz_at(q, units), _table(G, kw, 0, kw.z_floor))
 
 
 @pytest.mark.parametrize("split_prime", [chargroup._SPLIT_PRIME, 1])
@@ -569,7 +569,7 @@ def test_moment_without_primitive_characters_builds_nothing(q, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("built a table at phi* = 0")
 
-    for mod, name in ((lfunc, "_hurwitz_half"), (spectra, "_hurwitz_at"),
+    for mod, name in ((spectra, "_hurwitz_at"),
                       (lfunc, "kernel_weights"), (spectra, "_table"),
                       (chargroup.CharacterGroup, "unit_residues")):
         monkeypatch.setattr(mod, name, refuse)

@@ -7,7 +7,16 @@ TREE is a checkout of this repository (its src/ is put on PYTHONPATH and
 Tier-1 runs in it); OUT is the JSON file written for it.  With two or
 more trees the runs interleave: each entry runs once on every tree, the
 first tree first on even rounds and last on odd ones, before the next
-entry, so drift of the machine falls on both trees alike.
+entry, so drift of the machine falls on both trees alike.  Trees that
+name the same OUT share one file, {"runs": ..., "sides": [...]}, one
+side per tree in argument order, each with its own environment and
+entries, so
+
+    python tools/bench.py ../parent=BENCH_5.json .=BENCH_5.json
+
+writes one parent/change pair from one interleaved pass.  The
+environment's git_revision is the tree's commit, with "-dirty" appended
+when its tracked files differ from it.
 
 The entries (each one fresh Python process a run):
   fourth_moment/<q>  fourth_moment(q): its MomentReport.wall stages,
@@ -148,7 +157,9 @@ def _summary(samples: list[dict]) -> dict:
 
 
 def _environment(tree: str) -> dict:
-    rev = subprocess.run(["git", "-C", tree, "rev-parse", "HEAD"],
+    # the commit, with "-dirty" appended when tracked files differ from it
+    rev = subprocess.run(["git", "-C", tree, "describe", "--always",
+                          "--dirty", "--abbrev=40", "--exclude=*"],
                          capture_output=True, text=True)
     numpy = subprocess.run(
         [sys.executable, "-c", "import numpy; print(numpy.__version__)"],
@@ -181,10 +192,16 @@ def main(argv=None) -> int:
                     _tier1(tree) if code is None else _child(tree, code))
                 print(f"run {r + 1}/{RUNS} {name} {tree}",
                       file=sys.stderr)
+    sides: dict[str, list[dict]] = {}
     for tree, out in targets:
-        doc = {"environment": _environment(tree), "runs": RUNS,
-               "entries": {name: _summary(samples[tree, name])
-                           for name, _ in entries}}
+        sides.setdefault(out, []).append(
+            {"environment": _environment(tree),
+             "entries": {name: _summary(samples[tree, name])
+                         for name, _ in entries}})
+    for out, docs in sides.items():
+        doc = ({"environment": docs[0]["environment"], "runs": RUNS,
+                "entries": docs[0]["entries"]} if len(docs) == 1
+               else {"runs": RUNS, "sides": docs})
         with open(out, "w") as fh:
             fh.write(json.dumps(doc, indent=2) + "\n")
     return 0
