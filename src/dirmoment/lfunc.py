@@ -457,17 +457,19 @@ def _exact_sum(x: np.ndarray, cuts: Sequence[int]
         frac -= whole
         e >>= 3
         nb = int(e.max()) + 1
-        for i in range(1, k):  # the pass's segment i takes bins i nb on
-            e[edges[i] - start:edges[i + 1] - start] += i * nb
-        whole = np.bincount(e, weights=whole, minlength=k * nb)
-        frac = np.bincount(e, weights=frac, minlength=k * nb)
+        idx = np.repeat(np.arange(0, k * nb, nb),
+                        [b - a for a, b in zip(edges, edges[1:])])
+        idx += e
+        whole, frac = (np.bincount(idx, weights=w, minlength=k * nb)
+                       for w in (whole, frac))
         frac *= 2.0 ** 30
-        his, los = (w.astype(np.int64).tolist() for w in (whole, frac))
-        for s in range(k):  # segment first + s, its highest bin first
+        his, los = (w.astype(np.int64).reshape(k, nb)[:, ::-1].tolist()
+                    for w in (whole, frac))
+        for s, hs, ls in zip(range(first, last), his, los):
             acc = 0
-            for j in range(s * nb + nb - 1, s * nb - 1, -1):
-                acc = (acc << 8) + (his[j] << 30) + los[j]
-            sums[first + s] += acc << (e0 + 1073)  # units of 2^(e0 - 53)
+            for h, lo in zip(hs, ls):
+                acc = (acc << 8) + (h << 30) + lo
+            sums[s] += acc << (e0 + 1073)  # units of 2^(e0 - 53)
     return [n / _EXACT_SCALE for n in sums], sum(sums) / _EXACT_SCALE
 
 
@@ -476,9 +478,9 @@ def _class_sums(G: CharacterGroup, chi: CharacterLabel,
     """chi's sums (B,) from a head-only table, or (B, C, A) from a full
     one (m_eff past z_floor, as x_zero > pi makes it), once per conjugate
     class in the store of _class_values.  A new table keeps the stored
-    sums if its kernel values equal, bit for bit, those in 'kprod' (the
-    widest table they agree with) over the range both cover, and drops
-    them if not.
+    sums if its kernel values equal, bit for bit, those in 'kprod' (a
+    copy of the widest table they agree with) over the range both cover,
+    and drops them if not.
     On a miss, chi's terms over the pairs of _pairs (the head rows only
     for a head-only table) are added exactly in one _exact_sum pass cut at
     the head: B and C are the exact head and tail sums and A their exact
@@ -489,9 +491,9 @@ def _class_sums(G: CharacterGroup, chi: CharacterLabel,
         kp, ref = weights.kprod, store["kprod"]
         n = min(kp.shape[1], ref.shape[1])
         if not np.array_equal(kp[:, :n], ref[:, :n]):
-            store.update(abc={}, kprod=kp)
+            store.update(abc={}, kprod=kp.copy())
         elif kp.shape[1] > n:
-            store["kprod"] = kp
+            store["kprod"] = kp.copy()
         store["weights"] = weights
     full = weights.m_eff > weights.z_floor
     known = store["abc"]
