@@ -248,21 +248,27 @@ def kernel_weights(q: int, *, head_only: bool = False) -> KernelWeights:
     """Kernel values for 1 <= m <= m_eff.  With head_only the table stops
     at z_floor, where the B head ends, and m_eff is set to z_floor: such a
     table serves the B tables but no sum over the tail.  One w_eval_batch
-    call writes both parities into kprod[:, 1:] in place, which is then
-    scaled by 1/sqrt(m): the peak holds m, x, 1/sqrt(m) and kprod, with
-    no temporary row."""
+    call writes both parities into kprod[:, 1:] in place from the
+    arguments x = pi m / q, built in place in one array and freed after
+    the call; kprod is then scaled by 1/sqrt(m) in blocks of
+    _HORNER_BLOCK: the peak holds x, kprod and the kernel's per-block
+    scratch, with no m array and no temporary row."""
     if q < 1:
         raise ValueError(f"modulus must be positive, got {q}")
     z_floor = q // two_pow_omega(q)
     m_eff = truncation_bound(q)
     if head_only:
         m_eff = min(m_eff, z_floor)
-    m = np.arange(1, m_eff + 1, dtype=np.float64)
-    x = math.pi * m / q
-    inv_sqrt = 1.0 / np.sqrt(m)
+    x = np.arange(1, m_eff + 1, dtype=np.float64)
+    x *= math.pi
+    x /= q
     kprod = np.zeros((2, m_eff + 1))
     w_eval_batch(kprod[:, 1:], x)
-    kprod[:, 1:] *= inv_sqrt
+    del x
+    for lo in range(1, m_eff + 1, _HORNER_BLOCK):
+        m = np.arange(lo, min(lo + _HORNER_BLOCK, m_eff + 1),
+                      dtype=np.float64)
+        kprod[:, lo:lo + m.size] *= 1.0 / np.sqrt(m)
     return KernelWeights(q, z_floor, m_eff, kprod)
 
 
@@ -457,17 +463,17 @@ def _exact_sum(x: np.ndarray, cuts: Sequence[int]
         frac -= whole
         e >>= 3
         nb = int(e.max()) + 1
-        idx = np.repeat(np.arange(0, k * nb, nb),
-                        [b - a for a, b in zip(edges, edges[1:])])
-        idx += e
-        whole, frac = (np.bincount(idx, weights=w, minlength=k * nb)
+        for j in range(1, k):  # segment j's bins after those before it
+            e[edges[j] - start:edges[j + 1] - start] += j * nb
+        whole, frac = (np.bincount(e, weights=w, minlength=k * nb)
                        for w in (whole, frac))
         frac *= 2.0 ** 30
-        his, los = (w.astype(np.int64).reshape(k, nb)[:, ::-1].tolist()
+        # reversed, the last segment's bins come first, each highest first
+        his, los = (w.astype(np.int64).tolist()[::-1]
                     for w in (whole, frac))
-        for s, hs, ls in zip(range(first, last), his, los):
+        for s, i in zip(range(last - 1, first - 1, -1), range(0, k * nb, nb)):
             acc = 0
-            for h, lo in zip(hs, ls):
+            for h, lo in zip(his[i:i + nb], los[i:i + nb]):
                 acc = (acc << 8) + (h << 30) + lo
             sums[s] += acc << (e0 + 1073)  # units of 2^(e0 - 53)
     return [n / _EXACT_SCALE for n in sums], sum(sums) / _EXACT_SCALE

@@ -23,8 +23,10 @@ order (entry k at G.unit_residues()[k], as _table returns them)
 against every character at once by one complex FFT of f + i g, unpacked
 through Z(chibar).  The FFT runs over the label grid as it stands: the
 group's components are short coprime axes already (chargroup._sub_axes).
-The tests hold it against an exact-angle DFT on the label axes
-(tests/scalar_ref.py).
+It runs in place on the packed grid, and the unpack writes its two
+outputs over that grid and over the one negated copy, so a transform
+holds two complex grids (_transform).  The tests hold it against an
+exact-angle DFT on the label axes (tests/scalar_ref.py).
 
 fourth_moment takes every central value from the Hurwitz route,
 
@@ -37,7 +39,10 @@ builds the B table on (0, Z] and the C table on (Z, m_eff], transforms
 the two together, and stays the independent route to every A = B + C;
 it consumes the same kernel values as the per-character pipeline in
 lfunc, so cross-pipeline comparisons isolate the summation
-reorganization.  checks.tail (verify-bounds) sums its C^2 over every
+reorganization.  Both drop the kernel table once the tables are built;
+fourth_moment also drops hz and the head table once they are packed and
+their rounding bound's norms are taken (_imag_bound), before the FFT.
+checks.tail (verify-bounds) sums its C^2 over every
 character.  compute_spectrum refuses a modulus whose C table is over the
 cost cap (lfunc._MAX_TABLE_PAIRS) before any table is built; the pairs
 stream in slices of lfunc._PAIR_BATCH, each scattered in place into two
@@ -70,6 +75,7 @@ import numpy as np
 from .arith import phi_star, two_pow_omega
 from .asymptotics import theorem_main_term
 from .chargroup import CharacterGroup, build_group
+from .kernel import _HORNER_BLOCK
 from .lfunc import (_MAX_TABLE_PAIRS, KernelWeights, _check_pair_count,
                     _coprime_pair_chunks, _hurwitz_at, _resolve_weights,
                     kernel_weights, truncation_bound)
@@ -81,14 +87,20 @@ def _fft_eps(phi: int) -> float:
     return 10.0 * 2.0 ** -52 * max(1.0, math.log2(phi))
 
 
-def _imag_residue(q: int, tables: tuple[np.ndarray, ...],
+def _imag_bound(tables: tuple[np.ndarray, ...]) -> float:
+    """The FFT's normwise error on the real tables packed into one complex
+    input, _fft_eps(phi) sum_u (|f| + |g|): taken before the transform, so
+    the tables can go before it runs."""
+    return _fft_eps(tables[0].size) * sum(float(np.abs(t).sum())
+                                          for t in tables)
+
+
+def _imag_residue(q: int, bound: float,
                   outs: tuple[np.ndarray, ...]) -> float:
-    """max |Im| over outs, transforms of the real tables one FFT packed:
+    """max |Im| over outs, transforms of real tables one FFT packed:
     rounding, which warns (RuntimeWarning) over the FFT's normwise error
-    on the packed input, _fft_eps(phi) sum_u (|f| + |g|)."""
+    on the packed input, bound (_imag_bound)."""
     imag = max(float(np.abs(x.imag).max()) for x in outs)
-    bound = _fft_eps(tables[0].size) * sum(float(np.abs(t).sum())
-                                           for t in tables)
     if not imag <= bound:
         warnings.warn(f"imag_residue {imag:.3g} at q = {q} is over its FFT "
                       f"rounding bound {bound:.3g}", RuntimeWarning,
@@ -163,29 +175,47 @@ def group_transform(G: CharacterGroup, f: np.ndarray, g: np.ndarray
     """sum_u chi(u) f(u) and sum_u chi(u) g(u) for every character chi mod
     q at once, from two real tables f and g of length phi(q) over the
     units in label order (entry k is the value at G.unit_residues()[k]),
-    by one complex FFT of f + i g.
-
-    The FFT runs over the label axes, G.orders.  With Z the FFT, the
-    transforms are (conj Z(chi) + Z(chibar)) / 2 and
-    i (conj Z(chi) - Z(chibar)) / 2, f and g being real; chibar has the
-    exponents -t, read by block copies of the grid (_negated).
+    by one complex FFT of f + i g (_packed, then _transform in place).
 
     Returns two complex arrays over the full label grid in lexicographic
     exponent order (label k, G.label_at(k), at position k).  The
     transform is parity-blind: a table of one parity gives meaningful
     values on the characters of that parity.
     """
+    return _transform(G, _packed(G, f, g))
+
+
+def _packed(G: CharacterGroup, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """f + i g as a new complex array over the label grid, G.orders."""
     shape = G.orders or (1,)
     z = np.empty(shape, dtype=np.complex128)
     z.real, z.imag = f.reshape(shape), g.reshape(shape)
-    z = np.fft.fftn(z)
-    z, zn = z.ravel(), _negated(G, z)  # chibar: exponents -t
+    return z
+
+
+def _transform(G: CharacterGroup, z: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """group_transform of the packed grid z = f + i g, which it overwrites.
+
+    The FFT runs over the label axes, G.orders, in place.  With Z the
+    FFT, the transforms are (conj Z(chi) + Z(chibar)) / 2 and
+    i (conj Z(chi) - Z(chibar)) / 2, f and g being real; chibar has the
+    exponents -t, read by block copies of the grid (_negated).  The
+    unpack runs in blocks of _HORNER_BLOCK entries, the first transform
+    written over the negated copy and the second over z: two complex
+    grids at the peak, and one complex block of scratch.
+    """
+    np.fft.fftn(z, out=z)
+    zn, z = _negated(G, z), z.ravel()  # chibar: exponents -t
     np.conj(z, out=z)
-    x_f = z + zn
-    x_f *= 0.5
-    z -= zn
-    z *= 0.5j
-    return x_f, z
+    for lo in range(0, z.size, _HORNER_BLOCK):
+        zb, znb = z[lo:lo + _HORNER_BLOCK], zn[lo:lo + _HORNER_BLOCK]
+        x_f = zb + znb
+        x_f *= 0.5
+        zb -= znb
+        zb *= 0.5j
+        znb[:] = x_f
+    return zn, z
 
 
 @dataclass
@@ -209,14 +239,15 @@ def compute_spectrum(q: int) -> CharacterSpectrum:
     _check_pair_count(truncation_bound(q), _MAX_TABLE_PAIRS)
     G = build_group(q)
     kw = kernel_weights(q)
-    tables = (_table(G, kw, 0, kw.z_floor),
-              _table(G, kw, kw.z_floor, kw.m_eff))
+    m_eff, z_floor = kw.m_eff, kw.z_floor
+    tables = (_table(G, kw, 0, z_floor), _table(G, kw, z_floor, m_eff))
+    del kw  # not read again, and the largest array of the build
     vb, vc = outs = group_transform(G, *tables)
     return CharacterSpectrum(
         q=q, group=G, b_values=vb.real, c_values=vc.real,
         parity=G.parity_grid(), primitive=G.conductor_grid() == q,
-        imag_residue=_imag_residue(q, tables, outs),
-        m_eff=kw.m_eff, z_floor=kw.z_floor)
+        imag_residue=_imag_residue(q, _imag_bound(tables), outs),
+        m_eff=m_eff, z_floor=z_floor)
 
 
 @dataclass(frozen=True)
@@ -278,22 +309,30 @@ def fourth_moment(q: int, *,
 
     t0 = time.perf_counter()
     tb = _table(G, kw, 0, kw.z_floor)
-    del kw  # not read again; the transform's peak has room for hz gathered
+    del kw  # each array goes once it has been read for the last time
     wall["tables"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    lt, vb = group_transform(G, hz, tb)
+    z, bound = _packed(G, hz, tb), _imag_bound((hz, tb))
+    del hz, tb  # the FFT runs in place on z, over no other phi-length array
+    lt, vb = _transform(G, z)
+    del z  # vb is a view of it, freed with vb
     wall["transform"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     # B is real, so Im B is rounding of the packed FFT; |L| is complex
-    imag = _imag_residue(q, (hz, tb), (vb,))
-    del hz, tb  # each array goes once it has been read for the last time
+    imag = _imag_residue(q, bound, (vb,))
     prim = G.conductor_grid() == q
-    # A = |L|^2 / 2 on primitive chi, q^-1/2 |sum_u chi(u) zeta(1/2, u/q)|
-    a = (lt.real ** 2 + lt.imag ** 2) / (2.0 * q)
-    del lt
-    a, b = a[prim], vb.real[prim]
+    # A = |L|^2 / 2 on primitive chi, q^-1/2 |sum_u chi(u) zeta(1/2, u/q)|,
+    # formed in place over lt's real part
+    a, im = lt.real, lt.imag
+    a *= a
+    im *= im
+    a += im
+    a /= 2.0 * q
+    a = a[prim]
+    del lt, im
+    b = vb.real[prim]
     del vb, prim
     moment = 4.0 * float(np.sum(a ** 2))
     b_moment = float(np.sum(b ** 2))

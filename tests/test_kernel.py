@@ -453,10 +453,12 @@ def test_shared_check_covers_each_parity_interpolant(monkeypatch, a, k):
 
 
 def test_table_peak_memory():
-    # kernel_weights fills kprod in place, with no per-parity temporary:
-    # at q = 100003 the traced peak is m, x, 1/sqrt(m) and both rows of
-    # kprod plus the kernel's per-block scratch, measured 5.30 x 8 m_eff
-    # bytes (6.26 x with a copied row per parity)
+    # kernel_weights builds its arguments x = pi m / q in place in one
+    # array, fills kprod in place with no per-parity temporary, frees x
+    # and scales kprod by 1/sqrt(m) in blocks: at q = 100003 the traced
+    # peak is x and both rows of kprod plus the kernel's per-block
+    # scratch, measured 3.30 x 8 m_eff bytes (5.30 x with an m array, a
+    # pi m temporary and a full-length 1/sqrt(m) held next to kprod)
     q = 100003
     kernel_weights(q)  # caches built outside the trace
     tracemalloc.start()
@@ -465,4 +467,20 @@ def test_table_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5.5 * 8 * kw.m_eff, peak / (8 * kw.m_eff)
+    assert peak <= 3.5 * 8 * kw.m_eff, peak / (8 * kw.m_eff)
+
+
+@pytest.mark.parametrize("head_only", [False, True])
+def test_table_is_the_one_piece_formula(head_only):
+    # the in-place arguments and the blockwise 1/sqrt(m) scaling give the
+    # bits of the one-piece formula, w_eval_batch at pi m / q times
+    # 1 / sqrt(m): at q = 10007 the full table has 76k arguments, three
+    # scaling blocks, the last one partial
+    q = 10007
+    kw = kernel_weights(q, head_only=head_only)
+    m = np.arange(1, kw.m_eff + 1, dtype=np.float64)
+    want = np.zeros((2, kw.m_eff + 1))
+    w_eval_batch(want[:, 1:], math.pi * m / q)
+    want[:, 1:] = want[:, 1:] * (1.0 / np.sqrt(m))
+    assert np.array_equal(kw.kprod, want)
+    assert head_only or kw.m_eff > 2 * kernel._HORNER_BLOCK

@@ -35,7 +35,7 @@ def test_removed_names_are_gone():
     # (spectra._table); no exports without a caller, trial division
     # as the only factorization, one pair batch size
     # (lfunc._PAIR_BATCH), one unit gather per table, shared by the
-    # transform and its rounding bound (spectra._imag_residue), and one
+    # transform and its rounding bound (spectra._imag_bound), and one
     # map from the label grid to the residues
     # (CharacterGroup.unit_residues, from the generators' powers);
     # factorize returns its (p, e) pairs, the transform's exact-angle

@@ -243,6 +243,44 @@ def test_table_scratch_does_not_grow_with_the_pairs():
     assert peaks[1] <= peaks[0] + (16 << 10), peaks
 
 
+def _traced_peak(f, q):
+    """The traced peak of f(q), called once before the trace so that the
+    lazy kernel and Hurwitz set-up is built outside it."""
+    f(q)
+    tracemalloc.start()
+    try:
+        f(q)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_spectrum_peak_is_the_kernel_table():
+    # compute_spectrum drops its kernel table before the transform, which
+    # holds the two tables and two complex grids, so no stage after the
+    # kernel table holds more than it (kernel_weights' own bound,
+    # 3.5 x 8 m_eff): at q = 100003 the traced peak was 3.30 x 8 m_eff
+    # (19.3 MiB), and 5.30 x (30.9 MiB) with the kernel table's m, pi m
+    # and 1/sqrt(m) arrays
+    q = 100003
+    peak = _traced_peak(compute_spectrum, q)
+    m_eff = lfunc.truncation_bound(q)
+    assert peak <= 3.5 * 8 * m_eff, peak / (8 * m_eff)
+
+
+def test_moment_peak_memory():
+    # fourth_moment packs hz and the head table into one complex grid and
+    # releases both before the in-place FFT, unpacks over that grid and
+    # its negated copy, and squares |L| in place.  At q = 100003 the
+    # traced peak was 7.55 x 8 phi, set by the table stage (the transform
+    # 6.33 x, the assembly 6.65 x); with the transform's four complex
+    # grids next to its inputs it was 9.02 x, set by the transform
+    q = 100003
+    peak = _traced_peak(fourth_moment, q)
+    phi = euler_phi(q)
+    assert peak <= 8.0 * 8 * phi, peak / (8 * phi)
+
+
 def _ranges(kw):
     return (0, kw.z_floor), (kw.z_floor, kw.m_eff)
 
@@ -295,6 +333,38 @@ def test_transform_matches_exact_angle_at_mid_q(q):
     mn = 4.0 * float(np.sum(a[spec.primitive] ** 2))
     assert abs(mf - mn) <= 1e-12 * abs(mn)
     assert spec.imag_residue <= 1e-12
+
+
+def _out_of_place_transform(G, f, g):
+    """group_transform as it ran before the in-place FFT and unpack: four
+    complex grids, the FFT's output, the negated copy and both outputs."""
+    shape = G.orders or (1,)
+    z = np.empty(shape, dtype=np.complex128)
+    z.real, z.imag = f.reshape(shape), g.reshape(shape)
+    z = np.fft.fftn(z)
+    z, zn = z.ravel(), spectra._negated(G, z)
+    np.conj(z, out=z)
+    x_f = z + zn
+    x_f *= 0.5
+    z -= zn
+    z *= 0.5j
+    return x_f, z
+
+
+@pytest.mark.parametrize("q", [1, 2, 12, 10201, 15015, 100003])
+def test_transform_in_place_keeps_the_bits(q):
+    # the in-place FFT and the blockwise unpack give the out-of-place
+    # transform's bits: the grid of no axis (q = 1, 2), a Good-Thomas
+    # split (10201 = 101^2) and, at 100003, four unpack blocks, the last
+    # partial; the inputs are left as they were
+    G = build_group(q)
+    rng = np.random.default_rng(q)
+    f, g = rng.standard_normal((2, G.group_order))
+    f0, g0 = f.copy(), g.copy()
+    for got, want in zip(group_transform(G, f, g),
+                         _out_of_place_transform(G, f, g)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(f, f0) and np.array_equal(g, g0)
 
 
 @pytest.mark.parametrize("q", [1, 2, 4, 8, 12, 64, 2992, 2999, 30030])

@@ -21,6 +21,8 @@ when its tracked files differ from it.
 The entries (each one fresh Python process a run):
   fourth_moment/<q>  fourth_moment(q): its MomentReport.wall stages,
                      total seconds, peak RSS, moment and ratio
+  compute_spectrum/100003, compute_spectrum/1000003
+                     compute_spectrum(q): seconds and peak RSS
   scan/3-50, scan/999983, scan/9999991
                      cli.main(["scan", ...]): wall seconds and peak RSS
   moment_primes      fourth_moment at each prime in [10000, 11000] after
@@ -50,6 +52,7 @@ import time
 
 MOMENT_QS = (10007, 100003, 1000003, 4849845, 5000011, 7000003, 7000523,
              9699690, 9999047, 9999991)
+SPECTRUM_QS = (100003, 1000003)
 RUNS = 3  # runs of each entry per tree
 
 # child prologue: the peak RSS of this process in MiB, and a JSON printer
@@ -70,6 +73,13 @@ d = {{"total_s": time.perf_counter() - t0}}
 d.update((k + "_s", v) for k, v in rep.wall.items())
 d.update(moment=rep.fourth_moment, ratio=rep.ratio)
 done(d)
+"""
+
+_SPECTRUM = _PEAK + """
+from dirmoment.spectra import compute_spectrum
+t0 = time.perf_counter()
+compute_spectrum({q})
+done({{"total_s": time.perf_counter() - t0}})
 """
 
 _SCAN = _PEAK + """
@@ -131,6 +141,8 @@ def _entries() -> list[tuple[str, str | None]]:
     """(name, child code) for each entry, in the order they run; Tier-1
     has no child code of its own."""
     ents = [(f"fourth_moment/{q}", _MOMENT.format(q=q)) for q in MOMENT_QS]
+    ents += [(f"compute_spectrum/{q}", _SPECTRUM.format(q=q))
+             for q in SPECTRUM_QS]
     ents += [("scan/3-50", _SCAN.format(qmin=3, qmax=50)),
              ("scan/999983", _SCAN.format(qmin=999983, qmax=999983)),
              ("scan/9999991", _SCAN.format(qmin=9999991, qmax=9999991)),
