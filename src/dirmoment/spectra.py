@@ -88,9 +88,8 @@ def _fft_eps(phi: int) -> float:
 
 
 def _imag_bound(tables: tuple[np.ndarray, ...]) -> float:
-    """The FFT's normwise error on the real tables packed into one complex
-    input, _fft_eps(phi) sum_u (|f| + |g|): taken before the transform, so
-    the tables can go before it runs."""
+    """The FFT's normwise error on the real tables packed as one complex
+    input, _fft_eps(phi) sum_u (|f| + |g|), read before the tables go."""
     return _fft_eps(tables[0].size) * sum(float(np.abs(t).sum())
                                           for t in tables)
 
@@ -314,7 +313,7 @@ def fourth_moment(q: int, *,
 
     t0 = time.perf_counter()
     z, bound = _packed(G, hz, tb), _imag_bound((hz, tb))
-    del hz, tb  # the FFT runs in place on z, over no other phi-length array
+    del hz, tb  # released before the FFT, which runs in place on z
     lt, vb = _transform(G, z)
     del z  # vb is a view of it, freed with vb
     wall["transform"] = time.perf_counter() - t0

@@ -336,8 +336,8 @@ def test_transform_matches_exact_angle_at_mid_q(q):
 
 
 def _out_of_place_transform(G, f, g):
-    """group_transform as it ran before the in-place FFT and unpack: four
-    complex grids, the FFT's output, the negated copy and both outputs."""
+    """The out-of-place reference for group_transform: the FFT into a new
+    array and the unpack into two more, next to the negated copy."""
     shape = G.orders or (1,)
     z = np.empty(shape, dtype=np.complex128)
     z.real, z.imag = f.reshape(shape), g.reshape(shape)
