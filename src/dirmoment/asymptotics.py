@@ -42,9 +42,10 @@ import numpy as np
 
 from .arith import (coprime_mask, euler_phi, factorize, omega_sieve,
                     phi_star, two_pow_omega)
-from .chargroup import build_group
+from .chargroup import _check_modulus, build_group
 from .lfunc import (KernelWeights, _class_sums, _coprime_pairs, _exact_sum,
-                    _resolve_weights, kernel_weights)
+                    _resolve_weights, _use_weights, head_bound,
+                    kernel_weights)
 from .numerics import EULER_GAMMA, ZETA2
 
 __all__ = [
@@ -82,11 +83,11 @@ def theorem_main_term(q: int) -> float:
 def m_direct(q: int) -> float:
     """Diagonal main term by literal quadruple enumeration over ac = bd.
 
-    The pairs are counted before any kernel value or pair is built: with
-    cnt[k] the number of coprime b <= k, there are sum over coprime
-    a <= Z of cnt[Z // a] of them.
+    The modulus is checked, then the pairs are counted, before any kernel
+    value or pair is built: with cnt[k] the number of coprime b <= k,
+    there are sum over coprime a <= Z of cnt[Z // a] of them.
     """
-    z = q // two_pow_omega(q)
+    z = head_bound(_check_modulus(q))
     cop = coprime_mask(q, z)
     cop[0] = False
     n = int(np.cumsum(cop)[z // np.flatnonzero(cop)].sum())
@@ -94,9 +95,8 @@ def m_direct(q: int) -> float:
         raise ValueError(
             f"direct quadruple enumeration at q = {q} needs "
             f"{n**2:.2e} checks; use the reparametrized form")
-    kw = kernel_weights(q, head_only=True)
+    kp0, kp1 = kernel_weights(q, head_only=True).kprod
     a, b = _coprime_pairs(q, 0, z)
-    kp0, kp1 = kw.kprod
     terms: list[float] = []
     chunk = max(1, _OUTER_BLOCK // n)
     for lo in range(0, n, chunk):
@@ -111,7 +111,8 @@ def m_direct(q: int) -> float:
 def m_reparametrized(q: int, *,
                      weights: Optional[KernelWeights] = None) -> float:
     """Diagonal main term via the a=gr, b=gs, c=hs, d=hr grouping, its
-    terms added exactly and rounded once (the total of lfunc._exact_sum)."""
+    terms added exactly and rounded once (the total of lfunc._exact_sum);
+    kernel_weights refuses a modulus out of range before any table."""
     kw = _resolve_weights(q, weights, head_only=True)
     z = kw.z_floor
     cop = coprime_mask(q, z)
@@ -138,22 +139,18 @@ class Lemma3Result:
     envelope: float  # (Z1 Z2 / k) (log Z1 Z2)^3
 
 
-def _dyadic_pairs(z: float, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ordered pairs (a, b) with z <= ab < 2z and (ab, k) = 1: the integer
-    products ceil(z) <= ab <= ceil(2z) - 1, each unordered pair and its
-    swap.  The count reads them in any order."""
-    return _coprime_pairs(k, math.ceil(z) - 1, math.ceil(2 * z) - 1)
-
-
 def lemma3_count(k: int, z1: float, z2: float) -> Lemma3Result:
     """Exact count of quadruples in the dyadic box with ac = +-bd (mod k)
-    but ac != bd, next to the stated envelope."""
+    but ac != bd, next to the stated envelope: (a, b) and (c, d) run over
+    the ordered pairs with (ab, k) = 1 and z <= ab < 2z, z = z1 and z2,
+    the integer products ceil(z) <= ab <= ceil(2z) - 1, in any order."""
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     if z1 < 2 or z2 < 2:
         raise ValueError("dyadic box bounds must be >= 2")
-    a1, b1 = _dyadic_pairs(z1, k)
-    a2, b2 = _dyadic_pairs(z2, k)
+    (a1, b1), (a2, b2) = (_coprime_pairs(k, math.ceil(z) - 1,
+                                         math.ceil(2 * z) - 1)
+                          for z in (z1, z2))
     n1, n2 = len(a1), len(a2)
     if n1 * n2 > _MAX_LEMMA3_OPS:
         raise ValueError(
@@ -254,7 +251,7 @@ def error_sum_E(q: int) -> ErrorSumResult:
     """Off-diagonal remainder E = sum*|B|^2 - M, measured directly.
 
     Each B is its b_value from abc_values, the naive per-character route
-    independent of the table pipeline: lfunc._class_sums with a head-only
+    independent of the table pipeline: lfunc._class_sums over a head-only
     table (the full one's prefix), which reads back what abc_values
     stored for q.  One character per conjugate class: B(chibar) is B(chi)
     bit for bit, so sum* B^2 is the exact total of B^2 with each non-real
@@ -262,13 +259,13 @@ def error_sum_E(q: int) -> ErrorSumResult:
     """
     if q < 3:
         raise ValueError("error sum needs q >= 3 so log q > 0")
-    kw = kernel_weights(q, head_only=True)
     G = build_group(q)
+    kw = _use_weights(q, None, head_only=True)["weights"]
     sq: list[float] = []
     for chi in G.labels():
         bar = G.conjugate_exponents(chi)
         if chi.primitive and chi.exponents <= bar:
-            b = _class_sums(G, chi, kw)[0]
+            b = _class_sums(G, chi)[0]
             sq.append(b ** 2 * (1 + (chi.exponents != bar)))
     b_sq = _exact_sum(np.array(sq), ())[1]
     m_val = m_reparametrized(q, weights=kw)

@@ -27,24 +27,24 @@ The double sum visits each unordered coprime pair a <= b with
 0 < ab <= m_eff once, in the fixed order of _coprime_pair_chunks, the
 one pair enumerator (slices of _PAIR_BATCH pairs that may end anywhere);
 _unordered_pairs concatenates the slices once, capped at _MAX_PAIRS, and
-_pairs holds them in one cache entry per modulus, the head (ab <= Z)
-then the tail, with the head's length.  The term of (b, a) is the same
-float as that of (a, b), so a pair off the diagonal enters as its term
-doubled (exact) and a diagonal pair a = b once.  A character's terms,
-formed in one numpy pass, are added exactly by one _exact_sum pass cut
-at the head (one bin per eight exponents): B and C are the exact head
-and tail sums rounded once, and A their exact total rounded once, each
-the correctly rounded sum over the ordered pairs that math.fsum gives,
-so it does not depend on term order and reruns are bit-identical.  The
-oracle adds chi(a) zeta(1/2, a/q) over the units with math.fsum.
+_pairs builds them into read-only columns, the head (ab <= Z) then the
+tail, with the head's length.  The term of (b, a) is the same float as
+that of (a, b), so a pair off the diagonal enters as its term doubled
+(exact) and a diagonal pair a = b once.  A character's terms, formed in
+one numpy pass, are added exactly by one _exact_sum pass cut at the head
+(one bin per eight exponents): B and C are the exact head and tail sums
+and A their exact total, each rounded once to the correctly rounded sum
+over the ordered pairs that math.fsum gives, so reruns are bit-identical
+in any term order.  The oracle adds chi(a) zeta(1/2, a/q) over the units
+with math.fsum.
 
-Both routes compute each conjugate class {chi, chibar} once per modulus,
-into one store (_class_values), and that is exact: char_values(chibar)
-is exactly the conjugate of char_values(chi), so chibar's terms
-Re x_a Re x_b + Im x_a Im x_b are chi's floats and its oracle fsums
-chi's, the imaginary one negated.  The smoothed sums (_class_sums) follow
-the kernel values they read, not a table object, so error_sum_E's
-head-only table reads the B values of abc_values.
+Both routes keep one store per modulus (_class_values), which holds the
+pair set, the current kernel table and each conjugate class {chi, chibar}
+computed once: char_values(chibar) is exactly the conjugate of
+char_values(chi), so chibar's terms Re x_a Re x_b + Im x_a Im x_b are
+chi's floats and its oracle fsums chi's, the imaginary one negated.  The
+smoothed sums follow the kernel values they read, not a table object
+(_use_weights), so error_sum_E's head-only table reads abc_values' B.
 """
 
 from __future__ import annotations
@@ -59,7 +59,8 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .arith import coprime_mask, two_pow_omega
-from .chargroup import CharacterGroup, CharacterLabel, build_group
+from .chargroup import (CharacterGroup, CharacterLabel, _check_modulus,
+                        build_group)
 from .kernel import (_CONFIG, _HORNER_BLOCK, _cheb_interp, _clenshaw,
                      w_eval_batch)
 
@@ -178,21 +179,14 @@ def _hurwitz_at(q: int, u: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _class_values(q: int) -> dict:
-    """The per-character results at modulus q, one per conjugate class
-    {chi, chibar}, keyed by the smaller of the two exponent tuples,
-    chi's: 'oracle' holds its L(1/2, chi), 'abc' its sums (_class_sums,
-    which reads and sets 'kprod' and 'weights'); 'hz' is _hurwitz_at the
-    units in label order.  Only the last modulus is kept."""
-    return {"oracle": {}, "abc": {}, "hz": None,
+    """The per-character route's one store at modulus q, each slot filled
+    on first use: 'pairs' (_pairs), 'hz' (_hurwitz_at the units in label
+    order), 'weights' and 'kprod' (_use_weights), and per conjugate class
+    {chi, chibar}, keyed by chi's exponents, the smaller: 'oracle' its
+    L(1/2, chi), 'abc' its _class_sums.  Only the last modulus is kept: a
+    call at another one releases all of it."""
+    return {"oracle": {}, "abc": {}, "hz": None, "pairs": None,
             "kprod": np.zeros((2, 0)), "weights": None}
-
-
-def _class_key(G: CharacterGroup, chi: CharacterLabel
-               ) -> tuple[tuple[int, ...], bool]:
-    """The key of chi's conjugate class in _class_values, and whether chi
-    is the conjugate of the character it names."""
-    bar = G.conjugate_exponents(chi)
-    return min(chi.exponents, bar), bar < chi.exponents
 
 
 def l_half_oracle(G: CharacterGroup, chi: CharacterLabel) -> complex:
@@ -204,7 +198,8 @@ def l_half_oracle(G: CharacterGroup, chi: CharacterLabel) -> complex:
         raise ValueError(
             "the Hurwitz-zeta route needs a primitive character of modulus"
             f" >= 3; got q = {q}, primitive = {chi.primitive}")
-    key, flip = _class_key(G, chi)
+    bar = G.conjugate_exponents(chi)  # flip: chi is the class's chibar
+    key, flip = min(chi.exponents, bar), bar < chi.exponents
     store = _class_values(q)
     known = store["oracle"]
     if key in known:
@@ -224,11 +219,9 @@ class KernelWeights:
 
     kprod[a][m] = W_a(pi m / q) / sqrt(m) for 1 <= m <= m_eff, index 0
     zero padding: every smoothed sum reads the kernel at a product m = ab
-    in this form.  kprod is one (2, m_eff + 1) float64 array, row a the
-    parity a, so a sum over both parities can read both rows in one
-    slice.  m_eff is the effective truncation: products beyond it
-    sit past the kernel's hard zero cutoff, so every sum over ab can stop
-    there.
+    in this form, both parities in one slice.  m_eff is the effective
+    truncation: products beyond it sit past the kernel's hard zero, so
+    every sum over ab can stop there.
     """
 
     q: int
@@ -244,18 +237,22 @@ def truncation_bound(q: int) -> int:
     return math.floor(_CONFIG.x_zero * q / math.pi)
 
 
+def head_bound(q: int) -> int:
+    """The B/C split Z = z_floor, the largest m with m 2^omega(q) <= q."""
+    return q // two_pow_omega(q)
+
+
 def kernel_weights(q: int, *, head_only: bool = False) -> KernelWeights:
-    """Kernel values for 1 <= m <= m_eff.  With head_only the table stops
-    at z_floor, where the B head ends, and m_eff is set to z_floor: such a
-    table serves the B tables but no sum over the tail.  One w_eval_batch
-    call writes both parities into kprod[:, 1:] in place from the
-    arguments x = pi m / q, built in place in one array and freed after
-    the call; kprod is then scaled by 1/sqrt(m) in blocks of
-    _HORNER_BLOCK: the peak holds x, kprod and the kernel's per-block
-    scratch, with no m array and no temporary row."""
-    if q < 1:
-        raise ValueError(f"modulus must be positive, got {q}")
-    z_floor = q // two_pow_omega(q)
+    """Kernel values for 1 <= m <= m_eff in a read-only kprod.  With
+    head_only the table stops at z_floor, where the B head ends, and m_eff
+    is set to z_floor: such a table serves the B tables but no sum over
+    the tail.  One w_eval_batch call writes both parities into
+    kprod[:, 1:] from the arguments x = pi m / q, built in place and freed
+    after the call, then kprod is scaled by 1/sqrt(m) in blocks of
+    _HORNER_BLOCK: the peak holds x, kprod and the kernel's block scratch.
+    A modulus build_group refuses is refused first."""
+    q = _check_modulus(q)
+    z_floor = head_bound(q)
     m_eff = truncation_bound(q)
     if head_only:
         m_eff = min(m_eff, z_floor)
@@ -269,6 +266,7 @@ def kernel_weights(q: int, *, head_only: bool = False) -> KernelWeights:
         m = np.arange(lo, min(lo + _HORNER_BLOCK, m_eff + 1),
                       dtype=np.float64)
         kprod[:, lo:lo + m.size] *= 1.0 / np.sqrt(m)
+    kprod.flags.writeable = False
     return KernelWeights(q, z_floor, m_eff, kprod)
 
 
@@ -378,15 +376,14 @@ def _check_pair_count(hi: int, cap: float) -> None:
             f"~{est:.2e} pairs, over the cost cap")
 
 
-@lru_cache(maxsize=1)
 def _pairs(q: int) -> tuple[tuple[np.ndarray, ...], int]:
     """Unordered coprime pairs a <= b with ab <= m_eff, the head
     (ab <= z_floor) then the tail, as columns (ab, label of a, label of
     b, mult), and the head's length: int64, the labels those of the group
     mod q (CharacterGroup.residue_labels), and mult the float64 count of
     ordered pairs each one stands for, 2 off the diagonal and 1 on it.
-    Shared and read-only, one modulus at a time (160 MiB at 100003)."""
-    z = q // two_pow_omega(q)
+    Read-only, held in the store of _class_values (160 MiB at 100003)."""
+    z = head_bound(q)
     a, b = _unordered_pairs(q, (0, z, truncation_bound(q)))
     ab = a * b
     lab = build_group(q).residue_labels()
@@ -399,19 +396,16 @@ def _pairs(q: int) -> tuple[tuple[np.ndarray, ...], int]:
 def _pair_terms(vals: np.ndarray, kp: np.ndarray,
                 pairs: tuple[np.ndarray, ...]) -> np.ndarray:
     """Re chi(a) chibar(b) kp[ab] times mult over the unordered pairs of
-    _pairs, from vals = CharacterGroup.char_values(chi) in label order, as
-    a float64 array; from a stack of such rows, one per character, the
-    terms of each character along its row.
-    The ordered pairs (a, b) and (b, a) give the same real part, bit for
-    bit (products commute), and imaginary parts that are exact negatives,
-    so the imaginary sum is 0.0 and is not formed, and one term doubled
-    (an exact operation) stands for both.
+    _pairs, from vals = CharacterGroup.char_values(chi) in label order,
+    as a float64 array.  The ordered pairs (a, b) and (b, a) give the same
+    real part, bit for bit (products commute), and imaginary parts that
+    are exact negatives, so the imaginary sum is 0.0 and is not formed,
+    and one term doubled (an exact operation) stands for both.
 
     Real arithmetic, (Re x_a Re x_b + Im x_a Im x_b) kp[ab] mult in that
     order, formed in place, one rounding per operation: each term is the
-    same float wherever the pair sits in the arrays.  The sum of the terms,
-    exact (_exact_sum) or correctly rounded (math.fsum), is the same as
-    over the ordered pairs, in any order.
+    same float wherever the pair sits, and their correctly rounded sum
+    (_exact_sum, math.fsum) is that over the ordered pairs, in any order.
     """
     ab, ua, ub, mult = pairs
     xa, xb = vals.take(ua, axis=-1), vals.take(ub, axis=-1)
@@ -479,31 +473,43 @@ def _exact_sum(x: np.ndarray, cuts: Sequence[int]
     return [n / _EXACT_SCALE for n in sums], sum(sums) / _EXACT_SCALE
 
 
-def _class_sums(G: CharacterGroup, chi: CharacterLabel,
-                weights: KernelWeights) -> tuple[float, ...]:
-    """chi's sums (B,) from a head-only table, or (B, C, A) from a full
-    one (m_eff past z_floor, as x_zero > pi makes it), once per conjugate
-    class in the store of _class_values.  A new table keeps the stored
-    sums if its kernel values equal, bit for bit, those in 'kprod' (a
-    copy of the widest table they agree with) over the range both cover,
-    and drops them if not.
-    On a miss, chi's terms over the pairs of _pairs (the head rows only
-    for a head-only table) are added exactly in one _exact_sum pass cut at
-    the head: B and C are the exact head and tail sums and A their exact
-    total, each rounded once."""
-    pairs, n_head = _pairs(G.q)
-    store = _class_values(G.q)
+def _use_weights(q: int, weights: Optional[KernelWeights], *,
+                 head_only: bool) -> dict:
+    """The store of _class_values(q) with its pair set (refused over the
+    cap before any table) and `weights`, checked (_resolve_weights), as
+    its current table.  A new table keeps the stored sums if its kernel
+    values equal, bit for bit, those in 'kprod' over the range both
+    cover, and drops them if not; 'kprod' keeps the wider, a writeable
+    table as a copy, so its later edits cannot lend stale sums to a new
+    table with the edited values."""
+    store = _class_values(q)
+    if store["pairs"] is None:
+        store["pairs"] = _pairs(q)
+    weights = _resolve_weights(q, weights, head_only=head_only)
     if weights is not store["weights"]:
         kp, ref = weights.kprod, store["kprod"]
         n = min(kp.shape[1], ref.shape[1])
-        if not np.array_equal(kp[:, :n], ref[:, :n]):
-            store.update(abc={}, kprod=kp.copy())
-        elif kp.shape[1] > n:
-            store["kprod"] = kp.copy()
+        same = np.array_equal(kp[:, :n], ref[:, :n])
+        if not same or kp.shape[1] > n:
+            store.update(abc=store["abc"] if same else {},
+                         kprod=kp.copy() if kp.flags.writeable else kp)
         store["weights"] = weights
+    return store
+
+
+def _class_sums(G: CharacterGroup, chi: CharacterLabel) -> tuple[float, ...]:
+    """chi's sums over the current table of the store (_use_weights):
+    (B,) from a head-only table, or (B, C, A) from a full one (m_eff past
+    z_floor, as x_zero > pi makes it), once per conjugate class.
+    On a miss, chi's terms over the store's pairs (the head rows only
+    for a head-only table) are added exactly in one _exact_sum pass cut
+    at the head: B and C are the exact head and tail sums and A their
+    exact total, each rounded once."""
+    store = _class_values(G.q)
+    (pairs, n_head), weights = store["pairs"], store["weights"]
     full = weights.m_eff > weights.z_floor
     known = store["abc"]
-    key = _class_key(G, chi)[0]
+    key = min(chi.exponents, G.conjugate_exponents(chi))
     if len(known.get(key, ())) < 1 + 2 * full:
         rows = pairs if full else tuple(col[:n_head] for col in pairs)
         terms = _pair_terms(G.char_values(chi), weights.kprod[chi.parity],
@@ -522,12 +528,8 @@ def abc_values(G: CharacterGroup, chi: CharacterLabel, *,
     against the table pipeline test only the reorganization of the sum.
     The sums are _class_sums': chibar has chi's terms bit for bit, so
     each conjugate class is summed once per modulus and kernel values.
-    A table is checked against q unless it is the store's current one
-    (checked here, or error_sum_E's own).
     """
-    _pairs(G.q)  # refused over the cap before any table
-    if weights is None or weights is not _class_values(G.q)["weights"]:
-        weights = _resolve_weights(G.q, weights, head_only=False)
-    b, c, a = _class_sums(G, chi, weights)
+    weights = _use_weights(G.q, weights, head_only=False)["weights"]
+    b, c, a = _class_sums(G, chi)
     return CentralValue(label=chi, q=G.q, a_value=a, b_value=b, c_value=c,
                         m_eff=weights.m_eff)

@@ -72,13 +72,13 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import phi_star, two_pow_omega
+from .arith import phi_star
 from .asymptotics import theorem_main_term
 from .chargroup import CharacterGroup, build_group
 from .kernel import _HORNER_BLOCK
 from .lfunc import (_MAX_TABLE_PAIRS, KernelWeights, _check_pair_count,
                     _coprime_pair_chunks, _hurwitz_at, _resolve_weights,
-                    kernel_weights, truncation_bound)
+                    head_bound, kernel_weights, truncation_bound)
 
 def _fft_eps(phi: int) -> float:
     """Normwise relative error bound of a float64 FFT over phi points,
@@ -242,8 +242,8 @@ def compute_spectrum(q: int) -> CharacterSpectrum:
     tables = (_table(G, kw, 0, z_floor), _table(G, kw, z_floor, m_eff))
     del kw  # not read again, and the largest array of the build
     vb, vc = outs = group_transform(G, *tables)
-    return CharacterSpectrum(
-        q=q, group=G, b_values=vb.real, c_values=vc.real,
+    return CharacterSpectrum(  # real parts copied: the grids can go
+        q=q, group=G, b_values=vb.real.copy(), c_values=vc.real.copy(),
         parity=G.parity_grid(), primitive=G.conductor_grid() == q,
         imag_residue=_imag_residue(q, _imag_bound(tables), outs),
         m_eff=m_eff, z_floor=z_floor)
@@ -288,12 +288,12 @@ def fourth_moment(q: int, *,
     """
     t0 = time.perf_counter()
     G = build_group(q)
+    bounds = {"m_eff": truncation_bound(q), "z_floor": head_bound(q)}
     if phi_star(q) == 0:
         return MomentReport(
             q=q, phi_star=0, fourth_moment=0.0, main_term=0.0,
             ratio=float("nan"), b_moment=0.0, c_moment_primitive=0.0,
-            cross_term=0.0, imag_residue=0.0, m_eff=truncation_bound(q),
-            z_floor=q // two_pow_omega(q), wall={})
+            cross_term=0.0, imag_residue=0.0, wall={}, **bounds)
     wall: dict[str, float] = {}
     units = G.unit_residues()  # read by hz and the head table
     wall["group"] = time.perf_counter() - t0
@@ -344,5 +344,4 @@ def fourth_moment(q: int, *,
         q=q, phi_star=phi_star(q), fourth_moment=moment, main_term=main,
         ratio=moment / main if main > 0 else float("nan"),
         b_moment=b_moment, c_moment_primitive=c_moment, cross_term=cross,
-        imag_residue=imag, m_eff=truncation_bound(q),
-        z_floor=q // two_pow_omega(q), wall=wall)
+        imag_residue=imag, wall=wall, **bounds)

@@ -314,14 +314,16 @@ def test_error_sum_scratch_does_not_grow_with_the_characters():
     # kernel's fixed scratch).  Nothing grows with phi* times the head
     # pairs n: the terms held whole would take 8 phi* n bytes, 0.3 MiB at
     # q = 179 and 13 MiB at 1009 (n = 211 and 1623), before their gathers.
-    # The group and the pair set of lfunc._pairs, whose head rows the
-    # class sums read, are built before, and the class store is empty
+    # The group and the pair set in the class store, whose head rows the
+    # class sums read, are built before: a first call fills the store,
+    # and only its sums are cleared
     for q in (179, 1009):
         G = build_group(q)
         G.char_values(G.labels()[1])
-        z = kernel_weights(q, head_only=True).z_floor
-        n = lfunc._pairs(q)[1]
-        lfunc._class_values.cache_clear()
+        error_sum_E(q)
+        store = lfunc._class_values(q)
+        store["abc"].clear()
+        z, n = store["weights"].z_floor, store["pairs"][1]
         bound = 96 * n + 400 * G.group_order + 128 * z + (128 << 10)
         tracemalloc.start()
         try:
@@ -330,6 +332,22 @@ def test_error_sum_scratch_does_not_grow_with_the_characters():
         finally:
             tracemalloc.stop()
         assert peak <= bound, (q, peak, bound)
+
+
+@pytest.mark.parametrize("fn", [error_sum_E, m_direct, m_reparametrized],
+                         ids=lambda fn: fn.__name__)
+def test_modulus_out_of_range_is_refused_at_once(fn):
+    # a modulus build_group refuses is refused before the first q-length
+    # array (a mask, a kernel table or a head table; 160 MB as float64)
+    q = 20_000_003
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds the residue table"):
+            fn(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_error_sum_consistent_with_reparametrized():

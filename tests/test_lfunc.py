@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import weakref
 
 import mpmath as mp
 import numpy as np
@@ -199,6 +201,7 @@ def test_truncation_bound_scales_linearly():
 def test_kernel_weights_structure():
     kw = kernel_weights(12)
     assert kw.q == 12
+    assert not kw.kprod.flags.writeable  # shared, like the pair columns
     assert kw.m_eff == truncation_bound(12)
     xs = math.pi * np.arange(kw.m_eff + 1) / 12
     rows = np.zeros((2, xs.size))
@@ -210,6 +213,22 @@ def test_kernel_weights_structure():
         for m in (1, 2, 5, kw.m_eff):
             assert kp[m] == pytest.approx(w[m] / math.sqrt(m), rel=1e-14,
                                           abs=0.0)
+
+
+def test_kernel_weights_refuses_a_modulus_out_of_range_at_once():
+    # a modulus build_group refuses is refused before the arguments or
+    # the table are allocated (160 MB for the head's arguments at this q)
+    q = 20_000_003
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds the residue table"):
+            kernel_weights(q, head_only=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    with pytest.raises(ValueError, match="positive integer"):
+        kernel_weights(0)
 
 
 def test_kernel_weights_positive_decreasing():
@@ -289,7 +308,7 @@ def test_held_pairs_do_not_depend_on_the_batch(q, monkeypatch):
     hi = truncation_bound(q)
 
     def held():
-        cols, n_head = lfunc._pairs.__wrapped__(q)
+        cols, n_head = lfunc._pairs(q)
         return (*lfunc._unordered_pairs(q, (0, hi)),
                 *lfunc._unordered_pairs(q, (math.isqrt(hi), hi)),
                 *cols, np.array(n_head))
@@ -304,10 +323,11 @@ def test_held_pairs_do_not_depend_on_the_batch(q, monkeypatch):
 
 @pytest.mark.parametrize("q", [1, 2, 12, 179, 1009, 15015])
 def test_pairs_hold_the_head_then_the_tail(q):
-    # one cache entry per modulus: the columns of the head range
+    # one pair set per modulus: the columns of the head range
     # (0, z_floor] followed by those of the tail range (z_floor, m_eff],
     # as if each were built on its own, read-only, and the head's length
     z, m = q // two_pow_omega(q), truncation_bound(q)
+    assert lfunc.head_bound(q) == z
     lab = build_group(q).residue_labels()
 
     def columns(lo, hi):
@@ -609,6 +629,41 @@ def test_class_sums_follow_the_kernel_values(monkeypatch):
     again = lfunc.KernelWeights(kw.q, kw.z_floor, kw.m_eff, own.kprod.copy())
     assert {chi: abc_values(G, chi, weights=again)
             for chi in G.labels()} == after
+
+
+def test_store_keeps_a_read_only_table_itself():
+    # after a sweep with kernel_weights' read-only table the store holds
+    # that table, not a copy of it; a writeable table is copied
+    q = 1009
+    G = build_group(q)
+    kw = kernel_weights(q)
+    lfunc._class_values.cache_clear()
+    for chi in G.labels():
+        abc_values(G, chi, weights=kw)
+    store = lfunc._class_values(q)
+    assert np.shares_memory(store["kprod"], kw.kprod)
+    own = lfunc.KernelWeights(kw.q, kw.z_floor, kw.m_eff, kw.kprod.copy())
+    lfunc._class_values.cache_clear()
+    abc_values(G, G.labels()[1], weights=own)
+    store = lfunc._class_values(q)
+    assert store["weights"] is own
+    assert not np.shares_memory(store["kprod"], own.kprod)
+
+
+def test_a_new_modulus_releases_the_pair_set():
+    # the pair set is a slot of the one per-modulus store, so a
+    # per-character call at another modulus, the oracle's too, lets the
+    # old pairs go; the oracle builds none
+    G = build_group(499)
+    lfunc._class_values.cache_clear()
+    abc_values(G, G.labels()[1])
+    cols = lfunc._class_values(499)["pairs"][0]
+    refs = [weakref.ref(col) for col in cols]
+    del cols
+    G = build_group(512)
+    l_half_oracle(G, next(chi for chi in G.labels() if chi.primitive))
+    assert [ref() for ref in refs] == [None] * 4
+    assert lfunc._class_values(512)["pairs"] is None
 
 
 def test_weights_modulus_mismatch_rejected():

@@ -29,7 +29,8 @@ def test_removed_names_are_gone():
     # one transform entry point, two correctly rounded sums (math.fsum,
     # and lfunc._exact_sum, floats for each segment and the total, for the
     # pair sums of abc_values and of error_sum_E), one pair set per
-    # modulus (lfunc._pairs, the head then the tail), one
+    # modulus (lfunc._pairs, the head then the tail, held in the class
+    # store of lfunc._class_values), one
     # home for the classification rule (CharacterGroup's per-axis tables)
     # and one residue table per product range, scattered already folded
     # (spectra._table); no exports without a caller, trial division
@@ -212,9 +213,10 @@ def test_knobs_are_listed():
 
 # every cache of the package, as (module, function, maxsize): each holds
 # its arrays, tuples or read-only maps for the life of the process, but
-# lfunc._class_values, which fills one modulus's per-character results
-# (one per conjugate class, and the oracle's Hurwitz values at the units)
-# as they are asked for
+# lfunc._class_values, the per-character route's one store, which fills
+# one modulus's pair set, Hurwitz values at the units, current kernel
+# table and per-class results (one per conjugate class) as they are
+# asked for
 CACHES = {
     ("chargroup", "_phi_mu_sums", 64),
     ("kernel", "_height_grid", 64),
@@ -222,7 +224,6 @@ CACHES = {
     ("kernel", "_cheb_coef", 64),
     ("kernel", "_series_coef", 2),
     ("lfunc", "_hurwitz_cheb", 1),
-    ("lfunc", "_pairs", 1),
     ("lfunc", "_class_values", 1),
 }
 

@@ -268,6 +268,19 @@ def test_spectrum_peak_is_the_kernel_table():
     assert peak <= 3.5 * 8 * m_eff, peak / (8 * m_eff)
 
 
+def test_spectrum_values_own_their_data():
+    # b_values and c_values are copies of the transforms' real parts, the
+    # same bits, so a spectrum keeps no complex grid alive
+    q = 1009
+    spec = compute_spectrum(q)
+    G, kw = spec.group, kernel_weights(q)
+    outs = group_transform(G, *(_table(G, kw, lo, hi)
+                                for lo, hi in _ranges(kw)))
+    for got, out in zip((spec.b_values, spec.c_values), outs, strict=True):
+        assert got.flags.owndata and got.flags.c_contiguous
+        assert got.tobytes() == out.real.tobytes()
+
+
 def test_moment_peak_memory():
     # fourth_moment packs hz and the head table into one complex grid and
     # releases both before the in-place FFT, unpacks over that grid and

@@ -16,7 +16,8 @@ entries, so
 
 writes one parent/change pair from one interleaved pass.  The
 environment's git_revision is the tree's commit, with "-dirty" appended
-when its tracked files differ from it.
+when its tracked files differ from it, and its src_lines the line count
+of the tree's src/dirmoment/*.py.
 
 The entries (each one fresh Python process a run):
   fourth_moment/<q>  fourth_moment(q): its MomentReport.wall stages,
@@ -43,6 +44,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pathlib
 import platform
 import re
 import statistics
@@ -169,7 +171,8 @@ def _summary(samples: list[dict]) -> dict:
 
 
 def _environment(tree: str) -> dict:
-    # the commit, with "-dirty" appended when tracked files differ from it
+    # the commit, with "-dirty" appended when tracked files differ from it,
+    # and the line count of the package's source
     rev = subprocess.run(["git", "-C", tree, "describe", "--always",
                           "--dirty", "--abbrev=40", "--exclude=*"],
                          capture_output=True, text=True)
@@ -181,7 +184,10 @@ def _environment(tree: str) -> dict:
             "nproc": os.cpu_count(),
             "machine": platform.machine(),
             "python": platform.python_version(),
-            "numpy": numpy.stdout.strip()}
+            "numpy": numpy.stdout.strip(),
+            "src_lines": sum(
+                len(path.read_text().splitlines()) for path in
+                pathlib.Path(tree, "src", "dirmoment").glob("*.py"))}
 
 
 def main(argv=None) -> int:
